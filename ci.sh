@@ -21,29 +21,12 @@ cargo build --offline --release --workspace
 echo "== cargo test"
 cargo test --offline -q --workspace
 
-echo "== chaos suite (fault injection across a fixed seed matrix)"
-cargo test --offline -q -p snapedge-integration --test chaos
-
-echo "== failover suite (edge-fleet handoff and fleet-of-one bit-compat)"
-cargo test --offline -q -p snapedge-integration --test failover
-
-echo "== prediction suite (proactive link health, predict-off bit-compat)"
-cargo test --offline -q -p snapedge-integration --test prediction
-
-echo "== engine suite (fleet scheduler determinism, legacy-loop bit-compat)"
-cargo test --offline -q -p snapedge-integration --test engine
-
-echo "== metering suite (sandbox caps, meter-off bit-compat, exhaustion failover)"
-cargo test --offline -q -p snapedge-integration --test metering
-
-echo "== effects suite (pruned-capture bit-identity, pre-ship gates, effects-off bit-compat)"
-cargo test --offline -q -p snapedge-integration --test effects
-
-echo "== interning suite (incremental-capture bit-identity, meter-visible O(changed) capture)"
-cargo test --offline -q -p snapedge-integration --test interning
-
-echo "== balance suite (queue-aware selection, admission control, fair share, balance-off bit-compat)"
-cargo test --offline -q -p snapedge-integration --test balance
+echo "== benchmark package (ledger/ is outside the workspace: build it, run its tests, smoke one workload)"
+cargo build --release --offline --manifest-path ledger/Cargo.toml
+cargo test --release --offline -q --manifest-path ledger/Cargo.toml
+ledger_smoke=$(cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml --bin ledger -- \
+    --workload steady_deep --seed 1 --seconds 1 --trace 0)
+grep -q '"correct": true' <<<"$ledger_smoke"
 
 echo "== meter exhaustion CLI smoke (capped primary fails over, run still succeeds)"
 meter_smoke=$(cargo run --offline --release -p snapedge-cli --bin snapedge -- run \

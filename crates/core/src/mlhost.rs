@@ -6,11 +6,11 @@
 
 use crate::device::DeviceProfile;
 use crate::OffloadError;
-use snapedge_dnn::{ExecMode, Network, NetworkProfile, NodeId, ParamStore};
+use snapedge_dnn::{DnnError, ExecMode, Network, NetworkProfile, NodeId, ParamStore};
 use snapedge_net::SimClock;
-use snapedge_tensor::Tensor;
+use snapedge_tensor::{Shape, Tensor, TensorError};
 use snapedge_trace::{EventKind, Lane, Tracer};
-use snapedge_webapp::{Core, HeapCell, HostObject, JsValue, WebError};
+use snapedge_webapp::{Core, HeapCell, HostObject, JsValue, ObjId, WebError};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
@@ -133,41 +133,47 @@ impl CaffeJsHost {
             .push(ExecRecord { kind, duration });
     }
 
-    /// Decodes the app-supplied input: an encoded image string (pixels are
-    /// synthesized deterministically from its hash, standing in for JPEG
-    /// decode) or an already-decoded `Float32Array` of pixel data.
-    fn decode_input(&self, value: &JsValue, core: &Core) -> Result<Tensor, WebError> {
-        let dims = self.net.input_shape().dims().to_vec();
+    /// Validates the app-supplied input: an encoded image string or an
+    /// already-decoded `Float32Array` of exactly the input volume.
+    fn check_input<'a>(
+        &self,
+        value: &'a JsValue,
+        core: &'a Core,
+    ) -> Result<ModelInput<'a>, WebError> {
         match value {
-            JsValue::Str(url) => {
+            JsValue::Str(url) => Ok(ModelInput::Image(url)),
+            JsValue::Float32Array(id) => {
+                let pixels = float_cell(core, *id, "model input")?;
+                check_volume(self.net.input_shape(), pixels, "pixel input")?;
+                Ok(ModelInput::Pixels(pixels))
+            }
+            other => Err(WebError::Runtime(format!(
+                "model input must be an image string or Float32Array, got {}",
+                other.type_name()
+            ))),
+        }
+    }
+
+    /// Decodes a validated input for the real kernels: an image string's
+    /// pixels are synthesized deterministically from its hash, standing in
+    /// for JPEG decode. Synthetic execution reads no pixel and skips this.
+    fn decode_input(&self, input: ModelInput<'_>) -> Result<Tensor, WebError> {
+        let dims = self.net.input_shape().dims();
+        match input {
+            ModelInput::Image(url) => {
                 let mut h: u64 = self.seed;
                 for b in url.bytes() {
                     h = h.wrapping_mul(1099511628211).wrapping_add(b as u64);
                 }
-                Tensor::from_fn(&dims, |i| {
+                Tensor::from_fn(dims, |i| {
                     let mut z = h.wrapping_add(i as u64).wrapping_mul(0x9E3779B97F4A7C15);
                     z ^= z >> 29;
                     ((z % 256) as f32) / 255.0
                 })
                 .map_err(|e| WebError::Runtime(format!("decode: {e}")))
             }
-            JsValue::Float32Array(id) => {
-                let HeapCell::Float32Array(data) = core
-                    .heap
-                    .cell(*id)
-                    .map_err(|e| WebError::Runtime(e.to_string()))?
-                else {
-                    return Err(WebError::Internal(
-                        "heap cell mismatch in model input".into(),
-                    ));
-                };
-                Tensor::from_vec(&dims, data.clone())
-                    .map_err(|e| WebError::Runtime(format!("pixel input: {e}")))
-            }
-            other => Err(WebError::Runtime(format!(
-                "model input must be an image string or Float32Array, got {}",
-                other.type_name()
-            ))),
+            ModelInput::Pixels(pixels) => Tensor::from_vec(dims, pixels.to_vec())
+                .map_err(|e| WebError::Runtime(format!("pixel input: {e}"))),
         }
     }
 
@@ -199,6 +205,40 @@ impl CaffeJsHost {
     }
 }
 
+/// A model argument that passed [`CaffeJsHost::check_input`].
+enum ModelInput<'a> {
+    /// An encoded image (a data URL in the paper's apps).
+    Image(&'a str),
+    /// Decoded pixel data of the input volume.
+    Pixels(&'a [f32]),
+}
+
+/// The typed array behind a `Float32Array` value.
+fn float_cell<'a>(core: &'a Core, id: ObjId, what: &str) -> Result<&'a [f32], WebError> {
+    match core
+        .heap
+        .cell(id)
+        .map_err(|e| WebError::Runtime(e.to_string()))?
+    {
+        HeapCell::Float32Array(data) => Ok(data),
+        _ => Err(WebError::Internal(format!("heap cell mismatch in {what}"))),
+    }
+}
+
+/// The length check of [`Tensor::from_vec`], with its error text, for the
+/// synthetic paths that validate a typed array without copying it into a
+/// tensor.
+fn check_volume(shape: &Shape, data: &[f32], what: &str) -> Result<(), WebError> {
+    if data.len() == shape.volume() {
+        return Ok(());
+    }
+    let mismatch = TensorError::LengthMismatch {
+        expected: shape.volume(),
+        actual: data.len(),
+    };
+    Err(WebError::Runtime(format!("{what}: {mismatch}")))
+}
+
 impl HostObject for CaffeJsHost {
     fn call(
         &mut self,
@@ -206,36 +246,48 @@ impl HostObject for CaffeJsHost {
         args: &[JsValue],
         core: &mut Core,
     ) -> Result<JsValue, WebError> {
-        let to_web = |e: OffloadError| WebError::Runtime(e.to_string());
+        let to_web = |e: DnnError| WebError::Runtime(OffloadError::Dnn(e).to_string());
         match method {
             "inference" => {
-                let input = self.decode_input(
+                let input = self.check_input(
                     args.first()
                         .ok_or_else(|| WebError::Runtime("inference needs an input".into()))?,
                     core,
                 )?;
-                let fwd = self
-                    .net
-                    .forward(&self.params, &input, self.mode)
-                    .map_err(|e| to_web(OffloadError::Dnn(e)))?;
+                let fwd = match self.mode {
+                    ExecMode::Synthetic { seed } => self.net.forward_synthetic(seed, None, None),
+                    ExecMode::Real => {
+                        self.net
+                            .forward(&self.params, &self.decode_input(input)?, self.mode)
+                    }
+                }
+                .map_err(to_web)?;
                 self.charge(ExecKind::Full, None, None);
                 Ok(JsValue::Str(self.label(fwd.final_output())))
             }
             "inference_front" => {
                 let cut = self.require_cut()?;
-                let input = self.decode_input(
+                let input = self.check_input(
                     args.first().ok_or_else(|| {
                         WebError::Runtime("inference_front needs an input".into())
                     })?,
                     core,
                 )?;
-                let fwd = self
-                    .net
-                    .forward_until(&self.params, &input, cut, self.mode)
-                    .map_err(|e| to_web(OffloadError::Dnn(e)))?;
+                let fwd = match self.mode {
+                    ExecMode::Synthetic { seed } => {
+                        self.net.forward_synthetic(seed, None, Some(cut))
+                    }
+                    ExecMode::Real => self.net.forward_until(
+                        &self.params,
+                        &self.decode_input(input)?,
+                        cut,
+                        self.mode,
+                    ),
+                }
+                .map_err(to_web)?;
                 self.charge(ExecKind::Front, None, Some(cut));
-                let feature = fwd.output(cut).map_err(|e| to_web(OffloadError::Dnn(e)))?;
-                Ok(core.heap.alloc_f32(feature.data().to_vec()))
+                let feature = fwd.into_output(cut).map_err(to_web)?;
+                Ok(core.heap.alloc_f32(feature.into_vec()))
             }
             "inference_rear" => {
                 let cut = self.require_cut()?;
@@ -248,27 +300,20 @@ impl HostObject for CaffeJsHost {
                         feature_value.type_name()
                     )));
                 };
-                let HeapCell::Float32Array(data) = core
-                    .heap
-                    .cell(*id)
-                    .map_err(|e| WebError::Runtime(e.to_string()))?
-                else {
-                    return Err(WebError::Internal(
-                        "heap cell mismatch in feature upload".into(),
-                    ));
-                };
-                let dims = self
-                    .net
-                    .output_shape(cut)
-                    .map_err(|e| to_web(OffloadError::Dnn(e)))?
-                    .dims()
-                    .to_vec();
-                let feature = Tensor::from_vec(&dims, data.clone())
-                    .map_err(|e| WebError::Runtime(format!("feature shape: {e}")))?;
-                let fwd = self
-                    .net
-                    .forward_from(&self.params, cut, feature, self.mode)
-                    .map_err(|e| to_web(OffloadError::Dnn(e)))?;
+                let data = float_cell(core, *id, "feature upload")?;
+                let shape = self.net.output_shape(cut).map_err(to_web)?;
+                let fwd = match self.mode {
+                    ExecMode::Synthetic { seed } => {
+                        check_volume(shape, data, "feature shape")?;
+                        self.net.forward_synthetic(seed, Some(cut), None)
+                    }
+                    ExecMode::Real => {
+                        let feature = Tensor::from_vec(shape.dims(), data.to_vec())
+                            .map_err(|e| WebError::Runtime(format!("feature shape: {e}")))?;
+                        self.net.forward_from(&self.params, cut, feature, self.mode)
+                    }
+                }
+                .map_err(to_web)?;
                 self.charge(ExecKind::Rear, Some(cut), None);
                 Ok(JsValue::Str(self.label(fwd.final_output())))
             }
@@ -398,6 +443,84 @@ mod tests {
         };
         assert!(label.starts_with('('), "age label, got {label}");
         assert!(clock.now() > Duration::from_secs(1));
+    }
+
+    #[test]
+    fn synthetic_mode_rejects_bad_arguments_with_the_real_mode_text() {
+        // Synthetic execution never reads its input, but it validates it:
+        // the texts below are what the eager executor reported.
+        let cases = [
+            (
+                None,
+                "model.inference(42);",
+                "model input must be an image string or Float32Array, got number",
+            ),
+            (
+                None,
+                "model.inference(new Float32Array([1, 2, 3]));",
+                "pixel input: data length 3 does not match shape volume 768",
+            ),
+            (None, "model.inference();", "inference needs an input"),
+            (
+                None,
+                r#"model.inference_front("x");"#,
+                "partial inference requires a configured cut point",
+            ),
+            (
+                None,
+                "model.inference_rear(new Float32Array([1]));",
+                "partial inference requires a configured cut point",
+            ),
+            (
+                Some("1st_pool"),
+                "model.inference_front(true);",
+                "model input must be an image string or Float32Array, got boolean",
+            ),
+            (
+                Some("1st_pool"),
+                "model.inference_front(new Float32Array([1, 2]));",
+                "pixel input: data length 2 does not match shape volume 768",
+            ),
+            (
+                Some("1st_pool"),
+                "model.inference_rear(new Float32Array([1, 2, 3]));",
+                "feature shape: data length 3 does not match shape volume 256",
+            ),
+            (
+                Some("1st_pool"),
+                r#"model.inference_rear("feature");"#,
+                "feature data must be a Float32Array, got string",
+            ),
+        ];
+        for (cut, script, want) in cases {
+            for mode in [ExecMode::Synthetic { seed: 9 }, ExecMode::Real] {
+                let (mut b, clock, tracker) = host_browser(mode, cut);
+                let err = b.exec_script(script).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    format!("runtime error: {want}"),
+                    "{script} in {mode:?}"
+                );
+                assert_eq!(clock.now(), Duration::ZERO, "{script}: no time charged");
+                assert!(tracker.borrow().is_empty(), "{script}: nothing executed");
+            }
+        }
+    }
+
+    #[test]
+    fn synthetic_mode_accepts_a_pixel_array_of_the_input_volume() {
+        let pixels = vec!["0.5"; 3 * 16 * 16].join(", ");
+        let script = format!(
+            "var px = new Float32Array([{pixels}]);
+             var f = model.inference_front(px);
+             var split = model.inference_rear(f);
+             var full = model.inference(px);"
+        );
+        let (mut b, _c, tracker) = host_browser(ExecMode::Synthetic { seed: 9 }, Some("1st_pool"));
+        b.exec_script(&script).unwrap();
+        assert_eq!(b.global("split"), b.global("full"));
+        let kinds: Vec<ExecKind> = tracker.borrow().iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [ExecKind::Front, ExecKind::Rear, ExecKind::Full]);
     }
 
     #[test]

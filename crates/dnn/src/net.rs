@@ -2,6 +2,8 @@
 
 use crate::{DnnError, Op, ParamStore};
 use snapedge_tensor::{ops, Shape, Tensor};
+use std::cell::OnceCell;
+use std::sync::Arc;
 
 /// Identifier of a node within a [`Network`] (its topological index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,7 +46,9 @@ pub(crate) struct Node {
 pub struct Network {
     name: String,
     nodes: Vec<Node>,
-    shapes: Vec<Shape>,
+    /// Shared with the synthetic passes this network hands out, which need
+    /// a node's shape when its tensor is first read.
+    shapes: Arc<[Shape]>,
 }
 
 /// Builder for [`Network`]. Nodes must reference previously added nodes,
@@ -172,7 +176,7 @@ impl NetworkBuilder {
         Ok(Network {
             name: self.name,
             nodes: self.nodes,
-            shapes: self.shapes,
+            shapes: self.shapes.into(),
         })
     }
 }
@@ -183,8 +187,14 @@ pub enum ExecMode {
     /// Run the real kernels from `snapedge-tensor`.
     Real,
     /// Produce shape-faithful pseudo-activations without arithmetic.
-    /// Values are deterministic in `(seed, node, element)` and mimic dense
-    /// real-valued activations, so snapshot text sizes stay realistic.
+    ///
+    /// A value is a pure function of `(seed, node, element)` — never of the
+    /// input or of another node — and mimics dense real-valued
+    /// activations, so snapshot text sizes stay realistic. Execution is
+    /// therefore demand-driven: a pass only notes which nodes ran, and a
+    /// node's tensor is produced when [`Forward::output`] first reads it.
+    /// A pass costs O(nodes) plus O(elements of the tensors actually
+    /// read); the tensors nobody reads are never allocated.
     Synthetic {
         /// Seed mixed into every generated value.
         seed: u64,
@@ -192,9 +202,25 @@ pub enum ExecMode {
 }
 
 /// Result of a forward pass: one output tensor per executed node.
+///
+/// After a [`ExecMode::Real`] pass every executed node holds its tensor.
+/// After a [`ExecMode::Synthetic`] pass only the tensor supplied by the
+/// caller (the input, or the feature at the cut) is present; every other
+/// executed node is filled on first read, with the same bits whichever
+/// node is read first and however often. Reading is the only thing that
+/// costs per element: O(nodes) per pass, O(elements) per tensor read.
 #[derive(Debug, Clone)]
 pub struct Forward {
-    outputs: Vec<Option<Tensor>>,
+    /// `None` for nodes outside the executed range.
+    outputs: Vec<Option<OnceCell<Tensor>>>,
+    /// How a synthetic pass fills a cell it left empty.
+    synthetic: Option<SyntheticFill>,
+}
+
+#[derive(Debug, Clone)]
+struct SyntheticFill {
+    seed: u64,
+    shapes: Arc<[Shape]>,
 }
 
 impl Forward {
@@ -206,22 +232,47 @@ impl Forward {
     /// this pass (e.g. it belongs to the front partition of a
     /// [`Network::forward_from`] call).
     pub fn output(&self, id: NodeId) -> Result<&Tensor, DnnError> {
-        self.outputs
+        let cell = self
+            .outputs
             .get(id.0)
             .and_then(|o| o.as_ref())
-            .ok_or_else(|| DnnError::UnknownNode(format!("node {} (not executed)", id.0)))
+            .ok_or_else(|| DnnError::UnknownNode(format!("node {} (not executed)", id.0)))?;
+        Ok(cell.get_or_init(|| {
+            let fill = self
+                .synthetic
+                .as_ref()
+                .expect("a real pass fills every executed node");
+            Tensor::from_fn(fill.shapes[id.0].dims(), |e| {
+                synthetic_value(fill.seed, id.0, e)
+            })
+            .expect("network shapes are validated at build time")
+        }))
+    }
+
+    /// Takes the output of node `id` out of the pass, for callers that
+    /// would otherwise copy it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Forward::output`].
+    pub fn into_output(mut self, id: NodeId) -> Result<Tensor, DnnError> {
+        self.output(id)?;
+        Ok(self
+            .outputs
+            .swap_remove(id.0)
+            .and_then(OnceCell::into_inner)
+            .expect("output() just filled this cell"))
     }
 
     /// Output of the network's final node.
     ///
     /// # Panics
     ///
-    /// Never panics for `Forward` values produced by this crate: the final
-    /// node is always executed.
+    /// Never panics for `Forward` values produced by this crate's
+    /// [`Network::forward`] and [`Network::forward_from`]: the final node
+    /// is always executed.
     pub fn final_output(&self) -> &Tensor {
-        self.outputs
-            .last()
-            .and_then(|o| o.as_ref())
+        self.output(NodeId(self.outputs.len() - 1))
             .expect("final node is always executed")
     }
 }
@@ -339,7 +390,7 @@ impl Network {
         input: &Tensor,
         mode: ExecMode,
     ) -> Result<Forward, DnnError> {
-        self.run(params, input.clone(), NodeId(0), mode)
+        self.run(params, NodeId(0), input.clone(), self.last(), mode)
     }
 
     /// Runs the **front** partition: executes from the input up to and
@@ -357,21 +408,8 @@ impl Network {
         cut: NodeId,
         mode: ExecMode,
     ) -> Result<Forward, DnnError> {
-        if !self.is_cut_point(cut) {
-            return Err(DnnError::UnknownCut(format!(
-                "node {:?} is not a valid partition point",
-                self.node_name(cut).unwrap_or("?")
-            )));
-        }
-        let mut fwd = Forward {
-            outputs: vec![None; self.nodes.len()],
-        };
-        fwd.outputs[0] = Some(input.clone());
-        for i in 1..=cut.0 {
-            let out = self.eval_node(NodeId(i), params, &fwd, mode)?;
-            fwd.outputs[i] = Some(out);
-        }
-        Ok(fwd)
+        self.check_cut(cut)?;
+        self.run(params, NodeId(0), input.clone(), cut, mode)
     }
 
     /// Runs the **rear** partition: resumes execution after `cut`, given the
@@ -389,12 +427,7 @@ impl Network {
         feature: Tensor,
         mode: ExecMode,
     ) -> Result<Forward, DnnError> {
-        if !self.is_cut_point(cut) {
-            return Err(DnnError::UnknownCut(format!(
-                "node {:?} is not a valid partition point",
-                self.node_name(cut).unwrap_or("?")
-            )));
-        }
+        self.check_cut(cut)?;
         if feature.shape() != &self.shapes[cut.0] {
             return Err(DnnError::Params {
                 node: self.nodes[cut.0].name.clone(),
@@ -405,7 +438,37 @@ impl Network {
                 ),
             });
         }
-        self.run(params, feature, cut, mode)
+        self.run(params, cut, feature, self.last(), mode)
+    }
+
+    /// Synthetic pass over the nodes after `after` (the input when `None`)
+    /// up to and including `through` (the final node when `None`), for a
+    /// caller that has no tensor to supply: synthetic values depend on no
+    /// input, so none is needed. The boundary node itself (`after`, or the
+    /// input) is not part of the pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::UnknownCut`] when `after` or `through` is not a
+    /// valid partition point, or `through` lies before `after`.
+    pub fn forward_synthetic(
+        &self,
+        seed: u64,
+        after: Option<NodeId>,
+        through: Option<NodeId>,
+    ) -> Result<Forward, DnnError> {
+        for cut in after.iter().chain(&through) {
+            self.check_cut(*cut)?;
+        }
+        let boundary = after.unwrap_or(NodeId(0));
+        let last = through.unwrap_or(self.last());
+        if last < boundary {
+            return Err(DnnError::UnknownCut(format!(
+                "range ends at node {} before it starts after node {}",
+                last.0, boundary.0
+            )));
+        }
+        Ok(self.synthetic_pass(seed, boundary, None, last))
     }
 
     /// `true` when every node after `cut` depends only on nodes after `cut`
@@ -426,22 +489,69 @@ impl Network {
         true
     }
 
+    fn last(&self) -> NodeId {
+        NodeId(self.nodes.len() - 1)
+    }
+
+    fn check_cut(&self, cut: NodeId) -> Result<(), DnnError> {
+        if self.is_cut_point(cut) {
+            return Ok(());
+        }
+        Err(DnnError::UnknownCut(format!(
+            "node {:?} is not a valid partition point",
+            self.node_name(cut).unwrap_or("?")
+        )))
+    }
+
+    /// Executes the nodes after `boundary` through `last`, given the
+    /// tensor at `boundary`.
     fn run(
         &self,
         params: &ParamStore,
-        cut_value: Tensor,
-        cut: NodeId,
+        boundary: NodeId,
+        value: Tensor,
+        last: NodeId,
         mode: ExecMode,
     ) -> Result<Forward, DnnError> {
-        let mut fwd = Forward {
-            outputs: vec![None; self.nodes.len()],
-        };
-        fwd.outputs[cut.0] = Some(cut_value);
-        for i in cut.0 + 1..self.nodes.len() {
-            let out = self.eval_node(NodeId(i), params, &fwd, mode)?;
-            fwd.outputs[i] = Some(out);
+        match mode {
+            ExecMode::Synthetic { seed } => {
+                Ok(self.synthetic_pass(seed, boundary, Some(value), last))
+            }
+            ExecMode::Real => {
+                let mut fwd = Forward {
+                    outputs: vec![None; self.nodes.len()],
+                    synthetic: None,
+                };
+                fwd.outputs[boundary.0] = Some(OnceCell::from(value));
+                for i in boundary.0 + 1..=last.0 {
+                    let out = self.eval_node(NodeId(i), params, &fwd)?;
+                    fwd.outputs[i] = Some(OnceCell::from(out));
+                }
+                Ok(fwd)
+            }
         }
-        Ok(fwd)
+    }
+
+    /// All of synthetic execution: marks the nodes after `boundary` through
+    /// `last` as executed and leaves their tensors to [`Forward::output`].
+    /// `value`, when the caller has one, is kept at `boundary` unread.
+    fn synthetic_pass(
+        &self,
+        seed: u64,
+        boundary: NodeId,
+        value: Option<Tensor>,
+        last: NodeId,
+    ) -> Forward {
+        let mut outputs = vec![None; self.nodes.len()];
+        outputs[boundary.0] = value.map(OnceCell::from);
+        outputs[boundary.0 + 1..=last.0].fill(Some(OnceCell::new()));
+        Forward {
+            outputs,
+            synthetic: Some(SyntheticFill {
+                seed,
+                shapes: Arc::clone(&self.shapes),
+            }),
+        }
     }
 
     fn eval_node(
@@ -449,15 +559,8 @@ impl Network {
         id: NodeId,
         params: &ParamStore,
         fwd: &Forward,
-        mode: ExecMode,
     ) -> Result<Tensor, DnnError> {
         let node = &self.nodes[id.0];
-        if let ExecMode::Synthetic { seed } = mode {
-            let shape = &self.shapes[id.0];
-            return Ok(Tensor::from_fn(shape.dims(), |e| {
-                synthetic_value(seed, id.0, e)
-            })?);
-        }
         let inputs: Vec<&Tensor> = node
             .inputs
             .iter()
@@ -658,6 +761,27 @@ mod tests {
         assert!(net
             .forward_until(&params, &input, branch, ExecMode::Synthetic { seed: 0 })
             .is_err());
+    }
+
+    #[test]
+    fn forward_synthetic_rejects_non_cuts_and_reversed_ranges() {
+        let net = zoo::googlenet();
+        let branch = net.node_id("inception_3a/1x1").unwrap();
+        let early = net.node_id("1st_pool").unwrap();
+        let late = net.node_id("2nd_pool").unwrap();
+        for (after, through) in [
+            (Some(branch), None),
+            (None, Some(branch)),
+            (Some(late), Some(early)),
+        ] {
+            assert!(matches!(
+                net.forward_synthetic(0, after, through),
+                Err(DnnError::UnknownCut(_))
+            ));
+        }
+        // `(early, early]` is empty, not an error: nothing ran.
+        let empty = net.forward_synthetic(0, Some(early), Some(early)).unwrap();
+        assert!(net.iter().all(|(id, _, _)| empty.output(id).is_err()));
     }
 
     #[test]

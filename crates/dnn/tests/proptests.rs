@@ -4,7 +4,7 @@
 //! partial execution must equal full execution at every cut, and the
 //! description format must round-trip.
 
-use snapedge_dnn::{ExecMode, Network, NetworkBuilder, Op, PoolKind};
+use snapedge_dnn::{DnnError, ExecMode, Network, NetworkBuilder, NodeId, Op, ParamStore, PoolKind};
 use snapedge_rng::Rng;
 use snapedge_tensor::Tensor;
 
@@ -236,6 +236,160 @@ fn synthetic_and_real_agree_on_all_sizes() {
                 real.output(id).unwrap().len(),
                 synth.output(id).unwrap().len(),
                 "case {case} node {name}"
+            );
+        }
+    }
+}
+
+/// The definition of synthetic execution, restated: a pseudo-activation is
+/// this function of `(seed, node, element)` and of nothing else. The
+/// executor's own copy is private; a change to either is a change to every
+/// snapshot byte downstream.
+fn synthetic_value(seed: u64, node: usize, elem: usize) -> f32 {
+    let mut z = seed
+        .wrapping_add((node as u64) << 32)
+        .wrapping_add(elem as u64)
+        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    ((z % 1_000_000) as f32 / 125_000.0) - 2.0
+}
+
+/// What the eager executor stored at `id`.
+fn eager_fill(net: &Network, seed: u64, id: NodeId) -> Tensor {
+    let dims = net.output_shape(id).unwrap().dims();
+    Tensor::from_fn(dims, |e| synthetic_value(seed, id.index(), e)).unwrap()
+}
+
+fn assert_not_executed(result: Result<&Tensor, DnnError>, what: &str) {
+    assert!(
+        matches!(result, Err(DnnError::UnknownNode(_))),
+        "{what}: {result:?}"
+    );
+}
+
+#[test]
+fn lazy_synthetic_outputs_equal_the_eager_fill_in_any_read_order() {
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(600 + case);
+        let body = rand_body(&mut rng, 0, 6);
+        let seed = rng.next_u64();
+        let net = build(&body, 3);
+        let params = ParamStore::empty(net.name());
+        let input = Tensor::filled(net.input_shape().dims(), 0.25).unwrap();
+        let fwd = net
+            .forward(&params, &input, ExecMode::Synthetic { seed })
+            .unwrap();
+
+        let mut order: Vec<NodeId> = net.iter().map(|(id, _, _)| id).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range_usize(0, i + 1));
+        }
+        for &id in &order {
+            let first = fwd.output(id).unwrap();
+            if id == net.node_id("input").unwrap() {
+                assert_eq!(
+                    first, &input,
+                    "case {case}: the input is kept, not generated"
+                );
+            } else {
+                assert_eq!(
+                    first,
+                    &eager_fill(&net, seed, id),
+                    "case {case} node {id:?}"
+                );
+            }
+            let again = fwd.output(id).unwrap();
+            assert!(
+                std::ptr::eq(first, again),
+                "case {case}: read twice, filled once"
+            );
+        }
+    }
+}
+
+#[test]
+fn synthetic_passes_keep_their_range_semantics() {
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(700 + case);
+        let body = rand_body(&mut rng, 1, 6);
+        let seed = rng.next_u64();
+        let net = build(&body, 3);
+        let mode = ExecMode::Synthetic { seed };
+        let params = ParamStore::empty(net.name());
+        let input = Tensor::filled(net.input_shape().dims(), 0.25).unwrap();
+        let first = net.node_id("input").unwrap();
+        let last = net.node_id("prob").unwrap();
+        for cut in net.cut_points() {
+            let what = format!("case {case} cut {}", cut.label);
+
+            let front = net.forward_until(&params, &input, cut.id, mode).unwrap();
+            let rear_feature = Tensor::filled(cut.feature_shape.dims(), 0.5).unwrap();
+            let rear = net
+                .forward_from(&params, cut.id, rear_feature.clone(), mode)
+                .unwrap();
+            let unfed = net.forward_synthetic(seed, Some(cut.id), None).unwrap();
+            assert_eq!(
+                front.output(first).unwrap(),
+                &input,
+                "{what}: supplied input"
+            );
+            assert_eq!(
+                rear.output(cut.id).unwrap(),
+                &rear_feature,
+                "{what}: supplied feature"
+            );
+            assert_not_executed(unfed.output(cut.id), &what);
+            for (id, _, _) in net.iter() {
+                if id > cut.id {
+                    assert_not_executed(front.output(id), &what);
+                    assert_eq!(
+                        rear.output(id).unwrap(),
+                        &eager_fill(&net, seed, id),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        unfed.output(id).unwrap(),
+                        rear.output(id).unwrap(),
+                        "{what}"
+                    );
+                } else if id < cut.id {
+                    assert_not_executed(rear.output(id), &what);
+                    assert_not_executed(unfed.output(id), &what);
+                }
+                if id <= cut.id && id != first {
+                    assert_eq!(
+                        front.output(id).unwrap(),
+                        &eager_fill(&net, seed, id),
+                        "{what}"
+                    );
+                }
+            }
+
+            // A clone taken before the first read and one taken after agree
+            // with the original, and taking a tensor out equals reading it.
+            let fresh = net
+                .forward_from(&params, cut.id, rear_feature, mode)
+                .unwrap();
+            let before = fresh.clone();
+            let read = fresh.final_output().clone();
+            let after = fresh.clone();
+            assert_eq!(
+                before.final_output(),
+                &read,
+                "{what}: clone before the read"
+            );
+            assert_eq!(after.final_output(), &read, "{what}: clone after the read");
+            assert_eq!(
+                before.into_output(last).unwrap(),
+                read,
+                "{what}: into_output"
+            );
+            assert_eq!(
+                after.into_output(last).unwrap(),
+                read,
+                "{what}: into_output"
             );
         }
     }

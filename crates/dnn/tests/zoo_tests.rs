@@ -2,7 +2,8 @@
 //! architectures — if these numbers are right, every size and FLOP figure
 //! downstream inherits their fidelity.
 
-use snapedge_dnn::{zoo, Op};
+use snapedge_dnn::{zoo, ExecMode, Op, ParamStore};
+use snapedge_tensor::Tensor;
 
 /// Parameter count of one named node.
 fn params_of(net: &snapedge_dnn::Network, name: &str) -> u64 {
@@ -122,4 +123,86 @@ fn paper_model_sizes_summary() {
     assert!((sizes[0].1 - 26.7).abs() < 1.0, "googlenet {}", sizes[0].1);
     assert!((sizes[1].1 - 43.5).abs() < 1.5, "agenet {}", sizes[1].1);
     assert!((sizes[2].1 - 43.5).abs() < 1.5, "gendernet {}", sizes[2].1);
+}
+
+/// FNV-1a over the bit patterns of a tensor's elements.
+fn fnv_bits(t: &Tensor) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in t.data() {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn synthetic_tensors_match_the_eager_executor_goldens() {
+    // Pins computed at commit 51bdc88, when synthetic execution filled every
+    // node eagerly: `(model, cut, seed, final_output hash, cut tensor hash)`.
+    // Demand-driven execution must hand out the same bits.
+    const GOLDEN: [(&str, &str, u64, u64, u64); 4] = [
+        (
+            "agenet",
+            "3rd_pool",
+            0x7,
+            0x0d92ee02c7bfb12d,
+            0xa29d4eda5fd2ddd2,
+        ),
+        (
+            "agenet",
+            "3rd_pool",
+            0x5eed,
+            0xf795fdf9175a70a1,
+            0xfaeb21b6e35bb55b,
+        ),
+        (
+            "googlenet",
+            "1st_pool",
+            0x7,
+            0x6335b10657ffedca,
+            0x65846d7e282fb0c0,
+        ),
+        (
+            "googlenet",
+            "1st_pool",
+            0x5eed,
+            0x9618f8454e7c2477,
+            0x3913a980ca68a58d,
+        ),
+    ];
+    for (model, cut, seed, want_final, want_cut) in GOLDEN {
+        let net = zoo::by_name(model).unwrap();
+        let params = ParamStore::empty(net.name());
+        let input = Tensor::filled(net.input_shape().dims(), 0.5).unwrap();
+        let mode = ExecMode::Synthetic { seed };
+        let cut_id = net.cut_point(cut).unwrap().id;
+
+        let full = net.forward(&params, &input, mode).unwrap();
+        assert_eq!(
+            fnv_bits(full.final_output()),
+            want_final,
+            "{model} seed {seed}"
+        );
+        assert_eq!(
+            fnv_bits(full.output(cut_id).unwrap()),
+            want_cut,
+            "{model} {cut} seed {seed}"
+        );
+
+        // The split pass hands out the same two tensors.
+        let front = net.forward_until(&params, &input, cut_id, mode).unwrap();
+        let feature = front.output(cut_id).unwrap().clone();
+        assert_eq!(
+            fnv_bits(&feature),
+            want_cut,
+            "{model} front {cut} seed {seed}"
+        );
+        let rear = net.forward_from(&params, cut_id, feature, mode).unwrap();
+        assert_eq!(
+            fnv_bits(rear.final_output()),
+            want_final,
+            "{model} rear seed {seed}"
+        );
+    }
 }
