@@ -8,7 +8,7 @@ use crate::device::DeviceProfile;
 use crate::OffloadError;
 use snapedge_dnn::{DnnError, ExecMode, Network, NetworkProfile, NodeId, ParamStore};
 use snapedge_net::SimClock;
-use snapedge_tensor::{Shape, Tensor, TensorError};
+use snapedge_tensor::{Tensor, TensorError};
 use snapedge_trace::{EventKind, Lane, Tracer};
 use snapedge_webapp::{Core, HeapCell, HostObject, JsValue, ObjId, WebError};
 use std::cell::RefCell;
@@ -144,7 +144,10 @@ impl CaffeJsHost {
             JsValue::Str(url) => Ok(ModelInput::Image(url)),
             JsValue::Float32Array(id) => {
                 let pixels = float_cell(core, *id, "model input")?;
-                check_volume(self.net.input_shape(), pixels, "pixel input")?;
+                self.net
+                    .input_shape()
+                    .check_len(pixels.len())
+                    .map_err(bad_pixels)?;
                 Ok(ModelInput::Pixels(pixels))
             }
             other => Err(WebError::Runtime(format!(
@@ -154,9 +157,9 @@ impl CaffeJsHost {
         }
     }
 
-    /// Decodes a validated input for the real kernels: an image string's
-    /// pixels are synthesized deterministically from its hash, standing in
-    /// for JPEG decode. Synthetic execution reads no pixel and skips this.
+    /// Decodes a validated input into the tensor a pass starts from: an
+    /// image string's pixels are synthesized deterministically from its
+    /// hash, standing in for JPEG decode.
     fn decode_input(&self, input: ModelInput<'_>) -> Result<Tensor, WebError> {
         let dims = self.net.input_shape().dims();
         match input {
@@ -172,8 +175,9 @@ impl CaffeJsHost {
                 })
                 .map_err(|e| WebError::Runtime(format!("decode: {e}")))
             }
-            ModelInput::Pixels(pixels) => Tensor::from_vec(dims, pixels.to_vec())
-                .map_err(|e| WebError::Runtime(format!("pixel input: {e}"))),
+            ModelInput::Pixels(pixels) => {
+                Tensor::from_vec(dims, pixels.to_vec()).map_err(bad_pixels)
+            }
         }
     }
 
@@ -203,6 +207,25 @@ impl CaffeJsHost {
             WebError::Runtime("partial inference requires a configured cut point".into())
         })
     }
+
+    /// The tensor at `node` after synthetic execution of the nodes after
+    /// `boundary`, without running the pass: a synthetic tensor depends on
+    /// no other, so the one at `boundary` need not be built. `None` when
+    /// the pass has to run — real mode; `node` is the boundary, nothing
+    /// executes and the result is the tensor supplied there; or a bound
+    /// is no partition point, which the pass reports.
+    fn synthetic_read(&self, boundary: NodeId, node: NodeId) -> Option<Result<Tensor, DnnError>> {
+        match self.mode {
+            ExecMode::Synthetic { seed }
+                if node != boundary
+                    && self.net.is_cut_point(boundary)
+                    && self.net.is_cut_point(node) =>
+            {
+                Some(self.net.synthetic_output(seed, node))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A model argument that passed [`CaffeJsHost::check_input`].
@@ -211,6 +234,10 @@ enum ModelInput<'a> {
     Image(&'a str),
     /// Decoded pixel data of the input volume.
     Pixels(&'a [f32]),
+}
+
+fn bad_pixels(e: TensorError) -> WebError {
+    WebError::Runtime(format!("pixel input: {e}"))
 }
 
 /// The typed array behind a `Float32Array` value.
@@ -223,20 +250,6 @@ fn float_cell<'a>(core: &'a Core, id: ObjId, what: &str) -> Result<&'a [f32], We
         HeapCell::Float32Array(data) => Ok(data),
         _ => Err(WebError::Internal(format!("heap cell mismatch in {what}"))),
     }
-}
-
-/// The length check of [`Tensor::from_vec`], with its error text, for the
-/// synthetic paths that validate a typed array without copying it into a
-/// tensor.
-fn check_volume(shape: &Shape, data: &[f32], what: &str) -> Result<(), WebError> {
-    if data.len() == shape.volume() {
-        return Ok(());
-    }
-    let mismatch = TensorError::LengthMismatch {
-        expected: shape.volume(),
-        actual: data.len(),
-    };
-    Err(WebError::Runtime(format!("{what}: {mismatch}")))
 }
 
 impl HostObject for CaffeJsHost {
@@ -254,16 +267,17 @@ impl HostObject for CaffeJsHost {
                         .ok_or_else(|| WebError::Runtime("inference needs an input".into()))?,
                     core,
                 )?;
-                let fwd = match self.mode {
-                    ExecMode::Synthetic { seed } => self.net.forward_synthetic(seed, None, None),
-                    ExecMode::Real => {
-                        self.net
-                            .forward(&self.params, &self.decode_input(input)?, self.mode)
-                    }
+                let last = self.net.output_id();
+                let output = match self.synthetic_read(self.net.input_id(), last) {
+                    Some(output) => output,
+                    None => self
+                        .net
+                        .forward(&self.params, &self.decode_input(input)?, self.mode)
+                        .and_then(|fwd| fwd.into_output(last)),
                 }
                 .map_err(to_web)?;
                 self.charge(ExecKind::Full, None, None);
-                Ok(JsValue::Str(self.label(fwd.final_output())))
+                Ok(JsValue::Str(self.label(&output)))
             }
             "inference_front" => {
                 let cut = self.require_cut()?;
@@ -273,20 +287,15 @@ impl HostObject for CaffeJsHost {
                     })?,
                     core,
                 )?;
-                let fwd = match self.mode {
-                    ExecMode::Synthetic { seed } => {
-                        self.net.forward_synthetic(seed, None, Some(cut))
-                    }
-                    ExecMode::Real => self.net.forward_until(
-                        &self.params,
-                        &self.decode_input(input)?,
-                        cut,
-                        self.mode,
-                    ),
+                let feature = match self.synthetic_read(self.net.input_id(), cut) {
+                    Some(feature) => feature,
+                    None => self
+                        .net
+                        .forward_until(&self.params, &self.decode_input(input)?, cut, self.mode)
+                        .and_then(|fwd| fwd.into_output(cut)),
                 }
                 .map_err(to_web)?;
                 self.charge(ExecKind::Front, None, Some(cut));
-                let feature = fwd.into_output(cut).map_err(to_web)?;
                 Ok(core.heap.alloc_f32(feature.into_vec()))
             }
             "inference_rear" => {
@@ -302,20 +311,22 @@ impl HostObject for CaffeJsHost {
                 };
                 let data = float_cell(core, *id, "feature upload")?;
                 let shape = self.net.output_shape(cut).map_err(to_web)?;
-                let fwd = match self.mode {
-                    ExecMode::Synthetic { seed } => {
-                        check_volume(shape, data, "feature shape")?;
-                        self.net.forward_synthetic(seed, Some(cut), None)
-                    }
-                    ExecMode::Real => {
-                        let feature = Tensor::from_vec(shape.dims(), data.to_vec())
-                            .map_err(|e| WebError::Runtime(format!("feature shape: {e}")))?;
-                        self.net.forward_from(&self.params, cut, feature, self.mode)
+                let bad_shape = |e| WebError::Runtime(format!("feature shape: {e}"));
+                shape.check_len(data.len()).map_err(bad_shape)?;
+                let last = self.net.output_id();
+                let output = match self.synthetic_read(cut, last) {
+                    Some(output) => output,
+                    None => {
+                        let feature =
+                            Tensor::from_vec(shape.dims(), data.to_vec()).map_err(bad_shape)?;
+                        self.net
+                            .forward_from(&self.params, cut, feature, self.mode)
+                            .and_then(|fwd| fwd.into_output(last))
                     }
                 }
                 .map_err(to_web)?;
                 self.charge(ExecKind::Rear, Some(cut), None);
-                Ok(JsValue::Str(self.label(fwd.final_output())))
+                Ok(JsValue::Str(self.label(&output)))
             }
             other => Err(WebError::Runtime(format!("model has no method {other:?}"))),
         }
@@ -521,6 +532,66 @@ mod tests {
         assert_eq!(b.global("split"), b.global("full"));
         let kinds: Vec<ExecKind> = tracker.borrow().iter().map(|r| r.kind).collect();
         assert_eq!(kinds, [ExecKind::Front, ExecKind::Rear, ExecKind::Full]);
+    }
+
+    #[test]
+    fn split_equals_full_at_every_cut_in_both_modes() {
+        // Both ends included: at `input` the front partition is empty and
+        // hands back the decoded image, at `prob` the rear partition is
+        // empty and labels the uploaded feature.
+        for mode in [ExecMode::Synthetic { seed: 9 }, ExecMode::Real] {
+            let (mut full, _c, _t) = host_browser(mode, None);
+            full.exec_script(r#"var r = model.inference("img");"#)
+                .unwrap();
+            for cut in zoo::tiny_cnn().cut_points() {
+                let (mut b, _c, tracker) = host_browser(mode, Some(&cut.label));
+                b.exec_script(
+                    r#"var f = model.inference_front("img");
+                       var n = f.length;
+                       var r = model.inference_rear(f);"#,
+                )
+                .unwrap();
+                let what = format!("cut {} in {mode:?}", cut.label);
+                assert_eq!(b.global("r"), full.global("r"), "{what}");
+                assert_eq!(
+                    b.global("n"),
+                    JsValue::Number(cut.feature_elems as f64),
+                    "{what}"
+                );
+                let kinds: Vec<ExecKind> = tracker.borrow().iter().map(|r| r.kind).collect();
+                assert_eq!(kinds, [ExecKind::Front, ExecKind::Rear], "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_that_is_no_partition_point_is_reported_in_both_modes() {
+        let net = zoo::googlenet();
+        let branch = net.node_id("inception_3a/1x1").unwrap();
+        let volume = net.output_shape(branch).unwrap().volume();
+        for mode in [ExecMode::Synthetic { seed: 9 }, ExecMode::Real] {
+            for call in [
+                r#"model.inference_front("img");"#.to_string(),
+                format!("model.inference_rear(new Float32Array({volume}));"),
+            ] {
+                let host = CaffeJsHost::new(
+                    net.clone(),
+                    ParamStore::empty("googlenet"),
+                    odroid_xu4(),
+                    mode,
+                    SimClock::new(),
+                )
+                .with_cut(Some(branch));
+                let mut b = Browser::new();
+                b.register_host("model", Box::new(host));
+                let err = b.exec_script(&call).unwrap_err().to_string();
+                assert!(
+                    err.starts_with("runtime error: dnn: unknown cut point")
+                        && err.contains("inception_3a/1x1"),
+                    "{call} in {mode:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

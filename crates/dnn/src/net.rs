@@ -242,10 +242,7 @@ impl Forward {
                 .synthetic
                 .as_ref()
                 .expect("a real pass fills every executed node");
-            Tensor::from_fn(fill.shapes[id.0].dims(), |e| {
-                synthetic_value(fill.seed, id.0, e)
-            })
-            .expect("network shapes are validated at build time")
+            synthetic_tensor(fill.seed, id, &fill.shapes[id.0])
         }))
     }
 
@@ -277,6 +274,12 @@ impl Forward {
     }
 }
 
+/// The tensor synthetic execution produces for `node`, of shape `shape`.
+fn synthetic_tensor(seed: u64, node: NodeId, shape: &Shape) -> Tensor {
+    Tensor::from_fn(shape.dims(), |e| synthetic_value(seed, node.0, e))
+        .expect("network shapes are validated at build time")
+}
+
 fn synthetic_value(seed: u64, node: usize, elem: usize) -> f32 {
     // SplitMix64-style mix: deterministic, well distributed.
     let mut z = seed
@@ -304,6 +307,16 @@ impl Network {
     /// Shape of the network input.
     pub fn input_shape(&self) -> &Shape {
         &self.shapes[0]
+    }
+
+    /// The input node's id (always the first node).
+    pub fn input_id(&self) -> NodeId {
+        NodeId(0)
+    }
+
+    /// The output node's id (always the last node).
+    pub fn output_id(&self) -> NodeId {
+        NodeId(self.nodes.len() - 1)
     }
 
     /// Node id for a node name.
@@ -390,7 +403,13 @@ impl Network {
         input: &Tensor,
         mode: ExecMode,
     ) -> Result<Forward, DnnError> {
-        self.run(params, NodeId(0), input.clone(), self.last(), mode)
+        self.run(
+            params,
+            self.input_id(),
+            input.clone(),
+            self.output_id(),
+            mode,
+        )
     }
 
     /// Runs the **front** partition: executes from the input up to and
@@ -409,7 +428,7 @@ impl Network {
         mode: ExecMode,
     ) -> Result<Forward, DnnError> {
         self.check_cut(cut)?;
-        self.run(params, NodeId(0), input.clone(), cut, mode)
+        self.run(params, self.input_id(), input.clone(), cut, mode)
     }
 
     /// Runs the **rear** partition: resumes execution after `cut`, given the
@@ -438,37 +457,18 @@ impl Network {
                 ),
             });
         }
-        self.run(params, cut, feature, self.last(), mode)
+        self.run(params, cut, feature, self.output_id(), mode)
     }
 
-    /// Synthetic pass over the nodes after `after` (the input when `None`)
-    /// up to and including `through` (the final node when `None`), for a
-    /// caller that has no tensor to supply: synthetic values depend on no
-    /// input, so none is needed. The boundary node itself (`after`, or the
-    /// input) is not part of the pass.
+    /// The tensor every [`ExecMode::Synthetic`] pass with this `seed` yields
+    /// for an executed node `id` — what [`Forward::output`] fills in on
+    /// first read — for a caller that reads one node and needs no pass.
     ///
     /// # Errors
     ///
-    /// Returns [`DnnError::UnknownCut`] when `after` or `through` is not a
-    /// valid partition point, or `through` lies before `after`.
-    pub fn forward_synthetic(
-        &self,
-        seed: u64,
-        after: Option<NodeId>,
-        through: Option<NodeId>,
-    ) -> Result<Forward, DnnError> {
-        for cut in after.iter().chain(&through) {
-            self.check_cut(*cut)?;
-        }
-        let boundary = after.unwrap_or(NodeId(0));
-        let last = through.unwrap_or(self.last());
-        if last < boundary {
-            return Err(DnnError::UnknownCut(format!(
-                "range ends at node {} before it starts after node {}",
-                last.0, boundary.0
-            )));
-        }
-        Ok(self.synthetic_pass(seed, boundary, None, last))
+    /// Returns [`DnnError::UnknownNode`] for an out-of-range id.
+    pub fn synthetic_output(&self, seed: u64, id: NodeId) -> Result<Tensor, DnnError> {
+        Ok(synthetic_tensor(seed, id, self.output_shape(id)?))
     }
 
     /// `true` when every node after `cut` depends only on nodes after `cut`
@@ -487,10 +487,6 @@ impl Network {
             }
         }
         true
-    }
-
-    fn last(&self) -> NodeId {
-        NodeId(self.nodes.len() - 1)
     }
 
     fn check_cut(&self, cut: NodeId) -> Result<(), DnnError> {
@@ -513,45 +509,29 @@ impl Network {
         last: NodeId,
         mode: ExecMode,
     ) -> Result<Forward, DnnError> {
+        let mut fwd = Forward {
+            outputs: vec![None; self.nodes.len()],
+            synthetic: None,
+        };
+        fwd.outputs[boundary.0] = Some(OnceCell::from(value));
         match mode {
+            // All of synthetic execution: mark the nodes as executed and
+            // leave their tensors to `Forward::output`.
             ExecMode::Synthetic { seed } => {
-                Ok(self.synthetic_pass(seed, boundary, Some(value), last))
+                fwd.outputs[boundary.0 + 1..=last.0].fill(Some(OnceCell::new()));
+                fwd.synthetic = Some(SyntheticFill {
+                    seed,
+                    shapes: Arc::clone(&self.shapes),
+                });
             }
             ExecMode::Real => {
-                let mut fwd = Forward {
-                    outputs: vec![None; self.nodes.len()],
-                    synthetic: None,
-                };
-                fwd.outputs[boundary.0] = Some(OnceCell::from(value));
                 for i in boundary.0 + 1..=last.0 {
                     let out = self.eval_node(NodeId(i), params, &fwd)?;
                     fwd.outputs[i] = Some(OnceCell::from(out));
                 }
-                Ok(fwd)
             }
         }
-    }
-
-    /// All of synthetic execution: marks the nodes after `boundary` through
-    /// `last` as executed and leaves their tensors to [`Forward::output`].
-    /// `value`, when the caller has one, is kept at `boundary` unread.
-    fn synthetic_pass(
-        &self,
-        seed: u64,
-        boundary: NodeId,
-        value: Option<Tensor>,
-        last: NodeId,
-    ) -> Forward {
-        let mut outputs = vec![None; self.nodes.len()];
-        outputs[boundary.0] = value.map(OnceCell::from);
-        outputs[boundary.0 + 1..=last.0].fill(Some(OnceCell::new()));
-        Forward {
-            outputs,
-            synthetic: Some(SyntheticFill {
-                seed,
-                shapes: Arc::clone(&self.shapes),
-            }),
-        }
+        Ok(fwd)
     }
 
     fn eval_node(
@@ -764,24 +744,29 @@ mod tests {
     }
 
     #[test]
-    fn forward_synthetic_rejects_non_cuts_and_reversed_ranges() {
-        let net = zoo::googlenet();
-        let branch = net.node_id("inception_3a/1x1").unwrap();
-        let early = net.node_id("1st_pool").unwrap();
-        let late = net.node_id("2nd_pool").unwrap();
-        for (after, through) in [
-            (Some(branch), None),
-            (None, Some(branch)),
-            (Some(late), Some(early)),
-        ] {
-            assert!(matches!(
-                net.forward_synthetic(0, after, through),
-                Err(DnnError::UnknownCut(_))
-            ));
+    fn synthetic_output_is_what_a_synthetic_pass_yields() {
+        let net = zoo::tiny_cnn();
+        let params = crate::ParamStore::empty(net.name());
+        let input = Tensor::zeros(net.input_shape().dims()).unwrap();
+        let pass = net
+            .forward(&params, &input, ExecMode::Synthetic { seed: 5 })
+            .unwrap();
+        for (id, name, _) in net.iter().skip(1) {
+            assert_eq!(
+                &net.synthetic_output(5, id).unwrap(),
+                pass.output(id).unwrap(),
+                "{name}"
+            );
         }
-        // `(early, early]` is empty, not an error: nothing ran.
-        let empty = net.forward_synthetic(0, Some(early), Some(early)).unwrap();
-        assert!(net.iter().all(|(id, _, _)| empty.output(id).is_err()));
+        assert_eq!(net.input_id(), NodeId(0));
+        assert_eq!(
+            net.synthetic_output(5, net.output_id()).unwrap(),
+            *pass.final_output()
+        );
+        assert!(matches!(
+            net.synthetic_output(5, NodeId(net.node_count())),
+            Err(DnnError::UnknownNode(_))
+        ));
     }
 
     #[test]

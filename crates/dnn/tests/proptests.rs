@@ -329,7 +329,6 @@ fn synthetic_passes_keep_their_range_semantics() {
             let rear = net
                 .forward_from(&params, cut.id, rear_feature.clone(), mode)
                 .unwrap();
-            let unfed = net.forward_synthetic(seed, Some(cut.id), None).unwrap();
             assert_eq!(
                 front.output(first).unwrap(),
                 &input,
@@ -340,7 +339,6 @@ fn synthetic_passes_keep_their_range_semantics() {
                 &rear_feature,
                 "{what}: supplied feature"
             );
-            assert_not_executed(unfed.output(cut.id), &what);
             for (id, _, _) in net.iter() {
                 if id > cut.id {
                     assert_not_executed(front.output(id), &what);
@@ -350,13 +348,12 @@ fn synthetic_passes_keep_their_range_semantics() {
                         "{what}"
                     );
                     assert_eq!(
-                        unfed.output(id).unwrap(),
+                        &net.synthetic_output(seed, id).unwrap(),
                         rear.output(id).unwrap(),
-                        "{what}"
+                        "{what}: one node without a pass"
                     );
                 } else if id < cut.id {
                     assert_not_executed(rear.output(id), &what);
-                    assert_not_executed(unfed.output(id), &what);
                 }
                 if id <= cut.id && id != first {
                     assert_eq!(

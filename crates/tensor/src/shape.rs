@@ -56,6 +56,24 @@ impl Shape {
         self.dims.iter().product()
     }
 
+    /// Checks that `len` elements fill this shape exactly — the rule every
+    /// tensor constructor enforces, for callers validating data they do not
+    /// (yet) copy into a tensor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] when `len` differs from the
+    /// volume.
+    pub fn check_len(&self, len: usize) -> Result<(), TensorError> {
+        if len == self.volume() {
+            return Ok(());
+        }
+        Err(TensorError::LengthMismatch {
+            expected: self.volume(),
+            actual: len,
+        })
+    }
+
     /// Row-major strides: `strides()[i]` is the element distance between
     /// consecutive indices along axis `i`.
     pub fn strides(&self) -> Vec<usize> {
@@ -124,6 +142,19 @@ mod tests {
         let s = Shape::new(&[3, 224, 224]).unwrap();
         assert_eq!(s.volume(), 150_528);
         assert_eq!(s.rank(), 3);
+    }
+
+    #[test]
+    fn check_len_accepts_exactly_the_volume() {
+        let s = Shape::new(&[2, 3]).unwrap();
+        assert_eq!(s.check_len(6), Ok(()));
+        assert_eq!(
+            s.check_len(5),
+            Err(TensorError::LengthMismatch {
+                expected: 6,
+                actual: 5
+            })
+        );
     }
 
     #[test]

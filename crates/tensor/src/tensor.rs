@@ -34,12 +34,7 @@ impl Tensor {
     /// the shape volume, or [`TensorError::EmptyShape`] for an invalid shape.
     pub fn from_vec(dims: &[usize], data: Vec<f32>) -> Result<Tensor, TensorError> {
         let shape = Shape::new(dims)?;
-        if data.len() != shape.volume() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: data.len(),
-            });
-        }
+        shape.check_len(data.len())?;
         Ok(Tensor { shape, data })
     }
 
@@ -135,12 +130,7 @@ impl Tensor {
     /// Returns [`TensorError::LengthMismatch`] when the volumes differ.
     pub fn reshape(self, dims: &[usize]) -> Result<Tensor, TensorError> {
         let shape = Shape::new(dims)?;
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: self.data.len(),
-            });
-        }
+        shape.check_len(self.data.len())?;
         Ok(Tensor {
             shape,
             data: self.data,
