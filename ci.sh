@@ -15,6 +15,13 @@ echo "== cargo clippy (hot-path crates forbid unwrap outside tests)"
 cargo clippy --offline --no-deps -p snapedge-core -p snapedge-webapp --lib -- \
     -D warnings -D clippy::unwrap_used
 
+echo "== one offload path (scenario.rs outside its tests drives no link, pool or snapshot of its own)"
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/scenario.rs |
+    grep -nE 'schedule_resilient|Link::new|ServerPool|\.capture\(|\.restore\('; then
+    echo "scenario.rs is growing a second offload driver: route it through OffloadSession" >&2
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 

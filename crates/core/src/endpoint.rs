@@ -112,43 +112,6 @@ impl Endpoint {
         tracker
     }
 
-    /// Runs static effect analysis over app source against this
-    /// endpoint's registered host surface, recording an instant
-    /// `effect_verdict:{outcome}` trace event. The summary is memoized in
-    /// `cache` keyed by source + host surface, so long-lived sessions
-    /// analyze each app once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OffloadError::Analyze`] when the app does not parse or
-    /// reaches nondeterministic host APIs (clock/random/IO) — replaying
-    /// its snapshot elsewhere could diverge, so it must stay local. The
-    /// rejection happens before any link traffic.
-    pub fn gate_effects(
-        &mut self,
-        html_src: &str,
-        cache: &mut snapedge_analyze::EffectCache,
-    ) -> Result<snapedge_analyze::EffectSummary, OffloadError> {
-        let opts = snapedge_analyze::EffectOptions::from_host_effects(self.browser.host_effects());
-        let result = cache.summary_html(html_src, &opts);
-        let outcome = match &result {
-            Ok(s) if s.is_nondeterministic() => "nondeterministic",
-            Ok(_) => "ok",
-            Err(_) => "error",
-        };
-        let now = self.clock.now();
-        self.tracer.record(
-            &format!("effect_verdict:{outcome}"),
-            self.lane,
-            EventKind::EffectVerdict,
-            now,
-            now,
-        );
-        let summary = result.map_err(OffloadError::Analyze)?;
-        summary.verdict().map_err(OffloadError::Analyze)?;
-        Ok(summary)
-    }
-
     /// Captures a snapshot, charging the device's capture time to the
     /// clock; returns the snapshot and the charged duration.
     ///

@@ -23,7 +23,8 @@
 //! | the Caffe.js `model` host object apps call | [`mlhost`] |
 //! | the two benchmark apps (paper Figs. 2 & 5) | [`apps`] |
 //! | a browser-bearing machine | [`endpoint`] |
-//! | pre-sending, ACK, migration, partial inference — full scenarios | [`scenario`] |
+//! | the one offload path: pre-sending, ACK, pre-ship gates, migration, failover, local fallback | [`OffloadSession`] |
+//! | the Fig. 6 strategies as one-round sessions, per-phase breakdown | [`run_scenario`] |
 //! | Neurosurgeon-style partition-point optimization | [`partition`] |
 //! | fault classification, retry policy, local fallback | [`resilience`] |
 //! | edge-fleet server pool, health records, failover selection | [`fleet`] |
@@ -94,8 +95,7 @@ pub use resilience::{
     RetryPolicy,
 };
 pub use scenario::{
-    run_scenario, run_scenario_with_links, run_with_fallback, Breakdown, ScenarioBuilder,
-    ScenarioConfig, ScenarioReport, Strategy,
+    run_scenario, Breakdown, ScenarioBuilder, ScenarioConfig, ScenarioReport, Strategy,
 };
 pub use session::{OffloadSession, RoundReport, SessionBuilder, SessionConfig};
 pub use snapedge_analyze::{

@@ -27,8 +27,7 @@ pub use crate::fleet::{format_servers, parse_servers, ServerHealth, ServerPool, 
 pub use crate::install::{vm_install, InstallReport};
 pub use crate::resilience::{classify, FaultClass, ResilienceOutcome, RetryPolicy};
 pub use crate::scenario::{
-    run_scenario, run_scenario_with_links, run_with_fallback, Breakdown, ScenarioBuilder,
-    ScenarioConfig, ScenarioReport, Strategy,
+    run_scenario, Breakdown, ScenarioBuilder, ScenarioConfig, ScenarioReport, Strategy,
 };
 pub use crate::session::{OffloadSession, RoundReport, SessionBuilder, SessionConfig};
 pub use crate::timeline;

@@ -6,9 +6,9 @@
 //! mid-offload network failure into a recoverable event instead of a lost
 //! inference: errors are classified as transient or fatal, transient ones
 //! are retried under a [`RetryPolicy`] (bounded attempts, virtual-time
-//! exponential backoff, a hard deadline), and when the budget runs out the
-//! runtime degrades to local execution via the
-//! [`AdaptiveOffloader`](crate::AdaptiveOffloader). Everything is measured
+//! exponential backoff, a hard deadline), and when the budget runs out on
+//! every fleet candidate the [`OffloadSession`](crate::OffloadSession)
+//! completes the round locally. Everything is measured
 //! in *virtual* time on the shared `SimClock`, so a recovery under an
 //! injected [`FaultPlan`](snapedge_net::FaultPlan) is bit-for-bit
 //! reproducible.

@@ -1,28 +1,30 @@
 //! End-to-end inference scenarios — the experiment driver behind the
 //! paper's Figs. 6, 7 and 8.
 //!
-//! A scenario builds *real* browsers for the client board and its edge
-//! fleet's serving candidate, loads the actual benchmark web app, arms the
-//! offload trigger, and migrates *real snapshots* over the simulated link
-//! (30 Mbps Wi-Fi in the paper configuration) while a shared virtual clock
-//! accumulates device and network time. Nothing is hand-waved: the bytes
-//! that cross the link are the bytes of the snapshot HTML the client
-//! actually captured. A fleet of one reproduces the paper's single-server
-//! runs exactly; more candidates add estimator-driven failover
-//! (see [`crate::fleet`]).
+//! A scenario is one click, reported phase by phase. `ClientOnly` and
+//! `ServerOnly` run the benchmark app on a single machine; the three
+//! offload strategies are each **one round of an
+//! [`OffloadSession`]** — there is one offload path in this crate, and
+//! it lives in [`crate::session`]: model pre-send, ACK, the pre-ship
+//! gates, real snapshots over the simulated link (30 Mbps Wi-Fi in the
+//! paper configuration), estimator-driven failover across the fleet
+//! (see [`crate::fleet`]) and the local fallback. A strategy only picks
+//! the cut and whether the click waits for the ACK (the table on
+//! [`run_scenario`]); this module turns the round and its trace into a
+//! [`ScenarioReport`] and touches no link, pool or endpoint of its own
+//! on the offload path (`ci.sh` holds it to that).
 
-use crate::adaptive::{AdaptiveOffloader, AdaptivePolicy, Decision, Plan};
+use crate::adaptive::Decision;
 use crate::apps;
 use crate::config::{ConfigBuilder, OffloadConfig};
-use crate::device::DeviceProfile;
 use crate::endpoint::Endpoint;
-use crate::fleet::{ServerPool, ServerSpec};
-use crate::resilience::{classify, schedule_resilient_traced, FaultClass, RetryPolicy};
+use crate::resilience::{classify, FaultClass};
+use crate::session::{OffloadSession, SessionConfig};
 use crate::OffloadError;
-use snapedge_dnn::{zoo, ExecMode, ModelBundle, ParamStore};
-use snapedge_net::{Link, SimClock};
+use snapedge_dnn::{zoo, ExecMode, ParamStore};
+use snapedge_net::SimClock;
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
-use snapedge_webapp::{RunOutcome, WebError};
+use snapedge_webapp::RunOutcome;
 use std::time::Duration;
 
 /// Where (and when) the inference runs.
@@ -194,7 +196,7 @@ pub struct Breakdown {
 
 impl Breakdown {
     /// Derives the phase breakdown from an event trace, summing the
-    /// canonical phase events the scenario driver records. Codec time is
+    /// canonical phase events the offload path records. Codec time is
     /// folded into the neighbouring capture/restore phases, matching how
     /// the phases were accounted before traces existed: `compress_up`
     /// into `capture_client`, `decompress_up` into `restore_server`,
@@ -257,8 +259,9 @@ pub struct ScenarioReport {
     /// inference locally.
     pub fell_back: bool,
     /// Name of the edge server that ultimately served the offloaded
-    /// inference; `None` when it ran locally (`ClientOnly`, `ServerOnly`,
-    /// or fallback).
+    /// inference; `None` when it ran on one machine (`ClientOnly`,
+    /// `ServerOnly`) or completed on the client (fallback,
+    /// proactive-local, a tripped effect gate).
     pub server: Option<String>,
     /// What the link-health predictor recommended at migration time, when
     /// the predictor was enabled *and* had an estimate to work from.
@@ -311,341 +314,111 @@ impl ScenarioReport {
 
 /// Runs a scenario to completion.
 ///
+/// `ClientOnly` and `ServerOnly` run the app on one machine. The three
+/// offload strategies are one [`OffloadSession`] round each — the same
+/// pre-send, gates, migration, failover and local fallback every
+/// long-lived session uses — and differ only in where the cut is and
+/// whether the click waits for the pre-send ACK:
+///
+/// | strategy | cut | waits for ACK |
+/// |---|---|---|
+/// | `OffloadBeforeAck` | none (full offload) | no |
+/// | `OffloadAfterAck` | none (full offload) | yes |
+/// | `Partial { cut }` | `cut` | yes |
+///
 /// # Errors
 ///
 /// Returns [`OffloadError`] for unknown models/cuts, app failures, or
-/// network failures (when injected).
+/// network failures (when injected and no retry policy or second fleet
+/// candidate absorbs them).
 pub fn run_scenario(cfg: &ScenarioConfig) -> Result<ScenarioReport, OffloadError> {
-    check_fleet(cfg)?;
-    match &cfg.strategy {
-        Strategy::ClientOnly => run_local(cfg, /* on_server = */ false),
-        Strategy::ServerOnly => run_local(cfg, /* on_server = */ true),
-        _ => {
-            let primary = cfg.primary();
-            run_offload(
-                cfg,
-                &mut Link::new(primary.link.clone()).with_fault_plan(primary.up_faults.clone()),
-                &mut Link::new(primary.link.clone()).with_fault_plan(primary.down_faults.clone()),
-            )
-        }
-    }
-}
-
-/// An empty fleet cannot serve any offload strategy (and `ServerOnly`
-/// needs the primary's device), so the runners reject it up front.
-fn check_fleet(cfg: &ScenarioConfig) -> Result<(), OffloadError> {
     if cfg.servers.is_empty() {
+        // No offload strategy can be served, and `ServerOnly` needs the
+        // primary's device.
         return Err(OffloadError::Config(
             "scenario needs at least one edge server in its fleet".into(),
         ));
     }
-    Ok(())
-}
-
-/// Runs a scenario with caller-provided links — the failure-injection
-/// entry point (fail a link, watch the protocol error surface).
-///
-/// # Errors
-///
-/// Same conditions as [`run_scenario`], plus [`OffloadError::Net`] when a
-/// link is down.
-pub fn run_scenario_with_links(
-    cfg: &ScenarioConfig,
-    uplink: &mut Link,
-    downlink: &mut Link,
-) -> Result<ScenarioReport, OffloadError> {
-    check_fleet(cfg)?;
     match &cfg.strategy {
-        Strategy::ClientOnly => run_local(cfg, false),
-        Strategy::ServerOnly => run_local(cfg, true),
-        _ => run_offload(cfg, uplink, downlink),
-    }
-}
-
-/// Runs an offloading scenario, falling back to local (client-only)
-/// execution when the network fails — the behaviour the paper recommends
-/// while the model is still uploading or the edge is unreachable.
-/// Returns the report plus whether the fallback was taken.
-///
-/// # Errors
-///
-/// Propagates non-network failures.
-pub fn run_with_fallback(
-    cfg: &ScenarioConfig,
-    uplink: &mut Link,
-    downlink: &mut Link,
-) -> Result<(ScenarioReport, bool), OffloadError> {
-    match run_scenario_with_links(cfg, uplink, downlink) {
-        Ok(report) => Ok((report, false)),
-        Err(OffloadError::Net(_)) => {
-            let mut local = cfg.clone();
-            local.strategy = Strategy::ClientOnly;
-            Ok((run_local(&local, false)?, true))
+        Strategy::ClientOnly => run_local(cfg, /* on_server = */ false),
+        Strategy::ServerOnly => run_local(cfg, /* on_server = */ true),
+        Strategy::OffloadBeforeAck => run_offload(cfg, None, /* wait_for_ack = */ false),
+        Strategy::OffloadAfterAck => run_offload(cfg, None, /* wait_for_ack = */ true),
+        Strategy::Partial { cut } => {
+            run_offload(cfg, Some(cut.as_str()), /* wait_for_ack = */ true)
         }
-        Err(other) => Err(other),
     }
 }
 
-/// Transfers a snapshot over `link`, optionally through the LZ+Huffman
-/// codec (the real codec runs; the clock is charged from the device
-/// models). Advances the shared clock past the arrival. Records
-/// `compress_{dir}` / `transfer_{dir}` / `decompress_{dir}` events to
-/// `tracer`; link-level occupancy/queue events nest under the transfer.
-///
-/// Transient link faults are retried under `cfg.retry` (the deadline is
-/// measured from `anchor`, the moment the user clicked); `Ok(None)` means
-/// the retry budget ran out and the caller should hand off to the next
-/// fleet candidate or degrade to local execution. Retries and give-ups
-/// feed the pool's health record for `current`; completed transfers feed
-/// its bandwidth estimator.
-#[allow(clippy::too_many_arguments)]
-fn ship(
+/// One round of a full-snapshot [`OffloadSession`], reported as a
+/// scenario.
+fn run_offload(
     cfg: &ScenarioConfig,
-    snapshot: &snapedge_webapp::Snapshot,
-    sender: &DeviceProfile,
-    receiver: &DeviceProfile,
-    lanes: (Lane, Lane),
-    dir: &str,
-    tracer: &Tracer,
-    link: &mut Link,
-    clock: &SimClock,
-    anchor: Duration,
-    pool: &mut ServerPool,
-    current: usize,
-) -> Result<Option<u64>, OffloadError> {
-    let (sender_lane, receiver_lane) = lanes;
-    if !cfg.compress {
-        let span = tracer.begin_bytes(
-            &format!("transfer_{dir}"),
-            Lane::Network,
-            EventKind::Transfer,
-            clock.now(),
-            Some(snapshot.size_bytes()),
-        );
-        let outcome = schedule_resilient_traced(
-            link,
-            tracer,
-            cfg.retry.as_ref(),
-            clock.now(),
-            anchor,
-            snapshot.size_bytes(),
-        )?;
-        pool.observe_faults(current, outcome.retries as usize, outcome.gave_up_at);
-        let Some(xfer) = outcome.transfer else {
-            pool.observe_faults(current, 1, outcome.gave_up_at);
-            tracer.end(span, clock.now());
-            return Ok(None);
-        };
-        pool.observe_transfer(current, &xfer);
-        clock.advance_to(xfer.finish);
-        tracer.end(span, xfer.finish);
-        return Ok(Some(snapshot.size_bytes()));
-    }
-    let packed = snapedge_net::compress::compress(snapshot.html().as_bytes());
-    let compress_start = clock.now();
-    let extra_send = sender.compress_time(snapshot.size_bytes());
-    clock.advance_by(extra_send);
-    tracer.record(
-        &format!("compress_{dir}"),
-        sender_lane,
-        EventKind::Codec,
-        compress_start,
-        clock.now(),
-    );
-    let span = tracer.begin_bytes(
-        &format!("transfer_{dir}"),
-        Lane::Network,
-        EventKind::Transfer,
-        clock.now(),
-        Some(packed.len() as u64),
-    );
-    let outcome = schedule_resilient_traced(
-        link,
-        tracer,
-        cfg.retry.as_ref(),
-        clock.now(),
-        anchor,
-        packed.len() as u64,
-    )?;
-    pool.observe_faults(current, outcome.retries as usize, outcome.gave_up_at);
-    let Some(xfer) = outcome.transfer else {
-        pool.observe_faults(current, 1, outcome.gave_up_at);
-        tracer.end(span, clock.now());
-        return Ok(None);
-    };
-    pool.observe_transfer(current, &xfer);
-    clock.advance_to(xfer.finish);
-    tracer.end(span, xfer.finish);
-    let unpacked = snapedge_net::compress::decompress(&packed)?;
-    if unpacked != snapshot.html().as_bytes() {
-        return Err(OffloadError::Protocol("codec roundtrip mismatch".into()));
-    }
-    let decompress_start = clock.now();
-    let extra_recv = receiver.decompress_time(snapshot.size_bytes());
-    clock.advance_by(extra_recv);
-    tracer.record(
-        &format!("decompress_{dir}"),
-        receiver_lane,
-        EventKind::Codec,
-        decompress_start,
-        clock.now(),
-    );
-    Ok(Some(packed.len() as u64))
-}
-
-/// Completes the inference locally without migrating: the armed trigger
-/// event is still at the front of the client's queue (snapshot capture
-/// never mutates the client), so disarming it and resuming executes the
-/// inference handler on the client itself. Two callers share this exit:
-///
-/// * the *reactive* path, after an offload attempt exhausted its retry
-///   budget — the [`AdaptiveOffloader`]'s unreachable-server decision is
-///   consulted first (the controller decides, the runtime obeys) and the
-///   moment is marked with an instant [`EventKind::Fallback`] event;
-/// * the *proactive* path, when the link-health predictor already chose
-///   [`Decision::Local`] — marked with an instant
-///   [`EventKind::ProactiveLocal`] event instead, and not counted as a
-///   fallback (no budget was spent).
-#[allow(clippy::too_many_arguments)]
-fn finish_locally(
-    cfg: &ScenarioConfig,
-    server_device: &DeviceProfile,
-    net: &snapedge_dnn::Network,
-    client: &mut Endpoint,
-    tracer: &Tracer,
-    clock: &SimClock,
-    clicked_at: Duration,
-    ack_at: Option<Duration>,
-    model_upload_bytes: u64,
-    prediction: Option<Decision>,
-    proactive: bool,
+    cut: Option<&str>,
+    wait_for_ack: bool,
 ) -> Result<ScenarioReport, OffloadError> {
-    if proactive {
-        tracer.record(
-            "proactive_local",
-            Lane::Client,
-            EventKind::ProactiveLocal,
-            clock.now(),
-            clock.now(),
-        );
-    } else {
-        let plan = AdaptiveOffloader::new(
-            net.clone(),
-            cfg.client_device.clone(),
-            server_device.clone(),
-            model_upload_bytes,
-            AdaptivePolicy::default(),
-        )
-        .decide_unreachable();
-        debug_assert_eq!(plan.decision, Decision::Local);
-        tracer.record(
-            "fallback_local",
-            Lane::Client,
-            EventKind::Fallback,
-            clock.now(),
-            clock.now(),
-        );
-    }
-    client.browser.set_offload_trigger(None);
-    let exec_span = tracer.begin("exec_client", Lane::Client, EventKind::Exec, clock.now());
-    client.run()?;
-    tracer.end(exec_span, clock.now());
-    let trace = tracer.finish();
+    let mut session = OffloadSession::build(SessionConfig {
+        core: cfg.core.clone(),
+        cut: cut.map(str::to_string),
+        use_deltas: false,
+    })?;
+    session.wait_for_ack = wait_for_ack;
+    session.compress = cfg.compress;
+    // A fleet whose every candidate gave up its pre-send still runs the
+    // click: the session finds nobody provisioned and completes the round
+    // locally. Strict fail-fast (one server, no retry policy) and fatal
+    // errors surface as they do from `OffloadSession::new`.
+    let acked = match session.provision() {
+        Ok(()) => true,
+        Err(e)
+            if classify(&e) == FaultClass::Transient
+                && (cfg.retry.is_some() || cfg.servers.len() > 1) =>
+        {
+            false
+        }
+        Err(e) => return Err(e),
+    };
+    let ack_at = acked.then(|| session.ack_at());
+    let round = session.infer(cfg.seed)?;
+    let trace = session.trace();
     Ok(ScenarioReport {
         model: cfg.model.clone(),
         strategy: cfg.strategy.clone(),
         breakdown: Breakdown::from_trace(&trace),
-        total: clock.now() - clicked_at,
+        total: round.total,
         ack_at,
-        clicked_at,
-        model_upload_bytes,
-        snapshot_up_bytes: 0,
-        snapshot_down_bytes: 0,
-        result: client.browser.element_text("result")?.to_string(),
-        fell_back: !proactive,
-        server: None,
-        prediction,
-        proactive,
+        // `total` runs from the click to the end of the round, which is now.
+        clicked_at: session.now() - round.total,
+        model_upload_bytes: session.model_bytes,
+        snapshot_up_bytes: round.up_bytes,
+        snapshot_down_bytes: round.down_bytes,
+        result: round.result,
+        fell_back: round.fell_back,
+        server: Some(round.server).filter(|name| name != "client"),
+        prediction: round.prediction,
+        proactive: round.proactive,
         trace,
-    })
-}
-
-/// Consults the current candidate's link-health record for a predictive
-/// plan. `Ok(None)` when the estimator has no sample yet — nothing has
-/// been measured, so there is nothing to predict and the configured-link
-/// decision the strategy already made stands.
-fn predict_plan(
-    cfg: &ScenarioConfig,
-    net: &snapedge_dnn::Network,
-    pool: &ServerPool,
-    current: usize,
-    model_upload_bytes: u64,
-    model_ready: bool,
-    now: Duration,
-) -> Result<Option<Plan>, OffloadError> {
-    let (Some(spec), Some(health)) = (pool.spec(current), pool.health(current)) else {
-        return Ok(None);
-    };
-    let Some(link) = health.estimator().as_link_config(&spec.link) else {
-        return Ok(None);
-    };
-    let prediction = health.predict(now);
-    let offloader = AdaptiveOffloader::new(
-        net.clone(),
-        cfg.client_device.clone(),
-        spec.device.clone(),
-        model_upload_bytes,
-        AdaptivePolicy::default(),
-    );
-    let policy = cfg.retry.clone().unwrap_or_default();
-    // Before the ACK no model bytes have been confirmed; after it, all of
-    // them have (the pre-send is a single acknowledged upload).
-    let acked = if model_ready { model_upload_bytes } else { 0 };
-    offloader
-        .decide_predictive(&link, model_ready, acked, &prediction, &policy)
-        .map(Some)
-}
-
-fn app_html(cfg: &ScenarioConfig) -> String {
-    let url = apps::synthetic_image_data_url(cfg.seed, cfg.image_bytes);
-    match &cfg.strategy {
-        Strategy::Partial { .. } => apps::partial_inference_app(&url),
-        _ => apps::full_inference_app(&url),
-    }
-}
-
-fn params_for(
-    cfg: &ScenarioConfig,
-    net: &snapedge_dnn::Network,
-) -> Result<ParamStore, OffloadError> {
-    Ok(match cfg.exec_mode {
-        ExecMode::Real => net.init_params(cfg.seed)?,
-        ExecMode::Synthetic { .. } => ParamStore::empty(net.name()),
     })
 }
 
 fn run_local(cfg: &ScenarioConfig, on_server: bool) -> Result<ScenarioReport, OffloadError> {
     let net = zoo::by_name(&cfg.model)?;
-    let params = params_for(cfg, &net)?;
+    let params = match cfg.exec_mode {
+        ExecMode::Real => net.init_params(cfg.seed)?,
+        ExecMode::Synthetic { .. } => ParamStore::empty(net.name()),
+    };
     let clock = SimClock::new();
     let tracer = Tracer::new();
-    let (device, lane, exec_name) = if on_server {
-        (cfg.primary().device.clone(), Lane::Server, "exec_server")
+    let (name, device, lane, exec_name) = if on_server {
+        ("server", &cfg.primary().device, Lane::Server, "exec_server")
     } else {
-        (cfg.client_device.clone(), Lane::Client, "exec_client")
+        ("client", &cfg.client_device, Lane::Client, "exec_client")
     };
-    let mut ep = Endpoint::new(
-        if on_server { "server" } else { "client" },
-        device,
-        clock.clone(),
-    )
-    .with_tracer(tracer.clone(), lane);
-    let cut = match &cfg.strategy {
-        Strategy::Partial { cut } => Some(net.cut_point(cut)?.id),
-        _ => None,
-    };
-    ep.install_model(net, params, cfg.exec_mode, cut, cfg.seed);
-    ep.browser.load_html(&app_html(cfg))?;
+    let mut ep =
+        Endpoint::new(name, device.clone(), clock.clone()).with_tracer(tracer.clone(), lane);
+    ep.install_model(net, params, cfg.exec_mode, None, cfg.seed);
+    let url = apps::synthetic_image_data_url(cfg.seed, cfg.image_bytes);
+    ep.browser.load_html(&apps::full_inference_app(&url))?;
     ep.browser.click("load")?;
     ep.run()?;
 
@@ -659,13 +432,12 @@ fn run_local(cfg: &ScenarioConfig, on_server: bool) -> Result<ScenarioReport, Of
             "local run unexpectedly hit an offload point".into(),
         ));
     }
-    let exec = clock.now() - clicked_at;
     let trace = tracer.finish();
     Ok(ScenarioReport {
         model: cfg.model.clone(),
         strategy: cfg.strategy.clone(),
         breakdown: Breakdown::from_trace(&trace),
-        total: exec,
+        total: clock.now() - clicked_at,
         ack_at: None,
         clicked_at,
         model_upload_bytes: 0,
@@ -675,681 +447,6 @@ fn run_local(cfg: &ScenarioConfig, on_server: bool) -> Result<ScenarioReport, Of
         fell_back: false,
         server: None,
         prediction: None,
-        proactive: false,
-        trace,
-    })
-}
-
-/// A server endpoint for one fleet candidate, named after its spec so
-/// trace consumers can tell which machine executed what. The effective
-/// resource meter — the spec's override, else the fleet-wide config
-/// default — is installed on the fresh browser; both `None` leaves it
-/// unmetered (bit-identical to pre-metering behaviour).
-fn server_endpoint(
-    spec: &ServerSpec,
-    cfg: &ScenarioConfig,
-    clock: &SimClock,
-    tracer: &Tracer,
-) -> Endpoint {
-    let mut ep = Endpoint::new(&spec.name, spec.device.clone(), clock.clone())
-        .with_tracer(tracer.clone(), Lane::Server);
-    if let Some(limits) = spec.meter.clone().or_else(|| cfg.meter.clone()) {
-        ep.browser.set_meter(limits);
-    }
-    ep
-}
-
-/// Records a `meter_exhausted:{resource}` trace marker when `e` is a
-/// tripped resource meter (a no-op for every other failure).
-fn record_meter_exhausted(tracer: &Tracer, clock: &SimClock, e: &OffloadError) {
-    if let OffloadError::Web(WebError::ResourceExhausted { resource, .. }) = e {
-        let now = clock.now();
-        tracer.record(
-            &format!("meter_exhausted:{resource}"),
-            Lane::Server,
-            EventKind::MeterExhausted,
-            now,
-            now,
-        );
-    }
-}
-
-/// Builds a fleet candidate's link pair. The primary (index 0) keeps the
-/// bare `"uplink"`/`"downlink"` trace labels the single-server path has
-/// always used; later candidates are suffixed with the server name so
-/// their link events stay distinguishable.
-fn fleet_links(spec: &ServerSpec, idx: usize, tracer: &Tracer) -> (Link, Link) {
-    let (up_label, down_label) = if idx == 0 {
-        ("uplink".to_string(), "downlink".to_string())
-    } else {
-        (
-            format!("uplink:{}", spec.name),
-            format!("downlink:{}", spec.name),
-        )
-    };
-    let up = Link::new(spec.link.clone())
-        .with_tracer(tracer.clone(), &up_label)
-        .with_fault_plan(spec.up_faults.clone());
-    let down = Link::new(spec.link.clone())
-        .with_tracer(tracer.clone(), &down_label)
-        .with_fault_plan(spec.down_faults.clone());
-    (up, down)
-}
-
-/// Installs the pre-sent (possibly rear-only) bundle on a server that
-/// just acknowledged it. Server-side parameters come from the received
-/// bundle: the server *cannot* run front layers of a partial split.
-fn install_server_model(
-    server: &mut Endpoint,
-    net: &snapedge_dnn::Network,
-    sent_bundle: &ModelBundle,
-    cfg: &ScenarioConfig,
-    cut: Option<snapedge_dnn::NodeId>,
-) -> Result<(), OffloadError> {
-    let server_params = match cfg.exec_mode {
-        ExecMode::Real => ParamStore::from_bundle(sent_bundle)?,
-        ExecMode::Synthetic { .. } => ParamStore::empty(net.name()),
-    };
-    server.install_model(net.clone(), server_params, cfg.exec_mode, cut, cfg.seed);
-    Ok(())
-}
-
-/// Outcome of one candidate's model pre-send.
-enum Presend {
-    /// The ack arrived at this virtual time.
-    Acked(Duration),
-    /// The retry budget ran out; the next candidate starts here.
-    GaveUp(Duration),
-}
-
-/// Pre-sends the model to one fleet candidate (Section III-B.1): the
-/// upload starts at `start` on the uplink's own timeline (the shared
-/// clock stays put — the pre-send overlaps with the app start), then a
-/// 64-byte ack returns on the downlink. Retries and completed transfers
-/// feed the pool's health record for `current`.
-#[allow(clippy::too_many_arguments)]
-fn presend_model(
-    policy: Option<&RetryPolicy>,
-    tracer: &Tracer,
-    uplink: &mut Link,
-    downlink: &mut Link,
-    start: Duration,
-    model_upload_bytes: u64,
-    pool: &mut ServerPool,
-    current: usize,
-) -> Result<Presend, OffloadError> {
-    let upload_span = tracer.begin_bytes(
-        "model_upload",
-        Lane::Network,
-        EventKind::ModelUpload,
-        start,
-        Some(model_upload_bytes),
-    );
-    let up = schedule_resilient_traced(uplink, tracer, policy, start, start, model_upload_bytes)?;
-    pool.observe_faults(current, up.retries as usize, up.gave_up_at);
-    let Some(model_xfer) = up.transfer else {
-        pool.observe_faults(current, 1, up.gave_up_at);
-        tracer.end(upload_span, up.gave_up_at);
-        return Ok(Presend::GaveUp(up.gave_up_at));
-    };
-    pool.observe_transfer(current, &model_xfer);
-    tracer.end(upload_span, model_xfer.finish);
-    let ack_span = tracer.begin_bytes(
-        "model_ack",
-        Lane::Network,
-        EventKind::Other,
-        model_xfer.finish,
-        Some(64),
-    );
-    let down = schedule_resilient_traced(downlink, tracer, policy, model_xfer.finish, start, 64)?;
-    pool.observe_faults(current, down.retries as usize, down.gave_up_at);
-    let Some(ack_xfer) = down.transfer else {
-        pool.observe_faults(current, 1, down.gave_up_at);
-        tracer.end(ack_span, down.gave_up_at);
-        return Ok(Presend::GaveUp(down.gave_up_at));
-    };
-    pool.observe_transfer(current, &ack_xfer);
-    tracer.end(ack_span, ack_xfer.finish);
-    pool.mark_model_ready(current);
-    Ok(Presend::Acked(ack_xfer.finish))
-}
-
-/// Hands the run off to the next-best fleet candidate after the current
-/// server's budget exhausted mid-round: marks the selection and handoff
-/// in the trace, rebuilds the server endpoint and links, and re-pre-sends
-/// the model (the client cannot ship its snapshot until the new ack
-/// lands, so the shared clock advances to it). Candidates that fail their
-/// pre-send are exhausted in turn; `Ok(false)` means the whole fleet is
-/// spent and the caller should degrade to local execution.
-#[allow(clippy::too_many_arguments)]
-fn scenario_failover(
-    cfg: &ScenarioConfig,
-    net: &snapedge_dnn::Network,
-    sent_bundle: &ModelBundle,
-    cut: Option<snapedge_dnn::NodeId>,
-    tracer: &Tracer,
-    clock: &SimClock,
-    pool: &mut ServerPool,
-    current: &mut usize,
-    server: &mut Endpoint,
-    owned: &mut Option<(Link, Link)>,
-    pending_bytes: u64,
-    model_upload_bytes: u64,
-) -> Result<bool, OffloadError> {
-    loop {
-        let Some(next) = pool.select(pending_bytes, model_upload_bytes) else {
-            return Ok(false);
-        };
-        let old_name = pool.spec(*current).map(|s| s.name.clone());
-        let Some(spec) = pool.spec(next).cloned() else {
-            return Ok(false);
-        };
-        let now = clock.now();
-        tracer.record(
-            &format!("server_select:{}", spec.name),
-            Lane::Client,
-            EventKind::ServerSelect,
-            now,
-            now,
-        );
-        if let Some(old) = old_name {
-            tracer.record(
-                &format!("handoff:{}->{}", old, spec.name),
-                Lane::Client,
-                EventKind::Handoff,
-                now,
-                now,
-            );
-        }
-        pool.mark_model_stale(*current);
-        *current = next;
-        pool.reset_estimator(next);
-        *server = server_endpoint(&spec, cfg, clock, tracer);
-        *owned = Some(fleet_links(&spec, next, tracer));
-        if let Some((up, down)) = owned.as_mut() {
-            match presend_model(
-                cfg.retry.as_ref(),
-                tracer,
-                up,
-                down,
-                now,
-                model_upload_bytes,
-                pool,
-                next,
-            ) {
-                Ok(Presend::Acked(at)) => {
-                    install_server_model(server, net, sent_bundle, cfg, cut)?;
-                    clock.advance_to(at);
-                    return Ok(true);
-                }
-                Ok(Presend::GaveUp(_)) => pool.mark_exhausted(next),
-                Err(e) if classify(&e) == FaultClass::Transient => {
-                    pool.observe_faults(next, 1, now);
-                    pool.mark_exhausted(next);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-fn run_offload(
-    cfg: &ScenarioConfig,
-    uplink: &mut Link,
-    downlink: &mut Link,
-) -> Result<ScenarioReport, OffloadError> {
-    let net = zoo::by_name(&cfg.model)?;
-    let clock = SimClock::new();
-    let tracer = Tracer::new();
-    let mut client = Endpoint::new("client", cfg.client_device.clone(), clock.clone())
-        .with_tracer(tracer.clone(), Lane::Client);
-    uplink.set_tracer(tracer.clone(), "uplink");
-    downlink.set_tracer(tracer.clone(), "downlink");
-
-    let (cut, offload_event) = match &cfg.strategy {
-        Strategy::Partial { cut } => (Some(net.cut_point(cut)?.id), apps::PARTIAL_OFFLOAD_EVENT),
-        _ => (None, apps::FULL_OFFLOAD_EVENT),
-    };
-
-    // --- Model pre-sending (Section III-B.1). The client starts uploading
-    // the model files the moment the app starts (t = 0). For partial
-    // inference only the rear bundle travels; the front parameters stay
-    // on the client for privacy (Section III-B.2).
-    let client_params = params_for(cfg, &net)?;
-    let full_bundle = match cfg.exec_mode {
-        ExecMode::Real => ModelBundle::materialized(&net, &client_params)?,
-        ExecMode::Synthetic { .. } => ModelBundle::from_network(&net),
-    };
-    let sent_bundle = match cut {
-        Some(cut_id) => full_bundle.split(&net, cut_id)?.1,
-        None => full_bundle.clone(),
-    };
-    let model_upload_bytes = sent_bundle.total_bytes();
-    let policy = cfg.retry.as_ref();
-
-    // --- Fleet bring-up: pick the candidate with the cheapest predicted
-    // migration (all estimators are empty here, so this is the configured
-    // links' effective bandwidth) and pre-send the model to it. The
-    // caller-provided links belong to the primary; any other candidate
-    // gets its own pair.
-    let mut pool = ServerPool::new(cfg.servers.clone());
-    let mut current = pool
-        .select(cfg.image_bytes as u64, model_upload_bytes)
-        .unwrap_or_default();
-    if pool.len() > 1 {
-        if let Some(spec) = pool.spec(current) {
-            tracer.record(
-                &format!("server_select:{}", spec.name),
-                Lane::Client,
-                EventKind::ServerSelect,
-                Duration::ZERO,
-                Duration::ZERO,
-            );
-        }
-    }
-    let mut server = match pool.spec(current) {
-        Some(spec) => server_endpoint(spec, cfg, &clock, &tracer),
-        None => Endpoint::new("edge-server", cfg.primary().device.clone(), clock.clone())
-            .with_tracer(tracer.clone(), Lane::Server),
-    };
-    let mut owned: Option<(Link, Link)> = match pool.spec(current) {
-        Some(spec) if current != 0 => Some(fleet_links(spec, current, &tracer)),
-        _ => None,
-    };
-
-    let mut presend_at = Duration::ZERO;
-    let mut ack_at: Option<Duration> = None;
-    loop {
-        let (up, down) = match owned.as_mut() {
-            Some((u, d)) => (u, d),
-            None => (&mut *uplink, &mut *downlink),
-        };
-        match presend_model(
-            policy,
-            &tracer,
-            up,
-            down,
-            presend_at,
-            model_upload_bytes,
-            &mut pool,
-            current,
-        ) {
-            Ok(Presend::Acked(at)) => {
-                ack_at = Some(at);
-                break;
-            }
-            Ok(Presend::GaveUp(at)) => {
-                pool.mark_exhausted(current);
-                presend_at = at;
-            }
-            // Fail-fast (no retry policy) against a fleet still tries the
-            // remaining candidates before surfacing a network error.
-            Err(e) if classify(&e) == FaultClass::Transient && pool.len() > 1 => {
-                pool.observe_faults(current, 1, presend_at);
-                pool.mark_exhausted(current);
-            }
-            Err(e) => return Err(e),
-        }
-        let Some(next) = pool.select(cfg.image_bytes as u64, model_upload_bytes) else {
-            break;
-        };
-        let old_name = pool.spec(current).map(|s| s.name.clone());
-        let Some(spec) = pool.spec(next).cloned() else {
-            break;
-        };
-        tracer.record(
-            &format!("server_select:{}", spec.name),
-            Lane::Client,
-            EventKind::ServerSelect,
-            presend_at,
-            presend_at,
-        );
-        if let Some(old) = old_name {
-            tracer.record(
-                &format!("handoff:{}->{}", old, spec.name),
-                Lane::Client,
-                EventKind::Handoff,
-                presend_at,
-                presend_at,
-            );
-        }
-        pool.mark_model_stale(current);
-        current = next;
-        pool.reset_estimator(next);
-        server = server_endpoint(&spec, cfg, &clock, &tracer);
-        owned = Some(fleet_links(&spec, next, &tracer));
-    }
-
-    // An unreachable server never receives the model.
-    if ack_at.is_some() {
-        install_server_model(&mut server, &net, &sent_bundle, cfg, cut)?;
-    }
-    client.install_model(net.clone(), client_params, cfg.exec_mode, cut, cfg.seed);
-
-    // --- App start and user interaction on the client.
-    client.browser.load_html(&app_html(cfg))?;
-    client.browser.click("load")?;
-    client.run()?;
-    client.browser.set_offload_trigger(Some(offload_event));
-
-    let clicked_at = match cfg.strategy {
-        Strategy::OffloadBeforeAck => Duration::ZERO,
-        _ => ack_at.unwrap_or_else(|| clock.now()),
-    };
-    clock.advance_to(clicked_at);
-
-    client.browser.click("infer")?;
-    let exec_span = tracer.begin("exec_client", Lane::Client, EventKind::Exec, clock.now());
-    let outcome = client.run()?;
-    tracer.end(exec_span, clock.now());
-    if !matches!(outcome, RunOutcome::OffloadPoint { .. }) {
-        return Err(OffloadError::Protocol(format!(
-            "expected to reach offload point {offload_event:?}, got {outcome:?}"
-        )));
-    }
-
-    if ack_at.is_none() {
-        // No candidate ever acknowledged the model: degrade before
-        // shipping anything.
-        let server_device = pool
-            .spec(current)
-            .map(|s| s.device.clone())
-            .unwrap_or_else(|| cfg.primary().device.clone());
-        return finish_locally(
-            cfg,
-            &server_device,
-            &net,
-            &mut client,
-            &tracer,
-            &clock,
-            clicked_at,
-            ack_at,
-            model_upload_bytes,
-            None,
-            false,
-        );
-    }
-
-    // --- Static effect gate (enabled by `cfg.snapshot.effects`): a
-    // nondeterministic app (clock/random/IO host reachable) cannot be
-    // replayed on another browser, so it is forced local before any
-    // bytes commit to the wire. The instant EffectVerdict marker records
-    // the outcome either way; with analysis off no event is emitted and
-    // the trace stays byte-identical.
-    if cfg.snapshot.effects {
-        let opts =
-            snapedge_analyze::EffectOptions::from_host_effects(client.browser.host_effects());
-        let summary = snapedge_analyze::effect_summary_html(&app_html(cfg), &opts)
-            .map_err(OffloadError::Analyze)?;
-        let nondet = summary.is_nondeterministic();
-        let outcome = if nondet { "nondeterministic" } else { "ok" };
-        tracer.record(
-            &format!("effect_verdict:{outcome}"),
-            Lane::Client,
-            EventKind::EffectVerdict,
-            clock.now(),
-            clock.now(),
-        );
-        if nondet {
-            let server_device = server.device.clone();
-            return finish_locally(
-                cfg,
-                &server_device,
-                &net,
-                &mut client,
-                &tracer,
-                &clock,
-                clicked_at,
-                ack_at,
-                model_upload_bytes,
-                None,
-                false,
-            );
-        }
-    }
-
-    // --- Proactive link-health gate (enabled by `cfg.predict`): consult
-    // the predictor *before* committing bytes to the wire. When the
-    // windowed fault rate and bandwidth trend say the offload loses after
-    // its expected backoff penalty, complete locally now — no retry
-    // budget burns. The Predict marker is instant, so a run whose
-    // predictor agrees with the offload stays bit-identical in timing.
-    let mut prediction: Option<Decision> = None;
-    if cfg.predict {
-        let model_ready = ack_at.is_some_and(|at| clock.now() >= at);
-        if let Some(plan) = predict_plan(
-            cfg,
-            &net,
-            &pool,
-            current,
-            model_upload_bytes,
-            model_ready,
-            clock.now(),
-        )? {
-            tracer.record(
-                &format!("predict:{}", plan.decision.label()),
-                Lane::Client,
-                EventKind::Predict,
-                clock.now(),
-                clock.now(),
-            );
-            let go_local = plan.decision == Decision::Local;
-            prediction = Some(plan.decision);
-            if go_local {
-                let server_device = server.device.clone();
-                return finish_locally(
-                    cfg,
-                    &server_device,
-                    &net,
-                    &mut client,
-                    &tracer,
-                    &clock,
-                    clicked_at,
-                    ack_at,
-                    model_upload_bytes,
-                    prediction,
-                    true,
-                );
-            }
-        }
-    }
-
-    // --- Migration, with failover. The snapshot is captured once (capture
-    // never mutates the client); when the budget against the current
-    // server exhausts mid-migration the run hands off and re-sends the
-    // same full snapshot to the next candidate.
-    let (snap_up, _capture_client) = client.capture(&cfg.snapshot)?;
-    let pending_bytes = snap_up.size_bytes();
-
-    let (snapshot_up_bytes, snapshot_down_bytes) = loop {
-        let up = match owned.as_mut() {
-            Some((u, _)) => u,
-            None => &mut *uplink,
-        };
-        let shipped_up = match ship(
-            cfg,
-            &snap_up,
-            &client.device,
-            &server.device,
-            (Lane::Client, Lane::Server),
-            "up",
-            &tracer,
-            up,
-            &clock,
-            clicked_at,
-            &mut pool,
-            current,
-        ) {
-            Ok(opt) => opt,
-            Err(e) if classify(&e) == FaultClass::Transient && pool.len() > 1 => None,
-            Err(e) => return Err(e),
-        };
-        let Some(up_bytes) = shipped_up else {
-            pool.mark_exhausted(current);
-            if scenario_failover(
-                cfg,
-                &net,
-                &sent_bundle,
-                cut,
-                &tracer,
-                &clock,
-                &mut pool,
-                &mut current,
-                &mut server,
-                &mut owned,
-                pending_bytes,
-                model_upload_bytes,
-            )? {
-                continue;
-            }
-            let server_device = server.device.clone();
-            return finish_locally(
-                cfg,
-                &server_device,
-                &net,
-                &mut client,
-                &tracer,
-                &clock,
-                clicked_at,
-                ack_at,
-                model_upload_bytes,
-                prediction.clone(),
-                false,
-            );
-        };
-        // Restore, execute and capture on the (possibly metered) server.
-        // A tripped resource cap anywhere in this span kills the tenant
-        // on *this* server only: the candidate is marked exhausted and
-        // the round fails over (or completes locally) without burning a
-        // single retry against it.
-        let server_side = (|server: &mut Endpoint| {
-            server.restore(&snap_up)?;
-            let exec_span = tracer.begin("exec_server", Lane::Server, EventKind::Exec, clock.now());
-            let run = server.run();
-            tracer.end(exec_span, clock.now());
-            run?;
-            // --- Server-to-client migration of the updated state.
-            server.capture(&cfg.snapshot)
-        })(&mut server);
-        let snap_down = match server_side {
-            Ok((snap_down, _capture_server)) => snap_down,
-            Err(e) if classify(&e) == FaultClass::FatalForServer => {
-                record_meter_exhausted(&tracer, &clock, &e);
-                pool.mark_exhausted(current);
-                if scenario_failover(
-                    cfg,
-                    &net,
-                    &sent_bundle,
-                    cut,
-                    &tracer,
-                    &clock,
-                    &mut pool,
-                    &mut current,
-                    &mut server,
-                    &mut owned,
-                    pending_bytes,
-                    model_upload_bytes,
-                )? {
-                    continue;
-                }
-                let server_device = server.device.clone();
-                return finish_locally(
-                    cfg,
-                    &server_device,
-                    &net,
-                    &mut client,
-                    &tracer,
-                    &clock,
-                    clicked_at,
-                    ack_at,
-                    model_upload_bytes,
-                    prediction.clone(),
-                    false,
-                );
-            }
-            Err(e) => return Err(e),
-        };
-        let down = match owned.as_mut() {
-            Some((_, d)) => d,
-            None => &mut *downlink,
-        };
-        let shipped_down = match ship(
-            cfg,
-            &snap_down,
-            &server.device,
-            &client.device,
-            (Lane::Server, Lane::Client),
-            "down",
-            &tracer,
-            down,
-            &clock,
-            clicked_at,
-            &mut pool,
-            current,
-        ) {
-            Ok(opt) => opt,
-            Err(e) if classify(&e) == FaultClass::Transient && pool.len() > 1 => None,
-            Err(e) => return Err(e),
-        };
-        let Some(down_bytes) = shipped_down else {
-            // The result is stranded at the current server; the client's
-            // state is untouched (it restores only after a successful
-            // downlink), so the round can move to another candidate — or
-            // complete locally once the fleet is spent.
-            pool.mark_exhausted(current);
-            if scenario_failover(
-                cfg,
-                &net,
-                &sent_bundle,
-                cut,
-                &tracer,
-                &clock,
-                &mut pool,
-                &mut current,
-                &mut server,
-                &mut owned,
-                pending_bytes,
-                model_upload_bytes,
-            )? {
-                continue;
-            }
-            let server_device = server.device.clone();
-            return finish_locally(
-                cfg,
-                &server_device,
-                &net,
-                &mut client,
-                &tracer,
-                &clock,
-                clicked_at,
-                ack_at,
-                model_upload_bytes,
-                prediction.clone(),
-                false,
-            );
-        };
-        client.restore(&snap_down)?;
-        break (up_bytes, down_bytes);
-    };
-    client.browser.set_offload_trigger(None);
-    client.run()?;
-
-    let server_name = pool.spec(current).map(|s| s.name.clone());
-    let trace = tracer.finish();
-    Ok(ScenarioReport {
-        model: cfg.model.clone(),
-        strategy: cfg.strategy.clone(),
-        breakdown: Breakdown::from_trace(&trace),
-        total: clock.now() - clicked_at,
-        ack_at,
-        clicked_at,
-        model_upload_bytes,
-        snapshot_up_bytes,
-        snapshot_down_bytes,
-        result: client.browser.element_text("result")?.to_string(),
-        fell_back: false,
-        server: server_name,
-        prediction,
         proactive: false,
         trace,
     })

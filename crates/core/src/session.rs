@@ -246,7 +246,22 @@ pub struct OffloadSession {
     tracer: Tracer,
     /// Bytes of the model bundle pre-sent to servers (fills in at the
     /// first provisioning; feeds the pool's selection metric).
-    model_bytes: u64,
+    pub(crate) model_bytes: u64,
+    /// When the last failed pre-send gave up. Pre-sends ride the links'
+    /// own timeline, overlapping whatever the client is doing, so the
+    /// shared clock does not move for them: the next candidate's
+    /// pre-send starts here (or now, if that is later), and a client
+    /// that is waiting on provisioning mid-round waits until here.
+    presend_from: Duration,
+    /// Whether a round waits out the pre-send ACK before the click (the
+    /// paper's "after ACK" regime, and every long-lived session). A
+    /// [`Strategy::OffloadBeforeAck`](crate::Strategy) scenario clears
+    /// it: the click lands while the model is still uploading, so the
+    /// snapshot queues behind it on the uplink.
+    pub(crate) wait_for_ack: bool,
+    /// Whether migrations go through the LZ77+Huffman codec, paying
+    /// codec CPU time on both sides (`ScenarioConfig::compress`).
+    pub(crate) compress: bool,
     /// Size of the last full snapshot shipped — the pending-bytes input
     /// of the selection metric (a handoff always re-sends a full
     /// snapshot). Seeded from the configured image size.
@@ -306,8 +321,18 @@ impl OffloadSession {
     ///
     /// # Errors
     ///
-    /// Returns [`OffloadError`] for unknown models/cuts or app failures.
+    /// Returns [`OffloadError`] for unknown models/cuts or app failures,
+    /// and the first candidate's network error when no candidate
+    /// acknowledged the model.
     pub fn new(cfg: SessionConfig) -> Result<OffloadSession, OffloadError> {
+        let mut session = OffloadSession::build(cfg)?;
+        session.provision()?;
+        Ok(session)
+    }
+
+    /// The first half of [`OffloadSession::new`]: client endpoint, app,
+    /// first fleet candidate chosen — nothing on the wire yet.
+    pub(crate) fn build(cfg: SessionConfig) -> Result<OffloadSession, OffloadError> {
         if cfg.servers.is_empty() {
             return Err(OffloadError::Config(
                 "session needs at least one edge server in its fleet".into(),
@@ -360,6 +385,9 @@ impl OffloadSession {
             ack_at: Duration::ZERO,
             tracer,
             model_bytes: 0,
+            presend_from: Duration::ZERO,
+            wait_for_ack: true,
+            compress: false,
             last_full_bytes,
             pending: None,
             meter_mark: 0,
@@ -369,19 +397,26 @@ impl OffloadSession {
         };
         session.apply_meter();
         session.setup_client()?;
-        // Provision the chosen candidate; if its pre-send exhausts the
-        // retry budget and other candidates remain, try them before
-        // giving up (single-server fleets keep the strict error).
-        if let Err(e) = session.setup_server() {
-            if classify(&e) != FaultClass::Transient || session.pool.len() == 1 {
-                return Err(e);
-            }
-            session.pool.mark_exhausted(session.current);
-            if !session.failover()? {
-                return Err(e);
-            }
-        }
         Ok(session)
+    }
+
+    /// The second half of [`OffloadSession::new`]: provisions the chosen
+    /// candidate; if its pre-send exhausts the retry budget and other
+    /// candidates remain, tries them before giving up (single-server
+    /// fleets keep the strict error). After an error no candidate holds
+    /// the model, and a round started anyway completes locally.
+    pub(crate) fn provision(&mut self) -> Result<(), OffloadError> {
+        let Err(e) = self.setup_server() else {
+            return Ok(());
+        };
+        if classify(&e) != FaultClass::Transient || self.pool.len() == 1 {
+            return Err(e);
+        }
+        self.pool.mark_exhausted(self.current);
+        if !self.provision_next()? {
+            return Err(e);
+        }
+        Ok(())
     }
 
     fn client_params(&self) -> Result<ParamStore, OffloadError> {
@@ -480,19 +515,19 @@ impl OffloadSession {
             None => bundle,
         };
         self.model_bytes = sent.total_bytes();
-        let upload_span = self.tracer.begin_bytes(
-            "model_upload",
-            Lane::Network,
-            EventKind::ModelUpload,
-            self.clock.now(),
-            Some(sent.total_bytes()),
-        );
         // The pre-send rides the link's own timeline (overlapping with
         // whatever the client is doing); transient faults are retried under
         // the session's policy. A server the retry budget cannot reach is
         // reported as a down link — the fleet layer hands off to the next
         // candidate (or the caller may hand off by hand).
-        let presend_at = self.clock.now();
+        let presend_at = self.clock.now().max(self.presend_from);
+        let upload_span = self.tracer.begin_bytes(
+            "model_upload",
+            Lane::Network,
+            EventKind::ModelUpload,
+            presend_at,
+            Some(sent.total_bytes()),
+        );
         let outcome = schedule_resilient_traced(
             &mut self.uplink,
             &self.tracer,
@@ -504,10 +539,7 @@ impl OffloadSession {
         self.pool
             .observe_faults(self.current, outcome.retries as usize, outcome.gave_up_at);
         let Some(xfer) = outcome.transfer else {
-            self.pool
-                .observe_faults(self.current, 1, outcome.gave_up_at);
-            self.tracer.end(upload_span, self.clock.now());
-            return Err(OffloadError::Net(NetError::LinkDown));
+            return Err(self.presend_gave_up(upload_span, outcome.gave_up_at));
         };
         self.pool.observe_transfer(self.current, &xfer);
         self.tracer.end(upload_span, xfer.finish);
@@ -532,10 +564,7 @@ impl OffloadSession {
             ack_outcome.gave_up_at,
         );
         let Some(ack) = ack_outcome.transfer else {
-            self.pool
-                .observe_faults(self.current, 1, ack_outcome.gave_up_at);
-            self.tracer.end(ack_span, self.clock.now());
-            return Err(OffloadError::Net(NetError::LinkDown));
+            return Err(self.presend_gave_up(ack_span, ack_outcome.gave_up_at));
         };
         self.tracer.end(ack_span, ack.finish);
         self.ack_at = ack.finish;
@@ -562,6 +591,16 @@ impl OffloadSession {
             }
         }
         Ok(())
+    }
+
+    /// The pre-send's retry budget ran out at `at`: ends its span there,
+    /// starts the next candidate's provisioning there, and reports the
+    /// unreachable server as a down link.
+    fn presend_gave_up(&mut self, span: snapedge_trace::SpanId, at: Duration) -> OffloadError {
+        self.pool.observe_faults(self.current, 1, at);
+        self.tracer.end(span, at);
+        self.presend_from = at;
+        OffloadError::Net(NetError::LinkDown)
     }
 
     /// When the current server acknowledged the model pre-send; offloads
@@ -684,17 +723,38 @@ impl OffloadSession {
         }
     }
 
-    /// Automatic failover: picks the best non-exhausted candidate by
-    /// predicted migration time, emits `server_select`/`handoff` events,
-    /// re-provisions (model re-pre-send) and waits for the new ACK.
-    /// Candidates whose provisioning also exhausts are marked and the
-    /// next one is tried. Returns `false` when every candidate is
-    /// exhausted — the round must finish locally.
+    /// Mid-round failover: provisions the next-best candidate
+    /// ([`OffloadSession::provision_next`]) while the client waits — for
+    /// the new ACK before re-attempting the migration, or, when every
+    /// candidate is exhausted (`false`: the round must finish locally),
+    /// for the last pre-send to give up.
     ///
     /// # Errors
     ///
     /// Propagates fatal (non-network) provisioning failures.
     fn failover(&mut self) -> Result<bool, OffloadError> {
+        // The wait starts now: give-ups on the pre-round timeline are past.
+        self.presend_from = self.clock.now();
+        let moved = self.provision_next()?;
+        let waited_until = if moved {
+            self.ack_at
+        } else {
+            self.presend_from
+        };
+        self.clock.advance_to(waited_until);
+        Ok(moved)
+    }
+
+    /// Picks the best non-exhausted candidate by predicted migration
+    /// time, emits `server_select`/`handoff` events and re-provisions
+    /// (model re-pre-send). Candidates whose provisioning also exhausts
+    /// are marked and the next one is tried. Returns `false` when every
+    /// candidate is exhausted.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fatal (non-network) provisioning failures.
+    fn provision_next(&mut self) -> Result<bool, OffloadError> {
         loop {
             // With balancing on, candidates are ranked by predicted
             // *sojourn* (migration + server-side queueing delay from the
@@ -716,7 +776,7 @@ impl OffloadSession {
                 None => return Ok(false),
             };
             let old = self.server.name().to_string();
-            let now = self.clock.now();
+            let now = self.clock.now().max(self.presend_from);
             self.tracer.record(
                 &format!("server_select:{}", spec.name),
                 Lane::Client,
@@ -733,12 +793,7 @@ impl OffloadSession {
             );
             self.install_server(next, &spec);
             match self.setup_server() {
-                Ok(()) => {
-                    // The client waits out the new server's provisioning
-                    // before re-attempting the migration.
-                    self.clock.advance_to(self.ack_at);
-                    return Ok(true);
-                }
+                Ok(()) => return Ok(true),
                 Err(e) if classify(&e) == FaultClass::Transient => {
                     self.pool.mark_exhausted(next);
                 }
@@ -788,8 +843,12 @@ impl OffloadSession {
     /// client (proactive-local or every candidate exhausted).
     pub(crate) fn round_start(&mut self, image_seed: u64) -> Result<RoundStep, OffloadError> {
         self.round += 1;
-        // Every candidate gets a fresh chance each round.
-        self.pool.begin_round();
+        // Every candidate gets a fresh chance each round; the first round
+        // follows provisioning directly, so whoever gave up there stays
+        // given up.
+        if self.round > 1 {
+            self.pool.begin_round();
+        }
         // Per-round usage reads as the delta past this mark.
         self.meter_mark = self
             .server
@@ -798,8 +857,10 @@ impl OffloadSession {
             .map(|m| m.total_ops())
             .unwrap_or(0);
         // Wait for the pre-send ACK before the first offload (the paper's
-        // "after ACK" regime; `ScenarioConfig` covers the before-ACK case).
-        self.clock.advance_to(self.ack_at);
+        // "after ACK" regime). A before-ACK scenario clicks right away.
+        if self.wait_for_ack {
+            self.clock.advance_to(self.ack_at);
+        }
 
         // The user loads a new image and clicks inference.
         let url = apps::synthetic_image_data_url(image_seed, self.cfg.image_bytes);
@@ -829,6 +890,21 @@ impl OffloadSession {
             return Err(OffloadError::Protocol(format!(
                 "expected offload point, got {outcome:?}"
             )));
+        }
+
+        // The current server never acknowledged its pre-send (a scenario
+        // started on a dead fleet, or the previous round's failover ran
+        // out of candidates): there is nothing to ship to, so it is an
+        // exhausted candidate like any other.
+        let provisioned = self
+            .pool
+            .health(self.current)
+            .is_some_and(|health| health.model_ready());
+        if !provisioned {
+            self.pool.mark_exhausted(self.current);
+            if !self.failover()? {
+                return self.round_done_locally(clicked_at);
+            }
         }
 
         // Static effect gates: consulted before the predictor and before
@@ -1182,17 +1258,12 @@ impl OffloadSession {
         if self.cfg.balance {
             prior = prior.saturating_add(self.queue_prior());
         }
-        // The current server is provisioned by the time a round runs
-        // (infer waits out the ACK), so no model bytes remain to charge.
+        // Before the ACK no model bytes have been confirmed; after it, all
+        // of them have (the pre-send is a single acknowledged upload).
+        let model_ready = self.clock.now() >= self.ack_at;
+        let acked = if model_ready { self.model_bytes } else { 0 };
         offloader
-            .decide_predictive_with_prior(
-                &link,
-                true,
-                self.model_bytes,
-                &prediction,
-                &policy,
-                prior,
-            )
+            .decide_predictive_with_prior(&link, model_ready, acked, &prediction, &policy, prior)
             .map(Some)
     }
 
@@ -1343,7 +1414,7 @@ impl OffloadSession {
                             base.declared_names(),
                         )?;
                     }
-                    if self.transfer("up", bytes, anchor)?.is_some() {
+                    if let Some(wire) = self.transfer("up", delta.script(), anchor)? {
                         let restore_start = self.clock.now();
                         self.server.browser.apply_delta(&delta)?;
                         self.charge_restore_server(bytes);
@@ -1355,7 +1426,7 @@ impl OffloadSession {
                             self.clock.now(),
                             Some(bytes),
                         );
-                        return Ok(Some((bytes, true)));
+                        return Ok(Some((wire, true)));
                     }
                     // The delta never arrived, so the server's agreed base
                     // can no longer be trusted. Drop the agreement and fall
@@ -1366,16 +1437,15 @@ impl OffloadSession {
             }
         }
         let (snapshot, _) = self.client.capture(&self.cfg.snapshot)?;
-        let bytes = snapshot.size_bytes();
         // Remember the last full-snapshot size: after a handoff the next
         // server receives a fresh full snapshot, so this is what the pool's
         // selection metric prices as pending migration state.
-        self.last_full_bytes = bytes;
-        if self.transfer("up", bytes, anchor)?.is_none() {
+        self.last_full_bytes = snapshot.size_bytes();
+        let Some(wire) = self.transfer("up", snapshot.html(), anchor)? else {
             return Ok(None);
-        }
+        };
         self.server.restore(&snapshot)?;
-        Ok(Some((bytes, false)))
+        Ok(Some((wire, false)))
     }
 
     fn migrate_down(
@@ -1408,9 +1478,9 @@ impl OffloadSession {
                         server_base.declared_names(),
                     )?;
                 }
-                if self.transfer("down", bytes, anchor)?.is_none() {
+                let Some(wire) = self.transfer("down", delta.script(), anchor)? else {
                     return Ok(None);
-                }
+                };
                 let restore_start = self.clock.now();
                 self.client.browser.apply_delta(&delta)?;
                 self.charge_restore_client(bytes);
@@ -1422,33 +1492,53 @@ impl OffloadSession {
                     self.clock.now(),
                     Some(bytes),
                 );
-                return Ok(Some((bytes, true)));
+                return Ok(Some((wire, true)));
             }
         }
         let (snapshot, _) = self.server.capture(&self.cfg.snapshot)?;
-        let bytes = snapshot.size_bytes();
-        if self.transfer("down", bytes, anchor)?.is_none() {
+        let Some(wire) = self.transfer("down", snapshot.html(), anchor)? else {
             return Ok(None);
-        }
+        };
         self.client.restore(&snapshot)?;
-        Ok(Some((bytes, false)))
+        Ok(Some((wire, false)))
     }
 
-    /// Ships `bytes` over the uplink (`dir == "up"`) or downlink, advancing
-    /// the clock to delivery and recording a `transfer_{dir}` span.
+    /// Ships `payload` over the uplink (`dir == "up"`) or downlink,
+    /// advancing the clock to delivery and recording a `transfer_{dir}`
+    /// span; returns the bytes that crossed the wire. With
+    /// [`OffloadSession::compress`] set the payload goes through the
+    /// LZ77+Huffman codec — the real codec runs, the clock is charged
+    /// from the device models — recorded as `compress_{dir}` on the
+    /// sender's lane and `decompress_{dir}` on the receiver's.
     /// Transient faults are retried under the session's policy (the
     /// deadline measured from `anchor`, the moment the user clicked);
     /// `Ok(None)` means the retry budget ran out.
     fn transfer(
         &mut self,
         dir: &str,
-        bytes: u64,
+        payload: &str,
         anchor: Duration,
-    ) -> Result<Option<()>, OffloadError> {
-        let link = match dir {
-            "up" => &mut self.uplink,
-            _ => &mut self.downlink,
+    ) -> Result<Option<u64>, OffloadError> {
+        let (link, sender, receiver) = match dir {
+            "up" => (&mut self.uplink, &self.client, &self.server),
+            _ => (&mut self.downlink, &self.server, &self.client),
         };
+        let plain = payload.len() as u64;
+        let packed = self
+            .compress
+            .then(|| snapedge_net::compress::compress(payload.as_bytes()));
+        if packed.is_some() {
+            let start = self.clock.now();
+            self.clock.advance_by(sender.device.compress_time(plain));
+            self.tracer.record(
+                &format!("compress_{dir}"),
+                sender.lane(),
+                EventKind::Codec,
+                start,
+                self.clock.now(),
+            );
+        }
+        let bytes = packed.as_ref().map_or(plain, |p| p.len() as u64);
         let span = self.tracer.begin_bytes(
             &format!("transfer_{dir}"),
             Lane::Network,
@@ -1468,15 +1558,34 @@ impl OffloadSession {
             .observe_faults(self.current, outcome.retries as usize, outcome.gave_up_at);
         let Some(xfer) = outcome.transfer else {
             // Giving up is itself a fault observation against this server.
+            // The client sat through every failed attempt, so the clock
+            // moves to the last one (a no-op for instant refusals) and
+            // whatever comes next — failover, local fallback — starts there.
             self.pool
                 .observe_faults(self.current, 1, outcome.gave_up_at);
-            self.tracer.end(span, self.clock.now());
+            self.clock.advance_to(outcome.gave_up_at);
+            self.tracer.end(span, outcome.gave_up_at);
             return Ok(None);
         };
         self.pool.observe_transfer(self.current, &xfer);
         self.clock.advance_to(xfer.finish);
         self.tracer.end(span, xfer.finish);
-        Ok(Some(()))
+        if let Some(packed) = packed {
+            if snapedge_net::compress::decompress(&packed)? != payload.as_bytes() {
+                return Err(OffloadError::Protocol("codec roundtrip mismatch".into()));
+            }
+            let start = self.clock.now();
+            self.clock
+                .advance_by(receiver.device.decompress_time(plain));
+            self.tracer.record(
+                &format!("decompress_{dir}"),
+                receiver.lane(),
+                EventKind::Codec,
+                start,
+                self.clock.now(),
+            );
+        }
+        Ok(Some(bytes))
     }
 
     fn charge_capture_client(&self, bytes: u64) {
@@ -1568,6 +1677,44 @@ mod tests {
         // both are sub-second; and the delta round is no slower.
         assert!(r1.total.as_secs_f64() < 1.0);
         assert!(r2.total <= r1.total + Duration::from_millis(50));
+    }
+
+    #[test]
+    fn nondeterministic_app_is_forced_local_with_zero_link_bytes() {
+        let reference = OffloadSession::new(SessionConfig::tiny())
+            .unwrap()
+            .infer(1)
+            .unwrap();
+        let mut session =
+            OffloadSession::new(SessionConfig::tiny_builder().effects(true).build()).unwrap();
+        // The paper apps are deterministic, so hand the gate the summary
+        // of an app whose handler reads a random host.
+        let app = "<html><body><button id=\"go\">go</button></body>\n<script>\n\
+                   var out = null;\n\
+                   function onGo() { out = rng.next(); }\n\
+                   document.getElementById(\"go\").addEventListener(\"go\", onGo);\n\
+                   </script></html>\n";
+        let opts = snapedge_analyze::EffectOptions::new()
+            .with_host("rng", snapedge_webapp::HostEffect::Random);
+        session.effects = Some(session.effect_cache.summary_html(app, &opts).unwrap());
+
+        let report = session.infer(1).unwrap();
+        assert_eq!(report.server, "client", "the round never left the client");
+        assert_eq!(report.up_bytes, 0, "no snapshot bytes shipped");
+        assert!(!report.fell_back, "no retry budget was spent");
+        assert_eq!(report.result, reference.result);
+        let trace = session.trace();
+        assert!(
+            trace
+                .events()
+                .iter()
+                .any(|e| e.name == "effect_verdict:nondeterministic"),
+            "the verdict is visible in the trace"
+        );
+        assert!(
+            !trace.events().iter().any(|e| e.name == "transfer_up"),
+            "the gate fires before any snapshot traffic"
+        );
     }
 
     #[test]

@@ -60,6 +60,16 @@ fn fallback_count(trace: &Trace) -> usize {
         .count()
 }
 
+/// When the run gave up on offloading (its one `fallback_local` marker).
+fn fallback_instant(trace: &Trace) -> Duration {
+    trace
+        .events()
+        .iter()
+        .find(|e| e.kind == EventKind::Fallback)
+        .expect("the run fell back")
+        .start
+}
+
 fn clean_run() -> ScenarioReport {
     run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap()
 }
@@ -211,6 +221,101 @@ fn retry_budget_exhaustion_falls_back_to_local_execution() {
     );
     assert_eq!(faulty.snapshot_up_bytes, 0, "nothing was migrated");
     assert_eq!(fallback_count(&faulty.trace), 1);
+}
+
+/// What the give-up path owes the "degradation is accountable"
+/// invariant: the run sat through every corrupted copy and every backoff
+/// before it could know the upload had failed, so the fallback starts
+/// after the last of them and the total covers them.
+fn assert_give_up_is_accounted(trace: &Trace, total: Duration, who: &str) {
+    let wasted = trace.duration_of_kind(EventKind::Fault, None)
+        + trace.duration_of_kind(EventKind::Backoff, None);
+    assert!(wasted > secs(0.3), "{who}: the plan must cost real time");
+    assert!(
+        total >= wasted,
+        "{who}: total {total:?} < fault + backoff {wasted:?}"
+    );
+    let last_corrupt_end = trace
+        .events()
+        .iter()
+        .filter(|e| e.name == "uplink_corrupt")
+        .map(|e| e.end)
+        .max()
+        .expect("corrupted copies are recorded");
+    let fallback = fallback_instant(trace);
+    assert!(
+        fallback >= last_corrupt_end,
+        "{who}: fell back at {fallback:?}, before the last corrupted copy ended at {last_corrupt_end:?}"
+    );
+}
+
+/// Every copy of the snapshot upload arrives corrupted: three attempts,
+/// 100 + 200 ms of backoff between them, then the budget is gone.
+fn corrupt_every_upload() -> (FaultPlan, RetryPolicy) {
+    let (s, _) = snapshot_up_window(&clean_run().trace);
+    let plan = FaultPlan::none()
+        .corrupt(s - secs(0.001), s + secs(100.0))
+        .unwrap();
+    let policy = RetryPolicy {
+        max_attempts: 3,
+        ..RetryPolicy::default()
+    };
+    (plan, policy)
+}
+
+#[test]
+fn scenario_giving_up_on_corrupted_uploads_advances_the_clock_past_them() {
+    let (plan, policy) = corrupt_every_upload();
+    let faulty = run_scenario(
+        &ScenarioConfig::tiny_builder()
+            .up_faults(plan)
+            .retry(policy)
+            .build(),
+    )
+    .unwrap();
+    assert!(faulty.fell_back);
+    assert_eq!(faulty.result, clean_run().result);
+    assert_give_up_is_accounted(&faulty.trace, faulty.total, "scenario");
+}
+
+#[test]
+fn session_giving_up_on_corrupted_uploads_advances_the_clock_past_them() {
+    let (plan, policy) = corrupt_every_upload();
+    let mut session = OffloadSession::new(
+        SessionConfig::tiny_builder()
+            .up_faults(plan)
+            .retry(policy)
+            .build(),
+    )
+    .unwrap();
+    let round = session.infer(1).unwrap();
+    assert!(round.fell_back);
+    assert_give_up_is_accounted(&session.trace(), round.total, "session");
+}
+
+#[test]
+fn instantly_refused_uploads_give_up_without_moving_the_clock() {
+    let clean = clean_run();
+    let (s, _) = snapshot_up_window(&clean.trace);
+    // The link is down for an hour: every attempt is refused on the spot
+    // and the next retry would overrun the deadline, so giving up costs
+    // no time at all — the fallback starts where the upload would have.
+    let plan = FaultPlan::none()
+        .down(s - secs(0.001), s + secs(3600.0))
+        .unwrap();
+    let faulty = run_scenario(
+        &ScenarioConfig::tiny_builder()
+            .up_faults(plan)
+            .retry(RetryPolicy::default())
+            .build(),
+    )
+    .unwrap();
+    assert!(faulty.fell_back);
+    assert_eq!(
+        fallback_instant(&faulty.trace),
+        s,
+        "an instant refusal must not move"
+    );
 }
 
 #[test]

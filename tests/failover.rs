@@ -280,3 +280,47 @@ fn estimator_penalties_steer_rounds_away_from_a_flaky_primary() {
     // Exactly one handoff for the whole session.
     assert_eq!(names_of_kind(&session.trace(), EventKind::Handoff).len(), 1);
 }
+
+/// A fleet that went dark for one round is re-provisioned in the next:
+/// the failover that ran out of candidates leaves the session pointing at
+/// a server that never acknowledged its pre-send, and the following
+/// round treats that server as exhausted instead of shipping it a
+/// snapshot it has no model for.
+#[test]
+fn a_fleet_that_went_dark_for_a_round_is_reprovisioned_in_the_next() {
+    let mut probe = OffloadSession::new(SessionConfig::tiny_builder().build()).unwrap();
+    let probe_rounds: Vec<RoundReport> = (1..=3).map(|i| probe.infer(i).unwrap()).collect();
+    let u2 = uplink_transfer_starts(&probe.trace())[2];
+    // Both candidates go dark just before round 2's upload, until `until`.
+    let dark_fleet = |until: Duration| {
+        let blackout = FaultPlan::none().down(u2 - secs(0.001), until).unwrap();
+        OffloadSession::new(
+            SessionConfig::tiny_builder()
+                .servers(vec![
+                    tiny_spec("edge-a").with_faults(blackout.clone()),
+                    tiny_spec("edge-b").with_faults(blackout),
+                ])
+                .retry(RetryPolicy {
+                    max_attempts: 1,
+                    ..RetryPolicy::default()
+                })
+                .build(),
+        )
+        .unwrap()
+    };
+    // With one attempt per transfer nothing waits on the window's end, so
+    // an hour-long blackout tells when round 2 is over; the real run's
+    // blackout lifts exactly then.
+    let mut forever = dark_fleet(u2 + secs(3600.0));
+    forever.infer(1).unwrap();
+    assert!(forever.infer(2).unwrap().fell_back);
+    let mut session = dark_fleet(forever.now());
+
+    let rounds: Vec<RoundReport> = (1..=3).map(|i| session.infer(i).unwrap()).collect();
+    for (r, p) in rounds.iter().zip(&probe_rounds) {
+        assert_eq!(r.result, p.result, "round {} result drifted", r.round);
+    }
+    assert!(rounds[1].fell_back, "nobody was reachable in round 2");
+    assert!(!rounds[2].fell_back, "round 3 found a server again");
+    assert_ne!(rounds[2].server, "client");
+}
