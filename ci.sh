@@ -22,6 +22,9 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/scenario.rs |
     exit 1
 fi
 
+echo "== two delta-capture paths (write-set-pruned capture stays deleted)"
+if grep -rnE 'CaptureHints|set_capture_hints|pruned_globals' crates/*/src; then exit 1; fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
@@ -45,12 +48,6 @@ cargo run --offline --release -p snapedge-bench --bin fleet_scale
 
 echo "== balancing micro (report-only: rotation vs queue-aware p99 on a skewed fleet)"
 cargo run --offline --release -p snapedge-bench --bin fleet_balance
-
-echo "== pruned capture micro (report-only: pruned vs full capture time)"
-cargo run --offline --release -p snapedge-bench --bin capture_pruned
-
-echo "== incremental capture micro (report-only: dirty-tracked vs full-walk capture time)"
-cargo run --offline --release -p snapedge-bench --bin capture_incremental
 
 echo "== identifier lookup micro (report-only: slot/symbol resolution throughput)"
 cargo run --offline --release -p snapedge-bench --bin lookup_hot

@@ -9,15 +9,8 @@
 //! Pure  ⊑  Writes(set)  ⊑  Host(tag)  ⊑  Unknown
 //! ```
 //!
-//! and three offload-layer consumers read the result:
+//! and two offload-layer consumers read the result:
 //!
-//! * **write-set-pruned capture** — the per-round write set (globals any
-//!   event-handler-reachable code can write) becomes
-//!   `snapedge_webapp::CaptureHints`, so delta capture deep-compares only
-//!   statically-writable globals. Whenever a write cannot be attributed
-//!   (`Unknown`: dynamic member writes through aliases, mutating method
-//!   calls on unclassifiable receivers), [`EffectSummary::round_writes`]
-//!   is `None` and capture falls back to the full walk, bit-identically.
 //! * **pre-ship nondeterminism gating** — host accesses are tagged with
 //!   the effect class the embedder declared at registration
 //!   ([`HostEffect`]); reaching a clock/random/IO host makes the app
@@ -29,6 +22,12 @@
 //!   the floor flags guaranteed `ResourceExhausted` against
 //!   [`MeterLimits`] pre-ship and feeds the offload predictor as a
 //!   compute-time prior.
+//!
+//! The per-round write set (globals any event-handler-reachable code can
+//! write; [`EffectSummary::round_writes`], `None` when a write cannot be
+//! attributed) is report-only: delta capture finds what changed from the
+//! write barrier's dirty sets, which record the writes that happened
+//! rather than a static superset of them.
 //!
 //! Soundness notes. The interpreter charges at least one metered op per
 //! executed statement, so a statement-count floor (stopping at any
@@ -295,9 +294,8 @@ pub struct EffectSummary {
     /// Functions installed as event handlers (`addEventListener` roots).
     pub handlers: BTreeSet<String>,
     /// Union of globals any handler-reachable code can write — the
-    /// per-round write set behind capture pruning. `None` when any
-    /// reachable write escaped attribution (the mandatory full-walk
-    /// fallback).
+    /// per-round write set the `analyze --effects` report prints. `None`
+    /// when any reachable write escaped attribution.
     pub round_writes: Option<BTreeSet<String>>,
     /// Nondeterministic host accesses anywhere in the app (top level
     /// included — load-time nondeterminism already breaks replay).
@@ -322,12 +320,6 @@ impl EffectSummary {
         }
     }
 
-    /// The per-round write set, when every reachable write was
-    /// attributed.
-    pub fn writable_globals(&self) -> Option<&BTreeSet<String>> {
-        self.round_writes.as_ref()
-    }
-
     /// Renders a human-readable report: per-function lattice points, the
     /// round write set, and cost bounds.
     pub fn render(&self) -> String {
@@ -349,7 +341,7 @@ impl EffectSummary {
                 let names: Vec<&str> = set.iter().map(String::as_str).collect();
                 out.push_str(&format!("round write set: {{{}}}\n", names.join(", ")));
             }
-            None => out.push_str("round write set: unknown (full-walk capture)\n"),
+            None => out.push_str("round write set: unknown\n"),
         }
         out.push_str(&format!("round cost bound: {}\n", self.cost));
         if !self.nondet.is_empty() {
@@ -799,8 +791,8 @@ impl<'a> EffectPass<'a> {
                 }
             }
             Expr::Member(obj, _) | Expr::Index(obj, _) => {
-                // DOM writes (textContent) are replayable; the delta DOM
-                // diff is never pruned.
+                // DOM writes (textContent) are replayable: the delta
+                // diffs the document itself.
                 if self.is_dom_expr(obj, ctx) {
                     self.touch_host(fx, "document", HostEffect::Dom, ctx);
                     return;

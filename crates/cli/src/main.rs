@@ -117,14 +117,12 @@ const USAGE: &str = "usage:
     keys in --servers override the fleet-wide spec ('+' joins nested
     keys). Off by default (bit-identical replay).
   --effects true runs the static effect pass before any state ships:
-    per-function write sets prune delta capture down to statically
-    writable globals (with a bit-identical fallback to the full walk
-    whenever a write escapes attribution), apps that reach
-    clock/random/IO hosts complete locally instead of shipping
-    unreplayable state, and rounds whose static op floor already
-    exceeds the meter budget are refused before any bytes burn. With
-    'snapedge analyze' it prints the per-function effect lattice and
-    cost bounds. Off by default (bit-identical replay).
+    apps that reach clock/random/IO hosts complete locally instead of
+    shipping unreplayable state, and rounds whose static op floor
+    already exceeds the meter budget are refused before any bytes
+    burn. With 'snapedge analyze' it prints the per-function effect
+    lattice, write sets and cost bounds. Off by default (bit-identical
+    replay).
   --arrival shapes fleet traffic (snapedge fleet):
       'closed[:think_s]'               closed loop, per-client think time
       'poisson:rate_hz'                open-loop Poisson, fleet-wide rate
@@ -1230,7 +1228,7 @@ mod tests {
         ] {
             let summary = effect_summary_html(&html, &eopts).unwrap();
             assert!(!summary.is_nondeterministic(), "{}", summary.render());
-            assert!(summary.writable_globals().is_some(), "{}", summary.render());
+            assert!(summary.round_writes.is_some(), "{}", summary.render());
         }
     }
 

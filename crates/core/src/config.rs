@@ -259,9 +259,10 @@ impl<C: DerefMut<Target = OffloadConfig>> ConfigBuilder<C> {
         self
     }
 
-    /// Toggles static effect analysis (off by default): write-set-pruned
-    /// delta capture, pre-ship nondeterminism gating, and static cost
-    /// bounds. Off replays pre-analysis traces byte for byte.
+    /// Toggles static effect analysis (off by default): pre-ship
+    /// nondeterminism gating, and static cost bounds that gate guaranteed
+    /// meter exhaustion and prime the predictor. Off replays pre-analysis
+    /// traces byte for byte.
     pub fn effects(mut self, on: bool) -> ConfigBuilder<C> {
         self.cfg.snapshot.effects = on;
         self

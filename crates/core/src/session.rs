@@ -31,7 +31,7 @@ use crate::OffloadError;
 use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
 use snapedge_net::{Link, NetError, SimClock};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
-use snapedge_webapp::{CaptureHints, DeltaCapture, RunOutcome, StateBase, WebError};
+use snapedge_webapp::{DeltaCapture, RunOutcome, StateBase, WebError};
 use std::time::Duration;
 
 /// Configuration of a multi-inference session: the shared
@@ -276,9 +276,9 @@ pub struct OffloadSession {
     /// a long-lived session analyzes each app once.
     effect_cache: snapedge_analyze::EffectCache,
     /// The active app's effect summary, when `cfg.snapshot.effects` is
-    /// on: its write set prunes delta capture, its nondeterminism and
-    /// cost-bound gates run pre-ship in `round_start`, and its op floor
-    /// feeds the link-health predictor as a compute-time prior.
+    /// on: its nondeterminism and cost-bound gates run pre-ship in
+    /// `round_start`, and its op floor feeds the link-health predictor
+    /// as a compute-time prior.
     effects: Option<snapedge_analyze::EffectSummary>,
     /// Per-candidate predicted queueing delay, pushed by the fleet
     /// engine's balancer before each round when `cfg.balance` is on
@@ -453,10 +453,8 @@ impl OffloadSession {
     }
 
     /// Runs (memoized) static effect analysis over the session's app and
-    /// installs its consumers: write-set capture hints on the client
-    /// browser (delta capture deep-compares only statically-writable
-    /// globals) and the summary itself for the pre-ship gates in
-    /// `round_start`. A nondeterministic app is *not* an error here —
+    /// keeps the summary for the pre-ship gates in `round_start` and the
+    /// predictor prior. A nondeterministic app is *not* an error here —
     /// every round is forced local instead, since the paper's fallback
     /// (local execution) stays sound when replay does not.
     ///
@@ -470,13 +468,6 @@ impl OffloadSession {
             .effect_cache
             .summary_html(app_html, &opts)
             .map_err(OffloadError::Analyze)?;
-        if !summary.is_nondeterministic() {
-            if let Some(writes) = summary.writable_globals() {
-                self.client.browser.set_capture_hints(Some(CaptureHints {
-                    writable_globals: writes.clone(),
-                }));
-            }
-        }
         self.effects = Some(summary);
         Ok(())
     }
@@ -580,16 +571,6 @@ impl OffloadSession {
             self.cut,
             self.cfg.seed,
         );
-        // The server captures the downlink delta against the same app, so
-        // it prunes by the same write set (fresh endpoints from failover /
-        // handoff re-enter here and get the hints re-installed).
-        if let Some(summary) = &self.effects {
-            if let Some(writes) = summary.writable_globals() {
-                self.server.browser.set_capture_hints(Some(CaptureHints {
-                    writable_globals: writes.clone(),
-                }));
-            }
-        }
         Ok(())
     }
 

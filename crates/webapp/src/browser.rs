@@ -5,7 +5,7 @@
 //! between them.
 
 use crate::ast::FunctionDef;
-use crate::delta::{CaptureHints, SnapCache};
+use crate::delta::SnapCache;
 use crate::dom::{Document, DomNodeId};
 use crate::host::{HostEffect, HostObject};
 use crate::intern::{Ident, Symbol};
@@ -234,7 +234,6 @@ pub struct Browser {
     pub(crate) hosts: BTreeMap<Symbol, Box<dyn HostObject>>,
     pub(crate) host_effects: BTreeMap<Symbol, HostEffect>,
     pub(crate) meter: Option<Meter>,
-    pub(crate) capture_hints: Option<CaptureHints>,
     offload_trigger: Option<String>,
     max_steps: u64,
     /// Process-unique id, stamped into [`StateBase`](crate::StateBase)
@@ -280,7 +279,6 @@ impl Browser {
             hosts: BTreeMap::new(),
             host_effects: BTreeMap::new(),
             meter: None,
-            capture_hints: None,
             offload_trigger: None,
             max_steps: 50_000_000,
             browser_id: BROWSER_ID.fetch_add(1, Ordering::Relaxed),
@@ -368,21 +366,6 @@ impl Browser {
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
-    }
-
-    /// Installs statically-derived capture hints: delta capture skips the
-    /// deep heap comparison for globals outside the hinted write set.
-    /// `None` (the default) restores the unhinted full-walk diff. The
-    /// caller is responsible for only installing hints derived from a
-    /// *sound* effect analysis of the loaded app — unsound hints silently
-    /// drop state changes from deltas.
-    pub fn set_capture_hints(&mut self, hints: Option<CaptureHints>) {
-        self.capture_hints = hints;
-    }
-
-    /// The installed capture hints, if any.
-    pub fn capture_hints(&self) -> Option<&CaptureHints> {
-        self.capture_hints.as_ref()
     }
 
     /// Arms offloading: the event loop will stop just before dispatching

@@ -61,26 +61,6 @@ pub(crate) struct CaptureWork {
     cells: u64,
 }
 
-/// Statically-derived capture hints, produced by the effect analysis in
-/// `snapedge-analyze` and installed by the offload layer via
-/// [`Browser::set_capture_hints`].
-///
-/// The contract: between two agreed bases, only event-handler code (plus
-/// replayable DOM edits, which the delta diffs separately and never
-/// prunes) runs — so a global outside `writable_globals` cannot have a
-/// different deep value than it had at the base, and delta capture may
-/// skip its deep heap comparison. Whenever the analysis cannot prove a
-/// write set (dynamic member writes, host aliasing), the offload layer
-/// installs *no* hints and capture falls back to the full walk,
-/// bit-identically.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CaptureHints {
-    /// Globals some event-handler-reachable code can (transitively)
-    /// write. Everything else is treated as unchanged without walking its
-    /// reachable heap.
-    pub writable_globals: BTreeSet<String>,
-}
-
 /// The state both sides agreed on after the previous migration.
 #[derive(Clone)]
 pub struct StateBase {
@@ -88,7 +68,7 @@ pub struct StateBase {
     /// `(browser id, base token)` of the [`Browser::state_base`] call that
     /// anchored this base, when that browser recorded a [`SnapCache`] for
     /// it. Captures from any *other* browser (or after a newer anchor)
-    /// fall back to the legacy full walk.
+    /// fall back to the reference walk.
     pub(crate) origin: Option<(u64, u64)>,
 }
 
@@ -140,9 +120,6 @@ pub struct DeltaStats {
     pub pending_events: usize,
     /// Script size in bytes.
     pub bytes: usize,
-    /// Globals whose deep comparison was skipped via [`CaptureHints`]
-    /// (statically unwritable, treated as unchanged).
-    pub pruned_globals: usize,
 }
 
 /// A state diff, as an executable MiniJS script.
@@ -194,7 +171,7 @@ impl Browser {
         let origin = match self.build_snap_cache() {
             Ok(token) => Some((self.browser_id, token)),
             // A dangling heap handle means the index is untrustworthy;
-            // drop the anchor and let captures take the legacy full walk
+            // drop the anchor and let captures take the reference walk
             // (which will surface the same corruption as a capture error).
             Err(_) => {
                 self.snap_cache = None;
@@ -245,7 +222,7 @@ impl Browser {
     /// is on), the deep comparison is gated by the write-barrier dirty
     /// sets: only globals that were rebound, or that rooted a dirtied heap
     /// cell at base time, are walked. The emitted script is byte-identical
-    /// to the legacy full walk either way.
+    /// to the reference walk (every global a candidate) either way.
     ///
     /// # Errors
     ///
@@ -267,7 +244,6 @@ impl Browser {
             &self.core,
             &base.core,
             options,
-            self.capture_hints.as_ref(),
             if anchored {
                 self.snap_cache.as_ref()
             } else {
@@ -302,7 +278,6 @@ fn capture_delta(
     new: &Core,
     base: &Core,
     options: &SnapshotOptions,
-    hints: Option<&CaptureHints>,
     cache: Option<&SnapCache>,
     render_cache: &mut RenderCache,
     work: &mut CaptureWork,
@@ -312,8 +287,8 @@ fn capture_delta(
     let mut body = String::new();
 
     // ---- Functions: additions/changes re-declare; removals need a full
-    // snapshot (MiniJS cannot un-define). Name order, like the legacy
-    // string-keyed walk, so `FullRequired` reasons stay byte-identical.
+    // snapshot (MiniJS cannot un-define). Name order, so the
+    // `FullRequired` reason does not depend on symbol numbering.
     for def in base.functions_sorted() {
         let name = &def.name;
         if name.starts_with(RESERVED_PREFIX) {
@@ -341,7 +316,7 @@ fn capture_delta(
         }
     }
     // Dirty-gated candidate set when an incremental anchor is available;
-    // `None` means every global is a candidate (legacy full walk). A
+    // `None` means every global is a candidate (the reference walk). A
     // base-present global that was never rebound and rooted no dirtied
     // base-time cell cannot have changed deep value.
     let candidates: Option<BTreeSet<Symbol>> = cache.map(|c| {
@@ -361,16 +336,6 @@ fn capture_delta(
         let sym = name.sym();
         let same = match base.globals.get(sym) {
             Some(old) => {
-                // Write-set pruning: a global the effect analysis proved
-                // unwritable by handler code cannot differ from the base —
-                // skip the deep heap walk. Globals absent from the base
-                // are always "changed" regardless of hints.
-                if let Some(h) = hints {
-                    if !h.writable_globals.contains(name.as_str()) {
-                        stats.pruned_globals += 1;
-                        continue;
-                    }
-                }
                 // Incremental skip: not a candidate → provably unchanged.
                 if let Some(cand) = &candidates {
                     if !cand.contains(&sym) {
@@ -393,8 +358,8 @@ fn capture_delta(
 
     // ---- Aliasing hazard: a changed global's structure shared with an
     // unchanged global would be duplicated by re-serialization, breaking
-    // identity. Fall back in that case. Legacy reports the *smallest*
-    // shared cell id; both paths below preserve that.
+    // identity. Fall back in that case. The reference walk reports the
+    // *smallest* shared cell id; the anchored path reproduces that.
     let changed_reach = reachable_from(new, &changed)?;
     let shared: Option<ObjId> = match (cache, &candidates) {
         (Some(c), Some(cand)) => {

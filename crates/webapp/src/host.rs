@@ -50,8 +50,7 @@ pub trait HostObject {
 ///   listeners, the event queue). The paper's Caffe.js `model` object
 ///   satisfies this.
 /// * [`HostEffect::Dom`] may read or edit the document. That is still
-///   *replayable*: DOM state ships in every snapshot and delta and is
-///   never pruned by effect analysis.
+///   *replayable*: DOM state ships in every snapshot and delta.
 /// * [`HostEffect::Clock`] / [`HostEffect::Random`] / [`HostEffect::Io`]
 ///   make two executions of the same snapshot disagree — apps reaching
 ///   them are rejected before any link bytes are spent.

@@ -65,7 +65,7 @@ mod snapshot;
 mod value;
 
 pub use browser::{Browser, Core, Listener, PendingEvent, RunOutcome};
-pub use delta::{CaptureHints, DeltaCapture, DeltaScript, DeltaStats, StateBase};
+pub use delta::{DeltaCapture, DeltaScript, DeltaStats, StateBase};
 pub use dom::{Document, DomNodeId};
 pub use error::WebError;
 pub use host::{FnHost, HostEffect, HostObject};

@@ -51,21 +51,19 @@ pub struct SnapshotOptions {
     pub verify: bool,
     /// Run the static effect analysis (`snapedge-analyze`) over the app.
     /// As with `verify`, the webapp crate only carries the flag; the
-    /// offload layer computes the per-app effect summary, installs
-    /// [`CaptureHints`](crate::CaptureHints) so delta capture walks only
-    /// statically-writable state, rejects nondeterministic apps before
-    /// any link traffic, and flags guaranteed meter exhaustion
-    /// pre-ship. Off (the default) leaves every capture byte-identical
-    /// to the unanalyzed path.
+    /// offload layer computes the per-app effect summary, rejects
+    /// nondeterministic apps before any link traffic, and flags
+    /// guaranteed meter exhaustion pre-ship. Capture never reads it:
+    /// scripts are byte-identical with the flag on or off.
     pub effects: bool,
     /// Let delta capture use the write-barrier dirty sets recorded since
     /// [`Browser::state_base`](crate::Browser::state_base): only globals
     /// touched since the base (and globals rooting dirtied heap cells)
     /// are deep-compared, so capture cost scales with state *changed*
     /// instead of state *held*. Produces byte-identical deltas to the
-    /// full-walk path; `false` forces the legacy full comparison
-    /// (capturing against a base from a different browser falls back
-    /// automatically). Full snapshots are unaffected.
+    /// reference walk, which deep-compares every global; `false` selects
+    /// that walk (capturing against a base from a different browser
+    /// falls back to it automatically). Full snapshots are unaffected.
     pub incremental: bool,
 }
 

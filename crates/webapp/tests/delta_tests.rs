@@ -2,7 +2,10 @@
 //! script applied to the state left at the server must reproduce exactly
 //! the state a full snapshot would have delivered.
 
-use snapedge_webapp::{state_eq, Browser, DeltaCapture, JsValue, SnapshotOptions, StateBase};
+use snapedge_rng::Rng;
+use snapedge_webapp::{
+    state_eq, Browser, DeltaCapture, JsValue, MeterLimits, SnapshotOptions, StateBase,
+};
 
 /// Builds a client/server pair agreeing on the state produced by `setup`,
 /// returning both plus the agreed base.
@@ -306,4 +309,92 @@ fn identical_states_produce_an_empty_ish_delta() {
     let (mut client, mut server, base) = agreed_pair("var x = {a: [1, 2, 3]};");
     let bytes = roundtrip_delta(&mut client, &mut server, &base);
     assert!(bytes < 200, "no-change delta should be tiny, got {bytes}");
+}
+
+/// One random mutation between `state_base` and capture, as MiniJS source.
+/// `objects` are the globals holding `{n, inner: {v: [..]}}`; a new global
+/// joins them, so later rounds mutate it too.
+fn random_mutation(rng: &mut Rng, objects: &mut Vec<String>) -> String {
+    let k = rng.gen_range_u64(0, 1000);
+    let g = rng.choose(objects).clone();
+    match rng.gen_range_u64(0, 8) {
+        0 => format!("{g} = {{n: {k}, inner: {{v: [{k}, 2]}}}};"),
+        1 => format!("{g}.inner.v[0] = {k};"),
+        // The same write through a function-local alias (`poke`'s `o`).
+        2 => format!("poke({g}, {k});"),
+        3 => format!("{g}.inner.v.push({k});"),
+        4 => {
+            let name = format!("n{}", objects.len());
+            objects.push(name.clone());
+            format!("var {name} = {{n: {k}, inner: {{v: [{k}]}}}};")
+        }
+        // An alias from `g` into another global's sub-heap: a hazard
+        // exactly when the other global is not changed too.
+        5 => format!("{g}.link = {}.inner;", rng.choose(objects)),
+        // Written and reverted before capture: dirty, yet deep-equal.
+        6 => format!("{g}.n = {g}.n + 1; {g}.n = {g}.n - 1;"),
+        _ => format!("scalar = {k}; scalar = 0;"),
+    }
+}
+
+#[test]
+fn incremental_capture_equals_the_reference_walk_on_random_mutations() {
+    let reference = SnapshotOptions {
+        incremental: false,
+        ..SnapshotOptions::default()
+    };
+    let (mut deltas, mut shared_refusals) = (0, 0);
+    let (mut incremental_ops, mut reference_ops) = (0, 0);
+    for seed in 0..64u64 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut objects: Vec<String> = (0..6).map(|i| format!("g{i}")).collect();
+        let mut setup =
+            String::from("var scalar = 0;\nfunction poke(o, k) { o.inner.v[0] = k; }\n");
+        for (i, g) in objects.iter().enumerate() {
+            setup.push_str(&format!("var {g} = {{n: {i}, inner: {{v: [{i}, 1]}}}};\n"));
+        }
+        let mut client = Browser::new();
+        client.set_meter(MeterLimits::default().with_ops(u64::MAX / 2));
+        client.exec_script(&setup).unwrap();
+        // Re-anchoring every round carries earlier aliases and new globals
+        // into the next base, as a session's rounds do.
+        for round in 0..4 {
+            let base = client.state_base();
+            let mut script = String::new();
+            for _ in 0..rng.gen_range_usize(1, 6) {
+                script.push_str(&random_mutation(&mut rng, &mut objects));
+                script.push('\n');
+            }
+            client.exec_script(&script).unwrap();
+            let mut capture = |options: &SnapshotOptions, ops: &mut u64| {
+                let before = client.meter().unwrap().total_ops();
+                let capture = client.capture_delta(&base, options).unwrap();
+                *ops += client.meter().unwrap().total_ops() - before;
+                capture
+            };
+            let incremental = capture(&SnapshotOptions::default(), &mut incremental_ops);
+            let walked = capture(&reference, &mut reference_ops);
+            // Debug prints the whole script, its stats, or the refusal
+            // reason with its cell id: equal text is equal bytes.
+            assert_eq!(
+                format!("{incremental:?}"),
+                format!("{walked:?}"),
+                "seed {seed} round {round} after:\n{script}"
+            );
+            match incremental {
+                DeltaCapture::Delta(_) => deltas += 1,
+                DeltaCapture::FullRequired { reason } => {
+                    assert!(reason.contains("is shared between"), "{reason}");
+                    shared_refusals += 1;
+                }
+            }
+        }
+    }
+    assert!(deltas >= 32, "{deltas} deltas");
+    assert!(shared_refusals >= 32, "{shared_refusals} aliasing refusals");
+    // The anchored path ran: it deep-compared fewer cells than the walk.
+    assert!(
+        incremental_ops < reference_ops,
+        "incremental {incremental_ops} vs reference {reference_ops}"
+    );
 }
