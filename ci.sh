@@ -25,6 +25,9 @@ fi
 echo "== two delta-capture paths (write-set-pruned capture stays deleted)"
 if grep -rnE 'CaptureHints|set_capture_hints|pruned_globals' crates/*/src; then exit 1; fi
 
+echo "== effect analysis is two gates (write sets, ceilings, the cache and the contention simulator stay deleted)"
+if grep -rnE 'round_writes|EffectCache|max_new_cells|simulate_contention' crates/*/src; then exit 1; fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
@@ -49,16 +52,13 @@ cargo run --offline --release -p snapedge-bench --bin fleet_scale
 echo "== balancing micro (report-only: rotation vs queue-aware p99 on a skewed fleet)"
 cargo run --offline --release -p snapedge-bench --bin fleet_balance
 
-echo "== identifier lookup micro (report-only: slot/symbol resolution throughput)"
-cargo run --offline --release -p snapedge-bench --bin lookup_hot
-
 echo "== determinism lint (wall-clock, hash-iter, unwrap-hot-path, collect-in-loop, string-keyed-map)"
 cargo run --offline --release -p snapedge-lint
 
 echo "== static snapshot verifier smoke (paper apps + live captures)"
 cargo run --offline --release -p snapedge-cli --bin snapedge -- analyze --all-apps true
 
-echo "== effect analysis smoke (lattice report + effects-on session per model)"
+echo "== effect analysis smoke (floor report + effects-on session per model)"
 cargo run --offline --release -p snapedge-cli --bin snapedge -- analyze --all-apps true --effects true
 
 echo "ci.sh: all green"

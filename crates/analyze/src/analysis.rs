@@ -1,18 +1,11 @@
-//! Scope resolution, def-use recording, reachability, and the
-//! snapshot-specific lints over a parsed MiniJS program.
-//!
-//! MiniJS scoping is deliberately simple (the paper's subset): functions
-//! have no closures, so a name inside a function resolves to the
-//! function's own params/`var` locals, then to globals, then to declared
-//! functions, then to the host surface. Assigning to a name that is not a
-//! local *creates a global* at runtime — the analyzer therefore treats
-//! every non-local assignment target as a global definition site
-//! (flow-insensitively), which is exactly how generated restore scripts
-//! re-establish app globals.
+//! Name resolution, def-use recording, reachability, and the
+//! snapshot-specific lints over a parsed MiniJS program, against the
+//! scope table of [`crate::scope`].
 
 use crate::hostapi;
+use crate::scope::Scopes;
 use crate::{AnalysisOptions, AnalysisStats, Diagnostic, Mode, Rule, Severity};
-use snapedge_webapp::ast::{Expr, FunctionDef, Stmt};
+use snapedge_webapp::ast::{Expr, Stmt};
 use snapedge_webapp::is_reserved_machinery;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,35 +16,18 @@ enum Ctx {
     Func(String),
 }
 
-/// One function's own scope: parameters plus hoisted `var` locals.
-#[derive(Debug, Default)]
-struct FuncScope {
-    params: BTreeSet<String>,
-    locals: BTreeSet<String>,
-}
-
-impl FuncScope {
-    fn contains(&self, name: &str) -> bool {
-        self.params.contains(name) || self.locals.contains(name)
+impl Ctx {
+    fn func(&self) -> Option<&str> {
+        match self {
+            Ctx::TopLevel => None,
+            Ctx::Func(f) => Some(f),
+        }
     }
-}
-
-/// All declarations visible at global scope.
-#[derive(Debug, Default)]
-struct Declarations {
-    /// Function name → its scope. Nested declarations register globally
-    /// when executed, so they are collected recursively. Built once per
-    /// verification, keyed by report-visible names.
-    /// lint: allow(string-keyed-map)
-    functions: BTreeMap<String, FuncScope>,
-    /// Global variables: top-level `var`s plus non-local assignment
-    /// targets anywhere.
-    globals: BTreeSet<String>,
 }
 
 pub(crate) struct Analysis<'a> {
     opts: &'a AnalysisOptions,
-    decls: Declarations,
+    decls: Scopes,
     hosts: BTreeSet<String>,
     ambient: BTreeSet<String>,
     /// Global name → contexts that read it.
@@ -77,9 +53,10 @@ impl<'a> Analysis<'a> {
             .map(|s| s.to_string())
             .collect();
         hosts.extend(opts.hosts.iter().cloned());
+        let decls = Scopes::build(program, &|name| hosts.contains(name));
         let mut a = Analysis {
             opts,
-            decls: Declarations::default(),
+            decls,
             hosts,
             ambient: opts.ambient.iter().cloned().collect(),
             reads: BTreeMap::new(),
@@ -88,98 +65,17 @@ impl<'a> Analysis<'a> {
             handlers: BTreeSet::new(),
             diagnostics: Vec::new(),
         };
-        a.collect_declarations(program);
-        a.collect_global_assign_targets(program, &Ctx::TopLevel);
         a.check_hygiene();
         a.resolve_block(program, &Ctx::TopLevel);
         let reachable = a.reachable_functions();
         a.check_dead_state(&reachable);
         let stats = AnalysisStats {
-            functions: a.decls.functions.len(),
+            functions: a.decls.function_names().count(),
             globals: a.decls.globals.len(),
             handlers: a.handlers.len(),
             reachable_functions: reachable.len(),
         };
         (a.diagnostics, stats)
-    }
-
-    // ---- Pass 1: declarations. ----
-
-    fn collect_declarations(&mut self, stmts: &[Stmt]) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Var(name, _) => {
-                    // Top-level `var` (at any control-flow nesting depth —
-                    // `var` is function-scoped, and this is the top level).
-                    self.decls.globals.insert(name.to_string());
-                }
-                Stmt::Function(def) => self.collect_function(def),
-                Stmt::If(_, then, els) => {
-                    self.collect_declarations(then);
-                    self.collect_declarations(els);
-                }
-                Stmt::While(_, body) => self.collect_declarations(body),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        self.collect_declarations(std::slice::from_ref(s));
-                    }
-                    if let Some(s) = update {
-                        self.collect_declarations(std::slice::from_ref(s));
-                    }
-                    self.collect_declarations(body);
-                }
-                Stmt::Assign(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
-            }
-        }
-    }
-
-    fn collect_function(&mut self, def: &FunctionDef) {
-        let mut scope = FuncScope::default();
-        scope
-            .params
-            .extend(def.params.iter().map(|p| p.to_string()));
-        collect_vars_shallow(&def.body, &mut scope.locals);
-        self.decls.functions.insert(def.name.to_string(), scope);
-        // Nested function declarations register globally when the
-        // enclosing function runs; collect them too.
-        collect_nested_functions(&def.body, self);
-    }
-
-    /// Pass 1b: non-local assignment targets create globals at runtime
-    /// (this is how `__snapedge_restore` re-establishes app state).
-    fn collect_global_assign_targets(&mut self, stmts: &[Stmt], ctx: &Ctx) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Assign(Expr::Ident(name), _)
-                    if !self.is_local(name, ctx) && !self.hosts.contains(name.as_str()) =>
-                {
-                    self.decls.globals.insert(name.to_string());
-                }
-                Stmt::Function(def) => {
-                    let ctx = Ctx::Func(def.name.to_string());
-                    self.collect_global_assign_targets(&def.body, &ctx);
-                }
-                Stmt::If(_, then, els) => {
-                    self.collect_global_assign_targets(then, ctx);
-                    self.collect_global_assign_targets(els, ctx);
-                }
-                Stmt::While(_, body) => self.collect_global_assign_targets(body, ctx),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        self.collect_global_assign_targets(std::slice::from_ref(s), ctx);
-                    }
-                    if let Some(s) = update {
-                        self.collect_global_assign_targets(std::slice::from_ref(s), ctx);
-                    }
-                    self.collect_global_assign_targets(body, ctx);
-                }
-                _ => {}
-            }
-        }
     }
 
     // ---- Hygiene: reserved-prefix names. ----
@@ -193,8 +89,7 @@ impl<'a> Analysis<'a> {
         // belong to generated snapshots.
         let declared: Vec<String> = self
             .decls
-            .functions
-            .keys()
+            .function_names()
             .chain(self.decls.globals.iter())
             .filter(|n| is_reserved_machinery(n))
             .cloned()
@@ -212,16 +107,10 @@ impl<'a> Analysis<'a> {
 
     // ---- Pass 2: resolve reads, record def-use, check host API. ----
 
-    fn is_local(&self, name: &str, ctx: &Ctx) -> bool {
-        match ctx {
-            Ctx::TopLevel => false,
-            Ctx::Func(f) => self
-                .decls
-                .functions
-                .get(f)
-                .map(|s| s.contains(name))
-                .unwrap_or(false),
-        }
+    /// An app binding of `name` visible in `ctx` shadows any host object
+    /// of the same name.
+    fn binds(&self, name: &str, ctx: &Ctx) -> bool {
+        self.decls.binds(name, ctx.func())
     }
 
     fn resolve_block(&mut self, stmts: &[Stmt], ctx: &Ctx) {
@@ -343,7 +232,7 @@ impl<'a> Analysis<'a> {
     /// ambient declarations. Anything else is a free identifier — the
     /// snapshot is not self-contained.
     fn resolve_read(&mut self, name: &str, ctx: &Ctx) {
-        if self.is_local(name, ctx) {
+        if self.decls.is_local(name, ctx.func()) {
             return;
         }
         if self.decls.globals.contains(name) {
@@ -353,7 +242,7 @@ impl<'a> Analysis<'a> {
                 .push(ctx.clone());
             return;
         }
-        if self.decls.functions.contains_key(name) {
+        if self.decls.is_function(name) {
             match ctx {
                 Ctx::TopLevel => {
                     self.toplevel_refs.insert(name.to_string());
@@ -392,10 +281,7 @@ impl<'a> Analysis<'a> {
         let is_call = call_args.is_some();
         // Receiver is a host global (unshadowed by a local or app global).
         if let Expr::Ident(name) = obj {
-            if self.is_local(name, ctx)
-                || self.decls.globals.contains(name.as_str())
-                || self.decls.functions.contains_key(name.as_str())
-            {
+            if self.binds(name, ctx) {
                 return; // shadowed: not the host object
             }
             let surface: Option<(&[&str], &[&str])> = match name.as_str() {
@@ -432,10 +318,7 @@ impl<'a> Analysis<'a> {
     /// `textContent`.
     fn check_member_write(&mut self, obj: &Expr, prop: &str, ctx: &Ctx) {
         if let Expr::Ident(name) = obj {
-            let shadowed = self.is_local(name, ctx)
-                || self.decls.globals.contains(name.as_str())
-                || self.decls.functions.contains_key(name.as_str());
-            if !shadowed && self.hosts.contains(name.as_str()) {
+            if !self.binds(name, ctx) && self.hosts.contains(name.as_str()) {
                 self.diagnostics.push(Diagnostic {
                     rule: Rule::UnknownHostApi,
                     severity: Severity::Error,
@@ -476,12 +359,7 @@ impl<'a> Analysis<'a> {
     /// `document.getElementById(..)`, `document.createElement(..)`, or
     /// `document.body` (with `document` unshadowed).
     fn is_dom_expr(&self, expr: &Expr, ctx: &Ctx) -> bool {
-        let document_unshadowed = |name: &str| {
-            name == "document"
-                && !self.is_local(name, ctx)
-                && !self.decls.globals.contains(name)
-                && !self.decls.functions.contains_key(name)
-        };
+        let document_unshadowed = |name: &str| name == "document" && !self.binds(name, ctx);
         match expr {
             Expr::Call(callee, _) => match callee.as_ref() {
                 Expr::Member(obj, m) => {
@@ -507,7 +385,7 @@ impl<'a> Analysis<'a> {
             .handlers
             .iter()
             .chain(self.toplevel_refs.iter())
-            .filter(|f| self.decls.functions.contains_key(*f))
+            .filter(|f| self.decls.is_function(f))
             .cloned()
             .collect();
         while let Some(f) = work.pop() {
@@ -562,61 +440,6 @@ impl<'a> Analysis<'a> {
                 name: Some(name),
                 line: None,
             });
-        }
-    }
-}
-
-/// Hoisted `var` names of one function body: recurses through control
-/// flow but not into nested functions (those have their own scope).
-fn collect_vars_shallow(stmts: &[Stmt], out: &mut BTreeSet<String>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Var(name, _) => {
-                out.insert(name.to_string());
-            }
-            Stmt::If(_, then, els) => {
-                collect_vars_shallow(then, out);
-                collect_vars_shallow(els, out);
-            }
-            Stmt::While(_, body) => collect_vars_shallow(body, out),
-            Stmt::For {
-                init, update, body, ..
-            } => {
-                if let Some(s) = init {
-                    collect_vars_shallow(std::slice::from_ref(s), out);
-                }
-                if let Some(s) = update {
-                    collect_vars_shallow(std::slice::from_ref(s), out);
-                }
-                collect_vars_shallow(body, out);
-            }
-            Stmt::Function(_) | Stmt::Assign(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
-        }
-    }
-}
-
-/// Collects function declarations nested inside a function body.
-fn collect_nested_functions(stmts: &[Stmt], a: &mut Analysis<'_>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Function(def) => a.collect_function(def),
-            Stmt::If(_, then, els) => {
-                collect_nested_functions(then, a);
-                collect_nested_functions(els, a);
-            }
-            Stmt::While(_, body) => collect_nested_functions(body, a),
-            Stmt::For {
-                init, update, body, ..
-            } => {
-                if let Some(s) = init {
-                    collect_nested_functions(std::slice::from_ref(s), a);
-                }
-                if let Some(s) = update {
-                    collect_nested_functions(std::slice::from_ref(s), a);
-                }
-                collect_nested_functions(body, a);
-            }
-            _ => {}
         }
     }
 }

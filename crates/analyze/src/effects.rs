@@ -1,47 +1,30 @@
-//! Interprocedural effect analysis over MiniJS: per-function and
-//! per-round read/write sets, purity classification, host-API effect
-//! tagging, and conservative static cost bounds.
+//! Effect analysis over MiniJS: the two facts the offload layer's
+//! pre-ship gates read, and nothing else.
 //!
-//! Every function (and the top level) is summarized into a point on the
-//! effect lattice
-//!
-//! ```text
-//! Pure  ⊑  Writes(set)  ⊑  Host(tag)  ⊑  Unknown
-//! ```
-//!
-//! and two offload-layer consumers read the result:
-//!
-//! * **pre-ship nondeterminism gating** — host accesses are tagged with
+//! * **Can this app be replayed elsewhere?** Host accesses are tagged with
 //!   the effect class the embedder declared at registration
 //!   ([`HostEffect`]); reaching a clock/random/IO host makes the app
 //!   unreplayable and [`EffectSummary::verdict`] returns the typed
 //!   [`AnalyzeError::Nondeterministic`] before any link bytes ship. DOM
 //!   effects stay replayable (snapshots carry the document).
-//! * **static cost bounds** — [`CostBound`] holds a guaranteed *floor* on
-//!   metered ops / heap growth per round and (when loop-free) a ceiling;
-//!   the floor flags guaranteed `ResourceExhausted` against
-//!   [`MeterLimits`] pre-ship and feeds the offload predictor as a
-//!   compute-time prior.
-//!
-//! The per-round write set (globals any event-handler-reachable code can
-//! write; [`EffectSummary::round_writes`], `None` when a write cannot be
-//! attributed) is report-only: delta capture finds what changed from the
-//! write barrier's dirty sets, which record the writes that happened
-//! rather than a static superset of them.
+//! * **Is the round guaranteed to be killed by the meter?** [`CostBound`]
+//!   is a guaranteed *floor* on metered ops / heap growth per round; it
+//!   flags guaranteed `ResourceExhausted` against [`MeterLimits`]
+//!   pre-ship and feeds the offload predictor as a compute-time prior.
 //!
 //! Soundness notes. The interpreter charges at least one metered op per
 //! executed statement, so a statement-count floor (stopping at any
 //! possible early `return`, taking the `min` across `if` branches, and
-//! counting loop bodies zero times) is a true lower bound. Write
-//! attribution is flow-insensitive and conservative: a member/index write
-//! or mutating method call whose receiver is not rooted at a global
-//! identifier, a recognizable DOM expression, or a DOM-holding local
-//! poisons the whole summary to `Unknown`. Aliasing between two *globals*
-//! needs no handling here — delta capture's changed/unchanged heap
-//! intersection check already forces a full snapshot in that case.
+//! counting loop bodies zero times) is a true lower bound; callee bodies
+//! add nothing to it. An offloaded round dispatches at least one event to
+//! at least one registered handler, so the round floor is the minimum
+//! over the `addEventListener` roots — and `(0, 0)` as soon as one
+//! handler argument is not a declared function's name, because the
+//! function it evaluates to is then unknown.
 
 use crate::hostapi;
-use snapedge_webapp::ast::{Expr, FunctionDef, Stmt};
+use crate::scope::Scopes;
+use snapedge_webapp::ast::{Expr, Stmt};
 use snapedge_webapp::{html, parser, HostEffect, MeterLimits};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -108,57 +91,15 @@ impl fmt::Display for NondetSource {
     }
 }
 
-/// A point on the effect lattice — the classification of one function.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Effect {
-    /// No writes, no host access: safe to elide entirely.
-    Pure,
-    /// Writes only the named globals (and nothing else observable).
-    Writes(BTreeSet<String>),
-    /// Reaches host APIs; the tag is the *worst* effect class touched.
-    Host(HostEffect),
-    /// A write could not be attributed — assume anything may change.
-    Unknown,
-}
-
-impl fmt::Display for Effect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Effect::Pure => write!(f, "pure"),
-            Effect::Writes(set) => {
-                write!(f, "writes(")?;
-                for (i, name) in set.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{name}")?;
-                }
-                write!(f, ")")
-            }
-            Effect::Host(tag) => write!(f, "host({})", tag.label()),
-            Effect::Unknown => write!(f, "unknown"),
-        }
-    }
-}
-
-/// Conservative static cost bounds for one execution (a function body
-/// including everything it is guaranteed to call, or one offloaded
-/// round).
-///
-/// `min_*` are guaranteed floors: every execution charges at least that
-/// many metered ops / allocates at least that many heap cells. `max_*`
-/// are ceilings, `None` when unboundable (loops, recursion, event
-/// re-dispatch).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Guaranteed static cost floor of one execution (a function body, or
+/// one offloaded round): every execution charges at least `min_ops`
+/// metered ops and allocates at least `min_new_cells` heap cells.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostBound {
     /// Guaranteed minimum metered ops.
     pub min_ops: u64,
-    /// Maximum metered ops, when statically bounded.
-    pub max_ops: Option<u64>,
     /// Guaranteed minimum fresh heap cells allocated.
     pub min_new_cells: u64,
-    /// Maximum fresh heap cells, when statically bounded.
-    pub max_new_cells: Option<u64>,
 }
 
 impl CostBound {
@@ -190,67 +131,11 @@ impl CostBound {
 
 impl fmt::Display for CostBound {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ceil = |v: &Option<u64>| match v {
-            Some(n) => n.to_string(),
-            None => "∞".to_string(),
-        };
         write!(
             f,
-            "ops {}..{}, new cells {}..{}",
-            self.min_ops,
-            ceil(&self.max_ops),
-            self.min_new_cells,
-            ceil(&self.max_new_cells)
+            "ops >= {}, new cells >= {}",
+            self.min_ops, self.min_new_cells
         )
-    }
-}
-
-/// Effect facts for one function (or the top level).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FnEffect {
-    /// Globals read.
-    pub reads: BTreeSet<String>,
-    /// Globals written (directly or through heap regions rooted at them).
-    pub writes: BTreeSet<String>,
-    /// Named functions referenced (call graph edges).
-    pub calls: BTreeSet<String>,
-    /// Host objects touched (built-in or registered).
-    pub hosts: BTreeSet<String>,
-    /// Worst host effect class touched, when any.
-    pub host_tag: Option<HostEffect>,
-    /// A write escaped static attribution (dynamic receiver).
-    pub unknown_writes: bool,
-    /// This body (not counting callees) can enqueue events
-    /// (`dispatchEvent`), making op ceilings unboundable.
-    pub dispatches_events: bool,
-    /// Cost bounds of this body alone; callee costs are folded in by
-    /// [`EffectSummary`].
-    pub cost: CostBound,
-    /// Nondeterministic host accesses in this body.
-    pub nondet: Vec<NondetSource>,
-}
-
-impl FnEffect {
-    /// This function's point on the effect lattice.
-    pub fn classify(&self) -> Effect {
-        if self.unknown_writes {
-            return Effect::Unknown;
-        }
-        if let Some(tag) = self.host_tag {
-            if tag.is_nondeterministic() {
-                return Effect::Host(tag);
-            }
-            if self.writes.is_empty() {
-                return Effect::Host(tag);
-            }
-        }
-        if !self.writes.is_empty() {
-            return Effect::Writes(self.writes.clone());
-        }
-        match self.host_tag {
-            Some(tag) => Effect::Host(tag),
-            None => Effect::Pure,
-        }
     }
 }
 
@@ -284,23 +169,19 @@ impl EffectOptions {
     }
 }
 
-/// The memoizable result of one effect-analysis pass over an app.
+/// The result of one effect-analysis pass over an app.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EffectSummary {
-    /// Per-function effects, plus [`TOPLEVEL`] for load-time code.
-    /// Report-facing output, keyed by user-visible names.
+    /// Per-function cost floors (the body alone), plus [`TOPLEVEL`] for
+    /// load-time code. Report-facing output, keyed by user-visible names.
     /// lint: allow(string-keyed-map)
-    pub functions: BTreeMap<String, FnEffect>,
+    pub functions: BTreeMap<String, CostBound>,
     /// Functions installed as event handlers (`addEventListener` roots).
     pub handlers: BTreeSet<String>,
-    /// Union of globals any handler-reachable code can write — the
-    /// per-round write set the `analyze --effects` report prints. `None`
-    /// when any reachable write escaped attribution.
-    pub round_writes: Option<BTreeSet<String>>,
     /// Nondeterministic host accesses anywhere in the app (top level
     /// included — load-time nondeterminism already breaks replay).
     pub nondet: Vec<NondetSource>,
-    /// Per-round cost bounds over the handler-reachable closure.
+    /// Per-round cost floor over the handler roots.
     pub cost: CostBound,
 }
 
@@ -320,34 +201,21 @@ impl EffectSummary {
         }
     }
 
-    /// Renders a human-readable report: per-function lattice points, the
-    /// round write set, and cost bounds.
+    /// Renders a human-readable report: per-function floors, the round
+    /// floor, and the nondeterminism sources.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (name, fx) in &self.functions {
+        for (name, floor) in &self.functions {
             let handler = if self.handlers.contains(name) {
                 " [handler]"
             } else {
                 ""
             };
-            out.push_str(&format!(
-                "{name}{handler}: {} ({})\n",
-                fx.classify(),
-                fx.cost
-            ));
+            out.push_str(&format!("{name}{handler}: {floor}\n"));
         }
-        match &self.round_writes {
-            Some(set) => {
-                let names: Vec<&str> = set.iter().map(String::as_str).collect();
-                out.push_str(&format!("round write set: {{{}}}\n", names.join(", ")));
-            }
-            None => out.push_str("round write set: unknown\n"),
-        }
-        out.push_str(&format!("round cost bound: {}\n", self.cost));
-        if !self.nondet.is_empty() {
-            for s in &self.nondet {
-                out.push_str(&format!("nondeterministic: {s}\n"));
-            }
+        out.push_str(&format!("round floor: {}\n", self.cost));
+        for s in &self.nondet {
+            out.push_str(&format!("nondeterministic: {s}\n"));
         }
         out
     }
@@ -380,293 +248,63 @@ pub fn effect_summary_html(
     effect_summary(&combined, opts)
 }
 
-/// Memoizes per-app effect summaries keyed by source + host surface, so
-/// long-lived sessions analyze each app once (FNV-1a, no external
-/// dependencies).
-#[derive(Debug, Default)]
-pub struct EffectCache {
-    map: BTreeMap<u64, Result<EffectSummary, AnalyzeError>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl EffectCache {
-    /// An empty cache.
-    pub fn new() -> EffectCache {
-        EffectCache::default()
-    }
-
-    /// Memoized [`effect_summary_html`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the cached or fresh [`AnalyzeError::Parse`].
-    pub fn summary_html(
-        &mut self,
-        html_src: &str,
-        opts: &EffectOptions,
-    ) -> Result<EffectSummary, AnalyzeError> {
-        let key = cache_key(html_src, opts);
-        if let Some(hit) = self.map.get(&key) {
-            self.hits += 1;
-            return hit.clone();
-        }
-        self.misses += 1;
-        let result = effect_summary_html(html_src, opts);
-        self.map.insert(key, result.clone());
-        result
-    }
-
-    /// Distinct (source, host surface) keys analyzed so far.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing has been analyzed yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
-fn cache_key(src: &str, opts: &EffectOptions) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    feed(src.as_bytes());
-    for (name, effect) in &opts.hosts {
-        feed(b"\0");
-        feed(name.as_bytes());
-        feed(b"=");
-        feed(effect.label().as_bytes());
-    }
-    h
-}
-
-// ---------------------------------------------------------------------------
-// The pass itself.
-// ---------------------------------------------------------------------------
-
-/// One function's own scope: parameters plus hoisted `var` locals
-/// (mirrors the interpreter's closure-free lookup).
-#[derive(Debug, Default)]
-struct FuncScope {
-    params: BTreeSet<String>,
-    locals: BTreeSet<String>,
-    /// Locals every initializer/assignment of which is a recognizable DOM
-    /// expression — member writes through them are replayable DOM edits,
-    /// not heap mutations.
-    dom_locals: BTreeSet<String>,
-}
-
-impl FuncScope {
-    fn contains(&self, name: &str) -> bool {
-        self.params.contains(name) || self.locals.contains(name)
-    }
-}
-
 struct EffectPass<'a> {
     opts: &'a EffectOptions,
-    // Built once per verification run. lint: allow(string-keyed-map)
-    functions: BTreeMap<String, FuncScope>,
-    globals: BTreeSet<String>,
-    builtin_hosts: BTreeSet<String>,
+    scopes: Scopes,
+    // lint: allow(string-keyed-map)
+    functions: BTreeMap<String, CostBound>,
+    handlers: BTreeSet<String>,
+    /// Some `addEventListener` handler argument is not a declared
+    /// function's name: the round can run a function the roots miss.
+    dynamic_handler: bool,
+    nondet: Vec<NondetSource>,
 }
-
-/// Methods on plain heap values that mutate their receiver (must stay in
-/// sync with the interpreter's method tables; everything else —
-/// `indexOf`, `slice`, `split`, ... — allocates at most).
-const MUTATING_METHODS: &[&str] = &["push", "pop"];
 
 impl<'a> EffectPass<'a> {
     fn run(program: &[Stmt], opts: &'a EffectOptions) -> EffectSummary {
+        let is_host =
+            |name: &str| hostapi::HOST_GLOBALS.contains(&name) || opts.hosts.contains_key(name);
         let mut pass = EffectPass {
             opts,
+            scopes: Scopes::build(program, &is_host),
             functions: BTreeMap::new(),
-            globals: BTreeSet::new(),
-            builtin_hosts: hostapi::HOST_GLOBALS
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            handlers: BTreeSet::new(),
+            dynamic_handler: false,
+            nondet: Vec::new(),
         };
-        // Pass 1: declarations — function scopes, top-level `var`s, and
-        // runtime-created globals (non-local assignment targets).
-        pass.collect_declarations(program);
-        pass.collect_global_assign_targets(program, None);
-
-        // Pass 2: per-function (and top-level) effect facts.
-        // lint: allow(string-keyed-map)
-        let mut functions: BTreeMap<String, FnEffect> = BTreeMap::new();
-        let mut handlers: BTreeSet<String> = BTreeSet::new();
-        let mut toplevel = FnEffect::default();
-        pass.scan_block(program, None, &mut toplevel, &mut handlers);
-        let cost = body_cost(program, &mut |s| pass.stmt_flags(s, None)).bound;
-        toplevel.cost = cost;
-        functions.insert(TOPLEVEL.to_string(), toplevel);
-        let defs = collect_function_defs(program);
-        for def in &defs {
-            let mut fx = FnEffect::default();
-            let ctx = Some(def.name.as_str());
-            pass.scan_block(&def.body, ctx, &mut fx, &mut handlers);
-            fx.cost = body_cost(&def.body, &mut |s| pass.stmt_flags(s, ctx)).bound;
-            functions.insert(def.name.to_string(), fx);
-        }
-
-        // Pass 3: fold costs and effects over the call graph, then take
-        // the per-round view from the handler roots.
-        let summary_cost =
-            |roots: &BTreeSet<String>| -> CostBound { round_cost(&functions, roots) };
-        let reachable = reachable_from(&functions, handlers.iter().cloned().collect());
-        let mut round_writes: Option<BTreeSet<String>> = Some(BTreeSet::new());
-        for name in &reachable {
-            let Some(fx) = functions.get(name) else {
-                continue;
-            };
-            if fx.unknown_writes {
-                round_writes = None;
-                break;
-            }
-            if let Some(set) = round_writes.as_mut() {
-                set.extend(fx.writes.iter().cloned());
-            }
-        }
+        pass.functions
+            .insert(TOPLEVEL.to_string(), block_floor(program).0);
+        pass.scan_block(program, None);
         // Nondeterminism anywhere (top level included): load-time clock
         // reads already make two restores disagree.
-        let mut nondet: Vec<NondetSource> = Vec::new();
-        for fx in functions.values() {
-            nondet.extend(fx.nondet.iter().cloned());
-        }
-        nondet.sort();
-        nondet.dedup();
-
-        let cost = summary_cost(&handlers);
+        pass.nondet.sort();
+        pass.nondet.dedup();
+        let cost = pass.round_floor();
         EffectSummary {
-            functions,
-            handlers,
-            round_writes,
-            nondet,
+            functions: pass.functions,
+            handlers: pass.handlers,
+            nondet: pass.nondet,
             cost,
         }
     }
 
-    // ---- Pass 1: declarations (mirrors the verifier's scoping). ----
-
-    fn collect_declarations(&mut self, stmts: &[Stmt]) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Var(name, _) => {
-                    self.globals.insert(name.to_string());
-                }
-                Stmt::Function(def) => self.collect_function(def),
-                Stmt::If(_, then, els) => {
-                    self.collect_declarations(then);
-                    self.collect_declarations(els);
-                }
-                Stmt::While(_, body) => self.collect_declarations(body),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        self.collect_declarations(std::slice::from_ref(s));
-                    }
-                    if let Some(s) = update {
-                        self.collect_declarations(std::slice::from_ref(s));
-                    }
-                    self.collect_declarations(body);
-                }
-                Stmt::Assign(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
-            }
+    /// The minimum over the handler roots, per axis; `(0, 0)` with no
+    /// handler or an unresolved one.
+    fn round_floor(&self) -> CostBound {
+        if self.dynamic_handler {
+            return CostBound::default();
         }
-    }
-
-    fn collect_function(&mut self, def: &FunctionDef) {
-        let mut scope = FuncScope::default();
-        scope
-            .params
-            .extend(def.params.iter().map(|p| p.to_string()));
-        collect_vars_shallow(&def.body, &mut scope.locals);
-        scope.dom_locals = dom_locals(def, &scope);
-        self.functions.insert(def.name.to_string(), scope);
-        for nested in collect_function_defs(&def.body) {
-            self.collect_function(&nested);
+        let floors = || self.handlers.iter().filter_map(|h| self.functions.get(h));
+        CostBound {
+            min_ops: floors().map(|c| c.min_ops).min().unwrap_or(0),
+            min_new_cells: floors().map(|c| c.min_new_cells).min().unwrap_or(0),
         }
-    }
-
-    fn collect_global_assign_targets(&mut self, stmts: &[Stmt], ctx: Option<&str>) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Assign(Expr::Ident(name), _)
-                    if !self.is_local(name, ctx) && !self.is_any_host(name) =>
-                {
-                    self.globals.insert(name.to_string());
-                }
-                Stmt::Function(def) => {
-                    self.collect_global_assign_targets(&def.body, Some(&def.name));
-                }
-                Stmt::If(_, then, els) => {
-                    self.collect_global_assign_targets(then, ctx);
-                    self.collect_global_assign_targets(els, ctx);
-                }
-                Stmt::While(_, body) => self.collect_global_assign_targets(body, ctx),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        self.collect_global_assign_targets(std::slice::from_ref(s), ctx);
-                    }
-                    if let Some(s) = update {
-                        self.collect_global_assign_targets(std::slice::from_ref(s), ctx);
-                    }
-                    self.collect_global_assign_targets(body, ctx);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    // ---- Name classification. ----
-
-    fn is_local(&self, name: &str, ctx: Option<&str>) -> bool {
-        match ctx {
-            None => false,
-            Some(f) => self
-                .functions
-                .get(f)
-                .map(|s| s.contains(name))
-                .unwrap_or(false),
-        }
-    }
-
-    fn is_dom_local(&self, name: &str, ctx: Option<&str>) -> bool {
-        match ctx {
-            None => false,
-            Some(f) => self
-                .functions
-                .get(f)
-                .map(|s| s.dom_locals.contains(name))
-                .unwrap_or(false),
-        }
-    }
-
-    fn is_any_host(&self, name: &str) -> bool {
-        self.builtin_hosts.contains(name) || self.opts.hosts.contains_key(name)
     }
 
     /// The effect class of an *unshadowed* host identifier, or `None`
     /// when the name is not a host here.
     fn host_effect_of(&self, name: &str, ctx: Option<&str>) -> Option<HostEffect> {
-        if self.is_local(name, ctx)
-            || self.globals.contains(name)
-            || self.functions.contains_key(name)
-        {
+        if self.scopes.binds(name, ctx) {
             return None; // shadowed: an app binding, not the host
         }
         if let Some(&e) = self.opts.hosts.get(name) {
@@ -681,85 +319,47 @@ impl<'a> EffectPass<'a> {
         }
     }
 
-    /// `true` when the expression definitely evaluates to a DOM element
-    /// (including through a tracked DOM-holding local).
-    fn is_dom_expr(&self, expr: &Expr, ctx: Option<&str>) -> bool {
-        let document_unshadowed =
-            |name: &str| name == "document" && self.host_effect_of(name, ctx).is_some();
-        match expr {
-            Expr::Ident(name) => self.is_dom_local(name, ctx),
-            Expr::Call(callee, _) => match callee.as_ref() {
-                Expr::Member(obj, m) => {
-                    matches!(obj.as_ref(), Expr::Ident(n) if document_unshadowed(n))
-                        && (m == "getElementById" || m == "createElement")
-                }
-                _ => false,
-            },
-            Expr::Member(obj, p) => {
-                matches!(obj.as_ref(), Expr::Ident(n) if document_unshadowed(n)) && p == "body"
-            }
-            _ => false,
-        }
-    }
-
-    /// Walks a member/index chain to its base expression.
-    fn chain_base<'e>(&self, mut expr: &'e Expr) -> &'e Expr {
-        loop {
-            match expr {
-                Expr::Member(obj, _) | Expr::Index(obj, _) => expr = obj,
-                other => return other,
-            }
-        }
-    }
-
-    // ---- Pass 2: effect facts. ----
-
-    fn scan_block(
-        &self,
-        stmts: &[Stmt],
-        ctx: Option<&str>,
-        fx: &mut FnEffect,
-        handlers: &mut BTreeSet<String>,
-    ) {
+    fn scan_block(&mut self, stmts: &[Stmt], ctx: Option<&str>) {
         for stmt in stmts {
             match stmt {
                 Stmt::Var(_, init) => {
                     if let Some(e) = init {
-                        self.scan_expr(e, ctx, fx, handlers);
+                        self.scan_expr(e, ctx);
                     }
                 }
                 Stmt::Assign(target, value) => {
-                    self.scan_write(target, ctx, fx);
                     match target {
                         Expr::Ident(_) => {}
-                        Expr::Member(obj, _) => self.scan_expr(obj, ctx, fx, handlers),
+                        Expr::Member(obj, _) => self.scan_expr(obj, ctx),
                         Expr::Index(obj, idx) => {
-                            self.scan_expr(obj, ctx, fx, handlers);
-                            self.scan_expr(idx, ctx, fx, handlers);
+                            self.scan_expr(obj, ctx);
+                            self.scan_expr(idx, ctx);
                         }
-                        other => self.scan_expr(other, ctx, fx, handlers),
+                        other => self.scan_expr(other, ctx),
                     }
-                    self.scan_expr(value, ctx, fx, handlers);
+                    self.scan_expr(value, ctx);
                 }
-                Stmt::Expr(e) => self.scan_expr(e, ctx, fx, handlers),
-                Stmt::Function(_) => {
-                    // Nested declarations get their own FnEffect entry
-                    // via collect_function_defs; declaring one here has
-                    // no effect on this body's facts.
+                Stmt::Expr(e) => self.scan_expr(e, ctx),
+                Stmt::Function(def) => {
+                    // A declaration is its own context: nothing in its
+                    // body belongs to the enclosing one.
+                    self.functions
+                        .insert(def.name.to_string(), block_floor(&def.body).0);
+                    self.scan_block(&def.body, Some(def.name.as_str()));
                 }
                 Stmt::Return(e) => {
                     if let Some(e) = e {
-                        self.scan_expr(e, ctx, fx, handlers);
+                        self.scan_expr(e, ctx);
                     }
                 }
                 Stmt::If(cond, then, els) => {
-                    self.scan_expr(cond, ctx, fx, handlers);
-                    self.scan_block(then, ctx, fx, handlers);
-                    self.scan_block(els, ctx, fx, handlers);
+                    self.scan_expr(cond, ctx);
+                    self.scan_block(then, ctx);
+                    self.scan_block(els, ctx);
                 }
                 Stmt::While(cond, body) => {
-                    self.scan_expr(cond, ctx, fx, handlers);
-                    self.scan_block(body, ctx, fx, handlers);
+                    self.scan_expr(cond, ctx);
+                    self.scan_block(body, ctx);
                 }
                 Stmt::For {
                     init,
@@ -768,852 +368,189 @@ impl<'a> EffectPass<'a> {
                     body,
                 } => {
                     if let Some(s) = init {
-                        self.scan_block(std::slice::from_ref(s), ctx, fx, handlers);
+                        self.scan_block(std::slice::from_ref(s), ctx);
                     }
                     if let Some(e) = cond {
-                        self.scan_expr(e, ctx, fx, handlers);
+                        self.scan_expr(e, ctx);
                     }
                     if let Some(s) = update {
-                        self.scan_block(std::slice::from_ref(s), ctx, fx, handlers);
+                        self.scan_block(std::slice::from_ref(s), ctx);
                     }
-                    self.scan_block(body, ctx, fx, handlers);
+                    self.scan_block(body, ctx);
                 }
             }
         }
     }
 
-    /// Attributes one assignment target.
-    fn scan_write(&self, target: &Expr, ctx: Option<&str>, fx: &mut FnEffect) {
-        match target {
-            Expr::Ident(name) => {
-                if !self.is_local(name, ctx) && !self.is_any_host(name) {
-                    fx.writes.insert(name.to_string());
-                }
-            }
-            Expr::Member(obj, _) | Expr::Index(obj, _) => {
-                // DOM writes (textContent) are replayable: the delta
-                // diffs the document itself.
-                if self.is_dom_expr(obj, ctx) {
-                    self.touch_host(fx, "document", HostEffect::Dom, ctx);
-                    return;
-                }
-                match self.chain_base(target) {
-                    Expr::Ident(base)
-                        if !self.is_local(base, ctx) && self.globals.contains(base.as_str()) =>
-                    {
-                        // Mutation of a heap region rooted at a global.
-                        fx.writes.insert(base.to_string());
-                    }
-                    _ => {
-                        // A write through a local alias or computed
-                        // receiver: could hit any global's reachable
-                        // region.
-                        fx.unknown_writes = true;
-                    }
-                }
-            }
-            _ => fx.unknown_writes = true,
+    fn record_nondet(&mut self, host: &str, method: &str, effect: HostEffect, ctx: Option<&str>) {
+        if effect.is_nondeterministic() {
+            self.nondet.push(NondetSource {
+                function: ctx.unwrap_or(TOPLEVEL).to_string(),
+                host: host.to_string(),
+                method: method.to_string(),
+                effect,
+            });
         }
     }
 
-    fn touch_host(&self, fx: &mut FnEffect, host: &str, effect: HostEffect, _ctx: Option<&str>) {
-        fx.hosts.insert(host.to_string());
-        fx.host_tag = Some(match fx.host_tag {
-            Some(prev) => prev.max(effect),
-            None => effect,
-        });
-    }
-
-    fn record_nondet(
-        &self,
-        fx: &mut FnEffect,
-        host: &str,
-        method: &str,
-        effect: HostEffect,
-        ctx: Option<&str>,
-    ) {
-        fx.nondet.push(NondetSource {
-            function: ctx.unwrap_or(TOPLEVEL).to_string(),
-            host: host.to_string(),
-            method: method.to_string(),
-            effect,
-        });
-    }
-
-    fn scan_expr(
-        &self,
-        expr: &Expr,
-        ctx: Option<&str>,
-        fx: &mut FnEffect,
-        handlers: &mut BTreeSet<String>,
-    ) {
+    fn scan_expr(&mut self, expr: &Expr, ctx: Option<&str>) {
         match expr {
-            Expr::Ident(name) => self.scan_ident(name, ctx, fx),
+            Expr::Ident(name) => self.scan_ident(name, ctx),
             Expr::Array(elems) => {
                 for e in elems {
-                    self.scan_expr(e, ctx, fx, handlers);
+                    self.scan_expr(e, ctx);
                 }
             }
             Expr::Object(props) => {
                 for (_, e) in props {
-                    self.scan_expr(e, ctx, fx, handlers);
+                    self.scan_expr(e, ctx);
                 }
             }
-            Expr::NewFloat32Array(e) | Expr::Unary(_, e) => self.scan_expr(e, ctx, fx, handlers),
-            Expr::Member(obj, prop) => {
-                self.scan_member(obj, prop, false, ctx, fx);
-                self.scan_receiver(obj, ctx, fx, handlers);
-            }
+            Expr::NewFloat32Array(e) | Expr::Unary(_, e) => self.scan_expr(e, ctx),
+            Expr::Member(obj, prop) => self.scan_member(obj, prop, ctx),
             Expr::Index(obj, idx) => {
-                self.scan_expr(obj, ctx, fx, handlers);
-                self.scan_expr(idx, ctx, fx, handlers);
+                self.scan_expr(obj, ctx);
+                self.scan_expr(idx, ctx);
             }
             Expr::Call(callee, args) => {
                 if let Expr::Member(obj, method) = callee.as_ref() {
-                    self.scan_member(obj, method, true, ctx, fx);
-                    self.scan_method_mutation(obj, method, ctx, fx);
-                    self.scan_receiver(obj, ctx, fx, handlers);
-                    if method == "addEventListener" {
-                        if let Some(Expr::Ident(handler)) = args.get(1) {
-                            handlers.insert(handler.to_string());
-                        } else if args.len() >= 2 {
-                            // A dynamic handler expression defeats the
-                            // reachability roots.
-                            fx.unknown_writes = true;
-                        }
-                    }
-                    if method == "dispatchEvent" {
-                        fx.dispatches_events = true;
+                    self.scan_member(obj, method, ctx);
+                    if method == "addEventListener" && args.len() >= 2 {
+                        self.scan_handler(&args[1], ctx);
                     }
                 } else {
-                    self.scan_expr(callee, ctx, fx, handlers);
+                    self.scan_expr(callee, ctx);
                 }
                 for a in args {
-                    self.scan_expr(a, ctx, fx, handlers);
+                    self.scan_expr(a, ctx);
                 }
             }
             Expr::Binary(_, l, r) => {
-                self.scan_expr(l, ctx, fx, handlers);
-                self.scan_expr(r, ctx, fx, handlers);
+                self.scan_expr(l, ctx);
+                self.scan_expr(r, ctx);
             }
             Expr::Undefined | Expr::Null | Expr::Bool(_) | Expr::Number(_) | Expr::Str(_) => {}
         }
     }
 
-    /// Scans a member/call receiver without re-triggering the bare-host
-    /// aliasing rule for the direct `host.method` form.
-    fn scan_receiver(
-        &self,
-        obj: &Expr,
-        ctx: Option<&str>,
-        fx: &mut FnEffect,
-        handlers: &mut BTreeSet<String>,
-    ) {
-        if let Expr::Ident(name) = obj {
-            if self.host_effect_of(name, ctx).is_some() {
-                return; // direct host receiver, already tagged
+    /// An `addEventListener` handler argument: a reachability root when
+    /// it names a declared function (runtime lookup order: locals, then
+    /// globals, then functions), unknown otherwise.
+    fn scan_handler(&mut self, handler: &Expr, ctx: Option<&str>) {
+        match handler {
+            Expr::Ident(name)
+                if self.scopes.is_function(name)
+                    && !self.scopes.is_local(name, ctx)
+                    && !self.scopes.globals.contains(name.as_str()) =>
+            {
+                self.handlers.insert(name.to_string());
             }
+            _ => self.dynamic_handler = true,
         }
-        self.scan_expr(obj, ctx, fx, handlers);
     }
 
     /// A bare identifier read, outside direct member-receiver position.
-    fn scan_ident(&self, name: &str, ctx: Option<&str>, fx: &mut FnEffect) {
-        if self.is_local(name, ctx) {
-            return;
-        }
-        if self.globals.contains(name) {
-            fx.reads.insert(name.to_string());
-            return;
-        }
-        if self.functions.contains_key(name) {
-            fx.calls.insert(name.to_string());
-            return;
-        }
+    fn scan_ident(&mut self, name: &str, ctx: Option<&str>) {
         if let Some(effect) = self.host_effect_of(name, ctx) {
             // The host object itself flows into a value (`var m = model;`)
             // — every method becomes reachable through the alias, so the
             // whole declared surface applies.
-            self.touch_host(fx, name, effect, ctx);
-            if effect.is_nondeterministic() {
-                self.record_nondet(fx, name, "*", effect, ctx);
-            }
+            self.record_nondet(name, "*", effect, ctx);
         }
         // Unresolvable identifiers are the closedness verifier's
         // business (free-identifier), not an effect.
     }
 
-    /// A member access / method call with a syntactic receiver.
-    fn scan_member(
-        &self,
-        obj: &Expr,
-        prop: &str,
-        _is_call: bool,
-        ctx: Option<&str>,
-        fx: &mut FnEffect,
-    ) {
+    /// A member access / method call with a syntactic receiver: the
+    /// direct `host.method` form is tagged by method, without triggering
+    /// the bare-host aliasing rule; any other receiver is scanned.
+    fn scan_member(&mut self, obj: &Expr, prop: &str, ctx: Option<&str>) {
         if let Expr::Ident(name) = obj {
             if let Some(effect) = self.host_effect_of(name, ctx) {
-                self.touch_host(fx, name, effect, ctx);
-                if effect.is_nondeterministic() {
-                    self.record_nondet(fx, name, prop, effect, ctx);
-                }
+                self.record_nondet(name, prop, effect, ctx);
                 return;
             }
         }
-        if self.is_dom_expr(obj, ctx) {
-            self.touch_host(fx, "document", HostEffect::Dom, ctx);
-        }
-    }
-
-    /// Attributes heap mutation by the interpreter's mutating methods
-    /// (`push`/`pop`) through whatever the receiver roots at.
-    fn scan_method_mutation(&self, obj: &Expr, method: &str, ctx: Option<&str>, fx: &mut FnEffect) {
-        if !MUTATING_METHODS.contains(&method) {
-            return;
-        }
-        if self.is_dom_expr(obj, ctx) {
-            return; // DOM elements have no push/pop; interp would error
-        }
-        if let Expr::Ident(name) = obj {
-            if self.host_effect_of(name, ctx).is_some() {
-                return; // host objects define their own surface
-            }
-        }
-        match self.chain_base(obj) {
-            Expr::Ident(base)
-                if !self.is_local(base, ctx) && self.globals.contains(base.as_str()) =>
-            {
-                fx.writes.insert(base.to_string());
-            }
-            _ => fx.unknown_writes = true,
-        }
-    }
-
-    /// Statement-level flags for the cost walk: which function calls are
-    /// guaranteed (not short-circuited), how many allocation sites the
-    /// statement holds, and whether it can touch hosts (extra charges).
-    fn stmt_flags(&self, expr: &Expr, ctx: Option<&str>) -> ExprFlags {
-        let mut flags = ExprFlags::default();
-        self.expr_flags(expr, ctx, true, &mut flags);
-        flags
-    }
-
-    fn expr_flags(&self, expr: &Expr, ctx: Option<&str>, guaranteed: bool, out: &mut ExprFlags) {
-        out.nodes += 1;
-        match expr {
-            Expr::Ident(name) => {
-                if !self.is_local(name, ctx) && self.functions.contains_key(name.as_str()) {
-                    // A bare function reference only *costs* when called;
-                    // handled at the Call node.
-                }
-            }
-            Expr::Array(elems) => {
-                out.allocs += 1;
-                if guaranteed {
-                    out.guaranteed_allocs += 1;
-                }
-                for e in elems {
-                    self.expr_flags(e, ctx, guaranteed, out);
-                }
-            }
-            Expr::Object(props) => {
-                out.allocs += 1;
-                if guaranteed {
-                    out.guaranteed_allocs += 1;
-                }
-                for (_, e) in props {
-                    self.expr_flags(e, ctx, guaranteed, out);
-                }
-            }
-            Expr::NewFloat32Array(e) => {
-                out.allocs += 1;
-                if guaranteed {
-                    out.guaranteed_allocs += 1;
-                }
-                self.expr_flags(e, ctx, guaranteed, out);
-            }
-            Expr::Member(obj, _) | Expr::Index(obj, _) => {
-                self.expr_flags(obj, ctx, guaranteed, out);
-                if let Expr::Index(_, idx) = expr {
-                    self.expr_flags(idx, ctx, guaranteed, out);
-                }
-            }
-            Expr::Call(callee, args) => {
-                match callee.as_ref() {
-                    Expr::Ident(name)
-                        if !self.is_local(name, ctx)
-                            && self.functions.contains_key(name.as_str()) =>
-                    {
-                        out.calls.push((name.to_string(), guaranteed));
-                    }
-                    Expr::Member(obj, _) => {
-                        // A method call may dispatch to a host or
-                        // allocate a result (split/slice/getImageData);
-                        // ceiling-side only.
-                        out.method_calls += 1;
-                        self.expr_flags(obj, ctx, guaranteed, out);
-                    }
-                    other => self.expr_flags(other, ctx, guaranteed, out),
-                }
-                for a in args {
-                    self.expr_flags(a, ctx, guaranteed, out);
-                }
-            }
-            Expr::Unary(_, e) => self.expr_flags(e, ctx, guaranteed, out),
-            Expr::Binary(op, l, r) => {
-                self.expr_flags(l, ctx, guaranteed, out);
-                // Short-circuit operators may skip their right operand:
-                // nothing in it is guaranteed.
-                let rhs_guaranteed = guaranteed && *op != "&&" && *op != "||";
-                self.expr_flags(r, ctx, rhs_guaranteed, out);
-            }
-            Expr::Undefined | Expr::Null | Expr::Bool(_) | Expr::Number(_) | Expr::Str(_) => {}
-        }
+        self.scan_expr(obj, ctx);
     }
 }
 
-/// Flags gathered from one expression tree for the cost walk.
-#[derive(Debug, Default)]
-struct ExprFlags {
-    /// Total expression nodes (each evaluation charges at most ~1 op,
-    /// plus 1 for a host dispatch — the ceiling doubles this count).
-    nodes: u64,
-    /// Named function call sites: `(callee, guaranteed)`.
-    calls: Vec<(String, bool)>,
-    /// Method call sites (potential host dispatch / allocation).
-    method_calls: u64,
-    /// Allocation sites (array/object/Float32Array literals).
-    allocs: u64,
-    /// Allocation sites guaranteed to evaluate.
-    guaranteed_allocs: u64,
-}
-
-/// Cost walk result for one statement block.
-struct BlockCost {
-    bound: CostBound,
-    /// The block can `return` before its end, so nothing after it in the
-    /// enclosing sequence is guaranteed.
-    may_exit: bool,
-    /// Guaranteed function calls (the floor folds callee floors in),
-    /// and all possible calls (for the ceiling).
-    guaranteed_calls: Vec<String>,
-    all_calls: Vec<String>,
-    /// Loops or event dispatch make any ceiling unsound.
-    unbounded: bool,
-}
-
-/// Computes per-body cost bounds. `flags_of` supplies per-expression
-/// facts (so the walk stays scope-aware without borrowing the pass
-/// mutably).
-fn body_cost(stmts: &[Stmt], flags_of: &mut dyn FnMut(&Expr) -> ExprFlags) -> BlockCost {
-    let mut min_ops: u64 = 0;
-    let mut max_ops: u64 = 0;
-    let mut min_cells: u64 = 0;
-    let mut max_cells: u64 = 0;
-    let mut may_exit = false;
-    let mut guaranteed_calls: Vec<String> = Vec::new();
-    let mut all_calls: Vec<String> = Vec::new();
-    let mut unbounded = false;
-    let mut guaranteed = true; // statements after a possible return are not
-
-    let add_expr = |e: &Expr,
-                    guaranteed: bool,
-                    _min_ops: &mut u64,
-                    max_ops: &mut u64,
-                    min_cells: &mut u64,
-                    max_cells: &mut u64,
-                    gcalls: &mut Vec<String>,
-                    acalls: &mut Vec<String>,
-                    flags_of: &mut dyn FnMut(&Expr) -> ExprFlags| {
-        let f = flags_of(e);
-        // Ceiling: every node evaluation charges one op, plus one extra
-        // per node that could be a host/meter charge point.
-        *max_ops = max_ops.saturating_add(f.nodes.saturating_mul(2));
-        *max_cells = max_cells.saturating_add(f.allocs + f.method_calls);
-        if guaranteed {
-            *min_cells += f.guaranteed_allocs;
-        }
-        for (callee, call_guaranteed) in f.calls {
-            if guaranteed && call_guaranteed {
-                gcalls.push(callee.clone());
-            }
-            acalls.push(callee);
-        }
-    };
-
+/// Statement-count floor of one block, and whether the block can `return`
+/// before its end (nothing after it in the enclosing sequence is then
+/// guaranteed). Loop bodies count zero times.
+fn block_floor(stmts: &[Stmt]) -> (CostBound, bool) {
+    let mut floor = CostBound::default();
     for stmt in stmts {
-        match stmt {
+        floor.min_ops += 1;
+        let may_exit = match stmt {
             Stmt::Var(_, init) => {
-                if guaranteed {
-                    min_ops += 1;
-                }
-                max_ops = max_ops.saturating_add(1);
-                if let Some(e) = init {
-                    add_expr(
-                        e,
-                        guaranteed,
-                        &mut min_ops,
-                        &mut max_ops,
-                        &mut min_cells,
-                        &mut max_cells,
-                        &mut guaranteed_calls,
-                        &mut all_calls,
-                        flags_of,
-                    );
-                }
+                floor.min_new_cells += init.as_ref().map_or(0, alloc_floor);
+                false
             }
             Stmt::Assign(target, value) => {
-                if guaranteed {
-                    min_ops += 1;
-                }
-                max_ops = max_ops.saturating_add(1);
-                for e in [target, value] {
-                    add_expr(
-                        e,
-                        guaranteed,
-                        &mut min_ops,
-                        &mut max_ops,
-                        &mut min_cells,
-                        &mut max_cells,
-                        &mut guaranteed_calls,
-                        &mut all_calls,
-                        flags_of,
-                    );
-                }
+                floor.min_new_cells += alloc_floor(target) + alloc_floor(value);
+                false
             }
             Stmt::Expr(e) => {
-                if guaranteed {
-                    min_ops += 1;
-                }
-                max_ops = max_ops.saturating_add(1);
-                add_expr(
-                    e,
-                    guaranteed,
-                    &mut min_ops,
-                    &mut max_ops,
-                    &mut min_cells,
-                    &mut max_cells,
-                    &mut guaranteed_calls,
-                    &mut all_calls,
-                    flags_of,
-                );
+                floor.min_new_cells += alloc_floor(e);
+                false
             }
-            Stmt::Function(_) => {
-                if guaranteed {
-                    min_ops += 1;
-                }
-                max_ops = max_ops.saturating_add(1);
-            }
+            Stmt::Function(_) => false,
             Stmt::Return(e) => {
-                if guaranteed {
-                    min_ops += 1;
-                }
-                max_ops = max_ops.saturating_add(1);
-                if let Some(e) = e {
-                    add_expr(
-                        e,
-                        guaranteed,
-                        &mut min_ops,
-                        &mut max_ops,
-                        &mut min_cells,
-                        &mut max_cells,
-                        &mut guaranteed_calls,
-                        &mut all_calls,
-                        flags_of,
-                    );
-                }
-                may_exit = true;
-                guaranteed = false;
+                floor.min_new_cells += e.as_ref().map_or(0, alloc_floor);
+                true
             }
             Stmt::If(cond, then, els) => {
-                if guaranteed {
-                    min_ops += 1;
-                }
-                max_ops = max_ops.saturating_add(1);
-                add_expr(
-                    cond,
-                    guaranteed,
-                    &mut min_ops,
-                    &mut max_ops,
-                    &mut min_cells,
-                    &mut max_cells,
-                    &mut guaranteed_calls,
-                    &mut all_calls,
-                    flags_of,
-                );
-                let then_cost = body_cost(then, flags_of);
-                let else_cost = body_cost(els, flags_of);
-                if guaranteed {
-                    // Floor: the cheaper branch, body ops only (callee
-                    // floors inside a branch are not guaranteed unless we
-                    // tracked per-branch calls; stay conservative).
-                    min_ops += then_cost.bound.min_ops.min(else_cost.bound.min_ops);
-                    min_cells += then_cost
-                        .bound
-                        .min_new_cells
-                        .min(else_cost.bound.min_new_cells);
-                }
-                match (then_cost.bound.max_ops, else_cost.bound.max_ops) {
-                    (Some(a), Some(b)) => max_ops = max_ops.saturating_add(a.max(b)),
-                    _ => unbounded = true,
-                }
-                match (then_cost.bound.max_new_cells, else_cost.bound.max_new_cells) {
-                    (Some(a), Some(b)) => max_cells = max_cells.saturating_add(a.max(b)),
-                    _ => unbounded = true,
-                }
-                all_calls.extend(then_cost.all_calls);
-                all_calls.extend(else_cost.all_calls);
-                unbounded |= then_cost.unbounded || else_cost.unbounded;
-                if then_cost.may_exit || else_cost.may_exit {
-                    may_exit = true;
-                    guaranteed = false;
-                }
+                floor.min_new_cells += alloc_floor(cond);
+                let (then_floor, then_exits) = block_floor(then);
+                let (else_floor, else_exits) = block_floor(els);
+                floor.min_ops += then_floor.min_ops.min(else_floor.min_ops);
+                floor.min_new_cells += then_floor.min_new_cells.min(else_floor.min_new_cells);
+                then_exits || else_exits
             }
             Stmt::While(cond, body) => {
-                if guaranteed {
-                    min_ops += 1; // the statement itself; zero iterations
-                }
-                add_expr(
-                    cond,
-                    guaranteed,
-                    &mut min_ops,
-                    &mut max_ops,
-                    &mut min_cells,
-                    &mut max_cells,
-                    &mut guaranteed_calls,
-                    &mut all_calls,
-                    flags_of,
-                );
-                let body_c = body_cost(body, flags_of);
-                all_calls.extend(body_c.all_calls);
-                unbounded = true; // iteration count is dynamic
-                if body_c.may_exit {
-                    may_exit = true;
-                    guaranteed = false;
-                }
+                floor.min_new_cells += alloc_floor(cond);
+                block_floor(body).1
             }
             Stmt::For {
-                init,
-                cond,
-                update,
-                body,
+                init, cond, body, ..
             } => {
-                if guaranteed {
-                    min_ops += 1;
-                }
                 if let Some(s) = init {
-                    let init_c = body_cost(std::slice::from_ref(s), flags_of);
-                    if guaranteed {
-                        min_ops += init_c.bound.min_ops;
-                        min_cells += init_c.bound.min_new_cells;
-                        guaranteed_calls.extend(init_c.guaranteed_calls);
-                    }
-                    all_calls.extend(init_c.all_calls);
+                    let (init_floor, _) = block_floor(std::slice::from_ref(s));
+                    floor.min_ops += init_floor.min_ops;
+                    floor.min_new_cells += init_floor.min_new_cells;
                 }
-                if let Some(e) = cond {
-                    add_expr(
-                        e,
-                        guaranteed,
-                        &mut min_ops,
-                        &mut max_ops,
-                        &mut min_cells,
-                        &mut max_cells,
-                        &mut guaranteed_calls,
-                        &mut all_calls,
-                        flags_of,
-                    );
-                }
-                if let Some(s) = update {
-                    let upd_c = body_cost(std::slice::from_ref(s), flags_of);
-                    all_calls.extend(upd_c.all_calls);
-                }
-                let body_c = body_cost(body, flags_of);
-                all_calls.extend(body_c.all_calls);
-                unbounded = true;
-                if body_c.may_exit {
-                    may_exit = true;
-                    guaranteed = false;
-                }
+                floor.min_new_cells += cond.as_ref().map_or(0, alloc_floor);
+                block_floor(body).1
             }
-        }
-    }
-
-    BlockCost {
-        bound: CostBound {
-            min_ops,
-            max_ops: if unbounded { None } else { Some(max_ops) },
-            min_new_cells: min_cells,
-            max_new_cells: if unbounded { None } else { Some(max_cells) },
-        },
-        may_exit,
-        guaranteed_calls,
-        all_calls,
-        unbounded,
-    }
-}
-
-/// BFS over the call graph from the given roots.
-// lint: allow(string-keyed-map)
-fn reachable_from(functions: &BTreeMap<String, FnEffect>, roots: Vec<String>) -> BTreeSet<String> {
-    let mut reachable: BTreeSet<String> = BTreeSet::new();
-    let mut work = roots;
-    while let Some(f) = work.pop() {
-        if !functions.contains_key(&f) || !reachable.insert(f.clone()) {
-            continue;
-        }
-        if let Some(fx) = functions.get(&f) {
-            for g in &fx.calls {
-                if !reachable.contains(g) {
-                    work.push(g.clone());
-                }
-            }
-        }
-    }
-    reachable
-}
-
-/// Folds per-function cost bounds into a per-round bound over the
-/// handler roots.
-///
-/// Floor: an offloaded round dispatches (at least) one pending event to
-/// (at least) one registered handler — the *minimum* over handlers of
-/// their interprocedural floors is guaranteed. Ceiling: all handlers
-/// could be registered for the dispatched event, so the ceiling sums
-/// every handler's interprocedural ceiling; any loop, recursion, or
-/// `dispatchEvent` (event cascade) anywhere reachable voids it.
-// lint: allow(string-keyed-map)
-fn round_cost(functions: &BTreeMap<String, FnEffect>, handlers: &BTreeSet<String>) -> CostBound {
-    let mut floors: Vec<(u64, u64)> = Vec::new();
-    let mut ceiling_ops: Option<u64> = Some(0);
-    let mut ceiling_cells: Option<u64> = Some(0);
-    for h in handlers {
-        if !functions.contains_key(h) {
-            continue;
-        }
-        // lint: allow(string-keyed-map)
-        let mut memo: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        let floor = fn_floor(functions, h, &mut memo);
-        floors.push(floor);
-        match fn_ceiling(functions, h, &mut BTreeSet::new()) {
-            Some((ops, cells)) => {
-                ceiling_ops = ceiling_ops.map(|c| c.saturating_add(ops));
-                ceiling_cells = ceiling_cells.map(|c| c.saturating_add(cells));
-            }
-            None => {
-                ceiling_ops = None;
-                ceiling_cells = None;
-            }
-        }
-    }
-    let (min_ops, min_new_cells) = floors.iter().copied().min().unwrap_or((0, 0));
-    if floors.is_empty() {
-        return CostBound {
-            min_ops: 0,
-            max_ops: Some(0),
-            min_new_cells: 0,
-            max_new_cells: Some(0),
         };
+        if may_exit {
+            return (floor, true);
+        }
     }
-    CostBound {
-        min_ops,
-        max_ops: ceiling_ops,
-        min_new_cells,
-        max_new_cells: ceiling_cells,
-    }
+    (floor, false)
 }
 
-/// Interprocedural floor for one function: its body floor (recursion
-/// contributes zero — sound for a lower bound).
-fn fn_floor(
-    // lint: allow(string-keyed-map)
-    functions: &BTreeMap<String, FnEffect>,
-    name: &str,
-    // lint: allow(string-keyed-map)
-    memo: &mut BTreeMap<String, (u64, u64)>,
-) -> (u64, u64) {
-    if let Some(&v) = memo.get(name) {
-        return v;
+/// Allocation sites (array/object/`Float32Array` literals) guaranteed to
+/// evaluate when `expr` does. The right operand of a short-circuit
+/// operator may be skipped: nothing in it is guaranteed.
+fn alloc_floor(expr: &Expr) -> u64 {
+    match expr {
+        Expr::Array(elems) => 1 + elems.iter().map(alloc_floor).sum::<u64>(),
+        Expr::Object(props) => 1 + props.iter().map(|(_, e)| alloc_floor(e)).sum::<u64>(),
+        Expr::NewFloat32Array(e) => 1 + alloc_floor(e),
+        Expr::Member(e, _) | Expr::Unary(_, e) => alloc_floor(e),
+        Expr::Index(obj, idx) => alloc_floor(obj) + alloc_floor(idx),
+        Expr::Call(callee, args) => alloc_floor(callee) + args.iter().map(alloc_floor).sum::<u64>(),
+        Expr::Binary(op, l, _) if *op == "&&" || *op == "||" => alloc_floor(l),
+        Expr::Binary(_, l, r) => alloc_floor(l) + alloc_floor(r),
+        Expr::Ident(_)
+        | Expr::Undefined
+        | Expr::Null
+        | Expr::Bool(_)
+        | Expr::Number(_)
+        | Expr::Str(_) => 0,
     }
-    memo.insert(name.to_string(), (0, 0)); // cycle guard
-    let Some(fx) = functions.get(name) else {
-        return (0, 0);
-    };
-    // Body-only floor; guaranteed-call folding happens through the
-    // per-body guaranteed_calls list, which FnEffect does not retain —
-    // the body floor alone is already a sound per-round bound.
-    let v = (fx.cost.min_ops, fx.cost.min_new_cells);
-    memo.insert(name.to_string(), v);
-    v
-}
-
-/// Interprocedural ceiling: body ceiling plus every call site's callee
-/// ceiling; `None` on any loop, event dispatch, or recursion.
-fn fn_ceiling(
-    // lint: allow(string-keyed-map)
-    functions: &BTreeMap<String, FnEffect>,
-    name: &str,
-    in_progress: &mut BTreeSet<String>,
-) -> Option<(u64, u64)> {
-    if !in_progress.insert(name.to_string()) {
-        return None; // recursion
-    }
-    let result = (|| {
-        let fx = functions.get(name)?;
-        if fx.dispatches_events {
-            return None; // event cascade: more handler runs
-        }
-        let mut ops = fx.cost.max_ops?;
-        let mut cells = fx.cost.max_new_cells?;
-        for callee in &fx.calls {
-            let (c_ops, c_cells) = fn_ceiling(functions, callee, in_progress)?;
-            ops = ops.saturating_add(c_ops);
-            cells = cells.saturating_add(c_cells);
-        }
-        Some((ops, cells))
-    })();
-    in_progress.remove(name);
-    result
-}
-
-/// Hoisted `var` names of one function body (no nested functions).
-fn collect_vars_shallow(stmts: &[Stmt], out: &mut BTreeSet<String>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Var(name, _) => {
-                out.insert(name.to_string());
-            }
-            Stmt::If(_, then, els) => {
-                collect_vars_shallow(then, out);
-                collect_vars_shallow(els, out);
-            }
-            Stmt::While(_, body) => collect_vars_shallow(body, out),
-            Stmt::For {
-                init, update, body, ..
-            } => {
-                if let Some(s) = init {
-                    collect_vars_shallow(std::slice::from_ref(s), out);
-                }
-                if let Some(s) = update {
-                    collect_vars_shallow(std::slice::from_ref(s), out);
-                }
-                collect_vars_shallow(body, out);
-            }
-            Stmt::Function(_) | Stmt::Assign(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
-        }
-    }
-}
-
-/// Every function declaration in a block, nested ones included.
-fn collect_function_defs(stmts: &[Stmt]) -> Vec<FunctionDef> {
-    let mut out = Vec::new();
-    fn walk(stmts: &[Stmt], out: &mut Vec<FunctionDef>) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Function(def) => {
-                    out.push(def.clone());
-                    walk(&def.body, out);
-                }
-                Stmt::If(_, then, els) => {
-                    walk(then, out);
-                    walk(els, out);
-                }
-                Stmt::While(_, body) => walk(body, out),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        walk(std::slice::from_ref(s), out);
-                    }
-                    if let Some(s) = update {
-                        walk(std::slice::from_ref(s), out);
-                    }
-                    walk(body, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(stmts, &mut out);
-    out
-}
-
-/// Locals of one function whose every initializer/assignment is a
-/// recognizable DOM expression — one-level alias tracking for the common
-/// `var el = document.getElementById(..)` pattern.
-fn dom_locals(def: &FunctionDef, scope: &FuncScope) -> BTreeSet<String> {
-    let mut assigned_dom: BTreeSet<String> = BTreeSet::new();
-    let mut assigned_other: BTreeSet<String> = BTreeSet::new();
-    fn is_base_dom(expr: &Expr) -> bool {
-        // `document` shadowing inside the same function would already
-        // put the name in locals/globals; the caller filters params.
-        match expr {
-            Expr::Call(callee, _) => match callee.as_ref() {
-                Expr::Member(obj, m) => {
-                    matches!(obj.as_ref(), Expr::Ident(n) if n == "document")
-                        && (m == "getElementById" || m == "createElement")
-                }
-                _ => false,
-            },
-            Expr::Member(obj, p) => {
-                matches!(obj.as_ref(), Expr::Ident(n) if n == "document") && p == "body"
-            }
-            _ => false,
-        }
-    }
-    fn walk(
-        stmts: &[Stmt],
-        assigned_dom: &mut BTreeSet<String>,
-        assigned_other: &mut BTreeSet<String>,
-    ) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Var(name, init) => match init {
-                    Some(e) if is_base_dom(e) => {
-                        assigned_dom.insert(name.to_string());
-                    }
-                    Some(_) => {
-                        assigned_other.insert(name.to_string());
-                    }
-                    None => {
-                        assigned_other.insert(name.to_string());
-                    }
-                },
-                Stmt::Assign(Expr::Ident(name), value) => {
-                    if is_base_dom(value) {
-                        assigned_dom.insert(name.to_string());
-                    } else {
-                        assigned_other.insert(name.to_string());
-                    }
-                }
-                Stmt::If(_, then, els) => {
-                    walk(then, assigned_dom, assigned_other);
-                    walk(els, assigned_dom, assigned_other);
-                }
-                Stmt::While(_, body) => walk(body, assigned_dom, assigned_other),
-                Stmt::For {
-                    init, update, body, ..
-                } => {
-                    if let Some(s) = init {
-                        walk(std::slice::from_ref(s), assigned_dom, assigned_other);
-                    }
-                    if let Some(s) = update {
-                        walk(std::slice::from_ref(s), assigned_dom, assigned_other);
-                    }
-                    walk(body, assigned_dom, assigned_other);
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(&def.body, &mut assigned_dom, &mut assigned_other);
-    // Params can be rebound by callers; never DOM-trusted. A local both
-    // DOM- and other-assigned is not trusted either (flow-insensitive).
-    assigned_dom
-        .into_iter()
-        .filter(|n| scope.locals.contains(n) && !scope.params.contains(n))
-        .filter(|n| !assigned_other.contains(n))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1625,81 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn pure_function_is_pure() {
-        let s = effect_summary(
-            "function f(a) { var b = a + 1; return b; }\nf(1);",
-            &EffectOptions::new(),
-        )
-        .unwrap();
-        assert_eq!(s.functions["f"].classify(), Effect::Pure);
-        assert!(s.nondet.is_empty());
-    }
-
-    #[test]
-    fn direct_global_writes_are_attributed() {
-        let s = effect_summary(
-            "var a = 0;\nvar b = 0;\nfunction h() { a = 1; }\n\
-             document.body.addEventListener(\"go\", h);",
-            &EffectOptions::new(),
-        )
-        .unwrap();
-        let writes = s.round_writes.expect("attributable");
-        assert!(writes.contains("a"));
-        assert!(!writes.contains("b"));
-        match s.functions["h"].classify() {
-            Effect::Writes(set) => assert_eq!(set.len(), 1),
-            other => panic!("expected writes, got {other}"),
-        }
-    }
-
-    #[test]
-    fn member_write_roots_at_the_global() {
-        let s = effect_summary(
-            "var state = {n: 0};\nfunction h() { state.n = 1; }\n\
-             document.body.addEventListener(\"go\", h);",
-            &EffectOptions::new(),
-        )
-        .unwrap();
-        assert!(s.round_writes.unwrap().contains("state"));
-    }
-
-    #[test]
-    fn push_on_global_rooted_receiver_is_a_write() {
-        let s = effect_summary(
-            "var log = [];\nfunction h() { log.push(1); }\n\
-             document.body.addEventListener(\"go\", h);",
-            &EffectOptions::new(),
-        )
-        .unwrap();
-        assert!(s.round_writes.unwrap().contains("log"));
-    }
-
-    #[test]
-    fn dynamic_member_write_degrades_to_unknown() {
-        let s = effect_summary(
-            "var a = {n: 0};\nvar b = {n: 0};\n\
-             function pick(x) { if (x) { return a; }\nreturn b; }\n\
-             function h() { var o = pick(1); o.n = 5; }\n\
-             document.body.addEventListener(\"go\", h);",
-            &EffectOptions::new(),
-        )
-        .unwrap();
-        assert!(s.round_writes.is_none(), "alias write must poison the set");
-        assert_eq!(s.functions["h"].classify(), Effect::Unknown);
-    }
-
-    #[test]
-    fn push_through_local_alias_degrades_to_unknown() {
-        let s = effect_summary(
-            "var log = [];\nfunction h() { var l = log; l.push(1); }\n\
-             document.body.addEventListener(\"go\", h);",
-            &EffectOptions::new(),
-        )
-        .unwrap();
-        assert!(s.round_writes.is_none());
-    }
-
-    #[test]
     fn dom_writes_stay_replayable() {
         let s = effect_summary(
             "function h() { document.getElementById(\"out\").textContent = \"x\"; }\n\
@@ -1707,21 +569,8 @@ mod tests {
             &EffectOptions::new(),
         )
         .unwrap();
-        assert_eq!(s.functions["h"].classify(), Effect::Host(HostEffect::Dom));
-        assert!(s.round_writes.unwrap().is_empty());
+        assert!(s.verdict().is_ok());
         assert!(s.nondet.is_empty());
-    }
-
-    #[test]
-    fn dom_local_alias_is_tracked() {
-        let s = effect_summary(
-            "function h() { var el = document.getElementById(\"out\"); el.textContent = \"x\"; }\n\
-             document.body.addEventListener(\"go\", h);",
-            &EffectOptions::new(),
-        )
-        .unwrap();
-        assert!(s.round_writes.is_some(), "DOM alias must not poison");
-        assert_eq!(s.functions["h"].classify(), Effect::Host(HostEffect::Dom));
     }
 
     #[test]
@@ -1768,7 +617,6 @@ mod tests {
         )
         .unwrap();
         assert!(s.verdict().is_ok());
-        assert!(s.round_writes.unwrap().contains("r"));
     }
 
     #[test]
@@ -1780,6 +628,31 @@ mod tests {
     }
 
     #[test]
+    fn app_bindings_shadow_hosts() {
+        let opts = EffectOptions::new().with_host("clock", HostEffect::Clock);
+        // A parameter, a `var` local and an app global each shadow the
+        // host of the same name; a function with no such binding does not.
+        for (src, flagged) in [
+            ("function f(clock) { return clock.now(); }", false),
+            (
+                "function f() { var clock = {now: 1}; return clock.now; }",
+                false,
+            ),
+            (
+                "var clock = {now: 1};\nfunction f() { return clock.now; }",
+                false,
+            ),
+            (
+                "function f(clock) { return clock.now(); }\nfunction g() { return clock.now(); }",
+                true,
+            ),
+        ] {
+            let s = effect_summary(src, &opts).unwrap();
+            assert_eq!(s.is_nondeterministic(), flagged, "{src}");
+        }
+    }
+
+    #[test]
     fn cost_floor_counts_guaranteed_statements() {
         let s = effect_summary(
             "var a = 0;\nfunction h() { a = 1;\na = 2;\na = 3; }\n\
@@ -1788,19 +661,17 @@ mod tests {
         )
         .unwrap();
         assert!(s.cost.min_ops >= 3, "floor {} too low", s.cost.min_ops);
-        assert!(s.cost.max_ops.is_some());
     }
 
     #[test]
-    fn loops_void_the_ceiling_but_not_the_floor() {
+    fn loops_count_zero_iterations_in_the_floor() {
         let s = effect_summary(
             "var a = 0;\nfunction h() { a = 1;\nwhile (a) { a = a + 1; } }\n\
              document.body.addEventListener(\"go\", h);",
             &EffectOptions::new(),
         )
         .unwrap();
-        assert!(s.cost.min_ops >= 2);
-        assert_eq!(s.cost.max_ops, None);
+        assert_eq!(s.cost.min_ops, 2);
     }
 
     #[test]
@@ -1814,6 +685,43 @@ mod tests {
         // The return path executes 2 statements (if + return); the floor
         // must not exceed that.
         assert!(s.cost.min_ops <= 2, "floor {} unsound", s.cost.min_ops);
+    }
+
+    #[test]
+    fn unresolved_handler_voids_the_round_floor() {
+        // `go` runs `cheap` (two ops), which neither program registers
+        // by name: the minimum over the named roots alone would be
+        // `dear`'s 7.
+        for registration in [
+            "var hs = [cheap];\ndocument.body.addEventListener(\"go\", hs[0]);",
+            "var h = cheap;\ndocument.body.addEventListener(\"go\", h);",
+        ] {
+            let src = format!(
+                "function cheap() {{ return 1; }}\n\
+                 function dear() {{ var a = 1;\nvar b = 2;\nvar c = 3;\nvar d = 4;\n\
+                 var e = 5;\nvar f = 6;\nreturn a; }}\n\
+                 document.body.addEventListener(\"other\", dear);\n{registration}"
+            );
+            let s = effect_summary(&src, &EffectOptions::new()).unwrap();
+            assert_eq!(s.functions["dear"].min_ops, 7);
+            assert_eq!(s.cost, CostBound::default(), "{registration}");
+            let tight = MeterLimits::default().with_ops(5);
+            assert!(s.cost.guaranteed_exhaustion(&tight).is_none());
+        }
+    }
+
+    #[test]
+    fn round_floor_is_the_minimum_per_axis() {
+        // A round may run either handler: `a` bounds the ops, `b` (which
+        // allocates nothing) the cells.
+        let s = effect_summary(
+            "var n = 0;\nfunction a() { return [1]; }\nfunction b() { n = 1;\nn = 2; }\n\
+             document.body.addEventListener(\"x\", a);\n\
+             document.body.addEventListener(\"y\", b);",
+            &EffectOptions::new(),
+        )
+        .unwrap();
+        assert_eq!((s.cost.min_ops, s.cost.min_new_cells), (1, 0));
     }
 
     #[test]
@@ -1831,10 +739,8 @@ mod tests {
     }
 
     #[test]
-    fn paper_apps_are_fully_attributable() {
-        use snapedge_webapp::HostEffect as HE;
-        let opts = EffectOptions::new().with_host("model", HE::Deterministic);
-        for (src, expected) in [
+    fn paper_apps_are_replayable_with_pinned_floors() {
+        for (src, floor) in [
             (
                 "var imageUrl = null;\nvar resultText = null;\n\
                  function onLoad() { imageUrl = document.getElementById(\"photo\").getAttribute(\"src\"); }\n\
@@ -1842,37 +748,19 @@ mod tests {
                  document.getElementById(\"result\").textContent = resultText; }\n\
                  document.body.addEventListener(\"click\", onLoad);\n\
                  document.body.addEventListener(\"run_inference\", runInference);",
-                vec!["imageUrl", "resultText"],
+                1,
             ),
             (
                 "var feature = null;\n\
                  function runFront() { feature = model.front(\"input\"); }\n\
                  document.body.addEventListener(\"run_front\", runFront);",
-                vec!["feature"],
+                1,
             ),
         ] {
-            let s = effect_summary(src, &opts).unwrap();
+            let s = effect_summary(src, &opts_with_model()).unwrap();
             assert!(s.verdict().is_ok());
-            let writes = s.round_writes.expect("attributable");
-            let got: Vec<&str> = writes.iter().map(String::as_str).collect();
-            assert_eq!(got, expected, "{src}");
+            assert_eq!((s.cost.min_ops, s.cost.min_new_cells), (floor, 0), "{src}");
         }
-    }
-
-    #[test]
-    fn cache_memoizes_by_source_and_hosts() {
-        let mut cache = EffectCache::new();
-        let page = "<html><body></body><script>var a = 1;</script></html>";
-        let opts = EffectOptions::new();
-        let first = cache.summary_html(page, &opts).unwrap();
-        let second = cache.summary_html(page, &opts).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.len(), 1);
-        // A different host surface is a different key.
-        let other = EffectOptions::new().with_host("clock", HostEffect::Clock);
-        cache.summary_html(page, &other).unwrap();
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -1882,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn render_mentions_lattice_points() {
+    fn render_prints_floors_and_handlers() {
         let s = effect_summary(
             "var a = 0;\nfunction h() { a = 1; }\n\
              document.body.addEventListener(\"go\", h);",
@@ -1890,8 +778,10 @@ mod tests {
         )
         .unwrap();
         let text = s.render();
-        assert!(text.contains("writes(a)"), "{text}");
-        assert!(text.contains("round write set: {a}"), "{text}");
-        assert!(text.contains("[handler]"), "{text}");
+        assert!(
+            text.contains("h [handler]: ops >= 1, new cells >= 0"),
+            "{text}"
+        );
+        assert!(text.contains("round floor: ops >= 1"), "{text}");
     }
 }

@@ -7,22 +7,31 @@
 //! ```
 
 use snapedge_bench::print_table;
-use snapedge_core::{simulate_contention, ContentionConfig};
+use snapedge_core::prelude::*;
+use std::time::Duration;
 
-fn main() -> Result<(), snapedge_core::OffloadError> {
+fn main() -> Result<(), OffloadError> {
     println!("Multi-client contention at one edge server (full offloading)\n");
 
     for model in ["googlenet", "agenet"] {
         println!("== {model}");
         let mut rows = Vec::new();
         for clients in [1usize, 2, 4, 8, 16] {
-            let report = simulate_contention(&ContentionConfig::paper(model, clients))?;
+            let report = Engine::modeled(SessionConfig::paper(model), clients)?
+                .arrival(ArrivalProcess::ClosedLoop {
+                    think: Duration::from_secs(2),
+                })
+                // The round cap, not the traffic horizon, ends the run.
+                .duration(Duration::from_secs(100_000))
+                .max_rounds(4)
+                .run()?;
+            assert_eq!(report.completed, 4 * clients);
             rows.push(vec![
                 clients.to_string(),
-                format!("{:.2}", report.mean_latency.as_secs_f64()),
-                format!("{:.2}", report.max_latency.as_secs_f64()),
-                format!("{:.2}", report.mean_queue_wait.as_secs_f64()),
-                format!("{:.0}%", report.server_utilization * 100.0),
+                format!("{:.2}", report.latency.mean.as_secs_f64()),
+                format!("{:.2}", report.latency.max.as_secs_f64()),
+                format!("{:.2}", report.queue_wait.mean.as_secs_f64()),
+                format!("{:.0}%", report.servers[0].utilization * 100.0),
             ]);
         }
         print_table(

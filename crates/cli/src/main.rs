@@ -120,9 +120,9 @@ const USAGE: &str = "usage:
     apps that reach clock/random/IO hosts complete locally instead of
     shipping unreplayable state, and rounds whose static op floor
     already exceeds the meter budget are refused before any bytes
-    burn. With 'snapedge analyze' it prints the per-function effect
-    lattice, write sets and cost bounds. Off by default (bit-identical
-    replay).
+    burn. With 'snapedge analyze' it prints the per-function and
+    per-round op/allocation floors and every nondeterministic host
+    access. Off by default (bit-identical replay).
   --arrival shapes fleet traffic (snapedge fleet):
       'closed[:think_s]'               closed loop, per-client think time
       'poisson:rate_hz'                open-loop Poisson, fleet-wide rate
@@ -795,7 +795,7 @@ fn print_report(target: &str, report: &AnalysisReport) -> usize {
 }
 
 /// Analyzes a MiniJS or HTML file from disk. With `--effects true` the
-/// static effect pass runs too (lattice points, write set, cost bounds);
+/// static effect pass runs too (cost floors, nondeterminism sources);
 /// with `--report <out.html>` an escaped markup report is written before
 /// any verdict is returned, so failures are captured in the report.
 fn cmd_analyze_file(path: &str, args: &Args) -> Result<(), String> {
@@ -1222,13 +1222,16 @@ mod tests {
     fn paper_apps_have_deterministic_effect_summaries() {
         let url = apps::synthetic_image_data_url(7, 256);
         let eopts = EffectOptions::new().with_host("model", HostEffect::Deterministic);
-        for html in [
-            apps::full_inference_app(&url),
-            apps::partial_inference_app(&url),
+        // The values the session's two gates read, pinned: the app
+        // sources are the same for all three paper models.
+        for (html, min_ops) in [
+            (apps::full_inference_app(&url), 1),
+            (apps::partial_inference_app(&url), 2),
         ] {
             let summary = effect_summary_html(&html, &eopts).unwrap();
             assert!(!summary.is_nondeterministic(), "{}", summary.render());
-            assert!(summary.round_writes.is_some(), "{}", summary.render());
+            assert_eq!(summary.cost.min_ops, min_ops, "{}", summary.render());
+            assert_eq!(summary.cost.min_new_cells, 0, "{}", summary.render());
         }
     }
 

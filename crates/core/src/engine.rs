@@ -22,9 +22,7 @@
 //!   The engine grants it at `max(request, busy_until[server])` — the
 //!   difference **is** the queueing delay, recorded by the session as
 //!   `enqueue`/`queue_wait`/`dequeue` trace events. Contention emerges
-//!   from overlapping requests instead of an analytic approximation
-//!   (contrast [`crate::contention`], which this engine supersedes for
-//!   fleet-level questions).
+//!   from overlapping requests instead of an analytic approximation.
 //! * [`Ev::Release`]: the server CPU frees; the round's downlink and
 //!   completion run on the client's private timeline.
 //!
@@ -52,8 +50,8 @@ use snapedge_trace::{Summary, Trace};
 use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Snapshot size the analytic workload prices per request: the same
-/// calibrated full-offload app state [`crate::contention`] uses.
+/// Snapshot size the analytic workload prices per request: the
+/// calibrated full-offload app state.
 const MODELED_SNAPSHOT_BYTES: u64 = 70 * 1024;
 
 /// The per-round image seed both the engine and any legacy comparison
@@ -71,8 +69,7 @@ pub fn round_image_seed(engine_seed: u64, client: u64, round: u64) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Closed loop: every client issues at t=0 and re-issues `think`
-    /// after each completion — the paper's interactive-user model (and
-    /// the regime [`crate::contention`] simulated).
+    /// after each completion — the paper's interactive-user model.
     ClosedLoop {
         /// Think time between a result and the next request.
         think: Duration,
@@ -421,8 +418,7 @@ struct ModeledRound {
 /// execution + capture at the server; capture/transfer/restore on the
 /// client side), with clients rotating round-robin over the fleet. No
 /// browsers are built, so tens of thousands of clients simulate in
-/// milliseconds — the fidelity trade [`crate::contention`] made, now
-/// behind the same [`Workload`] API as real sessions.
+/// milliseconds, behind the same [`Workload`] API as real sessions.
 pub struct ModeledWorkload {
     names: Vec<String>,
     service: Vec<Duration>,

@@ -54,7 +54,6 @@ pub mod adaptive;
 pub mod apps;
 pub mod balance;
 pub mod config;
-pub mod contention;
 pub mod device;
 mod endpoint;
 pub mod energy;
@@ -75,7 +74,6 @@ pub mod timeline;
 pub use adaptive::{AdaptiveOffloader, AdaptivePolicy, Decision, Plan};
 pub use balance::{jain, Balancer, DrrScheduler, DEFAULT_DRR_QUANTUM};
 pub use config::{ConfigBuilder, OffloadConfig};
-pub use contention::{simulate_contention, ContentionConfig, ContentionReport};
 pub use device::{edge_server_x86, odroid_xu4, DeviceProfile};
 pub use endpoint::Endpoint;
 pub use energy::{client_energy, odroid_xu4_energy, EnergyProfile, EnergyReport};
@@ -98,7 +96,5 @@ pub use scenario::{
     run_scenario, Breakdown, ScenarioBuilder, ScenarioConfig, ScenarioReport, Strategy,
 };
 pub use session::{OffloadSession, RoundReport, SessionBuilder, SessionConfig};
-pub use snapedge_analyze::{
-    AnalyzeError, CostBound, Effect, EffectCache, EffectOptions, EffectSummary,
-};
+pub use snapedge_analyze::{AnalyzeError, CostBound, EffectOptions, EffectSummary};
 pub use snapedge_webapp::{HostEffect, MeterLimits};

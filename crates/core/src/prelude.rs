@@ -31,7 +31,7 @@ pub use crate::scenario::{
 };
 pub use crate::session::{OffloadSession, RoundReport, SessionBuilder, SessionConfig};
 pub use crate::timeline;
-pub use snapedge_analyze::{AnalyzeError, EffectCache, EffectOptions, EffectSummary};
+pub use snapedge_analyze::{AnalyzeError, EffectOptions, EffectSummary};
 pub use snapedge_dnn::{zoo, ExecMode};
 pub use snapedge_net::{FaultKind, FaultPlan, FaultWindow, Link, LinkConfig};
 pub use snapedge_net::{LinkHealth, LinkPrediction};

@@ -31,7 +31,7 @@ use crate::OffloadError;
 use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
 use snapedge_net::{Link, NetError, SimClock};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
-use snapedge_webapp::{DeltaCapture, RunOutcome, StateBase, WebError};
+use snapedge_webapp::{DeltaCapture, MeterLimits, RunOutcome, StateBase, WebError};
 use std::time::Duration;
 
 /// Configuration of a multi-inference session: the shared
@@ -272,9 +272,6 @@ pub struct OffloadSession {
     /// The server meter's `total_ops` reading when the current round
     /// started — per-round `ops_used` is the delta past this mark.
     meter_mark: u64,
-    /// Memoized effect summaries keyed by app source + host surface —
-    /// a long-lived session analyzes each app once.
-    effect_cache: snapedge_analyze::EffectCache,
     /// The active app's effect summary, when `cfg.snapshot.effects` is
     /// on: its nondeterminism and cost-bound gates run pre-ship in
     /// `round_start`, and its op floor feeds the link-health predictor
@@ -391,7 +388,6 @@ impl OffloadSession {
             last_full_bytes,
             pending: None,
             meter_mark: 0,
-            effect_cache: snapedge_analyze::EffectCache::new(),
             effects: None,
             queue_outlook: Vec::new(),
         };
@@ -452,7 +448,7 @@ impl OffloadSession {
         Ok(())
     }
 
-    /// Runs (memoized) static effect analysis over the session's app and
+    /// Runs static effect analysis over the session's app and
     /// keeps the summary for the pre-ship gates in `round_start` and the
     /// predictor prior. A nondeterministic app is *not* an error here —
     /// every round is forced local instead, since the paper's fallback
@@ -464,9 +460,7 @@ impl OffloadSession {
     fn analyze_app(&mut self, app_html: &str) -> Result<(), OffloadError> {
         let opts =
             snapedge_analyze::EffectOptions::from_host_effects(self.client.browser.host_effects());
-        let summary = self
-            .effect_cache
-            .summary_html(app_html, &opts)
+        let summary = snapedge_analyze::effect_summary_html(app_html, &opts)
             .map_err(OffloadError::Analyze)?;
         self.effects = Some(summary);
         Ok(())
@@ -482,11 +476,7 @@ impl OffloadSession {
         if summary.is_nondeterministic() {
             return Some("nondeterministic");
         }
-        let limits = self
-            .pool
-            .spec(self.current)
-            .and_then(|spec| spec.meter.clone())
-            .or_else(|| self.cfg.meter.clone())?;
+        let limits = self.effective_meter()?;
         if summary.cost.guaranteed_exhaustion(&limits).is_some() {
             return Some("exhaustion");
         }
@@ -652,16 +642,19 @@ impl OffloadSession {
         self.apply_meter();
     }
 
-    /// Installs the effective resource meter on the current server's
-    /// browser: the server spec's override when set, else the fleet-wide
-    /// config default, else unmetered.
-    fn apply_meter(&mut self) {
-        let limits = self
-            .pool
+    /// The current server's meter limits: the server spec's override
+    /// when set, else the fleet-wide config default, else unmetered.
+    fn effective_meter(&self) -> Option<MeterLimits> {
+        self.pool
             .spec(self.current)
             .and_then(|spec| spec.meter.clone())
-            .or_else(|| self.cfg.meter.clone());
-        match limits {
+            .or_else(|| self.cfg.meter.clone())
+    }
+
+    /// Installs the effective resource meter on the current server's
+    /// browser.
+    fn apply_meter(&mut self) {
+        match self.effective_meter() {
             Some(limits) => self.server.browser.set_meter(limits),
             None => self.server.browser.clear_meter(),
         }
@@ -1677,7 +1670,7 @@ mod tests {
                    </script></html>\n";
         let opts = snapedge_analyze::EffectOptions::new()
             .with_host("rng", snapedge_webapp::HostEffect::Random);
-        session.effects = Some(session.effect_cache.summary_html(app, &opts).unwrap());
+        session.effects = Some(snapedge_analyze::effect_summary_html(app, &opts).unwrap());
 
         let report = session.infer(1).unwrap();
         assert_eq!(report.server, "client", "the round never left the client");

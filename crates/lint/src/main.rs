@@ -103,12 +103,11 @@ const HOT_PATH_CRATES: [&str; 4] = [
 /// Explicit opt-outs from the derived hot-path set: offline analysis,
 /// report shaping, and config plumbing that never runs mid-offload. Keep
 /// each entry justified — a new file under a hot crate is hot by default.
-const HOT_PATH_OPT_OUT: [&str; 7] = [
+const HOT_PATH_OPT_OUT: [&str; 6] = [
     // Runs before any session exists (offline partition search / attack
     // evaluation), never between capture and restore.
     "crates/core/src/partition.rs",
     "crates/core/src/privacy.rs",
-    "crates/core/src/contention.rs",
     "crates/core/src/energy.rs",
     // Post-hoc report rendering over a finished trace.
     "crates/core/src/timeline.rs",

@@ -13,6 +13,9 @@
 //!    completes locally instead of shipping state that would be killed.
 //! 3. **Off means off** — effect analysis defaults to disabled, and
 //!    default runs replay byte-identical traces with no effect events.
+//! 4. **Floors are lower bounds** — the static op/allocation floors never
+//!    exceed what the interpreter's meter charges, on real sessions and
+//!    on generated handlers.
 
 use snapedge_core::prelude::*;
 use snapedge_core::Endpoint;
@@ -118,7 +121,7 @@ fn nondeterministic_app_is_rejected_statically_with_zero_link_bytes() {
     // link exists yet — the session's gate (unit-tested in `session.rs`)
     // acts on this summary before any bytes ship.
     let opts = EffectOptions::from_host_effects(endpoint.browser.host_effects());
-    let summary = EffectCache::new().summary_html(app, &opts).unwrap();
+    let summary = snapedge_analyze::effect_summary_html(app, &opts).unwrap();
     assert!(summary.is_nondeterministic());
     let err = summary
         .verdict()
@@ -164,4 +167,202 @@ fn guaranteed_meter_exhaustion_completes_locally_before_any_bytes_ship() {
         gated.result, reference[0].result,
         "local completion computes the same bits"
     );
+}
+
+// ---------------------------------------------------------------------
+// Floors are lower bounds of what the meter charges
+// ---------------------------------------------------------------------
+
+/// The static round floor of the app a full or partial session loads.
+fn app_floor(partial: bool) -> snapedge_core::CostBound {
+    let url = snapedge_core::apps::synthetic_image_data_url(7, 256);
+    let html = if partial {
+        snapedge_core::apps::partial_inference_app(&url)
+    } else {
+        snapedge_core::apps::full_inference_app(&url)
+    };
+    let opts = EffectOptions::new().with_host("model", HostEffect::Deterministic);
+    snapedge_analyze::effect_summary_html(&html, &opts)
+        .unwrap()
+        .cost
+}
+
+#[test]
+fn round_floor_never_exceeds_the_ops_a_server_charges() {
+    let counting = MeterLimits::default()
+        .with_ops(u64::MAX / 2)
+        .with_time_slice(secs(3600.0));
+    let sessions = [
+        ("tiny full", SessionConfig::tiny_builder(), false),
+        (
+            "tiny partial",
+            SessionConfig::tiny_builder().cut("1st_pool"),
+            true,
+        ),
+        ("agenet", SessionConfig::paper_builder("agenet"), false),
+        (
+            "googlenet",
+            SessionConfig::paper_builder("googlenet"),
+            false,
+        ),
+    ];
+    for (what, builder, partial) in sessions {
+        let floor = app_floor(partial);
+        assert!(floor.min_ops >= 1, "{what}: a round runs some handler");
+        let cfg = builder.effects(true).meter(counting.clone()).build();
+        let (reports, _) = run_rounds(cfg, 3);
+        for r in &reports {
+            assert_ne!(r.server, "client", "{what}: round {} offloads", r.round);
+            assert!(
+                floor.min_ops <= r.ops_used,
+                "{what} round {}: floor {} > charged {}",
+                r.round,
+                floor.min_ops,
+                r.ops_used
+            );
+        }
+    }
+}
+
+/// Generates MiniJS statement blocks that always run to completion:
+/// numeric globals `n0..n2` only ever hold numbers, `o0`/`o1` only heap
+/// values, and every loop counts a fresh counter up to a small bound.
+struct HandlerGen {
+    rng: snapedge_rng::Rng,
+    vars: usize,
+}
+
+impl HandlerGen {
+    fn fresh(&mut self) -> String {
+        self.vars += 1;
+        format!("v{}", self.vars)
+    }
+
+    fn num(&mut self) -> String {
+        let n = self.rng.gen_range_usize(0, 3);
+        let k = self.rng.gen_range_usize(0, 5);
+        match self.rng.gen_range_usize(0, 5) {
+            0 => k.to_string(),
+            1 => format!("n{n}"),
+            2 => format!("n{n} + {k}"),
+            3 => format!("bump(n{n})"),
+            _ => format!("[n{n}, {k}].length"),
+        }
+    }
+
+    fn heap_value(&mut self) -> String {
+        let n = self.num();
+        match self.rng.gen_range_usize(0, 4) {
+            0 => format!("[{n}, [{n}]]"),
+            1 => format!("{{a: {n}, b: [1, 2]}}"),
+            2 => "new Float32Array(3)".to_string(),
+            _ => "[]".to_string(),
+        }
+    }
+
+    fn cond(&mut self) -> String {
+        let (a, b) = (self.num(), self.num());
+        match self.rng.gen_range_usize(0, 4) {
+            0 => format!("{a} < {b}"),
+            1 => format!("{a} == {b}"),
+            // The right operand may never run: its literal is no floor.
+            2 => format!("{a} < {b} || [1, 2].length > {b}"),
+            _ => format!("{a} < {b} && [{a}].length > 0"),
+        }
+    }
+
+    fn block(&mut self, depth: usize) -> String {
+        let len = self.rng.gen_range_usize(1, 5);
+        (0..len).map(|_| self.stmt(depth)).collect()
+    }
+
+    fn stmt(&mut self, depth: usize) -> String {
+        let n = self.rng.gen_range_usize(0, 3);
+        let o = self.rng.gen_range_usize(0, 2);
+        let kinds = if depth == 0 { 6 } else { 11 };
+        match self.rng.gen_range_usize(0, kinds) {
+            0 => format!("var {} = {};\n", self.fresh(), self.num()),
+            1 => format!("var {} = {};\n", self.fresh(), self.heap_value()),
+            2 => format!("n{n} = {};\n", self.num()),
+            3 => format!("o{o} = {};\n", self.heap_value()),
+            4 => format!("bump({});\n", self.num()),
+            5 => format!("o{o} = [{}];\nn{n} = o{o}.length;\n", self.num()),
+            6 => format!(
+                "if ({}) {{\n{}}} else {{\n{}}}\n",
+                self.cond(),
+                self.block(depth - 1),
+                self.block(depth - 1)
+            ),
+            7 => format!("if ({}) {{\n{}}}\n", self.cond(), self.block(depth - 1)),
+            8 => format!("if ({}) {{\nreturn {};\n}}\n", self.cond(), self.num()),
+            9 => {
+                let c = self.fresh();
+                let bound = self.rng.gen_range_usize(0, 3);
+                format!(
+                    "var {c} = 0;\nwhile ({c} < {bound}) {{\n{c} = {c} + 1;\n{}}}\n",
+                    self.block(depth - 1)
+                )
+            }
+            _ => {
+                let c = self.fresh();
+                let bound = self.rng.gen_range_usize(0, 3);
+                format!(
+                    "for (var {c} = 0; {c} < {bound}; {c} = {c} + 1) {{\n{}}}\n",
+                    self.block(depth - 1)
+                )
+            }
+        }
+    }
+}
+
+/// Runs one generated handler in a counting-only metered browser and
+/// checks both static floors against what the run really cost.
+fn assert_floor_holds_for_seed(seed: u64) {
+    let mut gen = HandlerGen {
+        rng: snapedge_rng::Rng::seed_from_u64(seed),
+        vars: 0,
+    };
+    let body = gen.block(3);
+    let script = format!(
+        "var n0 = 0;\nvar n1 = 1;\nvar n2 = 2;\nvar o0 = null;\nvar o1 = null;\n\
+         function bump(x) {{ return x + 1; }}\n\
+         function h() {{\n{body}}}\n\
+         document.getElementById(\"b\").addEventListener(\"go\", h);"
+    );
+    let floor = snapedge_analyze::effect_summary(&script, &EffectOptions::new())
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{script}"))
+        .cost;
+
+    let mut browser = snapedge_webapp::Browser::new();
+    browser.set_meter(MeterLimits::default());
+    browser
+        .load_html(&format!(
+            "<html><body><button id=\"b\">b</button></body>\n<script>\n{script}\n</script></html>"
+        ))
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{script}"));
+    let ops_before = browser.meter().unwrap().total_ops();
+    let cells_before = browser.core().heap.len();
+    browser.dispatch("b", "go").unwrap();
+    browser
+        .run_until_idle()
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{script}"));
+    let ops = browser.meter().unwrap().total_ops() - ops_before;
+    let cells = (browser.core().heap.len() - cells_before) as u64;
+    assert!(
+        floor.min_ops >= 1 && floor.min_ops <= ops,
+        "seed {seed}: op floor {} vs {ops} charged\n{script}",
+        floor.min_ops
+    );
+    assert!(
+        floor.min_new_cells <= cells,
+        "seed {seed}: cell floor {} vs {cells} allocated\n{script}",
+        floor.min_new_cells
+    );
+}
+
+#[test]
+fn handler_floors_never_exceed_what_a_metered_browser_charges() {
+    for seed in 0..300u64 {
+        assert_floor_holds_for_seed(seed);
+    }
 }

@@ -189,18 +189,20 @@ fn contention_emerges_as_queue_wait_events() {
 
 /// The modeled workload sees the same contention physics: one server and
 /// many synchronized clients produce strictly positive queue waits and a
-/// near-saturated CPU.
+/// near-saturated CPU; a lone client never queues; latency, queueing and
+/// utilization grow with the population, and think time relieves them.
 #[test]
 fn modeled_contention_saturates_a_single_server() {
-    let cfg = SessionConfig::paper_builder("agenet").build();
-    let mut engine = Engine::modeled(cfg, 20)
-        .unwrap()
-        .arrival(ArrivalProcess::ClosedLoop {
-            think: Duration::ZERO,
-        })
-        .duration(LONG)
-        .max_rounds(2);
-    let report = engine.run().unwrap();
+    let run = |model: &str, clients: usize, think: Duration, rounds: usize| {
+        Engine::modeled(SessionConfig::paper(model), clients)
+            .unwrap()
+            .arrival(ArrivalProcess::ClosedLoop { think })
+            .duration(LONG)
+            .max_rounds(rounds)
+            .run()
+            .unwrap()
+    };
+    let report = run("agenet", 20, Duration::ZERO, 2);
     assert_eq!(report.completed, 40);
     assert!(report.queue_wait.p50 > Duration::ZERO);
     assert_eq!(report.servers.len(), 1);
@@ -209,6 +211,18 @@ fn modeled_contention_saturates_a_single_server() {
         "20 synchronized clients must saturate one CPU, got {}",
         report.servers[0].utilization
     );
+
+    let think = Duration::from_secs(2);
+    let one = run("googlenet", 1, think, 4);
+    assert_eq!(one.completed, 4);
+    assert_eq!(one.queue_wait.max, Duration::ZERO, "a lone client queues");
+    let eight = run("googlenet", 8, think, 4);
+    assert!(eight.latency.mean > one.latency.mean);
+    assert!(eight.queue_wait.mean > one.queue_wait.mean);
+    assert!(eight.servers[0].utilization > one.servers[0].utilization);
+    let busy = run("googlenet", 8, Duration::from_millis(100), 4);
+    let relaxed = run("googlenet", 8, Duration::from_secs(20), 4);
+    assert!(relaxed.queue_wait.mean < busy.queue_wait.mean);
 }
 
 // ---------------------------------------------------------------------
