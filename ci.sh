@@ -34,12 +34,22 @@ cargo build --offline --release --workspace
 echo "== cargo test"
 cargo test --offline -q --workspace
 
-echo "== benchmark package (ledger/ is outside the workspace: build it, run its tests, smoke one workload)"
+echo "== benchmark package (ledger/ is outside the workspace: build it, run its tests, smoke steady_deep and the steady_partial fast path)"
 cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test --release --offline -q --manifest-path ledger/Cargo.toml
 ledger_smoke=$(cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml --bin ledger -- \
     --workload steady_deep --seed 1 --seconds 1 --trace 0)
 grep -q '"correct": true' <<<"$ledger_smoke"
+# The typed-array fast path is chosen by the shape of the wire text: if the
+# printer and the scanner drift apart, the only other symptom is a slow round.
+partial_smoke=$(cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml --bin ledger -- \
+    --workload steady_partial --seed 1 --seconds 1 --trace 1)
+grep -q '"correct": true' <<<"$partial_smoke"
+partial_tokens=$(awk '$1 == "webapp.lexer.tokens" { print $2 }' <<<"$partial_smoke")
+if [ -z "$partial_tokens" ] || [ "$partial_tokens" -ge 1000 ]; then
+    echo "steady_partial uplink lexes into ${partial_tokens:-no} tokens: the scanned Float32Array literal fell off the wire text" >&2
+    exit 1
+fi
 
 echo "== meter exhaustion CLI smoke (capped primary fails over, run still succeeds)"
 meter_smoke=$(cargo run --offline --release -p snapedge-cli --bin snapedge -- run \

@@ -223,7 +223,12 @@ impl<'a> Analysis<'a> {
                 self.resolve_expr(l, ctx);
                 self.resolve_expr(r, ctx);
             }
-            Expr::Undefined | Expr::Null | Expr::Bool(_) | Expr::Number(_) | Expr::Str(_) => {}
+            Expr::Undefined
+            | Expr::Null
+            | Expr::Bool(_)
+            | Expr::Number(_)
+            | Expr::Str(_)
+            | Expr::Float32ArrayLiteral(_) => {}
         }
     }
 

@@ -429,7 +429,12 @@ impl<'a> EffectPass<'a> {
                 self.scan_expr(l, ctx);
                 self.scan_expr(r, ctx);
             }
-            Expr::Undefined | Expr::Null | Expr::Bool(_) | Expr::Number(_) | Expr::Str(_) => {}
+            Expr::Undefined
+            | Expr::Null
+            | Expr::Bool(_)
+            | Expr::Number(_)
+            | Expr::Str(_)
+            | Expr::Float32ArrayLiteral(_) => {}
         }
     }
 
@@ -539,6 +544,9 @@ fn alloc_floor(expr: &Expr) -> u64 {
         Expr::Array(elems) => 1 + elems.iter().map(alloc_floor).sum::<u64>(),
         Expr::Object(props) => 1 + props.iter().map(|(_, e)| alloc_floor(e)).sum::<u64>(),
         Expr::NewFloat32Array(e) => 1 + alloc_floor(e),
+        // The typed cell and the (empty) list cell before it: the pair the
+        // `NewFloat32Array` over an `Array` it stands for allocates.
+        Expr::Float32ArrayLiteral(_) => 2,
         Expr::Member(e, _) | Expr::Unary(_, e) => alloc_floor(e),
         Expr::Index(obj, idx) => alloc_floor(obj) + alloc_floor(idx),
         Expr::Call(callee, args) => alloc_floor(callee) + args.iter().map(alloc_floor).sum::<u64>(),

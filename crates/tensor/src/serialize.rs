@@ -7,12 +7,17 @@
 //!   the paper). Size ≈ `4 bytes × element count`, which reproduces the
 //!   paper's model sizes (GoogLeNet ≈ 27 MB, Age/GenderNet ≈ 44 MB).
 //!
-//! * **JavaScript text** — the decimal representation a snapshot embeds
-//!   (`var feature = new Float32Array([0.1234, ...]);`). Shortest-roundtrip
-//!   decimal printing averages ≈ 12–19 bytes per element for typical
-//!   activations, which is exactly why the paper measures 14.7 MB of feature
-//!   data at GoogLeNet's `1st_conv` (112×112×64 floats) but only 2.9 MB at
-//!   `1st_pool` (56×56×64 floats).
+//! * **JavaScript text** — a size model of the decimal representation a
+//!   snapshot embeds (`var feature = new Float32Array([0.1234, ...]);`):
+//!   each value as the shortest decimal that round-trips as an `f32`,
+//!   ≈ 12–19 bytes per element for typical activations, which is why the
+//!   paper measures 14.7 MB of feature data at GoogLeNet's `1st_conv`
+//!   (112×112×64 floats) but only 2.9 MB at `1st_pool` (56×56×64 floats).
+//!   It is the yardstick behind such Fig. 8 estimates, **not** the wire
+//!   format: `snapedge-webapp` does not depend on this crate, prints each
+//!   element widened to `f64` (longer text), spells non-finite values
+//!   `(0/0)` / `(1/0)` rather than `NaN` / `Infinity`, and reads its
+//!   literals back with its own lexer.
 
 use crate::{Tensor, TensorError};
 
@@ -72,12 +77,13 @@ pub fn from_binary(buf: &[u8]) -> Result<Tensor, TensorError> {
     Tensor::from_vec(&dims, data)
 }
 
-/// Renders a tensor as the JavaScript expression a snapshot embeds:
-/// `new Float32Array([v0,v1,...])` — shortest-roundtrip decimal text.
+/// Renders a tensor as a JavaScript typed-array expression,
+/// `new Float32Array([v0,v1,...])`, each value the shortest decimal that
+/// round-trips as an `f32`.
 ///
-/// The snapshot generator in `snapedge-webapp` uses this for typed arrays;
-/// its length (not its parse-ability by a real JS engine) is what the
-/// paper's transmission measurements depend on.
+/// A size model (see the module docs), with no caller in the offloading
+/// path: its length, not its parse-ability by a JS engine or by MiniJS, is
+/// what matters.
 pub fn to_js_text(t: &Tensor) -> String {
     let mut s = String::with_capacity(t.len() * 12 + 32);
     s.push_str("new Float32Array([");
@@ -120,10 +126,10 @@ fn push_js_number(s: &mut String, v: f32) {
     }
 }
 
-/// Parses the output of [`to_js_text`] back into a flat `Vec<f32>`.
-///
-/// The snapshot interpreter uses this to restore typed arrays; shape is
-/// carried separately by the surrounding snapshot code.
+/// Parses the output of [`to_js_text`] back into a flat `Vec<f32>` (the
+/// shape is not part of the text). The inverse of the size model only: the
+/// snapshot interpreter restores typed arrays through the MiniJS lexer in
+/// `snapedge-webapp`, not through this function.
 ///
 /// # Errors
 ///

@@ -32,6 +32,12 @@ pub enum Expr {
     Object(Vec<(String, Expr)>),
     /// `new Float32Array(expr)` — the only constructor MiniJS needs.
     NewFloat32Array(Box<Expr>),
+    /// `new Float32Array([e,e,…])` written in the snapshot printer's own
+    /// alphabet, held as the values it constructs: evaluates (ops, heap
+    /// cells, ids) and prints exactly like the `NewFloat32Array` over an
+    /// `Array` of `Number`s it replaces. This is the one form the parser
+    /// returns for such text; see `lexer::scan_f32_list` for the alphabet.
+    Float32ArrayLiteral(Vec<f32>),
     /// Property access `expr.name`.
     Member(Box<Expr>, String),
     /// Index access `expr[index]`.
@@ -154,6 +160,16 @@ impl fmt::Display for Expr {
                 write!(f, "}}")
             }
             Expr::NewFloat32Array(arg) => write!(f, "new Float32Array({arg})"),
+            Expr::Float32ArrayLiteral(data) => {
+                write!(f, "new Float32Array([")?;
+                for (i, v) in data.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ",")?;
+                    }
+                    write!(f, "{}", number_literal(f64::from(*v)))?;
+                }
+                write!(f, "])")
+            }
             Expr::Member(obj, name) => write!(f, "{}.{name}", Paren(obj)),
             Expr::Index(obj, index) => write!(f, "{}[{index}]", Paren(obj)),
             Expr::Call(callee, args) => {
@@ -186,7 +202,8 @@ impl fmt::Display for Paren<'_> {
             | Expr::Call(..)
             | Expr::Str(_)
             | Expr::Array(_)
-            | Expr::NewFloat32Array(_) => write!(f, "{}", self.0),
+            | Expr::NewFloat32Array(_)
+            | Expr::Float32ArrayLiteral(_) => write!(f, "{}", self.0),
             other => write!(f, "({other})"),
         }
     }

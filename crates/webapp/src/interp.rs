@@ -203,13 +203,34 @@ impl Browser {
     fn bump_steps(&mut self) -> Result<(), WebError> {
         self.core.steps += 1;
         if self.core.steps > self.max_steps() {
-            return Err(WebError::Runtime(format!(
-                "step limit exceeded ({})",
-                self.max_steps()
-            )));
+            return Err(self.step_limit_exceeded());
         }
         if let Some(m) = self.meter.as_mut() {
             m.charge(1, self.core.heap.len())?;
+        }
+        Ok(())
+    }
+
+    fn step_limit_exceeded(&self) -> WebError {
+        WebError::Runtime(format!("step limit exceeded ({})", self.max_steps()))
+    }
+
+    /// `n` [`Browser::bump_steps`] in a row with no allocation between them,
+    /// in one call: stops on the step that would have failed, with the
+    /// error and the counters (`steps`, the meter's ops and peak heap) that
+    /// `n` single calls leave behind.
+    fn bump_steps_by(&mut self, n: u64) -> Result<(), WebError> {
+        let fit = n.min(self.max_steps().saturating_sub(self.core.steps));
+        if let Some(m) = self.meter.as_mut() {
+            if let Err((charged, e)) = m.charge_units(fit, self.core.heap.len()) {
+                self.core.steps += charged;
+                return Err(e);
+            }
+        }
+        self.core.steps += fit;
+        if fit < n {
+            self.core.steps += 1;
+            return Err(self.step_limit_exceeded());
         }
         Ok(())
     }
@@ -435,6 +456,17 @@ impl Browser {
                     }
                 };
                 Ok(self.core.heap.alloc_f32(data))
+            }
+            Expr::Float32ArrayLiteral(data) => {
+                // What evaluating the same text as `NewFloat32Array` over an
+                // `Array` charges after the step above: the list, one per
+                // number, three per `(0/0)`-style quotient.
+                let quotients = data.iter().filter(|v| !v.is_finite()).count();
+                self.bump_steps_by((1 + data.len() + 2 * quotients) as u64)?;
+                // That path allocates its list before the typed array; the
+                // slot is kept (empty) so ids and `heap.len()` do not move.
+                self.core.heap.alloc_array(Vec::new());
+                Ok(self.core.heap.alloc_f32(data.clone()))
             }
             Expr::Member(obj_expr, prop) => {
                 let obj = self.eval(obj_expr, frame)?;

@@ -229,6 +229,35 @@ impl Meter {
         Ok(())
     }
 
+    /// `n` unit charges at one heap size — what the interpreter owes for a
+    /// run of steps that allocates nothing — stopping where `n` calls of
+    /// `charge(1, heap_cells)` would: on failure, returns how many units
+    /// were charged (the failing one included) with the error.
+    pub(crate) fn charge_units(
+        &mut self,
+        n: u64,
+        heap_cells: usize,
+    ) -> Result<(), (u64, WebError)> {
+        if n == 0 {
+            return Ok(());
+        }
+        // The heap cap sees the same size every time, so it can only trip
+        // on the first unit; the op cap trips on the first unit past it.
+        let heap_trips = self
+            .limits
+            .max_heap_cells
+            .is_some_and(|cap| heap_cells > cap);
+        let ops_trip_at = self.limits.max_ops.map_or(u64::MAX, |cap| {
+            cap.saturating_sub(self.ops).saturating_add(1)
+        });
+        let units = if heap_trips { 1 } else { n.min(ops_trip_at) };
+        // All but the last unit are known to pass; the last is a plain
+        // `charge`, which also owns both error values.
+        self.ops += units - 1;
+        self.total_ops += units - 1;
+        self.charge(1, heap_cells).map_err(|e| (units, e))
+    }
+
     /// Enters a MiniJS function call, failing past the call-depth cap.
     pub(crate) fn enter_call(&mut self) -> Result<(), WebError> {
         self.depth += 1;
@@ -336,6 +365,37 @@ mod tests {
         meter.begin_segment();
         meter.charge(3, 0).unwrap(); // fresh budget
         assert_eq!(meter.total_ops(), 7);
+    }
+
+    #[test]
+    fn charge_units_stops_where_single_charges_would() {
+        for ops_cap in [None, Some(0), Some(1), Some(4), Some(5), Some(9)] {
+            for heap_cap in [None, Some(2), Some(3)] {
+                for spent in 0..7u64 {
+                    for n in 0..8u64 {
+                        let limits = MeterLimits {
+                            max_ops: ops_cap,
+                            max_heap_cells: heap_cap,
+                            ..MeterLimits::default()
+                        };
+                        let mut singles = Meter::new(limits);
+                        // May already be over budget: a failed charge still counts.
+                        let _ = singles.charge(spent, 1);
+                        let mut bulk = singles.clone();
+                        let mut expected = Ok(());
+                        for unit in 1..=n {
+                            if let Err(e) = singles.charge(1, 3) {
+                                expected = Err((unit, e));
+                                break;
+                            }
+                        }
+                        let what = format!("{ops_cap:?} {heap_cap:?} spent {spent} n {n}");
+                        assert_eq!(bulk.charge_units(n, 3), expected, "{what}");
+                        assert_eq!(bulk, singles, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

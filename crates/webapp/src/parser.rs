@@ -79,7 +79,13 @@ impl Parser {
     }
 
     fn enter(&mut self) -> Result<(), WebError> {
-        self.depth += 1;
+        self.enter_levels(1)
+    }
+
+    /// Descends `levels` at once: a scanned `Float32Array` list stands for
+    /// the recursion the general path does to read the same text.
+    fn enter_levels(&mut self, levels: usize) -> Result<(), WebError> {
+        self.depth += levels;
         if self.depth > MAX_PARSE_DEPTH {
             return Err(WebError::Parse {
                 line: self.line(),
@@ -93,17 +99,45 @@ impl Parser {
         self.depth = self.depth.saturating_sub(1);
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].token.clone();
+    /// Steps past the current token (never past the final `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
+    }
+
+    fn advance(&mut self) -> Token {
+        let t = self.tokens[self.pos].token.clone();
+        self.bump();
         t
+    }
+
+    /// Takes a string literal out of the token stream: the 70 kB image
+    /// data URL of every delta moves from the lexer's buffer into the AST
+    /// without being copied on the way.
+    fn eat_str(&mut self) -> Option<String> {
+        let Token::Str(s) = &mut self.tokens[self.pos].token else {
+            return None;
+        };
+        let s = std::mem::take(s);
+        self.bump();
+        Some(s)
+    }
+
+    /// Takes a scanned `Float32Array` argument (values, nesting) out of
+    /// the token stream.
+    fn eat_f32_list(&mut self) -> Option<(Vec<f32>, usize)> {
+        let Token::F32List { data, nesting } = &mut self.tokens[self.pos].token else {
+            return None;
+        };
+        let list = (std::mem::take(data), usize::from(*nesting));
+        self.bump();
+        Some(list)
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
         if matches!(self.peek(), Token::Punct(q) if *q == p) {
-            self.advance();
+            self.bump();
             true
         } else {
             false
@@ -122,7 +156,7 @@ impl Parser {
     /// per token instead of a string compare.
     fn eat_keyword(&mut self, kw: Symbol) -> bool {
         if matches!(self.peek(), Token::Ident(name) if name.sym() == kw) {
-            self.advance();
+            self.bump();
             true
         } else {
             false
@@ -477,39 +511,47 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, WebError> {
+        if let Some(s) = self.eat_str() {
+            return Ok(Expr::Str(s));
+        }
+        // Every other token is cheap to clone: a number, an `Rc` bump, a
+        // `&'static str`.
         match self.peek().clone() {
             Token::Number(n) => {
-                self.advance();
+                self.bump();
                 Ok(Expr::Number(n))
-            }
-            Token::Str(s) => {
-                self.advance();
-                Ok(Expr::Str(s))
             }
             Token::Ident(name) => match name.sym() {
                 Symbol::TRUE => {
-                    self.advance();
+                    self.bump();
                     Ok(Expr::Bool(true))
                 }
                 Symbol::FALSE => {
-                    self.advance();
+                    self.bump();
                     Ok(Expr::Bool(false))
                 }
                 Symbol::NULL => {
-                    self.advance();
+                    self.bump();
                     Ok(Expr::Null)
                 }
                 Symbol::UNDEFINED => {
-                    self.advance();
+                    self.bump();
                     Ok(Expr::Undefined)
                 }
                 Symbol::NEW => {
-                    self.advance();
+                    self.bump();
                     let ctor = self.expect_ident()?;
                     if ctor.sym() != Symbol::FLOAT32_ARRAY {
                         return Err(self.error(&format!(
                             "only `new Float32Array(...)` is supported, got new {ctor}"
                         )));
+                    }
+                    if let Some((data, nesting)) = self.eat_f32_list() {
+                        // Same nesting cap on the same inputs as the
+                        // general path, which recurses this deep.
+                        self.enter_levels(nesting)?;
+                        self.depth -= nesting;
+                        return Ok(Expr::Float32ArrayLiteral(data));
                     }
                     self.expect_punct("(")?;
                     let arg = self.expression()?;
@@ -517,18 +559,18 @@ impl Parser {
                     Ok(Expr::NewFloat32Array(Box::new(arg)))
                 }
                 _ => {
-                    self.advance();
+                    self.bump();
                     Ok(Expr::Ident(name))
                 }
             },
             Token::Punct("(") => {
-                self.advance();
+                self.bump();
                 let e = self.expression()?;
                 self.expect_punct(")")?;
                 Ok(e)
             }
             Token::Punct("[") => {
-                self.advance();
+                self.bump();
                 let mut elems = Vec::new();
                 if !self.eat_punct("]") {
                     loop {
@@ -542,17 +584,19 @@ impl Parser {
                 Ok(Expr::Array(elems))
             }
             Token::Punct("{") => {
-                self.advance();
+                self.bump();
                 let mut props = Vec::new();
                 if !self.eat_punct("}") {
                     loop {
-                        let key = match self.advance() {
-                            Token::Ident(name) => name.as_str().to_string(),
-                            Token::Str(s) => s,
-                            _ => {
-                                self.pos = self.pos.saturating_sub(1);
-                                return Err(self.error("expected property name"));
-                            }
+                        let key = match self.eat_str() {
+                            Some(s) => s,
+                            None => match self.advance() {
+                                Token::Ident(name) => name.as_str().to_string(),
+                                _ => {
+                                    self.pos = self.pos.saturating_sub(1);
+                                    return Err(self.error("expected property name"));
+                                }
+                            },
                         };
                         self.expect_punct(":")?;
                         let value = self.expression()?;

@@ -64,6 +64,49 @@ fn literal(rng: &mut Rng) -> Expr {
     }
 }
 
+/// `new Float32Array(arg)` as the parser returns it for its printed text —
+/// the canonical form, decided here once: a list of numbers that are all
+/// exactly `f32`s is the typed literal, anything else the general node.
+fn new_float32_array(arg: Expr) -> Expr {
+    if let Expr::Array(elems) = &arg {
+        let exact: Option<Vec<f32>> = elems
+            .iter()
+            .map(|e| match e {
+                Expr::Number(n) if f64::from(*n as f32) == *n => Some(*n as f32),
+                _ => None,
+            })
+            .collect();
+        if let Some(data) = exact {
+            return Expr::Float32ArrayLiteral(data);
+        }
+    }
+    Expr::NewFloat32Array(Box::new(arg))
+}
+
+/// A list of numbers for a typed-array constructor: mostly widened `f32`
+/// bit patterns (±0, subnormals, `f32::MAX`, ±inf all occur; NaN is left
+/// out because `NaN != NaN` would fail the AST comparison, not the parser),
+/// now and then an `f64` no `f32` holds, which keeps the whole list on the
+/// general path.
+fn number_list(rng: &mut Rng) -> Expr {
+    let n = rng.gen_range_usize(0, 5);
+    Expr::Array(
+        (0..n)
+            .map(|_| {
+                if rng.gen_range_usize(0, 6) == 0 {
+                    return Expr::Number(rng.gen_range_f64(-1.0e9, 1.0e9));
+                }
+                loop {
+                    let v = f32::from_bits(rng.next_u64() as u32);
+                    if !v.is_nan() {
+                        return Expr::Number(f64::from(v));
+                    }
+                }
+            })
+            .collect(),
+    )
+}
+
 const BINOPS: &[&str] = &[
     "+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||",
 ];
@@ -107,7 +150,14 @@ fn expr(rng: &mut Rng, depth: usize) -> Expr {
                 (op, e) => Expr::Unary(op, Box::new(e)),
             }
         }
-        _ => Expr::NewFloat32Array(Box::new(expr(rng, d))),
+        _ => {
+            let arg = if rng.next_bool() {
+                number_list(rng)
+            } else {
+                expr(rng, d)
+            };
+            new_float32_array(arg)
+        }
     }
 }
 
@@ -182,6 +232,41 @@ fn print_then_parse_is_identity() {
         let reparsed = parse_program(&printed)
             .unwrap_or_else(|e| panic!("printed program failed to parse: {e}\n{printed}"));
         assert_eq!(reparsed, prog, "case {case} printed:\n{printed}");
+        // App functions are re-emitted into every snapshot from their
+        // ASTs: the text must not drift from one generation to the next.
+        assert_eq!(print_program(&reparsed), printed, "case {case}");
+    }
+}
+
+#[test]
+fn typed_array_literals_take_the_canonical_form_and_reprint_unchanged() {
+    // (source, is the typed literal, printed form)
+    let cases = [
+        ("new Float32Array([])", true, "new Float32Array([])"),
+        (
+            "new Float32Array([1,0.5,(-2.25),-0,(0/0),(1/0),(-1/0)])",
+            true,
+            "new Float32Array([1,0.5,(-2.25),(-0),(0/0),(1/0),(-1/0)])",
+        ),
+        // 0.1 is not an f32: rounding it at parse time would re-print it
+        // as 0.10000000149011612 in the next snapshot.
+        ("new Float32Array([0.1])", false, "new Float32Array([0.1])"),
+        ("new Float32Array([1, 2])", false, "new Float32Array([1,2])"),
+        ("new Float32Array(3)", false, "new Float32Array(3)"),
+    ];
+    for (src, typed, printed) in cases {
+        let prog = parse_program(&format!("function h() {{ return {src}; }}")).unwrap();
+        let Stmt::Function(def) = &prog[0] else {
+            panic!("{src}")
+        };
+        let Stmt::Return(Some(e)) = &def.body[0] else {
+            panic!("{src}")
+        };
+        assert_eq!(matches!(e, Expr::Float32ArrayLiteral(_)), typed, "{src}");
+        assert_eq!(e.to_string(), printed, "{src}");
+        let once = print_program(&prog);
+        let twice = print_program(&parse_program(&once).unwrap());
+        assert_eq!(once, twice, "{src}");
     }
 }
 

@@ -252,10 +252,12 @@ impl HandlerGen {
 
     fn heap_value(&mut self) -> String {
         let n = self.num();
-        match self.rng.gen_range_usize(0, 4) {
+        match self.rng.gen_range_usize(0, 5) {
             0 => format!("[{n}, [{n}]]"),
             1 => format!("{{a: {n}, b: [1, 2]}}"),
             2 => "new Float32Array(3)".to_string(),
+            // The printer's spelling: scanned into one typed-literal node.
+            3 => "new Float32Array([1,0.5,(-2),(0/0)])".to_string(),
             _ => "[]".to_string(),
         }
     }
@@ -365,4 +367,40 @@ fn handler_floors_never_exceed_what_a_metered_browser_charges() {
     for seed in 0..300u64 {
         assert_floor_holds_for_seed(seed);
     }
+}
+
+#[test]
+fn a_typed_literal_floors_at_the_two_cells_and_one_statement_it_costs() {
+    let script = "var o0 = null;\nfunction h() {\no0 = new Float32Array([1,0.5,(-2),(0/0)]);\n}\n\
+                  document.getElementById(\"b\").addEventListener(\"go\", h);";
+    let prog = snapedge_webapp::parser::parse_program(script).unwrap();
+    assert!(
+        format!("{prog:?}").contains("Float32ArrayLiteral"),
+        "the handler must hold the scanned node: {prog:?}"
+    );
+    let floor = snapedge_analyze::effect_summary(script, &EffectOptions::new())
+        .unwrap()
+        .cost;
+    // The typed cell and the list cell before it, as for the same text
+    // read as `NewFloat32Array` over an `Array`.
+    let spaced = script.replace("([", "( [");
+    let general = snapedge_analyze::effect_summary(&spaced, &EffectOptions::new())
+        .unwrap()
+        .cost;
+    assert_eq!(floor, general);
+    assert_eq!(floor.min_new_cells, 2);
+
+    let mut browser = snapedge_webapp::Browser::new();
+    browser.set_meter(MeterLimits::default());
+    browser
+        .load_html(&format!(
+            "<html><body><button id=\"b\">b</button></body>\n<script>\n{script}\n</script></html>"
+        ))
+        .unwrap();
+    let ops_before = browser.meter().unwrap().total_ops();
+    let cells_before = browser.core().heap.len();
+    browser.dispatch("b", "go").unwrap();
+    browser.run_until_idle().unwrap();
+    assert_eq!(browser.core().heap.len() - cells_before, 2);
+    assert!(floor.min_ops <= browser.meter().unwrap().total_ops() - ops_before);
 }
