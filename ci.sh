@@ -28,11 +28,17 @@ if grep -rnE 'CaptureHints|set_capture_hints|pruned_globals' crates/*/src; then 
 echo "== effect analysis is two gates (write sets, ceilings, the cache and the contention simulator stay deleted)"
 if grep -rnE 'round_writes|EffectCache|max_new_cells|simulate_contention' crates/*/src; then exit 1; fi
 
+echo "== float text is printed, not cached (the render cache and the heap versions it was keyed by stay deleted)"
+if grep -rnE 'RenderCache|render_cache|HEAP_GENERATION' crates/*/src; then exit 1; fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
 echo "== cargo test"
 cargo test --offline -q --workspace
+
+echo "== float printer = Display on 1/256 of every finite f32 (a wrong table entry or tie rule fails here, not as a fixture hash)"
+PARTS=256 cargo test --offline --release -q -p snapedge-webapp --lib -- --ignored every_finite_pattern_prints_as_display
 
 echo "== benchmark package (ledger/ is outside the workspace: build it, run its tests, smoke steady_deep and the steady_partial fast path)"
 cargo build --release --offline --manifest-path ledger/Cargo.toml

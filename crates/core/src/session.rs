@@ -32,6 +32,7 @@ use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
 use snapedge_net::{Link, NetError, SimClock};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
 use snapedge_webapp::{DeltaCapture, MeterLimits, RunOutcome, StateBase, WebError};
+use std::rc::Rc;
 use std::time::Duration;
 
 /// Configuration of a multi-inference session: the shared
@@ -239,7 +240,9 @@ pub struct OffloadSession {
     server: Endpoint,
     uplink: Link,
     downlink: Link,
-    agreed: Option<StateBase>,
+    /// Shared, so a round can hold it across the `&mut self` calls of the
+    /// uplink without copying the DOM and the globals.
+    agreed: Option<Rc<StateBase>>,
     round: usize,
     /// When the current server acknowledged the model pre-send.
     ack_at: Duration,
@@ -1282,7 +1285,7 @@ impl OffloadSession {
         self.client.browser.set_offload_trigger(Some(trigger));
 
         // Client and server now agree on the client's state.
-        self.agreed = Some(self.client.browser.state_base());
+        self.agreed = Some(Rc::new(self.client.browser.state_base()));
 
         let (ops_used, peak_heap) = self.meter_usage();
         Ok(Some(RoundReport {

@@ -11,7 +11,7 @@ use crate::host::{HostEffect, HostObject};
 use crate::intern::{Ident, Symbol};
 use crate::interp::FrameLayout;
 use crate::meter::{Meter, MeterLimits};
-use crate::value::{Heap, JsValue, ObjId};
+use crate::value::{Heap, JsValue};
 use crate::WebError;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -245,10 +245,6 @@ pub struct Browser {
     /// Per-function frame layouts (locals → slots), validated against the
     /// registered definition by pointer identity.
     pub(crate) layout_cache: BTreeMap<Symbol, (Rc<FunctionDef>, Rc<FrameLayout>)>,
-    /// Rendered `Float32Array` literals keyed by
-    /// `(heap generation, cell, version)` — clean payload cells reuse
-    /// their serialized text across captures (structural sharing).
-    pub(crate) render_cache: BTreeMap<(u64, ObjId, u32), Rc<str>>,
 }
 
 impl Default for Browser {
@@ -284,7 +280,6 @@ impl Browser {
             browser_id: BROWSER_ID.fetch_add(1, Ordering::Relaxed),
             snap_cache: None,
             layout_cache: BTreeMap::new(),
-            render_cache: BTreeMap::new(),
         }
     }
 

@@ -22,10 +22,9 @@
 use crate::ast::escape_str;
 use crate::browser::{Browser, Core};
 use crate::dom::DomNodeId;
+use crate::f32text::render_f32_literal;
 use crate::intern::{Ident, Symbol};
-use crate::snapshot::{
-    element_expr, emit_globals_script, render_f32_literal, value_ref, RenderCache, RESERVED_PREFIX,
-};
+use crate::snapshot::{element_expr, emit_globals_script, value_ref, RESERVED_PREFIX};
 use crate::value::ObjId;
 use crate::{SnapshotOptions, WebError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -249,7 +248,6 @@ impl Browser {
             } else {
                 None
             },
-            &mut self.render_cache,
             &mut work,
         )?;
         if matches!(result, DeltaCapture::Delta(_)) {
@@ -279,12 +277,12 @@ fn capture_delta(
     base: &Core,
     options: &SnapshotOptions,
     cache: Option<&SnapCache>,
-    render_cache: &mut RenderCache,
     work: &mut CaptureWork,
 ) -> Result<DeltaCapture, WebError> {
     let mut stats = DeltaStats::default();
-    let mut functions = String::new();
-    let mut body = String::new();
+    // Written once, front to back, into the buffer that ships; a
+    // `FullRequired` found on the way drops it.
+    let mut script = String::from("// delta snapshot generated by snapedge\n");
 
     // ---- Functions: additions/changes re-declare; removals need a full
     // snapshot (MiniJS cannot un-define). Name order, so the
@@ -304,10 +302,11 @@ fn capture_delta(
             continue;
         }
         if base.functions.get(&name.sym()).map(|d| d.as_ref()) != Some(def.as_ref()) {
-            functions.push_str(&def.to_string());
+            let _ = write!(script, "{def}");
             stats.changed_functions += 1;
         }
     }
+    let _ = writeln!(script, "function {RESERVED_PREFIX}apply_delta() {{");
 
     // ---- Globals: removals need a full snapshot; changes re-serialize.
     for name in base.globals.names_sorted() {
@@ -422,13 +421,12 @@ fn capture_delta(
     };
     stats.dom_ops = dom_ops.len();
     for op in &dom_ops {
-        body.push_str(op);
-        body.push('\n');
+        script.push_str(op);
+        script.push('\n');
     }
 
     if !changed.is_empty() {
-        let emit = emit_globals_script(new, &changed, options, Some(render_cache))?;
-        body.push_str(&emit.script);
+        let emit = emit_globals_script(new, &changed, options, &mut script)?;
         stats.changed_globals = changed.len();
         work.cells = emit.cells as u64;
     }
@@ -440,8 +438,8 @@ fn capture_delta(
     };
     stats.listener_ops = listener_ops.len();
     for op in &listener_ops {
-        body.push_str(op);
-        body.push('\n');
+        script.push_str(op);
+        script.push('\n');
     }
 
     // ---- Pending events. Events present in the base were either still
@@ -460,11 +458,11 @@ fn capture_delta(
         .collect::<Result<_, WebError>>()?;
     if base_queue != new_queue {
         if !base_queue.is_empty() {
-            body.push_str("document.clearEventQueue();\n");
+            script.push_str("document.clearEventQueue();\n");
         }
         for event in &new.queue {
             let _ = writeln!(
-                body,
+                script,
                 "{}.dispatchEvent({});",
                 element_expr(new, event.target)?,
                 escape_str(&event.event)
@@ -473,12 +471,7 @@ fn capture_delta(
         }
     }
 
-    let mut script = String::new();
-    script.push_str("// delta snapshot generated by snapedge\n");
-    script.push_str(&functions);
-    script.push_str(&format!("function {RESERVED_PREFIX}apply_delta() {{\n"));
-    script.push_str(&body);
-    script.push_str(&format!("}}\n{RESERVED_PREFIX}apply_delta();\n"));
+    let _ = writeln!(script, "}}\n{RESERVED_PREFIX}apply_delta();");
     stats.bytes = script.len();
     Ok(DeltaCapture::Delta(DeltaScript { script, stats }))
 }

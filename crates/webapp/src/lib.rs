@@ -54,6 +54,7 @@ mod browser;
 mod delta;
 mod dom;
 mod error;
+mod f32text;
 mod host;
 pub mod html;
 pub mod intern;

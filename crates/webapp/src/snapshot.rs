@@ -16,25 +16,13 @@
 
 use crate::ast::{escape_str, number_literal};
 use crate::browser::{Browser, Core};
+use crate::f32text::render_f32_literal;
 use crate::html::serialize_body;
 use crate::intern::Symbol;
 use crate::value::{HeapCell, JsValue, ObjId};
 use crate::WebError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::rc::Rc;
-
-/// Cache of rendered `Float32Array` literals, keyed by
-/// `(heap generation, cell, version)`. The write barrier bumps a cell's
-/// version on every mutation, so a hit is guaranteed byte-identical to
-/// re-rendering — clean payload cells share their serialized text across
-/// captures instead of being re-stringified each time.
-pub(crate) type RenderCache = BTreeMap<(u64, ObjId, u32), Rc<str>>;
-
-/// Beyond this many cached literals the cache is dropped wholesale —
-/// payload arrays are few and large, so eviction precision is not worth
-/// bookkeeping.
-const RENDER_CACHE_MAX: usize = 1024;
 
 /// Options controlling snapshot generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,11 +137,9 @@ impl Browser {
         self.core.queue.clear();
         self.core.heap = crate::value::Heap::new();
         // The heap was rebuilt: every capture anchor and derived cache is
-        // void (the fresh generation would shield the render cache anyway,
-        // but stale entries are dead weight).
+        // void.
         self.snap_cache = None;
         self.layout_cache.clear();
-        self.render_cache.clear();
         self.load_html(snapshot.html())
     }
 }
@@ -182,12 +168,8 @@ pub fn is_reserved_machinery(name: &str) -> bool {
     }
 }
 
-/// Output of [`emit_globals_script`].
+/// Accounting returned by [`emit_globals_script`].
 pub(crate) struct GlobalsEmit {
-    /// MiniJS statements: temp declarations, patches, global assignments.
-    /// Intended to run inside a function scope (temps use `var`, globals
-    /// use bare assignment).
-    pub script: String,
     /// Heap cells serialized.
     pub cells: usize,
     /// Cells inlined as literals.
@@ -195,18 +177,23 @@ pub(crate) struct GlobalsEmit {
 }
 
 /// Serializes the heap reachable from the *selected* globals, plus the
-/// assignments for those globals. Shared by full capture (all globals) and
-/// delta capture (changed globals only).
+/// assignments for those globals, appending to `script`. Shared by full
+/// capture (all globals) and delta capture (changed globals only).
+///
+/// The statements — temp declarations, patches, global assignments — are
+/// meant to run inside a function scope (temps use `var`, globals use bare
+/// assignment). They go straight into the caller's buffer because a typed
+/// array makes them hundreds of kilobytes: the capture is rendered once,
+/// where it ships from.
 ///
 /// Globals are symbol-keyed in memory, but every serialized artifact is
 /// defined in *name* order — selection resolves and sorts before any
-/// byte is emitted. `render_cache` (when provided) reuses serialized
-/// `Float32Array` text for cells whose version is unchanged.
+/// byte is emitted.
 pub(crate) fn emit_globals_script(
     core: &Core,
     names: &BTreeSet<Symbol>,
     options: &SnapshotOptions,
-    mut render_cache: Option<&mut RenderCache>,
+    script: &mut String,
 ) -> Result<GlobalsEmit, WebError> {
     // ---- Reachability, in deterministic (name) order. ----
     let mut order: Vec<ObjId> = Vec::new();
@@ -299,8 +286,6 @@ pub(crate) fn emit_globals_script(
     }
     let temp_name = move |id: ObjId| format!("{prefix}{}", id.index());
 
-    let mut script = String::new();
-
     // ---- Phase A: declare non-inlined cells. ----
     for &id in &order {
         if inlined.contains(&id) {
@@ -315,26 +300,7 @@ pub(crate) fn emit_globals_script(
             }
             HeapCell::Float32Array(data) => {
                 let _ = write!(script, "var {} = ", temp_name(id));
-                match render_cache.as_deref_mut() {
-                    Some(cache) => {
-                        let key = (core.heap.generation(), id, core.heap.version(id));
-                        if let Some(text) = cache.get(&key) {
-                            script.push_str(text);
-                        } else {
-                            // The rendered text is retained by the cache as
-                            // an `Rc<str>` — per-miss ownership is the
-                            // point. lint: allow(collect-in-loop)
-                            let mut text = String::new();
-                            render_f32_literal(data, &mut text);
-                            script.push_str(&text);
-                            if cache.len() >= RENDER_CACHE_MAX {
-                                cache.clear();
-                            }
-                            cache.insert(key, Rc::from(text));
-                        }
-                    }
-                    None => render_f32_literal(data, &mut script),
-                }
+                render_f32_literal(data, script);
                 script.push_str(";\n");
             }
         }
@@ -354,7 +320,7 @@ pub(crate) fn emit_globals_script(
                         continue;
                     }
                     let _ = write!(script, "{}[{}] = ", temp_name(id), escape_str(k));
-                    render_value(core, v, &inlined, &temp_name, &mut script)?;
+                    render_value(core, v, &inlined, &temp_name, script)?;
                     script.push_str(";\n");
                 }
             }
@@ -364,7 +330,7 @@ pub(crate) fn emit_globals_script(
                         continue;
                     }
                     let _ = write!(script, "{}[{i}] = ", temp_name(id));
-                    render_value(core, v, &inlined, &temp_name, &mut script)?;
+                    render_value(core, v, &inlined, &temp_name, script)?;
                     script.push_str(";\n");
                 }
             }
@@ -376,12 +342,11 @@ pub(crate) fn emit_globals_script(
     // un-declared assignment creates true globals). ----
     for (name, value) in &selected {
         let _ = write!(script, "{name} = ");
-        render_value(core, value, &inlined, &temp_name, &mut script)?;
+        render_value(core, value, &inlined, &temp_name, script)?;
         script.push_str(";\n");
     }
 
     Ok(GlobalsEmit {
-        script,
         cells: order.len(),
         inlined: inlined.len(),
     })
@@ -459,10 +424,13 @@ fn render_cell_literal(
 fn capture(browser: &mut Browser, options: &SnapshotOptions) -> Result<Snapshot, WebError> {
     browser.core.doc.ensure_ids();
     let core = &browser.core;
-    let render_cache = &mut browser.render_cache;
 
-    let mut script = String::new();
-    script.push_str("// snapshot generated by snapedge\n");
+    // The document is written once, front to back, into the buffer that
+    // ships.
+    let mut html = String::new();
+    html.push_str("<html><body>");
+    html.push_str(&serialize_body(&core.doc));
+    html.push_str("</body>\n<script>\n// snapshot generated by snapedge\n");
 
     // 1. Functions, sorted by name (the map is symbol-keyed, so emission
     //    re-sorts). The reserved restore function from a previous
@@ -471,20 +439,19 @@ fn capture(browser: &mut Browser, options: &SnapshotOptions) -> Result<Snapshot,
         if def.name.starts_with(RESERVED_PREFIX) {
             continue;
         }
-        script.push_str(&def.to_string());
+        let _ = write!(html, "{def}");
     }
 
     // 2-4. State rebuilding runs inside a function so heap temporaries are
     // locals; app globals are created by un-declared assignment.
-    script.push_str(&format!("function {RESERVED_PREFIX}restore() {{\n"));
+    let _ = writeln!(html, "function {RESERVED_PREFIX}restore() {{");
     let all_names: BTreeSet<Symbol> = core.globals.iter().map(|(s, _)| s).collect();
-    let emit = emit_globals_script(core, &all_names, options, Some(render_cache))?;
-    script.push_str(&emit.script);
+    let emit = emit_globals_script(core, &all_names, options, &mut html)?;
 
     // 5. Event listeners (registration order preserved).
     for listener in &core.listeners {
         let _ = writeln!(
-            script,
+            html,
             "{}.addEventListener({}, {});",
             element_expr(core, listener.target)?,
             escape_str(&listener.event),
@@ -499,25 +466,23 @@ fn capture(browser: &mut Browser, options: &SnapshotOptions) -> Result<Snapshot,
             .image_data(node)
             .map_err(|e| WebError::Snapshot(format!("canvas: {e}")))?
         {
-            let _ = write!(script, "{}.setImageData(", element_expr(core, node)?);
-            render_f32_literal(data, &mut script);
-            script.push_str(");\n");
+            let _ = write!(html, "{}.setImageData(", element_expr(core, node)?);
+            render_f32_literal(data, &mut html);
+            html.push_str(");\n");
         }
     }
 
     // 7. Pending events — the re-dispatch that resumes execution.
     for event in &core.queue {
         let _ = writeln!(
-            script,
+            html,
             "{}.dispatchEvent({});",
             element_expr(core, event.target)?,
             escape_str(&event.event)
         );
     }
-    script.push_str(&format!("}}\n{RESERVED_PREFIX}restore();\n"));
+    let _ = write!(html, "}}\n{RESERVED_PREFIX}restore();\n</script></html>\n");
 
-    let body = serialize_body(&core.doc);
-    let html = format!("<html><body>{body}</body>\n<script>\n{script}</script></html>\n");
     let stats = SnapshotStats {
         heap_cells: emit.cells,
         inlined_cells: emit.inlined,
@@ -536,29 +501,6 @@ fn capture(browser: &mut Browser, options: &SnapshotOptions) -> Result<Snapshot,
     // walks the whole reachable graph) past its op budget.
     browser.meter_charge(emit.cells as u64)?;
     Ok(Snapshot { html, stats })
-}
-
-/// Floats are JS numbers (f64): widening `f32 -> f64` before printing
-/// reproduces the long decimal expansions that make the paper's feature
-/// data so large in text form (≈18 bytes/value at GoogLeNet's `1st_conv`).
-pub(crate) fn render_f32_literal(data: &[f32], out: &mut String) {
-    out.push_str("new Float32Array([");
-    for (i, &v) in data.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let d = v as f64;
-        if d.is_nan() {
-            out.push_str("(0/0)");
-        } else if d.is_infinite() {
-            out.push_str(if d > 0.0 { "(1/0)" } else { "(-1/0)" });
-        } else if d < 0.0 {
-            let _ = write!(out, "(-{})", -d);
-        } else {
-            let _ = write!(out, "{d}");
-        }
-    }
-    out.push_str("])");
 }
 
 /// MiniJS expression that resolves to a DOM element after restore.

@@ -11,7 +11,7 @@ use crate::dom::DomNodeId;
 use crate::intern::Ident;
 use crate::WebError;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 
 /// Handle to a heap cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -126,31 +126,27 @@ pub enum HeapCell {
     Float32Array(Vec<f32>),
 }
 
-/// Distinguishes heaps across a `restore_snapshot` (which rebuilds the
-/// arena, reusing [`ObjId`] indices): every fresh heap gets a new
-/// generation, so version-keyed caches can never confuse a recycled id.
-static HEAP_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-/// Arena of heap cells. No garbage collection: apps in this runtime are
-/// short-lived and snapshots only serialize *reachable* cells, so garbage
-/// simply never escapes a session.
+/// Arena of heap cells. No garbage collection: snapshots only serialize
+/// *reachable* cells, so garbage never escapes a session — but it is never
+/// freed either. Cells are reference-counted so that cloning the arena
+/// (every [`StateBase`](crate::StateBase) does) shares them instead of
+/// copying them; a dead cell is therefore no longer *copied* each round, but
+/// it is still *held*: on the partial-inference workload each side keeps
+/// one dead 75 kB feature array per round for the life of the session.
+/// Freeing unreachable cells is open (ROADMAP, tensor text).
 ///
 /// The arena carries a **write barrier**: every mutable borrow and every
-/// allocation marks the cell dirty and bumps its version counter. The
-/// snapshot layer anchors a capture base with [`Heap::clear_dirty`] and
-/// then only deep-compares cells dirtied since — capture cost scales
-/// with cells *changed*, not cells *held*. Equality ([`PartialEq`])
-/// deliberately compares contents only; dirty bookkeeping is capture
-/// machinery, not state.
+/// allocation marks the cell dirty. The snapshot layer anchors a capture
+/// base with [`Heap::clear_dirty`] and then only deep-compares cells
+/// dirtied since — capture cost scales with cells *changed*, not cells
+/// *held*. The same borrow is where a cell shared with a base is copied
+/// before the write. Equality ([`PartialEq`]) deliberately compares
+/// contents only; dirty bookkeeping is capture machinery, not state.
 #[derive(Debug, Clone)]
 pub struct Heap {
-    cells: Vec<HeapCell>,
-    /// Per-cell mutation counters (parallel to `cells`).
-    versions: Vec<u32>,
+    cells: Vec<Rc<HeapCell>>,
     /// Cells mutated (or allocated) since the last [`Heap::clear_dirty`].
     dirty: BTreeSet<ObjId>,
-    /// Process-unique id of this arena.
-    generation: u64,
 }
 
 impl Default for Heap {
@@ -170,9 +166,7 @@ impl Heap {
     pub fn new() -> Heap {
         Heap {
             cells: Vec::new(),
-            versions: Vec::new(),
             dirty: BTreeSet::new(),
-            generation: HEAP_GENERATION.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -188,8 +182,7 @@ impl Heap {
 
     fn alloc(&mut self, cell: HeapCell) -> ObjId {
         let id = ObjId(self.cells.len());
-        self.cells.push(cell);
-        self.versions.push(0);
+        self.cells.push(Rc::new(cell));
         self.dirty.insert(id);
         id
     }
@@ -218,12 +211,14 @@ impl Heap {
     pub fn cell(&self, id: ObjId) -> Result<&HeapCell, WebError> {
         self.cells
             .get(id.0)
+            .map(Rc::as_ref)
             .ok_or_else(|| WebError::Runtime(format!("dangling heap handle #{}", id.0)))
     }
 
     /// Mutably borrows a cell. This is the single mutation funnel — every
     /// property/index write routes through here — so it doubles as the
-    /// write barrier: the cell is marked dirty and its version bumped.
+    /// write barrier: the cell is marked dirty, and copied first if a
+    /// clone of this heap still shares it.
     ///
     /// # Errors
     ///
@@ -234,10 +229,7 @@ impl Heap {
             .get_mut(id.0)
             .ok_or_else(|| WebError::Runtime(format!("dangling heap handle #{}", id.0)))?;
         self.dirty.insert(id);
-        if let Some(v) = self.versions.get_mut(id.0) {
-            *v = v.wrapping_add(1);
-        }
-        Ok(cell)
+        Ok(Rc::make_mut(cell))
     }
 
     /// Cells mutated or allocated since the last [`Heap::clear_dirty`].
@@ -249,17 +241,6 @@ impl Heap {
     /// exactly the cells that may differ from this instant.
     pub fn clear_dirty(&mut self) {
         self.dirty.clear();
-    }
-
-    /// Mutation counter of a cell (0 for never-mutated or dangling ids).
-    pub fn version(&self, id: ObjId) -> u32 {
-        self.versions.get(id.0).copied().unwrap_or(0)
-    }
-
-    /// Process-unique id of this arena (changes when a restore rebuilds
-    /// the heap, so version-keyed caches survive `ObjId` reuse).
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Gets a property of an object cell (`undefined` when missing,
@@ -484,6 +465,21 @@ mod tests {
         assert!(heap.set_index(id, 0.0, JsValue::Str("x".into())).is_err());
         heap.set_index(id, 1.0, JsValue::Number(2.5)).unwrap();
         assert_eq!(heap.get_index(id, 1.0).unwrap(), JsValue::Number(2.5));
+    }
+
+    #[test]
+    fn a_clone_shares_cells_until_one_side_writes() {
+        let mut heap = Heap::new();
+        let JsValue::Float32Array(id) = heap.alloc_f32(vec![1.0; 4]) else {
+            panic!()
+        };
+        let base = heap.clone();
+        assert!(Rc::ptr_eq(&heap.cells[id.0], &base.cells[id.0]));
+        heap.set_index(id, 0.0, JsValue::Number(2.0)).unwrap();
+        assert!(!Rc::ptr_eq(&heap.cells[id.0], &base.cells[id.0]));
+        assert_eq!(base.get_index(id, 0.0).unwrap(), JsValue::Number(1.0));
+        assert_eq!(heap.get_index(id, 0.0).unwrap(), JsValue::Number(2.0));
+        assert_ne!(heap, base);
     }
 
     #[test]
