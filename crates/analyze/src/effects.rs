@@ -106,26 +106,17 @@ impl CostBound {
     /// Flags guaranteed resource exhaustion: the cheapest possible
     /// execution already blows a [`MeterLimits`] cap, so shipping the
     /// snapshot would only burn link bytes before the inevitable
-    /// `ResourceExhausted`. Returns a description of the first doomed
-    /// axis, or `None` when execution might fit.
-    pub fn guaranteed_exhaustion(&self, limits: &MeterLimits) -> Option<String> {
-        if let Some(cap) = limits.max_ops {
-            if self.min_ops > cap {
-                return Some(format!(
-                    "op floor {} exceeds the meter budget ops={cap}",
-                    self.min_ops
-                ));
-            }
-        }
-        if let Some(cap) = limits.max_heap_cells {
-            if self.min_new_cells > cap as u64 {
-                return Some(format!(
-                    "allocation floor {} cells exceeds the meter budget heap={cap}",
-                    self.min_new_cells
-                ));
-            }
-        }
-        None
+    /// `ResourceExhausted`. Returns the `(floor, cap)` of the first doomed
+    /// axis (ops, then heap cells), or `None` when execution might fit.
+    pub fn guaranteed_exhaustion(&self, limits: &MeterLimits) -> Option<(u64, u64)> {
+        let ops = limits.max_ops.map(|cap| (self.min_ops, cap));
+        let cells = limits
+            .max_heap_cells
+            .map(|cap| (self.min_new_cells, cap as u64));
+        [ops, cells]
+            .into_iter()
+            .flatten()
+            .find(|(floor, cap)| floor > cap)
     }
 }
 

@@ -11,10 +11,9 @@
 
 use crate::device::DeviceProfile;
 use crate::partition::PartitionOptimizer;
-use crate::resilience::RetryPolicy;
 use crate::OffloadError;
 use snapedge_dnn::{Network, NetworkProfile};
-use snapedge_net::{LinkConfig, LinkPrediction};
+use snapedge_net::LinkConfig;
 use std::time::Duration;
 
 /// What the controller chose for one inference.
@@ -50,12 +49,15 @@ pub struct Plan {
     pub decision: Decision,
     /// Predicted end-to-end inference time.
     pub predicted: Duration,
+    /// Predicted time of the best offload, penalty included, whether or
+    /// not it beat local execution.
+    pub offload: Duration,
     /// Predicted time of pure local execution (the baseline the decision
     /// beat or fell back to).
     pub local_time: Duration,
-    /// Predicted failed-attempt penalty (backoff sleeps under the active
-    /// retry policy) folded into the offload side of the comparison.
-    /// Zero for the non-predictive entry points.
+    /// What the caller added to the offload side of the comparison
+    /// (expected backoff sleeps, compute and queueing priors). Zero for
+    /// [`AdaptiveOffloader::decide`].
     pub penalty: Duration,
 }
 
@@ -115,78 +117,18 @@ impl AdaptiveOffloader {
         self.plan_with(link, model_ready, 0, Duration::ZERO)
     }
 
-    /// Like [`AdaptiveOffloader::decide`], but charges only the model
-    /// bytes *not yet acknowledged*: `model_bytes_acked` is how much of
-    /// the pre-send has already landed (plumbed from the session's
-    /// upload progress). `decide` is exactly this call with zero
-    /// progress.
+    /// The one planner: [`AdaptiveOffloader::decide`] with the two inputs
+    /// the session's `plan` gate adds. Only the model bytes *not yet
+    /// acknowledged* (`model_bytes - model_bytes_acked`) queue ahead of
+    /// the snapshot, and `penalty` — expected backoff sleeps, compute and
+    /// queueing priors — joins the offload side of the comparison, so a
+    /// degrading link or a saturated server tips the plan toward Local
+    /// *before* any retry budget burns.
     ///
     /// # Errors
     ///
     /// Propagates optimizer failures (cannot occur for zoo networks).
-    pub fn decide_with_progress(
-        &self,
-        link: &LinkConfig,
-        model_ready: bool,
-        model_bytes_acked: u64,
-    ) -> Result<Plan, OffloadError> {
-        self.plan_with(link, model_ready, model_bytes_acked, Duration::ZERO)
-    }
-
-    /// The health-aware variant: on top of
-    /// [`AdaptiveOffloader::decide_with_progress`], inflates the
-    /// predicted offload time by the expected failed-attempt penalty —
-    /// the backoff sleeps `policy` would charge for the retries
-    /// `prediction` expects — so a degrading link tips the comparison
-    /// toward Local (or a cheaper cut) *before* any retry budget burns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates optimizer failures (cannot occur for zoo networks).
-    pub fn decide_predictive(
-        &self,
-        link: &LinkConfig,
-        model_ready: bool,
-        model_bytes_acked: u64,
-        prediction: &LinkPrediction,
-        policy: &RetryPolicy,
-    ) -> Result<Plan, OffloadError> {
-        self.decide_predictive_with_prior(
-            link,
-            model_ready,
-            model_bytes_acked,
-            prediction,
-            policy,
-            Duration::ZERO,
-        )
-    }
-
-    /// Like [`AdaptiveOffloader::decide_predictive`], with a static
-    /// compute-time `prior` added to the offload side: effect analysis
-    /// knows a guaranteed floor on the metered ops the offloaded round
-    /// will execute on the server *besides* the DNN itself (app glue,
-    /// DOM updates), which the layer-time predictor cannot see. A zero
-    /// prior reduces to the plain predictive decision.
-    ///
-    /// # Errors
-    ///
-    /// Propagates optimizer failures (cannot occur for zoo networks).
-    pub fn decide_predictive_with_prior(
-        &self,
-        link: &LinkConfig,
-        model_ready: bool,
-        model_bytes_acked: u64,
-        prediction: &LinkPrediction,
-        policy: &RetryPolicy,
-        prior: Duration,
-    ) -> Result<Plan, OffloadError> {
-        let penalty = policy
-            .cumulative_backoff(prediction.predicted_retries)
-            .saturating_add(prior);
-        self.plan_with(link, model_ready, model_bytes_acked, penalty)
-    }
-
-    fn plan_with(
+    pub(crate) fn plan_with(
         &self,
         link: &LinkConfig,
         model_ready: bool,
@@ -207,44 +149,23 @@ impl AdaptiveOffloader {
             let remaining = self.model_bytes.saturating_sub(model_bytes_acked);
             offload_time += link.transfer_time(remaining)?;
         }
-        offload_time = offload_time.saturating_add(penalty);
-        if offload_time < local_time {
-            let decision = if best.cut.id.index() == 0 {
-                Decision::FullOffload
-            } else {
-                Decision::Partial {
-                    cut: best.cut.label.clone(),
-                }
-            };
-            Ok(Plan {
-                decision,
-                predicted: offload_time,
-                local_time,
-                penalty,
-            })
+        let offload = offload_time.saturating_add(penalty);
+        let decision = if offload >= local_time {
+            Decision::Local
+        } else if best.cut.id.index() == 0 {
+            Decision::FullOffload
         } else {
-            Ok(Plan {
-                decision: Decision::Local,
-                predicted: local_time,
-                local_time,
-                penalty,
-            })
-        }
-    }
-
-    /// The plan when the edge server is unreachable — a dead link, an
-    /// exhausted retry budget, or an expired deadline. There is no link
-    /// estimate to optimize against; the only move that completes the
-    /// inference is local execution, the degradation the paper recommends
-    /// whenever offloading cannot win.
-    pub fn decide_unreachable(&self) -> Plan {
-        let local_time = self.local_time();
-        Plan {
-            decision: Decision::Local,
-            predicted: local_time,
+            Decision::Partial {
+                cut: best.cut.label.clone(),
+            }
+        };
+        Ok(Plan {
+            decision,
+            predicted: offload.min(local_time),
+            offload,
             local_time,
-            penalty: Duration::ZERO,
-        }
+            penalty,
+        })
     }
 }
 
@@ -321,14 +242,14 @@ mod tests {
 
         // Nothing acknowledged yet: the full charge makes AgeNet lose
         // (Fig. 6's before-ACK observation; `decide` is this exact call).
-        let cold = off.decide_with_progress(&link, false, 0).unwrap();
+        let cold = off.plan_with(&link, false, 0, Duration::ZERO).unwrap();
         assert_eq!(cold.decision, Decision::Local);
         assert_eq!(cold, off.decide(&link, false).unwrap());
 
         // 90% of the pre-send already landed: only the tail still queues,
         // and offloading wins again — strictly cheaper than the cold plan.
         let hot = off
-            .decide_with_progress(&link, false, bytes * 9 / 10)
+            .plan_with(&link, false, bytes * 9 / 10, Duration::ZERO)
             .unwrap();
         assert_ne!(hot.decision, Decision::Local);
         assert!(hot.predicted < cold.predicted);
@@ -336,20 +257,11 @@ mod tests {
         // Fully acknowledged progress converges to the model-ready
         // decision; only the zero-payload handshake (latency + framing)
         // still separates the predicted times.
-        let done = off.decide_with_progress(&link, false, bytes).unwrap();
+        let done = off.plan_with(&link, false, bytes, Duration::ZERO).unwrap();
         let ready = off.decide(&link, true).unwrap();
         assert_eq!(done.decision, ready.decision);
         let slack = done.predicted.saturating_sub(ready.predicted);
         assert!(slack < Duration::from_millis(10), "slack {slack:?}");
-    }
-
-    #[test]
-    fn unreachable_server_always_means_local() {
-        // Even for GoogLeNet, where offloading wins by 10x, no reachable
-        // server means local execution.
-        let plan = offloader("googlenet", false).decide_unreachable();
-        assert_eq!(plan.decision, Decision::Local);
-        assert_eq!(plan.predicted, plan.local_time);
     }
 
     #[test]
@@ -373,7 +285,8 @@ mod tests {
 
     #[test]
     fn retry_penalty_is_bounded_by_the_health_clamp() {
-        use snapedge_net::{BandwidthEstimator, LinkHealth, MAX_PREDICTED_RETRIES};
+        use crate::resilience::RetryPolicy;
+        use snapedge_net::{BandwidthEstimator, LinkHealth, LinkPrediction, MAX_PREDICTED_RETRIES};
         // Drive a link-health record into the ground: every windowed
         // attempt faults, so the raw retry expectation explodes — and the
         // clamp, not the raw expectation, must bound what the planner
@@ -385,8 +298,9 @@ mod tests {
         assert_eq!(prediction.predicted_retries, MAX_PREDICTED_RETRIES);
 
         let policy = RetryPolicy::default();
+        let charged = |p: &LinkPrediction| policy.cumulative_backoff(p.predicted_retries);
         let plan = offloader("agenet", false)
-            .decide_predictive(&LinkConfig::wifi_30mbps(), true, 0, &prediction, &policy)
+            .plan_with(&LinkConfig::wifi_30mbps(), true, 0, charged(&prediction))
             .unwrap();
         assert_eq!(
             plan.penalty,
@@ -398,7 +312,7 @@ mod tests {
             ..prediction
         };
         let capped = offloader("agenet", false)
-            .decide_predictive(&LinkConfig::wifi_30mbps(), true, 0, &wild, &policy)
+            .plan_with(&LinkConfig::wifi_30mbps(), true, 0, charged(&wild))
             .unwrap();
         assert_eq!(capped.penalty, plan.penalty);
     }

@@ -4,13 +4,29 @@
 //! our offloading system") made concrete.
 
 use crate::device::DeviceProfile;
+use crate::gates::{self, Verdict};
 use crate::mlhost::{CaffeJsHost, ExecTracker};
 use crate::OffloadError;
+use snapedge_analyze::Mode;
 use snapedge_dnn::{ExecMode, Network, NodeId, ParamStore};
 use snapedge_net::SimClock;
 use snapedge_trace::{EventKind, Lane, Tracer};
-use snapedge_webapp::{Browser, RunOutcome, Snapshot, SnapshotOptions, WebError};
+use snapedge_webapp::{
+    Browser, DeltaCapture, DeltaScript, RunOutcome, Snapshot, SnapshotOptions, StateBase, WebError,
+};
 use std::time::Duration;
+
+/// `{verb}_{lane}` as a static string: every migration of every round
+/// names its phases, so the name costs no allocation.
+macro_rules! phase_name {
+    ($endpoint:expr, $verb:literal) => {
+        match $endpoint.lane {
+            Lane::Client => concat!($verb, "_client"),
+            Lane::Server => concat!($verb, "_server"),
+            Lane::Network => concat!($verb, "_network"),
+        }
+    };
+}
 
 /// A browser-bearing machine participating in offloading.
 pub struct Endpoint {
@@ -72,15 +88,6 @@ impl Endpoint {
         &self.tracer
     }
 
-    fn phase_name(&self, verb: &str) -> String {
-        let suffix = match self.lane {
-            Lane::Client => "client",
-            Lane::Server => "server",
-            Lane::Network => "network",
-        };
-        format!("{verb}_{suffix}")
-    }
-
     /// The shared clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
@@ -113,13 +120,13 @@ impl Endpoint {
     }
 
     /// Captures a snapshot, charging the device's capture time to the
-    /// clock; returns the snapshot and the charged duration.
+    /// clock and recording a `capture_{lane}` event; returns the snapshot
+    /// and the charged duration.
     ///
-    /// When `options.verify` is set, the captured snapshot is statically
-    /// verified (closedness, host-API surface, reserved-prefix hygiene)
-    /// before it is handed to the caller, and a `verify_{lane}` trace
-    /// event is recorded. An unshippable snapshot is rejected here —
-    /// before any link traffic and before the retry budget is touched.
+    /// When `options.verify` is set, the captured source then passes the
+    /// verify gate ([`Endpoint::verify_script`]): an unshippable snapshot
+    /// is rejected here — before any link traffic and before the retry
+    /// budget is touched.
     ///
     /// # Errors
     ///
@@ -132,28 +139,63 @@ impl Endpoint {
     ) -> Result<(Snapshot, Duration), OffloadError> {
         let start = self.clock.now();
         let snapshot = self.browser.capture_snapshot(options)?;
-        let cost = self.device.capture_time(snapshot.size_bytes());
+        let cost = self.captured(start, snapshot.html(), options, Mode::Snapshot, Vec::new)?;
+        Ok((snapshot, cost))
+    }
+
+    /// [`Endpoint::capture`] for a delta against the agreed `base`: the
+    /// same charge, event and verify gate (with the base's declarations
+    /// ambient) when a delta suffices, nothing when a full snapshot is
+    /// required instead.
+    ///
+    /// # Errors
+    ///
+    /// As [`Endpoint::capture`].
+    pub fn capture_delta(
+        &mut self,
+        base: &StateBase,
+        options: &SnapshotOptions,
+    ) -> Result<DeltaCapture, OffloadError> {
+        let start = self.clock.now();
+        let capture = self.browser.capture_delta(base, options)?;
+        if let DeltaCapture::Delta(delta) = &capture {
+            let ambient = || base.declared_names();
+            self.captured(start, delta.script(), options, Mode::Delta, ambient)?;
+        }
+        Ok(capture)
+    }
+
+    /// What every capture does once the browser produced `source`: device
+    /// charge, `capture_{lane}` event, then the verify gate — the one
+    /// place `options.verify` is read.
+    fn captured(
+        &mut self,
+        start: Duration,
+        source: &str,
+        options: &SnapshotOptions,
+        mode: Mode,
+        ambient: impl FnOnce() -> Vec<String>,
+    ) -> Result<Duration, OffloadError> {
+        let bytes = source.len() as u64;
+        let cost = self.device.capture_time(bytes);
         self.clock.advance_by(cost);
         self.tracer.record_bytes(
-            &self.phase_name("capture"),
+            phase_name!(self, "capture"),
             self.lane,
             EventKind::Capture,
             start,
             self.clock.now(),
-            Some(snapshot.size_bytes()),
+            Some(bytes),
         );
         if options.verify {
-            self.verify_script(
-                snapshot.html(),
-                snapedge_analyze::Mode::Snapshot,
-                Vec::new(),
-            )?;
+            self.verify_script(source, mode, ambient())?;
         }
-        Ok((snapshot, cost))
+        Ok(cost)
     }
 
-    /// Statically verifies generated snapshot (or delta) source against
-    /// this endpoint's host surface, recording a `verify_{lane}` event.
+    /// The verify gate: statically verifies generated snapshot (or delta)
+    /// source against this endpoint's host surface and records the
+    /// verdict as a `gate:verify:…` event carrying the source length.
     ///
     /// # Errors
     ///
@@ -162,45 +204,19 @@ impl Endpoint {
     pub fn verify_script(
         &mut self,
         source: &str,
-        mode: snapedge_analyze::Mode,
+        mode: Mode,
         ambient: Vec<String>,
     ) -> Result<(), OffloadError> {
-        let opts = snapedge_analyze::AnalysisOptions {
-            mode,
-            hosts: self.browser.host_names(),
-            ambient,
-        };
-        let report = match mode {
-            snapedge_analyze::Mode::Delta => snapedge_analyze::analyze_script(source, &opts),
-            _ => snapedge_analyze::analyze_html(source, &opts),
-        };
-        let now = self.clock.now();
-        self.tracer.record_bytes(
-            &self.phase_name("verify"),
-            self.lane,
-            EventKind::Verify,
-            now,
-            now,
-            Some(source.len() as u64),
-        );
-        if report.has_errors() {
-            let findings: Vec<String> = report
-                .diagnostics
-                .iter()
-                .filter(|d| d.severity == snapedge_analyze::Severity::Error)
-                .map(|d| d.to_string())
-                .collect();
-            return Err(OffloadError::Verify(format!(
-                "snapshot failed static verification ({}): {}",
-                report.summary(),
-                findings.join("; ")
-            )));
+        let judged = gates::verify(source, mode, self.browser.host_names(), ambient);
+        let bytes = Some(source.len() as u64);
+        match gates::record(&self.tracer, self.lane, self.clock.now(), judged, bytes) {
+            Verdict::Reject(e) => Err(e),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
-    /// Restores a snapshot, charging the device's restore time; returns
-    /// the charged duration.
+    /// Restores a snapshot, charging the device's restore time and
+    /// recording a `restore_{lane}` event; returns the charged duration.
     ///
     /// # Errors
     ///
@@ -208,17 +224,32 @@ impl Endpoint {
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<Duration, OffloadError> {
         let start = self.clock.now();
         self.browser.restore_snapshot(snapshot)?;
-        let cost = self.device.restore_time(snapshot.size_bytes());
+        Ok(self.restored(start, snapshot.size_bytes()))
+    }
+
+    /// [`Endpoint::restore`] for a delta captured on the peer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates script execution failures.
+    pub fn apply_delta(&mut self, delta: &DeltaScript) -> Result<Duration, OffloadError> {
+        let start = self.clock.now();
+        self.browser.apply_delta(delta)?;
+        Ok(self.restored(start, delta.size_bytes()))
+    }
+
+    fn restored(&mut self, start: Duration, bytes: u64) -> Duration {
+        let cost = self.device.restore_time(bytes);
         self.clock.advance_by(cost);
         self.tracer.record_bytes(
-            &self.phase_name("restore"),
+            phase_name!(self, "restore"),
             self.lane,
             EventKind::Restore,
             start,
             self.clock.now(),
-            Some(snapshot.size_bytes()),
+            Some(bytes),
         );
-        Ok(cost)
+        cost
     }
 
     /// Runs the event loop to idle (or to the armed offload point). DNN
@@ -255,7 +286,7 @@ impl Endpoint {
         if let Some(meter) = self.browser.meter() {
             let now = self.clock.now();
             self.tracer.record_bytes(
-                &self.phase_name("meter_tick"),
+                phase_name!(self, "meter_tick"),
                 self.lane,
                 EventKind::MeterTick,
                 now,

@@ -28,7 +28,6 @@
 //! | Neurosurgeon-style partition-point optimization | [`partition`] |
 //! | fault classification, retry policy, local fallback | [`resilience`] |
 //! | edge-fleet server pool, health records, failover selection | [`fleet`] |
-//! | per-layer latency prediction (regression models) | [`predictor`] |
 //! | the feature-inversion attack and the withholding defense | [`privacy`] |
 //! | on-demand installation via VM synthesis | [`install`] |
 //!
@@ -60,10 +59,10 @@ pub mod energy;
 pub mod engine;
 mod error;
 pub mod fleet;
+mod gates;
 pub mod install;
 mod mlhost;
 pub mod partition;
-pub mod predictor;
 pub mod prelude;
 pub mod privacy;
 pub mod resilience;
@@ -86,7 +85,6 @@ pub use fleet::{format_servers, parse_servers, ServerHealth, ServerPool, ServerS
 pub use install::{vm_install, InstallReport};
 pub use mlhost::{CaffeJsHost, ExecKind, ExecRecord, ExecTracker};
 pub use partition::{PartitionOptimizer, PartitionPrediction, PredictedTimes};
-pub use predictor::{LatencyPredictor, LayerSample, LinearModel};
 pub use privacy::{evaluate_privacy, reconstruct_input, AttackConfig, PrivacyReport};
 pub use resilience::{
     classify, schedule_resilient, schedule_resilient_traced, FaultClass, ResilienceOutcome,

@@ -21,11 +21,12 @@
 //! exhausted. A fleet of size 1 behaves bit-for-bit like the original
 //! single-server session.
 
-use crate::adaptive::{AdaptiveOffloader, AdaptivePolicy, Decision, Plan};
+use crate::adaptive::Decision;
 use crate::apps;
 use crate::config::{ConfigBuilder, OffloadConfig};
 use crate::endpoint::Endpoint;
 use crate::fleet::{ServerPool, ServerSpec};
+use crate::gates::{self, Gate, Verdict};
 use crate::resilience::{classify, schedule_resilient_traced, FaultClass};
 use crate::OffloadError;
 use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
@@ -276,15 +277,14 @@ pub struct OffloadSession {
     /// started — per-round `ops_used` is the delta past this mark.
     meter_mark: u64,
     /// The active app's effect summary, when `cfg.snapshot.effects` is
-    /// on: its nondeterminism and cost-bound gates run pre-ship in
-    /// `round_start`, and its op floor feeds the link-health predictor
-    /// as a compute-time prior.
+    /// on: what the `effects` gate judges, and the `plan` gate's
+    /// compute-time prior.
     effects: Option<snapedge_analyze::EffectSummary>,
     /// Per-candidate predicted queueing delay, pushed by the fleet
     /// engine's balancer before each round when `cfg.balance` is on
-    /// (empty otherwise): the current server's entry feeds the adaptive
-    /// offloader as an admission-control prior, and the whole vector
-    /// re-ranks failover candidates by predicted sojourn.
+    /// (empty otherwise): the current server's entry is the `plan`
+    /// gate's admission prior, and the whole vector re-ranks failover
+    /// candidates by predicted sojourn.
     queue_outlook: Vec<Duration>,
 }
 
@@ -310,6 +310,29 @@ fn link_labels(idx: usize, spec: &ServerSpec) -> (String, String) {
             format!("uplink:{}", spec.name),
             format!("downlink:{}", spec.name),
         )
+    }
+}
+
+/// Which way a migration travels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dir {
+    /// Client → server.
+    Up,
+    /// Server → client.
+    Down,
+}
+
+impl Dir {
+    /// `(sender, receiver)` of a migration in this direction.
+    fn ends<'a>(
+        self,
+        client: &'a mut Endpoint,
+        server: &'a mut Endpoint,
+    ) -> (&'a mut Endpoint, &'a mut Endpoint) {
+        match self {
+            Dir::Up => (client, server),
+            Dir::Down => (server, client),
+        }
     }
 }
 
@@ -451,11 +474,10 @@ impl OffloadSession {
         Ok(())
     }
 
-    /// Runs static effect analysis over the session's app and
-    /// keeps the summary for the pre-ship gates in `round_start` and the
-    /// predictor prior. A nondeterministic app is *not* an error here —
-    /// every round is forced local instead, since the paper's fallback
-    /// (local execution) stays sound when replay does not.
+    /// Runs static effect analysis over the session's app and keeps the
+    /// summary for the pre-ship gates. A nondeterministic app is *not* an
+    /// error here — every round is forced local instead, since the paper's
+    /// fallback (local execution) stays sound when replay does not.
     ///
     /// # Errors
     ///
@@ -467,23 +489,6 @@ impl OffloadSession {
             .map_err(OffloadError::Analyze)?;
         self.effects = Some(summary);
         Ok(())
-    }
-
-    /// Which pre-ship effect gate trips for the next round, if any:
-    /// `"nondeterministic"` (replay could diverge on the server) or
-    /// `"exhaustion"` (the guaranteed op/allocation floor already blows
-    /// the serving server's meter budget, so shipping the snapshot would
-    /// only burn link bytes before the inevitable kill).
-    fn effect_gate(&self) -> Option<&'static str> {
-        let summary = self.effects.as_ref()?;
-        if summary.is_nondeterministic() {
-            return Some("nondeterministic");
-        }
-        let limits = self.effective_meter()?;
-        if summary.cost.guaranteed_exhaustion(&limits).is_some() {
-            return Some("exhaustion");
-        }
-        None
     }
 
     /// Pre-sends the model to the *current* server and installs the model
@@ -647,17 +652,17 @@ impl OffloadSession {
 
     /// The current server's meter limits: the server spec's override
     /// when set, else the fleet-wide config default, else unmetered.
-    fn effective_meter(&self) -> Option<MeterLimits> {
+    fn effective_meter(&self) -> Option<&MeterLimits> {
         self.pool
             .spec(self.current)
-            .and_then(|spec| spec.meter.clone())
-            .or_else(|| self.cfg.meter.clone())
+            .and_then(|spec| spec.meter.as_ref())
+            .or(self.cfg.meter.as_ref())
     }
 
     /// Installs the effective resource meter on the current server's
     /// browser.
     fn apply_meter(&mut self) {
-        match self.effective_meter() {
+        match self.effective_meter().cloned() {
             Some(limits) => self.server.browser.set_meter(limits),
             None => self.server.browser.clear_meter(),
         }
@@ -812,8 +817,8 @@ impl OffloadSession {
     }
 
     /// Starts one round: image load, client-side execution up to the
-    /// offload point, the proactive predictor gate, and the uplink
-    /// migration (with exhaustion-driven failover). Returns
+    /// offload point, the pre-ship gates, and the uplink migration (with
+    /// exhaustion-driven failover). Returns
     /// [`RoundStep::NeedCompute`] with the round parked when the uplink
     /// landed and the server's CPU is the next resource needed, or
     /// [`RoundStep::Done`] when the round already completed on the
@@ -884,77 +889,27 @@ impl OffloadSession {
             }
         }
 
-        // Static effect gates: consulted before the predictor and before
-        // any bytes commit to the wire. A tripped gate completes the
-        // round locally with zero link bytes — nondeterministic apps
-        // cannot be replayed elsewhere, and a round whose guaranteed cost
-        // floor blows the server's meter budget would die there anyway.
-        if let Some(outcome) = self.effect_gate() {
-            let now = self.clock.now();
-            self.tracer.record(
-                &format!("effect_verdict:{outcome}"),
-                Lane::Client,
-                EventKind::EffectVerdict,
-                now,
-                now,
-            );
-            let report = self.complete_locally(clicked_at, false)?;
+        // The pre-ship gates. A `Local` verdict completes the round on the
+        // client with zero link bytes and zero retries spent; the server
+        // was never touched, so the delta agreement stays valid.
+        let round = gates::Round {
+            cfg: &self.cfg.core,
+            net: &self.net,
+            pool: &self.pool,
+            current: self.current,
+            effects: self.effects.as_ref(),
+            meter: self.effective_meter(),
+            queue_outlook: &self.queue_outlook,
+            model_bytes: self.model_bytes,
+            now: self.clock.now(),
+            ack_at: self.ack_at,
+        };
+        let (verdict, prediction) = gates::pre_ship(&round, &self.tracer)?;
+        if let Verdict::Local(reading) = verdict {
+            let mut report = self.complete_locally(clicked_at, false)?;
+            report.prediction = prediction;
+            report.proactive = reading.gate == Gate::Plan;
             return Ok(RoundStep::Done(report));
-        }
-
-        // Queue-aware admission gate: record what the balancer predicts
-        // this round will wait for the current server's CPU. The
-        // prediction flows into `predict_plan` as an additive prior, so
-        // a queue deep enough to erase the offload win degrades the
-        // round to local below — the same proactive-local exit the
-        // link-health predictor takes.
-        if self.cfg.balance {
-            let wait = self.queue_prior();
-            let now = self.clock.now();
-            self.tracer.record(
-                &format!("balance_wait:{}us", wait.as_micros()),
-                Lane::Client,
-                EventKind::BalanceDecision,
-                now,
-                now,
-            );
-        }
-
-        // Proactive link-health gate: consult the predictor before
-        // committing any bytes to the wire. A Local verdict completes the
-        // round on the client with zero retries spent; any other verdict
-        // is recorded and the offload proceeds as usual. Queue-aware
-        // balancing runs the same gate (its admission prior needs the
-        // predictive comparison) even when prediction alone is off.
-        let mut prediction: Option<Decision> = None;
-        if self.cfg.predict || self.cfg.balance {
-            if let Some(plan) = self.predict_plan()? {
-                let now = self.clock.now();
-                self.tracer.record(
-                    &format!("predict:{}", plan.decision.label()),
-                    Lane::Client,
-                    EventKind::Predict,
-                    now,
-                    now,
-                );
-                if plan.decision == Decision::Local {
-                    self.tracer.record(
-                        "proactive_local",
-                        Lane::Client,
-                        EventKind::ProactiveLocal,
-                        now,
-                        now,
-                    );
-                    // The server was never touched this round, so the
-                    // delta agreement stays valid — deltas resume as soon
-                    // as the link recovers.
-                    let mut report = self.complete_locally(clicked_at, false)?;
-                    report.prediction = Some(plan.decision);
-                    report.proactive = true;
-                    return Ok(RoundStep::Done(report));
-                }
-                prediction = Some(plan.decision);
-            }
         }
 
         self.pending = Some(PendingRound {
@@ -1006,11 +961,23 @@ impl OffloadSession {
         }
     }
 
-    /// Completes the parked round on the client (every fleet candidate
-    /// exhausted), attaching the round's recorded prediction.
+    /// Completes the parked round on the client after every fleet
+    /// candidate exhausted its retry budget, attaching the round's
+    /// recorded prediction. The server's view of the client state is now
+    /// stale (bytes may have died mid-wire), so the delta agreement is
+    /// dropped — the next round re-sends a full snapshot.
     fn round_done_locally(&mut self, clicked_at: Duration) -> Result<RoundStep, OffloadError> {
         let prediction = self.pending.take().and_then(|parked| parked.prediction);
-        let mut report = self.finish_round_locally(clicked_at)?;
+        let now = self.clock.now();
+        self.tracer.record(
+            "fallback_local",
+            Lane::Client,
+            EventKind::Fallback,
+            now,
+            now,
+        );
+        self.agreed = None;
+        let mut report = self.complete_locally(clicked_at, true)?;
         report.prediction = prediction;
         Ok(RoundStep::Done(report))
     }
@@ -1157,16 +1124,6 @@ impl OffloadSession {
         self.queue_outlook = outlook;
     }
 
-    /// The predicted queueing delay of the *current* server — the
-    /// admission-control prior. Zero before any outlook was pushed (the
-    /// legacy closed-loop driver, where nothing competes for the CPU).
-    fn queue_prior(&self) -> Duration {
-        self.queue_outlook
-            .get(self.current)
-            .copied()
-            .unwrap_or(Duration::ZERO)
-    }
-
     /// Records that the fleet scheduler parked this session's compute
     /// admission behind a busy server under fair-share ordering.
     pub(crate) fn record_admit_deferred(&mut self, at: Duration) {
@@ -1198,62 +1155,15 @@ impl OffloadSession {
         self.clock.advance_to(t);
     }
 
-    /// Consults the current server's windowed link health and returns the
-    /// health-aware plan, or `None` before the estimator has a sample to
-    /// plan against.
-    fn predict_plan(&self) -> Result<Option<Plan>, OffloadError> {
-        let (Some(spec), Some(health)) =
-            (self.pool.spec(self.current), self.pool.health(self.current))
-        else {
-            return Ok(None);
-        };
-        let Some(link) = health.estimator().as_link_config(&spec.link) else {
-            return Ok(None);
-        };
-        let prediction = health.predict(self.clock.now());
-        let offloader = AdaptiveOffloader::new(
-            self.net.clone(),
-            self.cfg.client_device.clone(),
-            spec.device.clone(),
-            self.model_bytes,
-            AdaptivePolicy::default(),
-        );
-        let policy = self.cfg.retry.clone().unwrap_or_default();
-        // Static compute-time prior: effect analysis's guaranteed op
-        // floor for the round, priced at the meter's nominal microsecond
-        // per interpreter op — server-side app glue the layer-time
-        // predictor cannot see. Zero (a no-op) when analysis is off.
-        let mut prior = match &self.effects {
-            Some(summary) => Duration::from_micros(summary.cost.min_ops),
-            None => Duration::ZERO,
-        };
-        // Queue-aware admission control: the balancer's predicted
-        // queueing delay for the current server joins the offload side
-        // of the comparison, so a saturated CPU tips the plan to Local
-        // before any bytes commit to the wire. Zero when balancing is
-        // off (the outlook is never pushed).
-        if self.cfg.balance {
-            prior = prior.saturating_add(self.queue_prior());
-        }
-        // Before the ACK no model bytes have been confirmed; after it, all
-        // of them have (the pre-send is a single acknowledged upload).
-        let model_ready = self.clock.now() >= self.ack_at;
-        let acked = if model_ready { self.model_bytes } else { 0 };
-        offloader
-            .decide_predictive_with_prior(&link, model_ready, acked, &prediction, &policy, prior)
-            .map(Some)
-    }
-
     /// The uplink half of an offload attempt against the current server:
     /// migrates the client state up (delta when an agreement exists) and
     /// captures the server state base the downlink delta will later be
     /// computed against. `Ok(None)` means the retry budget against this
     /// server exhausted mid-migration.
     fn offload_up(&mut self, clicked_at: Duration) -> Result<Option<ArrivedUplink>, OffloadError> {
-        let Some((up_bytes, delta_up)) = self.migrate_up(clicked_at)? else {
-            return Ok(None);
-        };
-        Ok(Some(ArrivedUplink {
+        let base = self.agreed.clone();
+        let landed = self.migrate(Dir::Up, base.as_deref(), clicked_at)?;
+        Ok(landed.map(|(up_bytes, delta_up)| ArrivedUplink {
             server_base: self.server.browser.state_base(),
             up_bytes,
             delta_up,
@@ -1269,9 +1179,9 @@ impl OffloadSession {
         arrived: &ArrivedUplink,
         clicked_at: Duration,
     ) -> Result<Option<RoundReport>, OffloadError> {
-        let Some((down_bytes, delta_down)) =
-            self.migrate_down(&arrived.server_base, arrived.delta_up, clicked_at)?
-        else {
+        // A downlink delta needs the base the uplink delta left behind.
+        let base = arrived.delta_up.then_some(&arrived.server_base);
+        let Some((down_bytes, delta_down)) = self.migrate(Dir::Down, base, clicked_at)? else {
             return Ok(None);
         };
 
@@ -1305,27 +1215,11 @@ impl OffloadSession {
         }))
     }
 
-    /// Completes the round locally after the retry budget ran out: the
-    /// server's view of the client state is now stale (bytes may have
-    /// died mid-wire), so the delta agreement is dropped — the next round
-    /// re-sends a full snapshot.
-    fn finish_round_locally(&mut self, clicked_at: Duration) -> Result<RoundReport, OffloadError> {
-        self.tracer.record(
-            "fallback_local",
-            Lane::Client,
-            EventKind::Fallback,
-            self.clock.now(),
-            self.clock.now(),
-        );
-        self.agreed = None;
-        self.complete_locally(clicked_at, true)
-    }
-
     /// Runs the armed inference handler on the client: the trigger event
     /// is still queued (captures never mutate it), so disarming the
     /// trigger and resuming executes the inference locally. Shared by the
-    /// reactive fallback (after exhaustion) and the proactive path (the
-    /// predictor declined to offload).
+    /// reactive fallback (after exhaustion) and the proactive path (a
+    /// pre-ship gate said `Local`).
     fn complete_locally(
         &mut self,
         clicked_at: Duration,
@@ -1362,125 +1256,53 @@ impl OffloadSession {
         })
     }
 
-    fn migrate_up(&mut self, anchor: Duration) -> Result<Option<(u64, bool)>, OffloadError> {
-        if self.cfg.use_deltas {
-            if let Some(base) = self.agreed.clone() {
-                if let DeltaCapture::Delta(delta) = self
-                    .client
-                    .browser
-                    .capture_delta(&base, &self.cfg.snapshot)?
-                {
-                    let bytes = delta.size_bytes();
-                    let capture_start = self.clock.now();
-                    self.charge_capture_client(bytes);
-                    self.tracer.record_bytes(
-                        "capture_client",
-                        Lane::Client,
-                        EventKind::Capture,
-                        capture_start,
-                        self.clock.now(),
-                        Some(bytes),
-                    );
-                    if self.cfg.snapshot.verify {
-                        // Pre-send verification of the delta against the
-                        // agreed base's declarations; an unshippable delta
-                        // is rejected before any link traffic.
-                        self.client.verify_script(
-                            delta.script(),
-                            snapedge_analyze::Mode::Delta,
-                            base.declared_names(),
-                        )?;
-                    }
-                    if let Some(wire) = self.transfer("up", delta.script(), anchor)? {
-                        let restore_start = self.clock.now();
-                        self.server.browser.apply_delta(&delta)?;
-                        self.charge_restore_server(bytes);
-                        self.tracer.record_bytes(
-                            "restore_server",
-                            Lane::Server,
-                            EventKind::Restore,
-                            restore_start,
-                            self.clock.now(),
-                            Some(bytes),
-                        );
-                        return Ok(Some((wire, true)));
-                    }
+    /// One migration, the paper's capture → transmit → restore, in either
+    /// direction: a delta against `base` when one is given (and deltas
+    /// are on, and the diff is expressible), else a full snapshot.
+    /// Returns the wire bytes and whether a delta carried them; `Ok(None)`
+    /// means the retry budget ran out. Up and down differ in two places
+    /// only, both named below.
+    fn migrate(
+        &mut self,
+        dir: Dir,
+        base: Option<&StateBase>,
+        anchor: Duration,
+    ) -> Result<Option<(u64, bool)>, OffloadError> {
+        if let Some(base) = base.filter(|_| self.cfg.use_deltas) {
+            let (sender, _) = dir.ends(&mut self.client, &mut self.server);
+            if let DeltaCapture::Delta(delta) = sender.capture_delta(base, &self.cfg.snapshot)? {
+                if let Some(wire) = self.transfer(dir, delta.script(), anchor)? {
+                    let (_, receiver) = dir.ends(&mut self.client, &mut self.server);
+                    receiver.apply_delta(&delta)?;
+                    return Ok(Some((wire, true)));
+                }
+                match dir {
                     // The delta never arrived, so the server's agreed base
                     // can no longer be trusted. Drop the agreement and fall
                     // through to a full-snapshot re-send (fresh attempt
                     // budget, same deadline).
-                    self.agreed = None;
+                    Dir::Up => self.agreed = None,
+                    Dir::Down => return Ok(None),
                 }
             }
         }
-        let (snapshot, _) = self.client.capture(&self.cfg.snapshot)?;
-        // Remember the last full-snapshot size: after a handoff the next
-        // server receives a fresh full snapshot, so this is what the pool's
-        // selection metric prices as pending migration state.
-        self.last_full_bytes = snapshot.size_bytes();
-        let Some(wire) = self.transfer("up", snapshot.html(), anchor)? else {
-            return Ok(None);
-        };
-        self.server.restore(&snapshot)?;
-        Ok(Some((wire, false)))
-    }
-
-    fn migrate_down(
-        &mut self,
-        server_base: &StateBase,
-        delta_possible: bool,
-        anchor: Duration,
-    ) -> Result<Option<(u64, bool)>, OffloadError> {
-        if self.cfg.use_deltas && delta_possible {
-            if let DeltaCapture::Delta(delta) = self
-                .server
-                .browser
-                .capture_delta(server_base, &self.cfg.snapshot)?
-            {
-                let bytes = delta.size_bytes();
-                let capture_start = self.clock.now();
-                self.charge_capture_server(bytes);
-                self.tracer.record_bytes(
-                    "capture_server",
-                    Lane::Server,
-                    EventKind::Capture,
-                    capture_start,
-                    self.clock.now(),
-                    Some(bytes),
-                );
-                if self.cfg.snapshot.verify {
-                    self.server.verify_script(
-                        delta.script(),
-                        snapedge_analyze::Mode::Delta,
-                        server_base.declared_names(),
-                    )?;
-                }
-                let Some(wire) = self.transfer("down", delta.script(), anchor)? else {
-                    return Ok(None);
-                };
-                let restore_start = self.clock.now();
-                self.client.browser.apply_delta(&delta)?;
-                self.charge_restore_client(bytes);
-                self.tracer.record_bytes(
-                    "restore_client",
-                    Lane::Client,
-                    EventKind::Restore,
-                    restore_start,
-                    self.clock.now(),
-                    Some(bytes),
-                );
-                return Ok(Some((wire, true)));
-            }
+        let (sender, _) = dir.ends(&mut self.client, &mut self.server);
+        let (snapshot, _) = sender.capture(&self.cfg.snapshot)?;
+        if dir == Dir::Up {
+            // After a handoff the next server receives a fresh full
+            // snapshot, so this is what the pool's selection metric
+            // prices as pending migration state.
+            self.last_full_bytes = snapshot.size_bytes();
         }
-        let (snapshot, _) = self.server.capture(&self.cfg.snapshot)?;
-        let Some(wire) = self.transfer("down", snapshot.html(), anchor)? else {
+        let Some(wire) = self.transfer(dir, snapshot.html(), anchor)? else {
             return Ok(None);
         };
-        self.client.restore(&snapshot)?;
+        let (_, receiver) = dir.ends(&mut self.client, &mut self.server);
+        receiver.restore(&snapshot)?;
         Ok(Some((wire, false)))
     }
 
-    /// Ships `payload` over the uplink (`dir == "up"`) or downlink,
+    /// Ships `payload` over the uplink ([`Dir::Up`]) or downlink,
     /// advancing the clock to delivery and recording a `transfer_{dir}`
     /// span; returns the bytes that crossed the wire. With
     /// [`OffloadSession::compress`] set the payload goes through the
@@ -1492,13 +1314,13 @@ impl OffloadSession {
     /// `Ok(None)` means the retry budget ran out.
     fn transfer(
         &mut self,
-        dir: &str,
+        dir: Dir,
         payload: &str,
         anchor: Duration,
     ) -> Result<Option<u64>, OffloadError> {
-        let (link, sender, receiver) = match dir {
-            "up" => (&mut self.uplink, &self.client, &self.server),
-            _ => (&mut self.downlink, &self.server, &self.client),
+        let (dir, link, sender, receiver) = match dir {
+            Dir::Up => ("up", &mut self.uplink, &self.client, &self.server),
+            Dir::Down => ("down", &mut self.downlink, &self.server, &self.client),
         };
         let plain = payload.len() as u64;
         let packed = self
@@ -1563,23 +1385,6 @@ impl OffloadSession {
             );
         }
         Ok(Some(bytes))
-    }
-
-    fn charge_capture_client(&self, bytes: u64) {
-        self.clock
-            .advance_by(self.client.device.capture_time(bytes));
-    }
-    fn charge_restore_client(&self, bytes: u64) {
-        self.clock
-            .advance_by(self.client.device.restore_time(bytes));
-    }
-    fn charge_capture_server(&self, bytes: u64) {
-        self.clock
-            .advance_by(self.server.device.capture_time(bytes));
-    }
-    fn charge_restore_server(&self, bytes: u64) {
-        self.clock
-            .advance_by(self.server.device.restore_time(bytes));
     }
 }
 
@@ -1658,12 +1463,29 @@ mod tests {
 
     #[test]
     fn nondeterministic_app_is_forced_local_with_zero_link_bytes() {
-        let reference = OffloadSession::new(SessionConfig::tiny())
-            .unwrap()
-            .infer(1)
-            .unwrap();
-        let mut session =
-            OffloadSession::new(SessionConfig::tiny_builder().effects(true).build()).unwrap();
+        // Every gate configured at once. On the deterministic paper app
+        // they all say ship: effects, plan, and verify once per capture.
+        let every_gate = SessionConfig::paper_builder("agenet")
+            .balance(true)
+            .predict(true)
+            .snapshot(snapedge_webapp::SnapshotOptions {
+                verify: true,
+                effects: true,
+                ..Default::default()
+            })
+            .build();
+        let mut session = OffloadSession::new(every_gate).unwrap();
+        let gates = |session: &OffloadSession| -> Vec<String> {
+            let events = session.trace().events().to_vec();
+            let gates = events.into_iter().filter(|e| e.kind == EventKind::Gate);
+            gates.map(|e| e.name).collect()
+        };
+        let shipped = session.infer(1).unwrap();
+        let before = gates(&session);
+        assert_eq!(before.len(), 4, "{before:?}");
+        assert!(before.iter().all(|name| name.contains(":ship:")));
+        let agreed = session.agreed.clone().expect("round 1 left an agreement");
+
         // The paper apps are deterministic, so hand the gate the summary
         // of an app whose handler reads a random host.
         let app = "<html><body><button id=\"go\">go</button></body>\n<script>\n\
@@ -1679,19 +1501,13 @@ mod tests {
         assert_eq!(report.server, "client", "the round never left the client");
         assert_eq!(report.up_bytes, 0, "no snapshot bytes shipped");
         assert!(!report.fell_back, "no retry budget was spent");
-        assert_eq!(report.result, reference.result);
-        let trace = session.trace();
-        assert!(
-            trace
-                .events()
-                .iter()
-                .any(|e| e.name == "effect_verdict:nondeterministic"),
-            "the verdict is visible in the trace"
-        );
-        assert!(
-            !trace.events().iter().any(|e| e.name == "transfer_up"),
-            "the gate fires before any snapshot traffic"
-        );
+        assert!(!report.proactive && report.prediction.is_none());
+        assert_eq!(report.result, shipped.result, "same image, same label");
+        // The first gate to say local ends the chain: one more event, and
+        // nothing the later gates guard was touched.
+        assert_eq!(gates(&session)[4..], ["gate:effects:local:1:0"]);
+        assert_eq!(session.trace().bytes_of("transfer_up"), shipped.up_bytes);
+        assert!(Rc::ptr_eq(&agreed, session.agreed.as_ref().unwrap()));
     }
 
     #[test]

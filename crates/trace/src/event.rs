@@ -69,11 +69,13 @@ pub enum EventKind {
     /// deadline was exhausted (Section IV-A's "better for the client to
     /// execute the DNN locally").
     Fallback,
-    /// Static pre-send verification of a captured snapshot (closedness /
-    /// determinism analysis). Emitted before any link traffic; a failed
-    /// verification rejects the migration without touching the retry
-    /// budget.
-    Verify,
+    /// A pre-ship gate's verdict, consulted before any bytes commit to
+    /// the wire (instant marker named
+    /// `gate:<effects|plan|verify>:<ship|local|reject>:<lhs>:<rhs>`, the
+    /// two numbers being what the gate compared; the verify gate's
+    /// `bytes` is the length of the source it checked). Only a configured
+    /// gate emits one, so default traces carry none.
+    Gate,
     /// The fleet picked an edge server (instant marker; the event name
     /// carries the chosen server, e.g. `"server_select:edge-b"`).
     ServerSelect,
@@ -83,15 +85,6 @@ pub enum EventKind {
     /// `"handoff:edge-a->edge-b"`). The delta agreement is dropped and
     /// the model is re-pre-sent as part of the handoff.
     Handoff,
-    /// A proactive link-health prediction consulted before committing
-    /// bytes to the wire (instant marker; the event name carries the
-    /// predicted decision, e.g. `"predict:local"`).
-    Predict,
-    /// The runtime chose local execution *proactively* — the health
-    /// predictor expected the offload to lose before any retry budget
-    /// was spent (instant marker; contrast with [`EventKind::Fallback`],
-    /// the reactive path taken after exhaustion).
-    ProactiveLocal,
     /// A request joined a busy server's run queue (instant marker
     /// emitted by the fleet engine when an uplinked snapshot finds the
     /// server's CPU occupied by another client).
@@ -113,18 +106,6 @@ pub enum EventKind {
     /// executing server (instant marker; the event name carries the
     /// tripped resource, e.g. `"meter_exhausted:ops"`).
     MeterExhausted,
-    /// A static effect-analysis verdict consulted before committing
-    /// bytes to the wire (instant marker; the event name carries the
-    /// outcome, e.g. `"effect_verdict:nondeterministic"` or
-    /// `"effect_verdict:exhaustion"`). Only emitted when effect analysis
-    /// is enabled, so default traces are byte-identical to prior runs.
-    EffectVerdict,
-    /// A queue-aware balancing decision consulted before committing
-    /// bytes to the wire (instant marker; the event name carries the
-    /// predicted queueing delay, e.g. `"balance_wait:1500us"`). Only
-    /// emitted when balancing is enabled, so default traces are
-    /// byte-identical to prior runs.
-    BalanceDecision,
     /// A compute admission parked behind a busy server under fair-share
     /// scheduling (instant marker). Only emitted when fair share or
     /// batching is enabled.
@@ -138,6 +119,34 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Every kind, in declaration order: the one table [`EventKind::parse`]
+    /// and the round-trip test read.
+    pub const ALL: [EventKind; 23] = [
+        EventKind::Exec,
+        EventKind::Layer,
+        EventKind::Capture,
+        EventKind::Restore,
+        EventKind::Transfer,
+        EventKind::Queue,
+        EventKind::Codec,
+        EventKind::ModelUpload,
+        EventKind::Fault,
+        EventKind::Retry,
+        EventKind::Backoff,
+        EventKind::Fallback,
+        EventKind::Gate,
+        EventKind::ServerSelect,
+        EventKind::Handoff,
+        EventKind::Enqueue,
+        EventKind::Dequeue,
+        EventKind::QueueWait,
+        EventKind::MeterTick,
+        EventKind::MeterExhausted,
+        EventKind::AdmitDeferred,
+        EventKind::BatchFormed,
+        EventKind::Other,
+    ];
+
     /// Stable lowercase name (used by the JSON-lines encoding).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -153,18 +162,14 @@ impl EventKind {
             EventKind::Retry => "retry",
             EventKind::Backoff => "backoff",
             EventKind::Fallback => "fallback",
-            EventKind::Verify => "verify",
+            EventKind::Gate => "gate",
             EventKind::ServerSelect => "server_select",
             EventKind::Handoff => "handoff",
-            EventKind::Predict => "predict",
-            EventKind::ProactiveLocal => "proactive_local",
             EventKind::Enqueue => "enqueue",
             EventKind::Dequeue => "dequeue",
             EventKind::QueueWait => "queue_wait",
             EventKind::MeterTick => "meter_tick",
             EventKind::MeterExhausted => "meter_exhausted",
-            EventKind::EffectVerdict => "effect_verdict",
-            EventKind::BalanceDecision => "balance_decision",
             EventKind::AdmitDeferred => "admit_deferred",
             EventKind::BatchFormed => "batch_formed",
             EventKind::Other => "other",
@@ -173,36 +178,7 @@ impl EventKind {
 
     /// Parses the stable name back.
     pub fn parse(s: &str) -> Option<EventKind> {
-        match s {
-            "exec" => Some(EventKind::Exec),
-            "layer" => Some(EventKind::Layer),
-            "capture" => Some(EventKind::Capture),
-            "restore" => Some(EventKind::Restore),
-            "transfer" => Some(EventKind::Transfer),
-            "queue" => Some(EventKind::Queue),
-            "codec" => Some(EventKind::Codec),
-            "model_upload" => Some(EventKind::ModelUpload),
-            "fault" => Some(EventKind::Fault),
-            "retry" => Some(EventKind::Retry),
-            "backoff" => Some(EventKind::Backoff),
-            "fallback" => Some(EventKind::Fallback),
-            "verify" => Some(EventKind::Verify),
-            "server_select" => Some(EventKind::ServerSelect),
-            "handoff" => Some(EventKind::Handoff),
-            "predict" => Some(EventKind::Predict),
-            "proactive_local" => Some(EventKind::ProactiveLocal),
-            "enqueue" => Some(EventKind::Enqueue),
-            "dequeue" => Some(EventKind::Dequeue),
-            "queue_wait" => Some(EventKind::QueueWait),
-            "meter_tick" => Some(EventKind::MeterTick),
-            "meter_exhausted" => Some(EventKind::MeterExhausted),
-            "effect_verdict" => Some(EventKind::EffectVerdict),
-            "balance_decision" => Some(EventKind::BalanceDecision),
-            "admit_deferred" => Some(EventKind::AdmitDeferred),
-            "batch_formed" => Some(EventKind::BatchFormed),
-            "other" => Some(EventKind::Other),
-            _ => None,
-        }
+        EventKind::ALL.into_iter().find(|kind| kind.as_str() == s)
     }
 }
 
@@ -244,35 +220,8 @@ mod tests {
         for lane in [Lane::Client, Lane::Network, Lane::Server] {
             assert_eq!(Lane::parse(lane.as_str()), Some(lane));
         }
-        for kind in [
-            EventKind::Exec,
-            EventKind::Layer,
-            EventKind::Capture,
-            EventKind::Restore,
-            EventKind::Transfer,
-            EventKind::Queue,
-            EventKind::Codec,
-            EventKind::ModelUpload,
-            EventKind::Fault,
-            EventKind::Retry,
-            EventKind::Backoff,
-            EventKind::Fallback,
-            EventKind::Verify,
-            EventKind::ServerSelect,
-            EventKind::Handoff,
-            EventKind::Predict,
-            EventKind::ProactiveLocal,
-            EventKind::Enqueue,
-            EventKind::Dequeue,
-            EventKind::QueueWait,
-            EventKind::MeterTick,
-            EventKind::MeterExhausted,
-            EventKind::EffectVerdict,
-            EventKind::BalanceDecision,
-            EventKind::AdmitDeferred,
-            EventKind::BatchFormed,
-            EventKind::Other,
-        ] {
+        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL is in declaration order, no gaps");
             assert_eq!(EventKind::parse(kind.as_str()), Some(kind));
         }
         assert_eq!(Lane::parse("moon"), None);

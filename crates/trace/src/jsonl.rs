@@ -340,35 +340,32 @@ mod tests {
 
     #[test]
     fn prediction_events_export_and_reimport() {
-        // The proactive predictor's instant markers survive the JSONL
-        // round-trip with their stable kind names.
-        let trace = Trace::from_events(vec![
-            Event {
-                name: "predict:local".into(),
-                lane: Lane::Client,
-                kind: EventKind::Predict,
-                start: ms(7),
-                end: ms(7),
-                bytes: None,
-                depth: 0,
-            },
-            Event {
-                name: "proactive_local".into(),
-                lane: Lane::Client,
-                kind: EventKind::ProactiveLocal,
-                start: ms(7),
-                end: ms(7),
-                bytes: None,
-                depth: 0,
-            },
-        ]);
+        // A pre-ship gate's verdict survives the JSONL round-trip under
+        // the one `gate` kind; the five kinds it replaced are gone from
+        // the vocabulary, so a trace written before is a typed error.
+        let trace = Trace::from_events(vec![Event {
+            name: "gate:plan:local:2500000:1800000".into(),
+            lane: Lane::Client,
+            kind: EventKind::Gate,
+            start: ms(7),
+            end: ms(7),
+            bytes: None,
+            depth: 0,
+        }]);
         let text = trace.to_jsonl();
-        assert!(text.contains("\"kind\":\"predict\""));
-        assert!(text.contains("\"kind\":\"proactive_local\""));
-        let back = Trace::from_jsonl(&text).unwrap();
-        assert_eq!(back, trace);
-        assert_eq!(back.events()[0].kind, EventKind::Predict);
-        assert_eq!(back.events()[1].kind, EventKind::ProactiveLocal);
+        assert!(text.contains("\"kind\":\"gate\""));
+        assert_eq!(Trace::from_jsonl(&text).unwrap(), trace);
+        for old in [
+            "predict",
+            "proactive_local",
+            "effect_verdict",
+            "balance_decision",
+            "verify",
+        ] {
+            let stale = text.replace("\"kind\":\"gate\"", &format!("\"kind\":\"{old}\""));
+            let err = Trace::from_jsonl(&stale).unwrap_err();
+            assert!(err.to_string().contains(old), "{err}");
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   component of a simulation (endpoints, links, model hosts). Records
 //!   typed [`Event`]s with [`Lane`]/[`EventKind`]/byte counts against the
 //!   **virtual** clock (timestamps are plain [`Duration`]s supplied by the
-//!   caller, typically `SimClock::now()`), supports nested spans via
-//!   [`Tracer::begin`]/[`Tracer::end`], and exposes named atomic
-//!   [`Counter`]s.
+//!   caller, typically `SimClock::now()`) and supports nested spans via
+//!   [`Tracer::begin`]/[`Tracer::end`].
 //! * [`Trace`] — a finished, immutable event list with aggregation
 //!   helpers: per-name totals and byte counts, window filtering, and
 //!   [`Summary`] percentiles across repeated inferences.
@@ -55,4 +54,4 @@ pub use jsonl::TraceParseError;
 pub use render::render_ascii;
 pub use summary::Summary;
 pub use trace::Trace;
-pub use tracer::{Counter, SpanId, Tracer};
+pub use tracer::{SpanId, Tracer};

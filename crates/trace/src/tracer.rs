@@ -2,34 +2,12 @@
 
 use crate::event::{Event, EventKind, Lane};
 use crate::trace::Trace;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Token returned by [`Tracer::begin`], consumed by [`Tracer::end`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(u64);
-
-/// A named monotonically increasing counter, shared across tracer clones.
-///
-/// Counters are atomic, so subsystems running on worker threads (e.g. a
-/// future contention simulator) can bump them without synchronizing on the
-/// event buffer.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 #[derive(Debug)]
 struct OpenSpan {
@@ -52,7 +30,6 @@ struct State {
 struct Inner {
     enabled: bool,
     state: Mutex<State>,
-    counters: Mutex<BTreeMap<String, Counter>>,
 }
 
 /// A cheap cloneable handle recording [`Event`]s against virtual time.
@@ -81,7 +58,6 @@ impl Tracer {
             inner: Arc::new(Inner {
                 enabled: true,
                 state: Mutex::new(State::default()),
-                counters: Mutex::new(BTreeMap::new()),
             }),
         }
     }
@@ -94,7 +70,6 @@ impl Tracer {
             inner: Arc::new(Inner {
                 enabled: false,
                 state: Mutex::new(State::default()),
-                counters: Mutex::new(BTreeMap::new()),
             }),
         }
     }
@@ -193,23 +168,6 @@ impl Tracer {
                 depth,
             });
         }
-    }
-
-    /// The named counter, created at zero on first use.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut counters = self.inner.counters.lock().unwrap();
-        counters.entry(name.to_string()).or_default().clone()
-    }
-
-    /// All counters and their current values.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
     }
 
     /// Number of closed events recorded so far.
@@ -340,16 +298,6 @@ mod tests {
         u.record("b", Lane::Server, EventKind::Exec, ms(1), ms(2));
         assert_eq!(t.len(), 2);
         assert_eq!(u.len(), 2);
-    }
-
-    #[test]
-    fn counters_are_shared_and_atomic() {
-        let t = Tracer::new();
-        let c = t.counter("bytes_up");
-        c.add(10);
-        t.counter("bytes_up").add(5);
-        assert_eq!(t.counter("bytes_up").get(), 15);
-        assert_eq!(t.counters(), vec![("bytes_up".to_string(), 15)]);
     }
 
     #[test]

@@ -85,19 +85,46 @@ fn expected_line(html_src: &str, needle: &str) -> usize {
 #[test]
 fn paper_apps_full_and_delta_snapshots_verify_clean() {
     // With `verify` on, the endpoints statically check the full snapshot
-    // (round 1) and both delta scripts (round 2) before every transfer.
+    // (round 1) and both delta scripts (rounds 2-3) before every transfer.
     // Any analyzer false positive on our own capture output fails here.
     for model in ["googlenet", "agenet", "gendernet"] {
         let cfg = SessionConfig::paper_builder(model)
             .snapshot(verified_options())
             .build();
         let mut session = OffloadSession::new(cfg).expect("session");
-        for round in 1..=2 {
+        for round in 1..=3 {
             let report = session
                 .infer(round)
                 .unwrap_or_else(|e| panic!("{model} round {round}: {e}"));
             assert!(!report.fell_back, "{model} round {round} fell back");
+            assert_eq!(report.delta_up && report.delta_down, round > 1);
         }
+        // A migration is capture, verify, transfer, restore — the same
+        // four phases in the same order whether it carries a full
+        // snapshot or a delta, and whichever way it travels.
+        let trace = session.trace();
+        let phases: Vec<(&str, Lane)> = trace
+            .events()
+            .iter()
+            .filter(|e| e.depth == 0)
+            .filter(|e| {
+                ["capture_", "gate:verify:", "transfer_", "restore_"]
+                    .iter()
+                    .any(|prefix| e.name.starts_with(prefix))
+            })
+            .map(|e| (e.name.as_str(), e.lane))
+            .collect();
+        let round = [
+            ("capture_client", Lane::Client),
+            ("gate:verify:ship:0:0", Lane::Client),
+            ("transfer_up", Lane::Network),
+            ("restore_server", Lane::Server),
+            ("capture_server", Lane::Server),
+            ("gate:verify:ship:0:0", Lane::Server),
+            ("transfer_down", Lane::Network),
+            ("restore_client", Lane::Client),
+        ];
+        assert_eq!(phases, round.repeat(3), "{model}");
     }
 }
 
@@ -178,8 +205,11 @@ fn clean_capture_with_verify_on_records_a_verify_event() {
     client.capture(&verified_options()).expect("clean capture");
     let trace = tracer.finish();
     assert!(
-        trace.events().iter().any(|e| e.kind == EventKind::Verify),
-        "verify event missing from trace"
+        trace
+            .events()
+            .iter()
+            .any(|e| e.kind == EventKind::Gate && e.name == "gate:verify:ship:0:0"),
+        "verify verdict missing from trace"
     );
 }
 
@@ -224,7 +254,10 @@ fn free_variable_is_rejected_before_any_link_traffic() {
     assert_eq!(uplink.total_bytes(), 0, "no bytes may cross the link");
     let trace = tracer.finish();
     assert!(
-        trace.events().iter().any(|e| e.kind == EventKind::Verify),
-        "rejection must still record a verify event"
+        trace
+            .events()
+            .iter()
+            .any(|e| e.kind == EventKind::Gate && e.name == "gate:verify:reject:1:0"),
+        "rejection must still record a verify verdict, with its error count"
     );
 }

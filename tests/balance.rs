@@ -93,7 +93,7 @@ fn balance_off_replays_bit_for_bit_across_chaos_seeds() {
             "seed {seed}: deferred grants leaked into an off run"
         );
         for jsonl in &traces_a {
-            for needle in ["balance_decision", "admit_deferred", "batch_formed"] {
+            for needle in ["\"kind\":\"gate\"", "admit_deferred", "batch_formed"] {
                 assert!(
                     !jsonl.contains(needle),
                     "seed {seed}: {needle} leaked into an off trace"
@@ -199,19 +199,25 @@ fn admission_control_degrades_overloaded_rounds_to_local() {
     // Proactive degrades never burn the reactive fallback path.
     assert!(report.fallbacks + proactive <= report.completed);
 
-    // Every round that did offload logged its balance_wait decision, and
-    // the new vocabulary survives a JSONL round trip.
-    let mut balance_events = 0;
+    // Balancing alone (prediction is off) still consults the plan gate:
+    // every round logged one verdict, a `local` one per proactive round,
+    // and the vocabulary survives a JSONL round trip.
+    let (mut plan_events, mut local_events) = (0, 0);
     for client in 0..clients {
         let trace = engine.workload().trace(client).unwrap();
-        balance_events += kind_count(&trace, EventKind::BalanceDecision);
+        assert_eq!(kind_count(&trace, EventKind::Gate), 4, "client {client}");
+        for event in trace.events().iter().filter(|e| e.kind == EventKind::Gate) {
+            plan_events += usize::from(event.name.starts_with("gate:plan:"));
+            local_events += usize::from(event.name.starts_with("gate:plan:local:"));
+        }
         let jsonl = trace.to_jsonl();
         let back = Trace::from_jsonl(&jsonl).unwrap();
         assert_eq!(back.events(), trace.events());
     }
+    assert_eq!(plan_events, report.completed, "one plan verdict per round");
     assert_eq!(
-        balance_events, report.completed,
-        "one balance_wait record per round"
+        local_events, proactive,
+        "every proactive round names its gate"
     );
 }
 

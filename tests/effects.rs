@@ -3,9 +3,10 @@
 //! The contract under test (ISSUE 8: static-analysis tentpole):
 //!
 //! 1. **The analysis never touches capture** — a session with effects on
-//!    produces the reports, traces and wire bytes of one with effects
-//!    off, across the chaos seed matrix and on the reference walk under a
-//!    meter, where any skipped comparison would show as fewer ops.
+//!    produces the reports, wire bytes and (its own `gate:effects:ship`
+//!    markers aside) traces of one with effects off, across the chaos
+//!    seed matrix and on the reference walk under a meter, where any
+//!    skipped comparison would show as fewer ops.
 //! 2. **Gates fire before the wire** — a nondeterministic app is rejected
 //!    by the analysis and forced local by the session (its unit tests
 //!    cover the gate) with zero snapshot bytes, and
@@ -36,7 +37,8 @@ fn run_rounds(cfg: SessionConfig, rounds: u64) -> (Vec<RoundReport>, String) {
 }
 
 /// Runs three rounds of `base` with effects off and on, asserts equal
-/// reports and traces, and returns the reports.
+/// reports and — the gate's one `ship` marker per consulted round aside —
+/// equal traces, and returns the reports.
 fn assert_effects_change_nothing(
     base: impl Fn() -> SessionBuilder,
     what: &str,
@@ -44,7 +46,24 @@ fn assert_effects_change_nothing(
     let (off_reports, off_trace) = run_rounds(base().build(), 3);
     let (on_reports, on_trace) = run_rounds(base().effects(true).build(), 3);
     assert_eq!(on_reports, off_reports, "{what}: reports");
-    assert_eq!(on_trace, off_trace, "{what}: traces");
+    let (gates, rest): (Vec<&str>, Vec<&str>) = on_trace
+        .lines()
+        .partition(|line| line.contains("\"kind\":\"gate\""));
+    assert_eq!(
+        rest,
+        off_trace.lines().collect::<Vec<_>>(),
+        "{what}: traces"
+    );
+    assert!(
+        gates.len() <= on_reports.len(),
+        "{what}: at most one a round"
+    );
+    for line in gates {
+        assert!(
+            line.contains("\"name\":\"gate:effects:ship:0:0\""),
+            "{what}: {line}"
+        );
+    }
     off_reports
 }
 
@@ -95,8 +114,8 @@ fn effects_are_off_by_default_and_default_traces_stay_byte_identical() {
     let b = trace(());
     assert_eq!(a, b, "default session replay must be byte-identical");
     assert!(
-        !a.contains("effect_verdict"),
-        "no effect events unless the analysis is enabled"
+        !a.contains("\"kind\":\"gate\""),
+        "no gate events unless a gate is configured"
     );
 }
 
@@ -153,10 +172,11 @@ fn guaranteed_meter_exhaustion_completes_locally_before_any_bytes_ship() {
         let report = session.infer(1).unwrap();
         let trace = session.trace();
         assert!(
-            trace.events().iter().any(
-                |e| e.kind == EventKind::EffectVerdict && e.name == "effect_verdict:exhaustion"
-            ),
-            "the exhaustion verdict is visible in the trace"
+            trace
+                .events()
+                .iter()
+                .any(|e| e.kind == EventKind::Gate && e.name == "gate:effects:local:1:0"),
+            "the exhaustion verdict (op floor 1 against a cap of 0) is visible in the trace"
         );
         report
     };

@@ -6,8 +6,8 @@
 //!    every scenario and session replays the PR-4 behaviour exactly,
 //!    traces included.
 //! 2. **Prediction on with a healthy link changes nothing but markers** —
-//!    instant `predict:*` events appear, and every timing, byte count and
-//!    result stays identical to the reactive run.
+//!    instant `gate:plan:ship:*` events appear, and every timing, byte
+//!    count and result stays identical to the reactive run.
 //! 3. **Prediction on with a degrading link goes local *before* paying**
 //!    — once the windowed fault rate and collapsed bandwidth estimate say
 //!    the offload loses after its expected backoff penalty, the round
@@ -15,8 +15,8 @@
 //!    fault + backoff time strictly drops against the reactive run.
 //! 4. **Predictions are deterministic and serializable** — identical fault
 //!    schedules yield identical `LinkPrediction`s, floored estimators
-//!    yield finite monotone migration predictions, and `Predict` /
-//!    `ProactiveLocal` events survive the JSONL round trip.
+//!    yield finite monotone migration predictions, and `gate:plan:*`
+//!    events survive the JSONL round trip.
 
 use snapedge_core::prelude::*;
 use snapedge_core::Decision;
@@ -40,22 +40,51 @@ fn uplink_transfer_starts(trace: &Trace) -> Vec<Duration> {
     v
 }
 
-fn names_of_kind(trace: &Trace, kind: EventKind) -> Vec<String> {
+/// `(gate, verdict, lhs, rhs)` of every gate event, in order.
+fn gate_verdicts(trace: &Trace) -> Vec<(String, String, u64, u64)> {
     trace
         .events()
         .iter()
-        .filter(|e| e.kind == kind)
-        .map(|e| e.name.clone())
+        .filter(|e| e.kind == EventKind::Gate)
+        .map(|e| {
+            let parts: Vec<&str> = e.name.split(':').collect();
+            assert!(parts.len() == 5 && parts[0] == "gate", "{}", e.name);
+            let number = |s: &str| s.parse().unwrap_or_else(|_| panic!("{}", e.name));
+            (
+                parts[1].to_string(),
+                parts[2].to_string(),
+                number(parts[3]),
+                number(parts[4]),
+            )
+        })
         .collect()
 }
 
-/// Everything in `trace` except the instant `Predict` markers — the only
+/// The `(verdict, lhs, rhs)` of every `gate:plan:*` event, in order:
+/// predicted offload against predicted local time, in microseconds.
+fn plan_verdicts(trace: &Trace) -> Vec<(String, u64, u64)> {
+    gate_verdicts(trace)
+        .into_iter()
+        .filter(|(gate, ..)| gate == "plan")
+        .map(|(_, verdict, lhs, rhs)| (verdict, lhs, rhs))
+        .collect()
+}
+
+/// How many of `trace`'s plan verdicts were `verdict`.
+fn plan_count(trace: &Trace, verdict: &str) -> usize {
+    plan_verdicts(trace)
+        .iter()
+        .filter(|(v, _, _)| v == verdict)
+        .count()
+}
+
+/// Everything in `trace` except the instant gate markers — the only
 /// thing a correct-but-agreeing predictor is allowed to add to a run.
-fn without_predict_events(trace: &Trace) -> Vec<Event> {
+fn without_gate_events(trace: &Trace) -> Vec<Event> {
     trace
         .events()
         .iter()
-        .filter(|e| e.kind != EventKind::Predict)
+        .filter(|e| e.kind != EventKind::Gate)
         .cloned()
         .collect()
 }
@@ -147,16 +176,15 @@ fn session_predicts_local_before_retry_budget_exhaustion() {
         cost(&reactive_trace)
     );
 
-    // The decisions are observable in the trace.
-    assert!(
-        names_of_kind(&predictive_trace, EventKind::Predict).contains(&"predict:local".to_string())
-    );
-    assert_eq!(
-        names_of_kind(&predictive_trace, EventKind::ProactiveLocal),
-        vec!["proactive_local".to_string()]
-    );
-    assert!(names_of_kind(&reactive_trace, EventKind::Predict).is_empty());
-    assert!(names_of_kind(&reactive_trace, EventKind::ProactiveLocal).is_empty());
+    // The decisions are observable in the trace: rounds 1-2 shipped,
+    // round 3 went local, each with the numbers it compared.
+    let verdicts = plan_verdicts(&predictive_trace);
+    let outcomes: Vec<&str> = verdicts.iter().map(|(v, _, _)| v.as_str()).collect();
+    assert_eq!(outcomes, ["ship", "ship", "local"]);
+    for (verdict, offload_us, local_us) in &verdicts {
+        assert_eq!(verdict == "local", offload_us >= local_us, "{verdicts:?}");
+    }
+    assert!(plan_verdicts(&reactive_trace).is_empty());
 }
 
 /// The scenario runner honours the same gate: presend-time corruption
@@ -220,12 +248,12 @@ fn scenario_with_degraded_presend_goes_proactively_local() {
         cost(&reactive)
     );
     assert!(predictive.total < reactive.total);
-    assert!(names_of_kind(&predictive.trace, EventKind::ProactiveLocal).len() == 1);
-    assert!(names_of_kind(&reactive.trace, EventKind::ProactiveLocal).is_empty());
+    assert_eq!(plan_count(&predictive.trace, "local"), 1);
+    assert!(plan_verdicts(&reactive.trace).is_empty());
 }
 
 /// A predictor that agrees with the offload must change *nothing* but the
-/// instant `predict:*` markers: same rounds, same bytes, same virtual
+/// instant `gate:plan:*` markers: same rounds, same bytes, same virtual
 /// times, same trace minus those markers.
 #[test]
 fn healthy_link_prediction_is_marker_only() {
@@ -256,16 +284,16 @@ fn healthy_link_prediction_is_marker_only() {
         assert_eq!(r.prediction, None);
     }
     assert_eq!(
-        without_predict_events(&predictive_trace),
+        without_gate_events(&predictive_trace),
         reactive_trace.events().to_vec(),
-        "the predictor may only add instant Predict markers"
+        "the predictor may only add instant gate markers"
     );
     assert_eq!(
-        names_of_kind(&predictive_trace, EventKind::Predict).len(),
+        plan_count(&predictive_trace, "ship"),
         3,
         "one marker per round"
     );
-    assert!(names_of_kind(&predictive_trace, EventKind::ProactiveLocal).is_empty());
+    assert_eq!(plan_count(&predictive_trace, "local"), 0);
 }
 
 /// Prediction off is not merely similar to the pre-predictor path — it is
@@ -295,13 +323,77 @@ fn predict_off_is_bit_identical_across_the_chaos_seed_matrix() {
         let (b_rounds, b_trace) = run(explicit);
         assert_eq!(a_rounds, b_rounds, "seed {seed}: rounds diverged");
         assert_eq!(a_trace, b_trace, "seed {seed}: traces diverged");
-        assert!(names_of_kind(&a_trace, EventKind::Predict).is_empty());
-        assert!(names_of_kind(&a_trace, EventKind::ProactiveLocal).is_empty());
+        assert_eq!(
+            plan_verdicts(&a_trace),
+            [],
+            "seed {seed}: no gate configured"
+        );
     }
 }
 
-/// `Predict` and `ProactiveLocal` events from a *real* predictive run
-/// survive the JSONL export/import round trip.
+/// Every verdict's numbers satisfy the comparison its gate names — the
+/// plan gate goes local when predicted offload >= predicted local, the
+/// effects gate when sources (or a cost floor) exceed what is allowed,
+/// the verify gate rejects on any error — and every `ship` the converse,
+/// with all the gates on across the chaos seed matrix.
+#[test]
+fn every_verdict_satisfies_the_comparison_it_names_across_the_chaos_seed_matrix() {
+    let mut seen = std::collections::BTreeSet::new();
+    for seed in [1u64, 2, 3, 5, 8] {
+        let gated = |builder: SessionBuilder| {
+            builder
+                .faults(FaultPlan::chaos(seed, secs(1.0)))
+                .retry(RetryPolicy::default())
+                .predict(true)
+                .snapshot(SnapshotOptions {
+                    verify: true,
+                    effects: true,
+                    ..SnapshotOptions::default()
+                })
+        };
+        for cfg in [
+            // Local execution wins on the tiny model, offloading on AgeNet,
+            // and a zero-op meter dooms every round before the planner runs.
+            gated(SessionConfig::tiny_builder()).build(),
+            gated(SessionConfig::paper_builder("agenet")).build(),
+            gated(SessionConfig::tiny_builder())
+                .meter(MeterLimits::default().with_ops(0))
+                .build(),
+        ] {
+            let mut session = OffloadSession::new(cfg).unwrap();
+            for i in 1..=3 {
+                session.infer(i).unwrap();
+            }
+            for (gate, verdict, lhs, rhs) in gate_verdicts(&session.trace()) {
+                let trips = if gate == "plan" {
+                    lhs >= rhs
+                } else {
+                    lhs > rhs
+                };
+                assert_eq!(
+                    verdict != "ship",
+                    trips,
+                    "seed {seed}: gate:{gate}:{verdict}:{lhs}:{rhs}"
+                );
+                seen.insert(format!("{gate}:{verdict}"));
+            }
+        }
+    }
+    let seen: Vec<&str> = seen.iter().map(String::as_str).collect();
+    assert_eq!(
+        seen,
+        [
+            "effects:local",
+            "effects:ship",
+            "plan:local",
+            "plan:ship",
+            "verify:ship"
+        ]
+    );
+}
+
+/// `gate:plan:*` events from a *real* predictive run survive the JSONL
+/// export/import round trip.
 #[test]
 fn predictive_run_trace_round_trips_through_jsonl() {
     let mut probe = OffloadSession::new(SessionConfig::paper_builder("googlenet").build()).unwrap();
@@ -323,8 +415,9 @@ fn predictive_run_trace_round_trips_through_jsonl() {
 
     let trace = session.trace();
     let jsonl = trace.to_jsonl();
-    assert!(jsonl.contains("\"kind\":\"predict\""));
-    assert!(jsonl.contains("\"kind\":\"proactive_local\""));
+    assert!(jsonl.contains("\"name\":\"gate:plan:ship:"));
+    assert!(jsonl.contains("\"name\":\"gate:plan:local:"));
+    assert!(jsonl.contains("\"kind\":\"gate\""));
     let parsed = Trace::from_jsonl(&jsonl).unwrap();
     assert_eq!(parsed, trace, "JSONL round trip must be lossless");
 }
