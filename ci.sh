@@ -34,6 +34,13 @@ if grep -rnE 'RenderCache|render_cache|HEAP_GENERATION' crates/*/src; then exit 
 echo "== one gate chain, one migration (the five gate kinds, the decide_* doors, the latency predictor and the mirrored migrate/charge helpers stay deleted)"
 if grep -rnE 'EffectVerdict|BalanceDecision|ProactiveLocal|EventKind::Predict|decide_unreachable|LatencyPredictor|fn migrate_down|fn charge_(capture|restore)_' crates/*/src; then exit 1; fi
 
+echo "== paper figures are rows (one figures binary beside the two wall-budget smokes; the per-figure table printer and the second Gantt renderer stay deleted)"
+if ls crates/bench/src/bin | grep -vxE 'figures\.rs|fleet_scale\.rs|fleet_balance\.rs'; then
+    echo "crates/bench/src/bin/ grew a binary: a figure is a function in crates/bench/src/figures.rs" >&2
+    exit 1
+fi
+if grep -rnE 'print_table|mod timeline|core::timeline' crates/*/src; then exit 1; fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 

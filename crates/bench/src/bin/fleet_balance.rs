@@ -8,7 +8,6 @@
 //! cargo run --release -p snapedge-bench --bin fleet_balance
 //! ```
 
-use snapedge_bench::print_table;
 use snapedge_core::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -41,38 +40,23 @@ fn main() -> Result<(), OffloadError> {
     println!("Queue-aware balancing vs rotation: 1k modeled clients, skewed 3-server fleet\n");
 
     let started = Instant::now();
-    let mut rows = Vec::new();
     for rate_hz in [5.0, 10.0, 20.0] {
         for balance in [false, true] {
             let wall = Instant::now();
             let report = run(rate_hz, balance)?;
             let elapsed = wall.elapsed();
-            rows.push(vec![
-                format!("{rate_hz:.0}/s"),
-                if balance { "balanced" } else { "rotation" }.to_string(),
-                report.completed.to_string(),
-                format!("{:.2}", report.latency.p50.as_secs_f64()),
-                format!("{:.2}", report.latency.p99.as_secs_f64()),
-                report.servers[2].rounds.to_string(),
-                format!("{:.3}", report.fairness),
-                format!("{:.0}ms", elapsed.as_secs_f64() * 1e3),
-            ]);
+            println!(
+                "{rate_hz:>3.0}/s {}: {:>4} completed, p50 {:.2} s, p99 {:.2} s, {:>3} rounds on the slow server, fairness {:.3}, wall {:.0} ms",
+                if balance { "balanced" } else { "rotation" },
+                report.completed,
+                report.latency.p50.as_secs_f64(),
+                report.latency.p99.as_secs_f64(),
+                report.servers[2].rounds,
+                report.fairness,
+                elapsed.as_secs_f64() * 1e3
+            );
         }
     }
-    print_table(
-        &[
-            "arrivals",
-            "selection",
-            "completed",
-            "p50 (s)",
-            "p99 (s)",
-            "slow rounds",
-            "fairness",
-            "wall",
-        ],
-        &rows,
-        &[9, 10, 10, 8, 9, 12, 9, 8],
-    );
 
     let elapsed = started.elapsed();
     println!("\ntotal wall time: {:.0} ms", elapsed.as_secs_f64() * 1e3);

@@ -8,7 +8,6 @@
 //! cargo run --release -p snapedge-bench --bin fleet_scale
 //! ```
 
-use snapedge_bench::print_table;
 use snapedge_core::{ArrivalProcess, Engine, SessionConfig};
 use std::time::{Duration, Instant};
 
@@ -21,7 +20,6 @@ fn main() -> Result<(), snapedge_core::OffloadError> {
     println!("Fleet engine at scale: 10k modeled clients, Poisson arrivals, 3 servers\n");
 
     let started = Instant::now();
-    let mut rows = Vec::new();
     for rate_hz in [40.0, 120.0, 400.0] {
         let mut cfg = SessionConfig::paper("agenet");
         let template = cfg.primary().clone();
@@ -36,29 +34,16 @@ fn main() -> Result<(), snapedge_core::OffloadError> {
         let wall = Instant::now();
         let report = engine.run()?;
         let elapsed = wall.elapsed();
-        rows.push(vec![
-            format!("{rate_hz:.0}/s"),
-            report.completed.to_string(),
-            format!("{:.2}", report.throughput_rps),
-            format!("{:.2}", report.latency.p50.as_secs_f64()),
-            format!("{:.2}", report.latency.p99.as_secs_f64()),
-            format!("{:.2}", report.queue_wait.p99.as_secs_f64()),
-            format!("{:.0}ms", elapsed.as_secs_f64() * 1e3),
-        ]);
+        println!(
+            "{rate_hz:>4.0}/s: {:>5} completed, {:.2} r/s, p50 {:.2} s, p99 {:.2} s, queue p99 {:.2} s, wall {:.0} ms",
+            report.completed,
+            report.throughput_rps,
+            report.latency.p50.as_secs_f64(),
+            report.latency.p99.as_secs_f64(),
+            report.queue_wait.p99.as_secs_f64(),
+            elapsed.as_secs_f64() * 1e3
+        );
     }
-    print_table(
-        &[
-            "arrivals",
-            "completed",
-            "thpt (r/s)",
-            "p50 (s)",
-            "p99 (s)",
-            "queue p99 (s)",
-            "wall",
-        ],
-        &rows,
-        &[9, 10, 11, 8, 8, 14, 8],
-    );
 
     let elapsed = started.elapsed();
     println!("\ntotal wall time: {:.0} ms", elapsed.as_secs_f64() * 1e3);

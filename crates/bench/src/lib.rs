@@ -1,80 +1,5 @@
-//! Shared helpers for the snapedge benchmark harness — formatting and the
-//! common scenario grids used by the per-figure binaries.
+//! The paper's evaluation as data: [`figures`] computes every table and
+//! figure as rows; the `figures` binary prints them, and the `fleet_*`
+//! binaries hold the engine to a wall-clock budget.
 
-use snapedge_core::{run_scenario, OffloadError, ScenarioConfig, ScenarioReport, Strategy};
-
-/// The paper's three benchmark apps, in its order.
-pub const PAPER_MODELS: [&str; 3] = ["googlenet", "agenet", "gendernet"];
-
-/// The five bars of Fig. 6, in the paper's order.
-pub fn fig6_strategies() -> Vec<(&'static str, Strategy)> {
-    vec![
-        ("Client", Strategy::ClientOnly),
-        ("Server", Strategy::ServerOnly),
-        ("Offload before ACK", Strategy::OffloadBeforeAck),
-        ("Offload after ACK", Strategy::OffloadAfterAck),
-        (
-            "Offload partial (1st_pool)",
-            Strategy::Partial {
-                cut: "1st_pool".to_string(),
-            },
-        ),
-    ]
-}
-
-/// Runs one paper-configuration scenario.
-///
-/// # Errors
-///
-/// Propagates scenario failures.
-pub fn run_paper(model: &str, strategy: Strategy) -> Result<ScenarioReport, OffloadError> {
-    run_scenario(&ScenarioConfig::paper(model, strategy))
-}
-
-/// Formats a duration as seconds with two decimals.
-pub fn secs(d: std::time::Duration) -> String {
-    format!("{:.2}", d.as_secs_f64())
-}
-
-/// Formats bytes as MiB with two decimals (the paper's "MB").
-pub fn mib(bytes: u64) -> String {
-    format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
-}
-
-/// Prints a fixed-width table: a header row then data rows.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>], widths: &[usize]) {
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .zip(widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let header_cells: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    println!("{}", fmt_row(&header_cells));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
-    for row in rows {
-        println!("{}", fmt_row(row));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(secs(Duration::from_millis(2500)), "2.50");
-        assert_eq!(mib(44 * 1024 * 1024), "44.00");
-    }
-
-    #[test]
-    fn fig6_grid_has_five_strategies() {
-        assert_eq!(fig6_strategies().len(), 5);
-    }
-}
+pub mod figures;

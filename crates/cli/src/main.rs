@@ -381,8 +381,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
     if args.flag("timeline").is_some() {
         println!("\ntimeline (C=client, N=network, S=server):");
-        let spans = snapedge_core::timeline::spans(&report);
-        print!("{}", snapedge_core::timeline::render_ascii(&spans, 50));
+        // The canonical phase events, from the click onward: the pre-send
+        // and its ACK come before it.
+        let top_level = report.trace.top_level();
+        let phases: Vec<_> = (top_level.events().iter())
+            .filter(|e| e.start >= report.clicked_at && e.end > e.start)
+            .cloned()
+            .collect();
+        print!("{}", snapedge_trace::render_ascii(&phases, 50));
     }
     if let Some(path) = args.flag("trace") {
         std::fs::write(path, report.trace.to_jsonl())

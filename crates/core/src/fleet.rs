@@ -64,12 +64,6 @@ impl ServerSpec {
         self
     }
 
-    /// Replaces the device model, builder style.
-    pub fn with_device(mut self, device: DeviceProfile) -> ServerSpec {
-        self.device = device;
-        self
-    }
-
     /// Sets the client→server fault schedule, builder style.
     pub fn with_up_faults(mut self, plan: FaultPlan) -> ServerSpec {
         self.up_faults = plan;
@@ -119,13 +113,6 @@ impl ServerHealth {
     /// The bandwidth estimator fed by this server's transfers.
     pub fn estimator(&self) -> &BandwidthEstimator {
         self.link.estimator()
-    }
-
-    /// The windowed link-health tracker (fault rate, bandwidth trend,
-    /// time since last success) layered on the estimator; the input to
-    /// the adaptive offloader's proactive prediction.
-    pub fn link_health(&self) -> &LinkHealth {
-        &self.link
     }
 
     /// Condenses this server's windowed health into a [`LinkPrediction`]
@@ -566,10 +553,7 @@ mod tests {
         let prediction = health.predict(Duration::from_secs(2));
         assert!(!prediction.healthy());
         assert!((prediction.fault_rate - 0.75).abs() < 1e-12);
-        assert_eq!(
-            health.link_health().last_success(),
-            Some(Duration::from_secs(1))
-        );
+        assert_eq!(health.link.last_success(), Some(Duration::from_secs(1)));
         // Resetting the estimator also clears the windowed history.
         pool.reset_estimator(0);
         assert!(pool

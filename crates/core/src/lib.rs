@@ -68,7 +68,6 @@ pub mod privacy;
 pub mod resilience;
 mod scenario;
 mod session;
-pub mod timeline;
 
 pub use adaptive::{AdaptiveOffloader, AdaptivePolicy, Decision, Plan};
 pub use balance::{jain, Balancer, DrrScheduler, DEFAULT_DRR_QUANTUM};

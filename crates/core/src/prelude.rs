@@ -30,7 +30,6 @@ pub use crate::scenario::{
     run_scenario, Breakdown, ScenarioBuilder, ScenarioConfig, ScenarioReport, Strategy,
 };
 pub use crate::session::{OffloadSession, RoundReport, SessionBuilder, SessionConfig};
-pub use crate::timeline;
 pub use snapedge_analyze::{AnalyzeError, EffectOptions, EffectSummary};
 pub use snapedge_dnn::{zoo, ExecMode};
 pub use snapedge_net::{FaultKind, FaultPlan, FaultWindow, Link, LinkConfig};

@@ -70,12 +70,6 @@ impl LinkConfig {
         }
     }
 
-    /// Sets the one-way latency, builder style.
-    pub fn with_latency(mut self, latency: Duration) -> LinkConfig {
-        self.latency = latency;
-        self
-    }
-
     /// Sets the packet loss rate, builder style. Values are clamped to
     /// `[0, 0.99]`.
     pub fn with_loss(mut self, loss: f64) -> LinkConfig {
@@ -184,16 +178,6 @@ impl Link {
         self
     }
 
-    /// Replaces the fault plan on an existing link.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = plan;
-    }
-
-    /// The attached fault plan (empty by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// The earliest virtual instant `>= t` at which the link is reachable
     /// again according to its fault plan, or `None` when the link was
     /// statically failed via [`Link::set_down`] (no recovery scheduled).
@@ -214,13 +198,6 @@ impl Link {
         self.tracer = tracer;
         self.label = label.to_string();
         self
-    }
-
-    /// Replaces the tracer on an existing link (the caller-provided-links
-    /// entry points use this to instrument links they did not build).
-    pub fn set_tracer(&mut self, tracer: Tracer, label: &str) {
-        self.tracer = tracer;
-        self.label = label.to_string();
     }
 
     /// The link's static configuration.
@@ -426,11 +403,6 @@ impl Link {
         self.down = down;
     }
 
-    /// `true` when the link is failed.
-    pub fn is_down(&self) -> bool {
-        self.down
-    }
-
     /// Total payload bytes ever scheduled.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
@@ -511,7 +483,10 @@ mod tests {
 
     #[test]
     fn latency_applies_even_to_tiny_messages() {
-        let cfg = LinkConfig::mbps(1000.0).with_latency(Duration::from_millis(20));
+        let cfg = LinkConfig {
+            latency: Duration::from_millis(20),
+            ..LinkConfig::mbps(1000.0)
+        };
         assert!(cfg.transfer_time(1).unwrap() >= Duration::from_millis(20));
     }
 

@@ -67,16 +67,6 @@ impl Trace {
             .sum()
     }
 
-    /// Earliest event start (zero for an empty trace).
-    pub fn first_start(&self) -> Duration {
-        self.events.first().map(|e| e.start).unwrap_or_default()
-    }
-
-    /// Latest event end (zero for an empty trace).
-    pub fn last_end(&self) -> Duration {
-        self.events.iter().map(|e| e.end).max().unwrap_or_default()
-    }
-
     /// A trace containing only events overlapping `[from, to)`.
     pub fn window(&self, from: Duration, to: Duration) -> Trace {
         Trace::from_events(
@@ -209,13 +199,5 @@ mod tests {
         assert_eq!(s.count, 2);
         assert_eq!(s.total, ms(6));
         assert_eq!(s.max, ms(4));
-    }
-
-    #[test]
-    fn bounds_of_empty_trace_are_zero() {
-        let t = Trace::default();
-        assert!(t.is_empty());
-        assert_eq!(t.first_start(), Duration::ZERO);
-        assert_eq!(t.last_end(), Duration::ZERO);
     }
 }

@@ -187,24 +187,6 @@ impl Tracer {
         let state = self.inner.state.lock().unwrap();
         Trace::from_events(state.events.clone())
     }
-
-    /// Like [`Tracer::finish`] but only events overlapping `[from, to)` —
-    /// how per-round session reports carve their window out of a long
-    /// session trace.
-    pub fn finish_window(&self, from: Duration, to: Duration) -> Trace {
-        let state = self.inner.state.lock().unwrap();
-        Trace::from_events(
-            state
-                .events
-                .iter()
-                .filter(|e| {
-                    e.end > from && e.start < to
-                        || (e.start == e.end && e.start >= from && e.start < to)
-                })
-                .cloned()
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -306,7 +288,7 @@ mod tests {
         t.record("early", Lane::Client, EventKind::Exec, ms(0), ms(1));
         t.record("mid", Lane::Client, EventKind::Exec, ms(2), ms(3));
         t.record("late", Lane::Client, EventKind::Exec, ms(8), ms(9));
-        let w = t.finish_window(ms(2), ms(5));
+        let w = t.finish().window(ms(2), ms(5));
         assert_eq!(w.events().len(), 1);
         assert_eq!(w.events()[0].name, "mid");
     }

@@ -72,29 +72,15 @@ pub struct VmFile {
     pub class: ContentClass,
 }
 
-/// A VM disk image as a named file list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VmImage {
-    name: String,
+/// A VM disk image as a file list.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct VmImage {
     files: Vec<VmFile>,
 }
 
 impl VmImage {
-    /// An image with no files.
-    pub fn new(name: &str) -> VmImage {
-        VmImage {
-            name: name.to_string(),
-            files: Vec::new(),
-        }
-    }
-
-    /// The image name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Adds a file, builder-style.
-    pub fn with_file(mut self, name: &str, size: u64, class: ContentClass) -> VmImage {
+    fn with_file(mut self, name: &str, size: u64, class: ContentClass) -> VmImage {
         self.files.push(VmFile {
             name: name.to_string(),
             size,
@@ -103,26 +89,16 @@ impl VmImage {
         self
     }
 
-    /// The file list.
-    pub fn files(&self) -> &[VmFile] {
-        &self.files
-    }
-
-    /// Total raw size.
-    pub fn total_size(&self) -> u64 {
-        self.files.iter().map(|f| f.size).sum()
-    }
-
     /// `true` when a file with this name exists.
-    pub fn contains(&self, name: &str) -> bool {
+    fn contains(&self, name: &str) -> bool {
         self.files.iter().any(|f| f.name == name)
     }
 }
 
 /// The base VM image every edge server is assumed to hold: the paper
 /// synthesizes against "a base VM image of Ubuntu 12.04".
-pub fn base_image() -> VmImage {
-    VmImage::new("ubuntu-12.04-base")
+fn base_image() -> VmImage {
+    VmImage::default()
         .with_file("/boot/vmlinuz", 5 * 1024 * 1024, ContentClass::Software)
         .with_file("/usr", 550 * 1024 * 1024, ContentClass::Software)
         .with_file("/etc", 8 * 1024 * 1024, ContentClass::Text)
@@ -132,7 +108,6 @@ pub fn base_image() -> VmImage {
 /// customized image and the base image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Overlay {
-    name: String,
     files: Vec<VmFile>,
     compressed: u64,
 }
@@ -140,9 +115,9 @@ pub struct Overlay {
 impl Overlay {
     /// Builds the overlay of `customized` over `base`: every file that the
     /// base image does not already contain, compressed per content class.
-    pub fn build(base: &VmImage, customized: &VmImage) -> Overlay {
+    fn build(base: &VmImage, customized: &VmImage) -> Overlay {
         let files: Vec<VmFile> = customized
-            .files()
+            .files
             .iter()
             .filter(|f| !base.contains(&f.name))
             .cloned()
@@ -151,26 +126,12 @@ impl Overlay {
             .iter()
             .map(|f| (f.size as f64 * f.class.compression_ratio()).ceil() as u64)
             .sum();
-        Overlay {
-            name: format!("{}-over-{}", customized.name(), base.name()),
-            files,
-            compressed,
-        }
-    }
-
-    /// Overlay name.
-    pub fn name(&self) -> &str {
-        &self.name
+        Overlay { files, compressed }
     }
 
     /// Files carried by the overlay.
     pub fn files(&self) -> &[VmFile] {
         &self.files
-    }
-
-    /// Raw (uncompressed) payload size.
-    pub fn raw_size(&self) -> u64 {
-        self.files.iter().map(|f| f.size).sum()
     }
 
     /// Compressed size — what actually travels to the edge server
@@ -213,7 +174,7 @@ const MIB: u64 = 1024 * 1024;
 /// The customized image for the paper's offloading system: base +
 /// browser (~45 MB) + support libraries (~54 MB) + offloading server
 /// program (~1 MB) + the app's DNN model.
-pub fn offloading_image(model_name: &str, model_bytes: u64) -> VmImage {
+fn offloading_image(model_name: &str, model_bytes: u64) -> VmImage {
     let mut image = base_image();
     image = image
         .with_file("/opt/webkit-browser", 45 * MIB, ContentClass::Software)
@@ -297,13 +258,14 @@ mod tests {
     #[test]
     fn raw_size_exceeds_compressed() {
         let overlay = offloading_overlay("m", 27 * MIB);
-        assert!(overlay.raw_size() > overlay.compressed_size());
+        let raw: u64 = overlay.files().iter().map(|f| f.size).sum();
+        assert!(raw > overlay.compressed_size());
     }
 
     #[test]
     fn image_accounting() {
         let img = offloading_image("m", 5 * MIB);
         assert!(img.contains("/opt/webkit-browser"));
-        assert!(img.total_size() > base_image().total_size());
+        assert_eq!(img.files.len(), base_image().files.len() + 4);
     }
 }
