@@ -41,6 +41,12 @@ if ls crates/bench/src/bin | grep -vxE 'figures\.rs|fleet_scale\.rs|fleet_balanc
 fi
 if grep -rnE 'print_table|mod timeline|core::timeline' crates/*/src; then exit 1; fi
 
+echo "== the engine log is data (no String per event, no text-returning event_log)"
+if grep -nE 'event_log\.push\(format!|-> &\[String\]' crates/core/src/engine.rs; then
+    echo "engine.rs formats its log as it runs: push an EngineEvent, render in event_lines()" >&2
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 

@@ -279,19 +279,19 @@ fn parse_fair_share_flag(args: &Args) -> Result<bool, String> {
     }
 }
 
+/// Parses `text` as the seconds of `what`: a number a [`Duration`] can
+/// hold (not negative, not NaN, not past `u64::MAX` seconds).
+fn seconds(what: &str, text: &str) -> Result<Duration, String> {
+    text.parse::<f64>()
+        .map_err(|e| e.to_string())
+        .and_then(|secs| Duration::try_from_secs_f64(secs).map_err(|e| e.to_string()))
+        .map_err(|e| format!("bad {what} {text:?}: {e}"))
+}
+
 fn parse_batch_window_flag(args: &Args) -> Result<Option<Duration>, String> {
-    match args.flag("batch-window") {
-        None => Ok(None),
-        Some(v) => {
-            let secs: f64 = v.parse().map_err(|e| format!("bad --batch-window: {e}"))?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(format!(
-                    "bad --batch-window {v:?} (need non-negative seconds)"
-                ));
-            }
-            Ok(Some(Duration::from_secs_f64(secs)))
-        }
-    }
+    args.flag("batch-window")
+        .map(|v| seconds("--batch-window", v))
+        .transpose()
 }
 
 fn parse_retry_flag(args: &Args) -> Result<Option<RetryPolicy>, String> {
@@ -513,7 +513,7 @@ fn parse_arrival(spec: &str) -> Result<ArrivalProcess, String> {
             think: Duration::from_secs(2),
         }),
         ("closed", [think]) => Ok(ArrivalProcess::ClosedLoop {
-            think: Duration::from_secs_f64(num(think, "think time")?),
+            think: seconds("--arrival think time", think)?,
         }),
         ("poisson", [rate]) => Ok(ArrivalProcess::Poisson {
             rate_hz: num(rate, "rate")?,
@@ -521,7 +521,7 @@ fn parse_arrival(spec: &str) -> Result<ArrivalProcess, String> {
         ("diurnal", [base, peak, period]) => Ok(ArrivalProcess::Diurnal {
             base_hz: num(base, "base rate")?,
             peak_hz: num(peak, "peak rate")?,
-            period: Duration::from_secs_f64(num(period, "period")?),
+            period: seconds("--arrival period", period)?,
         }),
         _ => Err(format!(
             "bad --arrival {spec:?} (use closed[:think_s], poisson:rate_hz, \
@@ -550,10 +550,10 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         None => 100,
     };
     let arrival = parse_arrival(args.flag("arrival").unwrap_or("closed"))?;
-    let duration = Duration::from_secs_f64(match args.flag("duration") {
-        Some(v) => v.parse().map_err(|e| format!("bad --duration: {e}"))?,
-        None => 60.0,
-    });
+    let duration = match args.flag("duration") {
+        Some(v) => seconds("--duration", v)?,
+        None => Duration::from_secs(60),
+    };
     let max_rounds: Option<usize> = match args.flag("rounds") {
         Some(v) => Some(v.parse().map_err(|e| format!("bad --rounds: {e}"))?),
         None => None,
@@ -953,8 +953,21 @@ mod tests {
             "poisson:fast",
             "diurnal:5:80",
             "closed:1:2",
+            "closed:-1",
+            "closed:nan",
+            "closed:1e30",
+            "diurnal:1:2:-5",
         ] {
             assert!(parse_arrival(bad).is_err(), "accepted {bad:?}");
+        }
+        for bad in ["-1", "nan", "1e30", "soon"] {
+            for flag in ["--duration", "--batch-window"] {
+                let err = cmd_fleet(&args(&["fleet", "--clients", "1", flag, bad])).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("bad {flag} ")),
+                    "{flag} {bad}: {err}"
+                );
+            }
         }
     }
 

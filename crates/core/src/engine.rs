@@ -32,6 +32,10 @@
 //! pipeline too — the busy window the engine serializes is the inference
 //! execution, the dominant term for DNN work.)
 //!
+//! Every processed event leaves one [`EngineEvent`] in
+//! [`Engine::event_log`] — a `Copy` record, not text; the run loop
+//! formats nothing and [`Engine::event_lines`] renders on demand.
+//!
 //! Two workloads share the engine through one API: [`SessionWorkload`]
 //! drives real [`OffloadSession`]s (real browsers, snapshots, deltas,
 //! faults, failover — bit-identical to the legacy loop for one client)
@@ -144,9 +148,9 @@ pub struct RoundOutcome {
     pub total: Duration,
     /// Whether the round gave up on offloading and completed locally.
     pub fell_back: bool,
-    /// Name of the endpoint that executed the inference (`"client"`
-    /// for a fallback round).
-    pub server: String,
+    /// Fleet index of the server that executed the inference (`None`
+    /// when the client did: a fallback round, or one a gate kept local).
+    pub served_by: Option<usize>,
     /// Interpreter operations the serving server's resource meter
     /// charged this round (zero when unmetered, modeled or local).
     pub ops_used: u64,
@@ -331,7 +335,9 @@ impl SessionWorkload {
                     finished_at,
                     total: report.total,
                     fell_back: report.fell_back,
-                    server: report.server.clone(),
+                    // A remote round is reported under its server's name
+                    // and leaves the session pointing at that server.
+                    served_by: (report.server != "client").then_some(target),
                     ops_used: report.ops_used,
                     peak_heap: report.peak_heap,
                     proactive: report.proactive,
@@ -420,7 +426,6 @@ struct ModeledRound {
 /// browsers are built, so tens of thousands of clients simulate in
 /// milliseconds, behind the same [`Workload`] API as real sessions.
 pub struct ModeledWorkload {
-    names: Vec<String>,
     service: Vec<Duration>,
     up: Vec<Duration>,
     down: Vec<Duration>,
@@ -451,12 +456,10 @@ impl ModeledWorkload {
         let net = zoo::by_name(&cfg.model)?;
         let profile = net.profile();
         let bytes = MODELED_SNAPSHOT_BYTES;
-        let mut names = Vec::with_capacity(cfg.servers.len());
         let mut service = Vec::with_capacity(cfg.servers.len());
         let mut up = Vec::with_capacity(cfg.servers.len());
         let mut down = Vec::with_capacity(cfg.servers.len());
         for spec in &cfg.servers {
-            names.push(spec.name.clone());
             service.push(
                 spec.device.restore_time(bytes)
                     + spec.device.full_exec_time(&profile)
@@ -466,7 +469,6 @@ impl ModeledWorkload {
             down.push(spec.link.transfer_time(bytes)?);
         }
         Ok(ModeledWorkload {
-            names,
             service,
             up,
             down,
@@ -525,7 +527,7 @@ impl Workload for ModeledWorkload {
         at: Duration,
         _image_seed: u64,
     ) -> Result<EngineStep, OffloadError> {
-        let fleet = self.names.len();
+        let fleet = self.service.len();
         let round = self.next_round(client)?;
         // Load-blind round-robin server choice, offset by client so a
         // cold fleet spreads load instead of stampeding candidate 0 —
@@ -542,7 +544,7 @@ impl Workload for ModeledWorkload {
         _image_seed: u64,
         balancer: &Balancer,
     ) -> Result<EngineStep, OffloadError> {
-        let fleet = self.names.len();
+        let fleet = self.service.len();
         self.next_round(client)?;
         // Least-predicted-sojourn selection: per candidate, the wire and
         // CPU cost of the round plus the queueing delay the balancer
@@ -590,7 +592,7 @@ impl Workload for ModeledWorkload {
                 ))
             }
         };
-        let fleet = self.names.len();
+        let fleet = self.service.len();
         let finished = round.released + self.down[round.server % fleet] + self.restore;
         Ok(EngineStep::Done(RoundOutcome {
             client,
@@ -598,7 +600,7 @@ impl Workload for ModeledWorkload {
             finished_at: finished,
             total: finished - round.clicked,
             fell_back: false,
-            server: self.names[round.server % fleet].clone(),
+            served_by: Some(round.server % fleet),
             ops_used: 0,
             peak_heap: 0,
             proactive: false,
@@ -669,6 +671,110 @@ pub struct FleetReport {
     pub max_batch: usize,
 }
 
+/// One entry of the engine's event log: what the scheduler did, to which
+/// client, at which virtual time. A `Copy` record — the run loop stores
+/// it as data and [`Engine::event_lines`] renders the text on demand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineEvent {
+    /// The engine clock when the event was processed — except for
+    /// [`EngineEventKind::Done`], which carries the round's completion
+    /// time on the client's own timeline (never earlier than the clock).
+    pub at: Duration,
+    /// The client concerned (for a [`EngineEventKind::Batch`], the
+    /// batch's primary).
+    pub client: usize,
+    /// What happened.
+    pub kind: EngineEventKind,
+}
+
+/// The kinds of [`EngineEvent`], each with what its log line prints.
+/// Server indices, batch sizes and round numbers are `u32` so a record
+/// stays within 48 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineEventKind {
+    /// A request reached the client (which may be busy and park it).
+    Arrive,
+    /// The client started a round for the request that arrived at
+    /// `issued`.
+    Begin {
+        /// When the request arrived (the sojourn clock's origin).
+        issued: Duration,
+    },
+    /// The client's uplinked snapshot asked for `server`'s CPU: granted
+    /// in arrival order at `start`, or parked (`None`) under fair share
+    /// or batching until a [`EngineEventKind::Grant`].
+    Admit {
+        /// Fleet index of the server asked.
+        server: u32,
+        /// When the CPU was granted, `None` when the request was parked.
+        start: Option<Duration>,
+    },
+    /// A parked request got `server`'s CPU at `at`.
+    Grant {
+        /// Fleet index of the granting server.
+        server: u32,
+        /// When the request was parked.
+        enq: Duration,
+    },
+    /// The `size` grants just logged on `server` were admitted together.
+    Batch {
+        /// Fleet index of the batching server.
+        server: u32,
+        /// Members of the batch (two or more).
+        size: u32,
+    },
+    /// The server CPU freed and the client's round resumed.
+    Release,
+    /// The client's round `round` completed.
+    Done {
+        /// The client's 1-based round number.
+        round: u32,
+        /// Fleet index of the server that ran the inference, `None` when
+        /// the client did.
+        served_by: Option<u32>,
+    },
+}
+
+impl EngineEvent {
+    /// The log line of this event, with `names` labelling the fleet.
+    fn line(&self, names: &[String]) -> String {
+        let (at, client) = (self.at, self.client);
+        match self.kind {
+            EngineEventKind::Arrive => format!("t={at:?}: arrive client={client}"),
+            EngineEventKind::Begin { issued } => {
+                format!("t={at:?}: begin client={client} issued={issued:?}")
+            }
+            EngineEventKind::Admit {
+                server,
+                start: Some(start),
+            } => format!("t={at:?}: admit client={client} server={server} start={start:?}"),
+            EngineEventKind::Admit {
+                server,
+                start: None,
+            } => format!("t={at:?}: admit client={client} server={server} deferred"),
+            EngineEventKind::Grant { server, enq } => {
+                format!("t={at:?}: grant client={client} server={server} enq={enq:?}")
+            }
+            EngineEventKind::Batch { server, size } => {
+                format!("t={at:?}: batch server={server} size={size}")
+            }
+            EngineEventKind::Release => format!("t={at:?}: release client={client}"),
+            EngineEventKind::Done { round, served_by } => {
+                let server = match served_by {
+                    Some(idx) => names.get(idx as usize).map_or("?", String::as_str),
+                    None => "client",
+                };
+                format!("t={at:?}: done client={client} round={round} server={server}")
+            }
+        }
+    }
+}
+
+/// Narrows a fleet index, batch size or round number into its log field.
+fn log_u32(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
+
 /// A global event on the engine's virtual clock.
 #[derive(Debug)]
 enum Ev {
@@ -700,7 +806,7 @@ pub struct Engine<W> {
     duration: Duration,
     max_rounds: Option<usize>,
     seed: u64,
-    event_log: Vec<String>,
+    event_log: Vec<EngineEvent>,
     /// Queue-aware selection + admission control (default off: the
     /// load-blind paths replay bit for bit).
     balance: bool,
@@ -837,9 +943,20 @@ impl<W: Workload> Engine<W> {
     }
 
     /// Every event the last [`Engine::run`] processed, in schedule
-    /// order — the determinism witness (`t=…: kind client=… …` lines).
-    pub fn event_log(&self) -> &[String] {
+    /// order — the determinism witness, as data: one [`EngineEvent`] per
+    /// arrival, round start, admission, deferred grant, batch, release
+    /// and completion. Two runs of one config and seed log equal slices.
+    pub fn event_log(&self) -> &[EngineEvent] {
         &self.event_log
+    }
+
+    /// [`Engine::event_log`] as text, one `t=…: kind client=… …` line
+    /// per event, servers of `done` lines under their fleet names.
+    pub fn event_lines(&self) -> Vec<String> {
+        self.event_log
+            .iter()
+            .map(|event| event.line(&self.server_names))
+            .collect()
     }
 
     /// Pre-samples the open-loop arrival stream over `[0, duration)`.
@@ -928,24 +1045,38 @@ impl<W: Workload> Engine<W> {
         let mut completed_by: Vec<usize> = vec![0; clients];
         let mut max_batch = 0usize;
 
-        match self.arrival {
-            ArrivalProcess::ClosedLoop { .. } => {
-                for client in 0..clients {
-                    queue.push(Duration::ZERO, Ev::Arrive { client });
-                }
-            }
-            _ => {
-                for (at, client) in self.open_loop_arrivals(clients)? {
-                    queue.push(at, Ev::Arrive { client });
-                }
-            }
-        }
+        // The arrivals known up front — every client at t=0 for a closed
+        // loop, the sampled stream for an open one — are already in time
+        // order, so they stay in their `Vec` and merge with the heap as
+        // it drains: the heap holds in-flight events only. An arrival
+        // goes first on a tie, as when it was pushed ahead of the run
+        // and so held a lower sequence number than any in-flight event.
+        let arrivals: Vec<(Duration, usize)> = match self.arrival {
+            ArrivalProcess::ClosedLoop { .. } => (0..clients)
+                .map(|client| (Duration::ZERO, client))
+                .collect(),
+            _ => self.open_loop_arrivals(clients)?,
+        };
+        // Arrive, begin, admit, release, done: five events a round.
+        self.event_log.reserve(arrivals.len().saturating_mul(5));
+        let mut arrivals = arrivals.into_iter().peekable();
 
-        while let Some((now, event)) = queue.pop() {
+        loop {
+            let due = arrivals.next_if(|&(at, _)| queue.peek_time().is_none_or(|next| at <= next));
+            let (now, event) = match due {
+                Some((at, client)) => (at, Ev::Arrive { client }),
+                None => match queue.pop() {
+                    Some(next) => next,
+                    None => break,
+                },
+            };
             match event {
                 Ev::Arrive { client } => {
-                    self.event_log
-                        .push(format!("t={now:?}: arrive client={client}"));
+                    self.event_log.push(EngineEvent {
+                        at: now,
+                        client,
+                        kind: EngineEventKind::Arrive,
+                    });
                     if busy[client] {
                         backlog[client].push_back(now);
                         continue;
@@ -960,8 +1091,11 @@ impl<W: Workload> Engine<W> {
                     );
                 }
                 Ev::Begin { client, issued: at } => {
-                    self.event_log
-                        .push(format!("t={now:?}: begin client={client} issued={at:?}"));
+                    self.event_log.push(EngineEvent {
+                        at: now,
+                        client,
+                        kind: EngineEventKind::Begin { issued: at },
+                    });
                     issued[client] = at;
                     rounds_done[client] += 1;
                     let seed =
@@ -1005,9 +1139,14 @@ impl<W: Workload> Engine<W> {
                         // pure state, invisible in every output).
                         let start = now.max(busy_until[idx]);
                         waits.push(start - now);
-                        self.event_log.push(format!(
-                            "t={now:?}: admit client={client} server={idx} start={start:?}"
-                        ));
+                        self.event_log.push(EngineEvent {
+                            at: now,
+                            client,
+                            kind: EngineEventKind::Admit {
+                                server: log_u32(idx),
+                                start: Some(start),
+                            },
+                        });
                         let released = self.workload.compute(client, start)?;
                         balancer.note_grant(
                             idx,
@@ -1029,9 +1168,14 @@ impl<W: Workload> Engine<W> {
                         // Fair-share / batching path: park the request
                         // behind the server's CPU; an idle CPU grants
                         // (and opportunistically batches) right away.
-                        self.event_log.push(format!(
-                            "t={now:?}: admit client={client} server={idx} deferred"
-                        ));
+                        self.event_log.push(EngineEvent {
+                            at: now,
+                            client,
+                            kind: EngineEventKind::Admit {
+                                server: log_u32(idx),
+                                start: None,
+                            },
+                        });
                         pending[idx].push_back((client, now));
                         balancer.set_queue_depth(idx, pending[idx].len());
                         if busy_until[idx] <= now {
@@ -1064,8 +1208,11 @@ impl<W: Workload> Engine<W> {
                     }
                 }
                 Ev::Release { client, server } => {
-                    self.event_log
-                        .push(format!("t={now:?}: release client={client}"));
+                    self.event_log.push(EngineEvent {
+                        at: now,
+                        client,
+                        kind: EngineEventKind::Release,
+                    });
                     let step = self.workload.continue_round(client)?;
                     Self::dispatch(
                         &mut queue,
@@ -1186,7 +1333,7 @@ impl<W: Workload> Engine<W> {
     #[allow(clippy::too_many_arguments)]
     fn grant_parked(
         workload: &mut W,
-        event_log: &mut Vec<String>,
+        event_log: &mut Vec<EngineEvent>,
         queue: &mut EventQueue<Ev>,
         balancer: &mut Balancer,
         pending: &mut VecDeque<(usize, Duration)>,
@@ -1231,9 +1378,14 @@ impl<W: Workload> Engine<W> {
         for &(client, enq) in &batch {
             let wait = now.saturating_sub(enq);
             stats.waits.push(wait);
-            event_log.push(format!(
-                "t={now:?}: grant client={client} server={idx} enq={enq:?}"
-            ));
+            event_log.push(EngineEvent {
+                at: now,
+                client,
+                kind: EngineEventKind::Grant {
+                    server: log_u32(idx),
+                    enq,
+                },
+            });
             let released = workload.compute(client, now)?;
             queue.push(
                 released,
@@ -1254,10 +1406,14 @@ impl<W: Workload> Engine<W> {
         if batch.len() >= 2 {
             *stats.batches += 1;
             *stats.max_batch = (*stats.max_batch).max(batch.len());
-            event_log.push(format!(
-                "t={now:?}: batch server={idx} size={}",
-                batch.len()
-            ));
+            event_log.push(EngineEvent {
+                at: now,
+                client: primary,
+                kind: EngineEventKind::Batch {
+                    server: log_u32(idx),
+                    size: log_u32(batch.len()),
+                },
+            });
             let members: Vec<usize> = batch.iter().map(|&(c, _)| c).collect();
             workload.note_batch(&members, idx, now);
         }
@@ -1270,7 +1426,7 @@ impl<W: Workload> Engine<W> {
     /// (closed-loop think, or the oldest backlogged open-loop arrival).
     fn dispatch(
         queue: &mut EventQueue<Ev>,
-        event_log: &mut Vec<String>,
+        event_log: &mut Vec<EngineEvent>,
         client: usize,
         step: EngineStep,
         state: &mut DrainState<'_>,
@@ -1280,10 +1436,14 @@ impl<W: Workload> Engine<W> {
                 queue.push(at, Ev::Admit { client, server });
             }
             EngineStep::Done(outcome) => {
-                event_log.push(format!(
-                    "t={:?}: done client={client} round={} server={}",
-                    outcome.finished_at, outcome.round, outcome.server
-                ));
+                event_log.push(EngineEvent {
+                    at: outcome.finished_at,
+                    client,
+                    kind: EngineEventKind::Done {
+                        round: log_u32(outcome.round),
+                        served_by: outcome.served_by.map(log_u32),
+                    },
+                });
                 *state.completed += 1;
                 if let Some(done) = state.completed_by.get_mut(client) {
                     *done += 1;
@@ -1310,7 +1470,7 @@ impl<W: Workload> Engine<W> {
                         let capped = state
                             .max_rounds
                             .is_some_and(|cap| state.rounds_done[client] >= cap);
-                        let next = outcome.finished_at + *think;
+                        let next = outcome.finished_at.saturating_add(*think);
                         if !capped && next < state.duration {
                             queue.push(next, Ev::Arrive { client });
                         }
@@ -1367,4 +1527,29 @@ struct GrantStats<'a> {
     grants: &'a mut usize,
     batches: &'a mut usize,
     max_batch: &'a mut usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_engine_event_fits_48_bytes() {
+        assert!(std::mem::size_of::<EngineEvent>() <= 48);
+    }
+
+    /// A think time no clock can hold ends the client's loop after its
+    /// first round instead of overflowing `finished_at + think`.
+    #[test]
+    fn an_unbounded_think_time_saturates() {
+        let mut engine = Engine::modeled(SessionConfig::paper("agenet"), 2)
+            .unwrap()
+            .arrival(ArrivalProcess::ClosedLoop {
+                think: Duration::MAX,
+            })
+            .duration(Duration::MAX);
+        let report = engine.run().unwrap();
+        assert_eq!(report.completed, 2);
+        assert_eq!(engine.event_log().len(), 10);
+    }
 }

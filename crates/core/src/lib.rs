@@ -76,8 +76,8 @@ pub use device::{edge_server_x86, odroid_xu4, DeviceProfile};
 pub use endpoint::Endpoint;
 pub use energy::{client_energy, odroid_xu4_energy, EnergyProfile, EnergyReport};
 pub use engine::{
-    round_image_seed, ArrivalProcess, Engine, FleetReport, ModeledWorkload, RoundOutcome,
-    ServerLoad, SessionWorkload, Workload,
+    round_image_seed, ArrivalProcess, Engine, EngineEvent, EngineEventKind, FleetReport,
+    ModeledWorkload, RoundOutcome, ServerLoad, SessionWorkload, Workload,
 };
 pub use error::OffloadError;
 pub use fleet::{format_servers, parse_servers, ServerHealth, ServerPool, ServerSpec};

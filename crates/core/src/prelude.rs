@@ -19,8 +19,8 @@ pub use crate::balance::{jain, Balancer, DrrScheduler, DEFAULT_DRR_QUANTUM};
 pub use crate::config::{ConfigBuilder, OffloadConfig};
 pub use crate::device::{edge_server_x86, odroid_xu4, DeviceProfile};
 pub use crate::engine::{
-    round_image_seed, ArrivalProcess, Engine, FleetReport, ModeledWorkload, RoundOutcome,
-    ServerLoad, SessionWorkload, Workload,
+    round_image_seed, ArrivalProcess, Engine, EngineEvent, EngineEventKind, FleetReport,
+    ModeledWorkload, RoundOutcome, ServerLoad, SessionWorkload, Workload,
 };
 pub use crate::error::OffloadError;
 pub use crate::fleet::{format_servers, parse_servers, ServerHealth, ServerPool, ServerSpec};

@@ -13,16 +13,24 @@ pub struct EventQueue<E> {
     seq: u64,
 }
 
+/// One scheduled event under its ordering key: `nanos << 64 | seq`, so
+/// the heap compares one word and equal times pop in push order. Virtual
+/// times past `u64::MAX` ns (~584 years) saturate to it.
 #[derive(Debug)]
 struct Entry<E> {
-    time: Duration,
-    seq: u64,
+    key: u128,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn time(&self) -> Duration {
+        Duration::from_nanos((self.key >> 64) as u64)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -33,7 +41,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -52,22 +60,24 @@ impl<E> EventQueue<E> {
         EventQueue::default()
     }
 
-    /// Schedules `event` at virtual time `time`.
+    /// Schedules `event` at virtual time `time` (nanosecond-exact up to
+    /// `u64::MAX` ns, ~584 years; later times are scheduled there).
     pub fn push(&mut self, time: Duration, event: E) {
-        let seq = self.seq;
+        let nanos = u64::try_from(time.as_nanos()).unwrap_or(u64::MAX);
+        let key = u128::from(nanos) << 64 | u128::from(self.seq);
         self.seq += 1;
-        self.heap.push(Reverse(Entry { time, seq, event }));
+        self.heap.push(Reverse(Entry { key, event }));
     }
 
     /// Removes and returns the earliest event (insertion order breaks
     /// ties).
     pub fn pop(&mut self) -> Option<(Duration, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
+        self.heap.pop().map(|Reverse(e)| (e.time(), e.event))
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<Duration> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.heap.peek().map(|Reverse(e)| e.time())
     }
 
     /// Number of pending events.
@@ -107,6 +117,19 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "first");
         assert_eq!(q.pop().unwrap().1, "second");
         assert_eq!(q.pop().unwrap().1, "third");
+    }
+
+    #[test]
+    fn nanosecond_times_round_trip_and_far_futures_saturate() {
+        let mut q = EventQueue::new();
+        let far = Duration::from_nanos(u64::MAX);
+        q.push(Duration::MAX, "beyond");
+        q.push(far, "edge");
+        q.push(Duration::new(7, 123_456_789), "exact");
+        assert_eq!(q.pop(), Some((Duration::new(7, 123_456_789), "exact")));
+        // Both sit at the saturation point, so push order decides.
+        assert_eq!(q.pop(), Some((far, "beyond")));
+        assert_eq!(q.pop(), Some((far, "edge")));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //!    zero utilization/throughput and perfect fairness instead of NaN.
 
 use snapedge_core::prelude::*;
+use snapedge_integration::run_checked;
 use std::time::Duration;
 
 fn secs(s: f64) -> Duration {
@@ -69,7 +70,7 @@ fn balance_off_replays_bit_for_bit_across_chaos_seeds() {
                 })
                 .duration(LONG)
                 .max_rounds(3);
-            let report = engine.run().unwrap();
+            let report = run_checked(&mut engine);
             let log = engine.event_log().to_vec();
             let traces: Vec<String> = (0..CLIENTS)
                 .map(|c| engine.workload().trace(c).unwrap().to_jsonl())
@@ -85,11 +86,13 @@ fn balance_off_replays_bit_for_bit_across_chaos_seeds() {
         assert!(
             log_a
                 .iter()
-                .any(|l| l.contains("admit") && l.contains("start=")),
+                .any(|e| matches!(e.kind, EngineEventKind::Admit { start: Some(_), .. })),
             "seed {seed}: legacy admit lines missing"
         );
         assert!(
-            !log_a.iter().any(|l| l.contains("deferred")),
+            !log_a
+                .iter()
+                .any(|e| matches!(e.kind, EngineEventKind::Admit { start: None, .. })),
             "seed {seed}: deferred grants leaked into an off run"
         );
         for jsonl in &traces_a {
@@ -136,7 +139,7 @@ fn balancing_beats_rotation_on_a_skewed_fleet() {
             .unwrap()
             .arrival(ArrivalProcess::Poisson { rate_hz: 10.0 })
             .duration(Duration::from_secs(30));
-        let report = engine.run().unwrap();
+        let report = run_checked(&mut engine);
         assert_eq!(report.servers.len(), 3);
         report
     };
@@ -181,7 +184,7 @@ fn admission_control_degrades_overloaded_rounds_to_local() {
         })
         .duration(LONG)
         .max_rounds(4);
-    let report = engine.run().unwrap();
+    let report = run_checked(&mut engine);
     assert_eq!(report.completed, clients * 4);
 
     let proactive = engine
@@ -243,7 +246,7 @@ fn fair_share_batches_co_queued_grants_and_reports_fairness() {
         })
         .duration(LONG)
         .max_rounds(3);
-    let report = engine.run().unwrap();
+    let report = run_checked(&mut engine);
     assert_eq!(report.completed, clients * 3);
 
     let batches: usize = report.servers.iter().map(|s| s.batches).sum();
@@ -287,7 +290,7 @@ fn fair_share_batches_co_queued_grants_and_reports_fairness() {
             })
             .duration(LONG)
             .max_rounds(3);
-        engine.run().unwrap()
+        run_checked(&mut engine)
     };
     assert_eq!(rerun, report);
 }
@@ -304,7 +307,7 @@ fn fair_share_alone_never_batches() {
         })
         .duration(LONG)
         .max_rounds(2);
-    let report = engine.run().unwrap();
+    let report = run_checked(&mut engine);
     assert_eq!(report.completed, 8);
     assert_eq!(report.max_batch, 0);
     assert!(report.servers.iter().all(|s| s.batches == 0));
@@ -320,12 +323,11 @@ fn fair_share_alone_never_batches() {
 #[test]
 fn zero_horizon_run_reports_neutral_statistics() {
     let cfg = SessionConfig::paper_builder("agenet").build();
-    let report = Engine::modeled(cfg, 5)
+    let mut engine = Engine::modeled(cfg, 5)
         .unwrap()
         .arrival(ArrivalProcess::Poisson { rate_hz: 10.0 })
-        .duration(Duration::ZERO)
-        .run()
-        .unwrap();
+        .duration(Duration::ZERO);
+    let report = run_checked(&mut engine);
     assert_eq!(report.completed, 0);
     assert_eq!(report.throughput_rps, 0.0);
     assert_eq!(report.fairness, 1.0);

@@ -19,6 +19,8 @@
 //!    every candidate sharing the load.
 
 use snapedge_core::prelude::*;
+use snapedge_integration::run_checked;
+use snapedge_webapp::intern::fnv1a;
 use std::time::Duration;
 
 fn tiny_spec(name: &str) -> ServerSpec {
@@ -52,7 +54,7 @@ fn session_engine_runs_are_deterministic() {
             })
             .duration(LONG)
             .max_rounds(3);
-        let report = engine.run().unwrap();
+        let report = run_checked(&mut engine);
         let log = engine.event_log().to_vec();
         let traces: Vec<String> = (0..3)
             .map(|c| engine.workload().trace(c).unwrap().to_jsonl())
@@ -78,7 +80,7 @@ fn open_loop_arrivals_replay_with_the_seed() {
             .unwrap()
             .arrival(ArrivalProcess::Poisson { rate_hz: 25.0 })
             .duration(Duration::from_secs(10));
-        let report = engine.run().unwrap();
+        let report = run_checked(&mut engine);
         (report, engine.event_log().to_vec())
     };
     let (report_a, log_a) = run(42);
@@ -122,7 +124,7 @@ fn single_client_engine_run_matches_the_legacy_loop_bit_for_bit() {
         })
         .duration(LONG)
         .max_rounds(ROUNDS);
-    let report = engine.run().unwrap();
+    let report = run_checked(&mut engine);
     let engine_reports = engine.workload().reports();
     let engine_trace = engine.workload().trace(0).unwrap().to_jsonl();
 
@@ -157,7 +159,7 @@ fn contention_emerges_as_queue_wait_events() {
         })
         .duration(LONG)
         .max_rounds(3);
-    let report = engine.run().unwrap();
+    let report = run_checked(&mut engine);
     assert_eq!(report.completed, 6);
     assert!(
         report.queue_wait.max > Duration::ZERO,
@@ -194,13 +196,12 @@ fn contention_emerges_as_queue_wait_events() {
 #[test]
 fn modeled_contention_saturates_a_single_server() {
     let run = |model: &str, clients: usize, think: Duration, rounds: usize| {
-        Engine::modeled(SessionConfig::paper(model), clients)
+        let mut engine = Engine::modeled(SessionConfig::paper(model), clients)
             .unwrap()
             .arrival(ArrivalProcess::ClosedLoop { think })
             .duration(LONG)
-            .max_rounds(rounds)
-            .run()
-            .unwrap()
+            .max_rounds(rounds);
+        run_checked(&mut engine)
     };
     let report = run("agenet", 20, Duration::ZERO, 2);
     assert_eq!(report.completed, 40);
@@ -243,7 +244,7 @@ fn ten_thousand_clients_against_three_servers() {
             .unwrap()
             .arrival(ArrivalProcess::Poisson { rate_hz: 120.0 })
             .duration(Duration::from_secs(30));
-        let report = engine.run().unwrap();
+        let report = run_checked(&mut engine);
         (report, engine.event_log().len())
     };
     let (report, events) = run();
@@ -276,7 +277,7 @@ fn diurnal_traffic_drains_deterministically() {
             .unwrap()
             .arrival(arrival)
             .duration(Duration::from_secs(20));
-        engine.run().unwrap()
+        run_checked(&mut engine)
     };
     let diurnal = ArrivalProcess::Diurnal {
         base_hz: 2.0,
@@ -306,4 +307,226 @@ fn degenerate_engine_configs_are_rejected() {
         .run()
         .unwrap_err();
     assert!(matches!(err, OffloadError::Config(_)), "{err}");
+}
+
+// ---------------------------------------------------------------------
+// 5. The event log's rendered lines are pinned
+// ---------------------------------------------------------------------
+
+/// FNV-1a over every line plus a newline, with the line count.
+fn fnv_lines(lines: &[String]) -> (usize, u64) {
+    let text: String = lines.iter().flat_map(|l| [l.as_str(), "\n"]).collect();
+    (lines.len(), fnv1a(text.as_bytes()))
+}
+
+fn three_servers() -> ConfigBuilder<SessionConfig> {
+    SessionConfig::paper_builder("agenet")
+        .add_server(tiny_spec("edge-b"))
+        .add_server(tiny_spec("edge-c"))
+}
+
+fn modeled_lines(
+    cfg: SessionConfig,
+    clients: usize,
+    arrival: ArrivalProcess,
+    horizon: Duration,
+    cap: Option<usize>,
+) -> Vec<String> {
+    let mut engine = Engine::modeled(cfg, clients)
+        .unwrap()
+        .arrival(arrival)
+        .duration(horizon);
+    if let Some(cap) = cap {
+        engine = engine.max_rounds(cap);
+    }
+    run_checked(&mut engine);
+    engine.event_lines()
+}
+
+fn session_lines(cfg: SessionConfig, clients: usize, think: Duration, cap: usize) -> Vec<String> {
+    let mut engine = Engine::sessions(cfg, clients)
+        .unwrap()
+        .arrival(ArrivalProcess::ClosedLoop { think })
+        .duration(LONG)
+        .max_rounds(cap);
+    run_checked(&mut engine);
+    engine.event_lines()
+}
+
+/// `(run, lines, FNV-1a)` of [`event_log_lines_are_pinned`]'s runs,
+/// recorded at cef9d17 — when the engine still formatted one `String`
+/// per event — and not edited since.
+const PINNED_LINES: [(&str, usize, u64); 10] = [
+    ("modeled_poisson", 5935, 0x905d24ccbbc3abca),
+    ("modeled_diurnal", 2105, 0xfaf5027b97973e78),
+    ("modeled_closed", 300, 0xd085497643096c06),
+    ("modeled_fair_share", 540, 0x728ac5d18caddf9d),
+    ("modeled_batch_window", 7428, 0xeb0569a8a559b591),
+    ("modeled_balance", 505, 0xb479cc7c8e56902e),
+    ("modeled_all_three", 7374, 0x7dcb8fe83b348a09),
+    ("session_fair_batch", 111, 0xd298dc64406b8572),
+    ("session_failover", 30, 0x86e7aae4344a3856),
+    ("session_fallback", 16, 0x74ddb55ed904df26),
+];
+
+/// The text of the log is a contract of its own: ten fleets — modeled
+/// Poisson, diurnal and closed loop; fair share, a batch window and
+/// balancing alone and together; real sessions batching, failing over
+/// and falling back to the client — render the lines they always did.
+#[test]
+fn event_log_lines_are_pinned() {
+    let poisson = ArrivalProcess::Poisson { rate_hz: 120.0 };
+    let burst = ArrivalProcess::ClosedLoop {
+        think: Duration::ZERO,
+    };
+    let ten = Duration::from_secs(10);
+    let window = Duration::from_millis(50);
+    let dies = FaultPlan::none()
+        .down(Duration::from_millis(400), Duration::from_secs(3600))
+        .unwrap();
+    let one_try = RetryPolicy {
+        max_attempts: 1,
+        deadline: Duration::from_secs(2),
+        ..RetryPolicy::default()
+    };
+    let runs: Vec<(&str, Vec<String>)> = vec![
+        (
+            "modeled_poisson",
+            modeled_lines(three_servers().build(), 500, poisson.clone(), ten, None),
+        ),
+        (
+            "modeled_diurnal",
+            modeled_lines(
+                SessionConfig::paper("agenet"),
+                200,
+                ArrivalProcess::Diurnal {
+                    base_hz: 2.0,
+                    peak_hz: 40.0,
+                    period: ten,
+                },
+                Duration::from_secs(20),
+                None,
+            ),
+        ),
+        (
+            "modeled_closed",
+            modeled_lines(
+                SessionConfig::paper("agenet"),
+                20,
+                ArrivalProcess::ClosedLoop {
+                    think: Duration::from_millis(100),
+                },
+                LONG,
+                Some(3),
+            ),
+        ),
+        (
+            "modeled_fair_share",
+            modeled_lines(
+                three_servers().fair_share(true).build(),
+                30,
+                burst.clone(),
+                LONG,
+                Some(3),
+            ),
+        ),
+        (
+            "modeled_batch_window",
+            modeled_lines(
+                three_servers().batch_window(window).build(),
+                500,
+                poisson.clone(),
+                ten,
+                None,
+            ),
+        ),
+        (
+            "modeled_balance",
+            modeled_lines(
+                SessionConfig::paper_builder("agenet")
+                    .add_server(tiny_spec("edge-b"))
+                    .add_server(ServerSpec::new(
+                        "edge-slow",
+                        odroid_xu4(),
+                        LinkConfig::mbps(3.0),
+                    ))
+                    .balance(true)
+                    .build(),
+                300,
+                ArrivalProcess::Poisson { rate_hz: 10.0 },
+                ten,
+                None,
+            ),
+        ),
+        (
+            "modeled_all_three",
+            modeled_lines(
+                three_servers()
+                    .balance(true)
+                    .fair_share(true)
+                    .batch_window(window)
+                    .build(),
+                500,
+                poisson,
+                ten,
+                None,
+            ),
+        ),
+        (
+            "session_fair_batch",
+            session_lines(
+                SessionConfig::tiny_builder()
+                    .fair_share(true)
+                    .batch_window(window)
+                    .build(),
+                6,
+                Duration::ZERO,
+                3,
+            ),
+        ),
+        (
+            "session_failover",
+            session_lines(
+                SessionConfig::tiny_builder()
+                    .servers(vec![
+                        tiny_spec("edge-a").with_faults(dies.clone()),
+                        tiny_spec("edge-b"),
+                        tiny_spec("edge-c"),
+                    ])
+                    .retry(one_try.clone())
+                    .build(),
+                2,
+                Duration::from_millis(250),
+                3,
+            ),
+        ),
+        (
+            "session_fallback",
+            session_lines(
+                SessionConfig::tiny_builder()
+                    .servers(vec![
+                        tiny_spec("edge-a").with_faults(dies.clone()),
+                        tiny_spec("edge-b").with_faults(dies.clone()),
+                        tiny_spec("edge-c").with_faults(dies.clone()),
+                    ])
+                    .retry(one_try)
+                    .build(),
+                2,
+                Duration::from_millis(250),
+                2,
+            ),
+        ),
+    ];
+    let hashed: Vec<(&str, usize, u64)> = runs
+        .iter()
+        .map(|(name, lines)| {
+            let (count, hash) = fnv_lines(lines);
+            (*name, count, hash)
+        })
+        .collect();
+    assert_eq!(hashed, PINNED_LINES, "left: this run, right: pinned");
+    // The two session fleets pin what their names say.
+    let has = |run: usize, needle: &str| runs[run].1.iter().any(|l| l.ends_with(needle));
+    assert!(has(8, "round=2 server=edge-b"), "no failover in run 8");
+    assert!(has(9, "round=2 server=client"), "no fallback in run 9");
 }
