@@ -47,6 +47,19 @@ if grep -nE 'event_log\.push\(format!|-> &\[String\]' crates/core/src/engine.rs;
     exit 1
 fi
 
+echo "== fleet scheduling policies are engine switches only (no config knobs, no run-loop borrow bundles), one resilient scheduler, a single-threaded tracer"
+if grep -nE 'pub (fn )?(balance|fair_share|batch_window)\b' crates/core/src/config.rs; then
+    echo "config.rs grew a fleet policy knob: balance, fair share and batching are Engine switches" >&2
+    exit 1
+fi
+if grep -rnE 'cfg\.(balance|fair_share|batch_window)' crates/*/src; then exit 1; fi
+if grep -nE 'struct (DrainState|GrantStats)|too_many_arguments' crates/core/src/engine.rs; then
+    echo "engine.rs is bundling borrows again: per-client and per-server state lives in RunState's slots" >&2
+    exit 1
+fi
+if grep -rn 'schedule_resilient_traced' crates/*/src; then exit 1; fi
+if grep -n 'Mutex' crates/trace/src/tracer.rs; then exit 1; fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 

@@ -28,9 +28,9 @@ fn run(rate_hz: f64, balance: bool) -> Result<FleetReport, OffloadError> {
             odroid_xu4(),
             LinkConfig::mbps(3.0),
         ))
-        .balance(balance)
         .build();
     Engine::modeled(cfg, 1_000)?
+        .balance(balance)
         .arrival(ArrivalProcess::Poisson { rate_hz })
         .duration(Duration::from_secs(30))
         .run()

@@ -243,39 +243,13 @@ fn apply_fleet_flags(args: &Args, servers: &mut Vec<ServerSpec>) -> Result<(), S
     Ok(())
 }
 
-fn parse_predict_flag(args: &Args) -> Result<bool, String> {
-    match args.flag("predict") {
-        None => Ok(false),
+/// Reads boolean flag `--name`: absent is `false`, `true`/`on` and
+/// `false`/`off` mean what they say, and anything else is an error.
+fn bool_flag(args: &Args, name: &str) -> Result<bool, String> {
+    match args.flag(name) {
+        None | Some("false") | Some("off") => Ok(false),
         Some("true") | Some("on") => Ok(true),
-        Some("false") | Some("off") => Ok(false),
-        Some(other) => Err(format!("bad --predict {other:?} (use true/false)")),
-    }
-}
-
-fn parse_effects_flag(args: &Args) -> Result<bool, String> {
-    match args.flag("effects") {
-        None => Ok(false),
-        Some("true") | Some("on") => Ok(true),
-        Some("false") | Some("off") => Ok(false),
-        Some(other) => Err(format!("bad --effects {other:?} (use true/false)")),
-    }
-}
-
-fn parse_balance_flag(args: &Args) -> Result<bool, String> {
-    match args.flag("balance") {
-        None => Ok(false),
-        Some("true") | Some("on") => Ok(true),
-        Some("false") | Some("off") => Ok(false),
-        Some(other) => Err(format!("bad --balance {other:?} (use true/false)")),
-    }
-}
-
-fn parse_fair_share_flag(args: &Args) -> Result<bool, String> {
-    match args.flag("fair-share") {
-        None => Ok(false),
-        Some("true") | Some("on") => Ok(true),
-        Some("false") | Some("off") => Ok(false),
-        Some(other) => Err(format!("bad --fair-share {other:?} (use true/false)")),
+        Some(other) => Err(format!("bad --{name} {other:?} (use true/false)")),
     }
 }
 
@@ -319,8 +293,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     apply_fleet_flags(args, &mut cfg.servers)?;
     cfg.retry = parse_retry_flag(args)?;
     cfg.meter = parse_meter_flag(args)?;
-    cfg.predict = parse_predict_flag(args)?;
-    cfg.snapshot.effects = parse_effects_flag(args)?;
+    cfg.predict = bool_flag(args, "predict")?;
+    cfg.snapshot.effects = bool_flag(args, "effects")?;
+    let timeline = bool_flag(args, "timeline")?;
     let report = run_scenario(&cfg).map_err(|e| e.to_string())?;
     println!("model:      {}", report.model);
     println!("strategy:   {:?}", report.strategy);
@@ -379,7 +354,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             report.fault_time().as_secs_f64()
         );
     }
-    if args.flag("timeline").is_some() {
+    if timeline {
         println!("\ntimeline (C=client, N=network, S=server):");
         // The canonical phase events, from the click onward: the pre-send
         // and its ACK come before it.
@@ -432,28 +407,27 @@ fn cmd_session(args: &Args) -> Result<(), String> {
         Some(v) => v.parse().map_err(|e| format!("bad --rounds: {e}"))?,
         None => 3,
     };
-    let mut cfg = SessionConfig::paper(&args.model());
-    if args.flag("no-deltas").is_some() {
-        cfg.use_deltas = false;
-    }
-    apply_fleet_flags(args, &mut cfg.servers)?;
-    cfg.retry = parse_retry_flag(args)?;
-    cfg.meter = parse_meter_flag(args)?;
-    let predict = parse_predict_flag(args)?;
-    cfg.predict = predict;
-    cfg.snapshot.effects = parse_effects_flag(args)?;
+    let cfg = session_config(args)?;
+    let predict = cfg.predict;
     let mut session = OffloadSession::new(cfg).map_err(|e| e.to_string())?;
-    if predict {
-        println!(
-            "{:>6} {:>8} {:>12} {:>12} {:>10} {:>15} {:>14}",
-            "round", "mode", "up bytes", "down bytes", "total", "server", "predict"
-        );
-    } else {
-        println!(
-            "{:>6} {:>8} {:>12} {:>12} {:>10} {:>15}",
-            "round", "mode", "up bytes", "down bytes", "total", "server"
-        );
-    }
+    // The predictor's column is printed only when it is consulted.
+    let column = |text: &str| {
+        if predict {
+            format!(" {text:>14}")
+        } else {
+            String::new()
+        }
+    };
+    println!(
+        "{:>6} {:>8} {:>12} {:>12} {:>10} {:>15}{}",
+        "round",
+        "mode",
+        "up bytes",
+        "down bytes",
+        "total",
+        "server",
+        column("predict")
+    );
     for round in 1..=rounds {
         let r = session.infer(round).map_err(|e| e.to_string())?;
         let mode = if r.proactive {
@@ -465,37 +439,32 @@ fn cmd_session(args: &Args) -> Result<(), String> {
         } else {
             "full"
         };
-        if predict {
-            let predicted = r
-                .prediction
-                .as_ref()
-                .map(|d| d.label())
-                .unwrap_or_else(|| "-".to_string());
-            println!(
-                "{:>6} {:>8} {:>12} {:>12} {:>9.2}s {:>15} {:>14}   {}",
-                r.round,
-                mode,
-                r.up_bytes,
-                r.down_bytes,
-                r.total.as_secs_f64(),
-                r.server,
-                predicted,
-                r.result
-            );
-        } else {
-            println!(
-                "{:>6} {:>8} {:>12} {:>12} {:>9.2}s {:>15}   {}",
-                r.round,
-                mode,
-                r.up_bytes,
-                r.down_bytes,
-                r.total.as_secs_f64(),
-                r.server,
-                r.result
-            );
-        }
+        let predicted = (r.prediction.as_ref()).map_or_else(|| "-".to_string(), |d| d.label());
+        println!(
+            "{:>6} {:>8} {:>12} {:>12} {:>9.2}s {:>15}{}   {}",
+            r.round,
+            mode,
+            r.up_bytes,
+            r.down_bytes,
+            r.total.as_secs_f64(),
+            r.server,
+            column(&predicted),
+            r.result
+        );
     }
     Ok(())
+}
+
+/// The `session` command's config, from its flags.
+fn session_config(args: &Args) -> Result<SessionConfig, String> {
+    let mut cfg = SessionConfig::paper(&args.model());
+    cfg.use_deltas = !bool_flag(args, "no-deltas")?;
+    apply_fleet_flags(args, &mut cfg.servers)?;
+    cfg.retry = parse_retry_flag(args)?;
+    cfg.meter = parse_meter_flag(args)?;
+    cfg.predict = bool_flag(args, "predict")?;
+    cfg.snapshot.effects = bool_flag(args, "effects")?;
+    Ok(cfg)
 }
 
 /// Parses an `--arrival` spec: `closed[:think_s]`, `poisson:rate_hz`, or
@@ -530,16 +499,32 @@ fn parse_arrival(spec: &str) -> Result<ArrivalProcess, String> {
     }
 }
 
-/// Shapes an engine from the shared fleet flags and runs it to completion.
-fn run_fleet<W: Workload>(
-    mut engine: Engine<W>,
+/// The `fleet` flags that shape the engine rather than the clients'
+/// config: traffic, and the three server-side scheduling policies.
+struct FleetFlags {
     arrival: ArrivalProcess,
     duration: Duration,
     max_rounds: Option<usize>,
+    balance: bool,
+    fair_share: bool,
+    batch_window: Option<Duration>,
+}
+
+/// Shapes an engine from the fleet flags and runs it to completion.
+fn run_fleet<W: Workload>(
+    mut engine: Engine<W>,
+    flags: &FleetFlags,
 ) -> Result<FleetReport, String> {
-    engine = engine.arrival(arrival).duration(duration);
-    if let Some(cap) = max_rounds {
+    engine = engine
+        .arrival(flags.arrival.clone())
+        .duration(flags.duration)
+        .balance(flags.balance)
+        .fair_share(flags.fair_share);
+    if let Some(cap) = flags.max_rounds {
         engine = engine.max_rounds(cap);
+    }
+    if let Some(window) = flags.batch_window {
+        engine = engine.batch_window(window);
     }
     engine.run().map_err(|e| e.to_string())
 }
@@ -549,30 +534,28 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         Some(v) => v.parse().map_err(|e| format!("bad --clients: {e}"))?,
         None => 100,
     };
-    let arrival = parse_arrival(args.flag("arrival").unwrap_or("closed"))?;
-    let duration = match args.flag("duration") {
-        Some(v) => seconds("--duration", v)?,
-        None => Duration::from_secs(60),
+    let flags = FleetFlags {
+        arrival: parse_arrival(args.flag("arrival").unwrap_or("closed"))?,
+        duration: match args.flag("duration") {
+            Some(v) => seconds("--duration", v)?,
+            None => Duration::from_secs(60),
+        },
+        max_rounds: match args.flag("rounds") {
+            Some(v) => Some(v.parse().map_err(|e| format!("bad --rounds: {e}"))?),
+            None => None,
+        },
+        balance: bool_flag(args, "balance")?,
+        fair_share: bool_flag(args, "fair-share")?,
+        batch_window: parse_batch_window_flag(args)?,
     };
-    let max_rounds: Option<usize> = match args.flag("rounds") {
-        Some(v) => Some(v.parse().map_err(|e| format!("bad --rounds: {e}"))?),
-        None => None,
-    };
-    let real = match args.flag("real") {
-        None | Some("false") | Some("off") => false,
-        Some("true") | Some("on") => true,
-        Some(other) => return Err(format!("bad --real {other:?} (use true/false)")),
-    };
+    let real = bool_flag(args, "real")?;
     let mut cfg = SessionConfig::paper(&args.model());
     cfg.primary_mut().link = LinkConfig::mbps(args.mbps()?);
     apply_fleet_flags(args, &mut cfg.servers)?;
     cfg.retry = parse_retry_flag(args)?;
     cfg.meter = parse_meter_flag(args)?;
-    cfg.predict = parse_predict_flag(args)?;
-    cfg.balance = parse_balance_flag(args)?;
-    cfg.fair_share = parse_fair_share_flag(args)?;
-    cfg.batch_window = parse_batch_window_flag(args)?;
-    let balancing = cfg.balance || cfg.fair_share || cfg.batch_window.is_some();
+    cfg.predict = bool_flag(args, "predict")?;
+    let balancing = flags.balance || flags.fair_share || flags.batch_window.is_some();
     if let Some(seed) = args.flag("seed") {
         cfg.seed = seed.parse().map_err(|e| format!("bad --seed: {e}"))?;
     }
@@ -580,16 +563,16 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         "fleet:      {} server(s), {} client(s), arrival {:?}, horizon {:.0}s, {} workload",
         cfg.servers.len(),
         clients,
-        arrival,
-        duration.as_secs_f64(),
+        flags.arrival,
+        flags.duration.as_secs_f64(),
         if real { "real-session" } else { "modeled" }
     );
     let report = if real {
         let engine = Engine::sessions(cfg, clients).map_err(|e| e.to_string())?;
-        run_fleet(engine, arrival, duration, max_rounds)?
+        run_fleet(engine, &flags)?
     } else {
         let engine = Engine::modeled(cfg, clients).map_err(|e| e.to_string())?;
-        run_fleet(engine, arrival, duration, max_rounds)?
+        run_fleet(engine, &flags)?
     };
     println!(
         "completed:  {} round(s) ({} fallback(s)) | makespan {:.3}s | throughput {:.1}/s",
@@ -813,7 +796,7 @@ fn cmd_analyze_file(path: &str, args: &Args) -> Result<(), String> {
     } else {
         analyze_script(&source, &opts)
     };
-    let effects = if parse_effects_flag(args)? {
+    let effects = if bool_flag(args, "effects")? {
         let eopts = parse_effect_options(args)?;
         let result = if is_html {
             effect_summary_html(&source, &eopts)
@@ -894,7 +877,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         Some(m) => vec![m.to_string()],
         None => vec!["googlenet".into(), "agenet".into(), "gendernet".into()],
     };
-    let effects = parse_effects_flag(args)?;
+    let effects = bool_flag(args, "effects")?;
     let mut findings = 0;
     for model in &models {
         findings += analyze_model(model, args.flag("cut"), effects)?;
@@ -1165,23 +1148,23 @@ mod tests {
 
     #[test]
     fn predict_flag_parses_and_defaults_off() {
-        assert!(!parse_predict_flag(&args(&["run"])).unwrap());
-        assert!(parse_predict_flag(&args(&["run", "--predict", "true"])).unwrap());
-        assert!(parse_predict_flag(&args(&["run", "--predict", "on"])).unwrap());
-        assert!(!parse_predict_flag(&args(&["run", "--predict", "false"])).unwrap());
-        assert!(parse_predict_flag(&args(&["run", "--predict", "maybe"])).is_err());
+        assert!(!bool_flag(&args(&["run"]), "predict").unwrap());
+        assert!(bool_flag(&args(&["run", "--predict", "true"]), "predict").unwrap());
+        assert!(bool_flag(&args(&["run", "--predict", "on"]), "predict").unwrap());
+        assert!(!bool_flag(&args(&["run", "--predict", "false"]), "predict").unwrap());
+        assert!(bool_flag(&args(&["run", "--predict", "maybe"]), "predict").is_err());
     }
 
     #[test]
     fn balance_flags_parse_and_default_off() {
-        assert!(!parse_balance_flag(&args(&["fleet"])).unwrap());
-        assert!(parse_balance_flag(&args(&["fleet", "--balance", "true"])).unwrap());
-        assert!(parse_balance_flag(&args(&["fleet", "--balance", "on"])).unwrap());
-        assert!(!parse_balance_flag(&args(&["fleet", "--balance", "off"])).unwrap());
-        assert!(parse_balance_flag(&args(&["fleet", "--balance", "maybe"])).is_err());
-        assert!(!parse_fair_share_flag(&args(&["fleet"])).unwrap());
-        assert!(parse_fair_share_flag(&args(&["fleet", "--fair-share", "true"])).unwrap());
-        assert!(parse_fair_share_flag(&args(&["fleet", "--fair-share", "no"])).is_err());
+        assert!(!bool_flag(&args(&["fleet"]), "balance").unwrap());
+        assert!(bool_flag(&args(&["fleet", "--balance", "true"]), "balance").unwrap());
+        assert!(bool_flag(&args(&["fleet", "--balance", "on"]), "balance").unwrap());
+        assert!(!bool_flag(&args(&["fleet", "--balance", "off"]), "balance").unwrap());
+        assert!(bool_flag(&args(&["fleet", "--balance", "maybe"]), "balance").is_err());
+        assert!(!bool_flag(&args(&["fleet"]), "fair-share").unwrap());
+        assert!(bool_flag(&args(&["fleet", "--fair-share", "true"]), "fair-share").unwrap());
+        assert!(bool_flag(&args(&["fleet", "--fair-share", "no"]), "fair-share").is_err());
     }
 
     #[test]
@@ -1197,11 +1180,29 @@ mod tests {
 
     #[test]
     fn effects_flag_parses_and_defaults_off() {
-        assert!(!parse_effects_flag(&args(&["run"])).unwrap());
-        assert!(parse_effects_flag(&args(&["run", "--effects", "true"])).unwrap());
-        assert!(parse_effects_flag(&args(&["run", "--effects", "on"])).unwrap());
-        assert!(!parse_effects_flag(&args(&["run", "--effects", "off"])).unwrap());
-        assert!(parse_effects_flag(&args(&["run", "--effects", "maybe"])).is_err());
+        assert!(!bool_flag(&args(&["run"]), "effects").unwrap());
+        assert!(bool_flag(&args(&["run", "--effects", "true"]), "effects").unwrap());
+        assert!(bool_flag(&args(&["run", "--effects", "on"]), "effects").unwrap());
+        assert!(!bool_flag(&args(&["run", "--effects", "off"]), "effects").unwrap());
+        assert!(bool_flag(&args(&["run", "--effects", "maybe"]), "effects").is_err());
+    }
+
+    #[test]
+    fn false_means_false_for_no_deltas_and_timeline() {
+        assert!(session_config(&args(&["session"])).unwrap().use_deltas);
+        let kept = session_config(&args(&["session", "--no-deltas", "false"])).unwrap();
+        assert!(kept.use_deltas, "--no-deltas false must keep deltas on");
+        let dropped = session_config(&args(&["session", "--no-deltas", "true"])).unwrap();
+        assert!(!dropped.use_deltas);
+    }
+
+    #[test]
+    fn every_bool_flag_refuses_other_values_before_running() {
+        let maybe = |flag: &str| args(&["cmd", "--model", "tiny_cnn", flag, "maybe"]);
+        let refused = |flag: &str| Err(format!("bad {flag} \"maybe\" (use true/false)"));
+        assert_eq!(cmd_run(&maybe("--timeline")), refused("--timeline"));
+        assert_eq!(cmd_session(&maybe("--no-deltas")), refused("--no-deltas"));
+        assert_eq!(cmd_fleet(&maybe("--real")), refused("--real"));
     }
 
     #[test]

@@ -66,25 +66,6 @@ pub struct OffloadConfig {
     /// locally without burning retries. `None` (the default) runs
     /// unmetered and is bit-identical to pre-metering behaviour.
     pub meter: Option<MeterLimits>,
-    /// Queue-aware load balancing: server selection prices each
-    /// candidate's predicted queueing delay (the fleet engine's
-    /// `busy_until` ground truth plus recent-wait EWMAs) on top of link
-    /// health, and the same prediction feeds the adaptive offloader as
-    /// an additive prior so queueing delay that erases the offload win
-    /// degrades the round to local *before* any bytes commit to the
-    /// wire (admission control). `false` (the default) replays the
-    /// load-blind rotation/health-only paths bit for bit.
-    pub balance: bool,
-    /// Per-tenant fair share: the fleet engine orders compute grants by
-    /// deficit round robin over tenants instead of arrival order, so one
-    /// chatty tenant cannot starve co-located clients of a server CPU.
-    /// `false` (the default) keeps arrival-order grants bit for bit.
-    pub fair_share: bool,
-    /// Opportunistic server-side batching: compute grants co-queued on
-    /// one server within this window are admitted together as one batch.
-    /// `None` (the default) never batches and is bit-identical to
-    /// pre-batching behaviour.
-    pub batch_window: Option<std::time::Duration>,
 }
 
 impl OffloadConfig {
@@ -106,9 +87,6 @@ impl OffloadConfig {
             retry: None,
             predict: false,
             meter: None,
-            balance: false,
-            fair_share: false,
-            batch_window: None,
         }
     }
 
@@ -272,28 +250,6 @@ impl<C: DerefMut<Target = OffloadConfig>> ConfigBuilder<C> {
     /// [`ServerSpec::meter`] overrides win where set).
     pub fn meter(mut self, limits: MeterLimits) -> ConfigBuilder<C> {
         self.cfg.meter = Some(limits);
-        self
-    }
-
-    /// Toggles queue-aware load balancing and admission control (off by
-    /// default). Off replays the load-blind selection paths byte for
-    /// byte.
-    pub fn balance(mut self, on: bool) -> ConfigBuilder<C> {
-        self.cfg.balance = on;
-        self
-    }
-
-    /// Toggles per-tenant deficit-round-robin fair share in the fleet
-    /// engine (off by default).
-    pub fn fair_share(mut self, on: bool) -> ConfigBuilder<C> {
-        self.cfg.fair_share = on;
-        self
-    }
-
-    /// Enables opportunistic server-side batching of compute grants
-    /// co-queued within `window` (off by default).
-    pub fn batch_window(mut self, window: std::time::Duration) -> ConfigBuilder<C> {
-        self.cfg.batch_window = Some(window);
         self
     }
 

@@ -317,10 +317,9 @@ impl SessionWorkload {
     fn step_of(&mut self, client: usize, step: RoundStep) -> EngineStep {
         match step {
             RoundStep::NeedCompute => {
-                let (server, at) = match self.sessions.get(client) {
-                    Some(s) => (s.current_server(), s.now()),
-                    None => (0, Duration::ZERO),
-                };
+                let (server, at) = (self.sessions.get(client))
+                    .map(|s| (s.current_server(), s.now()))
+                    .unwrap_or_default();
                 EngineStep::NeedCompute { server, at }
             }
             RoundStep::Done(report) => {
@@ -388,12 +387,9 @@ impl Workload for SessionWorkload {
         // Hand the session the fleet-wide queue outlook before its round
         // starts: the current server's entry becomes the admission
         // prior, the full vector re-ranks failover candidates.
-        let outlook = balancer.outlook(at);
-        let session = self.session(client)?;
-        session.set_queue_outlook(outlook);
-        session.advance_clock_to(at);
-        let step = session.round_start(image_seed)?;
-        Ok(self.step_of(client, step))
+        self.session(client)?
+            .set_queue_outlook(balancer.outlook(at));
+        self.begin_round(client, at, image_seed)
     }
 
     fn note_deferred(&mut self, client: usize, _server: usize, at: Duration) {
@@ -416,7 +412,15 @@ impl Workload for SessionWorkload {
 struct ModeledRound {
     clicked: Duration,
     server: usize,
+    service: Duration,
     released: Duration,
+}
+
+/// One modeled client: its 1-based round counter and the round in flight.
+#[derive(Debug, Clone, Copy, Default)]
+struct ModeledClient {
+    round: usize,
+    pending: Option<ModeledRound>,
 }
 
 /// The megascale workload: per-round timings derived from the same
@@ -431,9 +435,7 @@ pub struct ModeledWorkload {
     down: Vec<Duration>,
     capture: Duration,
     restore: Duration,
-    clients: usize,
-    rounds: Vec<usize>,
-    pending: Vec<Option<ModeledRound>>,
+    clients: Vec<ModeledClient>,
 }
 
 impl ModeledWorkload {
@@ -474,42 +476,32 @@ impl ModeledWorkload {
             down,
             capture: cfg.client_device.capture_time(bytes),
             restore: cfg.client_device.restore_time(bytes),
-            clients,
-            rounds: vec![0; clients],
-            pending: vec![None; clients],
+            clients: vec![ModeledClient::default(); clients],
         })
     }
 
-    fn slot(&mut self, client: usize) -> Result<&mut Option<ModeledRound>, OffloadError> {
-        self.pending
+    fn client(&mut self, client: usize) -> Result<&mut ModeledClient, OffloadError> {
+        self.clients
             .get_mut(client)
             .ok_or_else(|| OffloadError::Config(format!("workload has no client {client}")))
     }
 
-    /// Bumps and returns `client`'s 1-based round counter.
-    fn next_round(&mut self, client: usize) -> Result<usize, OffloadError> {
-        match self.rounds.get_mut(client) {
-            Some(r) => {
-                *r += 1;
-                Ok(*r)
-            }
-            None => Err(OffloadError::Config(format!(
-                "workload has no client {client}"
-            ))),
-        }
-    }
-
-    /// Parks the chosen round and yields its compute request.
+    /// Starts `client`'s next round on `server`, parks it and yields its
+    /// compute request.
     fn issue(
         &mut self,
         client: usize,
         at: Duration,
         server: usize,
     ) -> Result<EngineStep, OffloadError> {
-        let ready = at + self.capture + self.up[server % self.up.len()];
-        *self.slot(client)? = Some(ModeledRound {
+        let idx = server % self.service.len();
+        let (ready, service) = (at + self.capture + self.up[idx], self.service[idx]);
+        let slot = self.client(client)?;
+        slot.round += 1;
+        slot.pending = Some(ModeledRound {
             clicked: at,
             server,
+            service,
             released: ready,
         });
         Ok(EngineStep::NeedCompute { server, at: ready })
@@ -518,7 +510,7 @@ impl ModeledWorkload {
 
 impl Workload for ModeledWorkload {
     fn clients(&self) -> usize {
-        self.clients
+        self.clients.len()
     }
 
     fn begin_round(
@@ -527,13 +519,12 @@ impl Workload for ModeledWorkload {
         at: Duration,
         _image_seed: u64,
     ) -> Result<EngineStep, OffloadError> {
-        let fleet = self.service.len();
-        let round = self.next_round(client)?;
+        let done = self.client(client)?.round;
         // Load-blind round-robin server choice, offset by client so a
         // cold fleet spreads load instead of stampeding candidate 0 —
         // the legacy path `begin_round_balanced` supersedes when
         // balancing is on.
-        let server = (client + round - 1) % fleet;
+        let server = (client + done) % self.service.len();
         self.issue(client, at, server)
     }
 
@@ -544,15 +535,13 @@ impl Workload for ModeledWorkload {
         _image_seed: u64,
         balancer: &Balancer,
     ) -> Result<EngineStep, OffloadError> {
-        let fleet = self.service.len();
-        self.next_round(client)?;
         // Least-predicted-sojourn selection: per candidate, the wire and
         // CPU cost of the round plus the queueing delay the balancer
         // predicts at the moment the uplink would land. Ties go to the
         // lowest index, keeping selection deterministic.
         let mut server = 0usize;
         let mut best = Duration::MAX;
-        for s in 0..fleet {
+        for s in 0..self.service.len() {
             let ready = at + self.capture + self.up[s];
             let sojourn = self.up[s]
                 .saturating_add(balancer.predicted_wait(s, ready))
@@ -567,36 +556,27 @@ impl Workload for ModeledWorkload {
     }
 
     fn compute(&mut self, client: usize, admitted_at: Duration) -> Result<Duration, OffloadError> {
-        let service = &self.service;
-        let pending = self
-            .pending
-            .get_mut(client)
-            .ok_or_else(|| OffloadError::Config(format!("workload has no client {client}")))?;
-        match pending.as_mut() {
-            Some(round) => {
-                round.released = admitted_at + service[round.server % service.len()];
-                Ok(round.released)
-            }
-            None => Err(OffloadError::Protocol(
+        let Some(round) = self.client(client)?.pending.as_mut() else {
+            return Err(OffloadError::Protocol(
                 "compute granted with no modeled round in flight".into(),
-            )),
-        }
+            ));
+        };
+        round.released = admitted_at + round.service;
+        Ok(round.released)
     }
 
     fn continue_round(&mut self, client: usize) -> Result<EngineStep, OffloadError> {
-        let round = match self.slot(client)?.take() {
-            Some(round) => round,
-            None => {
-                return Err(OffloadError::Protocol(
-                    "round continued with no modeled round in flight".into(),
-                ))
-            }
+        let slot = self.client(client)?;
+        let (number, Some(round)) = (slot.round, slot.pending.take()) else {
+            return Err(OffloadError::Protocol(
+                "round continued with no modeled round in flight".into(),
+            ));
         };
         let fleet = self.service.len();
         let finished = round.released + self.down[round.server % fleet] + self.restore;
         Ok(EngineStep::Done(RoundOutcome {
             client,
-            round: self.rounds.get(client).copied().unwrap_or_default(),
+            round: number,
             finished_at: finished,
             total: finished - round.clicked,
             fell_back: false,
@@ -736,6 +716,10 @@ pub enum EngineEventKind {
 }
 
 impl EngineEvent {
+    fn new(at: Duration, client: usize, kind: EngineEventKind) -> EngineEvent {
+        EngineEvent { at, client, kind }
+    }
+
     /// The log line of this event, with `names` labelling the fleet.
     fn line(&self, names: &[String]) -> String {
         let (at, client) = (self.at, self.client);
@@ -831,13 +815,7 @@ impl Engine<SessionWorkload> {
         let cfg: SessionConfig = cfg.into();
         let names = cfg.servers.iter().map(|s| s.name.clone()).collect();
         let seed = cfg.seed;
-        let (balance, fair, window) = (cfg.balance, cfg.fair_share, cfg.batch_window);
-        let mut engine =
-            Engine::with_workload(SessionWorkload::new(cfg, clients)?, names).seed(seed);
-        engine.balance = balance;
-        engine.fair_share = fair;
-        engine.batch_window = window;
-        Ok(engine)
+        Ok(Engine::with_workload(SessionWorkload::new(cfg, clients)?, names).seed(seed))
     }
 }
 
@@ -855,13 +833,7 @@ impl Engine<ModeledWorkload> {
         let cfg: SessionConfig = cfg.into();
         let names = cfg.servers.iter().map(|s| s.name.clone()).collect();
         let seed = cfg.seed;
-        let (balance, fair, window) = (cfg.balance, cfg.fair_share, cfg.batch_window);
-        let mut engine =
-            Engine::with_workload(ModeledWorkload::new(cfg, clients)?, names).seed(seed);
-        engine.balance = balance;
-        engine.fair_share = fair;
-        engine.batch_window = window;
-        Ok(engine)
+        Ok(Engine::with_workload(ModeledWorkload::new(cfg, clients)?, names).seed(seed))
     }
 }
 
@@ -913,25 +885,26 @@ impl<W: Workload> Engine<W> {
         self
     }
 
-    /// Toggles queue-aware balancing: least-predicted-sojourn server
-    /// selection plus the admission-control prior (the session/modeled
-    /// constructors default this to the config's `balance` knob; off
-    /// replays the load-blind paths bit for bit).
+    /// Toggles queue-aware balancing (default off): modeled clients pick
+    /// the least-predicted-sojourn server, and every real session gets
+    /// the fleet's queue outlook before each round — its `plan` gate then
+    /// prices the wait (admission control) and its failover ranks by
+    /// predicted sojourn. Off replays the load-blind paths bit for bit.
     pub fn balance(mut self, on: bool) -> Engine<W> {
         self.balance = on;
         self
     }
 
-    /// Toggles per-tenant deficit-round-robin grant ordering (the
-    /// constructors default this to the config's `fair_share` knob).
+    /// Toggles per-tenant deficit-round-robin grant ordering (default
+    /// off: arrival-order grants), so one chatty tenant cannot starve
+    /// co-located clients of a server CPU.
     pub fn fair_share(mut self, on: bool) -> Engine<W> {
         self.fair_share = on;
         self
     }
 
-    /// Enables opportunistic batching of grants co-queued within
-    /// `window` (the constructors default this to the config's
-    /// `batch_window` knob).
+    /// Enables opportunistic batching (default off): grants co-queued on
+    /// one server within `window` are admitted together as one batch.
     pub fn batch_window(mut self, window: Duration) -> Engine<W> {
         self.batch_window = Some(window);
         self
@@ -1008,525 +981,455 @@ impl<W: Workload> Engine<W> {
                 "fleet engine needs at least one client".into(),
             ));
         }
-        let fleet = self.server_names.len().max(1);
         self.event_log.clear();
-
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        let mut backlog: Vec<VecDeque<Duration>> = vec![VecDeque::new(); clients];
-        let mut busy: Vec<bool> = vec![false; clients];
-        let mut issued: Vec<Duration> = vec![Duration::ZERO; clients];
-        let mut rounds_done: Vec<usize> = vec![0; clients];
-        let mut busy_until: Vec<Duration> = vec![Duration::ZERO; fleet];
-        let mut busy_total: Vec<Duration> = vec![Duration::ZERO; fleet];
-        let mut grants: Vec<usize> = vec![0; fleet];
-        let mut latencies: Vec<Duration> = Vec::new();
-        let mut waits: Vec<Duration> = Vec::new();
-        let mut completed = 0usize;
-        let mut fallbacks = 0usize;
-        let mut makespan = Duration::ZERO;
-        let mut total_ops = 0u64;
-        let mut peak_heap = 0usize;
-        // Queue-aware balancing state. The balancer is engine-owned so
-        // both workload paths read one signal; it is fed on every grant
-        // even when balancing is off (pure state, zero output impact),
-        // keeping the off path byte-identical.
-        let mut balancer = Balancer::new(fleet);
-        // Fair share and batching both *park* admissions instead of
-        // granting in strict arrival order, so they share one deferred
-        // grant path keyed by server.
-        let defer = self.fair_share || self.batch_window.is_some();
-        let mut pending: Vec<VecDeque<(usize, Duration)>> = vec![VecDeque::new(); fleet];
-        let mut drr: Vec<DrrScheduler> = (0..fleet)
-            .map(|_| DrrScheduler::new(DEFAULT_DRR_QUANTUM))
-            .collect();
-        let mut admits: Vec<usize> = vec![0; fleet];
-        let mut rejects: Vec<usize> = vec![0; fleet];
-        let mut batches: Vec<usize> = vec![0; fleet];
-        let mut completed_by: Vec<usize> = vec![0; clients];
-        let mut max_batch = 0usize;
-
         // The arrivals known up front — every client at t=0 for a closed
         // loop, the sampled stream for an open one — are already in time
         // order, so they stay in their `Vec` and merge with the heap as
-        // it drains: the heap holds in-flight events only. An arrival
-        // goes first on a tie, as when it was pushed ahead of the run
-        // and so held a lower sequence number than any in-flight event.
+        // it drains: the heap holds in-flight events only.
         let arrivals: Vec<(Duration, usize)> = match self.arrival {
             ArrivalProcess::ClosedLoop { .. } => (0..clients)
                 .map(|client| (Duration::ZERO, client))
                 .collect(),
             _ => self.open_loop_arrivals(clients)?,
         };
-        // Arrive, begin, admit, release, done: five events a round.
-        self.event_log.reserve(arrivals.len().saturating_mul(5));
-        let mut arrivals = arrivals.into_iter().peekable();
+        let mut run = RunState::new(self, clients, arrivals.len());
+        let drained = run.drain(&mut self.workload, arrivals);
+        self.event_log = std::mem::take(&mut run.events);
+        drained?;
+        Ok(run.report(&self.server_names))
+    }
+}
 
+/// One client's slot in [`RunState`].
+#[derive(Debug, Clone, Default)]
+struct ClientSlot {
+    /// Open-loop requests that arrived while the client was busy, by
+    /// arrival time.
+    backlog: VecDeque<Duration>,
+    /// Whether a round is in flight.
+    busy: bool,
+    /// When the in-flight round's request arrived (its sojourn origin).
+    issued: Duration,
+    /// Rounds begun.
+    rounds: usize,
+    /// Rounds completed.
+    completed: usize,
+}
+
+/// One server's slot in [`RunState`].
+#[derive(Debug, Clone, Default)]
+struct ServerSlot {
+    /// When the CPU frees (covers every reservation already granted).
+    busy_until: Duration,
+    /// Total CPU time granted.
+    busy: Duration,
+    /// Compute grants served.
+    grants: usize,
+    /// Compute admissions routed here.
+    admits: usize,
+    /// Rounds the admission gate kept local while aimed here.
+    rejects: usize,
+    /// Batches of two or more grants formed.
+    batches: usize,
+    /// Admissions parked behind the CPU under fair share or batching,
+    /// with their admission time.
+    parked: VecDeque<(usize, Duration)>,
+    /// The deficit-round-robin ring — present only under fair share.
+    drr: Option<DrrScheduler>,
+}
+
+/// Everything one [`Engine::run`] mutates: the event queue and log, one
+/// slot per client and per server, the balancer (present only while
+/// balancing) and the report's running totals. Each event kind is one
+/// method.
+#[derive(Default)]
+struct RunState {
+    seed: u64,
+    /// Think time of a closed loop, `None` for open-loop arrivals.
+    think: Option<Duration>,
+    duration: Duration,
+    max_rounds: Option<usize>,
+    window: Option<Duration>,
+    /// Fair share and batching both *park* admissions instead of
+    /// granting in strict arrival order, so they share one deferred
+    /// grant path keyed by server.
+    defer: bool,
+    queue: EventQueue<Ev>,
+    events: Vec<EngineEvent>,
+    clients: Vec<ClientSlot>,
+    servers: Vec<ServerSlot>,
+    balancer: Option<Balancer>,
+    latencies: Vec<Duration>,
+    waits: Vec<Duration>,
+    completed: usize,
+    fallbacks: usize,
+    makespan: Duration,
+    total_ops: u64,
+    peak_heap: usize,
+    max_batch: usize,
+    /// One deferred grant's batch (primary first), reused across grants.
+    batch: Vec<(usize, Duration)>,
+    /// Client ids of the parked set or of a batch, reused across grants.
+    members: Vec<usize>,
+}
+
+impl RunState {
+    /// A fresh run of `engine` over `clients` clients, expecting
+    /// `arrivals` up-front arrivals; takes over the engine's log buffer.
+    fn new<W>(engine: &mut Engine<W>, clients: usize, arrivals: usize) -> RunState {
+        let fleet = engine.server_names.len().max(1);
+        let server = ServerSlot {
+            drr: engine
+                .fair_share
+                .then(|| DrrScheduler::new(DEFAULT_DRR_QUANTUM)),
+            ..ServerSlot::default()
+        };
+        let mut events = std::mem::take(&mut engine.event_log);
+        // Arrive, begin, admit, release, done: five events a round.
+        events.reserve(arrivals.saturating_mul(5));
+        RunState {
+            seed: engine.seed,
+            think: match engine.arrival {
+                ArrivalProcess::ClosedLoop { think } => Some(think),
+                _ => None,
+            },
+            duration: engine.duration,
+            max_rounds: engine.max_rounds,
+            window: engine.batch_window,
+            defer: engine.fair_share || engine.batch_window.is_some(),
+            events,
+            clients: vec![ClientSlot::default(); clients],
+            servers: vec![server; fleet],
+            balancer: engine.balance.then(|| Balancer::new(fleet)),
+            ..RunState::default()
+        }
+    }
+
+    /// Drains the up-front arrivals merged with the event queue. An
+    /// arrival goes first on a tie, as when it was pushed ahead of the
+    /// run and so held a lower sequence number than any in-flight event.
+    fn drain<W: Workload>(
+        &mut self,
+        workload: &mut W,
+        arrivals: Vec<(Duration, usize)>,
+    ) -> Result<(), OffloadError> {
+        let mut arrivals = arrivals.into_iter().peekable();
         loop {
-            let due = arrivals.next_if(|&(at, _)| queue.peek_time().is_none_or(|next| at <= next));
+            let due =
+                arrivals.next_if(|&(at, _)| self.queue.peek_time().is_none_or(|next| at <= next));
             let (now, event) = match due {
                 Some((at, client)) => (at, Ev::Arrive { client }),
-                None => match queue.pop() {
+                None => match self.queue.pop() {
                     Some(next) => next,
-                    None => break,
+                    None => return Ok(()),
                 },
             };
             match event {
-                Ev::Arrive { client } => {
-                    self.event_log.push(EngineEvent {
-                        at: now,
-                        client,
-                        kind: EngineEventKind::Arrive,
-                    });
-                    if busy[client] {
-                        backlog[client].push_back(now);
-                        continue;
-                    }
-                    busy[client] = true;
-                    queue.push(
-                        now,
+                Ev::Arrive { client } => self.arrive(client, now),
+                Ev::Begin { client, issued } => self.begin(workload, client, issued, now)?,
+                Ev::Admit { client, server } => self.admit(workload, client, server, now)?,
+                Ev::Release { client, server } => self.release(workload, client, server, now)?,
+            }
+        }
+    }
+
+    /// A request reached `client`: a busy client parks it in its
+    /// backlog, an idle one starts a round.
+    fn arrive(&mut self, client: usize, now: Duration) {
+        self.events
+            .push(EngineEvent::new(now, client, EngineEventKind::Arrive));
+        let slot = &mut self.clients[client];
+        if slot.busy {
+            slot.backlog.push_back(now);
+        } else {
+            slot.busy = true;
+            self.queue.push(
+                now,
+                Ev::Begin {
+                    client,
+                    issued: now,
+                },
+            );
+        }
+    }
+
+    /// `client` starts the round of the request that arrived at
+    /// `issued`, with the balancer's outlook when balancing.
+    fn begin<W: Workload>(
+        &mut self,
+        workload: &mut W,
+        client: usize,
+        issued: Duration,
+        now: Duration,
+    ) -> Result<(), OffloadError> {
+        self.events.push(EngineEvent::new(
+            now,
+            client,
+            EngineEventKind::Begin { issued },
+        ));
+        let slot = &mut self.clients[client];
+        slot.issued = issued;
+        slot.rounds += 1;
+        let seed = round_image_seed(self.seed, client as u64, slot.rounds as u64);
+        let step = match &self.balancer {
+            Some(balancer) => workload.begin_round_balanced(client, now, seed, balancer)?,
+            None => workload.begin_round(client, now, seed)?,
+        };
+        self.step(client, step);
+        Ok(())
+    }
+
+    /// `client`'s uplinked snapshot asks for `server`'s CPU: granted at
+    /// `max(now, busy_until)` in arrival order, or — under fair share or
+    /// batching — parked, and granted at once if the CPU is idle.
+    fn admit<W: Workload>(
+        &mut self,
+        workload: &mut W,
+        client: usize,
+        server: usize,
+        now: Duration,
+    ) -> Result<(), OffloadError> {
+        let server = server % self.servers.len();
+        let start = (!self.defer).then(|| now.max(self.servers[server].busy_until));
+        let kind = EngineEventKind::Admit {
+            server: log_u32(server),
+            start,
+        };
+        self.events.push(EngineEvent::new(now, client, kind));
+        let slot = &mut self.servers[server];
+        slot.admits += 1;
+        let Some(start) = start else {
+            slot.parked.push_back((client, now));
+            if let Some(balancer) = &mut self.balancer {
+                balancer.set_queue_depth(server, slot.parked.len());
+            }
+            if slot.busy_until <= now {
+                return self.grant_parked(workload, server, now);
+            }
+            workload.note_deferred(client, server, now);
+            return Ok(());
+        };
+        self.waits.push(start - now);
+        let released = workload.compute(client, start)?;
+        let service = released.saturating_sub(start);
+        if let Some(balancer) = &mut self.balancer {
+            balancer.note_grant(server, start - now, service, released);
+        }
+        slot.busy_until = released;
+        slot.busy += service;
+        slot.grants += 1;
+        self.queue.push(released, Ev::Release { client, server });
+        Ok(())
+    }
+
+    /// `server`'s CPU freed `client`'s round, which resumes; under fair
+    /// share or batching the freed CPU then grants the next parked
+    /// request (the last member of a batch frees it).
+    fn release<W: Workload>(
+        &mut self,
+        workload: &mut W,
+        client: usize,
+        server: usize,
+        now: Duration,
+    ) -> Result<(), OffloadError> {
+        self.events
+            .push(EngineEvent::new(now, client, EngineEventKind::Release));
+        let step = workload.continue_round(client)?;
+        self.step(client, step);
+        if self.defer && self.servers[server].busy_until <= now {
+            self.grant_parked(workload, server, now)?;
+        }
+        Ok(())
+    }
+
+    /// Grants the front of `server`'s parked queue at time `now`:
+    /// the DRR ring picks the tenant under fair share (arrival order
+    /// otherwise), and a batch window sweeps in every parked request
+    /// enqueued within `window` of the primary. Each member gets its own
+    /// compute grant and release; the CPU reservation covers the whole
+    /// batch span once.
+    fn grant_parked<W: Workload>(
+        &mut self,
+        workload: &mut W,
+        server: usize,
+        now: Duration,
+    ) -> Result<(), OffloadError> {
+        let slot = &mut self.servers[server];
+        let Some(&(head, _)) = slot.parked.front() else {
+            return Ok(());
+        };
+        let primary = match &mut slot.drr {
+            Some(drr) => {
+                self.members.clear();
+                self.members.extend(slot.parked.iter().map(|&(c, _)| c));
+                drr.pick(&self.members).unwrap_or(head)
+            }
+            None => head,
+        };
+        let pos = slot.parked.iter().position(|&(c, _)| c == primary);
+        let Some(primary_enq @ (_, enq)) = slot.parked.remove(pos.unwrap_or(0)) else {
+            return Ok(());
+        };
+        self.batch.clear();
+        self.batch.push(primary_enq);
+        if let Some(window) = self.window {
+            // Sweep in every parked request enqueued within the window
+            // of the primary (two-sided: a DRR primary may sit behind
+            // older requests that are *outside* its window).
+            let (lo, hi) = (enq.saturating_sub(window), enq.saturating_add(window));
+            let batch = &mut self.batch;
+            slot.parked.retain(|&(c, at)| {
+                let swept = at >= lo && at <= hi;
+                if swept {
+                    batch.push((c, at));
+                }
+                !swept
+            });
+        }
+        let mut span_end = now;
+        for &(client, enq) in &self.batch {
+            let wait = now.saturating_sub(enq);
+            self.waits.push(wait);
+            let kind = EngineEventKind::Grant {
+                server: log_u32(server),
+                enq,
+            };
+            self.events.push(EngineEvent::new(now, client, kind));
+            let released = workload.compute(client, now)?;
+            self.queue.push(released, Ev::Release { client, server });
+            let service = released.saturating_sub(now);
+            if let Some(drr) = &mut slot.drr {
+                drr.charge(client, service);
+            }
+            if let Some(balancer) = &mut self.balancer {
+                balancer.note_grant(server, wait, service, released);
+            }
+            span_end = span_end.max(released);
+            slot.grants += 1;
+        }
+        slot.busy_until = slot.busy_until.max(span_end);
+        slot.busy += span_end.saturating_sub(now);
+        if self.batch.len() >= 2 {
+            slot.batches += 1;
+            self.max_batch = self.max_batch.max(self.batch.len());
+            let kind = EngineEventKind::Batch {
+                server: log_u32(server),
+                size: log_u32(self.batch.len()),
+            };
+            self.events.push(EngineEvent::new(now, primary, kind));
+            self.members.clear();
+            self.members.extend(self.batch.iter().map(|&(c, _)| c));
+            workload.note_batch(&self.members, server, now);
+        }
+        if let Some(balancer) = &mut self.balancer {
+            balancer.set_queue_depth(server, slot.parked.len());
+        }
+        Ok(())
+    }
+
+    /// Routes a workload step: a compute request enters the queue, a
+    /// completion books statistics and schedules the client's next round
+    /// (closed-loop think, or the oldest backlogged open-loop arrival).
+    fn step(&mut self, client: usize, step: EngineStep) {
+        let outcome = match step {
+            EngineStep::NeedCompute { server, at } => {
+                self.queue.push(at, Ev::Admit { client, server });
+                return;
+            }
+            EngineStep::Done(outcome) => outcome,
+        };
+        self.events.push(EngineEvent::new(
+            outcome.finished_at,
+            client,
+            EngineEventKind::Done {
+                round: log_u32(outcome.round),
+                served_by: outcome.served_by.map(log_u32),
+            },
+        ));
+        self.completed += 1;
+        if outcome.fell_back {
+            self.fallbacks += 1;
+        }
+        if outcome.proactive {
+            // Admission control turned the offload down: charge the
+            // reject to the server the round was aimed at.
+            if let Some(target) = self.servers.get_mut(outcome.target) {
+                target.rejects += 1;
+            }
+        }
+        self.total_ops += outcome.ops_used;
+        self.peak_heap = self.peak_heap.max(outcome.peak_heap);
+        self.makespan = self.makespan.max(outcome.finished_at);
+        let slot = &mut self.clients[client];
+        slot.completed += 1;
+        slot.busy = false;
+        self.latencies
+            .push(outcome.finished_at.saturating_sub(slot.issued));
+        match self.think {
+            Some(think) => {
+                let capped = self.max_rounds.is_some_and(|cap| slot.rounds >= cap);
+                let next = outcome.finished_at.saturating_add(think);
+                if !capped && next < self.duration {
+                    self.queue.push(next, Ev::Arrive { client });
+                }
+            }
+            None => {
+                if let Some(arrived) = slot.backlog.pop_front() {
+                    // The request waited client-side; it starts the
+                    // moment the client frees, but its sojourn clock
+                    // started at arrival.
+                    slot.busy = true;
+                    self.queue.push(
+                        arrived.max(outcome.finished_at),
                         Ev::Begin {
                             client,
-                            issued: now,
+                            issued: arrived,
                         },
                     );
-                }
-                Ev::Begin { client, issued: at } => {
-                    self.event_log.push(EngineEvent {
-                        at: now,
-                        client,
-                        kind: EngineEventKind::Begin { issued: at },
-                    });
-                    issued[client] = at;
-                    rounds_done[client] += 1;
-                    let seed =
-                        round_image_seed(self.seed, client as u64, rounds_done[client] as u64);
-                    let step = if self.balance {
-                        self.workload
-                            .begin_round_balanced(client, now, seed, &balancer)?
-                    } else {
-                        self.workload.begin_round(client, now, seed)?
-                    };
-                    Self::dispatch(
-                        &mut queue,
-                        &mut self.event_log,
-                        client,
-                        step,
-                        &mut DrainState {
-                            arrival: &self.arrival,
-                            duration: self.duration,
-                            max_rounds: self.max_rounds,
-                            backlog: &mut backlog,
-                            busy: &mut busy,
-                            issued: &mut issued,
-                            rounds_done: &mut rounds_done,
-                            latencies: &mut latencies,
-                            completed: &mut completed,
-                            fallbacks: &mut fallbacks,
-                            makespan: &mut makespan,
-                            total_ops: &mut total_ops,
-                            peak_heap: &mut peak_heap,
-                            rejects: &mut rejects,
-                            completed_by: &mut completed_by,
-                        },
-                    );
-                }
-                Ev::Admit { client, server } => {
-                    let idx = server % fleet;
-                    admits[idx] += 1;
-                    if !defer {
-                        // Arrival-order grant — byte-identical to the
-                        // pre-balancing engine (the balancer feed is
-                        // pure state, invisible in every output).
-                        let start = now.max(busy_until[idx]);
-                        waits.push(start - now);
-                        self.event_log.push(EngineEvent {
-                            at: now,
-                            client,
-                            kind: EngineEventKind::Admit {
-                                server: log_u32(idx),
-                                start: Some(start),
-                            },
-                        });
-                        let released = self.workload.compute(client, start)?;
-                        balancer.note_grant(
-                            idx,
-                            start - now,
-                            released.saturating_sub(start),
-                            released,
-                        );
-                        busy_until[idx] = released;
-                        busy_total[idx] += released.saturating_sub(start);
-                        grants[idx] += 1;
-                        queue.push(
-                            released,
-                            Ev::Release {
-                                client,
-                                server: idx,
-                            },
-                        );
-                    } else {
-                        // Fair-share / batching path: park the request
-                        // behind the server's CPU; an idle CPU grants
-                        // (and opportunistically batches) right away.
-                        self.event_log.push(EngineEvent {
-                            at: now,
-                            client,
-                            kind: EngineEventKind::Admit {
-                                server: log_u32(idx),
-                                start: None,
-                            },
-                        });
-                        pending[idx].push_back((client, now));
-                        balancer.set_queue_depth(idx, pending[idx].len());
-                        if busy_until[idx] <= now {
-                            Self::grant_parked(
-                                &mut self.workload,
-                                &mut self.event_log,
-                                &mut queue,
-                                &mut balancer,
-                                &mut pending[idx],
-                                if self.fair_share {
-                                    Some(&mut drr[idx])
-                                } else {
-                                    None
-                                },
-                                self.batch_window,
-                                idx,
-                                now,
-                                GrantStats {
-                                    waits: &mut waits,
-                                    busy_until: &mut busy_until[idx],
-                                    busy_total: &mut busy_total[idx],
-                                    grants: &mut grants[idx],
-                                    batches: &mut batches[idx],
-                                    max_batch: &mut max_batch,
-                                },
-                            )?;
-                        } else {
-                            self.workload.note_deferred(client, idx, now);
-                        }
-                    }
-                }
-                Ev::Release { client, server } => {
-                    self.event_log.push(EngineEvent {
-                        at: now,
-                        client,
-                        kind: EngineEventKind::Release,
-                    });
-                    let step = self.workload.continue_round(client)?;
-                    Self::dispatch(
-                        &mut queue,
-                        &mut self.event_log,
-                        client,
-                        step,
-                        &mut DrainState {
-                            arrival: &self.arrival,
-                            duration: self.duration,
-                            max_rounds: self.max_rounds,
-                            backlog: &mut backlog,
-                            busy: &mut busy,
-                            issued: &mut issued,
-                            rounds_done: &mut rounds_done,
-                            latencies: &mut latencies,
-                            completed: &mut completed,
-                            fallbacks: &mut fallbacks,
-                            makespan: &mut makespan,
-                            total_ops: &mut total_ops,
-                            peak_heap: &mut peak_heap,
-                            rejects: &mut rejects,
-                            completed_by: &mut completed_by,
-                        },
-                    );
-                    if defer {
-                        // The freed CPU grants the next parked request
-                        // (the last member of a batch frees it).
-                        let idx = server % fleet;
-                        if busy_until[idx] <= now && !pending[idx].is_empty() {
-                            Self::grant_parked(
-                                &mut self.workload,
-                                &mut self.event_log,
-                                &mut queue,
-                                &mut balancer,
-                                &mut pending[idx],
-                                if self.fair_share {
-                                    Some(&mut drr[idx])
-                                } else {
-                                    None
-                                },
-                                self.batch_window,
-                                idx,
-                                now,
-                                GrantStats {
-                                    waits: &mut waits,
-                                    busy_until: &mut busy_until[idx],
-                                    busy_total: &mut busy_total[idx],
-                                    grants: &mut grants[idx],
-                                    batches: &mut batches[idx],
-                                    max_batch: &mut max_batch,
-                                },
-                            )?;
-                        }
-                    }
                 }
             }
         }
+    }
 
-        let throughput_rps = if makespan.is_zero() {
-            0.0
-        } else {
-            completed as f64 / makespan.as_secs_f64()
-        };
-        let servers = self
-            .server_names
+    /// The [`FleetReport`] of the finished run, servers labelled by
+    /// `names`.
+    fn report(self, names: &[String]) -> FleetReport {
+        let secs = self.makespan.as_secs_f64();
+        let per_second = |x: f64| if secs > 0.0 { x / secs } else { 0.0 };
+        let servers = names
             .iter()
-            .enumerate()
-            .map(|(idx, name)| ServerLoad {
+            .zip(&self.servers)
+            .map(|(name, slot)| ServerLoad {
                 name: name.clone(),
-                rounds: grants.get(idx).copied().unwrap_or_default(),
-                busy: busy_total.get(idx).copied().unwrap_or_default(),
-                utilization: if makespan.is_zero() {
-                    0.0
-                } else {
-                    (busy_total
-                        .get(idx)
-                        .copied()
-                        .unwrap_or_default()
-                        .as_secs_f64()
-                        / makespan.as_secs_f64())
-                    .min(1.0)
-                },
-                admits: admits.get(idx).copied().unwrap_or_default(),
-                rejects: rejects.get(idx).copied().unwrap_or_default(),
-                batches: batches.get(idx).copied().unwrap_or_default(),
+                rounds: slot.grants,
+                busy: slot.busy,
+                utilization: per_second(slot.busy.as_secs_f64()).min(1.0),
+                admits: slot.admits,
+                rejects: slot.rejects,
+                batches: slot.batches,
             })
             .collect();
         // Fairness reads over clients that actually entered the run —
         // idle provisioned clients would dilute the index.
-        let active: Vec<f64> = rounds_done
-            .iter()
-            .zip(&completed_by)
-            .filter(|&(&issued_rounds, _)| issued_rounds > 0)
-            .map(|(_, &done)| done as f64)
+        let active: Vec<f64> = (self.clients.iter())
+            .filter(|slot| slot.rounds > 0)
+            .map(|slot| slot.completed as f64)
             .collect();
-        Ok(FleetReport {
-            clients,
-            completed,
-            fallbacks,
-            makespan,
-            throughput_rps,
-            latency: Summary::of(&latencies),
-            queue_wait: Summary::of(&waits),
+        FleetReport {
+            clients: self.clients.len(),
+            completed: self.completed,
+            fallbacks: self.fallbacks,
+            makespan: self.makespan,
+            throughput_rps: per_second(self.completed as f64),
+            latency: Summary::of(&self.latencies),
+            queue_wait: Summary::of(&self.waits),
             servers,
-            total_ops,
-            peak_heap,
+            total_ops: self.total_ops,
+            peak_heap: self.peak_heap,
             fairness: jain(&active),
-            max_batch,
-        })
-    }
-
-    /// Grants the front of `server`'s fair-share queue at time `now`:
-    /// the DRR ring picks the tenant when fair share is on (arrival
-    /// order otherwise), and a batch window sweeps in every parked
-    /// request enqueued within `window` of the primary. Each member gets
-    /// its own compute grant and release; the CPU reservation covers the
-    /// whole batch span once.
-    #[allow(clippy::too_many_arguments)]
-    fn grant_parked(
-        workload: &mut W,
-        event_log: &mut Vec<EngineEvent>,
-        queue: &mut EventQueue<Ev>,
-        balancer: &mut Balancer,
-        pending: &mut VecDeque<(usize, Duration)>,
-        mut drr: Option<&mut DrrScheduler>,
-        window: Option<Duration>,
-        idx: usize,
-        now: Duration,
-        stats: GrantStats<'_>,
-    ) -> Result<(), OffloadError> {
-        let Some(&(head_client, _)) = pending.front() else {
-            return Ok(());
-        };
-        let primary = match drr.as_deref_mut() {
-            Some(sched) => {
-                let waiting: Vec<usize> = pending.iter().map(|&(c, _)| c).collect();
-                sched.pick(&waiting).unwrap_or(head_client)
-            }
-            None => head_client,
-        };
-        let pos = pending.iter().position(|&(c, _)| c == primary).unwrap_or(0);
-        let Some((_, primary_enq)) = pending.remove(pos) else {
-            return Ok(());
-        };
-        let mut batch: Vec<(usize, Duration)> = vec![(primary, primary_enq)];
-        if let Some(window) = window {
-            // Sweep in every parked request enqueued within the window
-            // of the primary (two-sided: a DRR primary may sit behind
-            // older requests that are *outside* its window).
-            let lo = primary_enq.saturating_sub(window);
-            let hi = primary_enq.saturating_add(window);
-            let mut keep = VecDeque::with_capacity(pending.len());
-            while let Some((c, enq)) = pending.pop_front() {
-                if enq >= lo && enq <= hi {
-                    batch.push((c, enq));
-                } else {
-                    keep.push_back((c, enq));
-                }
-            }
-            *pending = keep;
-        }
-        let mut span_end = now;
-        for &(client, enq) in &batch {
-            let wait = now.saturating_sub(enq);
-            stats.waits.push(wait);
-            event_log.push(EngineEvent {
-                at: now,
-                client,
-                kind: EngineEventKind::Grant {
-                    server: log_u32(idx),
-                    enq,
-                },
-            });
-            let released = workload.compute(client, now)?;
-            queue.push(
-                released,
-                Ev::Release {
-                    client,
-                    server: idx,
-                },
-            );
-            if let Some(sched) = drr.as_deref_mut() {
-                sched.charge(client, released.saturating_sub(now));
-            }
-            balancer.note_grant(idx, wait, released.saturating_sub(now), released);
-            span_end = span_end.max(released);
-            *stats.grants += 1;
-        }
-        *stats.busy_until = (*stats.busy_until).max(span_end);
-        *stats.busy_total += span_end.saturating_sub(now);
-        if batch.len() >= 2 {
-            *stats.batches += 1;
-            *stats.max_batch = (*stats.max_batch).max(batch.len());
-            event_log.push(EngineEvent {
-                at: now,
-                client: primary,
-                kind: EngineEventKind::Batch {
-                    server: log_u32(idx),
-                    size: log_u32(batch.len()),
-                },
-            });
-            let members: Vec<usize> = batch.iter().map(|&(c, _)| c).collect();
-            workload.note_batch(&members, idx, now);
-        }
-        balancer.set_queue_depth(idx, pending.len());
-        Ok(())
-    }
-
-    /// Routes a workload step: a compute request re-enters the queue, a
-    /// completion books statistics and schedules the client's next round
-    /// (closed-loop think, or the oldest backlogged open-loop arrival).
-    fn dispatch(
-        queue: &mut EventQueue<Ev>,
-        event_log: &mut Vec<EngineEvent>,
-        client: usize,
-        step: EngineStep,
-        state: &mut DrainState<'_>,
-    ) {
-        match step {
-            EngineStep::NeedCompute { server, at } => {
-                queue.push(at, Ev::Admit { client, server });
-            }
-            EngineStep::Done(outcome) => {
-                event_log.push(EngineEvent {
-                    at: outcome.finished_at,
-                    client,
-                    kind: EngineEventKind::Done {
-                        round: log_u32(outcome.round),
-                        served_by: outcome.served_by.map(log_u32),
-                    },
-                });
-                *state.completed += 1;
-                if let Some(done) = state.completed_by.get_mut(client) {
-                    *done += 1;
-                }
-                if outcome.fell_back {
-                    *state.fallbacks += 1;
-                }
-                if outcome.proactive {
-                    // Admission control turned the offload down: charge
-                    // the reject to the server the round was aimed at.
-                    if let Some(rejected) = state.rejects.get_mut(outcome.target) {
-                        *rejected += 1;
-                    }
-                }
-                *state.total_ops += outcome.ops_used;
-                *state.peak_heap = (*state.peak_heap).max(outcome.peak_heap);
-                state
-                    .latencies
-                    .push(outcome.finished_at.saturating_sub(state.issued[client]));
-                *state.makespan = (*state.makespan).max(outcome.finished_at);
-                state.busy[client] = false;
-                match state.arrival {
-                    ArrivalProcess::ClosedLoop { think } => {
-                        let capped = state
-                            .max_rounds
-                            .is_some_and(|cap| state.rounds_done[client] >= cap);
-                        let next = outcome.finished_at.saturating_add(*think);
-                        if !capped && next < state.duration {
-                            queue.push(next, Ev::Arrive { client });
-                        }
-                    }
-                    _ => {
-                        if let Some(arrived) = state.backlog[client].pop_front() {
-                            // The request waited client-side; it starts
-                            // the moment the client frees, but its
-                            // sojourn clock started at arrival.
-                            state.busy[client] = true;
-                            queue.push(
-                                arrived.max(outcome.finished_at),
-                                Ev::Begin {
-                                    client,
-                                    issued: arrived,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
+            max_batch: self.max_batch,
         }
     }
-}
-
-/// The mutable run-loop state [`Engine::dispatch`] books completions
-/// into (split out so the borrow of `self.workload` and the borrow of
-/// the statistics can coexist).
-struct DrainState<'a> {
-    arrival: &'a ArrivalProcess,
-    duration: Duration,
-    max_rounds: Option<usize>,
-    backlog: &'a mut Vec<VecDeque<Duration>>,
-    busy: &'a mut Vec<bool>,
-    issued: &'a mut Vec<Duration>,
-    rounds_done: &'a mut Vec<usize>,
-    latencies: &'a mut Vec<Duration>,
-    completed: &'a mut usize,
-    fallbacks: &'a mut usize,
-    makespan: &'a mut Duration,
-    total_ops: &'a mut u64,
-    peak_heap: &'a mut usize,
-    rejects: &'a mut Vec<usize>,
-    completed_by: &'a mut Vec<usize>,
-}
-
-/// The per-server mutable slots a deferred grant updates (split out so
-/// the workload borrow and the statistics borrows can coexist inside
-/// [`Engine::grant_parked`]).
-struct GrantStats<'a> {
-    waits: &'a mut Vec<Duration>,
-    busy_until: &'a mut Duration,
-    busy_total: &'a mut Duration,
-    grants: &'a mut usize,
-    batches: &'a mut usize,
-    max_batch: &'a mut usize,
 }
 
 #[cfg(test)]

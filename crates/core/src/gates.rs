@@ -88,8 +88,8 @@ pub(crate) struct Round<'a> {
     pub effects: Option<&'a EffectSummary>,
     /// The serving candidate's meter limits, if it is metered.
     pub meter: Option<&'a MeterLimits>,
-    /// The balancer's predicted queueing delay per candidate (empty
-    /// until the fleet engine pushes one).
+    /// The balancer's predicted queueing delay per candidate — empty
+    /// unless the fleet engine balances this session's fleet.
     pub queue_outlook: &'a [Duration],
     pub model_bytes: u64,
     pub now: Duration,
@@ -109,9 +109,10 @@ pub(crate) fn pre_ship(
             return Ok((verdict, None));
         }
     }
-    // Queue-aware balancing needs the planner's comparison for its
-    // admission prior, so it runs the gate even when prediction is off.
-    if round.cfg.predict || round.cfg.balance {
+    // A balanced session (one the engine handed a queue outlook) needs
+    // the planner's comparison for its admission prior, so it runs the
+    // gate even when prediction is off.
+    if round.cfg.predict || !round.queue_outlook.is_empty() {
         if let Some((judged, decision)) = plan(round)? {
             let verdict = record(tracer, Lane::Client, round.now, judged, None);
             return Ok((verdict, Some(decision)));
@@ -149,9 +150,9 @@ fn effects(summary: &EffectSummary, meter: Option<&MeterLimits>) -> Judged {
 /// carries three additive priors: the backoff sleeps the expected
 /// retries would cost, effect analysis's guaranteed op floor priced at
 /// the meter's nominal microsecond per interpreter op (server-side app
-/// glue the layer-time model cannot see), and — with balancing on — the
-/// predicted wait for the server's CPU. Trips when `lhs >= rhs`. `None`
-/// before the estimator has a sample to plan against.
+/// glue the layer-time model cannot see), and the queue outlook's
+/// predicted wait for the server's CPU (zero without one). Trips when
+/// `lhs >= rhs`. `None` before the estimator has a sample to plan against.
 fn plan(round: &Round<'_>) -> Result<Option<(Judged, Decision)>, OffloadError> {
     let (Some(spec), Some(health)) = (
         round.pool.spec(round.current),
@@ -165,10 +166,11 @@ fn plan(round: &Round<'_>) -> Result<Option<(Judged, Decision)>, OffloadError> {
     let retries = health.predict(round.now).predicted_retries;
     let policy = round.cfg.retry.clone().unwrap_or_default();
     let op_floor = round.effects.map_or(0, |summary| summary.cost.min_ops);
-    let queue_wait = match round.queue_outlook.get(round.current) {
-        Some(wait) if round.cfg.balance => *wait,
-        _ => Duration::ZERO,
-    };
+    let queue_wait = round
+        .queue_outlook
+        .get(round.current)
+        .copied()
+        .unwrap_or_default();
     let penalty = policy
         .cumulative_backoff(retries)
         .saturating_add(Duration::from_micros(op_floor))

@@ -85,10 +85,7 @@ pub use install::{vm_install, InstallReport};
 pub use mlhost::{CaffeJsHost, ExecKind, ExecRecord, ExecTracker};
 pub use partition::{PartitionOptimizer, PartitionPrediction, PredictedTimes};
 pub use privacy::{evaluate_privacy, reconstruct_input, AttackConfig, PrivacyReport};
-pub use resilience::{
-    classify, schedule_resilient, schedule_resilient_traced, FaultClass, ResilienceOutcome,
-    RetryPolicy,
-};
+pub use resilience::{classify, schedule_resilient, FaultClass, ResilienceOutcome, RetryPolicy};
 pub use scenario::{
     run_scenario, Breakdown, ScenarioBuilder, ScenarioConfig, ScenarioReport, Strategy,
 };

@@ -186,38 +186,21 @@ pub struct ResilienceOutcome {
 /// exponential backoff and the link's next fault-window edge, so the retry
 /// after an outage lands exactly when the link comes back up.
 ///
-/// Returns `Ok(None)` when the retry budget is exhausted — attempts spent,
-/// the next retry would start past `anchor + deadline`, or the link is
-/// statically down and can never come back — and the caller should degrade
-/// gracefully. Without a policy the first transient failure is returned as
-/// an error, preserving strict fail-fast behaviour.
+/// The [`ResilienceOutcome`] carries the transfer — `None` when the retry
+/// budget is exhausted (attempts spent, the next retry would start past
+/// `anchor + deadline`, or the link is statically down and can never come
+/// back) and the caller should degrade gracefully — plus how many
+/// re-attempts were spent and when the loop stopped: the fleet layer feeds
+/// retries into per-server penalty observations and anchors the handoff
+/// to the next candidate at `gave_up_at`. Without a policy the first
+/// transient failure is returned as an error, preserving strict fail-fast
+/// behaviour.
 ///
 /// # Errors
 ///
 /// Fatal (non-retryable) failures are returned immediately; transient ones
 /// only when no `policy` was given.
 pub fn schedule_resilient(
-    link: &mut Link,
-    tracer: &Tracer,
-    policy: Option<&RetryPolicy>,
-    at: Duration,
-    anchor: Duration,
-    bytes: u64,
-) -> Result<Option<Transfer>, OffloadError> {
-    schedule_resilient_traced(link, tracer, policy, at, anchor, bytes)
-        .map(|outcome| outcome.transfer)
-}
-
-/// [`schedule_resilient`] with the full [`ResilienceOutcome`]: the same
-/// retry loop, but the caller also learns how many re-attempts were spent
-/// and when the loop stopped. The fleet layer uses both — retries feed
-/// per-server penalty observations, and `gave_up_at` anchors the handoff
-/// to the next candidate.
-///
-/// # Errors
-///
-/// Same conditions as [`schedule_resilient`].
-pub fn schedule_resilient_traced(
     link: &mut Link,
     tracer: &Tracer,
     policy: Option<&RetryPolicy>,
@@ -298,6 +281,7 @@ mod tests {
             1_000_000,
         )
         .unwrap()
+        .transfer
         .expect("retry should succeed once the window closes");
         // The retry lands exactly when the link comes back up.
         assert_eq!(xfer.start, Duration::from_secs(2));
@@ -336,7 +320,7 @@ mod tests {
             1_000,
         )
         .unwrap();
-        assert!(gave_up.is_none());
+        assert!(gave_up.transfer.is_none());
     }
 
     #[test]
@@ -346,7 +330,7 @@ mod tests {
             .with_fault_plan(FaultPlan::parse("down@0..2").unwrap());
         let tracer = Tracer::new();
         let policy = RetryPolicy::default();
-        let outcome = schedule_resilient_traced(
+        let outcome = schedule_resilient(
             &mut link,
             &tracer,
             Some(&policy),
@@ -364,8 +348,7 @@ mod tests {
         let mut dead = Link::new(LinkConfig::mbps(8.0));
         dead.set_down(true);
         let at = Duration::from_secs(3);
-        let outcome =
-            schedule_resilient_traced(&mut dead, &tracer, Some(&policy), at, at, 1_000).unwrap();
+        let outcome = schedule_resilient(&mut dead, &tracer, Some(&policy), at, at, 1_000).unwrap();
         assert!(outcome.transfer.is_none());
         assert_eq!(outcome.retries, 0);
         assert_eq!(outcome.gave_up_at, at);

@@ -27,7 +27,7 @@ use crate::config::{ConfigBuilder, OffloadConfig};
 use crate::endpoint::Endpoint;
 use crate::fleet::{ServerPool, ServerSpec};
 use crate::gates::{self, Gate, Verdict};
-use crate::resilience::{classify, schedule_resilient_traced, FaultClass};
+use crate::resilience::{classify, schedule_resilient, FaultClass};
 use crate::OffloadError;
 use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
 use snapedge_net::{Link, NetError, SimClock};
@@ -281,10 +281,10 @@ pub struct OffloadSession {
     /// compute-time prior.
     effects: Option<snapedge_analyze::EffectSummary>,
     /// Per-candidate predicted queueing delay, pushed by the fleet
-    /// engine's balancer before each round when `cfg.balance` is on
-    /// (empty otherwise): the current server's entry is the `plan`
-    /// gate's admission prior, and the whole vector re-ranks failover
-    /// candidates by predicted sojourn.
+    /// engine's balancer before each round when the engine balances
+    /// (empty otherwise — which is what makes a session unbalanced): the
+    /// current server's entry is the `plan` gate's admission prior, and
+    /// the whole vector re-ranks failover candidates by predicted sojourn.
     queue_outlook: Vec<Duration>,
 }
 
@@ -517,7 +517,7 @@ impl OffloadSession {
             presend_at,
             Some(sent.total_bytes()),
         );
-        let outcome = schedule_resilient_traced(
+        let outcome = schedule_resilient(
             &mut self.uplink,
             &self.tracer,
             self.cfg.retry.as_ref(),
@@ -539,7 +539,7 @@ impl OffloadSession {
             xfer.finish,
             Some(64),
         );
-        let ack_outcome = schedule_resilient_traced(
+        let ack_outcome = schedule_resilient(
             &mut self.downlink,
             &self.tracer,
             self.cfg.retry.as_ref(),
@@ -738,19 +738,14 @@ impl OffloadSession {
     /// Propagates fatal (non-network) provisioning failures.
     fn provision_next(&mut self) -> Result<bool, OffloadError> {
         loop {
-            // With balancing on, candidates are ranked by predicted
-            // *sojourn* (migration + server-side queueing delay from the
-            // engine's outlook); off, by migration time alone — the
-            // historical health-only ordering, bit for bit.
-            let delays: &[Duration] = if self.cfg.balance {
-                &self.queue_outlook
-            } else {
-                &[]
-            };
-            let Some(next) =
-                self.pool
-                    .select_with_delays(self.last_full_bytes, self.model_bytes, delays)
-            else {
+            // Candidates are ranked by predicted *sojourn* (migration +
+            // server-side queueing delay from the engine's outlook); with
+            // no outlook, by migration time alone.
+            let Some(next) = self.pool.select_with_delays(
+                self.last_full_bytes,
+                self.model_bytes,
+                &self.queue_outlook,
+            ) else {
                 return Ok(false);
             };
             let spec = match self.pool.spec(next) {
@@ -1118,8 +1113,9 @@ impl OffloadSession {
     }
 
     /// Installs the fleet engine's balancer outlook for the next round:
-    /// one predicted queueing delay per candidate, in fleet order. Only
-    /// consulted when `cfg.balance` is on.
+    /// one predicted queueing delay per candidate, in fleet order. From
+    /// then on the session is balanced: the `plan` gate runs and prices
+    /// the wait, and failover ranks by predicted sojourn.
     pub(crate) fn set_queue_outlook(&mut self, outlook: Vec<Duration>) {
         self.queue_outlook = outlook;
     }
@@ -1345,7 +1341,7 @@ impl OffloadSession {
             self.clock.now(),
             Some(bytes),
         );
-        let outcome = schedule_resilient_traced(
+        let outcome = schedule_resilient(
             link,
             &self.tracer,
             self.cfg.retry.as_ref(),
@@ -1463,10 +1459,11 @@ mod tests {
 
     #[test]
     fn nondeterministic_app_is_forced_local_with_zero_link_bytes() {
-        // Every gate configured at once. On the deterministic paper app
-        // they all say ship: effects, plan, and verify once per capture.
+        // Every gate configured at once, balanced the way the engine
+        // balances a session: by handing it a queue outlook. On the
+        // deterministic paper app they all say ship: effects, plan, and
+        // verify once per capture.
         let every_gate = SessionConfig::paper_builder("agenet")
-            .balance(true)
             .predict(true)
             .snapshot(snapedge_webapp::SnapshotOptions {
                 verify: true,
@@ -1475,6 +1472,7 @@ mod tests {
             })
             .build();
         let mut session = OffloadSession::new(every_gate).unwrap();
+        session.set_queue_outlook(vec![Duration::ZERO]);
         let gates = |session: &OffloadSession| -> Vec<String> {
             let events = session.trace().events().to_vec();
             let gates = events.into_iter().filter(|e| e.kind == EventKind::Gate);

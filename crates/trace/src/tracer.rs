@@ -2,7 +2,8 @@
 
 use crate::event::{Event, EventKind, Lane};
 use crate::trace::Trace;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// Token returned by [`Tracer::begin`], consumed by [`Tracer::end`].
@@ -26,12 +27,6 @@ struct State {
     next_span: u64,
 }
 
-#[derive(Debug)]
-struct Inner {
-    enabled: bool,
-    state: Mutex<State>,
-}
-
 /// A cheap cloneable handle recording [`Event`]s against virtual time.
 ///
 /// Cloning yields a handle to the *same* buffer (exactly like `SimClock`
@@ -40,9 +35,11 @@ struct Inner {
 ///
 /// Timestamps are plain [`Duration`]s supplied by the caller — the tracer
 /// never reads a wall clock, keeping every run bit-for-bit reproducible.
+/// The program is single-threaded, so the buffer is an `Rc<RefCell<_>>`;
+/// a disabled tracer has none.
 #[derive(Debug, Clone)]
 pub struct Tracer {
-    inner: Arc<Inner>,
+    state: Option<Rc<RefCell<State>>>,
 }
 
 impl Default for Tracer {
@@ -55,10 +52,7 @@ impl Tracer {
     /// A fresh, enabled tracer with an empty buffer.
     pub fn new() -> Tracer {
         Tracer {
-            inner: Arc::new(Inner {
-                enabled: true,
-                state: Mutex::new(State::default()),
-            }),
+            state: Some(Rc::default()),
         }
     }
 
@@ -66,17 +60,12 @@ impl Tracer {
     /// tracer is required but observability is not wanted (hot loops,
     /// standalone endpoints).
     pub fn disabled() -> Tracer {
-        Tracer {
-            inner: Arc::new(Inner {
-                enabled: false,
-                state: Mutex::new(State::default()),
-            }),
-        }
+        Tracer { state: None }
     }
 
     /// Whether events are being kept.
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
+        self.state.is_some()
     }
 
     /// Records a closed event. `end < start` is clamped to an instant
@@ -96,10 +85,10 @@ impl Tracer {
         end: Duration,
         bytes: Option<u64>,
     ) {
-        if !self.inner.enabled {
+        let Some(state) = &self.state else {
             return;
-        }
-        let mut state = self.inner.state.lock().unwrap();
+        };
+        let mut state = state.borrow_mut();
         let depth = state.open.len() as u32;
         state.events.push(Event {
             name: name.to_string(),
@@ -127,10 +116,10 @@ impl Tracer {
         start: Duration,
         bytes: Option<u64>,
     ) -> SpanId {
-        if !self.inner.enabled {
+        let Some(state) = &self.state else {
             return SpanId(u64::MAX);
-        }
-        let mut state = self.inner.state.lock().unwrap();
+        };
+        let mut state = state.borrow_mut();
         let id = state.next_span;
         state.next_span += 1;
         state.open.push(OpenSpan {
@@ -148,15 +137,16 @@ impl Tracer {
     /// Any spans opened after it and still open are closed with it (at
     /// `end`) — strict nesting is enforced rather than trusted.
     pub fn end(&self, id: SpanId, end: Duration) {
-        if !self.inner.enabled {
+        let Some(state) = &self.state else {
             return;
-        }
-        let mut state = self.inner.state.lock().unwrap();
-        let Some(pos) = state.open.iter().position(|s| s.id == id.0) else {
-            return; // already closed (by an enclosing span) — ignore
         };
-        while state.open.len() > pos {
-            let span = state.open.pop().unwrap();
+        let mut state = state.borrow_mut();
+        if !state.open.iter().any(|s| s.id == id.0) {
+            return; // already closed (by an enclosing span) — ignore
+        }
+        // Ids grow with every `begin`, so the spans opened after this one
+        // are exactly those above it on the stack.
+        while let Some(span) = state.open.pop_if(|s| s.id >= id.0) {
             let depth = state.open.len() as u32;
             state.events.push(Event {
                 name: span.name,
@@ -172,7 +162,9 @@ impl Tracer {
 
     /// Number of closed events recorded so far.
     pub fn len(&self) -> usize {
-        self.inner.state.lock().unwrap().events.len()
+        self.state
+            .as_ref()
+            .map_or(0, |state| state.borrow().events.len())
     }
 
     /// `true` when no closed events have been recorded.
@@ -184,8 +176,11 @@ impl Tracer {
     /// included), sorted by start time then depth. The tracer keeps
     /// recording; call again for a later snapshot.
     pub fn finish(&self) -> Trace {
-        let state = self.inner.state.lock().unwrap();
-        Trace::from_events(state.events.clone())
+        let events = self
+            .state
+            .as_ref()
+            .map(|state| state.borrow().events.clone());
+        Trace::from_events(events.unwrap_or_default())
     }
 }
 

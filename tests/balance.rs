@@ -62,9 +62,10 @@ fn balance_off_replays_bit_for_bit_across_chaos_seeds() {
                 .seed(seed)
                 .build();
             // Belt and braces: the explicit-off spelling is the default.
-            assert!(!cfg.balance && !cfg.fair_share && cfg.batch_window.is_none());
             let mut engine = Engine::sessions(cfg, CLIENTS)
                 .unwrap()
+                .balance(false)
+                .fair_share(false)
                 .arrival(ArrivalProcess::ClosedLoop {
                     think: Duration::from_millis(250),
                 })
@@ -133,10 +134,10 @@ fn balancing_beats_rotation_on_a_skewed_fleet() {
                 odroid_xu4(),
                 LinkConfig::mbps(3.0),
             ))
-            .balance(balance)
             .build();
         let mut engine = Engine::modeled(cfg, 1_000)
             .unwrap()
+            .balance(balance)
             .arrival(ArrivalProcess::Poisson { rate_hz: 10.0 })
             .duration(Duration::from_secs(30));
         let report = run_checked(&mut engine);
@@ -176,9 +177,9 @@ fn balancing_beats_rotation_on_a_skewed_fleet() {
 #[test]
 fn admission_control_degrades_overloaded_rounds_to_local() {
     let clients = 12;
-    let cfg = SessionConfig::tiny_builder().balance(true).build();
-    let mut engine = Engine::sessions(cfg, clients)
+    let mut engine = Engine::sessions(SessionConfig::tiny(), clients)
         .unwrap()
+        .balance(true)
         .arrival(ArrivalProcess::ClosedLoop {
             think: Duration::ZERO,
         })
@@ -235,12 +236,10 @@ fn admission_control_degrades_overloaded_rounds_to_local() {
 #[test]
 fn fair_share_batches_co_queued_grants_and_reports_fairness() {
     let clients = 6;
-    let cfg = SessionConfig::tiny_builder()
+    let mut engine = Engine::sessions(SessionConfig::tiny(), clients)
+        .unwrap()
         .fair_share(true)
         .batch_window(Duration::from_millis(50))
-        .build();
-    let mut engine = Engine::sessions(cfg, clients)
-        .unwrap()
         .arrival(ArrivalProcess::ClosedLoop {
             think: Duration::ZERO,
         })
@@ -279,12 +278,10 @@ fn fair_share_batches_co_queued_grants_and_reports_fairness() {
 
     // The deferred path is deterministic, like everything else.
     let rerun = {
-        let cfg = SessionConfig::tiny_builder()
+        let mut engine = Engine::sessions(SessionConfig::tiny(), clients)
+            .unwrap()
             .fair_share(true)
             .batch_window(Duration::from_millis(50))
-            .build();
-        let mut engine = Engine::sessions(cfg, clients)
-            .unwrap()
             .arrival(ArrivalProcess::ClosedLoop {
                 think: Duration::ZERO,
             })
@@ -299,9 +296,9 @@ fn fair_share_batches_co_queued_grants_and_reports_fairness() {
 /// but never forms a batch: the two knobs are independent.
 #[test]
 fn fair_share_alone_never_batches() {
-    let cfg = SessionConfig::tiny_builder().fair_share(true).build();
-    let mut engine = Engine::sessions(cfg, 4)
+    let mut engine = Engine::sessions(SessionConfig::tiny(), 4)
         .unwrap()
+        .fair_share(true)
         .arrival(ArrivalProcess::ClosedLoop {
             think: Duration::ZERO,
         })

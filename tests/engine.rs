@@ -325,17 +325,17 @@ fn three_servers() -> ConfigBuilder<SessionConfig> {
         .add_server(tiny_spec("edge-c"))
 }
 
+fn modeled(cfg: SessionConfig, clients: usize) -> Engine<ModeledWorkload> {
+    Engine::modeled(cfg, clients).unwrap()
+}
+
 fn modeled_lines(
-    cfg: SessionConfig,
-    clients: usize,
+    engine: Engine<ModeledWorkload>,
     arrival: ArrivalProcess,
     horizon: Duration,
     cap: Option<usize>,
 ) -> Vec<String> {
-    let mut engine = Engine::modeled(cfg, clients)
-        .unwrap()
-        .arrival(arrival)
-        .duration(horizon);
+    let mut engine = engine.arrival(arrival).duration(horizon);
     if let Some(cap) = cap {
         engine = engine.max_rounds(cap);
     }
@@ -343,9 +343,12 @@ fn modeled_lines(
     engine.event_lines()
 }
 
-fn session_lines(cfg: SessionConfig, clients: usize, think: Duration, cap: usize) -> Vec<String> {
-    let mut engine = Engine::sessions(cfg, clients)
-        .unwrap()
+fn sessions(cfg: SessionConfig, clients: usize) -> Engine<SessionWorkload> {
+    Engine::sessions(cfg, clients).unwrap()
+}
+
+fn session_lines(engine: Engine<SessionWorkload>, think: Duration, cap: usize) -> Vec<String> {
+    let mut engine = engine
         .arrival(ArrivalProcess::ClosedLoop { think })
         .duration(LONG)
         .max_rounds(cap);
@@ -368,6 +371,37 @@ const PINNED_LINES: [(&str, usize, u64); 10] = [
     ("session_failover", 30, 0x86e7aae4344a3856),
     ("session_fallback", 16, 0x74ddb55ed904df26),
 ];
+
+/// `(lines, FNV-1a of the lines, FNV-1a of the clients' JSONL)` of
+/// [`a_balanced_session_fleet_is_pinned`]'s run, recorded at 47abd77,
+/// when balancing a session was a config knob, and not edited since.
+const PINNED_BALANCED_SESSIONS: (usize, u64, u64) = (144, 0x2c3cb697b0683459, 0x3b052409f72af5a5);
+
+/// Twelve synchronized real sessions on one tiny server, balanced by the
+/// engine alone: every session gets the queue outlook, so its `plan`
+/// gate prices the wait and sheds rounds to the client. The event log
+/// and every client's trace are the ones the config knob produced.
+#[test]
+fn a_balanced_session_fleet_is_pinned() {
+    const CLIENTS: usize = 12;
+    let mut engine = sessions(SessionConfig::tiny(), CLIENTS)
+        .balance(true)
+        .arrival(ArrivalProcess::ClosedLoop {
+            think: Duration::ZERO,
+        })
+        .duration(LONG)
+        .max_rounds(4);
+    run_checked(&mut engine);
+    let (count, hash) = fnv_lines(&engine.event_lines());
+    let jsonl: String = (0..CLIENTS)
+        .map(|c| engine.workload().trace(c).unwrap().to_jsonl())
+        .collect();
+    assert_eq!(
+        (count, hash, fnv1a(jsonl.as_bytes())),
+        PINNED_BALANCED_SESSIONS,
+        "left: this run, right: pinned"
+    );
+}
 
 /// The text of the log is a contract of its own: ten fleets — modeled
 /// Poisson, diurnal and closed loop; fair share, a batch window and
@@ -392,13 +426,17 @@ fn event_log_lines_are_pinned() {
     let runs: Vec<(&str, Vec<String>)> = vec![
         (
             "modeled_poisson",
-            modeled_lines(three_servers().build(), 500, poisson.clone(), ten, None),
+            modeled_lines(
+                modeled(three_servers().build(), 500),
+                poisson.clone(),
+                ten,
+                None,
+            ),
         ),
         (
             "modeled_diurnal",
             modeled_lines(
-                SessionConfig::paper("agenet"),
-                200,
+                modeled(SessionConfig::paper("agenet"), 200),
                 ArrivalProcess::Diurnal {
                     base_hz: 2.0,
                     peak_hz: 40.0,
@@ -411,8 +449,7 @@ fn event_log_lines_are_pinned() {
         (
             "modeled_closed",
             modeled_lines(
-                SessionConfig::paper("agenet"),
-                20,
+                modeled(SessionConfig::paper("agenet"), 20),
                 ArrivalProcess::ClosedLoop {
                     think: Duration::from_millis(100),
                 },
@@ -423,8 +460,7 @@ fn event_log_lines_are_pinned() {
         (
             "modeled_fair_share",
             modeled_lines(
-                three_servers().fair_share(true).build(),
-                30,
+                modeled(three_servers().build(), 30).fair_share(true),
                 burst.clone(),
                 LONG,
                 Some(3),
@@ -433,8 +469,7 @@ fn event_log_lines_are_pinned() {
         (
             "modeled_batch_window",
             modeled_lines(
-                three_servers().batch_window(window).build(),
-                500,
+                modeled(three_servers().build(), 500).batch_window(window),
                 poisson.clone(),
                 ten,
                 None,
@@ -443,16 +478,18 @@ fn event_log_lines_are_pinned() {
         (
             "modeled_balance",
             modeled_lines(
-                SessionConfig::paper_builder("agenet")
-                    .add_server(tiny_spec("edge-b"))
-                    .add_server(ServerSpec::new(
-                        "edge-slow",
-                        odroid_xu4(),
-                        LinkConfig::mbps(3.0),
-                    ))
-                    .balance(true)
-                    .build(),
-                300,
+                modeled(
+                    SessionConfig::paper_builder("agenet")
+                        .add_server(tiny_spec("edge-b"))
+                        .add_server(ServerSpec::new(
+                            "edge-slow",
+                            odroid_xu4(),
+                            LinkConfig::mbps(3.0),
+                        ))
+                        .build(),
+                    300,
+                )
+                .balance(true),
                 ArrivalProcess::Poisson { rate_hz: 10.0 },
                 ten,
                 None,
@@ -461,12 +498,10 @@ fn event_log_lines_are_pinned() {
         (
             "modeled_all_three",
             modeled_lines(
-                three_servers()
+                modeled(three_servers().build(), 500)
                     .balance(true)
                     .fair_share(true)
-                    .batch_window(window)
-                    .build(),
-                500,
+                    .batch_window(window),
                 poisson,
                 ten,
                 None,
@@ -475,11 +510,9 @@ fn event_log_lines_are_pinned() {
         (
             "session_fair_batch",
             session_lines(
-                SessionConfig::tiny_builder()
+                sessions(SessionConfig::tiny(), 6)
                     .fair_share(true)
-                    .batch_window(window)
-                    .build(),
-                6,
+                    .batch_window(window),
                 Duration::ZERO,
                 3,
             ),
@@ -487,15 +520,17 @@ fn event_log_lines_are_pinned() {
         (
             "session_failover",
             session_lines(
-                SessionConfig::tiny_builder()
-                    .servers(vec![
-                        tiny_spec("edge-a").with_faults(dies.clone()),
-                        tiny_spec("edge-b"),
-                        tiny_spec("edge-c"),
-                    ])
-                    .retry(one_try.clone())
-                    .build(),
-                2,
+                sessions(
+                    SessionConfig::tiny_builder()
+                        .servers(vec![
+                            tiny_spec("edge-a").with_faults(dies.clone()),
+                            tiny_spec("edge-b"),
+                            tiny_spec("edge-c"),
+                        ])
+                        .retry(one_try.clone())
+                        .build(),
+                    2,
+                ),
                 Duration::from_millis(250),
                 3,
             ),
@@ -503,15 +538,17 @@ fn event_log_lines_are_pinned() {
         (
             "session_fallback",
             session_lines(
-                SessionConfig::tiny_builder()
-                    .servers(vec![
-                        tiny_spec("edge-a").with_faults(dies.clone()),
-                        tiny_spec("edge-b").with_faults(dies.clone()),
-                        tiny_spec("edge-c").with_faults(dies.clone()),
-                    ])
-                    .retry(one_try)
-                    .build(),
-                2,
+                sessions(
+                    SessionConfig::tiny_builder()
+                        .servers(vec![
+                            tiny_spec("edge-a").with_faults(dies.clone()),
+                            tiny_spec("edge-b").with_faults(dies.clone()),
+                            tiny_spec("edge-c").with_faults(dies.clone()),
+                        ])
+                        .retry(one_try)
+                        .build(),
+                    2,
+                ),
                 Duration::from_millis(250),
                 2,
             ),
