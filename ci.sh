@@ -60,6 +60,13 @@ fi
 if grep -rn 'schedule_resilient_traced' crates/*/src; then exit 1; fi
 if grep -n 'Mutex' crates/trace/src/tracer.rs; then exit 1; fi
 
+echo "== the gate chain owns its switches (SnapshotOptions describes capture only; no gate switch is read off a snapshot or capture option)"
+if grep -nE 'pub (verify|effects):' crates/webapp/src/snapshot.rs; then
+    echo "snapshot.rs grew a gate switch: verify and effects are OffloadConfig fields" >&2
+    exit 1
+fi
+if grep -rnE 'snapshot\.(verify|effects)|options\.verify' crates/*/src; then exit 1; fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 

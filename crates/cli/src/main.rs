@@ -22,7 +22,7 @@ use snapedge_core::{
 use snapedge_dnn::{zoo, ModelBundle};
 use snapedge_net::{FaultPlan, LinkConfig};
 use snapedge_vmsynth::SynthesisConfig;
-use snapedge_webapp::{HostEffect, SnapshotOptions};
+use snapedge_webapp::HostEffect;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -294,7 +294,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     cfg.retry = parse_retry_flag(args)?;
     cfg.meter = parse_meter_flag(args)?;
     cfg.predict = bool_flag(args, "predict")?;
-    cfg.snapshot.effects = bool_flag(args, "effects")?;
+    cfg.effects = bool_flag(args, "effects")?;
     let timeline = bool_flag(args, "timeline")?;
     let report = run_scenario(&cfg).map_err(|e| e.to_string())?;
     println!("model:      {}", report.model);
@@ -463,7 +463,7 @@ fn session_config(args: &Args) -> Result<SessionConfig, String> {
     cfg.retry = parse_retry_flag(args)?;
     cfg.meter = parse_meter_flag(args)?;
     cfg.predict = bool_flag(args, "predict")?;
-    cfg.snapshot.effects = bool_flag(args, "effects")?;
+    cfg.effects = bool_flag(args, "effects")?;
     Ok(cfg)
 }
 
@@ -826,8 +826,8 @@ fn cmd_analyze_file(path: &str, args: &Args) -> Result<(), String> {
 
 /// Statically verifies one model's apps and live snapshots: both paper app
 /// sources are analyzed in app mode, then a two-round delta session runs
-/// with `SnapshotOptions::verify` on, so the endpoints verify the full
-/// snapshot (round 1) and the deltas (round 2) before any link traffic.
+/// with `verify` on, so the session verifies the full snapshot (round 1)
+/// and the deltas (round 2) before any link traffic.
 fn analyze_model(model: &str, cut: Option<&str>, effects: bool) -> Result<usize, String> {
     let url = apps::synthetic_image_data_url(7, 256);
     let opts = AnalysisOptions::app().with_hosts(vec!["model".to_string()]);
@@ -848,11 +848,9 @@ fn analyze_model(model: &str, cut: Option<&str>, effects: bool) -> Result<usize,
             findings += summary.nondet.len();
         }
     }
-    let mut builder = SessionConfig::paper_builder(model).snapshot(SnapshotOptions {
-        verify: true,
-        effects,
-        ..SnapshotOptions::default()
-    });
+    let mut builder = SessionConfig::paper_builder(model)
+        .verify(true)
+        .effects(effects);
     if let Some(cut) = cut {
         builder = builder.cut(cut);
     }

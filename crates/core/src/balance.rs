@@ -183,7 +183,45 @@ impl DrrScheduler {
     /// deduplicated ids). Scans the ring from the cursor: the first
     /// tenant with a non-negative deficit is served, skipped tenants
     /// earn one quantum per pass. Returns `None` only for an empty set.
+    ///
+    /// The passes are counted, not run: a tenant at ring position `p`
+    /// with deficit `d` is first servable on pass `n = ceil(-d / q)`
+    /// (0 when `d >= 0`), so the winner minimises `(n, p)`. Tenants
+    /// ahead of it in the ring earn `n + 1` quanta, the rest `n` — the
+    /// same picks and deficits as the pass-by-pass scan, in one sweep
+    /// however deep the overdraft.
     pub fn pick(&mut self, waiting: &[usize]) -> Option<usize> {
+        let mut ring: Vec<usize> = waiting.to_vec();
+        ring.sort_unstable();
+        ring.dedup();
+        // Give every ring tenant a deficit slot.
+        let last = *ring.last()?;
+        self.deficit_mut(last);
+        // Rotate so the scan starts at the first tenant >= cursor.
+        let start = ring.partition_point(|&t| t < self.cursor);
+        ring.rotate_left(start);
+        let quantum = self.quantum_us.unsigned_abs();
+        let passes = |deficit: i128| match deficit {
+            d if d >= 0 => 0,
+            d => d.unsigned_abs().div_ceil(quantum),
+        };
+        let (winner, n) = (ring.iter().enumerate())
+            .map(|(p, &t)| (p, passes(self.deficit_us[t])))
+            .min_by_key(|&(p, n)| (n, p))?;
+        for (p, &tenant) in ring.iter().enumerate() {
+            let refills = if p < winner { n + 1 } else { n };
+            let credit = i128::try_from(refills.saturating_mul(quantum)).unwrap_or(i128::MAX);
+            let deficit = &mut self.deficit_us[tenant];
+            *deficit = deficit.saturating_add(credit);
+        }
+        self.cursor = ring[winner] + 1;
+        Some(ring[winner])
+    }
+
+    /// The pass-by-pass scan [`DrrScheduler::pick`] counts instead of
+    /// running: the reference its property test compares against.
+    #[cfg(test)]
+    fn pick_by_passes(&mut self, waiting: &[usize]) -> Option<usize> {
         if waiting.is_empty() {
             return None;
         }
@@ -331,6 +369,56 @@ mod tests {
         let mut b = DrrScheduler::new(MS(2));
         assert_eq!(a.pick(&[2, 0, 1]), b.pick(&[0, 1, 2]));
         assert_eq!(a.pick(&[]), None);
+    }
+
+    #[test]
+    fn counted_passes_pick_and_refill_like_the_scan() {
+        let deficits = |drr: &DrrScheduler| -> Vec<i128> {
+            (0..8)
+                .map(|t| drr.deficit_us.get(t).copied().unwrap_or(0))
+                .collect()
+        };
+        for seed in 0..200u64 {
+            let mut rng = snapedge_rng::Rng::seed_from_u64(seed);
+            let quantum = Duration::from_micros(rng.gen_range_u64(1, 10_000));
+            let mut counted = DrrScheduler::new(quantum);
+            let mut scanned = DrrScheduler::new(quantum);
+            for step in 0..200 {
+                let tenant = rng.gen_range_usize(0, 8);
+                if rng.next_bool() {
+                    let cost = Duration::from_micros(rng.gen_range_u64(0, 200_000));
+                    counted.charge(tenant, cost);
+                    scanned.charge(tenant, cost);
+                } else {
+                    let waiting: Vec<usize> = (0..rng.gen_range_usize(0, 6))
+                        .map(|_| rng.gen_range_usize(0, 8))
+                        .collect();
+                    let picked = counted.pick(&waiting);
+                    assert_eq!(
+                        picked,
+                        scanned.pick_by_passes(&waiting),
+                        "seed {seed} step {step}"
+                    );
+                }
+                assert_eq!(
+                    deficits(&counted),
+                    deficits(&scanned),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(counted.cursor, scanned.cursor, "seed {seed} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn pick_returns_promptly_after_a_maximal_charge() {
+        let mut drr = DrrScheduler::new(DEFAULT_DRR_QUANTUM);
+        drr.charge(0, Duration::MAX);
+        assert_eq!(drr.pick(&[0, 1]), Some(1));
+        // Alone in the ring, tenant 0 is served once its ~3.7e21 passes
+        // of credit repay the overdraft.
+        assert_eq!(drr.pick(&[0]), Some(0));
+        assert!((0..drr.quantum_us).contains(&drr.deficit_us[0]));
     }
 
     #[test]

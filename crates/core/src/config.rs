@@ -6,11 +6,11 @@
 //! with ≈15 identical setters each. This module collapses that
 //! duplication: [`OffloadConfig`] owns everything the two shapes share
 //! (model, fleet, client device, execution mode, seeds, payload sizes,
-//! snapshot options, resilience and prediction knobs), the typed wrappers
-//! add only what is genuinely theirs (a session's `cut`/`use_deltas`, a
-//! scenario's `strategy`/`compress`), and [`ConfigBuilder`] provides the
-//! shared setters once, generically over any wrapper that derefs to the
-//! core.
+//! snapshot options, resilience knobs, the pre-ship gate switches), the
+//! typed wrappers add only what is genuinely theirs (a session's
+//! `cut`/`use_deltas`, a scenario's `strategy`/`compress`), and
+//! [`ConfigBuilder`] provides the shared setters once, generically over
+//! any wrapper that derefs to the core.
 //!
 //! The unification is also what lets the fleet engine
 //! ([`crate::engine`]) accept **one** config type: anything that converts
@@ -58,6 +58,17 @@ pub struct OffloadConfig {
     /// burning a retry budget. `false` (the default) replays the
     /// reactive-only path bit for bit.
     pub predict: bool,
+    /// Run static effect analysis over the app: the `effects` gate keeps
+    /// a nondeterministic app, or a round whose guaranteed cost floor
+    /// exceeds the server's meter, off the wire, and the summary's op
+    /// floor primes the `plan` gate. `false` (the default) computes no
+    /// summary and records no `effects` gate event.
+    pub effects: bool,
+    /// Statically verify every captured snapshot and delta before it
+    /// ships: the `verify` gate rejects unshippable source before any
+    /// link traffic and before the retry budget is touched. `false` (the
+    /// default) records no `verify` gate event.
+    pub verify: bool,
     /// Per-tenant resource metering on edge servers (op budgets,
     /// heap/string caps, call-depth limits, virtual-time slices).
     /// Individual servers override this via
@@ -86,6 +97,8 @@ impl OffloadConfig {
             snapshot: SnapshotOptions::default(),
             retry: None,
             predict: false,
+            effects: false,
+            verify: false,
             meter: None,
         }
     }
@@ -159,12 +172,6 @@ impl<C: DerefMut<Target = OffloadConfig>> ConfigBuilder<C> {
     /// Sets the client device model.
     pub fn client_device(mut self, device: DeviceProfile) -> ConfigBuilder<C> {
         self.cfg.client_device = device;
-        self
-    }
-
-    /// Sets the primary server's device model.
-    pub fn server_device(mut self, device: DeviceProfile) -> ConfigBuilder<C> {
-        self.cfg.primary_mut().device = device;
         self
     }
 
@@ -242,7 +249,14 @@ impl<C: DerefMut<Target = OffloadConfig>> ConfigBuilder<C> {
     /// meter exhaustion and prime the predictor. Off replays pre-analysis
     /// traces byte for byte.
     pub fn effects(mut self, on: bool) -> ConfigBuilder<C> {
-        self.cfg.snapshot.effects = on;
+        self.cfg.effects = on;
+        self
+    }
+
+    /// Toggles static verification of every captured snapshot and delta
+    /// before it ships (off by default).
+    pub fn verify(mut self, on: bool) -> ConfigBuilder<C> {
+        self.cfg.verify = on;
         self
     }
 

@@ -55,7 +55,7 @@ impl DeviceProfile {
     }
 
     /// Overrides the throughput for one layer tag, builder-style.
-    pub fn with_gflops(mut self, tag: &'static str, gflops: f64) -> DeviceProfile {
+    fn with_gflops(mut self, tag: &'static str, gflops: f64) -> DeviceProfile {
         self.gflops.insert(tag, gflops);
         self
     }
@@ -66,7 +66,7 @@ impl DeviceProfile {
     }
 
     /// Effective GFLOPS for a layer tag.
-    pub fn gflops_for(&self, tag: &str) -> f64 {
+    fn gflops_for(&self, tag: &str) -> f64 {
         self.gflops.get(tag).copied().unwrap_or(self.default_gflops)
     }
 

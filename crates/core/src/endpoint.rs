@@ -121,32 +121,25 @@ impl Endpoint {
 
     /// Captures a snapshot, charging the device's capture time to the
     /// clock and recording a `capture_{lane}` event; returns the snapshot
-    /// and the charged duration.
-    ///
-    /// When `options.verify` is set, the captured source then passes the
-    /// verify gate ([`Endpoint::verify_script`]): an unshippable snapshot
-    /// is rejected here — before any link traffic and before the retry
-    /// budget is touched.
+    /// and the charged duration. Whether it may ship is not decided here:
+    /// the session consults the verify gate after capture.
     ///
     /// # Errors
     ///
-    /// Propagates snapshot serialization failures; returns
-    /// [`OffloadError::Verify`] when verification finds error-severity
-    /// diagnostics.
+    /// Propagates snapshot serialization failures.
     pub fn capture(
         &mut self,
         options: &SnapshotOptions,
     ) -> Result<(Snapshot, Duration), OffloadError> {
         let start = self.clock.now();
         let snapshot = self.browser.capture_snapshot(options)?;
-        let cost = self.captured(start, snapshot.html(), options, Mode::Snapshot, Vec::new)?;
+        let cost = self.captured(start, snapshot.size_bytes());
         Ok((snapshot, cost))
     }
 
     /// [`Endpoint::capture`] for a delta against the agreed `base`: the
-    /// same charge, event and verify gate (with the base's declarations
-    /// ambient) when a delta suffices, nothing when a full snapshot is
-    /// required instead.
+    /// same charge and event when a delta suffices, nothing when a full
+    /// snapshot is required instead.
     ///
     /// # Errors
     ///
@@ -159,24 +152,14 @@ impl Endpoint {
         let start = self.clock.now();
         let capture = self.browser.capture_delta(base, options)?;
         if let DeltaCapture::Delta(delta) = &capture {
-            let ambient = || base.declared_names();
-            self.captured(start, delta.script(), options, Mode::Delta, ambient)?;
+            self.captured(start, delta.size_bytes());
         }
         Ok(capture)
     }
 
-    /// What every capture does once the browser produced `source`: device
-    /// charge, `capture_{lane}` event, then the verify gate — the one
-    /// place `options.verify` is read.
-    fn captured(
-        &mut self,
-        start: Duration,
-        source: &str,
-        options: &SnapshotOptions,
-        mode: Mode,
-        ambient: impl FnOnce() -> Vec<String>,
-    ) -> Result<Duration, OffloadError> {
-        let bytes = source.len() as u64;
+    /// What every capture does once the browser produced `bytes` of
+    /// source: device charge and `capture_{lane}` event.
+    fn captured(&mut self, start: Duration, bytes: u64) -> Duration {
         let cost = self.device.capture_time(bytes);
         self.clock.advance_by(cost);
         self.tracer.record_bytes(
@@ -187,10 +170,7 @@ impl Endpoint {
             self.clock.now(),
             Some(bytes),
         );
-        if options.verify {
-            self.verify_script(source, mode, ambient())?;
-        }
-        Ok(cost)
+        cost
     }
 
     /// The verify gate: statically verifies generated snapshot (or delta)
@@ -295,5 +275,32 @@ impl Endpoint {
             );
         }
         Ok(outcome)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capture_records_one_capture_event_and_no_gate() {
+        let tracer = Tracer::new();
+        let device = crate::device::edge_server_x86();
+        let mut server = Endpoint::new("edge", device, SimClock::new())
+            .with_tracer(tracer.clone(), Lane::Server);
+        let app = "<html><body></body><script>var n = 1;</script></html>";
+        server.browser.load_html(app).unwrap();
+        server.browser.run_until_idle().unwrap();
+        let (snapshot, cost) = server.capture(&SnapshotOptions::default()).unwrap();
+        let trace = tracer.finish();
+        let events: Vec<_> = (trace.events().iter())
+            .map(|e| (e.name.as_str(), e.kind, e.lane))
+            .collect();
+        assert_eq!(
+            events,
+            [("capture_server", EventKind::Capture, Lane::Server)]
+        );
+        assert_eq!(trace.bytes_of("capture_server"), snapshot.size_bytes());
+        assert_eq!(server.clock().now(), cost);
     }
 }

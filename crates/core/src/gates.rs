@@ -1,9 +1,12 @@
 //! The pre-ship gates: everything that can keep a round off the wire,
 //! in the one order it is consulted. `effects` and `plan` run at the
 //! click ([`pre_ship`], called by `OffloadSession::round_start`);
-//! `verify` runs on every capture (`Endpoint`). A gate that is not
-//! configured is not consulted and emits nothing; a consulted gate emits
-//! exactly one [`EventKind::Gate`] event through [`record`], named
+//! `verify` runs right after every capture (`OffloadSession::migrate`,
+//! through `Endpoint::verify_script`). Each gate's switch is an
+//! [`OffloadConfig`] field (`effects`, `predict`, `verify`), read here
+//! and in the session only. A gate that is not configured is not
+//! consulted and emits nothing; a consulted gate emits exactly one
+//! [`EventKind::Gate`] event through [`record`], named
 //! `gate:<gate>:<ship|local|reject>:<lhs>:<rhs>` after the two numbers
 //! it compared.
 

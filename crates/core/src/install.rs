@@ -8,7 +8,7 @@
 
 use crate::OffloadError;
 use snapedge_net::{Link, LinkConfig};
-use snapedge_vmsynth::{offloading_overlay, Overlay, SynthesisConfig};
+use snapedge_vmsynth::{offloading_overlay, SynthesisConfig};
 use std::time::Duration;
 
 /// Timing and size record of a dynamic installation.
@@ -49,11 +49,6 @@ pub fn vm_install(
         upload: xfer.finish,
         apply: synth.apply_time(&overlay),
     })
-}
-
-/// The overlay itself, for callers that want file-level detail.
-pub fn install_overlay(model_name: &str, model_bytes: u64) -> Overlay {
-    offloading_overlay(model_name, model_bytes)
 }
 
 #[cfg(test)]

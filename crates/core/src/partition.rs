@@ -15,6 +15,13 @@ use snapedge_dnn::{CutPoint, Network, NetworkProfile};
 use snapedge_net::LinkConfig;
 use std::time::Duration;
 
+/// Snapshot-text bytes per feature element (JS f64 decimal text).
+const BYTES_PER_ELEM: f64 = 19.0;
+/// Snapshot bytes independent of feature data (code, DOM, globals).
+const BASE_SNAPSHOT_BYTES: u64 = 60_000;
+/// Size of the returning result snapshot.
+const RESULT_SNAPSHOT_BYTES: u64 = 60_000;
+
 /// Predicted per-phase times for one candidate cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredictedTimes {
@@ -64,12 +71,6 @@ pub struct PartitionOptimizer {
     client: DeviceProfile,
     server: DeviceProfile,
     link: LinkConfig,
-    /// Snapshot-text bytes per feature element (JS f64 decimal text).
-    bytes_per_elem: f64,
-    /// Snapshot bytes independent of feature data (code, DOM, globals).
-    base_snapshot_bytes: u64,
-    /// Size of the returning result snapshot.
-    result_snapshot_bytes: u64,
 }
 
 impl PartitionOptimizer {
@@ -86,22 +87,7 @@ impl PartitionOptimizer {
             client,
             server,
             link,
-            bytes_per_elem: 19.0,
-            base_snapshot_bytes: 60_000,
-            result_snapshot_bytes: 60_000,
         }
-    }
-
-    /// Overrides the feature-text expansion factor, builder-style.
-    pub fn with_bytes_per_elem(mut self, bytes: f64) -> PartitionOptimizer {
-        self.bytes_per_elem = bytes;
-        self
-    }
-
-    /// Overrides the feature-independent snapshot size, builder-style.
-    pub fn with_base_snapshot_bytes(mut self, bytes: u64) -> PartitionOptimizer {
-        self.base_snapshot_bytes = bytes;
-        self
     }
 
     /// Estimated feature text size at a cut. The input cut's "feature" is
@@ -110,7 +96,7 @@ impl PartitionOptimizer {
         if cut.id.index() == 0 {
             0
         } else {
-            (cut.feature_elems as f64 * self.bytes_per_elem) as u64
+            (cut.feature_elems as f64 * BYTES_PER_ELEM) as u64
         }
     }
 
@@ -122,7 +108,7 @@ impl PartitionOptimizer {
     /// — no transfer time can be predicted over a dead link.
     pub fn predict(&self, cut: &CutPoint) -> Result<PartitionPrediction, OffloadError> {
         let feature_bytes = self.feature_text_bytes(cut);
-        let snapshot_bytes = self.base_snapshot_bytes + feature_bytes;
+        let snapshot_bytes = BASE_SNAPSHOT_BYTES + feature_bytes;
         let client_exec = self.client.exec_time(&self.profile, None, Some(cut.id));
         let server_exec = self.server.exec_time(&self.profile, Some(cut.id), None);
         let times = PredictedTimes {
@@ -131,9 +117,9 @@ impl PartitionOptimizer {
             upload: self.link.transfer_time(snapshot_bytes)?,
             restore: self.server.restore_time(snapshot_bytes),
             server_exec,
-            result_return: self.server.capture_time(self.result_snapshot_bytes)
-                + self.link.transfer_time(self.result_snapshot_bytes)?
-                + self.client.restore_time(self.result_snapshot_bytes),
+            result_return: self.server.capture_time(RESULT_SNAPSHOT_BYTES)
+                + self.link.transfer_time(RESULT_SNAPSHOT_BYTES)?
+                + self.client.restore_time(RESULT_SNAPSHOT_BYTES),
         };
         Ok(PartitionPrediction {
             cut: cut.clone(),

@@ -128,14 +128,11 @@ impl RetryPolicy {
                 .split_once('=')
                 .ok_or_else(|| format!("retry entry {entry:?} is missing '='"))?;
             let secs = |v: &str| -> Result<Duration, String> {
-                let s: f64 = v
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad duration {v:?} in retry spec"))?;
-                if !(s.is_finite() && s >= 0.0) {
-                    return Err(format!("bad duration {v:?} in retry spec"));
-                }
-                Ok(Duration::from_secs_f64(s))
+                let bad = || format!("bad duration {v:?} in retry spec");
+                let s: f64 = v.trim().parse().map_err(|_| bad())?;
+                // Rejects negative, non-finite and unrepresentably long
+                // durations alike.
+                Duration::try_from_secs_f64(s).map_err(|_| bad())
             };
             match key.trim() {
                 "attempts" => {

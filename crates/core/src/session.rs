@@ -29,6 +29,7 @@ use crate::fleet::{ServerPool, ServerSpec};
 use crate::gates::{self, Gate, Verdict};
 use crate::resilience::{classify, schedule_resilient, FaultClass};
 use crate::OffloadError;
+use snapedge_analyze::Mode;
 use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
 use snapedge_net::{Link, NetError, SimClock};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
@@ -276,9 +277,9 @@ pub struct OffloadSession {
     /// The server meter's `total_ops` reading when the current round
     /// started — per-round `ops_used` is the delta past this mark.
     meter_mark: u64,
-    /// The active app's effect summary, when `cfg.snapshot.effects` is
-    /// on: what the `effects` gate judges, and the `plan` gate's
-    /// compute-time prior.
+    /// The active app's effect summary, when `cfg.effects` is on: what
+    /// the `effects` gate judges, and the `plan` gate's compute-time
+    /// prior.
     effects: Option<snapedge_analyze::EffectSummary>,
     /// Per-candidate predicted queueing delay, pushed by the fleet
     /// engine's balancer before each round when the engine balances
@@ -468,7 +469,7 @@ impl OffloadSession {
             None => apps::FULL_OFFLOAD_EVENT,
         };
         self.client.browser.set_offload_trigger(Some(trigger));
-        if self.cfg.snapshot.effects {
+        if self.cfg.effects {
             self.analyze_app(&app)?;
         }
         Ok(())
@@ -1254,7 +1255,9 @@ impl OffloadSession {
 
     /// One migration, the paper's capture → transmit → restore, in either
     /// direction: a delta against `base` when one is given (and deltas
-    /// are on, and the diff is expressible), else a full snapshot.
+    /// are on, and the diff is expressible), else a full snapshot. With
+    /// `verify` on, the captured source passes the verify gate on the
+    /// sender's lane before any byte ships.
     /// Returns the wire bytes and whether a delta carried them; `Ok(None)`
     /// means the retry budget ran out. Up and down differ in two places
     /// only, both named below.
@@ -1267,6 +1270,9 @@ impl OffloadSession {
         if let Some(base) = base.filter(|_| self.cfg.use_deltas) {
             let (sender, _) = dir.ends(&mut self.client, &mut self.server);
             if let DeltaCapture::Delta(delta) = sender.capture_delta(base, &self.cfg.snapshot)? {
+                if self.cfg.verify {
+                    sender.verify_script(delta.script(), Mode::Delta, base.declared_names())?;
+                }
                 if let Some(wire) = self.transfer(dir, delta.script(), anchor)? {
                     let (_, receiver) = dir.ends(&mut self.client, &mut self.server);
                     receiver.apply_delta(&delta)?;
@@ -1284,6 +1290,9 @@ impl OffloadSession {
         }
         let (sender, _) = dir.ends(&mut self.client, &mut self.server);
         let (snapshot, _) = sender.capture(&self.cfg.snapshot)?;
+        if self.cfg.verify {
+            sender.verify_script(snapshot.html(), Mode::Snapshot, Vec::new())?;
+        }
         if dir == Dir::Up {
             // After a handoff the next server receives a fresh full
             // snapshot, so this is what the pool's selection metric
@@ -1465,11 +1474,8 @@ mod tests {
         // verify once per capture.
         let every_gate = SessionConfig::paper_builder("agenet")
             .predict(true)
-            .snapshot(snapedge_webapp::SnapshotOptions {
-                verify: true,
-                effects: true,
-                ..Default::default()
-            })
+            .effects(true)
+            .verify(true)
             .build();
         let mut session = OffloadSession::new(every_gate).unwrap();
         session.set_queue_outlook(vec![Duration::ZERO]);

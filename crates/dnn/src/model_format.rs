@@ -39,13 +39,6 @@ pub struct ModelFile {
     pub data: Option<Vec<u8>>,
 }
 
-impl ModelFile {
-    /// `true` when real bytes are attached.
-    pub fn is_materialized(&self) -> bool {
-        self.data.is_some()
-    }
-}
-
 /// A model as a list of files — what pre-sending transmits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelBundle {
@@ -55,7 +48,7 @@ pub struct ModelBundle {
 
 impl Network {
     /// Weight dims and bias length for a parameterized node, or `None`.
-    pub fn param_dims(&self, id: NodeId) -> Option<(Vec<usize>, usize)> {
+    fn param_dims(&self, id: NodeId) -> Option<(Vec<usize>, usize)> {
         let node = self.node(id);
         match &node.op {
             Op::Conv {
@@ -279,7 +272,7 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Returns [`DnnError::UnknownNode`] when no such node exists yet.
-    pub fn node_id_by_name(&self, name: &str) -> Result<NodeId, DnnError> {
+    fn node_id_by_name(&self, name: &str) -> Result<NodeId, DnnError> {
         self.nodes_impl()
             .iter()
             .position(|n| n.name == name)

@@ -120,11 +120,6 @@ impl ParamStore {
         self.by_node.insert(node.to_string(), params);
     }
 
-    /// Number of parameterized layers.
-    pub fn layer_count(&self) -> usize {
-        self.by_node.len()
-    }
-
     /// Iterates over `(node_name, params)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &LayerParams)> {
         self.by_node.iter().map(|(k, v)| (k.as_str(), v))

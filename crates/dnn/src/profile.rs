@@ -71,17 +71,6 @@ impl NetworkProfile {
     pub fn flops_after(&self, cut: NodeId) -> u64 {
         self.total_flops() - self.flops_through(cut)
     }
-
-    /// Parameter bytes in layers with topo index <= `cut` (the front model
-    /// files withheld from the server for privacy).
-    pub fn param_bytes_through(&self, cut: NodeId) -> u64 {
-        4 * self
-            .layers
-            .iter()
-            .filter(|l| l.id.index() <= cut.index())
-            .map(|l| l.params)
-            .sum::<u64>()
-    }
 }
 
 impl std::fmt::Display for NetworkProfile {

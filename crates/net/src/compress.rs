@@ -44,7 +44,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, NetError> {
 }
 
 /// Stage 1 only: LZ77 token stream.
-pub fn lz_compress(data: &[u8]) -> Vec<u8> {
+fn lz_compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     let mut table = vec![usize::MAX; 1 << HASH_BITS];
     let mut literal_start = 0usize;
@@ -100,7 +100,7 @@ pub fn lz_compress(data: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`NetError::Corrupt`] for malformed streams.
-pub fn lz_decompress(data: &[u8]) -> Result<Vec<u8>, NetError> {
+fn lz_decompress(data: &[u8]) -> Result<Vec<u8>, NetError> {
     let corrupt = || NetError::Corrupt("truncated or malformed LZ stream".to_string());
     let mut out = Vec::with_capacity(data.len() * 2);
     let mut i = 0usize;
@@ -142,11 +142,6 @@ pub fn lz_decompress(data: &[u8]) -> Result<Vec<u8>, NetError> {
         }
     }
     Ok(out)
-}
-
-/// Convenience: compressed size without keeping the buffer.
-pub fn compressed_size(data: &[u8]) -> u64 {
-    compress(data).len() as u64
 }
 
 // ---------------------------------------------------------------- Huffman

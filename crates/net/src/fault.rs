@@ -78,14 +78,8 @@ impl FaultPlan {
         &self.windows
     }
 
-    /// Adds a window, builder style.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::BadFaultPlan`] for empty/backwards windows,
-    /// degradation factors outside `(0, 1]`, or overlap with an existing
-    /// window.
-    pub fn with_window(mut self, window: FaultWindow) -> Result<FaultPlan, NetError> {
+    /// Adds a window, builder style; errors as [`FaultPlan::down`].
+    fn with_window(mut self, window: FaultWindow) -> Result<FaultPlan, NetError> {
         if window.end <= window.start {
             return Err(NetError::BadFaultPlan(format!(
                 "window {:?}..{:?} is empty or backwards",
@@ -118,7 +112,9 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FaultPlan::with_window`].
+    /// Returns [`NetError::BadFaultPlan`] for empty/backwards windows,
+    /// degradation factors outside `(0, 1]`, or overlap with an existing
+    /// window.
     pub fn down(self, start: Duration, end: Duration) -> Result<FaultPlan, NetError> {
         self.with_window(FaultWindow {
             start,
@@ -131,7 +127,7 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FaultPlan::with_window`].
+    /// Same conditions as [`FaultPlan::down`].
     pub fn degraded(
         self,
         start: Duration,
@@ -149,7 +145,7 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FaultPlan::with_window`].
+    /// Same conditions as [`FaultPlan::down`].
     pub fn corrupt(self, start: Duration, end: Duration) -> Result<FaultPlan, NetError> {
         self.with_window(FaultWindow {
             start,
@@ -210,7 +206,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns [`NetError::BadFaultPlan`] for malformed entries or windows
-    /// that violate [`FaultPlan::with_window`]'s rules.
+    /// that violate [`FaultPlan::down`]'s rules.
     pub fn parse(spec: &str) -> Result<FaultPlan, NetError> {
         let mut plan = FaultPlan::none();
         for entry in spec.split(',') {
@@ -224,10 +220,9 @@ impl FaultPlan {
             let bad = |what: &str| NetError::BadFaultPlan(format!("entry {entry:?}: {what}"));
             let parse_secs = |s: &str, what: &str| -> Result<Duration, NetError> {
                 let secs: f64 = s.trim().parse().map_err(|_| bad(what))?;
-                if !(secs.is_finite() && secs >= 0.0) {
-                    return Err(bad(what));
-                }
-                Ok(Duration::from_secs_f64(secs))
+                // Rejects negative, non-finite and unrepresentably long
+                // times alike.
+                Duration::try_from_secs_f64(secs).map_err(|_| bad(what))
             };
             match kind.trim() {
                 "down" | "corrupt" => {

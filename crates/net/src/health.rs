@@ -30,8 +30,8 @@ use crate::Transfer;
 use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Default sliding-window length for fault-rate and trend tracking.
-const DEFAULT_WINDOW: Duration = Duration::from_secs(30);
+/// Sliding-window length for fault-rate and trend tracking.
+const WINDOW: Duration = Duration::from_secs(30);
 
 /// Cap on the per-attempt failure probability inferred from the window;
 /// keeps the expected-retries formula `p / (1 - p)` finite.
@@ -94,12 +94,10 @@ impl LinkPrediction {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkHealth {
     estimator: BandwidthEstimator,
-    window: Duration,
     /// Time-ordered `(at, what, estimate after the observation)`
     /// records, pruned to the window on every observation.
     events: VecDeque<(Duration, Observation, Option<f64>)>,
     last_success: Option<Duration>,
-    last_fault: Option<Duration>,
 }
 
 impl Default for LinkHealth {
@@ -109,28 +107,13 @@ impl Default for LinkHealth {
 }
 
 impl LinkHealth {
-    /// Builds a tracker over `estimator` with the default window.
+    /// Builds a tracker over `estimator`.
     pub fn new(estimator: BandwidthEstimator) -> LinkHealth {
         LinkHealth {
             estimator,
-            window: DEFAULT_WINDOW,
             events: VecDeque::new(),
             last_success: None,
-            last_fault: None,
         }
-    }
-
-    /// Replaces the sliding-window length, builder style. Zero-length
-    /// windows are clamped to one millisecond so the window always holds
-    /// the observation that just arrived.
-    pub fn with_window(mut self, window: Duration) -> LinkHealth {
-        self.window = window.max(Duration::from_millis(1));
-        self
-    }
-
-    /// The sliding-window length.
-    pub fn window(&self) -> Duration {
-        self.window
     }
 
     /// The underlying bandwidth estimator (fed by this tracker's
@@ -139,13 +122,12 @@ impl LinkHealth {
         &self.estimator
     }
 
-    /// Forgets all history — estimator, window and success/fault marks —
-    /// returning the tracker to its freshly-built state (same window).
+    /// Forgets all history — estimator, window and success mark —
+    /// returning the tracker to its freshly-built state.
     pub fn reset(&mut self) {
         self.estimator.reset();
         self.events.clear();
         self.last_success = None;
-        self.last_fault = None;
     }
 
     /// Virtual time of the most recent successful transfer, if any.
@@ -153,14 +135,9 @@ impl LinkHealth {
         self.last_success
     }
 
-    /// Virtual time of the most recent fault observation, if any.
-    pub fn last_fault(&self) -> Option<Duration> {
-        self.last_fault
-    }
-
     /// Drops events that fell out of the window ending at `now`.
     fn prune(&mut self, now: Duration) {
-        let cutoff = now.saturating_sub(self.window);
+        let cutoff = now.saturating_sub(WINDOW);
         while let Some((at, _, _)) = self.events.front() {
             if *at < cutoff {
                 self.events.pop_front();
@@ -189,9 +166,8 @@ impl LinkHealth {
 
     /// Records one fault observation at virtual time `at`: penalizes the
     /// bandwidth estimate and marks a windowed fault.
-    pub fn observe_fault(&mut self, at: Duration) {
+    fn observe_fault(&mut self, at: Duration) {
         self.estimator.penalize();
-        self.last_fault = Some(at);
         self.events
             .push_back((at, Observation::Fault, self.estimator.estimate_bps()));
         self.prune(at);
@@ -214,7 +190,7 @@ impl LinkHealth {
     /// virtual time `now`. Pure: identical observation streams and
     /// identical `now` yield identical predictions.
     pub fn predict(&self, now: Duration) -> LinkPrediction {
-        let cutoff = now.saturating_sub(self.window);
+        let cutoff = now.saturating_sub(WINDOW);
         let mut successes = 0usize;
         let mut faults = 0usize;
         let mut peak_estimate: Option<f64> = None;
@@ -354,7 +330,7 @@ mod tests {
 
     #[test]
     fn old_events_age_out_of_the_window() {
-        let mut h = LinkHealth::default().with_window(secs(10));
+        let mut h = LinkHealth::default();
         success(&mut h, secs(1));
         h.observe_faults(4, secs(2));
         assert!(!h.predict(secs(3)).healthy());
@@ -374,7 +350,6 @@ mod tests {
         h.reset();
         assert_eq!(h.estimator().estimate_bps(), None);
         assert_eq!(h.last_success(), None);
-        assert_eq!(h.last_fault(), None);
         assert!(h.predict(secs(3)).healthy());
     }
 
@@ -390,12 +365,6 @@ mod tests {
         };
         assert_eq!(build().predict(secs(5)), build().predict(secs(5)));
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn zero_window_is_clamped() {
-        let h = LinkHealth::default().with_window(Duration::ZERO);
-        assert_eq!(h.window(), Duration::from_millis(1));
     }
 
     #[test]

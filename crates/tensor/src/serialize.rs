@@ -157,15 +157,6 @@ pub fn from_js_text(text: &str) -> Result<Vec<f32>, TensorError> {
         .collect()
 }
 
-/// Average JS-text bytes per element for a tensor — the quantity that turns
-/// element counts into the paper's feature-data megabytes.
-pub fn js_bytes_per_element(t: &Tensor) -> f64 {
-    if t.is_empty() {
-        return 0.0;
-    }
-    js_text_size(t) as f64 / t.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,7 +221,7 @@ mod tests {
             (((i * 2654435761) % 100_000) as f32 / 100_000.0 - 0.3) * 4.7
         })
         .unwrap();
-        let per_elem = js_bytes_per_element(&t);
+        let per_elem = js_text_size(&t) as f64 / t.len() as f64;
         assert!(
             per_elem > 8.0 && per_elem < 22.0,
             "bytes/element = {per_elem}"

@@ -81,21 +81,6 @@ impl Trace {
         )
     }
 
-    /// A trace with every timestamp rebased so `origin` becomes zero.
-    /// Events starting before `origin` are clipped at zero.
-    pub fn rebased(&self, origin: Duration) -> Trace {
-        Trace::from_events(
-            self.events
-                .iter()
-                .map(|e| Event {
-                    start: e.start.saturating_sub(origin),
-                    end: e.end.saturating_sub(origin),
-                    ..e.clone()
-                })
-                .collect(),
-        )
-    }
-
     /// Only the events at nesting depth 0 — the canonical phase level.
     pub fn top_level(&self) -> Trace {
         Trace {
@@ -177,13 +162,6 @@ mod tests {
             t.duration_of_kind(EventKind::Exec, Some(Lane::Client)),
             ms(2)
         );
-    }
-
-    #[test]
-    fn rebase_clips_at_zero() {
-        let t = Trace::from_events(vec![ev("a", 2, 8, 0)]).rebased(ms(4));
-        assert_eq!(t.events()[0].start, Duration::ZERO);
-        assert_eq!(t.events()[0].end, ms(4));
     }
 
     #[test]

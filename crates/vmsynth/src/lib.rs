@@ -52,7 +52,7 @@ pub enum ContentClass {
 
 impl ContentClass {
     /// LZMA-like compression ratio (compressed / raw).
-    pub fn compression_ratio(self) -> f64 {
+    fn compression_ratio(self) -> f64 {
         match self {
             ContentClass::Software => 0.38,
             ContentClass::Text => 0.25,

@@ -68,7 +68,7 @@ impl Globals {
     }
 
     /// Reads a binding by name (interning it first).
-    pub fn get_str(&self, name: &str) -> Option<&JsValue> {
+    fn get_str(&self, name: &str) -> Option<&JsValue> {
         self.map.get(&Symbol::intern(name))
     }
 
@@ -368,11 +368,6 @@ impl Browser {
     /// before the expensive handler runs). `None` disarms.
     pub fn set_offload_trigger(&mut self, event: Option<&str>) {
         self.offload_trigger = event.map(str::to_string);
-    }
-
-    /// The armed offload trigger, if any.
-    pub fn offload_trigger(&self) -> Option<&str> {
-        self.offload_trigger.as_deref()
     }
 
     /// Caps interpreter steps per [`Browser::run_until_idle`] /

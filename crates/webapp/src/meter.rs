@@ -48,11 +48,6 @@ pub struct MeterLimits {
 }
 
 impl MeterLimits {
-    /// `true` when no cap is set (pure observability mode).
-    pub fn is_unlimited(&self) -> bool {
-        *self == MeterLimits::default()
-    }
-
     /// Sets the op budget.
     pub fn with_ops(mut self, max_ops: u64) -> Self {
         self.max_ops = Some(max_ops);
@@ -114,7 +109,9 @@ impl MeterLimits {
                     if !ms.is_finite() || ms <= 0.0 {
                         return Err(format!("meter slice must be positive, got {value:?}"));
                     }
-                    limits.time_slice = Some(Duration::from_secs_f64(ms / 1000.0));
+                    let slice = Duration::try_from_secs_f64(ms / 1000.0)
+                        .map_err(|_| format!("meter slice {value:?} is out of range"))?;
+                    limits.time_slice = Some(slice);
                 }
                 other => {
                     return Err(format!(
@@ -348,7 +345,7 @@ mod tests {
     #[test]
     fn empty_spec_is_observability_only() {
         let limits = MeterLimits::parse("").unwrap();
-        assert!(limits.is_unlimited());
+        assert_eq!(limits, MeterLimits::default());
         let mut meter = Meter::new(limits);
         for _ in 0..10_000 {
             meter.charge(1, 999).unwrap();

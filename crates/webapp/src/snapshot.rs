@@ -24,26 +24,15 @@ use crate::WebError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// Options controlling snapshot generation.
+/// Options controlling snapshot generation: how capture serializes, and
+/// nothing about whether the result ships (that is the offload layer's
+/// decision).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotOptions {
     /// Apply the size optimization of reference [10]: heap cells referenced
     /// exactly once and free of cycles are inlined as literals instead of
     /// being built through numbered temporaries and patch statements.
     pub inline_single_use: bool,
-    /// Run the static snapshot verifier (`snapedge-analyze`) on the
-    /// generated script before shipping it. The webapp crate only carries
-    /// the flag; the verification itself runs in the offload layer
-    /// (`snapedge-core`), which rejects unshippable snapshots before any
-    /// link traffic.
-    pub verify: bool,
-    /// Run the static effect analysis (`snapedge-analyze`) over the app.
-    /// As with `verify`, the webapp crate only carries the flag; the
-    /// offload layer computes the per-app effect summary, rejects
-    /// nondeterministic apps before any link traffic, and flags
-    /// guaranteed meter exhaustion pre-ship. Capture never reads it:
-    /// scripts are byte-identical with the flag on or off.
-    pub effects: bool,
     /// Let delta capture use the write-barrier dirty sets recorded since
     /// [`Browser::state_base`](crate::Browser::state_base): only globals
     /// touched since the base (and globals rooting dirtied heap cells)
@@ -59,8 +48,6 @@ impl Default for SnapshotOptions {
     fn default() -> Self {
         SnapshotOptions {
             inline_single_use: true,
-            verify: false,
-            effects: false,
             incremental: true,
         }
     }

@@ -10,7 +10,7 @@
 //!   declaration) injected into otherwise-valid snapshot sources are
 //!   caught, with spans pointing at the injected line (no false
 //!   negatives);
-//! - a rejected snapshot never reaches the link: the endpoint raises
+//! - a rejected snapshot never reaches the link: the verify gate raises
 //!   [`OffloadError::Verify`], records a `verify` trace event, and the
 //!   uplink sees zero transfers and zero bytes.
 
@@ -31,13 +31,6 @@ bump(2);
 show();
 console.log(label);
 </script></body></html>"#;
-
-fn verified_options() -> SnapshotOptions {
-    SnapshotOptions {
-        verify: true,
-        ..SnapshotOptions::default()
-    }
-}
 
 /// Captures MINI_APP's snapshot HTML via the real capture path.
 fn captured_snapshot_html() -> String {
@@ -84,13 +77,11 @@ fn expected_line(html_src: &str, needle: &str) -> usize {
 
 #[test]
 fn paper_apps_full_and_delta_snapshots_verify_clean() {
-    // With `verify` on, the endpoints statically check the full snapshot
+    // With `verify` on, the session statically checks the full snapshot
     // (round 1) and both delta scripts (rounds 2-3) before every transfer.
     // Any analyzer false positive on our own capture output fails here.
     for model in ["googlenet", "agenet", "gendernet"] {
-        let cfg = SessionConfig::paper_builder(model)
-            .snapshot(verified_options())
-            .build();
+        let cfg = SessionConfig::paper_builder(model).verify(true).build();
         let mut session = OffloadSession::new(cfg).expect("session");
         for round in 1..=3 {
             let report = session
@@ -196,14 +187,10 @@ fn injected_reserved_prefix_names_are_caught_with_exact_spans() {
 
 #[test]
 fn clean_capture_with_verify_on_records_a_verify_event() {
-    let clock = SimClock::new();
-    let tracer = Tracer::new();
-    let mut client =
-        Endpoint::new("client", odroid_xu4(), clock).with_tracer(tracer.clone(), Lane::Client);
-    client.browser.load_html(MINI_APP).expect("load");
-    client.browser.run_until_idle().expect("run");
-    client.capture(&verified_options()).expect("clean capture");
-    let trace = tracer.finish();
+    let mut session =
+        OffloadSession::new(SessionConfig::tiny_builder().verify(true).build()).expect("session");
+    session.infer(1).expect("clean round");
+    let trace = session.trace();
     assert!(
         trace
             .events()

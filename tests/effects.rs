@@ -102,7 +102,7 @@ fn effects_charge_the_reference_walk_the_same_ops_on_or_off() {
 
 #[test]
 fn effects_are_off_by_default_and_default_traces_stay_byte_identical() {
-    assert!(!SnapshotOptions::default().effects);
+    assert!(!OffloadConfig::paper("agenet", "edge").effects);
     let trace = |_| {
         let mut session = OffloadSession::new(SessionConfig::tiny()).unwrap();
         for i in 1..=3u64 {

@@ -345,11 +345,8 @@ fn every_verdict_satisfies_the_comparison_it_names_across_the_chaos_seed_matrix(
                 .faults(FaultPlan::chaos(seed, secs(1.0)))
                 .retry(RetryPolicy::default())
                 .predict(true)
-                .snapshot(SnapshotOptions {
-                    verify: true,
-                    effects: true,
-                    ..SnapshotOptions::default()
-                })
+                .effects(true)
+                .verify(true)
         };
         for cfg in [
             // Local execution wins on the tiny model, offloading on AgeNet,

@@ -283,15 +283,7 @@ fn configs() -> Vec<(String, ScenarioConfig)> {
     }
 
     // Gates and meters.
-    add(
-        "gates/verify".into(),
-        tiny()
-            .snapshot(SnapshotOptions {
-                verify: true,
-                ..SnapshotOptions::default()
-            })
-            .build(),
-    );
+    add("gates/verify".into(), tiny().verify(true).build());
     add("gates/effects".into(), tiny().effects(true).build());
     let generous = MeterLimits::default()
         .with_ops(u64::MAX / 2)
