@@ -67,6 +67,13 @@ if grep -nE 'pub (verify|effects):' crates/webapp/src/snapshot.rs; then
 fi
 if grep -rnE 'snapshot\.(verify|effects)|options\.verify' crates/*/src; then exit 1; fi
 
+echo "== snapshot HTML text is scanned, not stepped (no chained entity replaces or window searches in html.rs outside its tests; the attribute-cloning doc_attrs stays deleted)"
+if sed '/#\[cfg(test)\]/,$d' crates/webapp/src/html.rs | grep -nE '\.replace\("&|\.windows\('; then
+    echo "html.rs walks its text again: scan it with find_set" >&2
+    exit 1
+fi
+if grep -rn 'fn doc_attrs' crates/*/src; then exit 1; fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 

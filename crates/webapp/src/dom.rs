@@ -145,9 +145,18 @@ impl Document {
     ///
     /// Returns [`WebError::Dom`] for dangling handles.
     pub fn set_attr(&mut self, id: DomNodeId, name: &str, value: &str) -> Result<(), WebError> {
-        self.node_mut(id)?
-            .attrs
-            .insert(name.to_string(), value.to_string());
+        self.insert_attr(id, name.to_string(), value.to_string())
+    }
+
+    /// [`Document::set_attr`] for strings the caller already owns (the
+    /// HTML parser's attributes move in without a second copy).
+    pub(crate) fn insert_attr(
+        &mut self,
+        id: DomNodeId,
+        name: String,
+        value: String,
+    ) -> Result<(), WebError> {
+        self.node_mut(id)?.attrs.insert(name, value);
         Ok(())
     }
 
