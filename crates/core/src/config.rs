@@ -122,6 +122,8 @@ impl OffloadConfig {
     ///
     /// Panics with a message naming the misuse when the `servers` fleet
     /// was left empty.
+    // A builder-misuse assertion that fires before any offload starts.
+    #[allow(clippy::panic)]
     pub fn primary(&self) -> &ServerSpec {
         match self.servers.first() {
             Some(spec) => spec,
@@ -140,6 +142,8 @@ impl OffloadConfig {
     ///
     /// Panics with a message naming the misuse when the `servers` fleet
     /// was left empty.
+    // A builder-misuse assertion that fires before any offload starts.
+    #[allow(clippy::panic)]
     pub fn primary_mut(&mut self) -> &mut ServerSpec {
         match self.servers.first_mut() {
             Some(spec) => spec,

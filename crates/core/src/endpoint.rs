@@ -5,7 +5,7 @@
 
 use crate::device::DeviceProfile;
 use crate::gates::{self, Verdict};
-use crate::mlhost::{CaffeJsHost, ExecTracker};
+use crate::mlhost::CaffeJsHost;
 use crate::OffloadError;
 use snapedge_analyze::Mode;
 use snapedge_dnn::{ExecMode, Network, NodeId, ParamStore};
@@ -93,8 +93,7 @@ impl Endpoint {
         &self.clock
     }
 
-    /// Registers the Caffe.js host (`model`) backed by `net`, returning the
-    /// execution tracker.
+    /// Registers the Caffe.js host (`model`) backed by `net`.
     pub fn install_model(
         &mut self,
         net: Network,
@@ -102,12 +101,11 @@ impl Endpoint {
         mode: ExecMode,
         cut: Option<NodeId>,
         seed: u64,
-    ) -> ExecTracker {
+    ) {
         let host = CaffeJsHost::new(net, params, self.device.clone(), mode, self.clock.clone())
             .with_cut(cut)
             .with_seed(seed)
             .with_tracer(self.tracer.clone(), self.lane);
-        let tracker = host.tracker();
         // The DNN host is a pure function of its inputs (seeded, no
         // clock): declare it deterministic so effect analysis can pass
         // apps that call `model.inference(..)`.
@@ -116,7 +114,6 @@ impl Endpoint {
             Box::new(host),
             snapedge_webapp::HostEffect::Deterministic,
         );
-        tracker
     }
 
     /// Captures a snapshot, charging the device's capture time to the

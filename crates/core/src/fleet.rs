@@ -97,7 +97,6 @@ pub struct ServerHealth {
     link: LinkHealth,
     model_ready: bool,
     exhausted: bool,
-    faults: usize,
 }
 
 impl ServerHealth {
@@ -106,7 +105,6 @@ impl ServerHealth {
             link: LinkHealth::default(),
             model_ready: false,
             exhausted: false,
-            faults: 0,
         }
     }
 
@@ -131,11 +129,6 @@ impl ServerHealth {
     /// current round.
     pub fn exhausted(&self) -> bool {
         self.exhausted
-    }
-
-    /// Total fault/backoff observations recorded against this server.
-    pub fn faults(&self) -> usize {
-        self.faults
     }
 }
 
@@ -195,7 +188,6 @@ impl ServerPool {
             return;
         }
         if let Some((_, health)) = self.servers.get_mut(idx) {
-            health.faults += count;
             health.link.observe_faults(count, at);
         }
     }
@@ -235,14 +227,13 @@ impl ServerPool {
         }
     }
 
-    /// Resets candidate `idx`'s bandwidth estimator, windowed health
-    /// history and fault tally. Called when a handoff re-provisions a
-    /// server so post-handoff estimates never mix samples observed
-    /// against a different epoch of the same path.
+    /// Resets candidate `idx`'s bandwidth estimator and windowed health
+    /// history. Called when a handoff re-provisions a server so
+    /// post-handoff estimates never mix samples observed against a
+    /// different epoch of the same path.
     pub fn reset_estimator(&mut self, idx: usize) {
         if let Some((_, health)) = self.servers.get_mut(idx) {
             health.link.reset();
-            health.faults = 0;
         }
     }
 
@@ -531,7 +522,8 @@ mod tests {
         assert_eq!(pool.select(1_000_000, 0), Some(0));
         // ...then a string of faults halves its estimate below b's rate.
         pool.observe_faults(0, 2, Duration::from_secs(2));
-        assert_eq!(pool.health(0).map(|h| h.faults()), Some(2));
+        let prediction = pool.health(0).unwrap().predict(Duration::from_secs(2));
+        assert!((prediction.fault_rate - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(pool.select(1_000_000, 0), Some(1));
     }
 
@@ -671,7 +663,7 @@ mod tests {
         let health = pool.health(0).unwrap();
         assert_eq!(health.estimator().samples(), 0);
         assert_eq!(health.estimator().estimate_bps(), None);
-        assert_eq!(health.faults(), 0);
+        assert!(health.predict(Duration::from_secs(1)).healthy());
     }
 
     #[test]

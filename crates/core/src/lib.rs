@@ -47,6 +47,17 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod adaptive;
@@ -82,7 +93,7 @@ pub use engine::{
 pub use error::OffloadError;
 pub use fleet::{format_servers, parse_servers, ServerHealth, ServerPool, ServerSpec};
 pub use install::{vm_install, InstallReport};
-pub use mlhost::{CaffeJsHost, ExecKind, ExecRecord, ExecTracker};
+pub use mlhost::CaffeJsHost;
 pub use partition::{PartitionOptimizer, PartitionPrediction, PredictedTimes};
 pub use privacy::{evaluate_privacy, reconstruct_input, AttackConfig, PrivacyReport};
 pub use resilience::{classify, schedule_resilient, FaultClass, ResilienceOutcome, RetryPolicy};

@@ -11,32 +11,7 @@ use snapedge_net::SimClock;
 use snapedge_tensor::{Tensor, TensorError};
 use snapedge_trace::{EventKind, Lane, Tracer};
 use snapedge_webapp::{Core, HeapCell, HostObject, JsValue, ObjId, WebError};
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::Duration;
-
-/// Which part of the network an execution covered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecKind {
-    /// Whole network (`model.inference`).
-    Full,
-    /// Input through the cut (`model.inference_front`).
-    Front,
-    /// After the cut to the output (`model.inference_rear`).
-    Rear,
-}
-
-/// One recorded DNN execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecRecord {
-    /// Which range ran.
-    pub kind: ExecKind,
-    /// Simulated duration charged to the clock.
-    pub duration: Duration,
-}
-
-/// Shared view of a host's execution history.
-pub type ExecTracker = Rc<RefCell<Vec<ExecRecord>>>;
 
 /// The `model` host object.
 pub struct CaffeJsHost {
@@ -48,7 +23,6 @@ pub struct CaffeJsHost {
     clock: SimClock,
     cut: Option<NodeId>,
     seed: u64,
-    tracker: ExecTracker,
     tracer: Tracer,
     lane: Lane,
 }
@@ -72,7 +46,6 @@ impl CaffeJsHost {
             clock,
             cut: None,
             seed: 0x5eed,
-            tracker: Rc::new(RefCell::new(Vec::new())),
             tracer: Tracer::disabled(),
             lane: Lane::Client,
         }
@@ -99,17 +72,11 @@ impl CaffeJsHost {
         self
     }
 
-    /// A shared handle to this host's execution log (keep a clone before
-    /// registering the host with a browser).
-    pub fn tracker(&self) -> ExecTracker {
-        Rc::clone(&self.tracker)
-    }
-
     /// Charges the execution time of the layer range `(after, through]`
     /// layer by layer, so per-layer trace events sum exactly to the total
     /// charged duration (the same sum [`DeviceProfile::exec_time`]
     /// computes).
-    fn charge(&self, kind: ExecKind, after: Option<NodeId>, through: Option<NodeId>) {
+    fn charge(&self, after: Option<NodeId>, through: Option<NodeId>) {
         let lo = after.map(|id| id.index()).unwrap_or(0);
         let hi = through.map(|id| id.index()).unwrap_or(usize::MAX);
         let mut t = self.clock.now();
@@ -128,9 +95,6 @@ impl CaffeJsHost {
             duration += dt;
         }
         self.clock.advance_by(duration);
-        self.tracker
-            .borrow_mut()
-            .push(ExecRecord { kind, duration });
     }
 
     /// Validates the app-supplied input: an encoded image string or an
@@ -276,7 +240,7 @@ impl HostObject for CaffeJsHost {
                         .and_then(|fwd| fwd.into_output(last)),
                 }
                 .map_err(to_web)?;
-                self.charge(ExecKind::Full, None, None);
+                self.charge(None, None);
                 Ok(JsValue::Str(self.label(&output)))
             }
             "inference_front" => {
@@ -295,7 +259,7 @@ impl HostObject for CaffeJsHost {
                         .and_then(|fwd| fwd.into_output(cut)),
                 }
                 .map_err(to_web)?;
-                self.charge(ExecKind::Front, None, Some(cut));
+                self.charge(None, Some(cut));
                 Ok(core.heap.alloc_f32(feature.into_vec()))
             }
             "inference_rear" => {
@@ -325,7 +289,7 @@ impl HostObject for CaffeJsHost {
                     }
                 }
                 .map_err(to_web)?;
-                self.charge(ExecKind::Rear, Some(cut), None);
+                self.charge(Some(cut), None);
                 Ok(JsValue::Str(self.label(&output)))
             }
             other => Err(WebError::Runtime(format!("model has no method {other:?}"))),
@@ -350,21 +314,37 @@ mod tests {
     use snapedge_dnn::zoo;
     use snapedge_webapp::Browser;
 
-    fn host_browser(mode: ExecMode, cut_label: Option<&str>) -> (Browser, SimClock, ExecTracker) {
+    fn host_browser(mode: ExecMode, cut_label: Option<&str>) -> (Browser, SimClock, Tracer) {
         let net = zoo::tiny_cnn();
         let params = net.init_params(1).unwrap();
         let cut = cut_label.map(|l| net.cut_point(l).unwrap().id);
         let clock = SimClock::new();
-        let host = CaffeJsHost::new(net, params, odroid_xu4(), mode, clock.clone()).with_cut(cut);
-        let tracker = host.tracker();
+        let tracer = Tracer::new();
+        let host = CaffeJsHost::new(net, params, odroid_xu4(), mode, clock.clone())
+            .with_cut(cut)
+            .with_tracer(tracer.clone(), Lane::Client);
         let mut b = Browser::new();
         b.register_host("model", Box::new(host));
-        (b, clock, tracker)
+        (b, clock, tracer)
+    }
+
+    /// The names of the layers the host charged, in execution order.
+    fn executed(tracer: &Tracer) -> Vec<String> {
+        let trace = tracer.finish();
+        assert!(trace.events().iter().all(|e| e.kind == EventKind::Layer));
+        trace.events().iter().map(|e| e.name.clone()).collect()
+    }
+
+    /// Every tiny_cnn layer after the input, in order: one full pass.
+    fn full_pass() -> Vec<String> {
+        let profile = zoo::tiny_cnn().profile();
+        let layers = profile.layers().iter().filter(|l| l.id.index() != 0);
+        layers.map(|l| l.name.clone()).collect()
     }
 
     #[test]
     fn inference_returns_a_label_and_charges_time() {
-        let (mut b, clock, tracker) = host_browser(ExecMode::Real, None);
+        let (mut b, clock, tracer) = host_browser(ExecMode::Real, None);
         b.exec_script(r#"var r = model.inference("data:image/jpeg;base64,AAA");"#)
             .unwrap();
         let JsValue::Str(label) = b.global("r") else {
@@ -372,8 +352,9 @@ mod tests {
         };
         assert!(label.starts_with("class_"), "{label}");
         assert!(clock.now() > Duration::ZERO);
-        assert_eq!(tracker.borrow().len(), 1);
-        assert_eq!(tracker.borrow()[0].kind, ExecKind::Full);
+        assert_eq!(executed(&tracer), full_pass());
+        let trace = tracer.finish();
+        assert_eq!(trace.duration_of_kind(EventKind::Layer, None), clock.now());
     }
 
     #[test]
@@ -505,7 +486,7 @@ mod tests {
         ];
         for (cut, script, want) in cases {
             for mode in [ExecMode::Synthetic { seed: 9 }, ExecMode::Real] {
-                let (mut b, clock, tracker) = host_browser(mode, cut);
+                let (mut b, clock, tracer) = host_browser(mode, cut);
                 let err = b.exec_script(script).unwrap_err();
                 assert_eq!(
                     err.to_string(),
@@ -513,7 +494,7 @@ mod tests {
                     "{script} in {mode:?}"
                 );
                 assert_eq!(clock.now(), Duration::ZERO, "{script}: no time charged");
-                assert!(tracker.borrow().is_empty(), "{script}: nothing executed");
+                assert!(tracer.is_empty(), "{script}: nothing executed");
             }
         }
     }
@@ -527,11 +508,11 @@ mod tests {
              var split = model.inference_rear(f);
              var full = model.inference(px);"
         );
-        let (mut b, _c, tracker) = host_browser(ExecMode::Synthetic { seed: 9 }, Some("1st_pool"));
+        let (mut b, _c, tracer) = host_browser(ExecMode::Synthetic { seed: 9 }, Some("1st_pool"));
         b.exec_script(&script).unwrap();
         assert_eq!(b.global("split"), b.global("full"));
-        let kinds: Vec<ExecKind> = tracker.borrow().iter().map(|r| r.kind).collect();
-        assert_eq!(kinds, [ExecKind::Front, ExecKind::Rear, ExecKind::Full]);
+        // Front and rear tile one pass, then the full pass runs again.
+        assert_eq!(executed(&tracer), [full_pass(), full_pass()].concat());
     }
 
     #[test]
@@ -544,7 +525,7 @@ mod tests {
             full.exec_script(r#"var r = model.inference("img");"#)
                 .unwrap();
             for cut in zoo::tiny_cnn().cut_points() {
-                let (mut b, _c, tracker) = host_browser(mode, Some(&cut.label));
+                let (mut b, _c, tracer) = host_browser(mode, Some(&cut.label));
                 b.exec_script(
                     r#"var f = model.inference_front("img");
                        var n = f.length;
@@ -558,8 +539,7 @@ mod tests {
                     JsValue::Number(cut.feature_elems as f64),
                     "{what}"
                 );
-                let kinds: Vec<ExecKind> = tracker.borrow().iter().map(|r| r.kind).collect();
-                assert_eq!(kinds, [ExecKind::Front, ExecKind::Rear], "{what}");
+                assert_eq!(executed(&tracer), full_pass(), "{what}");
             }
         }
     }

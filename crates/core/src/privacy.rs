@@ -151,6 +151,9 @@ pub fn evaluate_privacy(
 /// A small single-channel CNN used by the privacy experiment — large
 /// enough to denature inputs, small enough that thousands of forward
 /// passes stay fast.
+// Runs before any session exists (offline attack evaluation), never
+// between capture and restore; the fixed architecture always builds.
+#[allow(clippy::expect_used)]
 pub fn attack_demo_net() -> Network {
     let mut b = NetworkBuilder::new("privacy_demo", &[1, 6, 6]).expect("valid input");
     let input = b.input();

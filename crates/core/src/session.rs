@@ -31,7 +31,7 @@ use crate::resilience::{classify, schedule_resilient, FaultClass};
 use crate::OffloadError;
 use snapedge_analyze::Mode;
 use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
-use snapedge_net::{Link, NetError, SimClock};
+use snapedge_net::{Link, NetError, SimClock, Transfer};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
 use snapedge_webapp::{DeltaCapture, MeterLimits, RunOutcome, StateBase, WebError};
 use std::rc::Rc;
@@ -239,18 +239,17 @@ pub struct OffloadSession {
     pool: ServerPool,
     /// Index of the current server in the pool.
     current: usize,
-    server: Endpoint,
-    uplink: Link,
-    downlink: Link,
-    /// Shared, so a round can hold it across the `&mut self` calls of the
-    /// uplink without copying the DOM and the globals.
-    agreed: Option<Rc<StateBase>>,
+    /// The current server: endpoint, links and the state valid against
+    /// them.
+    server: AttachedServer,
     round: usize,
     /// When the current server acknowledged the model pre-send.
     ack_at: Duration,
     tracer: Tracer,
-    /// Bytes of the model bundle pre-sent to servers (fills in at the
-    /// first provisioning; feeds the pool's selection metric).
+    /// The model bundle pre-sent to every server the session provisions
+    /// (the rear half under a cut), made once in `build`.
+    bundle: ModelBundle,
+    /// Its size in bytes (feeds the pool's selection metric).
     pub(crate) model_bytes: u64,
     /// When the last failed pre-send gave up. Pre-sends ride the links'
     /// own timeline, overlapping whatever the client is doing, so the
@@ -274,9 +273,6 @@ pub struct OffloadSession {
     /// The round parked between [`OffloadSession::round_start`] and
     /// [`OffloadSession::round_finish`], when one is in flight.
     pending: Option<PendingRound>,
-    /// The server meter's `total_ops` reading when the current round
-    /// started — per-round `ops_used` is the delta past this mark.
-    meter_mark: u64,
     /// The active app's effect summary, when `cfg.effects` is on: what
     /// the `effects` gate judges, and the `plan` gate's compute-time
     /// prior.
@@ -294,23 +290,91 @@ impl std::fmt::Debug for OffloadSession {
         f.debug_struct("OffloadSession")
             .field("model", &self.cfg.model)
             .field("round", &self.round)
-            .field("agreed", &self.agreed.is_some())
+            .field("agreed", &self.server.agreed.is_some())
             .finish()
     }
 }
 
-/// Trace labels for a server's links. The primary (index 0) keeps the
-/// historical bare `"uplink"`/`"downlink"` labels — a fleet of one
-/// produces byte-identical traces to the original single-server session —
-/// while failover candidates carry their server name.
-fn link_labels(idx: usize, spec: &ServerSpec) -> (String, String) {
-    if idx == 0 {
-        ("uplink".to_string(), "downlink".to_string())
-    } else {
-        (
-            format!("uplink:{}", spec.name),
-            format!("downlink:{}", spec.name),
-        )
+/// The serving edge server as a session holds it: a fresh endpoint and
+/// fresh links, plus the state that is only valid against them. Failover
+/// and handoff replace the whole record, so nothing of the previous
+/// server survives by accident.
+struct AttachedServer {
+    endpoint: Endpoint,
+    uplink: Link,
+    downlink: Link,
+    /// The client state both sides agree on — the base of the next
+    /// uplink delta. Shared, so a round can hold it across the `&mut
+    /// self` calls of the uplink without copying the DOM and the globals.
+    agreed: Option<Rc<StateBase>>,
+    /// The endpoint meter's `total_ops` reading when the current round
+    /// started — per-round `ops_used` is the delta past this mark.
+    meter_mark: u64,
+}
+
+impl AttachedServer {
+    /// Builds the record for fleet candidate `idx` described by `spec`
+    /// on the session's clock and tracer: the spec's fault plans on its
+    /// links, and its meter (else the fleet-wide `default_meter`) on its
+    /// browser — the one place a server's effective meter is decided.
+    /// The primary (index 0) keeps the historical bare
+    /// `"uplink"`/`"downlink"` link labels — a fleet of one produces
+    /// byte-identical traces to the original single-server session —
+    /// while failover candidates carry their server name.
+    fn new(
+        idx: usize,
+        spec: &ServerSpec,
+        default_meter: Option<&MeterLimits>,
+        clock: &SimClock,
+        tracer: &Tracer,
+    ) -> AttachedServer {
+        let (up_label, down_label) = if idx == 0 {
+            ("uplink".to_string(), "downlink".to_string())
+        } else {
+            (
+                format!("uplink:{}", spec.name),
+                format!("downlink:{}", spec.name),
+            )
+        };
+        let mut endpoint = Endpoint::new(&spec.name, spec.device.clone(), clock.clone())
+            .with_tracer(tracer.clone(), Lane::Server);
+        if let Some(limits) = spec.meter.as_ref().or(default_meter) {
+            endpoint.browser.set_meter(limits.clone());
+        }
+        AttachedServer {
+            endpoint,
+            uplink: Link::new(spec.link.clone())
+                .with_tracer(tracer.clone(), &up_label)
+                .with_fault_plan(spec.up_faults.clone()),
+            downlink: Link::new(spec.link.clone())
+                .with_tracer(tracer.clone(), &down_label)
+                .with_fault_plan(spec.down_faults.clone()),
+            agreed: None,
+            meter_mark: 0,
+        }
+    }
+}
+
+/// One leg on the wire between the client and the current server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    /// The model pre-send, client → server.
+    ModelUpload,
+    /// The server's 64-byte acknowledgement of it.
+    ModelAck,
+    /// A migration's snapshot or delta.
+    Migrate(Dir),
+}
+
+impl Leg {
+    /// The leg's span name and event kind, and the link it rides.
+    fn describe(self) -> (&'static str, EventKind, Dir) {
+        match self {
+            Leg::ModelUpload => ("model_upload", EventKind::ModelUpload, Dir::Up),
+            Leg::ModelAck => ("model_ack", EventKind::Other, Dir::Down),
+            Leg::Migrate(Dir::Up) => ("transfer_up", EventKind::Transfer, Dir::Up),
+            Leg::Migrate(Dir::Down) => ("transfer_down", EventKind::Transfer, Dir::Down),
+        }
     }
 }
 
@@ -367,6 +431,18 @@ impl OffloadSession {
             Some(label) => Some(net.cut_point(label)?.id),
             None => None,
         };
+        let params = match cfg.exec_mode {
+            ExecMode::Real => net.init_params(cfg.seed)?,
+            ExecMode::Synthetic { .. } => ParamStore::empty(net.name()),
+        };
+        let bundle = match cfg.exec_mode {
+            ExecMode::Real => ModelBundle::materialized(&net, &params)?,
+            ExecMode::Synthetic { .. } => ModelBundle::from_network(&net),
+        };
+        let bundle = match cut {
+            Some(cut) => bundle.split(&net, cut)?.1,
+            None => bundle,
+        };
         let clock = SimClock::new();
         let tracer = Tracer::new();
         let client = Endpoint::new("client", cfg.client_device.clone(), clock.clone())
@@ -386,17 +462,9 @@ impl OffloadSession {
                 clock.now(),
             );
         }
-        let (up_label, down_label) = link_labels(first, &spec);
-        let last_full_bytes = cfg.image_bytes as u64;
         let mut session = OffloadSession {
-            server: Endpoint::new(&spec.name, spec.device.clone(), clock.clone())
-                .with_tracer(tracer.clone(), Lane::Server),
-            uplink: Link::new(spec.link.clone())
-                .with_tracer(tracer.clone(), &up_label)
-                .with_fault_plan(spec.up_faults.clone()),
-            downlink: Link::new(spec.link.clone())
-                .with_tracer(tracer.clone(), &down_label)
-                .with_fault_plan(spec.down_faults.clone()),
+            server: AttachedServer::new(first, &spec, cfg.meter.as_ref(), &clock, &tracer),
+            last_full_bytes: cfg.image_bytes as u64,
             cfg,
             net,
             cut,
@@ -404,22 +472,19 @@ impl OffloadSession {
             client,
             pool,
             current: first,
-            agreed: None,
             round: 0,
             ack_at: Duration::ZERO,
             tracer,
-            model_bytes: 0,
+            model_bytes: bundle.total_bytes(),
+            bundle,
             presend_from: Duration::ZERO,
             wait_for_ack: true,
             compress: false,
-            last_full_bytes,
             pending: None,
-            meter_mark: 0,
             effects: None,
             queue_outlook: Vec::new(),
         };
-        session.apply_meter();
-        session.setup_client()?;
+        session.setup_client(params)?;
         Ok(session)
     }
 
@@ -442,15 +507,7 @@ impl OffloadSession {
         Ok(())
     }
 
-    fn client_params(&self) -> Result<ParamStore, OffloadError> {
-        Ok(match self.cfg.exec_mode {
-            ExecMode::Real => self.net.init_params(self.cfg.seed)?,
-            ExecMode::Synthetic { .. } => ParamStore::empty(self.net.name()),
-        })
-    }
-
-    fn setup_client(&mut self) -> Result<(), OffloadError> {
-        let params = self.client_params()?;
+    fn setup_client(&mut self, params: ParamStore) -> Result<(), OffloadError> {
         self.client.install_model(
             self.net.clone(),
             params,
@@ -464,15 +521,21 @@ impl OffloadSession {
             None => apps::full_inference_app(&url),
         };
         self.client.browser.load_html(&app)?;
+        self.arm_trigger();
+        if self.cfg.effects {
+            self.analyze_app(&app)?;
+        }
+        Ok(())
+    }
+
+    /// Arms the client's offload trigger: the app event whose handler
+    /// stops at the offload point instead of running to completion.
+    fn arm_trigger(&mut self) {
         let trigger = match self.cut {
             Some(_) => apps::PARTIAL_OFFLOAD_EVENT,
             None => apps::FULL_OFFLOAD_EVENT,
         };
         self.client.browser.set_offload_trigger(Some(trigger));
-        if self.cfg.effects {
-            self.analyze_app(&app)?;
-        }
-        Ok(())
     }
 
     /// Runs static effect analysis over the session's app and keeps the
@@ -493,77 +556,24 @@ impl OffloadSession {
     }
 
     /// Pre-sends the model to the *current* server and installs the model
-    /// host there.
+    /// host there. The pre-send rides the links' own timeline
+    /// (overlapping with whatever the client is doing). A server the
+    /// retry budget cannot reach is reported as a down link — the fleet
+    /// layer hands off to the next candidate (or the caller may hand off
+    /// by hand).
     fn setup_server(&mut self) -> Result<(), OffloadError> {
-        let params = self.client_params()?;
-        let bundle = match self.cfg.exec_mode {
-            ExecMode::Real => ModelBundle::materialized(&self.net, &params)?,
-            ExecMode::Synthetic { .. } => ModelBundle::from_network(&self.net),
-        };
-        let sent = match self.cut {
-            Some(cut) => bundle.split(&self.net, cut)?.1,
-            None => bundle,
-        };
-        self.model_bytes = sent.total_bytes();
-        // The pre-send rides the link's own timeline (overlapping with
-        // whatever the client is doing); transient faults are retried under
-        // the session's policy. A server the retry budget cannot reach is
-        // reported as a down link — the fleet layer hands off to the next
-        // candidate (or the caller may hand off by hand).
         let presend_at = self.clock.now().max(self.presend_from);
-        let upload_span = self.tracer.begin_bytes(
-            "model_upload",
-            Lane::Network,
-            EventKind::ModelUpload,
-            presend_at,
-            Some(sent.total_bytes()),
-        );
-        let outcome = schedule_resilient(
-            &mut self.uplink,
-            &self.tracer,
-            self.cfg.retry.as_ref(),
-            presend_at,
-            presend_at,
-            sent.total_bytes(),
-        )?;
-        self.pool
-            .observe_faults(self.current, outcome.retries as usize, outcome.gave_up_at);
-        let Some(xfer) = outcome.transfer else {
-            return Err(self.presend_gave_up(upload_span, outcome.gave_up_at));
-        };
-        self.pool.observe_transfer(self.current, &xfer);
-        self.tracer.end(upload_span, xfer.finish);
-        let ack_span = self.tracer.begin_bytes(
-            "model_ack",
-            Lane::Network,
-            EventKind::Other,
-            xfer.finish,
-            Some(64),
-        );
-        let ack_outcome = schedule_resilient(
-            &mut self.downlink,
-            &self.tracer,
-            self.cfg.retry.as_ref(),
-            xfer.finish,
-            presend_at,
-            64,
-        )?;
-        self.pool.observe_faults(
-            self.current,
-            ack_outcome.retries as usize,
-            ack_outcome.gave_up_at,
-        );
-        let Some(ack) = ack_outcome.transfer else {
-            return Err(self.presend_gave_up(ack_span, ack_outcome.gave_up_at));
-        };
-        self.tracer.end(ack_span, ack.finish);
-        self.ack_at = ack.finish;
+        let unreachable = || OffloadError::Net(NetError::LinkDown);
+        let upload = self.send(Leg::ModelUpload, presend_at, presend_at, self.model_bytes)?;
+        let upload = upload.ok_or_else(unreachable)?;
+        let ack = self.send(Leg::ModelAck, upload.finish, presend_at, 64)?;
+        self.ack_at = ack.ok_or_else(unreachable)?.finish;
         self.pool.mark_model_ready(self.current);
         let server_params = match self.cfg.exec_mode {
-            ExecMode::Real => ParamStore::from_bundle(&sent)?,
+            ExecMode::Real => ParamStore::from_bundle(&self.bundle)?,
             ExecMode::Synthetic { .. } => ParamStore::empty(self.net.name()),
         };
-        self.server.install_model(
+        self.server.endpoint.install_model(
             self.net.clone(),
             server_params,
             self.cfg.exec_mode,
@@ -571,16 +581,6 @@ impl OffloadSession {
             self.cfg.seed,
         );
         Ok(())
-    }
-
-    /// The pre-send's retry budget ran out at `at`: ends its span there,
-    /// starts the next candidate's provisioning there, and reports the
-    /// unreachable server as a down link.
-    fn presend_gave_up(&mut self, span: snapedge_trace::SpanId, at: Duration) -> OffloadError {
-        self.pool.observe_faults(self.current, 1, at);
-        self.tracer.end(span, at);
-        self.presend_from = at;
-        OffloadError::Net(NetError::LinkDown)
     }
 
     /// When the current server acknowledged the model pre-send; offloads
@@ -608,65 +608,35 @@ impl OffloadSession {
     ///
     /// Propagates setup failures.
     pub fn handoff(&mut self) -> Result<(), OffloadError> {
-        let name = format!("edge-server-{}", self.round + 1);
-        let old = self.server.name().to_string();
-        let now = self.clock.now();
-        self.tracer.record(
-            &format!("handoff:{old}->{name}"),
-            Lane::Client,
-            EventKind::Handoff,
-            now,
-            now,
-        );
         let mut spec = match self.pool.spec(self.current) {
             Some(spec) => spec.clone(),
             None => self.cfg.primary().clone(),
         };
-        spec.name = name;
-        self.install_server(self.current, &spec);
-        self.setup_server()
+        spec.name = format!("edge-server-{}", self.round + 1);
+        self.attach(self.current, &spec, self.clock.now())
     }
 
-    /// Points the session at candidate `idx` described by `spec`: fresh
-    /// endpoint, fresh links, agreement dropped (delta-epoch reset),
-    /// estimator history of the new provisioning epoch cleared. The
-    /// previous server's model is marked stale — its endpoint is gone.
-    fn install_server(&mut self, idx: usize, spec: &ServerSpec) {
+    /// Attaches candidate `idx` described by `spec` in place of the
+    /// current server at `at`: records the `handoff` event, builds a fresh
+    /// [`AttachedServer`] (agreement dropped — a delta-epoch reset — and
+    /// meter mark zeroed), clears the estimator history of the new
+    /// provisioning epoch and pre-sends the model. The previous server's
+    /// model is marked stale — its endpoint is gone.
+    fn attach(&mut self, idx: usize, spec: &ServerSpec, at: Duration) -> Result<(), OffloadError> {
+        let old = self.server.endpoint.name();
+        self.tracer.record(
+            &format!("handoff:{old}->{}", spec.name),
+            Lane::Client,
+            EventKind::Handoff,
+            at,
+            at,
+        );
         self.pool.mark_model_stale(self.current);
         self.current = idx;
         self.pool.reset_estimator(idx);
-        let (up_label, down_label) = link_labels(idx, spec);
-        self.server = Endpoint::new(&spec.name, spec.device.clone(), self.clock.clone())
-            .with_tracer(self.tracer.clone(), Lane::Server);
-        self.uplink = Link::new(spec.link.clone())
-            .with_tracer(self.tracer.clone(), &up_label)
-            .with_fault_plan(spec.up_faults.clone());
-        self.downlink = Link::new(spec.link.clone())
-            .with_tracer(self.tracer.clone(), &down_label)
-            .with_fault_plan(spec.down_faults.clone());
-        self.agreed = None;
-        // The new server's browser starts with a fresh meter, so the
-        // per-round usage mark restarts from zero too.
-        self.meter_mark = 0;
-        self.apply_meter();
-    }
-
-    /// The current server's meter limits: the server spec's override
-    /// when set, else the fleet-wide config default, else unmetered.
-    fn effective_meter(&self) -> Option<&MeterLimits> {
-        self.pool
-            .spec(self.current)
-            .and_then(|spec| spec.meter.as_ref())
-            .or(self.cfg.meter.as_ref())
-    }
-
-    /// Installs the effective resource meter on the current server's
-    /// browser.
-    fn apply_meter(&mut self) {
-        match self.effective_meter().cloned() {
-            Some(limits) => self.server.browser.set_meter(limits),
-            None => self.server.browser.clear_meter(),
-        }
+        let meter = self.cfg.meter.as_ref();
+        self.server = AttachedServer::new(idx, spec, meter, &self.clock, &self.tracer);
+        self.setup_server()
     }
 
     /// Records a `meter_exhausted:{resource}` trace marker when `e` is a
@@ -700,8 +670,11 @@ impl OffloadSession {
     /// started, plus the server's lifetime peak heap. Zeros when
     /// unmetered.
     fn meter_usage(&self) -> (u64, usize) {
-        match self.server.browser.meter() {
-            Some(m) => (m.total_ops().saturating_sub(self.meter_mark), m.peak_heap()),
+        match self.server.endpoint.browser.meter() {
+            Some(m) => (
+                m.total_ops().saturating_sub(self.server.meter_mark),
+                m.peak_heap(),
+            ),
             None => (0, 0),
         }
     }
@@ -753,7 +726,6 @@ impl OffloadSession {
                 Some(spec) => spec.clone(),
                 None => return Ok(false),
             };
-            let old = self.server.name().to_string();
             let now = self.clock.now().max(self.presend_from);
             self.tracer.record(
                 &format!("server_select:{}", spec.name),
@@ -762,15 +734,7 @@ impl OffloadSession {
                 now,
                 now,
             );
-            self.tracer.record(
-                &format!("handoff:{old}->{}", spec.name),
-                Lane::Client,
-                EventKind::Handoff,
-                now,
-                now,
-            );
-            self.install_server(next, &spec);
-            match self.setup_server() {
+            match self.attach(next, &spec, now) {
                 Ok(()) => return Ok(true),
                 Err(e) if classify(&e) == FaultClass::Transient => {
                     self.pool.mark_exhausted(next);
@@ -828,12 +792,8 @@ impl OffloadSession {
             self.pool.begin_round();
         }
         // Per-round usage reads as the delta past this mark.
-        self.meter_mark = self
-            .server
-            .browser
-            .meter()
-            .map(|m| m.total_ops())
-            .unwrap_or(0);
+        let meter = self.server.endpoint.browser.meter();
+        self.server.meter_mark = meter.map(|m| m.total_ops()).unwrap_or(0);
         // Wait for the pre-send ACK before the first offload (the paper's
         // "after ACK" regime). A before-ACK scenario clicks right away.
         if self.wait_for_ack {
@@ -894,7 +854,7 @@ impl OffloadSession {
             pool: &self.pool,
             current: self.current,
             effects: self.effects.as_ref(),
-            meter: self.effective_meter(),
+            meter: self.server.endpoint.browser.meter().map(|m| m.limits()),
             queue_outlook: &self.queue_outlook,
             model_bytes: self.model_bytes,
             now: self.clock.now(),
@@ -902,7 +862,7 @@ impl OffloadSession {
         };
         let (verdict, prediction) = gates::pre_ship(&round, &self.tracer)?;
         if let Verdict::Local(reading) = verdict {
-            let mut report = self.complete_locally(clicked_at, false)?;
+            let mut report = self.end_round(clicked_at, None, false)?;
             report.prediction = prediction;
             report.proactive = reading.gate == Gate::Plan;
             return Ok(RoundStep::Done(report));
@@ -930,30 +890,21 @@ impl OffloadSession {
                 ))
             }
         };
-        loop {
-            match self.offload_up(clicked_at) {
-                Ok(Some(arrived)) => {
-                    if let Some(parked) = self.pending.as_mut() {
-                        parked.arrived = Some(arrived);
-                    }
-                    return Ok(RoundStep::NeedCompute);
+        let base = self.server.agreed.clone();
+        match self.migrate(Dir::Up, base.as_deref(), clicked_at) {
+            Ok(Some((up_bytes, delta_up))) => {
+                // The base the downlink delta is computed against.
+                let server_base = self.server.endpoint.browser.state_base();
+                if let Some(parked) = self.pending.as_mut() {
+                    parked.arrived = Some(ArrivedUplink {
+                        server_base,
+                        up_bytes,
+                        delta_up,
+                    });
                 }
-                // The retry budget against the current server ran out.
-                Ok(None) => {}
-                // Without a retry policy a transient fault is strict
-                // fail-fast against one server, but a fleet still tries
-                // its remaining candidates before surfacing an error — and
-                // a tripped resource meter (exhaustion during the server's
-                // restore) always moves on rather than retrying in place.
-                Err(e) if self.recoverable(&e) => {
-                    self.record_meter_exhausted(&e);
-                }
-                Err(e) => return Err(e),
+                Ok(RoundStep::NeedCompute)
             }
-            self.pool.mark_exhausted(self.current);
-            if !self.failover()? {
-                return self.round_done_locally(clicked_at);
-            }
+            failed => self.exhausted_mid_round(clicked_at, failed.err()),
         }
     }
 
@@ -972,8 +923,8 @@ impl OffloadSession {
             now,
             now,
         );
-        self.agreed = None;
-        let mut report = self.complete_locally(clicked_at, true)?;
+        self.server.agreed = None;
+        let mut report = self.end_round(clicked_at, None, true)?;
         report.prediction = prediction;
         Ok(RoundStep::Done(report))
     }
@@ -996,7 +947,7 @@ impl OffloadSession {
             EventKind::Exec,
             self.clock.now(),
         );
-        match self.server.run() {
+        match self.server.endpoint.run() {
             Ok(_) => {
                 self.tracer.end(exec_span, self.clock.now());
                 Ok(())
@@ -1054,51 +1005,55 @@ impl OffloadSession {
     /// [`RoundStep::NeedCompute`] again — against the new server —
     /// rather than [`RoundStep::Done`].
     pub(crate) fn round_finish(&mut self) -> Result<RoundStep, OffloadError> {
+        let Some(parked) = self.pending.as_mut() else {
+            return Err(OffloadError::Protocol(
+                "round_finish called with no round in flight".into(),
+            ));
+        };
+        let clicked_at = parked.clicked_at;
+        let arrived = parked.arrived.take();
         // A meter kill during the compute grant: the server's state is
         // dead, so skip the downlink entirely and move the round on.
-        if let Some(parked) = self.pending.as_mut() {
-            if parked.exhausted {
-                parked.exhausted = false;
-                parked.arrived = None;
-                let clicked_at = parked.clicked_at;
-                return self.exhausted_mid_round(clicked_at);
-            }
+        if std::mem::take(&mut parked.exhausted) {
+            return self.exhausted_mid_round(clicked_at, None);
         }
-        let (clicked_at, arrived) = match self.pending.as_mut() {
-            Some(parked) => match parked.arrived.take() {
-                Some(arrived) => (parked.clicked_at, arrived),
-                None => {
-                    return Err(OffloadError::Protocol(
-                        "round_finish called with no uplink in flight".into(),
-                    ))
-                }
-            },
-            None => {
-                return Err(OffloadError::Protocol(
-                    "round_finish called with no round in flight".into(),
-                ))
-            }
+        let Some(arrived) = arrived else {
+            return Err(OffloadError::Protocol(
+                "round_finish called with no uplink in flight".into(),
+            ));
         };
-        match self.offload_down(&arrived, clicked_at) {
-            Ok(Some(mut report)) => {
+        // A downlink delta needs the base the uplink delta left behind.
+        let base = arrived.delta_up.then_some(&arrived.server_base);
+        match self.migrate(Dir::Down, base, clicked_at) {
+            Ok(Some(down)) => {
+                let mut report = self.end_round(clicked_at, Some((&arrived, down)), false)?;
                 report.prediction = self.pending.take().and_then(|parked| parked.prediction);
                 Ok(RoundStep::Done(report))
             }
-            // The retry budget against the current server ran out.
-            Ok(None) => self.exhausted_mid_round(clicked_at),
-            // Same fleet-wide second chance as the uplink path; a meter
-            // kill during the server's capture also moves on.
-            Err(e) if self.recoverable(&e) => {
-                self.record_meter_exhausted(&e);
-                self.exhausted_mid_round(clicked_at)
-            }
-            Err(e) => Err(e),
+            failed => self.exhausted_mid_round(clicked_at, failed.err()),
         }
     }
 
-    /// Downlink exhaustion: mark the server, fail over and re-drive the
-    /// uplink, or complete locally when the fleet is spent.
-    fn exhausted_mid_round(&mut self, clicked_at: Duration) -> Result<RoundStep, OffloadError> {
+    /// The current server failed the round mid-way: its retry budget ran
+    /// out (`failure` is `None`), or `failure` hit it. Marks the server
+    /// exhausted and fails over, re-driving the uplink against the new
+    /// server, or completes the round locally once the fleet is spent.
+    /// Without a retry policy a transient fault is strict fail-fast
+    /// against one server, but a fleet still tries its remaining
+    /// candidates before surfacing an error — and a tripped resource
+    /// meter (during the server's restore, execution or capture) always
+    /// moves on rather than retrying in place.
+    fn exhausted_mid_round(
+        &mut self,
+        clicked_at: Duration,
+        failure: Option<OffloadError>,
+    ) -> Result<RoundStep, OffloadError> {
+        if let Some(e) = failure {
+            if !self.recoverable(&e) {
+                return Err(e);
+            }
+            self.record_meter_exhausted(&e);
+        }
         self.pool.mark_exhausted(self.current);
         if self.failover()? {
             self.drive_uplink()
@@ -1152,91 +1107,33 @@ impl OffloadSession {
         self.clock.advance_to(t);
     }
 
-    /// The uplink half of an offload attempt against the current server:
-    /// migrates the client state up (delta when an agreement exists) and
-    /// captures the server state base the downlink delta will later be
-    /// computed against. `Ok(None)` means the retry budget against this
-    /// server exhausted mid-migration.
-    fn offload_up(&mut self, clicked_at: Duration) -> Result<Option<ArrivedUplink>, OffloadError> {
-        let base = self.agreed.clone();
-        let landed = self.migrate(Dir::Up, base.as_deref(), clicked_at)?;
-        Ok(landed.map(|(up_bytes, delta_up)| ArrivedUplink {
-            server_base: self.server.browser.state_base(),
-            up_bytes,
-            delta_up,
-        }))
-    }
-
-    /// The downlink half, run after the server CPU executed the pending
-    /// event: downlink migration, result installation on the client,
-    /// trigger re-arm, agreement update. `Ok(None)` means the retry
-    /// budget against this server exhausted mid-migration.
-    fn offload_down(
-        &mut self,
-        arrived: &ArrivedUplink,
-        clicked_at: Duration,
-    ) -> Result<Option<RoundReport>, OffloadError> {
-        // A downlink delta needs the base the uplink delta left behind.
-        let base = arrived.delta_up.then_some(&arrived.server_base);
-        let Some((down_bytes, delta_down)) = self.migrate(Dir::Down, base, clicked_at)? else {
-            return Ok(None);
-        };
-
-        self.client.browser.set_offload_trigger(None);
-        self.client.run()?;
-        // Re-arm for the next round.
-        let trigger = match self.cut {
-            Some(_) => apps::PARTIAL_OFFLOAD_EVENT,
-            None => apps::FULL_OFFLOAD_EVENT,
-        };
-        self.client.browser.set_offload_trigger(Some(trigger));
-
-        // Client and server now agree on the client's state.
-        self.agreed = Some(Rc::new(self.client.browser.state_base()));
-
-        let (ops_used, peak_heap) = self.meter_usage();
-        Ok(Some(RoundReport {
-            round: self.round,
-            delta_up: arrived.delta_up,
-            delta_down,
-            up_bytes: arrived.up_bytes,
-            down_bytes,
-            total: self.clock.now() - clicked_at,
-            result: self.client.browser.element_text("result")?.to_string(),
-            fell_back: false,
-            server: self.server.name().to_string(),
-            prediction: None,
-            proactive: false,
-            ops_used,
-            peak_heap,
-        }))
-    }
-
-    /// Runs the armed inference handler on the client: the trigger event
-    /// is still queued (captures never mutate it), so disarming the
-    /// trigger and resuming executes the inference locally. Shared by the
-    /// reactive fallback (after exhaustion) and the proactive path (a
-    /// pre-ship gate said `Local`).
-    fn complete_locally(
+    /// Ends the round on the client and reports it. `served` is the
+    /// uplink that landed and the downlink's `(bytes, delta)`: the
+    /// server's result was just restored, the client finishes the handler
+    /// around it, and both sides now agree on the client's state. Without
+    /// it the inference runs here — the reactive fallback (`fell_back`)
+    /// or a gate's `Local` verdict: the trigger event is still queued
+    /// (captures never mutate it), so disarming the trigger and resuming
+    /// executes the handler locally. Either way the trigger is re-armed
+    /// for the next round.
+    fn end_round(
         &mut self,
         clicked_at: Duration,
+        served: Option<(&ArrivedUplink, (u64, bool))>,
         fell_back: bool,
     ) -> Result<RoundReport, OffloadError> {
         self.client.browser.set_offload_trigger(None);
-        let span = self.tracer.begin(
-            "exec_client",
-            Lane::Client,
-            EventKind::Exec,
-            self.clock.now(),
-        );
+        let now = self.clock.now();
+        let local = served.is_none().then(|| {
+            self.tracer
+                .begin("exec_client", Lane::Client, EventKind::Exec, now)
+        });
         self.client.run()?;
-        self.tracer.end(span, self.clock.now());
-        let trigger = match self.cut {
-            Some(_) => apps::PARTIAL_OFFLOAD_EVENT,
-            None => apps::FULL_OFFLOAD_EVENT,
-        };
-        self.client.browser.set_offload_trigger(Some(trigger));
-        Ok(RoundReport {
+        if let Some(span) = local {
+            self.tracer.end(span, self.clock.now());
+        }
+        self.arm_trigger();
+        let mut report = RoundReport {
             round: self.round,
             delta_up: false,
             delta_down: false,
@@ -1245,12 +1142,23 @@ impl OffloadSession {
             total: self.clock.now() - clicked_at,
             result: self.client.browser.element_text("result")?.to_string(),
             fell_back,
-            server: "client".to_string(),
+            server: match served {
+                Some(_) => self.server.endpoint.name(),
+                None => "client",
+            }
+            .to_string(),
             prediction: None,
             proactive: false,
             ops_used: 0,
             peak_heap: 0,
-        })
+        };
+        if let Some((up, (down_bytes, delta_down))) = served {
+            self.server.agreed = Some(Rc::new(self.client.browser.state_base()));
+            (report.ops_used, report.peak_heap) = self.meter_usage();
+            (report.up_bytes, report.delta_up) = (up.up_bytes, up.delta_up);
+            (report.down_bytes, report.delta_down) = (down_bytes, delta_down);
+        }
+        Ok(report)
     }
 
     /// One migration, the paper's capture → transmit → restore, in either
@@ -1268,13 +1176,13 @@ impl OffloadSession {
         anchor: Duration,
     ) -> Result<Option<(u64, bool)>, OffloadError> {
         if let Some(base) = base.filter(|_| self.cfg.use_deltas) {
-            let (sender, _) = dir.ends(&mut self.client, &mut self.server);
+            let (sender, _) = dir.ends(&mut self.client, &mut self.server.endpoint);
             if let DeltaCapture::Delta(delta) = sender.capture_delta(base, &self.cfg.snapshot)? {
                 if self.cfg.verify {
                     sender.verify_script(delta.script(), Mode::Delta, base.declared_names())?;
                 }
                 if let Some(wire) = self.transfer(dir, delta.script(), anchor)? {
-                    let (_, receiver) = dir.ends(&mut self.client, &mut self.server);
+                    let (_, receiver) = dir.ends(&mut self.client, &mut self.server.endpoint);
                     receiver.apply_delta(&delta)?;
                     return Ok(Some((wire, true)));
                 }
@@ -1283,12 +1191,12 @@ impl OffloadSession {
                     // can no longer be trusted. Drop the agreement and fall
                     // through to a full-snapshot re-send (fresh attempt
                     // budget, same deadline).
-                    Dir::Up => self.agreed = None,
+                    Dir::Up => self.server.agreed = None,
                     Dir::Down => return Ok(None),
                 }
             }
         }
-        let (sender, _) = dir.ends(&mut self.client, &mut self.server);
+        let (sender, _) = dir.ends(&mut self.client, &mut self.server.endpoint);
         let (snapshot, _) = sender.capture(&self.cfg.snapshot)?;
         if self.cfg.verify {
             sender.verify_script(snapshot.html(), Mode::Snapshot, Vec::new())?;
@@ -1302,40 +1210,38 @@ impl OffloadSession {
         let Some(wire) = self.transfer(dir, snapshot.html(), anchor)? else {
             return Ok(None);
         };
-        let (_, receiver) = dir.ends(&mut self.client, &mut self.server);
+        let (_, receiver) = dir.ends(&mut self.client, &mut self.server.endpoint);
         receiver.restore(&snapshot)?;
         Ok(Some((wire, false)))
     }
 
-    /// Ships `payload` over the uplink ([`Dir::Up`]) or downlink,
-    /// advancing the clock to delivery and recording a `transfer_{dir}`
-    /// span; returns the bytes that crossed the wire. With
-    /// [`OffloadSession::compress`] set the payload goes through the
-    /// LZ77+Huffman codec — the real codec runs, the clock is charged
-    /// from the device models — recorded as `compress_{dir}` on the
-    /// sender's lane and `decompress_{dir}` on the receiver's.
-    /// Transient faults are retried under the session's policy (the
-    /// deadline measured from `anchor`, the moment the user clicked);
-    /// `Ok(None)` means the retry budget ran out.
+    /// Ships `payload` over the uplink ([`Dir::Up`]) or downlink (one
+    /// [`Leg::Migrate`] through [`OffloadSession::send`]); returns the
+    /// bytes that crossed the wire, or `Ok(None)` when the retry budget
+    /// ran out. With [`OffloadSession::compress`] set the payload goes
+    /// through the LZ77+Huffman codec — the real codec runs, the clock is
+    /// charged from the device models — recorded as `compress_{dir}` on
+    /// the sender's lane and `decompress_{dir}` on the receiver's.
     fn transfer(
         &mut self,
         dir: Dir,
         payload: &str,
         anchor: Duration,
     ) -> Result<Option<u64>, OffloadError> {
-        let (dir, link, sender, receiver) = match dir {
-            Dir::Up => ("up", &mut self.uplink, &self.client, &self.server),
-            Dir::Down => ("down", &mut self.downlink, &self.server, &self.client),
+        let tag = match dir {
+            Dir::Up => "up",
+            Dir::Down => "down",
         };
         let plain = payload.len() as u64;
         let packed = self
             .compress
             .then(|| snapedge_net::compress::compress(payload.as_bytes()));
         if packed.is_some() {
+            let (sender, _) = dir.ends(&mut self.client, &mut self.server.endpoint);
             let start = self.clock.now();
             self.clock.advance_by(sender.device.compress_time(plain));
             self.tracer.record(
-                &format!("compress_{dir}"),
+                &format!("compress_{tag}"),
                 sender.lane(),
                 EventKind::Codec,
                 start,
@@ -1343,46 +1249,22 @@ impl OffloadSession {
             );
         }
         let bytes = packed.as_ref().map_or(plain, |p| p.len() as u64);
-        let span = self.tracer.begin_bytes(
-            &format!("transfer_{dir}"),
-            Lane::Network,
-            EventKind::Transfer,
-            self.clock.now(),
-            Some(bytes),
-        );
-        let outcome = schedule_resilient(
-            link,
-            &self.tracer,
-            self.cfg.retry.as_ref(),
-            self.clock.now(),
-            anchor,
-            bytes,
-        )?;
-        self.pool
-            .observe_faults(self.current, outcome.retries as usize, outcome.gave_up_at);
-        let Some(xfer) = outcome.transfer else {
-            // Giving up is itself a fault observation against this server.
-            // The client sat through every failed attempt, so the clock
-            // moves to the last one (a no-op for instant refusals) and
-            // whatever comes next — failover, local fallback — starts there.
-            self.pool
-                .observe_faults(self.current, 1, outcome.gave_up_at);
-            self.clock.advance_to(outcome.gave_up_at);
-            self.tracer.end(span, outcome.gave_up_at);
+        if self
+            .send(Leg::Migrate(dir), self.clock.now(), anchor, bytes)?
+            .is_none()
+        {
             return Ok(None);
-        };
-        self.pool.observe_transfer(self.current, &xfer);
-        self.clock.advance_to(xfer.finish);
-        self.tracer.end(span, xfer.finish);
+        }
         if let Some(packed) = packed {
             if snapedge_net::compress::decompress(&packed)? != payload.as_bytes() {
                 return Err(OffloadError::Protocol("codec roundtrip mismatch".into()));
             }
+            let (_, receiver) = dir.ends(&mut self.client, &mut self.server.endpoint);
             let start = self.clock.now();
             self.clock
                 .advance_by(receiver.device.decompress_time(plain));
             self.tracer.record(
-                &format!("decompress_{dir}"),
+                &format!("decompress_{tag}"),
                 receiver.lane(),
                 EventKind::Codec,
                 start,
@@ -1390,6 +1272,59 @@ impl OffloadSession {
             );
         }
         Ok(Some(bytes))
+    }
+
+    /// Sends `bytes` over one wire leg to or from the current server,
+    /// starting at `at`: the leg's span, the retry loop under the
+    /// session's policy (the deadline measured from `anchor`), and the
+    /// pool's observations — every fault, and every completed transfer
+    /// except the ACK, which is no bandwidth sample. A migration is
+    /// synchronous, so the clock moves to delivery; the pre-send legs
+    /// ride the links' own timeline and leave it alone. `Ok(None)` means
+    /// the retry budget ran out, which is itself a fault observation: a
+    /// migrating client sat through every failed attempt, so the clock
+    /// moves to the last one (a no-op for instant refusals) and whatever
+    /// comes next — failover, local fallback — starts there; a pre-send's
+    /// give-up is where the next candidate's provisioning starts.
+    fn send(
+        &mut self,
+        leg: Leg,
+        at: Duration,
+        anchor: Duration,
+        bytes: u64,
+    ) -> Result<Option<Transfer>, OffloadError> {
+        let (name, kind, dir) = leg.describe();
+        let span = self
+            .tracer
+            .begin_bytes(name, Lane::Network, kind, at, Some(bytes));
+        let link = match dir {
+            Dir::Up => &mut self.server.uplink,
+            Dir::Down => &mut self.server.downlink,
+        };
+        let policy = self.cfg.retry.as_ref();
+        let outcome = schedule_resilient(link, &self.tracer, policy, at, anchor, bytes)?;
+        let gave_up_at = outcome.gave_up_at;
+        self.pool
+            .observe_faults(self.current, outcome.retries as usize, gave_up_at);
+        let migrating = matches!(leg, Leg::Migrate(_));
+        let Some(xfer) = outcome.transfer else {
+            self.pool.observe_faults(self.current, 1, gave_up_at);
+            self.tracer.end(span, gave_up_at);
+            if migrating {
+                self.clock.advance_to(gave_up_at);
+            } else {
+                self.presend_from = gave_up_at;
+            }
+            return Ok(None);
+        };
+        if leg != Leg::ModelAck {
+            self.pool.observe_transfer(self.current, &xfer);
+        }
+        if migrating {
+            self.clock.advance_to(xfer.finish);
+        }
+        self.tracer.end(span, xfer.finish);
+        Ok(Some(xfer))
     }
 }
 
@@ -1488,7 +1423,11 @@ mod tests {
         let before = gates(&session);
         assert_eq!(before.len(), 4, "{before:?}");
         assert!(before.iter().all(|name| name.contains(":ship:")));
-        let agreed = session.agreed.clone().expect("round 1 left an agreement");
+        let agreed = session
+            .server
+            .agreed
+            .clone()
+            .expect("round 1 left an agreement");
 
         // The paper apps are deterministic, so hand the gate the summary
         // of an app whose handler reads a random host.
@@ -1511,7 +1450,7 @@ mod tests {
         // nothing the later gates guard was touched.
         assert_eq!(gates(&session)[4..], ["gate:effects:local:1:0"]);
         assert_eq!(session.trace().bytes_of("transfer_up"), shipped.up_bytes);
-        assert!(Rc::ptr_eq(&agreed, session.agreed.as_ref().unwrap()));
+        assert!(Rc::ptr_eq(&agreed, session.server.agreed.as_ref().unwrap()));
     }
 
     #[test]

@@ -121,7 +121,10 @@ fn parse_line(line: &str) -> Result<Event, String> {
             "start_ns" => start_ns = Some(p.number()?),
             "end_ns" => end_ns = Some(p.number()?),
             "bytes" => bytes = Some(p.number()?),
-            "depth" => depth = Some(p.number()? as u32),
+            "depth" => {
+                let n = p.number()?;
+                depth = Some(u32::try_from(n).map_err(|_| format!("depth {n} out of range"))?);
+            }
             other => return Err(format!("unknown field {other:?}")),
         }
         if !p.comma_or_close()? {
@@ -235,8 +238,14 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The first 24 bytes of `s` for an error message, cut back to a char
+/// boundary.
 fn truncate(s: &str) -> &str {
-    &s[..s.len().min(24)]
+    let mut end = s.len().min(24);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
 #[cfg(test)]
@@ -419,6 +428,23 @@ mod tests {
         assert!(err.message.contains("unknown lane"));
         let err = Trace::from_jsonl(r#"{"surprise":1}"#).unwrap_err();
         assert!(err.message.contains("unknown field"));
+    }
+
+    #[test]
+    fn multibyte_text_and_overlong_depths_are_typed_errors() {
+        // The error excerpt once sliced at byte 24, inside the second `é`.
+        let err = Trace::from_jsonl(&format!("{{\"name\"X{}", "é".repeat(20))).unwrap_err();
+        assert!(
+            err.message.starts_with("expected ':' at \"Xéé"),
+            "{}",
+            err.message
+        );
+        // A depth past `u32::MAX` once wrapped to 1.
+        let line = r#"{"name":"a","lane":"client","kind":"exec","start_ns":0,"end_ns":1,"depth":4294967297}"#;
+        let err = Trace::from_jsonl(line).unwrap_err();
+        assert_eq!(err.message, "depth 4294967297 out of range");
+        let max = line.replace("4294967297", &u32::MAX.to_string());
+        assert_eq!(Trace::from_jsonl(&max).unwrap().events()[0].depth, u32::MAX);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The command-line spec parsers answer every input with `Ok` or `Err`.
+//! The command-line spec parsers and the JSONL trace reader answer every
+//! input with `Ok` or `Err`.
 //!
 //! `RetryPolicy::parse`, `FaultPlan::parse`, `MeterLimits::parse` and
 //! `parse_servers` turn user text into durations. A finite number of
@@ -6,11 +7,16 @@
 //! converting it must be a parse error, not a panic. The literal cases pin
 //! that; the seeded byte-mutation loops pin it for everything near a valid
 //! spec, with exponent fragments in the mutation pool so overlong times
-//! come up often.
+//! come up often. `Trace::from_jsonl` gets the same loop over a real
+//! session's trace, with multi-byte text and overlong numbers in its pool.
 
-use snapedge_core::{edge_server_x86, parse_servers, MeterLimits, RetryPolicy, ServerSpec};
+use snapedge_core::{
+    edge_server_x86, parse_servers, MeterLimits, OffloadSession, RetryPolicy, ServerSpec,
+    SessionConfig,
+};
 use snapedge_net::{FaultPlan, LinkConfig};
 use snapedge_rng::Rng;
+use snapedge_trace::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn template() -> ServerSpec {
@@ -101,4 +107,71 @@ fn byte_mutated_specs_parse_or_fail_without_panicking() {
             "{name}: {accepted} of 2000 mutants accepted"
         );
     }
+}
+
+#[test]
+fn byte_mutated_session_traces_parse_or_fail_without_panicking() {
+    const POOL: &[&str] = &[
+        "0",
+        "9",
+        "\"",
+        ":",
+        ",",
+        "{",
+        "}",
+        "\\",
+        "\\u",
+        "é",
+        "😀",
+        " ",
+        // Puts a char boundary off byte 24 of an error excerpt.
+        "xéééééééééééé",
+        "depth",
+        "4294967297",
+        "18446744073709551616",
+    ];
+    let mut session = OffloadSession::new(SessionConfig::tiny()).unwrap();
+    session.infer(1).unwrap();
+    session.infer(2).unwrap();
+    let trace = session.trace();
+    let text = trace.to_jsonl();
+    let back = Trace::from_jsonl(&text).unwrap();
+    assert_eq!(back, trace, "the unmutated trace round-trips");
+    assert_eq!(back.to_jsonl(), text);
+    let lines = text.lines().count();
+    let mut accepted = 0;
+    for case in 0..2_000u64 {
+        let mut rng = Rng::seed_from_u64(28_000 + case);
+        let mut jsonl = text.clone();
+        for _ in 0..rng.gen_range_usize(1, 4) {
+            let mut at = rng.gen_range_usize(0, jsonl.len() + 1);
+            while !jsonl.is_char_boundary(at) {
+                at -= 1;
+            }
+            let piece = *rng.choose(POOL);
+            match rng.gen_range_usize(0, 3) {
+                0 if at < jsonl.len() => {
+                    let end = at + jsonl[at..].chars().next().map_or(0, char::len_utf8);
+                    jsonl.replace_range(at..end, piece);
+                }
+                1 if at < jsonl.len() => {
+                    jsonl.remove(at);
+                }
+                _ => jsonl.insert_str(at, piece),
+            }
+        }
+        match catch_unwind(AssertUnwindSafe(|| Trace::from_jsonl(&jsonl))) {
+            Ok(Ok(_)) => accepted += 1,
+            Ok(Err(e)) => assert!(
+                (1..=lines + 3).contains(&e.line),
+                "error line {} past the end: {e}",
+                e.line
+            ),
+            Err(_) => panic!("from_jsonl panicked on {jsonl:?}"),
+        }
+    }
+    assert!(
+        (20..1_980).contains(&accepted),
+        "{accepted} of 2000 mutants accepted"
+    );
 }
