@@ -80,6 +80,15 @@ if sed '/#\[cfg(test)\]/,$d' crates/webapp/src/html.rs | grep -nE '\.replace\("&
 fi
 if grep -rn 'fn doc_attrs' crates/*/src; then exit 1; fi
 
+echo "== one link-health record, one planner (the bandwidth estimator, the per-server health wrapper and the adaptive controller stay folded into LinkHealth, ServerPool and PartitionOptimizer::plan)"
+for gone in crates/net/src/estimator.rs crates/core/src/adaptive.rs; do
+    if [ -e "$gone" ]; then
+        echo "$gone is back: the estimate lives in LinkHealth, the runtime decision in PartitionOptimizer::plan" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'BandwidthEstimator|AdaptiveOffloader|AdaptivePolicy|ServerHealth' crates tests examples; then exit 1; fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 

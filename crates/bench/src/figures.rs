@@ -8,8 +8,7 @@ use snapedge_core::apps::synthetic_image_data_url;
 use snapedge_core::prelude::*;
 use snapedge_core::privacy::attack_demo_net;
 use snapedge_core::{
-    client_energy, evaluate_privacy, odroid_xu4_energy, AdaptiveOffloader, AdaptivePolicy,
-    AttackConfig, Decision, PartitionOptimizer,
+    client_energy, evaluate_privacy, odroid_xu4_energy, AttackConfig, Decision, PartitionOptimizer,
 };
 use snapedge_dnn::visualize::{tile_feature_map, GrayImage};
 use snapedge_dnn::{ExecMode, ModelBundle, Network, ParamStore};
@@ -424,26 +423,17 @@ fn future_delta(s: &mut Sheet) -> Done {
 }
 
 /// A mobile client walks through varying coverage; per inference the
-/// controller re-evaluates "the runtime network status" (Section III-B.2)
+/// planner re-evaluates "the runtime network status" (Section III-B.2)
 /// against always offloading at the best private cut and always local.
 fn adaptive(s: &mut Sheet) -> Done {
     let net = zoo::googlenet();
-    let controller = AdaptiveOffloader::new(
-        net.clone(),
-        odroid_xu4(),
-        edge_server_x86(),
-        ModelBundle::from_network(&net).total_bytes(),
-        AdaptivePolicy {
-            require_privacy: true,
-        },
-    );
     // Bandwidth and loss per inference along the walk.
     let mbps = [30.0, 18.0, 6.0, 1.0, 0.2, 2.0, 12.0, 30.0];
     let loss = [0.0, 0.0, 0.05, 0.20, 0.30, 0.10, 0.0, 0.0];
     for (step, (mbps, loss)) in mbps.into_iter().zip(loss).enumerate() {
-        let link = LinkConfig::mbps(mbps).with_loss(loss);
-        let plan = controller.decide(&link, true)?;
-        let always_offload = optimizer(&net, link).best(true)?.times.total();
+        let planner = optimizer(&net, LinkConfig::mbps(mbps).with_loss(loss));
+        let plan = planner.plan(true, None, Duration::ZERO)?;
+        let always_offload = planner.best(true)?.times.total();
         let client_layers = match &plan.decision {
             Decision::Local => net.node_count() - 1,
             Decision::FullOffload => 0,

@@ -15,9 +15,9 @@
 //!   signal when reservations alone under-estimate). The engine feeds
 //!   the prediction to [`ModeledWorkload`](crate::ModeledWorkload) for
 //!   least-predicted-sojourn selection, to
-//!   [`ServerPool::select_with_delays`](crate::ServerPool::select_with_delays)
-//!   for failover ordering, and to the session's
-//!   [`AdaptiveOffloader`](crate::adaptive::AdaptiveOffloader) as an
+//!   [`ServerPool::select`](crate::ServerPool::select) for failover
+//!   ordering, and to the session's plan gate
+//!   ([`PartitionOptimizer::plan`](crate::PartitionOptimizer::plan)) as an
 //!   additive prior — queueing delay that erases the offload win
 //!   degrades the round to local *before* any bytes commit to the wire
 //!   (admission control).

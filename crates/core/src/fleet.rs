@@ -3,9 +3,9 @@
 //!
 //! The paper wires exactly one edge server per client; a deployment has a
 //! *fleet* of candidates, each with its own device profile, link and fault
-//! schedule. [`ServerPool`] keeps one [`BandwidthEstimator`]-backed health
-//! record per server — fed by completed transfers and by fault/backoff
-//! observations — and exposes a selection metric based on **predicted
+//! schedule. [`ServerPool`] keeps one [`LinkHealth`] record per server —
+//! fed by completed transfers and by retry and give-up observations — and
+//! exposes a selection metric based on **predicted
 //! migration time**: the bytes pending migration (plus the model, if this
 //! server has not been pre-sent one) over the estimated bandwidth, plus
 //! link latency. The session/scenario drivers pre-send the model to the
@@ -18,9 +18,7 @@
 //! server — the property the bit-for-bit chaos suite leans on.
 
 use crate::device::DeviceProfile;
-use snapedge_net::{
-    BandwidthEstimator, FaultPlan, LinkConfig, LinkHealth, LinkPrediction, Transfer,
-};
+use snapedge_net::{FaultPlan, LinkConfig, LinkHealth, Transfer};
 use snapedge_webapp::MeterLimits;
 use std::time::Duration;
 
@@ -90,52 +88,20 @@ impl ServerSpec {
     }
 }
 
-/// Mutable per-server health: what the client has learned about one
-/// candidate from its own traffic.
+/// One candidate and what the client has learned about it from its own
+/// traffic.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServerHealth {
+struct Candidate {
+    spec: ServerSpec,
     link: LinkHealth,
     model_ready: bool,
     exhausted: bool,
 }
 
-impl ServerHealth {
-    fn new() -> ServerHealth {
-        ServerHealth {
-            link: LinkHealth::default(),
-            model_ready: false,
-            exhausted: false,
-        }
-    }
-
-    /// The bandwidth estimator fed by this server's transfers.
-    pub fn estimator(&self) -> &BandwidthEstimator {
-        self.link.estimator()
-    }
-
-    /// Condenses this server's windowed health into a [`LinkPrediction`]
-    /// as of virtual time `now`.
-    pub fn predict(&self, now: Duration) -> LinkPrediction {
-        self.link.predict(now)
-    }
-
-    /// Whether the model has been pre-sent to (and acknowledged by) this
-    /// server.
-    pub fn model_ready(&self) -> bool {
-        self.model_ready
-    }
-
-    /// Whether the retry budget against this server exhausted during the
-    /// current round.
-    pub fn exhausted(&self) -> bool {
-        self.exhausted
-    }
-}
-
 /// The ordered candidate set plus per-server health records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerPool {
-    servers: Vec<(ServerSpec, ServerHealth)>,
+    servers: Vec<Candidate>,
 }
 
 impl ServerPool {
@@ -145,7 +111,12 @@ impl ServerPool {
         ServerPool {
             servers: specs
                 .into_iter()
-                .map(|spec| (spec, ServerHealth::new()))
+                .map(|spec| Candidate {
+                    spec,
+                    link: LinkHealth::default(),
+                    model_ready: false,
+                    exhausted: false,
+                })
                 .collect(),
         }
     }
@@ -162,40 +133,44 @@ impl ServerPool {
 
     /// The static spec of candidate `idx`.
     pub fn spec(&self, idx: usize) -> Option<&ServerSpec> {
-        self.servers.get(idx).map(|(spec, _)| spec)
+        self.servers.get(idx).map(|c| &c.spec)
     }
 
-    /// The health record of candidate `idx`.
-    pub fn health(&self, idx: usize) -> Option<&ServerHealth> {
-        self.servers.get(idx).map(|(_, health)| health)
+    /// The link-health record of candidate `idx`: its bandwidth estimate
+    /// and windowed fault history.
+    pub fn link(&self, idx: usize) -> Option<&LinkHealth> {
+        self.servers.get(idx).map(|c| &c.link)
+    }
+
+    /// Whether the model has been pre-sent to (and acknowledged by)
+    /// candidate `idx`; `false` for an out-of-range index.
+    pub fn model_ready(&self, idx: usize) -> bool {
+        self.servers.get(idx).is_some_and(|c| c.model_ready)
     }
 
     /// Feeds one completed transfer against candidate `idx` into its
-    /// bandwidth estimator and windowed health record.
+    /// link-health record.
     pub fn observe_transfer(&mut self, idx: usize, transfer: &Transfer) {
-        if let Some((_, health)) = self.servers.get_mut(idx) {
-            health.link.observe_transfer(transfer);
+        if let Some(c) = self.servers.get_mut(idx) {
+            c.link.observe_transfer(transfer);
         }
     }
 
-    /// Records `count` fault/backoff observations against candidate
-    /// `idx` at virtual time `at`: each one penalizes the bandwidth
-    /// estimate (steering future selection away from the unhealthy path)
-    /// and lands in the windowed health record the proactive predictor
-    /// reads.
+    /// Records `count` fault observations (retries and give-ups) against
+    /// candidate `idx` at virtual time `at`: each one penalizes the
+    /// bandwidth estimate (steering future selection away from the
+    /// unhealthy path) and lands in the windowed history the plan gate's
+    /// prediction reads.
     pub fn observe_faults(&mut self, idx: usize, count: usize, at: Duration) {
-        if count == 0 {
-            return;
-        }
-        if let Some((_, health)) = self.servers.get_mut(idx) {
-            health.link.observe_faults(count, at);
+        if let Some(c) = self.servers.get_mut(idx) {
+            c.link.observe_faults(count, at);
         }
     }
 
     /// Marks the model as pre-sent to candidate `idx`.
     pub fn mark_model_ready(&mut self, idx: usize) {
-        if let Some((_, health)) = self.servers.get_mut(idx) {
-            health.model_ready = true;
+        if let Some(c) = self.servers.get_mut(idx) {
+            c.model_ready = true;
         }
     }
 
@@ -204,8 +179,8 @@ impl ServerPool {
     /// browser state are dropped), so the selection metric charges a
     /// fresh pre-send if that candidate is ever picked again.
     pub fn mark_model_stale(&mut self, idx: usize) {
-        if let Some((_, health)) = self.servers.get_mut(idx) {
-            health.model_ready = false;
+        if let Some(c) = self.servers.get_mut(idx) {
+            c.model_ready = false;
         }
     }
 
@@ -213,33 +188,32 @@ impl ServerPool {
     /// exhausted candidate is skipped by [`ServerPool::select`] until
     /// [`ServerPool::begin_round`] clears the flag.
     pub fn mark_exhausted(&mut self, idx: usize) {
-        if let Some((_, health)) = self.servers.get_mut(idx) {
-            health.exhausted = true;
+        if let Some(c) = self.servers.get_mut(idx) {
+            c.exhausted = true;
         }
     }
 
     /// Starts a new inference round: every candidate gets a fresh chance
-    /// (exhaustion is per-round; estimator history and model readiness
+    /// (exhaustion is per-round; link health and model readiness
     /// persist).
     pub fn begin_round(&mut self) {
-        for (_, health) in &mut self.servers {
-            health.exhausted = false;
+        for c in &mut self.servers {
+            c.exhausted = false;
         }
     }
 
-    /// Resets candidate `idx`'s bandwidth estimator and windowed health
-    /// history. Called when a handoff re-provisions a server so
-    /// post-handoff estimates never mix samples observed against a
-    /// different epoch of the same path.
+    /// Resets candidate `idx`'s link-health record. Called when a
+    /// handoff re-provisions a server so post-handoff estimates never mix
+    /// samples observed against a different epoch of the same path.
     pub fn reset_estimator(&mut self, idx: usize) {
-        if let Some((_, health)) = self.servers.get_mut(idx) {
-            health.link.reset();
+        if let Some(c) = self.servers.get_mut(idx) {
+            c.link.reset();
         }
     }
 
     /// The selection metric: predicted time to migrate `pending_bytes` to
-    /// candidate `idx`, using the estimator's learned bandwidth when it
-    /// has samples (the configured link rate otherwise), plus the model
+    /// candidate `idx`, using the learned bandwidth estimate when it has
+    /// samples (the configured link rate otherwise), plus the model
     /// pre-send cost (`model_bytes`) when this server is not yet
     /// model-ready, plus link latency. Per-transfer overhead is charged
     /// once per constituent transfer — the model pre-send and the
@@ -252,11 +226,16 @@ impl ServerPool {
         pending_bytes: u64,
         model_bytes: u64,
     ) -> Duration {
-        let Some((spec, health)) = self.servers.get(idx) else {
+        let Some(Candidate {
+            spec,
+            link,
+            model_ready,
+            ..
+        }) = self.servers.get(idx)
+        else {
             return Duration::MAX;
         };
-        let bw = health
-            .estimator()
+        let bw = link
             .estimate_bps()
             .unwrap_or_else(|| spec.link.effective_bandwidth_bps());
         if !(bw.is_finite() && bw > 0.0) {
@@ -264,7 +243,7 @@ impl ServerPool {
         }
         let mut bytes = pending_bytes;
         let mut transfers: u64 = 1;
-        if !health.model_ready && model_bytes > 0 {
+        if !model_ready && model_bytes > 0 {
             bytes = bytes.saturating_add(model_bytes);
             transfers = 2;
         }
@@ -276,22 +255,16 @@ impl ServerPool {
         }
     }
 
-    /// Picks the non-exhausted candidate with the smallest predicted
-    /// migration time. Ties go to the lowest index (the configured
-    /// preference order), making selection deterministic. `None` when
-    /// every candidate is exhausted.
-    pub fn select(&self, pending_bytes: u64, model_bytes: u64) -> Option<usize> {
-        self.select_with_delays(pending_bytes, model_bytes, &[])
-    }
-
-    /// Least-predicted-**sojourn** selection: like [`ServerPool::select`]
-    /// but each candidate's predicted migration time is inflated by its
-    /// predicted server-side queueing delay (`delays[idx]`, from a
+    /// Least-predicted-**sojourn** selection: the non-exhausted candidate
+    /// with the smallest predicted migration time plus its predicted
+    /// server-side queueing delay (`delays[idx]`, from a
     /// [`Balancer`](crate::balance::Balancer) outlook; missing entries
-    /// count as zero, so an empty slice is exactly the health-only
-    /// ordering). A fast link to a saturated CPU loses to a slower link
-    /// whose CPU is idle. Ties still go to the lowest index.
-    pub fn select_with_delays(
+    /// count as zero, so an empty slice ranks by migration time alone).
+    /// A fast link to a saturated CPU loses to a slower link whose CPU is
+    /// idle. Ties go to the lowest index (the configured preference
+    /// order), making selection deterministic. `None` when every
+    /// candidate is exhausted.
+    pub fn select(
         &self,
         pending_bytes: u64,
         model_bytes: u64,
@@ -299,7 +272,7 @@ impl ServerPool {
     ) -> Option<usize> {
         let mut best: Option<(usize, Duration)> = None;
         for idx in 0..self.servers.len() {
-            if self.servers[idx].1.exhausted {
+            if self.servers[idx].exhausted {
                 continue;
             }
             let queueing = delays.get(idx).copied().unwrap_or(Duration::ZERO);
@@ -465,29 +438,27 @@ mod tests {
     #[test]
     fn selection_prefers_the_fastest_configured_link() {
         let pool = ServerPool::new(vec![spec("a", 10.0), spec("b", 30.0), spec("c", 5.0)]);
-        assert_eq!(pool.select(100_000, 1_000_000), Some(1));
+        assert_eq!(pool.select(100_000, 1_000_000, &[]), Some(1));
     }
 
     #[test]
     fn ties_go_to_the_lowest_index() {
         let pool = ServerPool::new(vec![spec("a", 10.0), spec("b", 10.0)]);
-        assert_eq!(pool.select(100_000, 0), Some(0));
+        assert_eq!(pool.select(100_000, 0, &[]), Some(0));
     }
 
     #[test]
     fn queueing_delay_overrules_the_faster_link() {
         let pool = ServerPool::new(vec![spec("a", 30.0), spec("b", 10.0)]);
-        // Health-only ordering prefers the 30 Mbps link...
-        assert_eq!(pool.select(100_000, 0), Some(0));
-        // ...and an empty outlook is exactly that ordering.
-        assert_eq!(pool.select_with_delays(100_000, 0, &[]), Some(0));
+        // With an empty outlook the 30 Mbps link wins.
+        assert_eq!(pool.select(100_000, 0, &[]), Some(0));
         // A saturated CPU behind the fast link flips the choice: the
         // slower-link candidate finishes sooner end to end.
         let outlook = [Duration::from_secs(5), Duration::ZERO];
-        assert_eq!(pool.select_with_delays(100_000, 0, &outlook), Some(1));
+        assert_eq!(pool.select(100_000, 0, &outlook), Some(1));
         // Missing trailing entries count as idle.
         let short = [Duration::from_secs(5)];
-        assert_eq!(pool.select_with_delays(100_000, 0, &short), Some(1));
+        assert_eq!(pool.select(100_000, 0, &short), Some(1));
     }
 
     #[test]
@@ -503,7 +474,7 @@ mod tests {
                 corrupted: false,
             },
         );
-        assert_eq!(pool.select(100_000, 0), Some(1));
+        assert_eq!(pool.select(100_000, 0, &[]), Some(1));
     }
 
     #[test]
@@ -519,18 +490,18 @@ mod tests {
                 corrupted: false,
             },
         );
-        assert_eq!(pool.select(1_000_000, 0), Some(0));
+        assert_eq!(pool.select(1_000_000, 0, &[]), Some(0));
         // ...then a string of faults halves its estimate below b's rate.
         pool.observe_faults(0, 2, Duration::from_secs(2));
-        let prediction = pool.health(0).unwrap().predict(Duration::from_secs(2));
+        let prediction = pool.link(0).unwrap().predict(Duration::from_secs(2));
         assert!((prediction.fault_rate - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(pool.select(1_000_000, 0), Some(1));
+        assert_eq!(pool.select(1_000_000, 0, &[]), Some(1));
     }
 
     #[test]
     fn health_records_feed_the_link_predictor() {
         let mut pool = ServerPool::new(vec![spec("a", 30.0)]);
-        assert!(pool.health(0).unwrap().predict(Duration::ZERO).healthy());
+        assert!(pool.link(0).unwrap().predict(Duration::ZERO).healthy());
         pool.observe_transfer(
             0,
             &Transfer {
@@ -541,15 +512,14 @@ mod tests {
             },
         );
         pool.observe_faults(0, 3, Duration::from_secs(2));
-        let health = pool.health(0).unwrap();
-        let prediction = health.predict(Duration::from_secs(2));
+        let prediction = pool.link(0).unwrap().predict(Duration::from_secs(2));
         assert!(!prediction.healthy());
         assert!((prediction.fault_rate - 0.75).abs() < 1e-12);
-        assert_eq!(health.link.last_success(), Some(Duration::from_secs(1)));
+        assert_eq!(prediction.time_since_success, Some(Duration::from_secs(1)));
         // Resetting the estimator also clears the windowed history.
         pool.reset_estimator(0);
         assert!(pool
-            .health(0)
+            .link(0)
             .unwrap()
             .predict(Duration::from_secs(3))
             .healthy());
@@ -581,6 +551,7 @@ mod tests {
             "1M + 1×1M overhead"
         );
         pool.mark_model_ready(0);
+        assert!(pool.model_ready(0) && !pool.model_ready(9));
         assert_eq!(
             pool.predicted_migration(0, 1_000_000, 2_000_000),
             Duration::from_secs(2),
@@ -615,7 +586,7 @@ mod tests {
         // cold: (0.01M + 1M + 1.2M)·8 / 8.4M ≈ 2.10 s
         // warm: (0.01M + 0.6M)·8 / 8.0M ≈ 0.61 s
         assert!(warm_t < cold_t);
-        assert_eq!(pool.select(10_000, 1_000_000), Some(1));
+        assert_eq!(pool.select(10_000, 1_000_000, &[]), Some(1));
         // The exact cold prediction pins the double charge: pre-fix the
         // single-overhead figure was (0.01M + 1M + 0.6M)·8/8.4M ≈ 1.53 s.
         assert!(
@@ -629,21 +600,21 @@ mod tests {
         let mut pool = ServerPool::new(vec![spec("a", 30.0), spec("b", 29.0)]);
         // A huge model pre-send dominates; "b" already has the model.
         pool.mark_model_ready(1);
-        assert_eq!(pool.select(10_000, 50_000_000), Some(1));
+        assert_eq!(pool.select(10_000, 50_000_000, &[]), Some(1));
         // With both ready, raw link speed decides again.
         pool.mark_model_ready(0);
-        assert_eq!(pool.select(10_000, 50_000_000), Some(0));
+        assert_eq!(pool.select(10_000, 50_000_000, &[]), Some(0));
     }
 
     #[test]
     fn exhausted_candidates_are_skipped_until_the_next_round() {
         let mut pool = ServerPool::new(vec![spec("a", 30.0), spec("b", 10.0)]);
         pool.mark_exhausted(0);
-        assert_eq!(pool.select(0, 0), Some(1));
+        assert_eq!(pool.select(0, 0, &[]), Some(1));
         pool.mark_exhausted(1);
-        assert_eq!(pool.select(0, 0), None);
+        assert_eq!(pool.select(0, 0, &[]), None);
         pool.begin_round();
-        assert_eq!(pool.select(0, 0), Some(0));
+        assert_eq!(pool.select(0, 0, &[]), Some(0));
     }
 
     #[test]
@@ -660,10 +631,9 @@ mod tests {
         );
         pool.observe_faults(0, 3, Duration::from_secs(1));
         pool.reset_estimator(0);
-        let health = pool.health(0).unwrap();
-        assert_eq!(health.estimator().samples(), 0);
-        assert_eq!(health.estimator().estimate_bps(), None);
-        assert!(health.predict(Duration::from_secs(1)).healthy());
+        let link = pool.link(0).unwrap();
+        assert_eq!(link, &LinkHealth::default());
+        assert!(link.predict(Duration::from_secs(1)).healthy());
     }
 
     #[test]
@@ -680,7 +650,7 @@ mod tests {
         );
         let pool = ServerPool::new(vec![dead, spec("ok", 1.0)]);
         assert_eq!(pool.predicted_migration(0, 1000, 0), Duration::MAX);
-        assert_eq!(pool.select(1000, 0), Some(1));
+        assert_eq!(pool.select(1000, 0, &[]), Some(1));
         // Out-of-range index is also "unreachable", not a panic.
         assert_eq!(pool.predicted_migration(9, 1000, 0), Duration::MAX);
     }

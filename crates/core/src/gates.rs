@@ -10,9 +10,9 @@
 //! `gate:<gate>:<ship|local|reject>:<lhs>:<rhs>` after the two numbers
 //! it compared.
 
-use crate::adaptive::{AdaptiveOffloader, AdaptivePolicy, Decision};
 use crate::config::OffloadConfig;
 use crate::fleet::ServerPool;
+use crate::partition::{Decision, PartitionOptimizer};
 use crate::OffloadError;
 use snapedge_analyze::{AnalysisOptions, EffectSummary, Mode, Severity};
 use snapedge_dnn::Network;
@@ -155,15 +155,16 @@ fn effects(summary: &EffectSummary, meter: Option<&MeterLimits>) -> Judged {
 /// the meter's nominal microsecond per interpreter op (server-side app
 /// glue the layer-time model cannot see), and the queue outlook's
 /// predicted wait for the server's CPU (zero without one). Trips when
-/// `lhs >= rhs`. `None` before the estimator has a sample to plan against.
+/// `lhs >= rhs`. `None` before the link has a bandwidth sample to plan
+/// against.
 fn plan(round: &Round<'_>) -> Result<Option<(Judged, Decision)>, OffloadError> {
     let (Some(spec), Some(health)) = (
         round.pool.spec(round.current),
-        round.pool.health(round.current),
+        round.pool.link(round.current),
     ) else {
         return Ok(None);
     };
-    let Some(link) = health.estimator().as_link_config(&spec.link) else {
+    let Some(link) = health.as_link_config(&spec.link) else {
         return Ok(None);
     };
     let retries = health.predict(round.now).predicted_retries;
@@ -178,18 +179,16 @@ fn plan(round: &Round<'_>) -> Result<Option<(Judged, Decision)>, OffloadError> {
         .cumulative_backoff(retries)
         .saturating_add(Duration::from_micros(op_floor))
         .saturating_add(queue_wait);
-    // Before the ACK no model bytes have been confirmed; after it, all
-    // of them have (the pre-send is a single acknowledged upload).
-    let model_ready = round.now >= round.ack_at;
-    let acked = if model_ready { round.model_bytes } else { 0 };
-    let plan = AdaptiveOffloader::new(
-        round.net.clone(),
+    // Before the ACK the whole model still queues ahead of the snapshot;
+    // after it, none of it does (the pre-send is one acknowledged upload).
+    let unacked = (round.now < round.ack_at).then_some(round.model_bytes);
+    let plan = PartitionOptimizer::new(
+        round.net,
         round.cfg.client_device.clone(),
         spec.device.clone(),
-        round.model_bytes,
-        AdaptivePolicy::default(),
+        link,
     )
-    .plan_with(&link, model_ready, acked, penalty)?;
+    .plan(false, unacked, penalty)?;
     let reading = Reading {
         gate: Gate::Plan,
         lhs: plan.offload.as_micros() as u64,

@@ -60,7 +60,6 @@
 )]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod apps;
 pub mod balance;
 pub mod config;
@@ -80,7 +79,6 @@ pub mod resilience;
 mod scenario;
 mod session;
 
-pub use adaptive::{AdaptiveOffloader, AdaptivePolicy, Decision, Plan};
 pub use balance::{jain, Balancer, DrrScheduler, DEFAULT_DRR_QUANTUM};
 pub use config::{ConfigBuilder, OffloadConfig};
 pub use device::{edge_server_x86, odroid_xu4, DeviceProfile};
@@ -91,10 +89,10 @@ pub use engine::{
     ModeledWorkload, RoundOutcome, ServerLoad, SessionWorkload, Workload,
 };
 pub use error::OffloadError;
-pub use fleet::{format_servers, parse_servers, ServerHealth, ServerPool, ServerSpec};
+pub use fleet::{format_servers, parse_servers, ServerPool, ServerSpec};
 pub use install::{vm_install, InstallReport};
 pub use mlhost::CaffeJsHost;
-pub use partition::{PartitionOptimizer, PartitionPrediction, PredictedTimes};
+pub use partition::{Decision, PartitionOptimizer, PartitionPrediction, Plan, PredictedTimes};
 pub use privacy::{evaluate_privacy, reconstruct_input, AttackConfig, PrivacyReport};
 pub use resilience::{classify, schedule_resilient, FaultClass, ResilienceOutcome, RetryPolicy};
 pub use scenario::{

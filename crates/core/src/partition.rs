@@ -8,6 +8,12 @@
 //! partitioning point that can minimize the total execution time, while
 //! including at least one layer from the front part of the DNN to denature
 //! the input data."
+//!
+//! [`PartitionOptimizer::plan`] is that runtime decision: the best cut
+//! against pure local execution on the link as last observed, with the
+//! before-ACK model upload (Section IV-A: before it finishes *"it would
+//! be better for the client to execute the DNN locally"*) and the plan
+//! gate's priors charged to the offload side.
 
 use crate::device::DeviceProfile;
 use crate::OffloadError;
@@ -21,6 +27,47 @@ const BYTES_PER_ELEM: f64 = 19.0;
 const BASE_SNAPSHOT_BYTES: u64 = 60_000;
 /// Size of the returning result snapshot.
 const RESULT_SNAPSHOT_BYTES: u64 = 60_000;
+
+/// What the planner chose for one inference.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Decision {
+    /// Run the whole DNN on the client.
+    Local,
+    /// Offload everything (snapshot carries the encoded input only).
+    FullOffload,
+    /// Offload at the named cut.
+    Partial {
+        /// Cut-point label.
+        cut: String,
+    },
+}
+
+impl Decision {
+    /// Short stable label for traces and CLI columns: `local`, `full`,
+    /// or `partial:<cut>`.
+    pub fn label(&self) -> String {
+        match self {
+            Decision::Local => "local".to_string(),
+            Decision::FullOffload => "full".to_string(),
+            Decision::Partial { cut } => format!("partial:{cut}"),
+        }
+    }
+}
+
+/// A decision plus its predicted cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan {
+    /// The chosen execution mode.
+    pub decision: Decision,
+    /// Predicted end-to-end inference time.
+    pub predicted: Duration,
+    /// Predicted time of the best offload, penalty included, whether or
+    /// not it beat local execution.
+    pub offload: Duration,
+    /// Predicted time of pure local execution (the baseline the decision
+    /// beat or fell back to).
+    pub local_time: Duration,
+}
 
 /// Predicted per-phase times for one candidate cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,21 +200,71 @@ impl PartitionOptimizer {
             .min_by_key(|p| p.times.total())
             .ok_or_else(|| OffloadError::Config("no valid partition point".into()))
     }
+
+    /// The runtime decision: the [`best`](PartitionOptimizer::best) offload
+    /// against pure local execution, whichever is predicted faster.
+    /// `unacked_model_bytes` is `None` when the server holds the model;
+    /// `Some(n)` queues the `n` model bytes still uploading ahead of the
+    /// snapshot on the same link. `penalty` — expected backoff sleeps,
+    /// compute and queueing priors — joins the offload side, so a
+    /// degrading link or a saturated server tips the plan toward Local
+    /// *before* any retry budget burns.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PartitionOptimizer::best`].
+    pub fn plan(
+        &self,
+        require_privacy: bool,
+        unacked_model_bytes: Option<u64>,
+        penalty: Duration,
+    ) -> Result<Plan, OffloadError> {
+        let local_time = self.client.full_exec_time(&self.profile);
+        let best = self.best(require_privacy)?;
+        let mut offload = best.times.total();
+        if let Some(bytes) = unacked_model_bytes {
+            offload = offload.saturating_add(self.link.transfer_time(bytes)?);
+        }
+        let offload = offload.saturating_add(penalty);
+        let decision = if offload >= local_time {
+            Decision::Local
+        } else if best.cut.id.index() == 0 {
+            Decision::FullOffload
+        } else {
+            Decision::Partial {
+                cut: best.cut.label,
+            }
+        };
+        Ok(Plan {
+            decision,
+            predicted: offload.min(local_time),
+            offload,
+            local_time,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::{edge_server_x86, odroid_xu4};
-    use snapedge_dnn::zoo;
+    use snapedge_dnn::{zoo, ModelBundle};
 
-    fn optimizer(model: &str) -> PartitionOptimizer {
+    fn on(model: &str, link: LinkConfig) -> PartitionOptimizer {
         PartitionOptimizer::new(
             &zoo::by_name(model).unwrap(),
             odroid_xu4(),
             edge_server_x86(),
-            LinkConfig::wifi_30mbps(),
+            link,
         )
+    }
+
+    fn optimizer(model: &str) -> PartitionOptimizer {
+        on(model, LinkConfig::wifi_30mbps())
+    }
+
+    fn model_bytes(model: &str) -> u64 {
+        ModelBundle::from_network(&zoo::by_name(model).unwrap()).total_bytes()
     }
 
     #[test]
@@ -249,5 +346,185 @@ mod tests {
         for pair in preds.windows(2) {
             assert!(pair[0].cut.id.index() < pair[1].cut.id.index());
         }
+    }
+
+    #[test]
+    fn fast_link_and_ready_model_choose_full_offload() {
+        let plan = optimizer("googlenet")
+            .plan(false, None, Duration::ZERO)
+            .unwrap();
+        assert_eq!(plan.decision, Decision::FullOffload);
+        assert!(plan.predicted < plan.local_time);
+    }
+
+    #[test]
+    fn privacy_policy_chooses_first_pool() {
+        let plan = optimizer("googlenet")
+            .plan(true, None, Duration::ZERO)
+            .unwrap();
+        assert_eq!(
+            plan.decision,
+            Decision::Partial {
+                cut: "1st_pool".into()
+            }
+        );
+    }
+
+    #[test]
+    fn model_upload_in_flight_makes_agenet_run_locally() {
+        // Fig. 6's observation: before the ACK, AgeNet/GenderNet lose to
+        // local execution — the planner must pick Local.
+        for model in ["agenet", "gendernet"] {
+            let unacked = Some(model_bytes(model));
+            let plan = optimizer(model)
+                .plan(false, unacked, Duration::ZERO)
+                .unwrap();
+            assert_eq!(plan.decision, Decision::Local, "{model}");
+        }
+        // GoogLeNet still wins by offloading even before the ACK.
+        let unacked = Some(model_bytes("googlenet"));
+        let plan = optimizer("googlenet")
+            .plan(false, unacked, Duration::ZERO)
+            .unwrap();
+        assert_ne!(plan.decision, Decision::Local);
+    }
+
+    #[test]
+    fn mostly_uploaded_model_flips_the_decision_back_to_offload() {
+        // Regression: the planner used to charge the *full* model size
+        // whenever the ACK had not arrived, even when nearly all of the
+        // pre-send had already landed — so a 90%-uploaded AgeNet still
+        // "lost" to local execution. Only the remaining bytes queue behind
+        // the snapshot; charging just those flips the decision back.
+        let bytes = model_bytes("agenet");
+        let opt = optimizer("agenet");
+
+        // Nothing acknowledged yet: the full charge makes AgeNet lose
+        // (Fig. 6's before-ACK observation).
+        let cold = opt.plan(false, Some(bytes), Duration::ZERO).unwrap();
+        assert_eq!(cold.decision, Decision::Local);
+
+        // 90% of the pre-send already landed: only the tail still queues,
+        // and offloading wins again — strictly cheaper than the cold plan.
+        let tail = bytes - bytes * 9 / 10;
+        let hot = opt.plan(false, Some(tail), Duration::ZERO).unwrap();
+        assert_ne!(hot.decision, Decision::Local);
+        assert!(hot.predicted < cold.predicted);
+
+        // Nothing left to upload converges to the model-ready decision;
+        // only the zero-payload handshake (latency + framing) still
+        // separates the predicted times.
+        let done = opt.plan(false, Some(0), Duration::ZERO).unwrap();
+        let ready = opt.plan(false, None, Duration::ZERO).unwrap();
+        assert_eq!(done.decision, ready.decision);
+        let slack = done.predicted.saturating_sub(ready.predicted);
+        assert!(slack < Duration::from_millis(10), "slack {slack:?}");
+    }
+
+    #[test]
+    fn dead_slow_link_falls_back_to_local() {
+        let plan = on("agenet", LinkConfig::mbps(0.05))
+            .plan(false, None, Duration::ZERO)
+            .unwrap();
+        assert_eq!(plan.decision, Decision::Local);
+        assert_eq!(plan.predicted, plan.local_time);
+    }
+
+    #[test]
+    fn lossy_links_degrade_toward_local() {
+        let clean = on("agenet", LinkConfig::mbps(2.0))
+            .plan(false, None, Duration::ZERO)
+            .unwrap();
+        let lossy = on("agenet", LinkConfig::mbps(2.0).with_loss(0.9))
+            .plan(false, None, Duration::ZERO)
+            .unwrap();
+        assert!(lossy.predicted >= clean.predicted);
+    }
+
+    #[test]
+    fn retry_penalty_is_bounded_by_the_health_clamp() {
+        use crate::resilience::RetryPolicy;
+        use snapedge_net::{LinkHealth, LinkPrediction, MAX_PREDICTED_RETRIES};
+        // Drive a link-health record into the ground: every windowed
+        // attempt faults, so the raw retry expectation explodes — and the
+        // clamp, not the raw expectation, must bound what the planner
+        // charges. The cap used to live as a magic `8` in `health.rs`
+        // only; this pins the two paths to the one named constant.
+        let mut health = LinkHealth::default();
+        health.observe_faults(64, Duration::from_secs(1));
+        let prediction = health.predict(Duration::from_secs(1));
+        assert_eq!(prediction.predicted_retries, MAX_PREDICTED_RETRIES);
+
+        let policy = RetryPolicy::default();
+        let charged = |p: &LinkPrediction| policy.cumulative_backoff(p.predicted_retries);
+        let opt = optimizer("agenet");
+        let free = opt.plan(false, None, Duration::ZERO).unwrap();
+        let plan = opt.plan(false, None, charged(&prediction)).unwrap();
+        assert_eq!(
+            plan.offload - free.offload,
+            policy.cumulative_backoff(MAX_PREDICTED_RETRIES)
+        );
+        // A wilder prediction cannot charge more than the clamp allows.
+        let wild = LinkPrediction {
+            predicted_retries: MAX_PREDICTED_RETRIES,
+            ..prediction
+        };
+        let capped = opt.plan(false, None, charged(&wild)).unwrap();
+        assert_eq!(capped.offload, plan.offload);
+    }
+
+    #[test]
+    fn predicted_time_never_exceeds_local() {
+        // The planner can always fall back; its plan is never worse than
+        // local execution.
+        let unacked = Some(model_bytes("googlenet"));
+        for mbps in [0.1, 1.0, 5.0, 30.0, 200.0] {
+            let opt = on("googlenet", LinkConfig::mbps(mbps));
+            for unacked in [unacked, None] {
+                let plan = opt.plan(true, unacked, Duration::ZERO).unwrap();
+                assert!(
+                    plan.predicted <= plan.local_time,
+                    "mbps {mbps} unacked {unacked:?}"
+                );
+            }
+        }
+    }
+
+    /// Every plan over the paper models, five link rates, two loss rates,
+    /// four upload states, two penalties and both privacy settings,
+    /// hashed (FNV-1a over the decision label and the offload, local and
+    /// predicted nanoseconds). The value was recorded on the two-type
+    /// planner this method replaced; a move means a plan changed.
+    #[test]
+    fn the_plan_grid_is_pinned() {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for b in bytes {
+                hash = (hash ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut plans = 0;
+        for model in ["googlenet", "agenet", "gendernet"] {
+            let bytes = model_bytes(model);
+            for privacy in [false, true] {
+                for mbps in [0.05, 1.0, 5.0, 30.0, 200.0] {
+                    for loss in [0.0, 0.2] {
+                        let opt = on(model, LinkConfig::mbps(mbps).with_loss(loss));
+                        for unacked in [None, Some(0), Some(bytes / 10), Some(bytes)] {
+                            for penalty in [Duration::ZERO, Duration::from_secs(1)] {
+                                let plan = opt.plan(privacy, unacked, penalty).unwrap();
+                                eat(plan.decision.label().as_bytes());
+                                for t in [plan.offload, plan.local_time, plan.predicted] {
+                                    eat(&(t.as_nanos() as u64).to_le_bytes());
+                                }
+                                plans += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(plans, 480);
+        assert_eq!(hash, 0x0320_a11a_2ee7_43f1, "{hash:#018x}");
     }
 }

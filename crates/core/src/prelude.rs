@@ -23,7 +23,7 @@ pub use crate::engine::{
     ModeledWorkload, RoundOutcome, ServerLoad, SessionWorkload, Workload,
 };
 pub use crate::error::OffloadError;
-pub use crate::fleet::{format_servers, parse_servers, ServerHealth, ServerPool, ServerSpec};
+pub use crate::fleet::{format_servers, parse_servers, ServerPool, ServerSpec};
 pub use crate::install::{vm_install, InstallReport};
 pub use crate::resilience::{classify, FaultClass, ResilienceOutcome, RetryPolicy};
 pub use crate::scenario::{

@@ -14,10 +14,10 @@
 //! [`ScenarioReport`] and touches no link, pool or endpoint of its own
 //! on the offload path (`ci.sh` holds it to that).
 
-use crate::adaptive::Decision;
 use crate::apps;
 use crate::config::{ConfigBuilder, OffloadConfig};
 use crate::endpoint::Endpoint;
+use crate::partition::Decision;
 use crate::resilience::{classify, FaultClass};
 use crate::session::{OffloadSession, SessionConfig};
 use crate::OffloadError;

@@ -21,12 +21,12 @@
 //! exhausted. A fleet of size 1 behaves bit-for-bit like the original
 //! single-server session.
 
-use crate::adaptive::Decision;
 use crate::apps;
 use crate::config::{ConfigBuilder, OffloadConfig};
 use crate::endpoint::Endpoint;
 use crate::fleet::{ServerPool, ServerSpec};
 use crate::gates::{self, Gate, Verdict};
+use crate::partition::Decision;
 use crate::resilience::{classify, schedule_resilient, FaultClass};
 use crate::OffloadError;
 use snapedge_analyze::Mode;
@@ -451,7 +451,9 @@ impl OffloadSession {
         // Initial selection: no throughput history yet, so the metric
         // ranks candidates by configured link quality. A fleet of one
         // picks its only server without ceremony (and without events).
-        let first = pool.select(cfg.image_bytes as u64, 0).unwrap_or_default();
+        let first = pool
+            .select(cfg.image_bytes as u64, 0, &[])
+            .unwrap_or_default();
         let spec = cfg.servers[first].clone();
         if pool.len() > 1 {
             tracer.record(
@@ -715,11 +717,10 @@ impl OffloadSession {
             // Candidates are ranked by predicted *sojourn* (migration +
             // server-side queueing delay from the engine's outlook); with
             // no outlook, by migration time alone.
-            let Some(next) = self.pool.select_with_delays(
-                self.last_full_bytes,
-                self.model_bytes,
-                &self.queue_outlook,
-            ) else {
+            let Some(next) =
+                self.pool
+                    .select(self.last_full_bytes, self.model_bytes, &self.queue_outlook)
+            else {
                 return Ok(false);
             };
             let spec = match self.pool.spec(next) {
@@ -834,11 +835,7 @@ impl OffloadSession {
         // started on a dead fleet, or the previous round's failover ran
         // out of candidates): there is nothing to ship to, so it is an
         // exhausted candidate like any other.
-        let provisioned = self
-            .pool
-            .health(self.current)
-            .is_some_and(|health| health.model_ready());
-        if !provisioned {
+        if !self.pool.model_ready(self.current) {
             self.pool.mark_exhausted(self.current);
             if !self.failover()? {
                 return self.round_done_locally(clicked_at);

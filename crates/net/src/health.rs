@@ -1,23 +1,24 @@
-//! Proactive link-health prediction.
+//! Per-path link health: what a client has learned about one server's
+//! path from its own traffic.
 //!
-//! The fleet layer already *reacts* to faults: retries penalize a
-//! server's bandwidth estimate and exhaustion triggers a handoff. This
-//! module adds the *predictive* half (ROADMAP: "Estimator-driven fault
-//! prediction"): a [`LinkHealth`] record layers a sliding virtual-time
-//! window of success/fault observations on top of the
-//! [`BandwidthEstimator`] and condenses three signals into a
-//! [`LinkPrediction`]:
+//! The paper's partitioner consumes "the runtime network status"; a real
+//! client learns that status by watching its own transfers. One
+//! [`LinkHealth`] record per path keeps an EWMA bandwidth estimate (every
+//! completed transfer contributes a throughput sample, recent samples
+//! dominate; every fault halves it, down to a floor) and a sliding
+//! virtual-time window of success/fault observations, and condenses
+//! three signals into a [`LinkPrediction`]:
 //!
 //! 1. **fault rate** — the fraction of recent attempts that faulted
 //!    (retries, give-ups, corrupted payloads);
 //! 2. **bandwidth trend** — the current estimate relative to the best
 //!    estimate seen inside the window (a shrinking ratio means the path
 //!    is collapsing faster than fresh samples can restore it);
-//! 3. **time since last success** — a path that has only ever faulted is
-//!    assumed to stay broken.
+//! 3. **staleness** — a path with windowed faults and no success since
+//!    the last reset is assumed to stay broken.
 //!
 //! The prediction is an expected number of *failed attempts* the next
-//! transfer will pay before succeeding. The adaptive offloader converts
+//! transfer will pay before succeeding. The session's plan gate converts
 //! that into a virtual-time penalty (backoff sleeps under the active
 //! retry policy) and inflates the predicted offload time with it, so the
 //! controller proactively picks local execution *before* burning a retry
@@ -25,10 +26,21 @@
 //! observation stream and virtual time — identical fault schedules yield
 //! identical predictions, bit for bit.
 
-use crate::estimator::BandwidthEstimator;
-use crate::Transfer;
+use crate::{LinkConfig, Transfer};
 use std::collections::VecDeque;
 use std::time::Duration;
+
+/// EWMA smoothing factor: the weight of the newest throughput sample.
+const ALPHA: f64 = 0.3;
+
+/// Fraction of the current estimate that survives one fault.
+const PENALTY_FACTOR: f64 = 0.5;
+
+/// Faults never decay the estimate below this floor (one byte per
+/// second). Keeps a penalized-to-death record yielding finite,
+/// well-ordered transfer-time predictions instead of drifting into
+/// denormals.
+const PENALTY_FLOOR_BPS: f64 = 8.0;
 
 /// Sliding-window length for fault-rate and trend tracking.
 const WINDOW: Duration = Duration::from_secs(30);
@@ -38,10 +50,10 @@ const WINDOW: Duration = Duration::from_secs(30);
 const MAX_FAULT_PROB: f64 = 0.9;
 
 /// Upper bound on predicted failed attempts — beyond this the path is
-/// hopeless and more precision buys nothing. Public because the adaptive
-/// offloader's failed-attempt penalty (`cumulative_backoff` of the
-/// predicted retries) is bounded by exactly this clamp: the two paths
-/// must agree on one constant, not duplicate a magic `8`.
+/// hopeless and more precision buys nothing. Public because the plan
+/// gate's failed-attempt penalty (`cumulative_backoff` of the predicted
+/// retries) is bounded by exactly this clamp: the two paths must agree
+/// on one constant, not duplicate a magic `8`.
 pub const MAX_PREDICTED_RETRIES: u32 = 8;
 
 /// A bandwidth trend below this ratio counts as "shrinking": the
@@ -87,103 +99,97 @@ impl LinkPrediction {
     }
 }
 
-/// Windowed fault-rate and bandwidth-trend tracker for one server's
-/// path, layered on a [`BandwidthEstimator`]. Fed by the same
-/// observation stream that feeds the fleet's health records; consumed by
-/// the adaptive offloader's predictive decision.
-#[derive(Debug, Clone, PartialEq)]
+/// One path's health record: the EWMA bandwidth estimate plus the
+/// windowed success/fault history behind [`LinkHealth::predict`]. Fed by
+/// the fleet's transfer and fault observations; read by failover
+/// selection and the plan gate.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkHealth {
-    estimator: BandwidthEstimator,
+    /// Bandwidth estimate in bits/second; `None` before the first
+    /// throughput sample since the last reset.
+    estimate_bps: Option<f64>,
     /// Time-ordered `(at, what, estimate after the observation)`
     /// records, pruned to the window on every observation.
     events: VecDeque<(Duration, Observation, Option<f64>)>,
     last_success: Option<Duration>,
 }
 
-impl Default for LinkHealth {
-    fn default() -> Self {
-        LinkHealth::new(BandwidthEstimator::default())
-    }
-}
-
 impl LinkHealth {
-    /// Builds a tracker over `estimator`.
-    pub fn new(estimator: BandwidthEstimator) -> LinkHealth {
-        LinkHealth {
-            estimator,
-            events: VecDeque::new(),
-            last_success: None,
-        }
-    }
-
-    /// The underlying bandwidth estimator (fed by this tracker's
-    /// success observations, penalized by its fault observations).
-    pub fn estimator(&self) -> &BandwidthEstimator {
-        &self.estimator
-    }
-
-    /// Forgets all history — estimator, window and success mark —
-    /// returning the tracker to its freshly-built state.
+    /// Forgets all history — estimate, window and success mark —
+    /// returning the record to its default state. Called on a server
+    /// handoff so estimates never mix throughput observed against
+    /// different epochs of a path.
     pub fn reset(&mut self) {
-        self.estimator.reset();
-        self.events.clear();
-        self.last_success = None;
+        *self = LinkHealth::default();
     }
 
-    /// Virtual time of the most recent successful transfer, if any.
-    pub fn last_success(&self) -> Option<Duration> {
-        self.last_success
+    /// Current bandwidth estimate in bits/second, if any transfer has
+    /// been observed since the last reset.
+    pub fn estimate_bps(&self) -> Option<f64> {
+        self.estimate_bps
     }
 
-    /// Drops events that fell out of the window ending at `now`.
-    fn prune(&mut self, now: Duration) {
-        let cutoff = now.saturating_sub(WINDOW);
-        while let Some((at, _, _)) = self.events.front() {
-            if *at < cutoff {
-                self.events.pop_front();
-            } else {
-                break;
-            }
+    /// Builds a [`LinkConfig`] from the estimate for feeding a planner.
+    /// Returns `None` before any sample.
+    ///
+    /// Only the bandwidth is estimated; latency, loss and per-transfer
+    /// overhead are inherited from `template` — the configured link the
+    /// observations were made against. (Fabricating `loss: 0` /
+    /// `overhead_bytes: 0` here made every estimate-fed plan optimistic
+    /// on lossy or overhead-heavy paths.)
+    pub fn as_link_config(&self, template: &LinkConfig) -> Option<LinkConfig> {
+        self.estimate_bps.map(|bps| LinkConfig {
+            bandwidth_bps: bps,
+            ..template.clone()
+        })
+    }
+
+    /// Records `what` at virtual time `at` with the estimate it left
+    /// behind, and drops events that fell out of the window ending there.
+    fn push(&mut self, at: Duration, what: Observation) {
+        self.events.push_back((at, what, self.estimate_bps));
+        let cutoff = at.saturating_sub(WINDOW);
+        while self.events.front().is_some_and(|(t, _, _)| *t < cutoff) {
+            self.events.pop_front();
         }
     }
 
-    /// Records a successful transfer of `bytes` over `elapsed`,
-    /// completing at virtual time `at`: feeds the estimator one
-    /// throughput sample and marks a windowed success.
-    pub fn observe_success(&mut self, at: Duration, bytes: u64, elapsed: Duration) {
-        self.estimator.observe(bytes, elapsed);
-        self.last_success = Some(at);
-        self.events
-            .push_back((at, Observation::Success, self.estimator.estimate_bps()));
-        self.prune(at);
-    }
-
-    /// Convenience: observes a completed [`Transfer`] record (success at
-    /// its finish time).
+    /// Records a completed transfer as a windowed success at its finish
+    /// time. Its payload over its elapsed time is one throughput sample;
+    /// zero-byte or zero-duration transfers carry no throughput
+    /// information and leave the estimate alone.
     pub fn observe_transfer(&mut self, transfer: &Transfer) {
-        self.observe_success(transfer.finish, transfer.bytes, transfer.elapsed());
+        let elapsed = transfer.elapsed();
+        if transfer.bytes > 0 && !elapsed.is_zero() {
+            let sample = transfer.bytes as f64 * 8.0 / elapsed.as_secs_f64();
+            self.estimate_bps = Some(match self.estimate_bps {
+                Some(prev) => prev + ALPHA * (sample - prev),
+                None => sample,
+            });
+        }
+        self.last_success = Some(transfer.finish);
+        self.push(transfer.finish, Observation::Success);
     }
 
-    /// Records one fault observation at virtual time `at`: penalizes the
-    /// bandwidth estimate and marks a windowed fault.
-    fn observe_fault(&mut self, at: Duration) {
-        self.estimator.penalize();
-        self.events
-            .push_back((at, Observation::Fault, self.estimator.estimate_bps()));
-        self.prune(at);
-    }
-
-    /// Records `count` fault observations at virtual time `at`.
+    /// Records `count` fault observations at virtual time `at`. A refused
+    /// or repeatedly-retried transfer carries real information about the
+    /// path even though no bytes got through: each fault halves the
+    /// estimate (down to [`PENALTY_FLOOR_BPS`], so an arbitrarily
+    /// penalized record still yields finite, monotone transfer-time
+    /// predictions) and lands in the window. Before the first sample
+    /// there is no estimate to decay, and inventing one would poison the
+    /// first real observation.
     pub fn observe_faults(&mut self, count: usize, at: Duration) {
         for _ in 0..count {
-            self.observe_fault(at);
+            self.estimate_bps = self.estimate_bps.map(|prev| {
+                if prev <= PENALTY_FLOOR_BPS {
+                    prev
+                } else {
+                    (prev * PENALTY_FACTOR).max(PENALTY_FLOOR_BPS)
+                }
+            });
+            self.push(at, Observation::Fault);
         }
-    }
-
-    /// Fraction of attempts inside the window ending at `now` that
-    /// faulted. Zero with no windowed history.
-    pub fn fault_rate(&self, now: Duration) -> f64 {
-        self.predict(now).fault_rate
     }
 
     /// Condenses the windowed history into a [`LinkPrediction`] as of
@@ -215,7 +221,7 @@ impl LinkHealth {
         } else {
             faults as f64 / total as f64
         };
-        let bandwidth_trend = match (self.estimator.estimate_bps(), peak_estimate) {
+        let bandwidth_trend = match (self.estimate_bps, peak_estimate) {
             (Some(current), Some(peak)) if peak > 0.0 => current / peak,
             _ => 1.0,
         };
@@ -232,7 +238,8 @@ impl LinkHealth {
             expected += 1.0;
         }
         if self.last_success.is_none() && faults > 0 {
-            // The path has never delivered a byte; assume it stays dead.
+            // The path has not delivered a byte since the last reset;
+            // assume it stays dead.
             expected += 1.0;
         }
         let predicted_retries = (expected.ceil() as u32).min(MAX_PREDICTED_RETRIES);
@@ -253,9 +260,117 @@ mod tests {
         Duration::from_secs(s)
     }
 
+    /// `bytes` delivered over the `elapsed` ending at `finish`.
+    fn transfer(finish: Duration, bytes: u64, elapsed: Duration) -> Transfer {
+        Transfer {
+            start: finish - elapsed,
+            finish,
+            bytes,
+            corrupted: false,
+        }
+    }
+
     fn success(h: &mut LinkHealth, at: Duration) {
         // ~8 Mbps sample.
-        h.observe_success(at, 1_000_000, Duration::from_secs(1));
+        h.observe_transfer(&transfer(at, 1_000_000, secs(1)));
+    }
+
+    #[test]
+    fn first_sample_sets_the_estimate() {
+        let mut h = LinkHealth::default();
+        assert_eq!(h.estimate_bps(), None);
+        success(&mut h, secs(1));
+        assert_eq!(h.estimate_bps(), Some(8.0e6));
+    }
+
+    #[test]
+    fn converges_toward_a_stable_rate() {
+        let mut h = LinkHealth::default();
+        for t in 1..=50 {
+            h.observe_transfer(&transfer(secs(t), 3_750_000, secs(1))); // 30 Mbps
+        }
+        let est = h.estimate_bps().unwrap();
+        assert!((est - 30.0e6).abs() / 30.0e6 < 0.01, "est {est}");
+    }
+
+    #[test]
+    fn reacts_to_degradation() {
+        let mut h = LinkHealth::default();
+        for t in 1..=10 {
+            h.observe_transfer(&transfer(secs(t), 3_750_000, secs(1))); // 30 Mbps
+        }
+        for t in 11..=20 {
+            h.observe_transfer(&transfer(secs(t), 125_000, secs(1))); // 1 Mbps
+        }
+        // 1 Mbps plus 0.7^10 of the 29 Mbps gap: the estimate tracks the
+        // collapse. The bits are the smoothing constant's signature.
+        let est = h.estimate_bps().unwrap();
+        assert_eq!(est.to_bits(), 0x413b_c22a_38db_8bad, "est {est}");
+        assert!(est < 2.0e6, "should track the collapse, est {est}");
+    }
+
+    #[test]
+    fn ignores_information_free_samples() {
+        let mut h = LinkHealth::default();
+        h.observe_transfer(&transfer(secs(1), 0, secs(1)));
+        h.observe_transfer(&transfer(secs(2), 100, Duration::ZERO));
+        assert_eq!(h.estimate_bps(), None);
+        // They still delivered: the window counts two successes.
+        let p = h.predict(secs(2));
+        assert!(p.healthy());
+        assert_eq!(p.time_since_success, Some(Duration::ZERO));
+    }
+
+    #[test]
+    fn link_config_roundtrip() {
+        // A lossy, overhead-heavy template: the estimate replaces only
+        // the bandwidth, everything else is inherited verbatim.
+        let template = LinkConfig {
+            bandwidth_bps: 100.0e6,
+            latency: Duration::from_millis(5),
+            overhead_bytes: 512,
+            loss: 0.2,
+        };
+        let mut h = LinkHealth::default();
+        assert!(h.as_link_config(&template).is_none());
+        h.observe_transfer(&transfer(secs(1), 3_750_000, secs(1)));
+        let cfg = h.as_link_config(&template).unwrap();
+        assert!((cfg.bandwidth_bps - 30.0e6).abs() < 1.0);
+        assert_eq!(cfg.latency, template.latency);
+        assert_eq!(cfg.overhead_bytes, template.overhead_bytes);
+        assert_eq!(cfg.loss, template.loss);
+        // The config is usable for transfer-time prediction, and the
+        // inherited loss makes it slower than a fabricated lossless one.
+        let lossy = cfg.transfer_time(3_750_000).unwrap();
+        assert!(lossy.as_secs_f64() > 0.9);
+        let lossless = LinkConfig { loss: 0.0, ..cfg }
+            .transfer_time(3_750_000)
+            .unwrap();
+        assert!(lossy > lossless, "loss must survive the round-trip");
+    }
+
+    #[test]
+    fn penalties_halve_the_estimate() {
+        let mut h = LinkHealth::default();
+        // Before any sample a fault leaves the estimate alone.
+        h.observe_faults(1, secs(1));
+        assert_eq!(h.estimate_bps(), None);
+        success(&mut h, secs(2)); // 8 Mbps
+        h.observe_faults(1, secs(2));
+        assert_eq!(h.estimate_bps(), Some(4.0e6));
+        h.observe_faults(1, secs(2));
+        assert_eq!(h.estimate_bps(), Some(2.0e6));
+    }
+
+    #[test]
+    fn penalties_decay_to_a_floor_not_to_zero() {
+        let mut h = LinkHealth::default();
+        h.observe_transfer(&transfer(secs(1), 3_750_000, secs(1))); // 30 Mbps
+        h.observe_faults(500, secs(2));
+        assert_eq!(h.estimate_bps(), Some(PENALTY_FLOOR_BPS));
+        // The floored estimate still yields a finite link config.
+        let cfg = h.as_link_config(&LinkConfig::wifi_30mbps()).unwrap();
+        assert!(cfg.transfer_time(1024).is_ok());
     }
 
     #[test]
@@ -278,7 +393,7 @@ mod tests {
         assert!(p.healthy());
         assert_eq!(p.fault_rate, 0.0);
         assert_eq!(p.time_since_success, Some(secs(1)));
-        assert!(h.estimator().estimate_bps().is_some());
+        assert!(h.estimate_bps().is_some());
     }
 
     #[test]
@@ -287,7 +402,7 @@ mod tests {
         for t in 1..=5 {
             success(&mut h, secs(t));
         }
-        h.observe_fault(secs(6));
+        h.observe_faults(1, secs(6));
         let p = h.predict(secs(6));
         assert!(!p.healthy());
         assert!(p.predicted_retries >= 1);
@@ -298,7 +413,7 @@ mod tests {
     fn rising_fault_rate_raises_the_prediction() {
         let mut h = LinkHealth::default();
         success(&mut h, secs(1));
-        h.observe_fault(secs(2));
+        h.observe_faults(1, secs(2));
         let one = h.predict(secs(2)).predicted_retries;
         h.observe_faults(6, secs(3));
         let many = h.predict(secs(3)).predicted_retries;
@@ -309,9 +424,9 @@ mod tests {
     #[test]
     fn a_path_that_never_succeeded_is_assumed_dead() {
         let mut h = LinkHealth::default();
-        h.observe_fault(secs(1));
+        h.observe_faults(1, secs(1));
         let p = h.predict(secs(1));
-        // Penalize before any sample is a no-op on the estimator, but the
+        // A fault before any sample leaves the estimate alone, but the
         // windowed fault plus the no-success rule still predict trouble.
         assert!(p.predicted_retries >= 2);
         assert_eq!(p.time_since_success, None);
@@ -348,9 +463,26 @@ mod tests {
         success(&mut h, secs(1));
         h.observe_faults(5, secs(2));
         h.reset();
-        assert_eq!(h.estimator().estimate_bps(), None);
-        assert_eq!(h.last_success(), None);
+        assert_eq!(h, LinkHealth::default());
+        assert_eq!(h.estimate_bps(), None);
+        assert_eq!(h.predict(secs(3)).time_since_success, None);
         assert!(h.predict(secs(3)).healthy());
+    }
+
+    #[test]
+    fn reset_forgets_everything() {
+        let mut h = LinkHealth::default();
+        for t in 1..=5 {
+            h.observe_transfer(&transfer(secs(t), 3_750_000, secs(1)));
+        }
+        h.observe_faults(1, secs(6));
+        assert!(h.estimate_bps().is_some());
+        h.reset();
+        assert_eq!(h.estimate_bps(), None);
+        // Still usable after the reset — and the first post-reset sample
+        // sets the estimate outright, untainted by pre-reset history.
+        success(&mut h, secs(7));
+        assert_eq!(h.estimate_bps(), Some(8.0e6));
     }
 
     #[test]
@@ -358,7 +490,7 @@ mod tests {
         let build = || {
             let mut h = LinkHealth::default();
             success(&mut h, secs(1));
-            h.observe_fault(secs(2));
+            h.observe_faults(1, secs(2));
             success(&mut h, secs(3));
             h.observe_faults(2, secs(4));
             h
@@ -376,7 +508,7 @@ mod tests {
             bytes: 1_000_000,
             corrupted: false,
         });
-        assert_eq!(h.last_success(), Some(secs(2)));
-        assert_eq!(h.estimator().estimate_bps(), Some(8.0e6));
+        assert_eq!(h.predict(secs(2)).time_since_success, Some(Duration::ZERO));
+        assert_eq!(h.estimate_bps(), Some(8.0e6));
     }
 }

@@ -42,14 +42,12 @@
 
 mod clock;
 pub mod compress;
-mod estimator;
 mod fault;
 mod health;
 mod link;
 mod queue;
 
 pub use clock::SimClock;
-pub use estimator::BandwidthEstimator;
 pub use fault::{FaultKind, FaultPlan, FaultWindow, LinkState};
 pub use health::{LinkHealth, LinkPrediction, MAX_PREDICTED_RETRIES};
 pub use link::{Link, LinkConfig, NetError, Transfer};

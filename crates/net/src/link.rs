@@ -10,7 +10,9 @@ use std::time::Duration;
 pub enum NetError {
     /// The link is administratively down (failure injection).
     LinkDown,
-    /// A transfer of zero bandwidth can never complete.
+    /// The transfer cannot complete in representable virtual time: the
+    /// link has no usable bandwidth, its size overflows a `u64`, or it
+    /// would end past the largest `Duration`.
     ZeroBandwidth,
     /// A compressed payload failed to decode.
     Corrupt(String),
@@ -23,7 +25,9 @@ impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetError::LinkDown => write!(f, "link is down"),
-            NetError::ZeroBandwidth => write!(f, "link has zero bandwidth"),
+            NetError::ZeroBandwidth => {
+                write!(f, "transfer cannot complete in representable virtual time")
+            }
             NetError::Corrupt(msg) => write!(f, "corrupt payload: {msg}"),
             NetError::BadFaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
         }
@@ -77,6 +81,14 @@ impl LinkConfig {
         self
     }
 
+    /// Payload plus per-transfer overhead; a sum past `u64::MAX` is no
+    /// transfer virtual time can price.
+    fn wire_bytes(&self, bytes: u64) -> Result<u64, NetError> {
+        bytes
+            .checked_add(self.overhead_bytes)
+            .ok_or(NetError::ZeroBandwidth)
+    }
+
     /// Bandwidth effectively delivered to payloads once retransmissions
     /// are accounted for. The loss rate is clamped to `[0, 0.99]` here (not
     /// just in [`LinkConfig::with_loss`]) so hand-built configs can never
@@ -91,15 +103,18 @@ impl LinkConfig {
     ///
     /// Returns [`NetError::ZeroBandwidth`] when the effective bandwidth is
     /// not a positive finite rate (zero/negative/NaN configured bandwidth)
-    /// — the division would otherwise produce an infinite duration and
-    /// panic inside `Duration::from_secs_f64`.
+    /// or the transfer does not fit virtual time (a vanishing rate, a
+    /// huge latency, payload plus overhead past `u64::MAX`).
     pub fn transfer_time(&self, bytes: u64) -> Result<Duration, NetError> {
         let bw = self.effective_bandwidth_bps();
         if !(bw.is_finite() && bw > 0.0) {
             return Err(NetError::ZeroBandwidth);
         }
-        let bits = (bytes + self.overhead_bytes) as f64 * 8.0;
-        Ok(self.latency + Duration::from_secs_f64(bits / bw))
+        let bits = self.wire_bytes(bytes)? as f64 * 8.0;
+        let wire = Duration::try_from_secs_f64(bits / bw).map_err(|_| NetError::ZeroBandwidth)?;
+        self.latency
+            .checked_add(wire)
+            .ok_or(NetError::ZeroBandwidth)
     }
 }
 
@@ -220,7 +235,7 @@ impl Link {
     ///
     /// Returns [`NetError::LinkDown`] when the link is failed (statically
     /// or by the plan), or [`NetError::ZeroBandwidth`] for a non-positive
-    /// rate.
+    /// rate or a finish past the largest `Duration`.
     pub fn schedule(&mut self, now: Duration, bytes: u64) -> Result<Transfer, NetError> {
         if self.down {
             return Err(NetError::LinkDown);
@@ -243,12 +258,10 @@ impl Link {
             return Err(NetError::LinkDown);
         }
         let (finish, corrupted, stalls, degraded) = if self.faults.is_empty() {
-            (
-                start + self.config.transfer_time(bytes)?,
-                false,
-                vec![],
-                vec![],
-            )
+            let finish = start
+                .checked_add(self.config.transfer_time(bytes)?)
+                .ok_or(NetError::ZeroBandwidth)?;
+            (finish, false, vec![], vec![])
         } else {
             self.serialize_through_faults(start, bytes, bw)?
         };
@@ -321,7 +334,9 @@ impl Link {
     /// # Errors
     ///
     /// Returns [`NetError::BadFaultPlan`] for a plan whose stalled window
-    /// never ends (a transfer through it could never complete).
+    /// never ends (a transfer through it could never complete), or
+    /// [`NetError::ZeroBandwidth`] when the finish does not fit a
+    /// `Duration`.
     #[allow(clippy::type_complexity)]
     fn serialize_through_faults(
         &self,
@@ -337,7 +352,7 @@ impl Link {
         ),
         NetError,
     > {
-        let mut remaining_bits = (bytes + self.config.overhead_bytes) as f64 * 8.0;
+        let mut remaining_bits = self.config.wire_bytes(bytes)? as f64 * 8.0;
         let mut t = start;
         let mut corrupted = false;
         let mut stalls = Vec::new();
@@ -365,16 +380,15 @@ impl Link {
             if let LinkState::Corrupting = state {
                 corrupted = true;
             }
-            let needed = Duration::from_secs_f64(remaining_bits / rate);
-            let seg_fits = match boundary {
-                Some(edge) => t + needed <= edge,
-                None => true,
-            };
-            if seg_fits {
+            let done = Duration::try_from_secs_f64(remaining_bits / rate)
+                .ok()
+                .and_then(|needed| t.checked_add(needed));
+            if boundary.is_none_or(|edge| done.is_some_and(|done| done <= edge)) {
+                let done = done.ok_or(NetError::ZeroBandwidth)?;
                 if let LinkState::Degraded(_) = state {
-                    degraded.push((t, t + needed));
+                    degraded.push((t, done));
                 }
-                t += needed;
+                t = done;
                 break;
             }
             let Some(edge) = boundary else {
@@ -389,7 +403,10 @@ impl Link {
             }
             t = edge;
         }
-        Ok((t + self.config.latency, corrupted, stalls, degraded))
+        let finish = t
+            .checked_add(self.config.latency)
+            .ok_or(NetError::ZeroBandwidth)?;
+        Ok((finish, corrupted, stalls, degraded))
     }
 
     /// When the link becomes idle.
@@ -562,6 +579,59 @@ mod tests {
             ..LinkConfig::wifi_30mbps()
         };
         assert_eq!(negative.transfer_time(1_000), Err(NetError::ZeroBandwidth));
+    }
+
+    #[test]
+    fn times_past_the_largest_duration_error_instead_of_panicking() {
+        let wifi = LinkConfig::wifi_30mbps();
+        let vanishing = LinkConfig {
+            bandwidth_bps: 1e-300,
+            ..wifi.clone()
+        };
+        let far = LinkConfig {
+            latency: Duration::MAX,
+            ..wifi.clone()
+        };
+        assert_eq!(vanishing.transfer_time(1), Err(NetError::ZeroBandwidth));
+        assert_eq!(far.transfer_time(1), Err(NetError::ZeroBandwidth));
+        // A byte sum past u64::MAX errors instead of wrapping into a
+        // near-free transfer.
+        let heavy = LinkConfig {
+            overhead_bytes: u64::MAX,
+            ..wifi.clone()
+        };
+        assert!(heavy.transfer_time(0).unwrap() > Duration::from_secs(1_000_000_000));
+        assert_eq!(heavy.transfer_time(1), Err(NetError::ZeroBandwidth));
+        // Scheduling late on an otherwise healthy link, plain and through
+        // a fault plan.
+        let plan = || {
+            FaultPlan::none()
+                .degraded(Duration::ZERO, secs(100.0), 0.5)
+                .unwrap()
+        };
+        let late = Duration::MAX - Duration::from_millis(1);
+        assert_eq!(
+            Link::new(wifi.clone()).schedule(late, 1_000),
+            Err(NetError::ZeroBandwidth)
+        );
+        assert_eq!(
+            Link::new(wifi)
+                .with_fault_plan(plan())
+                .schedule(late, 1_000),
+            Err(NetError::ZeroBandwidth)
+        );
+        for cfg in [vanishing, far, heavy] {
+            assert_eq!(
+                Link::new(cfg.clone()).schedule(Duration::ZERO, 1_000),
+                Err(NetError::ZeroBandwidth)
+            );
+            assert_eq!(
+                Link::new(cfg)
+                    .with_fault_plan(plan())
+                    .schedule(Duration::ZERO, 1_000),
+                Err(NetError::ZeroBandwidth)
+            );
+        }
     }
 
     #[test]

@@ -1,48 +1,43 @@
 //! Closing the control loop: the client *measures* its link with the
-//! EWMA estimator and feeds the estimate to the adaptive offloader —
+//! EWMA estimate of a link-health record and feeds it to the planner —
 //! "the runtime network status" of Section III-B.2, end to end.
 
 use snapedge_core::prelude::*;
-use snapedge_core::{AdaptiveOffloader, AdaptivePolicy, Decision};
-use snapedge_dnn::ModelBundle;
-use snapedge_net::BandwidthEstimator;
+use snapedge_core::{Decision, PartitionOptimizer, Plan};
 use std::time::Duration;
 
-fn controller(model: &str) -> AdaptiveOffloader {
-    let net = zoo::by_name(model).unwrap();
-    let bytes = ModelBundle::from_network(&net).total_bytes();
-    AdaptiveOffloader::new(
-        net,
+/// The privacy-constrained plan for `model` with its model installed.
+fn plan(model: &str, link: LinkConfig) -> Plan {
+    PartitionOptimizer::new(
+        &zoo::by_name(model).unwrap(),
         odroid_xu4(),
         edge_server_x86(),
-        bytes,
-        AdaptivePolicy {
-            require_privacy: true,
-        },
+        link,
     )
+    .plan(true, None, Duration::ZERO)
+    .unwrap()
 }
 
 /// Run some probe transfers through a real (simulated) link and return the
-/// estimator's view of it.
+/// estimate's view of it.
 fn measured_config(true_link: &LinkConfig, probes: usize) -> LinkConfig {
     let mut link = Link::new(true_link.clone());
-    let mut estimator = BandwidthEstimator::new(0.4);
+    let mut health = LinkHealth::default();
     let mut now = Duration::ZERO;
     for i in 0..probes {
         let transfer = link.schedule(now, 500_000 + 10_000 * i as u64).unwrap();
-        estimator.observe_transfer(&transfer);
+        health.observe_transfer(&transfer);
         now = transfer.finish + Duration::from_millis(200);
     }
-    estimator.as_link_config(true_link).unwrap()
+    health.as_link_config(true_link).unwrap()
 }
 
 #[test]
 fn estimator_driven_decision_matches_oracle_on_a_good_link() {
-    let ctl = controller("googlenet");
     let truth = LinkConfig::wifi_30mbps();
     let measured = measured_config(&truth, 8);
-    let oracle_plan = ctl.decide(&truth, true).unwrap();
-    let measured_plan = ctl.decide(&measured, true).unwrap();
+    let oracle_plan = plan("googlenet", truth);
+    let measured_plan = plan("googlenet", measured);
     assert_eq!(oracle_plan.decision, measured_plan.decision);
     assert_eq!(
         measured_plan.decision,
@@ -54,34 +49,43 @@ fn estimator_driven_decision_matches_oracle_on_a_good_link() {
 
 #[test]
 fn estimator_tracks_degradation_and_flips_the_decision() {
-    let ctl = controller("agenet");
+    let first_pool = Decision::Partial {
+        cut: "1st_pool".into(),
+    };
 
     // Phase 1: healthy link -> offload.
     let good = measured_config(&LinkConfig::wifi_30mbps(), 6);
-    assert_ne!(ctl.decide(&good, true).unwrap().decision, Decision::Local);
+    assert_eq!(plan("agenet", good).decision, first_pool);
 
     // Phase 2: the client walks away; throughput collapses. Feed the SAME
-    // estimator the bad samples and watch the plan flip.
-    let mut estimator = BandwidthEstimator::new(0.5);
+    // record the bad samples and watch the plan flip: at the estimate's
+    // smoothing constant it takes nine 0.05 Mbps samples to pull the
+    // estimate from ~29 Mbps to where AgeNet runs locally.
+    let mut health = LinkHealth::default();
     let mut now = Duration::ZERO;
     let mut good_link = Link::new(LinkConfig::wifi_30mbps());
     for _ in 0..4 {
         let t = good_link.schedule(now, 500_000).unwrap();
-        estimator.observe_transfer(&t);
+        health.observe_transfer(&t);
         now = t.finish;
     }
     let mut bad_link = Link::new(LinkConfig::mbps(0.05));
-    for _ in 0..8 {
+    let mut decisions = Vec::new();
+    for _ in 0..9 {
         let t = bad_link.schedule(now, 500_000).unwrap();
-        estimator.observe_transfer(&t);
+        health.observe_transfer(&t);
         now = t.finish;
+        let degraded = health.as_link_config(&LinkConfig::mbps(0.05)).unwrap();
+        decisions.push((degraded.bandwidth_bps, plan("agenet", degraded).decision));
     }
-    let degraded = estimator.as_link_config(&LinkConfig::mbps(0.05)).unwrap();
+    let (after_8, still) = &decisions[7];
+    assert_eq!(*still, first_pool, "estimate was {:.2} Mbps", after_8 / 1e6);
+    let (after_9, flipped) = &decisions[8];
     assert_eq!(
-        ctl.decide(&degraded, true).unwrap().decision,
+        *flipped,
         Decision::Local,
         "estimate was {:.2} Mbps",
-        degraded.bandwidth_bps / 1e6
+        after_9 / 1e6
     );
 }
 

@@ -87,3 +87,47 @@ fn zero_bandwidth_link_fails_cleanly() {
     let err = run_scenario(&cfg).unwrap_err();
     assert!(matches!(err, OffloadError::Net(_)), "{err:?}");
 }
+
+/// Link times too large for a `Duration` — a vanishing rate, an
+/// enormous latency, payload plus overhead past `u64::MAX` — are a
+/// `NetError`, never a panic, on every entry point the CLI drives.
+#[test]
+fn unrepresentable_link_times_are_errors_not_panics() {
+    let paper = |strategy| {
+        let mut cfg = ScenarioConfig::paper("agenet", strategy);
+        cfg.primary_mut().link = LinkConfig::mbps(1e-300);
+        cfg
+    };
+    let partial = Strategy::Partial {
+        cut: "1st_pool".into(),
+    };
+    for cfg in [paper(Strategy::OffloadAfterAck), paper(partial)] {
+        let err = run_scenario(&cfg).unwrap_err();
+        assert!(matches!(err, OffloadError::Net(_)), "{err:?}");
+    }
+    let template = ServerSpec::new("t", edge_server_x86(), LinkConfig::mbps(30.0));
+    for spec in [
+        "a,bps=1e-300",
+        "a,latency=1e19",
+        "a,overhead=18446744073709551615",
+    ] {
+        let mut cfg = paper(Strategy::OffloadAfterAck);
+        cfg.servers = parse_servers(spec, &template).unwrap();
+        let err = run_scenario(&cfg).unwrap_err();
+        assert!(matches!(err, OffloadError::Net(_)), "{spec}: {err:?}");
+    }
+    let mut fleet = SessionConfig::paper("agenet");
+    fleet.primary_mut().link = LinkConfig::mbps(1e-300);
+    let run = Engine::modeled(fleet, 2).and_then(|engine| {
+        let mut engine = engine.duration(Duration::from_secs(5));
+        engine.run()
+    });
+    assert!(run.is_err());
+    let install = vm_install(
+        "agenet",
+        1_000_000,
+        &LinkConfig::mbps(1e-300),
+        &snapedge_vmsynth::SynthesisConfig::default(),
+    );
+    assert!(matches!(install, Err(OffloadError::Net(_))), "{install:?}");
+}

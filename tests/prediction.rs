@@ -20,7 +20,7 @@
 
 use snapedge_core::prelude::*;
 use snapedge_core::Decision;
-use snapedge_net::BandwidthEstimator;
+use snapedge_net::Transfer;
 use snapedge_rng::Rng;
 use std::time::Duration;
 
@@ -442,9 +442,8 @@ fn floored_estimator_keeps_migration_predictions_finite_and_monotone() {
             pool.observe_faults(0, burst, at);
         }
         let estimate = pool
-            .health(0)
+            .link(0)
             .unwrap()
-            .estimator()
             .estimate_bps()
             .expect("the sample survives any number of penalties");
         assert!(estimate.is_finite() && estimate > 0.0, "trial {trial}");
@@ -469,14 +468,19 @@ fn link_health_predictions_are_deterministic_across_identical_schedules() {
     for seed in [7u64, 99, 0xDEAD] {
         let schedule = |seed: u64| {
             let mut rng = Rng::seed_from_u64(seed);
-            let mut health = LinkHealth::new(BandwidthEstimator::new(0.3));
+            let mut health = LinkHealth::default();
             let mut now = Duration::ZERO;
             for _ in 0..200 {
                 now += Duration::from_millis(rng.gen_range_u64(5, 2_000));
                 if rng.next_bool() {
                     let bytes = rng.gen_range_u64(1_000, 2_000_000);
                     let elapsed = Duration::from_millis(rng.gen_range_u64(1, 500));
-                    health.observe_success(now, bytes, elapsed);
+                    health.observe_transfer(&Transfer {
+                        start: now.saturating_sub(elapsed),
+                        finish: now,
+                        bytes,
+                        corrupted: false,
+                    });
                 } else {
                     health.observe_faults(rng.gen_range_usize(1, 4), now);
                 }
@@ -490,4 +494,74 @@ fn link_health_predictions_are_deterministic_across_identical_schedules() {
         assert!(a_now.fault_rate >= 0.0 && a_now.fault_rate <= 1.0);
         assert!(a_now.predicted_retries <= 8, "retries are capped");
     }
+}
+
+/// FNV-1a over little-endian words.
+fn fnv_words(words: &[u64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A seeded 200-step walk through one link-health record: random
+/// successes and faults, a fault storm that floors the estimate, two
+/// quiet gaps longer than the window, and a reset followed by faults
+/// only. `(predicted_retries, estimate bits)` after every step is hashed;
+/// the value was recorded on the two-type estimator this record replaced.
+#[test]
+fn the_estimator_trajectory_is_pinned() {
+    let mut rng = Rng::seed_from_u64(0x1_1AB5);
+    let mut health = LinkHealth::default();
+    let mut now = Duration::ZERO;
+    let mut words = Vec::new();
+    let (mut floored, mut aged_out, mut stale_after_reset) = (false, false, false);
+    for step in 0..200u32 {
+        match step {
+            // Quiet gaps longer than the window let every fault age out.
+            70 | 150 => now += Duration::from_secs(45),
+            // A fault storm drives the estimate down to the floor.
+            40..=69 => {
+                now += Duration::from_millis(rng.gen_range_u64(1, 200));
+                health.observe_faults(rng.gen_range_usize(1, 4), now);
+            }
+            100 => health.reset(),
+            // Right after the reset, faults arrive before any success.
+            101..=104 => {
+                now += Duration::from_millis(rng.gen_range_u64(1, 500));
+                health.observe_faults(1, now);
+            }
+            _ => {
+                now += Duration::from_millis(rng.gen_range_u64(5, 2_000));
+                if rng.gen_range_u64(0, 4) == 0 {
+                    health.observe_faults(rng.gen_range_usize(1, 3), now);
+                } else {
+                    let elapsed = Duration::from_millis(rng.gen_range_u64(1, 500));
+                    let transfer = Transfer {
+                        start: now,
+                        finish: now + elapsed,
+                        bytes: rng.gen_range_u64(1_000, 4_000_000),
+                        corrupted: false,
+                    };
+                    health.observe_transfer(&transfer);
+                    now = transfer.finish;
+                }
+            }
+        }
+        let prediction = health.predict(now);
+        let estimate = health.estimate_bps();
+        floored |= estimate == Some(8.0);
+        aged_out |= step == 70 && prediction.fault_rate == 0.0;
+        stale_after_reset |= step == 101
+            && prediction.time_since_success.is_none()
+            && prediction.predicted_retries >= 2;
+        words.push(u64::from(prediction.predicted_retries));
+        words.push(estimate.map_or(u64::MAX, f64::to_bits));
+    }
+    assert!(floored && aged_out && stale_after_reset);
+    let hash = fnv_words(&words);
+    assert_eq!(hash, 0x13ba_9bba_b0dc_0b8a, "{hash:#018x}");
 }

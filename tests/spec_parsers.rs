@@ -7,17 +7,21 @@
 //! converting it must be a parse error, not a panic. The literal cases pin
 //! that; the seeded byte-mutation loops pin it for everything near a valid
 //! spec, with exponent fragments in the mutation pool so overlong times
-//! come up often. `Trace::from_jsonl` gets the same loop over a real
-//! session's trace, with multi-byte text and overlong numbers in its pool.
+//! come up often. The `--servers` loop also schedules one transfer on
+//! every spec that parses, so a value that parses but cannot be used (a
+//! vanishing rate, an enormous latency or overhead) must error there too.
+//! `Trace::from_jsonl` gets the same loop over a real session's trace,
+//! with multi-byte text and overlong numbers in its pool.
 
 use snapedge_core::{
     edge_server_x86, parse_servers, MeterLimits, OffloadSession, RetryPolicy, ServerSpec,
     SessionConfig,
 };
-use snapedge_net::{FaultPlan, LinkConfig};
+use snapedge_net::{FaultPlan, Link, LinkConfig};
 use snapedge_rng::Rng;
 use snapedge_trace::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 fn template() -> ServerSpec {
     ServerSpec::new("t", edge_server_x86(), LinkConfig::wifi_30mbps())
@@ -54,8 +58,23 @@ fn parsers() -> Vec<(&'static str, &'static [&'static str], Parser)> {
             &[
                 "edge-a,mbps=30,latency=0.002;edge-b,up=down@2..5+corrupt@7..8,meter=ops=5+slice=2.5",
                 "a,faults=degrade@1..2x0.5,loss=0.01,overhead=64",
+                // Usable, but one digit away from a transfer no
+                // `Duration` or `u64` byte count can hold.
+                "a,bps=8e-6,overhead=1844674407370955161",
             ],
-            Box::new(move |s| parse_servers(s, &template).is_ok()),
+            // A spec that parses must also be usable: one transfer on
+            // every server's uplink completes or errors, never panics.
+            Box::new(move |s| match parse_servers(s, &template) {
+                Ok(servers) => {
+                    for server in servers {
+                        let _ = Link::new(server.link)
+                            .with_fault_plan(server.up_faults)
+                            .schedule(Duration::ZERO, 100_000);
+                    }
+                    true
+                }
+                Err(_) => false,
+            }),
         ),
     ]
 }
