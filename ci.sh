@@ -95,6 +95,9 @@ cargo build --offline --release --workspace
 echo "== cargo test"
 cargo test --offline -q --workspace
 
+echo "== a long session keeps only its live heap (2 000 3rd_pool rounds, release: live bytes grow < 20 MB)"
+cargo test --offline --release -q -p snapedge-integration --test session_memory -- --ignored
+
 echo "== float printer = Display on 1/256 of every finite f32 (a wrong table entry or tie rule fails here, not as a fixture hash)"
 PARTS=256 cargo test --offline --release -q -p snapedge-webapp --lib -- --ignored every_finite_pattern_prints_as_display
 

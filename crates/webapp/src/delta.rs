@@ -25,7 +25,7 @@ use crate::dom::DomNodeId;
 use crate::f32text::render_f32_literal;
 use crate::intern::{Ident, Symbol};
 use crate::snapshot::{element_expr, emit_globals_script, value_ref, RESERVED_PREFIX};
-use crate::value::ObjId;
+use crate::value::{Heap, ObjId};
 use crate::{SnapshotOptions, WebError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -166,6 +166,10 @@ impl Browser {
     /// current globals is recorded and the write-barrier dirty sets are
     /// reset, so the next [`Browser::capture_delta`] against this base can
     /// diff only what was actually touched since.
+    ///
+    /// And it collects: every heap cell no global reaches (reserved
+    /// globals included) is freed, ids kept (see [`crate::Heap`]). Call it
+    /// with the interpreter idle, as both sides do after a migration.
     pub fn state_base(&mut self) -> StateBase {
         let origin = match self.build_snap_cache() {
             Ok(token) => Some((self.browser_id, token)),
@@ -183,30 +187,38 @@ impl Browser {
         }
     }
 
+    /// Walks what every global reaches, frees the rest of the heap, and
+    /// records the walk as the capture anchor. The anchor needs the walk
+    /// per non-reserved global; the collector needs its union plus what
+    /// the reserved globals reach. That is the whole root set: the
+    /// interpreter is idle, and the DOM, listeners, event queue and host
+    /// objects hold no heap handle between calls.
     fn build_snap_cache(&mut self) -> Result<u64, WebError> {
         let token = BASE_TOKEN.fetch_add(1, Ordering::Relaxed);
         let mut rooted: BTreeMap<ObjId, BTreeSet<Symbol>> = BTreeMap::new();
+        let mut reserved: BTreeSet<ObjId> = BTreeSet::new();
         let mut stack: Vec<ObjId> = Vec::new();
         for (sym, value) in self.core.globals.iter() {
+            let Some(root) = value_ref(value) else {
+                continue;
+            };
             if Ident::from_symbol(sym).starts_with(RESERVED_PREFIX) {
+                if reserved.insert(root) {
+                    stack.push(root);
+                }
+                walk(&self.core.heap, &mut stack, &mut reserved)?;
                 continue;
             }
-            let mut seen: BTreeSet<ObjId> = BTreeSet::new();
-            if let Some(id) = value_ref(value) {
-                seen.insert(id);
-                stack.push(id);
-                while let Some(id) = stack.pop() {
-                    for child in crate::snapshot::cell_refs(self.core.heap.cell(id)?) {
-                        if seen.insert(child) {
-                            stack.push(child);
-                        }
-                    }
-                }
-            }
-            for &id in &seen {
+            let mut seen: BTreeSet<ObjId> = BTreeSet::from([root]);
+            stack.push(root);
+            walk(&self.core.heap, &mut stack, &mut seen)?;
+            for id in seen {
                 rooted.entry(id).or_default().insert(sym);
             }
         }
+        self.core
+            .heap
+            .sweep(|id| rooted.contains_key(&id) || reserved.contains(&id));
         self.core.heap.clear_dirty();
         self.core.globals.clear_dirty();
         self.snap_cache = Some(SnapCache { token, rooted });
@@ -488,14 +500,21 @@ fn reachable_from(core: &Core, names: &BTreeSet<Symbol>) -> Result<BTreeSet<ObjI
             }
         }
     }
+    walk(&core.heap, &mut stack, &mut seen)?;
+    Ok(seen)
+}
+
+/// Pops `stack` until it is empty, adding every cell it reaches to `seen`
+/// (and to the stack, the first time).
+fn walk(heap: &Heap, stack: &mut Vec<ObjId>, seen: &mut BTreeSet<ObjId>) -> Result<(), WebError> {
     while let Some(id) = stack.pop() {
-        for child in crate::snapshot::cell_refs(core.heap.cell(id)?) {
+        for child in crate::snapshot::cell_refs(heap.cell(id)?) {
             if seen.insert(child) {
                 stack.push(child);
             }
         }
     }
-    Ok(seen)
+    Ok(())
 }
 
 /// Stable identity of a DOM node across captures: its id attribute, or the
@@ -751,4 +770,105 @@ fn target_expr_for_key(core: &Core, key: &str) -> Result<String, WebError> {
         )));
     }
     Ok(format!("document.getElementById({})", escape_str(key)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::intern::fnv1a;
+    use crate::state_eq;
+
+    /// Three shapes to orphan: an object → array → `Float32Array` chain,
+    /// a two-object cycle, and an array shared by two globals.
+    const PROGRAM: &str = r#"
+        var keep = {name: "kept", list: [1, 2]};
+        var chain = {inner: [new Float32Array([1.5, 2.5, 3.5])]};
+        var ring = {tag: "a"};
+        ring.next = {back: ring};
+        var a = [10, 20, 30];
+        var b = a;
+    "#;
+
+    /// Runs `step` on `browser`, agrees a base, and renders what must not
+    /// move: `heap.len()` and the full snapshot, which must also restore
+    /// to an equal state.
+    fn agree(browser: &mut Browser, step: &str) -> (StateBase, String) {
+        browser.exec_script(step).unwrap();
+        let base = browser.state_base();
+        let snapshot = browser
+            .capture_snapshot(&SnapshotOptions::default())
+            .unwrap();
+        let mut restored = Browser::new();
+        restored.load_html(snapshot.html()).unwrap();
+        assert!(state_eq(browser, &restored), "{}", snapshot.html());
+        let line = format!(
+            "heap {}, snapshot {} B {:016x}",
+            browser.core.heap.len(),
+            snapshot.size_bytes(),
+            fnv1a(snapshot.html().as_bytes())
+        );
+        (base, line)
+    }
+
+    fn freed(browser: &Browser) -> Vec<usize> {
+        let heap = &browser.core.heap;
+        (0..heap.len())
+            .filter(|&i| heap.is_freed(ObjId(i)))
+            .collect()
+    }
+
+    #[test]
+    fn orphaned_chains_cycles_and_shared_cells_are_freed_without_moving_a_byte() {
+        let mut browser = Browser::new();
+        let (_, loaded) = agree(&mut browser, PROGRAM);
+        // The literal's list slot, kept for ids and never referenced.
+        assert_eq!(freed(&browser), [3]);
+
+        // The chain and the cycle lose their only global; `a` lets go of
+        // the shared array, which `b` still holds.
+        let (base, orphaned) = agree(&mut browser, "chain = null; ring = 0; a = 1;");
+        assert_eq!(freed(&browser), [2, 3, 4, 5, 6, 7]);
+
+        // The last holder lets go; the delta against the swept base is
+        // the same script.
+        browser.exec_script("b = 2;").unwrap();
+        let DeltaCapture::Delta(delta) = browser
+            .capture_delta(&base, &SnapshotOptions::default())
+            .unwrap()
+        else {
+            panic!("expected a delta");
+        };
+        let (_, dropped) = agree(&mut browser, "");
+        assert_eq!(freed(&browser), [2, 3, 4, 5, 6, 7, 8]);
+
+        let delta = format!(
+            "delta {} B {:016x}",
+            delta.size_bytes(),
+            fnv1a(delta.script().as_bytes())
+        );
+        assert_eq!(
+            [loaded, orphaned, delta, dropped],
+            [
+                "heap 9, snapshot 407 B 4480e4c4032b8321",
+                "heap 9, snapshot 220 B b1d32431b002d6ab",
+                "delta 111 B c1c7c4704241a00d",
+                "heap 9, snapshot 211 B f01dc82f2dd9e50d",
+            ],
+            "pinned before cells were freed"
+        );
+    }
+
+    #[test]
+    fn what_a_reserved_global_reaches_is_kept() {
+        let mut browser = Browser::new();
+        browser.exec_script("var x = [[1], 2];").unwrap();
+        let held = browser.global("x");
+        browser
+            .core
+            .globals
+            .insert(Symbol::intern("__snapedge_held"), held);
+        browser.exec_script("x = 0;").unwrap();
+        browser.state_base();
+        assert_eq!(freed(&browser), Vec::<usize>::new());
+    }
 }

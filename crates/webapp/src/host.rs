@@ -12,6 +12,11 @@ use crate::WebError;
 /// Host objects are part of the *environment*, not the app state: snapshots
 /// never serialize them, which mirrors the paper — the browser and the ML
 /// framework exist on both sides; only app state migrates.
+///
+/// A host must not keep a heap handle ([`crate::ObjId`], or a `JsValue`
+/// holding one) past the call that received it: between calls the heap
+/// frees every cell no global reaches, so a kept handle may later read
+/// an empty placeholder.
 pub trait HostObject {
     /// Invokes `object.method(args...)`.
     ///

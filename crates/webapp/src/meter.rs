@@ -34,8 +34,10 @@ pub struct MeterLimits {
     /// Interpreter op budget per tenant (statements/expressions evaluated,
     /// host-API calls, snapshot cells serialized).
     pub max_ops: Option<u64>,
-    /// Heap size cap, in live heap *cells* (objects, arrays,
-    /// `Float32Array`s — the unit the snapshot serializer counts).
+    /// Heap size cap, in heap *cells* (objects, arrays,
+    /// `Float32Array`s — the unit the snapshot serializer counts). It
+    /// counts cell ids ever allocated ([`crate::Heap::len`]), freed ones
+    /// included: collection never lowers it.
     pub max_heap_cells: Option<usize>,
     /// Longest string (bytes) the tenant may build via concatenation.
     pub max_string_len: Option<usize>,

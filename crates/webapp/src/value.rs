@@ -126,14 +126,16 @@ pub enum HeapCell {
     Float32Array(Vec<f32>),
 }
 
-/// Arena of heap cells. No garbage collection: snapshots only serialize
-/// *reachable* cells, so garbage never escapes a session — but it is never
-/// freed either. Cells are reference-counted so that cloning the arena
-/// (every [`StateBase`](crate::StateBase) does) shares them instead of
-/// copying them; a dead cell is therefore no longer *copied* each round, but
-/// it is still *held*: on the partial-inference workload each side keeps
-/// one dead 75 kB feature array per round for the life of the session.
-/// Freeing unreachable cells is open (ROADMAP, tensor text).
+/// Arena of heap cells. Cells are reference-counted so that cloning the
+/// arena (every [`StateBase`](crate::StateBase) does) shares them instead
+/// of copying them.
+///
+/// **Collection.** [`Browser::state_base`](crate::Browser::state_base)
+/// frees every cell no global reaches ([`Heap::sweep`]): the slot is
+/// pointed at one shared empty placeholder, so ids never move — handles,
+/// [`Heap::len`] and the `__h{n}` names snapshots print stay what they
+/// were. A sweep visits only the cells it kept last time and the cells
+/// allocated since.
 ///
 /// The arena carries a **write barrier**: every mutable borrow and every
 /// allocation marks the cell dirty. The snapshot layer anchors a capture
@@ -141,12 +143,35 @@ pub enum HeapCell {
 /// dirtied since — capture cost scales with cells *changed*, not cells
 /// *held*. The same borrow is where a cell shared with a base is copied
 /// before the write. Equality ([`PartialEq`]) deliberately compares
-/// contents only; dirty bookkeeping is capture machinery, not state.
-#[derive(Debug, Clone)]
+/// contents only; dirty and sweep bookkeeping is machinery, not state.
+#[derive(Debug)]
 pub struct Heap {
     cells: Vec<Rc<HeapCell>>,
     /// Cells mutated (or allocated) since the last [`Heap::clear_dirty`].
     dirty: BTreeSet<ObjId>,
+    /// Ids below `swept` that the last sweep kept, ascending; every other
+    /// id below `swept` is freed.
+    held: Vec<ObjId>,
+    /// [`Heap::len`] at the last sweep.
+    swept: usize,
+}
+
+thread_local! {
+    /// The cell every freed slot points at.
+    static FREED: Rc<HeapCell> = Rc::new(HeapCell::Array(Vec::new()));
+}
+
+impl Clone for Heap {
+    /// Shares every cell. The copy carries no sweep bookkeeping, so
+    /// taking a base allocates no list; the copy's first sweep (if
+    /// it ever becomes a browser's heap) visits every id once instead.
+    fn clone(&self) -> Heap {
+        Heap {
+            cells: self.cells.clone(),
+            dirty: self.dirty.clone(),
+            ..Heap::new()
+        }
+    }
 }
 
 impl Default for Heap {
@@ -167,10 +192,14 @@ impl Heap {
         Heap {
             cells: Vec::new(),
             dirty: BTreeSet::new(),
+            held: Vec::new(),
+            swept: 0,
         }
     }
 
-    /// Number of cells ever allocated.
+    /// Number of cell ids ever allocated, freed ones included: ids are
+    /// never reused, so this only grows. It is what the meter's `heap`
+    /// cap counts.
     pub fn len(&self) -> usize {
         self.cells.len()
     }
@@ -241,6 +270,38 @@ impl Heap {
     /// exactly the cells that may differ from this instant.
     pub fn clear_dirty(&mut self) {
         self.dirty.clear();
+    }
+
+    /// Frees every cell `live` rejects, among the cells the last sweep
+    /// kept and those allocated since. The caller vouches that nothing
+    /// outside `live` — no global, no host, no interpreter frame — holds
+    /// a handle to the cells it rejects; the write barrier is left alone.
+    pub(crate) fn sweep(&mut self, mut live: impl FnMut(ObjId) -> bool) {
+        let freed = FREED.with(Rc::clone);
+        let Heap {
+            cells, held, swept, ..
+        } = self;
+        let mut keep = |cells: &mut [Rc<HeapCell>], id: ObjId| {
+            let kept = live(id);
+            if !kept {
+                cells[id.0] = Rc::clone(&freed);
+            }
+            kept
+        };
+        held.retain(|&id| keep(cells, id));
+        for i in *swept..cells.len() {
+            // A copy's first sweep walks every id, freed ones included.
+            if !Rc::ptr_eq(&cells[i], &freed) && keep(cells, ObjId(i)) {
+                held.push(ObjId(i));
+            }
+        }
+        *swept = cells.len();
+    }
+
+    /// `true` when a sweep freed this cell.
+    #[cfg(test)]
+    pub(crate) fn is_freed(&self, id: ObjId) -> bool {
+        FREED.with(|freed| Rc::ptr_eq(&self.cells[id.0], freed))
     }
 
     /// Gets a property of an object cell (`undefined` when missing,
@@ -480,6 +541,47 @@ mod tests {
         assert_eq!(base.get_index(id, 0.0).unwrap(), JsValue::Number(1.0));
         assert_eq!(heap.get_index(id, 0.0).unwrap(), JsValue::Number(2.0));
         assert_ne!(heap, base);
+    }
+
+    #[test]
+    fn a_sweep_frees_in_place_and_visits_only_kept_and_new_cells() {
+        let mut heap = Heap::new();
+        for i in 0..6 {
+            heap.alloc_f32(vec![i as f32; 4]);
+        }
+        let mut visited = Vec::new();
+        heap.sweep(|id| {
+            visited.push(id.0);
+            id.0 % 2 == 0
+        });
+        assert_eq!(visited, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(heap.len(), 6, "ids are never reused");
+        assert!((0..6).all(|i| heap.is_freed(ObjId(i)) == (i % 2 == 1)));
+        assert_eq!(heap.get_index(ObjId(4), 0.0).unwrap(), JsValue::Number(4.0));
+
+        // The next sweep visits the three it kept and the one allocated
+        // since, never the freed ones.
+        let JsValue::Float32Array(new) = heap.alloc_f32(vec![7.0]) else {
+            panic!()
+        };
+        let mut visited = Vec::new();
+        heap.sweep(|id| {
+            visited.push(id.0);
+            id != ObjId(2)
+        });
+        assert_eq!(visited, [0, 2, 4, new.0]);
+        assert!(heap.is_freed(ObjId(2)) && !heap.is_freed(new));
+
+        // A copy starts without the bookkeeping: its first sweep walks
+        // every id once, skipping the placeholders.
+        let mut copy = heap.clone();
+        let mut visited = Vec::new();
+        copy.sweep(|id| {
+            visited.push(id.0);
+            true
+        });
+        assert_eq!(visited, [0, 4, new.0]);
+        assert_eq!(copy, heap);
     }
 
     #[test]
