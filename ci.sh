@@ -89,8 +89,30 @@ for gone in crates/net/src/estimator.rs crates/core/src/adaptive.rs; do
 done
 if grep -rnE 'BandwidthEstimator|AdaptiveOffloader|AdaptivePolicy|ServerHealth' crates tests examples; then exit 1; fi
 
+echo "== the CLI is one flag table (main.rs outside its tests reads no flag by string and keeps no hand-written usage text)"
+if sed '/#\[cfg(test)\]/,$d' crates/cli/src/main.rs | grep -nE '\.flag\("|bool_flag\(|const USAGE: &str'; then
+    echo "cli/src/main.rs reads flags by name again: declare the flag in FLAGS and read it by Flag" >&2
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
+
+echo "== a flag the CLI does not read is an error (misspelt, misplaced and stray arguments exit 1 before any output, naming the token)"
+refused() {
+    local token=$1 code=0 stderr stdout
+    shift
+    stderr=$(target/release/snapedge "$@" 2>&1 >/dev/null) || code=$?
+    stdout=$(target/release/snapedge "$@" 2>/dev/null) || true
+    if [ "$code" -ne 1 ] || [ -n "$stdout" ] || ! grep -qF -- "$token" <<<"$stderr"; then
+        echo "snapedge $*: exit $code with ${#stdout} bytes of stdout; want exit 1, no stdout, $token named on stderr" >&2
+        exit 1
+    fi
+}
+refused --predcit session --model agenet --rounds 2 --predcit true
+refused --balance session --model agenet --rounds 2 --balance true
+refused stray session --model agenet --rounds 2 stray
+refused --all-apps analyze --all-apps true --model agenet
 
 echo "== cargo test"
 cargo test --offline -q --workspace

@@ -1,14 +1,6 @@
-//! `snapedge` — command-line driver for the offloading simulator.
-//!
-//! ```text
-//! snapedge run     --model googlenet --strategy after-ack [--mbps 30] [--cut 1st_pool]
-//! snapedge sweep   --model agenet                 # Fig. 8 partition sweep
-//! snapedge session --model googlenet --rounds 5   # repeated offloads w/ deltas
-//! snapedge fleet   --clients 10000 --arrival poisson:500 --duration 60
-//! snapedge install --model agenet                 # VM-synthesis cost
-//! snapedge models                                 # list zoo models & cuts
-//! snapedge analyze --all-apps true                # static snapshot verification
-//! ```
+//! `snapedge` — command-line driver for the offloading simulator. Every
+//! flag is one row of [`FLAGS`]: [`parse`] checks a whole command line
+//! against the table before any command runs, and [`usage`] renders it.
 
 use snapedge_analyze::{
     analyze_html, analyze_script, effect_summary, effect_summary_html, AnalysisOptions,
@@ -16,184 +8,435 @@ use snapedge_analyze::{
 };
 use snapedge_core::{
     apps, parse_servers, run_scenario, vm_install, ArrivalProcess, Engine, FleetReport,
-    MeterLimits, OffloadSession, RetryPolicy, ScenarioConfig, ServerSpec, SessionConfig, Strategy,
-    Workload,
+    MeterLimits, OffloadConfig, OffloadSession, RetryPolicy, ScenarioConfig, SessionConfig,
+    Strategy, Workload,
 };
 use snapedge_dnn::{zoo, ModelBundle};
 use snapedge_net::{FaultPlan, LinkConfig};
 use snapedge_vmsynth::SynthesisConfig;
 use snapedge_webapp::HostEffect;
+use std::fmt;
 use std::process::ExitCode;
 use std::time::Duration;
 
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, String)>,
+/// One row of the flag table: the name after `--`, the commands that take
+/// the flag (every other refuses it), its value and its help lines.
+struct FlagSpec {
+    name: &'static str,
+    commands: &'static [Command],
+    kind: Kind,
+    help: &'static str,
 }
 
-impl Args {
-    fn parse() -> Result<Args, String> {
-        Args::from_vec(std::env::args().skip(1).collect())
-    }
+/// Declares the subcommands, then every flag once as `Variant "name"
+/// [commands] Kind, "help";`. Expands to `enum Command` (a command's name
+/// is its lowercased variant), `enum Flag` and the table `FLAGS` that
+/// `Flag` indexes.
+macro_rules! cli {
+    (
+        $($command:ident)*;
+        $($flag:ident $name:literal [$($takes:ident)*] $kind:ident $(($arg:expr))?, $help:literal;)*
+    ) => {
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        enum Command { $($command),* }
+        const COMMANDS: [Command; [$(Command::$command),*].len()] = [$(Command::$command),*];
+        impl Command {
+            fn name(self) -> String { format!("{self:?}").to_lowercase() }
+        }
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        enum Flag { $($flag),* }
+        const ALL_FLAGS: [Flag; FLAGS.len()] = [$(Flag::$flag),*];
+        impl Flag {
+            fn spec(self) -> &'static FlagSpec { &FLAGS[self as usize] }
+        }
+        const FLAGS: [FlagSpec; [$($name),*].len()] = [$(FlagSpec {
+            name: $name,
+            commands: &[$(Command::$takes),*],
+            kind: Kind::$kind $(($arg))?,
+            help: $help,
+        }),*];
+    };
+}
 
-    fn from_vec(raw: Vec<String>) -> Result<Args, String> {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut iter = raw.into_iter();
-        while let Some(arg) = iter.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("flag --{name} needs a value"))?;
-                flags.push((name.to_string(), value));
-            } else {
-                positional.push(arg);
+cli! {
+    Run Sweep Session Fleet Install Models Analyze;
+    Model "model" [Run Sweep Session Fleet Install Analyze] Text("<name>"),
+        "The zoo model ('snapedge models' lists them): googlenet by default,\n\
+         all three paper models for analyze.";
+    Strategy "strategy" [Run]
+        Choice(&["client", "server", "before-ack", "after-ack", "partial"]),
+        "Where the inference runs (default after-ack).";
+    Cut "cut" [Run Analyze] Text("<label>"),
+        "The cut of --strategy partial (default 1st_pool), or of analyze's session.";
+    Mbps "mbps" [Run Sweep Session Fleet Install] Rate,
+        "The primary link's rate in Mbps, finite and above zero (default 30).";
+    Timeline "timeline" [Run] Bool, "Prints an ASCII Gantt of the phases from the click on.";
+    Trace "trace" [Run] Text("<file.jsonl>"), "Writes the run's event trace as JSONL.";
+    FaultPlan "fault-plan" [Run Session Fleet] Faults,
+        "Injects link faults at virtual times, e.g.\n\
+         \x20 'down@2..5,degrade@7..9x0.25,corrupt@10..11'\n\
+         entries hit both links unless prefixed 'up:'/'down:' (or 'both:'), e.g.\n\
+         \x20 'up:down@2..5,down:corrupt@1..2'";
+    Retry "retry" [Run Session Fleet] Retry,
+        "Enables recovery from transient faults:\n\
+         \x20 'default' or 'attempts=<n>,deadline=<s>,backoff=<s>,backoff-max=<s>'";
+    Servers "servers" [Run Session Fleet] Text("<spec>"),
+        "Declares an ordered edge fleet for estimator-driven failover:\n\
+         \x20 'edge-a;edge-b,mbps=12,latency=0.005;edge-c,up=down@2..5+corrupt@7..8'\n\
+         ';'-separated entries, each 'name[,key=value...]' inheriting the primary\n\
+         link; keys: mbps, bps, latency (s), overhead (B), loss, and fault plans\n\
+         up/down/faults ('+' separates windows). Carries its own fault plans, so\n\
+         it cannot be combined with --fault-plan.";
+    Predict "predict" [Run Session Fleet] Bool,
+        "Completes a round locally, before any retry burns, when the link-health\n\
+         predictor says the offload loses after its expected retry backoff. Off by\n\
+         default (bit-identical replay).";
+    Meter "meter" [Run Session Fleet] Meter,
+        "Caps per-tenant execution on edge servers:\n\
+         \x20 'ops=<n>,heap=<cells>,str=<chars>,depth=<frames>,slice=<ms>'\n\
+         any subset of keys; exceeding a cap kills the tenant's snapshot on that\n\
+         server (fatal-for-this-server: no retries burn, the round fails over to\n\
+         the next server or completes locally). Per-server 'meter=' keys in\n\
+         --servers override the fleet-wide spec ('+' joins nested keys). Off by\n\
+         default (bit-identical replay).";
+    Effects "effects" [Run Session Analyze] Bool,
+        "Runs the static effect pass before any state ships: nondeterministic apps\n\
+         and rounds over the meter's op floor complete locally. With analyze it\n\
+         prints the op/allocation floors and every nondeterministic host access.\n\
+         Off by default (bit-identical replay).";
+    Rounds "rounds" [Session Fleet] Count,
+        "Rounds to run (session: 3 by default; closed-loop fleet: the cap per client).";
+    NoDeltas "no-deltas" [Session] Bool, "Ships a full snapshot every round, not deltas.";
+    Clients "clients" [Fleet] Count, "Clients in the fleet (default 100).";
+    Arrival "arrival" [Fleet] Arrival,
+        "Shapes fleet traffic:\n\
+         \x20 'closed[:think_s]'                  closed loop, per-client think time (default)\n\
+         \x20 'poisson:rate_hz'                   open-loop Poisson, fleet-wide rate\n\
+         \x20 'diurnal:base_hz:peak_hz:period_s'  raised-cosine rate curve\n\
+         Open-loop rates are finite and non-negative, expecting at most 4 million\n\
+         arrivals over --duration; arrivals landing on a busy client queue there.";
+    Duration "duration" [Fleet] Seconds, "The traffic horizon in virtual seconds (default 60).";
+    Seed "seed" [Fleet] Count, "Seeds arrival sampling and per-round images (default 42).";
+    Real "real" [Fleet] Bool,
+        "Runs one real browser session per client, not the analytic workload.";
+    Balance "balance" [Fleet] Bool,
+        "Prices each server's predicted queueing delay into server selection and\n\
+         admission, degrading a round to local when the queue erases the win. Off\n\
+         by default (bit-identical replay), like --fair-share and --batch-window.";
+    FairShare "fair-share" [Fleet] Bool,
+        "Grants each server CPU by deficit round robin over tenants.";
+    BatchWindow "batch-window" [Fleet] Seconds,
+        "Batches admissions co-queued within the window behind a busy CPU.";
+    AllApps "all-apps" [Analyze] Choice(&["true"]),
+        "Analyzes all three paper models (the default without --model or --html).";
+    Html "html" [Analyze] Text("<file>"), "Analyzes a MiniJS or HTML file instead.";
+    Report "report" [Analyze] Text("<out.html>"), "Writes an escaped HTML report (needs --html).";
+    Mode "mode" [Analyze] Choice(&["app", "snapshot", "delta"]), "Analysis mode (needs --html).";
+    Hosts "hosts" [Analyze] Text("<a,b>"), "Host allowlist (needs --html; default model).";
+}
+
+/// What a flag's value must be: `true`/`on` or `false`/`off` (absent is
+/// false), any text (shown as its placeholder), one of some words, a
+/// finite number above zero, a whole number, seconds a [`Duration`] holds,
+/// or one of the four spec syntaxes.
+#[derive(Clone, Copy)]
+enum Kind {
+    Bool,
+    Text(&'static str),
+    Choice(&'static [&'static str]),
+    Rate,
+    Count,
+    Seconds,
+    Arrival,
+    Faults,
+    Retry,
+    Meter,
+}
+
+/// A flag's checked value; text and word flags keep only their text.
+#[derive(Debug, Clone, PartialEq)]
+enum Value {
+    Text,
+    Bool(bool),
+    Number(f64),
+    Count(u64),
+    Seconds(Duration),
+    Arrival(ArrivalProcess),
+    Faults(FaultPlan, FaultPlan),
+    Retry(RetryPolicy),
+    Meter(MeterLimits),
+}
+
+impl Kind {
+    fn parse(self, text: &str) -> Result<Value, String> {
+        let value = match self {
+            Kind::Bool => match text {
+                "true" | "on" => Value::Bool(true),
+                "false" | "off" => Value::Bool(false),
+                _ => return Err("use true/false".to_string()),
+            },
+            Kind::Choice(words) if !words.contains(&text) => {
+                return Err(format!("use {}", words.join(", ")))
             }
-        }
-        Ok(Args { positional, flags })
+            Kind::Text(_) | Kind::Choice(_) => Value::Text,
+            Kind::Rate => match text.parse::<f64>().map_err(|e| e.to_string())? {
+                rate if rate.is_finite() && rate > 0.0 => Value::Number(rate),
+                _ => return Err("must be finite and above zero".to_string()),
+            },
+            Kind::Count => Value::Count(text.parse::<u64>().map_err(|e| e.to_string())?),
+            Kind::Seconds => Value::Seconds(seconds(text)?),
+            Kind::Arrival => Value::Arrival(parse_arrival(text)?),
+            Kind::Faults => split_fault_plan(text).map(|(up, down)| Value::Faults(up, down))?,
+            Kind::Retry if matches!(text, "default" | "on") => Value::Retry(RetryPolicy::default()),
+            Kind::Retry => Value::Retry(RetryPolicy::parse(text).map_err(|e| e.to_string())?),
+            Kind::Meter => Value::Meter(MeterLimits::parse(text).map_err(|e| e.to_string())?),
+        };
+        Ok(value)
     }
 
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn model(&self) -> String {
-        self.flag("model").unwrap_or("googlenet").to_string()
-    }
-
-    fn mbps(&self) -> Result<f64, String> {
-        match self.flag("mbps") {
-            Some(v) => v.parse().map_err(|e| format!("bad --mbps: {e}")),
-            None => Ok(30.0),
+    fn placeholder(self) -> String {
+        match self {
+            Kind::Bool => "true".to_string(),
+            Kind::Text(shown) => shown.to_string(),
+            Kind::Choice([word]) => word.to_string(),
+            Kind::Choice(words) => format!("<{}>", words.join("|")),
+            Kind::Rate => "<rate>".to_string(),
+            Kind::Count => "<n>".to_string(),
+            Kind::Seconds => "<s>".to_string(),
+            Kind::Arrival | Kind::Faults | Kind::Retry | Kind::Meter => "<spec>".to_string(),
         }
     }
 }
 
-const USAGE: &str = "usage:
-  snapedge run     --model <name> --strategy <client|server|before-ack|after-ack|partial>
-                   [--cut <label>] [--mbps <rate>] [--timeline true] [--trace <file.jsonl>]
-                   [--fault-plan <spec>] [--retry <spec>] [--servers <spec>]
-                   [--predict true] [--meter <spec>] [--effects true]
-  snapedge sweep   --model <name> [--mbps <rate>]
-  snapedge session --model <name> [--rounds <n>] [--no-deltas true]
-                   [--fault-plan <spec>] [--retry <spec>] [--servers <spec>]
-                   [--predict true] [--meter <spec>] [--effects true]
-  snapedge fleet   --model <name> [--clients <n>] [--arrival <spec>]
-                   [--duration <s>] [--rounds <n>] [--servers <spec>]
-                   [--mbps <rate>] [--seed <n>] [--retry <spec>] [--real true]
-                   [--meter <spec>] [--balance true] [--fair-share true]
-                   [--batch-window <s>]
-  snapedge install --model <name> [--mbps <rate>]
-  snapedge models
-  snapedge analyze [--all-apps true | --model <name> [--cut <label>]]
-                   [--html <file> [--report <out.html>]] [--effects true]
-                   [--mode <app|snapshot|delta>] [--hosts <a,b>]
+/// Why a command line was refused; nothing has run when one is returned.
+/// `Unexpected` is an unknown subcommand or flag, a second positional or
+/// an argument that is not UTF-8.
+#[derive(Debug, Clone, PartialEq)]
+enum UsageError {
+    NoCommand,
+    Unexpected(String),
+    Misplaced(Flag, Command),
+    MissingValue(Flag),
+    BadValue(Flag, String, String),
+    Conflict(Flag, String),
+}
 
-  --fault-plan injects link faults at virtual times, e.g.
-      'down@2..5,degrade@7..9x0.25,corrupt@10..11'
-    entries hit both links unless prefixed 'up:'/'down:' (or 'both:'), e.g.
-      'up:down@2..5,down:corrupt@1..2'
-  --retry enables recovery from transient faults:
-      'default' or 'attempts=<n>,deadline=<s>,backoff=<s>,backoff-max=<s>'
-  --servers declares an ordered edge fleet for estimator-driven failover:
-      'edge-a;edge-b,mbps=12,latency=0.005;edge-c,up=down@2..5+corrupt@7..8'
-    ';'-separated entries, each 'name[,key=value...]' inheriting the primary
-    link; keys: mbps, bps, latency (s), overhead (B), loss, and fault plans
-    up/down/faults ('+' separates windows). Carries its own fault plans, so
-    it cannot be combined with --fault-plan.
-  --predict true consults the link-health predictor before each migration:
-    when the measured fault rate and bandwidth trend say the offload loses
-    after its expected retry backoff, the inference completes locally
-    before any retry budget burns. Off by default (bit-identical replay).
-  --meter caps per-tenant execution on edge servers:
-      'ops=<n>,heap=<cells>,str=<chars>,depth=<frames>,slice=<ms>'
-    any subset of keys; exceeding a cap kills the tenant's snapshot on
-    that server (fatal-for-this-server: no retries burn, the round fails
-    over to the next server or completes locally). Per-server 'meter='
-    keys in --servers override the fleet-wide spec ('+' joins nested
-    keys). Off by default (bit-identical replay).
-  --effects true runs the static effect pass before any state ships:
-    apps that reach clock/random/IO hosts complete locally instead of
-    shipping unreplayable state, and rounds whose static op floor
-    already exceeds the meter budget are refused before any bytes
-    burn. With 'snapedge analyze' it prints the per-function and
-    per-round op/allocation floors and every nondeterministic host
-    access. Off by default (bit-identical replay).
-  --arrival shapes fleet traffic (snapedge fleet):
-      'closed[:think_s]'               closed loop, per-client think time
-      'poisson:rate_hz'                open-loop Poisson, fleet-wide rate
-      'diurnal:base_hz:peak_hz:period_s'  raised-cosine rate curve
-    Open-loop arrivals landing on a busy client queue client-side. By
-    default the fleet runs the calibrated analytic workload (tens of
-    thousands of clients in milliseconds); --real true builds one real
-    browser session per client instead.
-  --balance true prices each server's predicted queueing delay into
-    server selection and admission (snapedge fleet): modeled clients
-    pick the least-predicted-sojourn server instead of rotating, real
-    sessions add the predicted wait to failover ranking and degrade a
-    round to local when the queue erases the offload win. Off by
-    default (bit-identical replay).
-  --fair-share true grants each server CPU by deficit round robin over
-    tenants instead of arrival order, so one chatty client cannot
-    starve co-located clients. --batch-window <s> opportunistically
-    batches admissions co-queued within the window behind a busy CPU.
-    Both off by default (bit-identical replay).";
+impl fmt::Display for UsageError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = |flag: &Flag| flag.spec().name;
+        match self {
+            UsageError::NoCommand => write!(f, "missing subcommand"),
+            UsageError::Unexpected(arg) => write!(f, "unexpected argument {arg:?}"),
+            UsageError::Misplaced(flag, command) => {
+                write!(f, "snapedge {} takes no --{}", command.name(), name(flag))
+            }
+            UsageError::MissingValue(flag) => write!(f, "flag --{} needs a value", name(flag)),
+            UsageError::BadValue(flag, text, why) => {
+                write!(f, "bad --{} {text:?} ({why})", name(flag))
+            }
+            UsageError::Conflict(flag, why) => write!(f, "--{} {why}", name(flag)),
+        }
+    }
+}
+
+impl From<UsageError> for String {
+    fn from(e: UsageError) -> String {
+        e.to_string()
+    }
+}
+
+/// A checked command line: the subcommand and, per [`Flag`], the text and
+/// value it was last given.
+#[derive(Debug)]
+struct Invocation {
+    command: Command,
+    given: [Option<(String, Value)>; FLAGS.len()],
+}
+
+impl Invocation {
+    fn get(&self, flag: Flag) -> Option<&Value> {
+        self.given[flag as usize].as_ref().map(|(_, value)| value)
+    }
+
+    fn text(&self, flag: Flag) -> Option<&str> {
+        self.given[flag as usize]
+            .as_ref()
+            .map(|(text, _)| text.as_str())
+    }
+
+    fn on(&self, flag: Flag) -> bool {
+        self.get(flag) == Some(&Value::Bool(true))
+    }
+
+    fn count(&self, flag: Flag) -> Option<u64> {
+        match self.get(flag) {
+            Some(Value::Count(n)) => Some(*n),
+            _ => None,
+        }
+    }
+
+    fn seconds(&self, flag: Flag) -> Option<Duration> {
+        match self.get(flag) {
+            Some(Value::Seconds(secs)) => Some(*secs),
+            _ => None,
+        }
+    }
+
+    fn mbps(&self) -> f64 {
+        match self.get(Flag::Mbps) {
+            Some(Value::Number(rate)) => *rate,
+            _ => 30.0,
+        }
+    }
+
+    fn model(&self) -> &str {
+        self.text(Flag::Model).unwrap_or("googlenet")
+    }
+
+    fn horizon(&self) -> Duration {
+        self.seconds(Flag::Duration)
+            .unwrap_or(Duration::from_secs(60))
+    }
+
+    /// A [`UsageError::BadValue`] for the text `flag` was given.
+    fn bad(&self, flag: Flag, why: impl fmt::Display) -> UsageError {
+        let text = self.text(flag).unwrap_or_default().to_string();
+        UsageError::BadValue(flag, text, why.to_string())
+    }
+}
+
+/// Checks a whole command line (without the program name) against
+/// [`FLAGS`] and [`RULES`]: one known subcommand, and every flag known,
+/// taken by it and given a value of its kind. A repeated flag keeps its
+/// later value.
+fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Invocation, UsageError> {
+    let (mut command, mut flags) = (None, Vec::new());
+    let mut args = argv.iter().map(AsRef::as_ref);
+    while let Some(arg) = args.next() {
+        let unexpected = || UsageError::Unexpected(arg.to_string());
+        if let Some(name) = arg.strip_prefix("--") {
+            let named = ALL_FLAGS.into_iter().find(|f| f.spec().name == name);
+            let flag = named.ok_or_else(unexpected)?;
+            flags.push((flag, args.next().ok_or(UsageError::MissingValue(flag))?));
+        } else if command.is_some() {
+            return Err(unexpected());
+        } else {
+            let named = COMMANDS.into_iter().find(|c| c.name() == arg);
+            command = Some(named.ok_or_else(unexpected)?);
+        }
+    }
+    let command = command.ok_or(UsageError::NoCommand)?;
+    let given = std::array::from_fn(|_| None);
+    let mut inv = Invocation { command, given };
+    for (flag, text) in flags {
+        if !flag.spec().commands.contains(&command) {
+            return Err(UsageError::Misplaced(flag, command));
+        }
+        let value = (flag.spec().kind.parse(text))
+            .map_err(|why| UsageError::BadValue(flag, text.to_string(), why))?;
+        inv.given[flag as usize] = Some((text.to_string(), value));
+    }
+    let has = |flag: Flag| inv.get(flag).is_some();
+    let conflict = |flag: Flag, why: String| Err(UsageError::Conflict(flag, why));
+    for (flag, needs, other) in RULES {
+        if has(flag) && has(other) != needs {
+            let why = if needs { "needs" } else { "conflicts with" };
+            return conflict(flag, format!("{why} --{}", other.spec().name));
+        }
+    }
+    if command == Command::Run && has(Flag::Cut) && inv.text(Flag::Strategy) != Some("partial") {
+        return conflict(Flag::Cut, "needs --strategy partial".to_string());
+    }
+    if let Some(Value::Arrival(arrival)) = inv.get(Flag::Arrival) {
+        arrival
+            .check(inv.horizon())
+            .map_err(|e| inv.bad(Flag::Arrival, e))?;
+    }
+    Ok(inv)
+}
+
+/// Flag pairs a command line may not hold: `(flag, needs, other)` refuses
+/// `flag` without `other` when it `needs` it, and beside it otherwise.
+const RULES: [(Flag, bool, Flag); 8] = [
+    (Flag::Mode, true, Flag::Html),
+    (Flag::Hosts, true, Flag::Html),
+    (Flag::Report, true, Flag::Html),
+    (Flag::Model, false, Flag::Html),
+    (Flag::Cut, false, Flag::Html),
+    (Flag::AllApps, false, Flag::Model),
+    (Flag::AllApps, false, Flag::Html),
+    (Flag::FaultPlan, false, Flag::Servers),
+];
+
+/// The usage text, rendered from [`FLAGS`]: each command with the flags
+/// it takes, wrapped at 88 columns, then each flag's help.
+fn usage() -> String {
+    let mut out = String::from("usage:\n");
+    for command in COMMANDS {
+        let mut line = format!("  snapedge {:<7}", command.name());
+        for spec in FLAGS.iter().filter(|spec| spec.commands.contains(&command)) {
+            let item = format!(" [--{} {}]", spec.name, spec.kind.placeholder());
+            if line.len() + item.len() > 88 {
+                out.push_str(&line);
+                line = format!("\n{:18}", "");
+            }
+            line.push_str(&item);
+        }
+        out.push_str(line.trim_end());
+        out.push('\n');
+    }
+    out.push_str("\nEvery flag takes a value, and a flag its command does not list is an error.\n");
+    for spec in &FLAGS {
+        out.push_str(&format!("  --{} {}\n", spec.name, spec.kind.placeholder()));
+        for line in spec.help.lines() {
+            out.push_str(&format!("      {line}\n"));
+        }
+    }
+    out
+}
 
 fn main() -> ExitCode {
-    match real_main() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
+    let argv = std::env::args_os().skip(1).map(|arg| {
+        (arg.into_string()).map_err(|arg| UsageError::Unexpected(arg.to_string_lossy().into()))
+    });
+    let inv = argv
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(|argv| parse(&argv));
+    let outcome = inv.map_err(String::from).and_then(|inv| match inv.command {
+        Command::Run => cmd_run(&inv),
+        Command::Sweep => cmd_sweep(&inv),
+        Command::Session => cmd_session(&inv),
+        Command::Fleet => cmd_fleet(&inv),
+        Command::Install => cmd_install(&inv),
+        Command::Models => cmd_models(),
+        Command::Analyze => cmd_analyze(&inv),
+    });
+    if let Err(msg) = outcome {
+        eprintln!("error: {msg}");
+        eprint!("{}", usage());
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }
 
-fn real_main() -> Result<(), String> {
-    let args = Args::parse()?;
-    match args.positional.first().map(String::as_str) {
-        Some("run") => cmd_run(&args),
-        Some("sweep") => cmd_sweep(&args),
-        Some("session") => cmd_session(&args),
-        Some("fleet") => cmd_fleet(&args),
-        Some("install") => cmd_install(&args),
-        Some("models") => cmd_models(),
-        Some("analyze") => cmd_analyze(&args),
-        _ => Err("missing or unknown subcommand".to_string()),
-    }
-}
-
-fn parse_strategy(args: &Args) -> Result<Strategy, String> {
-    match args.flag("strategy").unwrap_or("after-ack") {
-        "client" => Ok(Strategy::ClientOnly),
-        "server" => Ok(Strategy::ServerOnly),
-        "before-ack" => Ok(Strategy::OffloadBeforeAck),
-        "after-ack" => Ok(Strategy::OffloadAfterAck),
-        "partial" => Ok(Strategy::Partial {
-            cut: args.flag("cut").unwrap_or("1st_pool").to_string(),
-        }),
-        other => Err(format!("unknown strategy {other:?}")),
+/// The `--strategy` (and `--cut`) of a run.
+fn strategy(inv: &Invocation) -> Strategy {
+    match inv.text(Flag::Strategy) {
+        Some("client") => Strategy::ClientOnly,
+        Some("server") => Strategy::ServerOnly,
+        Some("before-ack") => Strategy::OffloadBeforeAck,
+        Some("partial") => Strategy::Partial {
+            cut: inv.text(Flag::Cut).unwrap_or("1st_pool").to_string(),
+        },
+        _ => Strategy::OffloadAfterAck,
     }
 }
 
 /// Splits a `--fault-plan` spec into per-link plans. Entries apply to both
 /// links unless prefixed `up:` / `down:` (or the explicit `both:`).
-fn parse_fault_flags(args: &Args) -> Result<(FaultPlan, FaultPlan), String> {
-    let Some(spec) = args.flag("fault-plan") else {
-        return Ok((FaultPlan::none(), FaultPlan::none()));
-    };
-    let mut up = Vec::new();
-    let mut down = Vec::new();
-    for entry in spec.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
+fn split_fault_plan(spec: &str) -> Result<(FaultPlan, FaultPlan), String> {
+    let (mut up, mut down) = (Vec::new(), Vec::new());
+    for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
         if let Some(rest) = entry.strip_prefix("up:") {
             up.push(rest);
         } else if let Some(rest) = entry.strip_prefix("down:") {
@@ -204,98 +447,50 @@ fn parse_fault_flags(args: &Args) -> Result<(FaultPlan, FaultPlan), String> {
             down.push(rest);
         }
     }
-    let build = |entries: &[&str]| {
-        FaultPlan::parse(&entries.join(",")).map_err(|e| format!("bad --fault-plan: {e}"))
-    };
+    let build = |entries: &[&str]| FaultPlan::parse(&entries.join(",")).map_err(|e| e.to_string());
     Ok((build(&up)?, build(&down)?))
 }
 
-/// Applies the fleet flags to a config's server list. `--servers`
-/// replaces the whole fleet (each entry inherits the primary's device and
-/// link as a template) and carries per-server fault plans through its
-/// `up=`/`down=`/`faults=` keys, so combining it with `--fault-plan` is
-/// rejected as ambiguous; without it, `--fault-plan` lands on the
-/// primary's links as before.
-fn apply_fleet_flags(args: &Args, servers: &mut Vec<ServerSpec>) -> Result<(), String> {
-    match args.flag("servers") {
-        Some(spec) => {
-            if args.flag("fault-plan").is_some() {
-                return Err(
-                    "--servers carries per-server fault plans (up=/down=/faults=); \
-                     drop --fault-plan"
-                        .to_string(),
-                );
-            }
-            let template = servers
-                .first()
-                .cloned()
-                .ok_or_else(|| "config has no primary server".to_string())?;
-            *servers = parse_servers(spec, &template).map_err(|e| format!("bad --servers: {e}"))?;
-        }
-        None => {
-            let (up, down) = parse_fault_flags(args)?;
-            if let Some(primary) = servers.first_mut() {
-                primary.up_faults = up;
-                primary.down_faults = down;
-            }
-        }
+/// Reads the offload flags of `run`, `session` and `fleet` into `cfg`.
+/// `--servers` replaces the fleet, each entry inheriting the primary (and
+/// its `--mbps` link) as a template; without it `--fault-plan` lands on the
+/// primary's links.
+fn offload_config(inv: &Invocation, cfg: &mut OffloadConfig) -> Result<(), UsageError> {
+    cfg.primary_mut().link = LinkConfig::mbps(inv.mbps());
+    if let Some(spec) = inv.text(Flag::Servers) {
+        let template = cfg.primary().clone();
+        cfg.servers = parse_servers(spec, &template).map_err(|e| inv.bad(Flag::Servers, e))?;
     }
+    if let Some(Value::Faults(up, down)) = inv.get(Flag::FaultPlan) {
+        (cfg.primary_mut().up_faults, cfg.primary_mut().down_faults) = (up.clone(), down.clone());
+    }
+    if let Some(Value::Retry(policy)) = inv.get(Flag::Retry) {
+        cfg.retry = Some(policy.clone());
+    }
+    if let Some(Value::Meter(limits)) = inv.get(Flag::Meter) {
+        cfg.meter = Some(limits.clone());
+    }
+    cfg.predict = inv.on(Flag::Predict);
+    cfg.effects = inv.on(Flag::Effects);
     Ok(())
 }
 
-/// Reads boolean flag `--name`: absent is `false`, `true`/`on` and
-/// `false`/`off` mean what they say, and anything else is an error.
-fn bool_flag(args: &Args, name: &str) -> Result<bool, String> {
-    match args.flag(name) {
-        None | Some("false") | Some("off") => Ok(false),
-        Some("true") | Some("on") => Ok(true),
-        Some(other) => Err(format!("bad --{name} {other:?} (use true/false)")),
-    }
+/// Parses `text` as seconds a [`Duration`] can hold (not negative, not
+/// NaN, not past `u64::MAX` seconds).
+fn seconds(text: &str) -> Result<Duration, String> {
+    let secs = text.parse::<f64>().map_err(|e| e.to_string())?;
+    Duration::try_from_secs_f64(secs).map_err(|e| e.to_string())
 }
 
-/// Parses `text` as the seconds of `what`: a number a [`Duration`] can
-/// hold (not negative, not NaN, not past `u64::MAX` seconds).
-fn seconds(what: &str, text: &str) -> Result<Duration, String> {
-    text.parse::<f64>()
-        .map_err(|e| e.to_string())
-        .and_then(|secs| Duration::try_from_secs_f64(secs).map_err(|e| e.to_string()))
-        .map_err(|e| format!("bad {what} {text:?}: {e}"))
+/// The `run` command's config, from its flags.
+fn scenario_config(inv: &Invocation) -> Result<ScenarioConfig, UsageError> {
+    let mut cfg = ScenarioConfig::paper(inv.model(), strategy(inv));
+    offload_config(inv, &mut cfg.core)?;
+    Ok(cfg)
 }
 
-fn parse_batch_window_flag(args: &Args) -> Result<Option<Duration>, String> {
-    args.flag("batch-window")
-        .map(|v| seconds("--batch-window", v))
-        .transpose()
-}
-
-fn parse_retry_flag(args: &Args) -> Result<Option<RetryPolicy>, String> {
-    match args.flag("retry") {
-        None => Ok(None),
-        Some("default") | Some("on") => Ok(Some(RetryPolicy::default())),
-        Some(spec) => RetryPolicy::parse(spec)
-            .map(Some)
-            .map_err(|e| format!("bad --retry: {e}")),
-    }
-}
-
-fn parse_meter_flag(args: &Args) -> Result<Option<MeterLimits>, String> {
-    match args.flag("meter") {
-        None => Ok(None),
-        Some(spec) => MeterLimits::parse(spec)
-            .map(Some)
-            .map_err(|e| format!("bad --meter: {e}")),
-    }
-}
-
-fn cmd_run(args: &Args) -> Result<(), String> {
-    let mut cfg = ScenarioConfig::paper(&args.model(), parse_strategy(args)?);
-    cfg.primary_mut().link = LinkConfig::mbps(args.mbps()?);
-    apply_fleet_flags(args, &mut cfg.servers)?;
-    cfg.retry = parse_retry_flag(args)?;
-    cfg.meter = parse_meter_flag(args)?;
-    cfg.predict = bool_flag(args, "predict")?;
-    cfg.effects = bool_flag(args, "effects")?;
-    let timeline = bool_flag(args, "timeline")?;
+fn cmd_run(inv: &Invocation) -> Result<(), String> {
+    let cfg = scenario_config(inv)?;
     let report = run_scenario(&cfg).map_err(|e| e.to_string())?;
     println!("model:      {}", report.model);
     println!("strategy:   {:?}", report.strategy);
@@ -354,7 +549,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             report.fault_time().as_secs_f64()
         );
     }
-    if timeline {
+    if inv.on(Flag::Timeline) {
         println!("\ntimeline (C=client, N=network, S=server):");
         // The canonical phase events, from the click onward: the pre-send
         // and its ACK come before it.
@@ -365,7 +560,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             .collect();
         print!("{}", snapedge_trace::render_ascii(&phases, 50));
     }
-    if let Some(path) = args.flag("trace") {
+    if let Some(path) = inv.text(Flag::Trace) {
         std::fs::write(path, report.trace.to_jsonl())
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!(
@@ -376,12 +571,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(args: &Args) -> Result<(), String> {
-    let model = args.model();
-    let mbps = args.mbps()?;
+fn cmd_sweep(inv: &Invocation) -> Result<(), String> {
+    let model = inv.model();
+    let mbps = inv.mbps();
     println!("partition sweep for {model} at {mbps:.0} Mbps:");
     println!("{:<14} {:>10} {:>14}", "cut", "total(s)", "snapshot(MiB)");
-    for cut in zoo::fig8_cuts(&model) {
+    for cut in zoo::fig8_cuts(model) {
         let strategy = if cut == "input" {
             Strategy::OffloadAfterAck
         } else {
@@ -389,7 +584,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
                 cut: cut.to_string(),
             }
         };
-        let mut cfg = ScenarioConfig::paper(&model, strategy);
+        let mut cfg = ScenarioConfig::paper(model, strategy);
         cfg.primary_mut().link = LinkConfig::mbps(mbps);
         let report = run_scenario(&cfg).map_err(|e| e.to_string())?;
         println!(
@@ -402,12 +597,9 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_session(args: &Args) -> Result<(), String> {
-    let rounds: u64 = match args.flag("rounds") {
-        Some(v) => v.parse().map_err(|e| format!("bad --rounds: {e}"))?,
-        None => 3,
-    };
-    let cfg = session_config(args)?;
+fn cmd_session(inv: &Invocation) -> Result<(), String> {
+    let rounds = inv.count(Flag::Rounds).unwrap_or(3);
+    let cfg = session_config(inv)?;
     let predict = cfg.predict;
     let mut session = OffloadSession::new(cfg).map_err(|e| e.to_string())?;
     // The predictor's column is printed only when it is consulted.
@@ -455,17 +647,19 @@ fn cmd_session(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `session` command's config, from its flags.
-fn session_config(args: &Args) -> Result<SessionConfig, String> {
-    let mut cfg = SessionConfig::paper(&args.model());
-    cfg.use_deltas = !bool_flag(args, "no-deltas")?;
-    apply_fleet_flags(args, &mut cfg.servers)?;
-    cfg.retry = parse_retry_flag(args)?;
-    cfg.meter = parse_meter_flag(args)?;
-    cfg.predict = bool_flag(args, "predict")?;
-    cfg.effects = bool_flag(args, "effects")?;
+/// The `session` and `fleet` commands' config, from their flags.
+fn session_config(inv: &Invocation) -> Result<SessionConfig, UsageError> {
+    let mut cfg = SessionConfig::paper(inv.model());
+    cfg.use_deltas = !inv.on(Flag::NoDeltas);
+    offload_config(inv, &mut cfg.core)?;
+    if let Some(seed) = inv.count(Flag::Seed) {
+        cfg.seed = seed;
+    }
     Ok(cfg)
 }
+
+/// The think time of a bare `closed` arrival spec, the default traffic.
+const THINK: Duration = Duration::from_secs(2);
 
 /// Parses an `--arrival` spec: `closed[:think_s]`, `poisson:rate_hz`, or
 /// `diurnal:base_hz:peak_hz:period_s`.
@@ -473,16 +667,12 @@ fn parse_arrival(spec: &str) -> Result<ArrivalProcess, String> {
     let mut parts = spec.split(':');
     let shape = parts.next().unwrap_or_default();
     let rest: Vec<&str> = parts.collect();
-    let num = |s: &str, what: &str| -> Result<f64, String> {
-        s.parse::<f64>()
-            .map_err(|e| format!("bad --arrival {what} {s:?}: {e}"))
-    };
+    let num = |s: &str, what: &str| s.parse::<f64>().map_err(|e| format!("{what} {s:?}: {e}"));
+    let secs = |s: &str, what: &str| seconds(s).map_err(|e| format!("{what} {s:?}: {e}"));
     match (shape, rest.as_slice()) {
-        ("closed", []) => Ok(ArrivalProcess::ClosedLoop {
-            think: Duration::from_secs(2),
-        }),
+        ("closed", []) => Ok(ArrivalProcess::ClosedLoop { think: THINK }),
         ("closed", [think]) => Ok(ArrivalProcess::ClosedLoop {
-            think: seconds("--arrival think time", think)?,
+            think: secs(think, "think time")?,
         }),
         ("poisson", [rate]) => Ok(ArrivalProcess::Poisson {
             rate_hz: num(rate, "rate")?,
@@ -490,89 +680,60 @@ fn parse_arrival(spec: &str) -> Result<ArrivalProcess, String> {
         ("diurnal", [base, peak, period]) => Ok(ArrivalProcess::Diurnal {
             base_hz: num(base, "base rate")?,
             peak_hz: num(peak, "peak rate")?,
-            period: seconds("--arrival period", period)?,
+            period: secs(period, "period")?,
         }),
-        _ => Err(format!(
-            "bad --arrival {spec:?} (use closed[:think_s], poisson:rate_hz, \
-             or diurnal:base_hz:peak_hz:period_s)"
-        )),
+        _ => Err(
+            "use closed[:think_s], poisson:rate_hz or diurnal:base_hz:peak_hz:period_s".to_string(),
+        ),
     }
-}
-
-/// The `fleet` flags that shape the engine rather than the clients'
-/// config: traffic, and the three server-side scheduling policies.
-struct FleetFlags {
-    arrival: ArrivalProcess,
-    duration: Duration,
-    max_rounds: Option<usize>,
-    balance: bool,
-    fair_share: bool,
-    batch_window: Option<Duration>,
 }
 
 /// Shapes an engine from the fleet flags and runs it to completion.
 fn run_fleet<W: Workload>(
-    mut engine: Engine<W>,
-    flags: &FleetFlags,
+    engine: Engine<W>,
+    inv: &Invocation,
+    arrival: ArrivalProcess,
 ) -> Result<FleetReport, String> {
-    engine = engine
-        .arrival(flags.arrival.clone())
-        .duration(flags.duration)
-        .balance(flags.balance)
-        .fair_share(flags.fair_share);
-    if let Some(cap) = flags.max_rounds {
-        engine = engine.max_rounds(cap);
+    let mut engine = engine
+        .arrival(arrival)
+        .duration(inv.horizon())
+        .balance(inv.on(Flag::Balance))
+        .fair_share(inv.on(Flag::FairShare));
+    if let Some(cap) = inv.count(Flag::Rounds) {
+        engine = engine.max_rounds(usize::try_from(cap).unwrap_or(usize::MAX));
     }
-    if let Some(window) = flags.batch_window {
+    if let Some(window) = inv.seconds(Flag::BatchWindow) {
         engine = engine.batch_window(window);
     }
     engine.run().map_err(|e| e.to_string())
 }
 
-fn cmd_fleet(args: &Args) -> Result<(), String> {
-    let clients: usize = match args.flag("clients") {
-        Some(v) => v.parse().map_err(|e| format!("bad --clients: {e}"))?,
-        None => 100,
+fn cmd_fleet(inv: &Invocation) -> Result<(), String> {
+    let clients = inv
+        .count(Flag::Clients)
+        .map_or(100, |n| usize::try_from(n).unwrap_or(usize::MAX));
+    let arrival = match inv.get(Flag::Arrival) {
+        Some(Value::Arrival(arrival)) => arrival.clone(),
+        _ => ArrivalProcess::ClosedLoop { think: THINK },
     };
-    let flags = FleetFlags {
-        arrival: parse_arrival(args.flag("arrival").unwrap_or("closed"))?,
-        duration: match args.flag("duration") {
-            Some(v) => seconds("--duration", v)?,
-            None => Duration::from_secs(60),
-        },
-        max_rounds: match args.flag("rounds") {
-            Some(v) => Some(v.parse().map_err(|e| format!("bad --rounds: {e}"))?),
-            None => None,
-        },
-        balance: bool_flag(args, "balance")?,
-        fair_share: bool_flag(args, "fair-share")?,
-        batch_window: parse_batch_window_flag(args)?,
-    };
-    let real = bool_flag(args, "real")?;
-    let mut cfg = SessionConfig::paper(&args.model());
-    cfg.primary_mut().link = LinkConfig::mbps(args.mbps()?);
-    apply_fleet_flags(args, &mut cfg.servers)?;
-    cfg.retry = parse_retry_flag(args)?;
-    cfg.meter = parse_meter_flag(args)?;
-    cfg.predict = bool_flag(args, "predict")?;
-    let balancing = flags.balance || flags.fair_share || flags.batch_window.is_some();
-    if let Some(seed) = args.flag("seed") {
-        cfg.seed = seed.parse().map_err(|e| format!("bad --seed: {e}"))?;
-    }
+    let real = inv.on(Flag::Real);
+    let cfg = session_config(inv)?;
+    let balancing =
+        inv.on(Flag::Balance) || inv.on(Flag::FairShare) || inv.get(Flag::BatchWindow).is_some();
     println!(
         "fleet:      {} server(s), {} client(s), arrival {:?}, horizon {:.0}s, {} workload",
         cfg.servers.len(),
         clients,
-        flags.arrival,
-        flags.duration.as_secs_f64(),
+        arrival,
+        inv.horizon().as_secs_f64(),
         if real { "real-session" } else { "modeled" }
     );
     let report = if real {
         let engine = Engine::sessions(cfg, clients).map_err(|e| e.to_string())?;
-        run_fleet(engine, &flags)?
+        run_fleet(engine, inv, arrival)?
     } else {
         let engine = Engine::modeled(cfg, clients).map_err(|e| e.to_string())?;
-        run_fleet(engine, &flags)?
+        run_fleet(engine, inv, arrival)?
     };
     println!(
         "completed:  {} round(s) ({} fallback(s)) | makespan {:.3}s | throughput {:.1}/s",
@@ -610,38 +771,31 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         );
     }
     for server in &report.servers {
-        if balancing {
-            println!(
-                "server:     {:<16} {:>8} round(s) | busy {:.3}s | utilization {:.1}% | {} admit(s), {} reject(s), {} batch(es)",
-                server.name,
-                server.rounds,
-                server.busy.as_secs_f64(),
-                server.utilization * 100.0,
-                server.admits,
-                server.rejects,
-                server.batches
-            );
+        let admission = if balancing {
+            let (admits, rejects, batches) = (server.admits, server.rejects, server.batches);
+            format!(" | {admits} admit(s), {rejects} reject(s), {batches} batch(es)")
         } else {
-            println!(
-                "server:     {:<16} {:>8} round(s) | busy {:.3}s | utilization {:.1}%",
-                server.name,
-                server.rounds,
-                server.busy.as_secs_f64(),
-                server.utilization * 100.0
-            );
-        }
+            String::new()
+        };
+        println!(
+            "server:     {:<16} {:>8} round(s) | busy {:.3}s | utilization {:.1}%{admission}",
+            server.name,
+            server.rounds,
+            server.busy.as_secs_f64(),
+            server.utilization * 100.0
+        );
     }
     Ok(())
 }
 
-fn cmd_install(args: &Args) -> Result<(), String> {
-    let model = args.model();
-    let net = zoo::by_name(&model).map_err(|e| e.to_string())?;
+fn cmd_install(inv: &Invocation) -> Result<(), String> {
+    let model = inv.model();
+    let net = zoo::by_name(model).map_err(|e| e.to_string())?;
     let bytes = ModelBundle::from_network(&net).total_bytes();
     let report = vm_install(
-        &model,
+        model,
         bytes,
-        &LinkConfig::mbps(args.mbps()?),
+        &LinkConfig::mbps(inv.mbps()),
         &SynthesisConfig::default(),
     )
     .map_err(|e| e.to_string())?;
@@ -681,16 +835,15 @@ fn cmd_models() -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--mode` / `--hosts` into analyzer options. Apps talk to the
+/// The analyzer options `--mode` / `--hosts` ask for. Apps talk to the
 /// Caffe.js `model` host, so it is in the allowlist by default.
-fn parse_analysis_options(args: &Args) -> Result<AnalysisOptions, String> {
-    let opts = match args.flag("mode").unwrap_or("app") {
-        "app" => AnalysisOptions::app(),
-        "snapshot" => AnalysisOptions::snapshot(),
-        "delta" => AnalysisOptions::delta(Vec::new()),
-        other => return Err(format!("unknown --mode {other:?}")),
+fn analysis_options(inv: &Invocation) -> AnalysisOptions {
+    let opts = match inv.text(Flag::Mode) {
+        Some("snapshot") => AnalysisOptions::snapshot(),
+        Some("delta") => AnalysisOptions::delta(Vec::new()),
+        _ => AnalysisOptions::app(),
     };
-    let hosts = match args.flag("hosts") {
+    let hosts = match inv.text(Flag::Hosts) {
         Some(list) => list
             .split(',')
             .map(str::trim)
@@ -699,20 +852,16 @@ fn parse_analysis_options(args: &Args) -> Result<AnalysisOptions, String> {
             .collect(),
         None => vec!["model".to_string()],
     };
-    Ok(opts.with_hosts(hosts))
+    opts.with_hosts(hosts)
 }
 
 /// Builds the effect-pass host surface from `--hosts`. The CLI has no way
 /// to register a live host object, so every allowlisted name is treated as
 /// deterministic — sessions derive the real surface (with per-host effect
 /// tags) from the browser they run in.
-fn parse_effect_options(args: &Args) -> Result<EffectOptions, String> {
-    let hosts = parse_analysis_options(args)?.hosts;
-    let pairs = hosts
-        .into_iter()
-        .map(|h| (h, HostEffect::Deterministic))
-        .collect();
-    Ok(EffectOptions::from_host_effects(pairs))
+fn effect_options(inv: &Invocation) -> EffectOptions {
+    let hosts = analysis_options(inv).hosts.into_iter();
+    EffectOptions::from_host_effects(hosts.map(|h| (h, HostEffect::Deterministic)).collect())
 }
 
 /// Escapes untrusted text for embedding in HTML markup. Guest apps are
@@ -787,17 +936,17 @@ fn print_report(target: &str, report: &AnalysisReport) -> usize {
 /// static effect pass runs too (cost floors, nondeterminism sources);
 /// with `--report <out.html>` an escaped markup report is written before
 /// any verdict is returned, so failures are captured in the report.
-fn cmd_analyze_file(path: &str, args: &Args) -> Result<(), String> {
+fn cmd_analyze_file(path: &str, inv: &Invocation) -> Result<(), String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let opts = parse_analysis_options(args)?;
+    let opts = analysis_options(inv);
     let is_html = source.contains("<script>");
     let report = if is_html {
         analyze_html(&source, &opts)
     } else {
         analyze_script(&source, &opts)
     };
-    let effects = if bool_flag(args, "effects")? {
-        let eopts = parse_effect_options(args)?;
+    let effects = if inv.on(Flag::Effects) {
+        let eopts = effect_options(inv);
         let result = if is_html {
             effect_summary_html(&source, &eopts)
         } else {
@@ -810,7 +959,7 @@ fn cmd_analyze_file(path: &str, args: &Args) -> Result<(), String> {
         None
     };
     let findings = print_report(path, &report);
-    if let Some(out) = args.flag("report") {
+    if let Some(out) = inv.text(Flag::Report) {
         let markup = render_html_report(path, &report, effects.as_ref());
         std::fs::write(out, markup).map_err(|e| format!("writing {out}: {e}"))?;
         println!("report: {out}");
@@ -867,18 +1016,18 @@ fn analyze_model(model: &str, cut: Option<&str>, effects: bool) -> Result<usize,
 /// `snapedge analyze` — the static snapshot verifier. With `--html` it
 /// analyzes a file; otherwise it sweeps the paper apps (all models, or one
 /// with `--model`) and verifies live captures pre-send.
-fn cmd_analyze(args: &Args) -> Result<(), String> {
-    if let Some(path) = args.flag("html") {
-        return cmd_analyze_file(path, args);
+fn cmd_analyze(inv: &Invocation) -> Result<(), String> {
+    if let Some(path) = inv.text(Flag::Html) {
+        return cmd_analyze_file(path, inv);
     }
-    let models: Vec<String> = match args.flag("model") {
-        Some(m) => vec![m.to_string()],
-        None => vec!["googlenet".into(), "agenet".into(), "gendernet".into()],
+    let models = match inv.text(Flag::Model) {
+        Some(model) => vec![model],
+        None => vec!["googlenet", "agenet", "gendernet"],
     };
-    let effects = bool_flag(args, "effects")?;
+    let effects = inv.on(Flag::Effects);
     let mut findings = 0;
     for model in &models {
-        findings += analyze_model(model, args.flag("cut"), effects)?;
+        findings += analyze_model(model, inv.text(Flag::Cut), effects)?;
     }
     if findings > 0 {
         return Err(format!("analyze: {findings} diagnostic(s) across targets"));
@@ -892,9 +1041,22 @@ mod tests {
     use super::*;
     use snapedge_analyze::Mode;
     use snapedge_net::LinkState;
+    use snapedge_rng::Rng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn args(parts: &[&str]) -> Args {
-        Args::from_vec(parts.iter().map(|s| s.to_string()).collect()).unwrap()
+    fn parsed(argv: &[&str]) -> Invocation {
+        parse(argv).unwrap()
+    }
+
+    /// The config `run`, `session` or `fleet` would offload with, as text.
+    fn config(inv: &Invocation) -> Option<Result<String, UsageError>> {
+        match inv.command {
+            Command::Run => Some(scenario_config(inv).map(|cfg| format!("{cfg:?}"))),
+            Command::Session | Command::Fleet => {
+                Some(session_config(inv).map(|cfg| format!("{cfg:?}")))
+            }
+            _ => None,
+        }
     }
 
     #[test]
@@ -938,12 +1100,25 @@ mod tests {
             "closed:nan",
             "closed:1e30",
             "diurnal:1:2:-5",
+            // Well-formed, but not a rate curve the engine can sample.
+            "diurnal:nan:80:60",
+            "diurnal:-50:80:60",
+            "diurnal:5:80:0",
+            "poisson:1e308",
         ] {
-            assert!(parse_arrival(bad).is_err(), "accepted {bad:?}");
+            let err = parse(&["fleet", "--arrival", bad]).unwrap_err();
+            assert!(
+                matches!(&err, UsageError::BadValue(Flag::Arrival, text, _) if text == bad),
+                "{bad:?}: {err}"
+            );
         }
+        // The engine's bound is over the whole horizon.
+        assert!(parse(&["fleet", "--arrival", "poisson:1e4"]).is_ok());
+        assert!(parse(&["fleet", "--arrival", "poisson:1e4", "--duration", "1e3"]).is_err());
         for bad in ["-1", "nan", "1e30", "soon"] {
             for flag in ["--duration", "--batch-window"] {
-                let err = cmd_fleet(&args(&["fleet", "--clients", "1", flag, bad])).unwrap_err();
+                let err = parse(&["fleet", "--clients", "1", flag, bad]).unwrap_err();
+                let err = err.to_string();
                 assert!(
                     err.starts_with(&format!("bad {flag} ")),
                     "{flag} {bad}: {err}"
@@ -954,7 +1129,7 @@ mod tests {
 
     #[test]
     fn parses_positional_and_flags() {
-        let a = args(&[
+        let a = parsed(&[
             "run",
             "--model",
             "agenet",
@@ -963,67 +1138,76 @@ mod tests {
             "--cut",
             "2nd_pool",
         ]);
-        assert_eq!(a.positional, vec!["run"]);
+        assert_eq!(a.command, Command::Run);
         assert_eq!(a.model(), "agenet");
-        assert_eq!(a.flag("cut"), Some("2nd_pool"));
+        assert_eq!(a.text(Flag::Cut), Some("2nd_pool"));
     }
 
     #[test]
     fn later_flags_win() {
-        let a = args(&["run", "--mbps", "10", "--mbps", "25"]);
-        assert_eq!(a.mbps().unwrap(), 25.0);
+        let a = parsed(&["run", "--mbps", "10", "--mbps", "25"]);
+        assert_eq!(a.mbps(), 25.0);
     }
 
     #[test]
     fn missing_flag_value_is_an_error() {
-        assert!(Args::from_vec(vec!["run".into(), "--model".into()]).is_err());
+        assert_eq!(
+            parse(&["run", "--model"]).unwrap_err(),
+            UsageError::MissingValue(Flag::Model)
+        );
     }
 
     #[test]
     fn strategy_parsing() {
+        assert_eq!(strategy(&parsed(&["run"])), Strategy::OffloadAfterAck);
         assert_eq!(
-            parse_strategy(&args(&["run"])).unwrap(),
-            Strategy::OffloadAfterAck
-        );
-        assert_eq!(
-            parse_strategy(&args(&["run", "--strategy", "client"])).unwrap(),
+            strategy(&parsed(&["run", "--strategy", "client"])),
             Strategy::ClientOnly
         );
         assert_eq!(
-            parse_strategy(&args(&["run", "--strategy", "partial"])).unwrap(),
+            strategy(&parsed(&["run", "--strategy", "partial"])),
             Strategy::Partial {
                 cut: "1st_pool".into()
             }
         );
-        assert!(parse_strategy(&args(&["run", "--strategy", "teleport"])).is_err());
+        assert!(parse(&["run", "--strategy", "teleport"]).is_err());
     }
 
     #[test]
     fn defaults() {
-        let a = args(&["run"]);
+        let a = parsed(&["run"]);
         assert_eq!(a.model(), "googlenet");
-        assert_eq!(a.mbps().unwrap(), 30.0);
+        assert_eq!(a.mbps(), 30.0);
     }
 
     #[test]
     fn bad_mbps_is_an_error() {
-        assert!(args(&["run", "--mbps", "fast"]).mbps().is_err());
+        for bad in ["fast", "0", "-5", "nan", "inf"] {
+            for command in ["run", "sweep", "session", "fleet", "install"] {
+                let err = parse(&[command, "--mbps", bad]).unwrap_err();
+                assert!(
+                    err.to_string().starts_with(&format!("bad --mbps {bad:?}")),
+                    "{command} {bad}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
     fn fault_plan_defaults_to_no_faults() {
-        let (up, down) = parse_fault_flags(&args(&["run"])).unwrap();
-        assert!(up.is_empty() && down.is_empty());
+        let cfg = scenario_config(&parsed(&["run"])).unwrap();
+        assert!(cfg.primary().up_faults.is_empty() && cfg.primary().down_faults.is_empty());
     }
 
     #[test]
     fn fault_plan_entries_hit_both_links_unless_prefixed() {
-        let (up, down) = parse_fault_flags(&args(&[
+        let cfg = scenario_config(&parsed(&[
             "run",
             "--fault-plan",
             "down@2..5,up:corrupt@7..8,down:degrade@1..2x0.5",
         ]))
         .unwrap();
+        let (up, down) = (&cfg.primary().up_faults, &cfg.primary().down_faults);
         assert_eq!(up.windows().len(), 2);
         assert_eq!(down.windows().len(), 2);
         assert_eq!(
@@ -1041,26 +1225,27 @@ mod tests {
 
     #[test]
     fn bad_fault_plan_is_an_error() {
-        assert!(parse_fault_flags(&args(&["run", "--fault-plan", "explode@1..2"])).is_err());
+        assert!(parse(&["run", "--fault-plan", "explode@1..2"]).is_err());
     }
 
     #[test]
     fn analysis_options_default_to_app_mode_with_model_host() {
-        let opts = parse_analysis_options(&args(&["analyze"])).unwrap();
+        let opts = analysis_options(&parsed(&["analyze"]));
         assert_eq!(opts.mode, Mode::App);
         assert_eq!(opts.hosts, vec!["model".to_string()]);
-        let opts =
-            parse_analysis_options(&args(&["analyze", "--mode", "snapshot", "--hosts", "a, b"]))
-                .unwrap();
+        let file = ["analyze", "--html", "page.html"];
+        let opts = analysis_options(&parsed(
+            &[&file[..], &["--mode", "snapshot", "--hosts", "a, b"]].concat(),
+        ));
         assert_eq!(opts.mode, Mode::Snapshot);
         assert_eq!(opts.hosts, vec!["a".to_string(), "b".to_string()]);
-        assert!(parse_analysis_options(&args(&["analyze", "--mode", "dynamic"])).is_err());
+        assert!(parse(&[&file[..], &["--mode", "dynamic"]].concat()).is_err());
     }
 
     #[test]
     fn paper_apps_analyze_clean_from_the_cli_path() {
         let url = apps::synthetic_image_data_url(7, 256);
-        let opts = parse_analysis_options(&args(&["analyze"])).unwrap();
+        let opts = analysis_options(&parsed(&["analyze"]));
         for html in [
             apps::full_inference_app(&url),
             apps::partial_inference_app(&url),
@@ -1072,15 +1257,11 @@ mod tests {
 
     #[test]
     fn servers_flag_replaces_the_fleet() {
-        let mut cfg = ScenarioConfig::paper("googlenet", Strategy::OffloadAfterAck);
-        apply_fleet_flags(
-            &args(&[
-                "run",
-                "--servers",
-                "edge-a;edge-b,mbps=12,up=down@2..5+corrupt@7..8",
-            ]),
-            &mut cfg.servers,
-        )
+        let cfg = scenario_config(&parsed(&[
+            "run",
+            "--servers",
+            "edge-a;edge-b,mbps=12,up=down@2..5+corrupt@7..8",
+        ]))
         .unwrap();
         assert_eq!(cfg.servers.len(), 2);
         assert_eq!(cfg.servers[0].name, "edge-a");
@@ -1117,90 +1298,106 @@ mod tests {
 
     #[test]
     fn servers_and_fault_plan_flags_are_mutually_exclusive() {
-        let mut cfg = ScenarioConfig::paper("googlenet", Strategy::OffloadAfterAck);
-        let err = apply_fleet_flags(
-            &args(&["run", "--servers", "edge-a", "--fault-plan", "down@2..5"]),
-            &mut cfg.servers,
-        )
-        .unwrap_err();
-        assert!(err.contains("--fault-plan"), "{err}");
-        assert!(apply_fleet_flags(
-            &args(&["run", "--servers", "edge-a,=bad"]),
-            &mut cfg.servers
-        )
-        .is_err());
+        let err = parse(&["run", "--servers", "edge-a", "--fault-plan", "down@2..5"]).unwrap_err();
+        assert!(err.to_string().contains("--fault-plan"), "{err}");
+        let err = scenario_config(&parsed(&["run", "--servers", "edge-a,=bad"])).unwrap_err();
+        assert!(
+            matches!(err, UsageError::BadValue(Flag::Servers, ..)),
+            "{err}"
+        );
     }
 
     #[test]
     fn without_servers_flag_fault_plans_land_on_the_primary() {
-        let mut cfg = SessionConfig::paper("googlenet");
-        apply_fleet_flags(
-            &args(&["session", "--fault-plan", "up:down@2..5"]),
-            &mut cfg.servers,
-        )
-        .unwrap();
+        let cfg = session_config(&parsed(&["session", "--fault-plan", "up:down@2..5"])).unwrap();
         assert_eq!(cfg.servers.len(), 1);
         assert_eq!(cfg.servers[0].up_faults.windows().len(), 1);
         assert!(cfg.servers[0].down_faults.is_empty());
     }
 
+    /// `flag` given each of `true on false off` on `command`, read back,
+    /// and refused for `maybe` and `no`.
+    fn assert_bool_flag(command: &str, flag: Flag) {
+        let name = format!("--{}", flag.spec().name);
+        assert!(!parsed(&[command]).on(flag));
+        for (text, on) in [
+            ("true", true),
+            ("on", true),
+            ("false", false),
+            ("off", false),
+        ] {
+            assert_eq!(
+                parsed(&[command, &name, text]).on(flag),
+                on,
+                "{name} {text}"
+            );
+        }
+        for text in ["maybe", "no"] {
+            assert!(parse(&[command, &name, text]).is_err(), "{name} {text}");
+        }
+    }
+
     #[test]
     fn predict_flag_parses_and_defaults_off() {
-        assert!(!bool_flag(&args(&["run"]), "predict").unwrap());
-        assert!(bool_flag(&args(&["run", "--predict", "true"]), "predict").unwrap());
-        assert!(bool_flag(&args(&["run", "--predict", "on"]), "predict").unwrap());
-        assert!(!bool_flag(&args(&["run", "--predict", "false"]), "predict").unwrap());
-        assert!(bool_flag(&args(&["run", "--predict", "maybe"]), "predict").is_err());
+        assert_bool_flag("run", Flag::Predict);
+        assert!(
+            session_config(&parsed(&["fleet", "--predict", "true"]))
+                .unwrap()
+                .predict
+        );
     }
 
     #[test]
     fn balance_flags_parse_and_default_off() {
-        assert!(!bool_flag(&args(&["fleet"]), "balance").unwrap());
-        assert!(bool_flag(&args(&["fleet", "--balance", "true"]), "balance").unwrap());
-        assert!(bool_flag(&args(&["fleet", "--balance", "on"]), "balance").unwrap());
-        assert!(!bool_flag(&args(&["fleet", "--balance", "off"]), "balance").unwrap());
-        assert!(bool_flag(&args(&["fleet", "--balance", "maybe"]), "balance").is_err());
-        assert!(!bool_flag(&args(&["fleet"]), "fair-share").unwrap());
-        assert!(bool_flag(&args(&["fleet", "--fair-share", "true"]), "fair-share").unwrap());
-        assert!(bool_flag(&args(&["fleet", "--fair-share", "no"]), "fair-share").is_err());
+        assert_bool_flag("fleet", Flag::Balance);
+        assert_bool_flag("fleet", Flag::FairShare);
     }
 
     #[test]
     fn batch_window_flag_parses_seconds() {
-        assert_eq!(parse_batch_window_flag(&args(&["fleet"])).unwrap(), None);
+        assert_eq!(parsed(&["fleet"]).seconds(Flag::BatchWindow), None);
         assert_eq!(
-            parse_batch_window_flag(&args(&["fleet", "--batch-window", "0.25"])).unwrap(),
+            parsed(&["fleet", "--batch-window", "0.25"]).seconds(Flag::BatchWindow),
             Some(Duration::from_millis(250))
         );
-        assert!(parse_batch_window_flag(&args(&["fleet", "--batch-window", "-1"])).is_err());
-        assert!(parse_batch_window_flag(&args(&["fleet", "--batch-window", "soon"])).is_err());
+        assert!(parse(&["fleet", "--batch-window", "-1"]).is_err());
+        assert!(parse(&["fleet", "--batch-window", "soon"]).is_err());
     }
 
     #[test]
     fn effects_flag_parses_and_defaults_off() {
-        assert!(!bool_flag(&args(&["run"]), "effects").unwrap());
-        assert!(bool_flag(&args(&["run", "--effects", "true"]), "effects").unwrap());
-        assert!(bool_flag(&args(&["run", "--effects", "on"]), "effects").unwrap());
-        assert!(!bool_flag(&args(&["run", "--effects", "off"]), "effects").unwrap());
-        assert!(bool_flag(&args(&["run", "--effects", "maybe"]), "effects").is_err());
+        assert_bool_flag("run", Flag::Effects);
+        assert_bool_flag("analyze", Flag::Effects);
+        assert!(
+            scenario_config(&parsed(&["run", "--effects", "on"]))
+                .unwrap()
+                .effects
+        );
     }
 
     #[test]
     fn false_means_false_for_no_deltas_and_timeline() {
-        assert!(session_config(&args(&["session"])).unwrap().use_deltas);
-        let kept = session_config(&args(&["session", "--no-deltas", "false"])).unwrap();
+        assert!(session_config(&parsed(&["session"])).unwrap().use_deltas);
+        let kept = session_config(&parsed(&["session", "--no-deltas", "false"])).unwrap();
         assert!(kept.use_deltas, "--no-deltas false must keep deltas on");
-        let dropped = session_config(&args(&["session", "--no-deltas", "true"])).unwrap();
+        let dropped = session_config(&parsed(&["session", "--no-deltas", "true"])).unwrap();
         assert!(!dropped.use_deltas);
+        assert!(!parsed(&["run", "--timeline", "false"]).on(Flag::Timeline));
     }
 
     #[test]
     fn every_bool_flag_refuses_other_values_before_running() {
-        let maybe = |flag: &str| args(&["cmd", "--model", "tiny_cnn", flag, "maybe"]);
+        let maybe = |command: &str, flag: &str| {
+            parse(&[command, "--model", "tiny_cnn", flag, "maybe"]).map(|inv| inv.command)
+        };
         let refused = |flag: &str| Err(format!("bad {flag} \"maybe\" (use true/false)"));
-        assert_eq!(cmd_run(&maybe("--timeline")), refused("--timeline"));
-        assert_eq!(cmd_session(&maybe("--no-deltas")), refused("--no-deltas"));
-        assert_eq!(cmd_fleet(&maybe("--real")), refused("--real"));
+        let message = |r: Result<Command, UsageError>| r.map_err(|e| e.to_string());
+        assert_eq!(message(maybe("run", "--timeline")), refused("--timeline"));
+        assert_eq!(
+            message(maybe("session", "--no-deltas")),
+            refused("--no-deltas")
+        );
+        assert_eq!(message(maybe("fleet", "--real")), refused("--real"));
     }
 
     #[test]
@@ -1255,29 +1452,417 @@ mod tests {
 
     #[test]
     fn retry_flag_parses_default_and_spec() {
-        assert_eq!(parse_retry_flag(&args(&["run"])).unwrap(), None);
+        let retry =
+            |argv: &[&str]| parse(argv).map(|inv| scenario_config(&inv).unwrap().core.retry);
+        assert_eq!(retry(&["run"]), Ok(None));
         assert_eq!(
-            parse_retry_flag(&args(&["run", "--retry", "default"])).unwrap(),
-            Some(RetryPolicy::default())
+            retry(&["run", "--retry", "default"]),
+            Ok(Some(RetryPolicy::default()))
         );
-        let p = parse_retry_flag(&args(&["run", "--retry", "attempts=7,deadline=90"]))
+        let p = retry(&["run", "--retry", "attempts=7,deadline=90"])
             .unwrap()
             .unwrap();
         assert_eq!(p.max_attempts, 7);
         assert_eq!(p.deadline, Duration::from_secs(90));
-        assert!(parse_retry_flag(&args(&["run", "--retry", "attempts=zero"])).is_err());
+        assert!(retry(&["run", "--retry", "attempts=zero"]).is_err());
     }
 
     #[test]
     fn meter_flag_parses_spec_and_defaults_off() {
-        assert_eq!(parse_meter_flag(&args(&["run"])).unwrap(), None);
-        let limits = parse_meter_flag(&args(&["run", "--meter", "ops=5000,heap=200,slice=2.5"]))
+        let meter =
+            |argv: &[&str]| parse(argv).map(|inv| scenario_config(&inv).unwrap().core.meter);
+        assert_eq!(meter(&["run"]), Ok(None));
+        let limits = meter(&["run", "--meter", "ops=5000,heap=200,slice=2.5"])
             .unwrap()
             .unwrap();
         assert_eq!(limits.max_ops, Some(5000));
         assert_eq!(limits.max_heap_cells, Some(200));
         assert_eq!(limits.time_slice, Some(Duration::from_secs_f64(0.0025)));
-        assert!(parse_meter_flag(&args(&["run", "--meter", "ops=zero"])).is_err());
-        assert!(parse_meter_flag(&args(&["run", "--meter", "warp=9"])).is_err());
+        assert!(meter(&["run", "--meter", "ops=zero"]).is_err());
+        assert!(meter(&["run", "--meter", "warp=9"]).is_err());
+    }
+
+    /// A value each kind accepts, different from the commands' defaults.
+    fn sample(kind: Kind) -> &'static str {
+        match kind {
+            Kind::Bool => "true",
+            Kind::Text(_) => "x",
+            Kind::Choice(words) => words[words.len() - 1],
+            Kind::Rate => "12.5",
+            Kind::Count => "7",
+            Kind::Seconds => "0.25",
+            Kind::Arrival => "poisson:5",
+            Kind::Faults => "up:down@2..5",
+            Kind::Retry => "attempts=7",
+            Kind::Meter => "ops=5000",
+        }
+    }
+
+    /// Every row of the table: the `Flag` variant it is indexed by names
+    /// it; each command it lists parses it, hands its value to the typed
+    /// reader and, for the three offload commands, moves the config with
+    /// it (unless it shapes the run rather than the config); every other
+    /// command refuses it; and the usage lists it under exactly its
+    /// commands.
+    #[test]
+    fn every_flag_row_is_read_where_listed_refused_elsewhere_and_rendered() {
+        let usage = usage();
+        let mut blocks: Vec<(String, String)> = Vec::new();
+        for line in usage.lines().take_while(|l| !l.is_empty()).skip(1) {
+            match line.strip_prefix("  snapedge ") {
+                Some(rest) => {
+                    let name = rest.split_whitespace().next().unwrap_or_default();
+                    blocks.push((name.to_string(), line.to_string()));
+                }
+                None => blocks.last_mut().unwrap().1.push_str(line),
+            }
+        }
+        let names: Vec<&str> = blocks.iter().map(|(name, _)| name.as_str()).collect();
+        let commands: Vec<String> = COMMANDS.into_iter().map(Command::name).collect();
+        assert_eq!(names, commands);
+        let shapes_the_run = [
+            Flag::Timeline,
+            Flag::Trace,
+            Flag::Rounds,
+            Flag::Clients,
+            Flag::Arrival,
+            Flag::Duration,
+            Flag::Real,
+            Flag::Balance,
+            Flag::FairShare,
+            Flag::BatchWindow,
+        ];
+        for (index, flag) in ALL_FLAGS.into_iter().enumerate() {
+            let spec = flag.spec();
+            assert_eq!(flag as usize, index);
+            let kebab: String = format!("{flag:?}")
+                .chars()
+                .enumerate()
+                .flat_map(|(i, c)| match (i, c.is_uppercase()) {
+                    (0, _) | (_, false) => vec![c.to_ascii_lowercase()],
+                    _ => vec!['-', c.to_ascii_lowercase()],
+                })
+                .collect();
+            assert_eq!(spec.name, kebab);
+            let name = format!("--{}", spec.name);
+            let value = sample(spec.kind);
+            assert!(
+                usage.contains(&format!("\n  {name} ")),
+                "{name} has no help"
+            );
+            for (command, (_, block)) in COMMANDS.into_iter().zip(&blocks) {
+                let listed = spec.commands.contains(&command);
+                let rendered = block.contains(&format!("[{name} "));
+                assert_eq!(rendered, listed, "{name} under {}", command.name());
+                let context: &[&str] = match (flag, command) {
+                    _ if !listed => &[],
+                    (Flag::Cut, Command::Run) => &["--strategy", "partial"],
+                    (Flag::Mode | Flag::Hosts | Flag::Report, _) => &["--html", "page.html"],
+                    _ => &[],
+                };
+                let command_name = command.name();
+                let bare = [&[command_name.as_str()], context].concat();
+                let argv = [&bare[..], &[name.as_str(), value]].concat();
+                if !listed {
+                    assert_eq!(
+                        parse(&argv).unwrap_err(),
+                        UsageError::Misplaced(flag, command)
+                    );
+                    continue;
+                }
+                let inv = parse(&argv).unwrap();
+                assert_eq!(inv.text(flag), Some(value));
+                let read = match spec.kind {
+                    Kind::Bool => inv.on(flag),
+                    Kind::Text(_) | Kind::Choice(_) => inv.get(flag) == Some(&Value::Text),
+                    Kind::Rate => inv.mbps() == 12.5,
+                    Kind::Count => inv.count(flag) == Some(7),
+                    Kind::Seconds => inv.seconds(flag) == Some(Duration::from_millis(250)),
+                    Kind::Arrival => matches!(inv.get(flag), Some(Value::Arrival(_))),
+                    Kind::Faults => matches!(inv.get(flag), Some(Value::Faults(..))),
+                    Kind::Retry => matches!(inv.get(flag), Some(Value::Retry(_))),
+                    Kind::Meter => matches!(inv.get(flag), Some(Value::Meter(_))),
+                };
+                assert!(read, "{argv:?}");
+                if let Some(cfg) = config(&inv) {
+                    let moved = cfg.unwrap() != config(&parsed(&bare)).unwrap().unwrap();
+                    assert_eq!(moved, !shapes_the_run.contains(&flag), "{argv:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stray_misplaced_and_misspelt_arguments_are_refused() {
+        let session = ["session", "--model", "agenet", "--rounds", "2"];
+        let on_session = |extra: &[&'static str]| [&session[..], extra].concat();
+        for (argv, token) in [
+            (on_session(&["--predcit", "true"]), "--predcit"),
+            (on_session(&["--balance", "true"]), "--balance"),
+            (on_session(&["stray"]), "\"stray\""),
+            (vec!["analyze", "--all-apps", "false"], "--all-apps"),
+            (vec!["models", "--model", "x"], "--model"),
+            (vec!["teleport"], "\"teleport\""),
+            (vec!["--model", "agenet"], "subcommand"),
+        ] {
+            let err = parse(&argv).unwrap_err().to_string();
+            assert!(err.contains(token), "{argv:?}: {err}");
+        }
+        // The subcommand may come anywhere, once.
+        assert_eq!(parsed(&["--model", "agenet", "run"]).command, Command::Run);
+        assert!(parse(&["run", "run"]).is_err());
+        // `session` reads `--mbps`; its default is the paper's 30 Mbps Wi-Fi.
+        let slow = session_config(&parsed(&["session", "--mbps", "1"])).unwrap();
+        assert_eq!(slow.primary().link, LinkConfig::mbps(1.0));
+        let paper = session_config(&parsed(&["session", "--model", "agenet"])).unwrap();
+        assert_eq!(paper, SessionConfig::paper("agenet"));
+    }
+
+    #[test]
+    fn mode_conflicts_are_usage_errors() {
+        for (argv, flag) in [
+            (
+                vec!["run", "--strategy", "after-ack", "--cut", "2nd_pool"],
+                Flag::Cut,
+            ),
+            (vec!["run", "--cut", "2nd_pool"], Flag::Cut),
+            (
+                vec![
+                    "analyze", "--model", "agenet", "--mode", "snapshot", "--hosts", "zzz",
+                ],
+                Flag::Mode,
+            ),
+            (vec!["analyze", "--hosts", "zzz"], Flag::Hosts),
+            (vec!["analyze", "--report", "r.html"], Flag::Report),
+            (
+                vec!["analyze", "--html", "p.html", "--model", "agenet"],
+                Flag::Model,
+            ),
+            (
+                vec!["analyze", "--html", "p.html", "--cut", "2nd_pool"],
+                Flag::Cut,
+            ),
+            (
+                vec!["analyze", "--all-apps", "true", "--model", "agenet"],
+                Flag::AllApps,
+            ),
+            (
+                vec!["analyze", "--all-apps", "true", "--html", "p.html"],
+                Flag::AllApps,
+            ),
+        ] {
+            let err = parse(&argv).unwrap_err();
+            assert!(
+                matches!(err, UsageError::Conflict(f, _) if f == flag),
+                "{argv:?}: {err}"
+            );
+        }
+        for argv in [
+            vec!["run", "--strategy", "partial", "--cut", "2nd_pool"],
+            vec!["analyze", "--all-apps", "true", "--effects", "true"],
+            vec!["analyze", "--model", "agenet", "--cut", "2nd_pool"],
+            vec!["analyze", "--cut", "2nd_pool"],
+            vec![
+                "analyze", "--html", "p.html", "--mode", "snapshot", "--hosts", "model",
+            ],
+            vec![
+                "analyze",
+                "--html",
+                "p.html",
+                "--effects",
+                "true",
+                "--report",
+                "r.html",
+            ],
+        ] {
+            assert!(parse(&argv).is_ok(), "{argv:?}");
+        }
+    }
+
+    /// Seeded byte mutations of the documented invocations of every
+    /// subcommand: each vector parses, and for `run`, `session` and
+    /// `fleet` builds its config, or returns a [`UsageError`]; none
+    /// panics.
+    #[test]
+    fn byte_mutated_argv_parse_or_fail_without_panicking() {
+        const POOL: &[&str] = &[
+            "--", "-", "0", "1", "9", ".", ":", ",", ";", "=", "@", "..", "+", "e", "e308", "nan",
+            "true", "é", " ",
+        ];
+        let seeds: [&[&[&str]]; 7] = [
+            &[
+                &[
+                    "run",
+                    "--model",
+                    "googlenet",
+                    "--strategy",
+                    "partial",
+                    "--cut",
+                    "1st_pool",
+                ],
+                &[
+                    "run",
+                    "--model",
+                    "tiny_cnn",
+                    "--servers",
+                    "edge-a,meter=ops=1;edge-b",
+                ],
+                &[
+                    "run",
+                    "--servers",
+                    "edge-a,up=down@0..100;edge-b",
+                    "--retry",
+                    "default",
+                ],
+                &[
+                    "run",
+                    "--mbps",
+                    "12",
+                    "--fault-plan",
+                    "down@2..5,up:corrupt@7..8",
+                    "--meter",
+                    "ops=50000,slice=2.5",
+                    "--predict",
+                    "true",
+                    "--trace",
+                    "t.jsonl",
+                ],
+            ],
+            &[&["sweep", "--model", "agenet", "--mbps", "30"]],
+            &[
+                &[
+                    "session",
+                    "--rounds",
+                    "5",
+                    "--retry",
+                    "attempts=5,deadline=30",
+                ],
+                &[
+                    "session",
+                    "--servers",
+                    "edge-a,mbps=30,faults=down@1..3600;edge-b,mbps=20",
+                ],
+                &[
+                    "session",
+                    "--predict",
+                    "true",
+                    "--fault-plan",
+                    "corrupt@30..3600",
+                ],
+                &[
+                    "session",
+                    "--meter",
+                    "ops=100000,depth=64,slice=50",
+                    "--no-deltas",
+                    "true",
+                ],
+            ],
+            &[
+                &[
+                    "fleet",
+                    "--clients",
+                    "10000",
+                    "--arrival",
+                    "poisson:120",
+                    "--duration",
+                    "30",
+                ],
+                &[
+                    "fleet",
+                    "--real",
+                    "true",
+                    "--fair-share",
+                    "true",
+                    "--batch-window",
+                    "0.05",
+                ],
+                &[
+                    "fleet",
+                    "--servers",
+                    "edge-a,mbps=30,meter=ops=5000+slice=10;edge-b",
+                ],
+                &[
+                    "fleet",
+                    "--arrival",
+                    "diurnal:2:40:10",
+                    "--seed",
+                    "3",
+                    "--balance",
+                    "true",
+                ],
+                &[
+                    "fleet",
+                    "--arrival",
+                    "closed:0.5",
+                    "--rounds",
+                    "4",
+                    "--retry",
+                    "default",
+                ],
+            ],
+            &[&["install", "--model", "agenet", "--mbps", "30"]],
+            &[&["models"]],
+            &[
+                &["analyze", "--all-apps", "true", "--effects", "true"],
+                &["analyze", "--model", "agenet", "--cut", "2nd_pool"],
+                &[
+                    "analyze", "--html", "p.html", "--mode", "snapshot", "--hosts", "model",
+                ],
+            ],
+        ];
+        for (command, seeds) in COMMANDS.into_iter().zip(seeds) {
+            let mut accepted = 0;
+            for case in 0..2_000u64 {
+                let mut rng = Rng::seed_from_u64(32_000 + case);
+                let mut argv: Vec<String> =
+                    rng.choose(seeds).iter().map(|s| s.to_string()).collect();
+                for _ in 0..rng.gen_range_usize(1, 4) {
+                    let piece = *rng.choose(POOL);
+                    let slot = rng.gen_range_usize(0, argv.len() + 1);
+                    if slot == argv.len() || rng.gen_range_usize(0, 4) == 0 {
+                        match rng.gen_range_usize(0, 2) {
+                            0 if slot < argv.len() => {
+                                argv.remove(slot);
+                            }
+                            _ => argv.insert(slot, piece.to_string()),
+                        }
+                        continue;
+                    }
+                    // Mostly hit values: a broken flag name ends the check
+                    // before any value or config is read.
+                    let name = argv[slot].starts_with("--") && slot + 1 < argv.len();
+                    let arg = &mut argv[slot + usize::from(name && rng.gen_range_usize(0, 4) > 0)];
+                    let mut at = rng.gen_range_usize(0, arg.len() + 1);
+                    while !arg.is_char_boundary(at) {
+                        at -= 1;
+                    }
+                    let end = at + arg[at..].chars().next().map_or(0, char::len_utf8);
+                    match rng.gen_range_usize(0, 3) {
+                        0 if at < arg.len() => arg.replace_range(at..end, piece),
+                        1 if at < arg.len() => {
+                            arg.remove(at);
+                        }
+                        _ => arg.insert_str(at, piece),
+                    }
+                }
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let inv = parse(&argv)?;
+                    config(&inv).transpose().map(|_| inv.command)
+                }));
+                match outcome {
+                    Ok(Ok(_)) => accepted += 1,
+                    Ok(Err(_)) => {}
+                    Err(_) => panic!("panicked on {argv:?}"),
+                }
+            }
+            // Both answers must be populated; `models` takes no flag, so
+            // nearly every mutant of it is refused.
+            let floor = if command == Command::Models { 0 } else { 20 };
+            assert!(
+                (floor..1_980).contains(&accepted),
+                "{}: {accepted} of 2000 mutants accepted",
+                command.name()
+            );
+        }
     }
 }

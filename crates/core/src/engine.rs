@@ -58,6 +58,13 @@ use std::time::Duration;
 /// calibrated full-offload app state.
 const MODELED_SNAPSHOT_BYTES: u64 = 70 * 1024;
 
+/// The most arrivals an open-loop process may expect over the horizon
+/// (crest rate × duration). [`Engine::run`] samples the whole open-loop
+/// stream up front, 24 bytes an arrival, so an unbounded rate would never
+/// finish sampling: 4 M arrivals is ~100 MB, over 300 × the 12 000 of the
+/// busiest shipped fleet (Poisson 400/s for 30 s).
+const MAX_EXPECTED_ARRIVALS: f64 = 4.0e6;
+
 /// The per-round image seed both the engine and any legacy comparison
 /// loop must use: a splitmix64 hash of `(engine_seed, client, round)`,
 /// so every client/round pair gets an independent, reproducible image.
@@ -110,11 +117,7 @@ impl ArrivalProcess {
                 peak_hz,
                 period,
             } => {
-                let phase = if period.is_zero() {
-                    0.0
-                } else {
-                    t.as_secs_f64() / period.as_secs_f64()
-                };
+                let phase = t.as_secs_f64() / period.as_secs_f64();
                 let swing = 0.5 * (1.0 - (2.0 * std::f64::consts::PI * phase).cos());
                 base_hz + (peak_hz - base_hz) * swing
             }
@@ -131,6 +134,43 @@ impl ArrivalProcess {
                 base_hz, peak_hz, ..
             } => base_hz.max(*peak_hz),
         }
+    }
+
+    /// Checks an open-loop process before its stream is sampled over
+    /// `horizon`: finite, non-negative rates with a positive crest, a
+    /// non-zero diurnal period, and at most [`MAX_EXPECTED_ARRIVALS`]
+    /// expected arrivals. A closed loop always passes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OffloadError::Config`] naming the first problem.
+    pub fn check(&self, horizon: Duration) -> Result<(), OffloadError> {
+        let (rates, period) = match self {
+            ArrivalProcess::ClosedLoop { .. } => return Ok(()),
+            ArrivalProcess::Poisson { rate_hz } => ([*rate_hz; 2], None),
+            ArrivalProcess::Diurnal {
+                base_hz,
+                peak_hz,
+                period,
+            } => ([*base_hz, *peak_hz], Some(*period)),
+        };
+        let peak = self.peak_rate();
+        let expected = peak * horizon.as_secs_f64();
+        let problem = if rates.iter().any(|r| !r.is_finite() || *r < 0.0) {
+            format!("open-loop arrival rates must be finite and non-negative, got {rates:?}")
+        } else if peak <= 0.0 {
+            format!("open-loop arrival process needs a positive finite rate, got {peak}")
+        } else if period == Some(Duration::ZERO) {
+            "a diurnal arrival process needs a non-zero period".to_string()
+        } else if expected > MAX_EXPECTED_ARRIVALS {
+            format!(
+                "open-loop arrival process expects {expected:.3e} arrivals, \
+                 above the {MAX_EXPECTED_ARRIVALS:.0e} the engine samples up front"
+            )
+        } else {
+            return Ok(());
+        };
+        Err(OffloadError::Config(problem))
     }
 }
 
@@ -934,12 +974,8 @@ impl<W: Workload> Engine<W> {
 
     /// Pre-samples the open-loop arrival stream over `[0, duration)`.
     fn open_loop_arrivals(&self, clients: usize) -> Result<Vec<(Duration, usize)>, OffloadError> {
+        self.arrival.check(self.duration)?;
         let peak = self.arrival.peak_rate();
-        if peak <= 0.0 || !peak.is_finite() {
-            return Err(OffloadError::Config(format!(
-                "open-loop arrival process needs a positive finite rate, got {peak}"
-            )));
-        }
         let mut rng = Rng::seed_from_u64(self.seed ^ 0xA221_5EED_0DDB_A115);
         let mut arrivals = Vec::new();
         let mut t = 0.0_f64;
@@ -1454,5 +1490,47 @@ mod tests {
         let report = engine.run().unwrap();
         assert_eq!(report.completed, 2);
         assert_eq!(engine.event_log().len(), 10);
+    }
+
+    /// An open-loop process the engine cannot sample faithfully is a
+    /// config error before any arrival is drawn: a rate that is not a
+    /// finite non-negative number, a zero diurnal period, or more expected
+    /// arrivals than the up-front stream may hold.
+    #[test]
+    fn degenerate_open_loop_arrivals_are_config_errors() {
+        let diurnal = |base_hz, peak_hz, secs| ArrivalProcess::Diurnal {
+            base_hz,
+            peak_hz,
+            period: Duration::from_secs(secs),
+        };
+        let minute = Duration::from_secs(60);
+        for (arrival, horizon) in [
+            (diurnal(f64::NAN, 80.0, 60), minute),
+            (diurnal(5.0, f64::INFINITY, 60), minute),
+            (diurnal(-50.0, 80.0, 60), minute),
+            (diurnal(5.0, 80.0, 0), minute),
+            (diurnal(0.0, 0.0, 60), minute),
+            (ArrivalProcess::Poisson { rate_hz: 1e308 }, minute),
+            (ArrivalProcess::Poisson { rate_hz: 400.0 }, Duration::MAX),
+            (ArrivalProcess::Poisson { rate_hz: -1.0 }, minute),
+        ] {
+            let err = arrival.check(horizon).unwrap_err();
+            assert!(matches!(err, OffloadError::Config(_)), "{arrival:?}: {err}");
+            let mut engine = Engine::modeled(SessionConfig::paper("agenet"), 3)
+                .unwrap()
+                .arrival(arrival)
+                .duration(horizon);
+            assert_eq!(engine.run().unwrap_err(), err);
+            assert!(engine.event_log().is_empty());
+        }
+        // The bound sits well above every shipped fleet, and a closed
+        // loop has no rate to check.
+        let busiest = ArrivalProcess::Poisson { rate_hz: 400.0 };
+        assert!(busiest.check(Duration::from_secs(3_600)).is_ok());
+        assert!(diurnal(0.0, 40.0, 10).check(minute).is_ok());
+        let closed = ArrivalProcess::ClosedLoop {
+            think: Duration::ZERO,
+        };
+        assert!(closed.check(Duration::MAX).is_ok());
     }
 }
