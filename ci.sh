@@ -80,6 +80,12 @@ if sed '/#\[cfg(test)\]/,$d' crates/webapp/src/html.rs | grep -nE '\.replace\("&
 fi
 if grep -rn 'fn doc_attrs' crates/*/src; then exit 1; fi
 
+echo "== the typed-array element alphabet lives in f32text.rs (lexer.rs outside its tests reads only the list's framing: no quotient spelling)"
+if sed '/#\[cfg(test)\]/,$d' crates/webapp/src/lexer.rs | grep -nF -e '(0/0)' -e '(1/0)' -e '(-1/0)'; then
+    echo "lexer.rs spells a Float32Array element again: the element reader is f32text::scan_f32_element" >&2
+    exit 1
+fi
+
 echo "== one link-health record, one planner (the bandwidth estimator, the per-server health wrapper and the adaptive controller stay folded into LinkHealth, ServerPool and PartitionOptimizer::plan)"
 for gone in crates/net/src/estimator.rs crates/core/src/adaptive.rs; do
     if [ -e "$gone" ]; then
@@ -122,6 +128,9 @@ cargo test --offline --release -q -p snapedge-integration --test session_memory 
 
 echo "== float printer = Display on 1/256 of every finite f32 (a wrong table entry or tie rule fails here, not as a fixture hash)"
 PARTS=256 cargo test --offline --release -q -p snapedge-webapp --lib -- --ignored every_finite_pattern_prints_as_display
+
+echo "== float reader = str::parse on the printed text of 1/256 of every finite f32 (value bits, nesting and end index; a wrong interval end fails here)"
+PARTS=256 cargo test --offline --release -q -p snapedge-webapp --lib -- --ignored every_finite_pattern_reads_back
 
 echo "== benchmark package (ledger/ is outside the workspace: build it, run its tests, smoke steady_deep and the steady_partial fast path)"
 cargo build --release --offline --manifest-path ledger/Cargo.toml

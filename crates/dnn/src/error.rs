@@ -21,6 +21,12 @@ pub enum DnnError {
     Tensor(TensorError),
     /// Model bundle decoding failed.
     Format(String),
+    /// A layer's FLOPs or parameter file bytes, or the network's running
+    /// totals of them, do not fit in 64 bits.
+    TooLarge {
+        /// The layer that overflowed.
+        node: String,
+    },
 }
 
 impl fmt::Display for DnnError {
@@ -34,6 +40,12 @@ impl fmt::Display for DnnError {
             }
             DnnError::Tensor(e) => write!(f, "tensor error: {e}"),
             DnnError::Format(msg) => write!(f, "model format error: {msg}"),
+            DnnError::TooLarge { node } => {
+                write!(
+                    f,
+                    "node {node:?}: FLOPs or parameter bytes overflow 64 bits"
+                )
+            }
         }
     }
 }

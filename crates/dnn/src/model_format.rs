@@ -12,7 +12,7 @@
 //! server can load back into a [`ParamStore`]).
 
 use crate::{DnnError, Network, NetworkBuilder, NodeId, Op, ParamStore, PoolKind};
-use snapedge_tensor::{serialize, Tensor};
+use snapedge_tensor::{serialize, Shape, Tensor};
 
 /// What a model file contains.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,30 +47,6 @@ pub struct ModelBundle {
 }
 
 impl Network {
-    /// Weight dims and bias length for a parameterized node, or `None`.
-    fn param_dims(&self, id: NodeId) -> Option<(Vec<usize>, usize)> {
-        let node = self.node(id);
-        match &node.op {
-            Op::Conv {
-                out_channels,
-                kernel,
-                groups,
-                ..
-            } => {
-                let c_in = self.output_shape(node.inputs[0]).ok()?.dims()[0];
-                Some((
-                    vec![*out_channels, c_in / groups, *kernel, *kernel],
-                    *out_channels,
-                ))
-            }
-            Op::Fc { out_features } => {
-                let in_f = self.output_shape(node.inputs[0]).ok()?.volume();
-                Some((vec![*out_features, in_f], *out_features))
-            }
-            _ => None,
-        }
-    }
-
     /// Renders the layer graph as the description text format.
     pub fn to_description(&self) -> String {
         let mut out = String::new();
@@ -281,13 +257,45 @@ impl NetworkBuilder {
     }
 }
 
-/// Exact on-disk size of a layer's parameter file:
-/// `u32 | weights-blob | u32 | bias-blob` with SETB blobs inside.
-fn layer_file_size(weight_dims: &[usize], bias_len: usize) -> u64 {
-    let wn: usize = weight_dims.iter().product();
-    let wblob = 8 + weight_dims.len() * 4 + wn * 4;
-    let bblob = 8 + 4 + bias_len * 4;
-    (4 + wblob + 4 + bblob) as u64
+/// Weight dims and bias length of `op` over its first input, or `None`
+/// for an op without parameters.
+fn param_dims(op: &Op, input: &Shape) -> Option<(Vec<usize>, usize)> {
+    match op {
+        Op::Conv {
+            out_channels,
+            kernel,
+            groups,
+            ..
+        } => Some((
+            vec![*out_channels, input.dims()[0] / groups, *kernel, *kernel],
+            *out_channels,
+        )),
+        Op::Fc { out_features } => Some((vec![*out_features, input.volume()], *out_features)),
+        _ => None,
+    }
+}
+
+/// Exact on-disk size of the parameter file of `op` over its first input:
+/// `u32 | weights-blob | u32 | bias-blob` with SETB blobs inside. `Some(0)`
+/// for an op without parameters, `None` when the size does not fit in a
+/// `u64`.
+pub(crate) fn layer_file_size(op: &Op, input: &Shape) -> Option<u64> {
+    let Some((weight_dims, bias_len)) = param_dims(op, input) else {
+        return Some(0);
+    };
+    // Magic and rank, a word per dim, four bytes per element.
+    let blob = |dims: &[usize]| {
+        let elements = dims
+            .iter()
+            .try_fold(1u64, |n, &d| n.checked_mul(d as u64))?;
+        elements
+            .checked_mul(4)?
+            .checked_add(8 + 4 * dims.len() as u64)
+    };
+    // And a length word before each blob.
+    blob(&weight_dims)?
+        .checked_add(blob(&[bias_len])?)?
+        .checked_add(8)
 }
 
 fn encode_layer_file(weights: &Tensor, bias: &Tensor) -> Vec<u8> {
@@ -337,13 +345,15 @@ impl ModelBundle {
             if !op.has_params() {
                 continue;
             }
-            let (wdims, blen) = net.param_dims(id).expect("parameterized node");
+            let input = net
+                .output_shape(net.node(id).inputs[0])
+                .expect("node exists");
             files.push(ModelFile {
                 name: format!("{}/{}.params", net.name(), name),
                 kind: ModelFileKind::LayerParams {
                     node: name.to_string(),
                 },
-                size: layer_file_size(&wdims, blen),
+                size: layer_file_size(op, input).expect("the builder checked it"),
                 data: None,
             });
         }
@@ -472,6 +482,8 @@ impl ParamStore {
 mod tests {
     use super::*;
     use crate::{zoo, ExecMode};
+    use snapedge_rng::Rng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn description_roundtrip_tiny() {
@@ -503,6 +515,37 @@ mod tests {
         assert!(
             Network::from_description("model m input=3x4x4\nnode a warp inputs=input").is_err()
         );
+    }
+
+    #[test]
+    fn element_counts_that_overflow_are_typed_errors() {
+        let input = Network::from_description("model x input=99999999999x99999999999x99999999");
+        assert!(
+            matches!(&input, Err(DnnError::Build(msg)) if msg.contains("overflows")),
+            "{input:?}"
+        );
+        let fc = "model x input=3x4x4\nnode f fc inputs=input out=4611686018427387904";
+        assert_eq!(
+            Network::from_description(fc).err(),
+            Some(DnnError::TooLarge { node: "f".into() })
+        );
+        // Each layer fits, their sum does not.
+        let mut wide = String::from("model x input=1x1x1");
+        let mut last = "input".to_string();
+        for i in 0..5 {
+            wide += &format!("\nnode f{i} fc inputs={last} out=1\nnode g{i} fc inputs=f{i} out=1000000000000000000");
+            last = format!("g{i}");
+        }
+        assert!(matches!(
+            Network::from_description(&wide),
+            Err(DnnError::TooLarge { .. })
+        ));
+        // A concat of a rank-1 input is refused, not indexed out of bounds.
+        let concat = "model x input=3x4x4\nnode f fc inputs=input out=4\nnode c concat inputs=f";
+        assert!(matches!(
+            Network::from_description(concat),
+            Err(DnnError::Build(_))
+        ));
     }
 
     #[test]
@@ -580,5 +623,141 @@ mod tests {
         let (front, rear) = bundle.split(&net, NodeId(0)).unwrap();
         assert!(front.files().is_empty());
         assert_eq!(rear.total_bytes(), bundle.total_bytes());
+    }
+
+    /// Everything a description goes through on its way to a pre-send.
+    fn describe(text: &str) -> Result<(), DnnError> {
+        let net = Network::from_description(text)?;
+        let _ = net.profile();
+        let _ = ModelBundle::from_network(&net);
+        Ok(())
+    }
+
+    fn mutate_text(rng: &mut Rng, base: &str) -> String {
+        const POOL: &[&str] = &[
+            "0",
+            "1",
+            "9",
+            "x",
+            "=",
+            ",",
+            " ",
+            "\n",
+            "é",
+            "99999999999",
+            "4611686018427387904",
+            "18446744073709551615",
+            "65536",
+            "node ",
+            " inputs=input",
+            "conv",
+            "fc",
+            "concat",
+            "maxpool",
+            "softmax",
+            " out=",
+            " k=",
+            " p=",
+            " g=",
+        ];
+        let mut s = base.to_string();
+        for _ in 0..rng.gen_range_usize(1, 4) {
+            // Half the time a digit in a value, with a digit: a piece
+            // landing in a node name only breaks the next reference to it.
+            let bytes = s.as_bytes();
+            let digits: Vec<usize> = (1..bytes.len())
+                .filter(|&i| {
+                    let before = bytes[..i].iter().rposition(|b| !b.is_ascii_digit());
+                    bytes[i].is_ascii_digit() && before.is_some_and(|j| bytes[j] == b'=')
+                })
+                .collect();
+            let (mut at, piece) = if rng.next_bool() && !digits.is_empty() {
+                (*rng.choose(&digits), *rng.choose(&POOL[..3]))
+            } else {
+                (rng.gen_range_usize(0, s.len() + 1), *rng.choose(POOL))
+            };
+            while !s.is_char_boundary(at) {
+                at -= 1;
+            }
+            match rng.gen_range_usize(0, 3) {
+                0 if at < s.len() => {
+                    let end = at + s[at..].chars().next().map_or(0, char::len_utf8);
+                    s.replace_range(at..end, piece);
+                }
+                1 if at < s.len() => {
+                    s.remove(at);
+                }
+                _ => s.insert_str(at, piece),
+            }
+        }
+        s
+    }
+
+    fn mutate_bytes(rng: &mut Rng, base: &[u8]) -> Vec<u8> {
+        const WORDS: [u32; 6] = [0, 1, 4, 65_536, 0x4000_0000, u32::MAX];
+        let mut bytes = base.to_vec();
+        for _ in 0..rng.gen_range_usize(1, 4) {
+            let at = rng.gen_range_usize(0, bytes.len() + 1);
+            match rng.gen_range_usize(0, 4) {
+                0 if at < bytes.len() => bytes[at] = rng.next_u32() as u8,
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                // A length, rank or dimension field overwritten.
+                2 if at + 4 <= bytes.len() => {
+                    bytes[at..at + 4].copy_from_slice(&rng.choose(&WORDS).to_le_bytes());
+                }
+                _ => bytes.insert(at, rng.next_u32() as u8),
+            }
+        }
+        bytes
+    }
+
+    #[test]
+    fn byte_mutated_descriptions_and_layer_files_load_or_fail_without_panicking() {
+        let googlenet = zoo::googlenet().to_description();
+        assert_eq!(describe(&googlenet), Ok(()));
+        let mut accepted = 0;
+        for case in 0..2_000u64 {
+            let mut rng = Rng::seed_from_u64(41_000 + case);
+            let text = mutate_text(&mut rng, &googlenet);
+            match catch_unwind(AssertUnwindSafe(|| describe(&text))) {
+                Ok(result) => accepted += usize::from(result.is_ok()),
+                Err(_) => panic!("description panicked on {text:?}"),
+            }
+        }
+        // The mutations must leave both answers populated.
+        assert!(
+            (100..1_900).contains(&accepted),
+            "{accepted} of 2000 descriptions accepted"
+        );
+
+        let net = zoo::tiny_cnn();
+        let bundle = ModelBundle::materialized(&net, &net.init_params(3).unwrap()).unwrap();
+        let layer = bundle.files()[1].clone();
+        let base = layer.data.clone().unwrap();
+        assert!(ParamStore::from_bundle(&bundle).is_ok());
+        let mut accepted = 0;
+        for case in 0..2_000u64 {
+            let mut rng = Rng::seed_from_u64(43_000 + case);
+            let data = mutate_bytes(&mut rng, &base);
+            let mutant = ModelBundle {
+                model: bundle.model.clone(),
+                files: vec![ModelFile {
+                    size: data.len() as u64,
+                    data: Some(data),
+                    ..layer.clone()
+                }],
+            };
+            match catch_unwind(AssertUnwindSafe(|| ParamStore::from_bundle(&mutant))) {
+                Ok(result) => accepted += usize::from(result.is_ok()),
+                Err(_) => panic!("layer file panicked on {:?}", mutant.files[0].data),
+            }
+        }
+        // A byte of a weight changes a value, not the format.
+        assert!(
+            (100..1_900).contains(&accepted),
+            "{accepted} of 2000 layer files accepted"
+        );
     }
 }

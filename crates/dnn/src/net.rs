@@ -58,6 +58,22 @@ pub struct NetworkBuilder {
     name: String,
     nodes: Vec<Node>,
     shapes: Vec<Shape>,
+    /// FLOPs and parameter file bytes of the nodes so far, checked as they
+    /// are added so that a profile's and a bundle's sums cannot overflow.
+    totals: (u64, u64),
+}
+
+/// `totals` (FLOPs, parameter file bytes) plus `op`'s, or `None` when
+/// either overflows or the bytes pass what a file offset (`i64`) can reach.
+fn add_cost(
+    (flops, bytes): (u64, u64),
+    op: &Op,
+    inputs: &[&Shape],
+    output: &Shape,
+) -> Option<(u64, u64)> {
+    let flops = flops.checked_add(op.flops(inputs, output)?)?;
+    let bytes = bytes.checked_add(crate::model_format::layer_file_size(op, inputs[0])?)?;
+    (bytes <= i64::MAX as u64).then_some((flops, bytes))
 }
 
 impl NetworkBuilder {
@@ -78,6 +94,7 @@ impl NetworkBuilder {
                 inputs: Vec::new(),
             }],
             shapes: vec![shape],
+            totals: (0, 0),
         })
     }
 
@@ -133,6 +150,10 @@ impl NetworkBuilder {
         let out = op
             .output_shape(&input_shapes)
             .map_err(|e| DnnError::Build(format!("node {name:?}: {e}")))?;
+        self.totals =
+            add_cost(self.totals, &op, &input_shapes, &out).ok_or_else(|| DnnError::TooLarge {
+                node: name.to_string(),
+            })?;
         self.nodes.push(Node {
             name: name.to_string(),
             op,

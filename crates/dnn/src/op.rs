@@ -178,16 +178,24 @@ impl Op {
                 if inputs.is_empty() {
                     return Err(DnnError::Build("concat needs at least one input".into()));
                 }
-                let (h, w) = (inputs[0].dims()[1], inputs[0].dims()[2]);
-                let mut c = 0;
+                let mut c = 0usize;
+                let mut spatial = None;
                 for s in inputs {
-                    if s.rank() != 3 || s.dims()[1] != h || s.dims()[2] != w {
+                    let &[channels, h, w] = s.dims() else {
+                        return Err(DnnError::Build(format!(
+                            "concat inputs must be CHW with equal spatial dims, got {s}"
+                        )));
+                    };
+                    if *spatial.get_or_insert((h, w)) != (h, w) {
                         return Err(DnnError::Build(format!(
                             "concat inputs must be CHW with equal spatial dims, got {s}"
                         )));
                     }
-                    c += s.dims()[0];
+                    c = c.checked_add(channels).ok_or_else(|| {
+                        DnnError::Build(format!("concat channel count overflows at {s}"))
+                    })?;
                 }
+                let (h, w) = spatial.unwrap_or((1, 1));
                 Ok(Shape::new(&[c, h, w])?)
             }
             Op::Softmax => {
@@ -198,31 +206,37 @@ impl Op {
     }
 
     /// Forward-pass FLOPs for the given input/output shapes
-    /// (1 MAC = 2 FLOPs).
-    pub fn flops(&self, inputs: &[&Shape], output: &Shape) -> u64 {
+    /// (1 MAC = 2 FLOPs), or `None` when they do not fit in a `u64` (a
+    /// built [`Network`](crate::Network) has no layer whose FLOPs do not).
+    pub fn flops(&self, inputs: &[&Shape], output: &Shape) -> Option<u64> {
+        let out = output.volume() as u64;
+        let window = |kernel: usize| (kernel as u64).checked_mul(kernel as u64);
         match self {
-            Op::Input | Op::Dropout { .. } => 0,
+            Op::Input | Op::Dropout { .. } => Some(0),
             Op::Conv { kernel, groups, .. } => {
                 let c_in = inputs[0].dims()[0];
-                let macs =
-                    output.volume() as u64 * (c_in / groups) as u64 * (kernel * kernel) as u64;
-                2 * macs
+                let macs = out
+                    .checked_mul((c_in / groups) as u64)?
+                    .checked_mul(window(*kernel)?)?;
+                macs.checked_mul(2)
             }
-            Op::Relu => output.volume() as u64,
-            Op::Pool { kernel, .. } => (output.volume() * kernel * kernel) as u64,
+            Op::Relu | Op::Concat => Some(out), // a concat is a copy
+            Op::Pool { kernel, .. } => out.checked_mul(window(*kernel)?),
             Op::Lrn { local_size, .. } => {
                 // square + accumulate per window element, plus pow + div.
-                (inputs[0].volume() as u64) * (2 * *local_size as u64 + 4)
+                let per_element = (*local_size as u64).checked_mul(2)?.checked_add(4)?;
+                (inputs[0].volume() as u64).checked_mul(per_element)
             }
-            Op::Fc { .. } => 2 * inputs[0].volume() as u64 * output.volume() as u64,
-            Op::Concat => output.volume() as u64, // a copy
-            Op::Softmax => 5 * output.volume() as u64,
+            Op::Fc { .. } => (inputs[0].volume() as u64).checked_mul(out)?.checked_mul(2),
+            Op::Softmax => out.checked_mul(5),
         }
     }
 
-    /// Number of learned parameters (weights + bias).
-    pub fn param_count(&self, inputs: &[&Shape]) -> u64 {
-        match self {
+    /// Number of learned parameters (weights + bias), or `None` when it
+    /// does not fit in a `u64` (a built [`Network`](crate::Network) has no
+    /// layer whose count does not).
+    pub fn param_count(&self, inputs: &[&Shape]) -> Option<u64> {
+        let (weights_per_output, outputs) = match self {
             Op::Conv {
                 out_channels,
                 kernel,
@@ -230,14 +244,17 @@ impl Op {
                 ..
             } => {
                 let c_in = inputs[0].dims()[0];
-                (*out_channels as u64) * (c_in / groups) as u64 * (kernel * kernel) as u64
-                    + *out_channels as u64
+                let window = (*kernel as u64).checked_mul(*kernel as u64)?;
+                (((c_in / groups) as u64).checked_mul(window)?, *out_channels)
             }
-            Op::Fc { out_features } => {
-                (*out_features as u64) * inputs[0].volume() as u64 + *out_features as u64
-            }
-            _ => 0,
-        }
+            Op::Fc { out_features } => (inputs[0].volume() as u64, *out_features),
+            _ => return Some(0),
+        };
+        // One bias per output.
+        let outputs = outputs as u64;
+        outputs
+            .checked_mul(weights_per_output)?
+            .checked_add(outputs)
     }
 }
 
@@ -315,14 +332,14 @@ mod tests {
             groups: 1,
         };
         let input = shape(&[3, 227, 227]);
-        assert_eq!(op.param_count(&[&input]), 96 * 3 * 49 + 96);
+        assert_eq!(op.param_count(&[&input]), Some(96 * 3 * 49 + 96));
     }
 
     #[test]
     fn fc_param_count() {
         let op = Op::Fc { out_features: 512 };
         let input = shape(&[384, 7, 7]);
-        assert_eq!(op.param_count(&[&input]), 512 * 384 * 49 + 512);
+        assert_eq!(op.param_count(&[&input]), Some(512 * 384 * 49 + 512));
     }
 
     #[test]
@@ -337,7 +354,7 @@ mod tests {
         let input = shape(&[1, 3, 3]);
         let output = op.output_shape(&[&input]).unwrap();
         // One output element, 9 MACs.
-        assert_eq!(op.flops(&[&input], &output), 18);
+        assert_eq!(op.flops(&[&input], &output), Some(18));
     }
 
     #[test]
@@ -360,7 +377,10 @@ mod tests {
         };
         let conv_out = conv.output_shape(&[&input]).unwrap();
         let pool_out = pool.output_shape(&[&input]).unwrap();
-        assert!(conv.flops(&[&input], &conv_out) > 50 * pool.flops(&[&input], &pool_out));
+        assert!(
+            conv.flops(&[&input], &conv_out).unwrap()
+                > 50 * pool.flops(&[&input], &pool_out).unwrap()
+        );
     }
 
     #[test]
@@ -369,7 +389,7 @@ mod tests {
         let input = shape(&[1024]);
         let out = op.output_shape(&[&input]).unwrap();
         assert_eq!(out, input);
-        assert_eq!(op.flops(&[&input], &out), 0);
+        assert_eq!(op.flops(&[&input], &out), Some(0));
     }
 
     #[test]
@@ -391,6 +411,6 @@ mod tests {
             pad: 2,
             groups: 2,
         };
-        assert!(g1.param_count(&[&input]) > g2.param_count(&[&input]));
+        assert!(g1.param_count(&[&input]).unwrap() > g2.param_count(&[&input]).unwrap());
     }
 }

@@ -118,9 +118,10 @@ impl Network {
             let (flops, params) = if input_shapes.is_empty() {
                 (0, 0)
             } else {
+                // The builder refused every layer whose counts overflow.
                 (
-                    op.flops(&input_shapes, &output_shape),
-                    op.param_count(&input_shapes),
+                    op.flops(&input_shapes, &output_shape).unwrap_or(u64::MAX),
+                    op.param_count(&input_shapes).unwrap_or(u64::MAX),
                 )
             };
             layers.push(LayerProfile {

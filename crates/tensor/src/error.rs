@@ -53,6 +53,12 @@ pub enum TensorError {
     },
     /// Binary deserialization failed (truncated or malformed buffer).
     Decode(String),
+    /// The element count of a shape, or the byte length of its data, does
+    /// not fit in a `usize`.
+    TooLarge {
+        /// The dimensions whose product overflows.
+        dims: Vec<usize>,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -76,6 +82,9 @@ impl fmt::Display for TensorError {
                 write!(f, "index {index:?} out of bounds for dims {dims:?}")
             }
             TensorError::Decode(msg) => write!(f, "decode error: {msg}"),
+            TensorError::TooLarge { dims } => {
+                write!(f, "the element count of dims {dims:?} overflows")
+            }
         }
     }
 }

@@ -11,12 +11,13 @@ use crate::{Tensor, TensorError};
 /// Output spatial size of a convolution/pooling window:
 /// `floor((input + 2*pad - kernel) / stride) + 1`.
 ///
-/// Returns `None` when the window does not fit even once.
+/// Returns `None` when the window does not fit even once, or the padded
+/// size overflows.
 pub fn window_output(input: usize, kernel: usize, stride: usize, pad: usize) -> Option<usize> {
     if stride == 0 || kernel == 0 {
         return None;
     }
-    let padded = input + 2 * pad;
+    let padded = pad.checked_mul(2)?.checked_add(input)?;
     if padded < kernel {
         return None;
     }
@@ -30,7 +31,7 @@ pub fn pool_output_ceil(input: usize, kernel: usize, stride: usize, pad: usize) 
     if stride == 0 || kernel == 0 {
         return None;
     }
-    let padded = input + 2 * pad;
+    let padded = pad.checked_mul(2)?.checked_add(input)?;
     if padded < kernel {
         return None;
     }

@@ -49,7 +49,9 @@ pub fn binary_size(t: &Tensor) -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Decode`] for truncated or malformed input.
+/// Returns [`TensorError::Decode`] for truncated or malformed input, and
+/// [`TensorError::TooLarge`] when the dimensions' element count or byte
+/// length overflows.
 pub fn from_binary(buf: &[u8]) -> Result<Tensor, TensorError> {
     let err = |msg: &str| TensorError::Decode(msg.to_string());
     if buf.len() < 8 || &buf[..4] != MAGIC {
@@ -65,10 +67,13 @@ pub fn from_binary(buf: &[u8]) -> Result<Tensor, TensorError> {
         let off = 8 + i * 4;
         dims.push(u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as usize);
     }
-    let volume: usize = dims.iter().product();
-    if buf.len() != header + volume * 4 {
+    let data_len = crate::shape::volume_times(4, &dims)
+        .filter(|len| len.checked_add(header).is_some())
+        .ok_or_else(|| TensorError::TooLarge { dims: dims.clone() })?;
+    if buf.len() != header + data_len {
         return Err(err("data length does not match shape"));
     }
+    let volume = data_len / 4;
     let mut data = Vec::with_capacity(volume);
     for i in 0..volume {
         let off = header + i * 4;
@@ -161,6 +166,28 @@ pub fn from_js_text(text: &str) -> Result<Vec<f32>, TensorError> {
 mod tests {
     use super::*;
     use crate::Tensor;
+
+    #[test]
+    fn a_blob_whose_element_count_overflows_is_too_large() {
+        // Four dims of 2^16: 2^64 elements, which used to wrap to a tensor
+        // that claimed them and held none.
+        let mut blob = MAGIC.to_vec();
+        blob.extend_from_slice(&4u32.to_le_bytes());
+        for _ in 0..4 {
+            blob.extend_from_slice(&65_536u32.to_le_bytes());
+        }
+        let dims = vec![65_536; 4];
+        assert_eq!(from_binary(&blob), Err(TensorError::TooLarge { dims }));
+        // About 2^62 elements fit in a usize; their bytes do not.
+        let mut blob = MAGIC.to_vec();
+        blob.extend_from_slice(&2u32.to_le_bytes());
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        blob.extend_from_slice(&0x4000_0002u32.to_le_bytes());
+        assert!(matches!(
+            from_binary(&blob),
+            Err(TensorError::TooLarge { .. })
+        ));
+    }
 
     #[test]
     fn binary_roundtrip() {

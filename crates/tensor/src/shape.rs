@@ -31,10 +31,16 @@ impl Shape {
     /// # Errors
     ///
     /// Returns [`TensorError::EmptyShape`] if `dims` is empty or any
-    /// dimension is zero.
+    /// dimension is zero, and [`TensorError::TooLarge`] if their product
+    /// does not fit in a `usize`.
     pub fn new(dims: &[usize]) -> Result<Shape, TensorError> {
         if dims.is_empty() || dims.contains(&0) {
             return Err(TensorError::EmptyShape);
+        }
+        if volume_times(1, dims).is_none() {
+            return Err(TensorError::TooLarge {
+                dims: dims.to_vec(),
+            });
         }
         Ok(Shape {
             dims: dims.to_vec(),
@@ -51,7 +57,8 @@ impl Shape {
         self.dims.len()
     }
 
-    /// Total number of elements (product of all dimensions).
+    /// Total number of elements (product of all dimensions), which
+    /// [`Shape::new`] checked fits.
     pub fn volume(&self) -> usize {
         self.dims.iter().product()
     }
@@ -106,6 +113,11 @@ impl Shape {
     }
 }
 
+/// `unit` times the product of `dims`, or `None` when it overflows.
+pub(crate) fn volume_times(unit: usize, dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(unit, |n, &d| n.checked_mul(d))
+}
+
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
@@ -130,6 +142,18 @@ impl TryFrom<&[usize]> for Shape {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn new_rejects_a_volume_that_overflows() {
+        let dims = [usize::MAX / 2 + 1, 2];
+        assert_eq!(
+            Shape::new(&dims),
+            Err(TensorError::TooLarge {
+                dims: dims.to_vec()
+            })
+        );
+        assert_eq!(Shape::new(&[usize::MAX, 1]).unwrap().volume(), usize::MAX);
+    }
 
     #[test]
     fn new_rejects_empty() {

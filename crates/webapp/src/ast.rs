@@ -36,7 +36,8 @@ pub enum Expr {
     /// alphabet, held as the values it constructs: evaluates (ops, heap
     /// cells, ids) and prints exactly like the `NewFloat32Array` over an
     /// `Array` of `Number`s it replaces. This is the one form the parser
-    /// returns for such text; see `lexer::scan_f32_list` for the alphabet.
+    /// returns for such text; see `f32text::scan_f32_element` for the
+    /// alphabet.
     Float32ArrayLiteral(Vec<f32>),
     /// Property access `expr.name`.
     Member(Box<Expr>, String),

@@ -1,4 +1,5 @@
-//! Decimal text for `Float32Array` payloads without `core::fmt`.
+//! Decimal text for `Float32Array` payloads without `core::fmt`, written
+//! and read back.
 //!
 //! A snapshot ships feature maps and canvas pixels as MiniJS source, and a
 //! JS number is an `f64`: each `f32` is widened and printed as the shortest
@@ -17,6 +18,13 @@
 //! ([`number_literal`](crate::ast::number_literal)) stay on `fmt`. Equality
 //! with `Display` is checked over every non-negative finite pattern by the
 //! `#[ignore]`d test below (`ci.sh` runs a 1/256 sample of it).
+//!
+//! The reader, [`scan_f32_element`], takes the same alphabet back without
+//! `str::parse` where integers can decide it: the digits go into a `u64`
+//! eight bytes a step, and an exact `u128` comparison with the rounding
+//! interval of the candidate's `f64` decides whether the decimal is an
+//! `f32`. Anything else falls back to `str::parse`, which the tests use as
+//! the oracle on the printed text of every non-negative finite pattern.
 
 /// The first power of ten in [`POW10`].
 const MIN_POW10: i32 = -22;
@@ -144,7 +152,7 @@ const CHUNK: usize = 1024;
 /// `(-x)` because the grammar has no negative literals, negative zero is the
 /// bare `-0` `Display` gives it, and the non-finite values are the
 /// divisions that produce them: `(0/0)`, `(1/0)`, `(-1/0)`. This is the
-/// alphabet [`lexer`](crate::lexer)'s list scanner reads back.
+/// alphabet [`scan_f32_element`] reads back.
 pub(crate) fn render_f32_literal(data: &[f32], out: &mut String) {
     out.reserve(data.len() * 20 + 20);
     out.push_str("new Float32Array([");
@@ -332,6 +340,351 @@ fn write_8_digits(buf: &mut [u8], v: u32) {
     buf[2..4].copy_from_slice(&DIGIT_PAIRS[(high % 100) as usize]);
     buf[4..6].copy_from_slice(&DIGIT_PAIRS[(low / 100) as usize]);
     buf[6..8].copy_from_slice(&DIGIT_PAIRS[(low % 100) as usize]);
+}
+
+/// What the snapshot printer spends on a feature value, comma included:
+/// 19.4 bytes on average over the paper's `1st_pool` and `3rd_pool` maps.
+pub(crate) const BYTES_PER_VALUE: usize = 19;
+
+/// One element of a scanned list at `i`, in the alphabet
+/// [`render_f32_literal`] writes: its value, how many levels deep the
+/// general parser recurses for this spelling (counted from the `new`), and
+/// the index after it. `None` when the element is outside the alphabet or
+/// its decimal is not already an `f32`.
+pub(crate) fn scan_f32_element(src: &str, i: usize) -> Option<(f32, u8, usize)> {
+    element(src, i, read_magnitude)
+}
+
+/// [`scan_f32_element`] with the digits read by `magnitude`, so that the
+/// tests can run the same framing over the `str::parse` path.
+fn element(
+    src: &str,
+    i: usize,
+    magnitude: impl Fn(&str, usize) -> Option<(f32, usize)>,
+) -> Option<(f32, u8, usize)> {
+    let bytes = src.as_bytes();
+    let rest = &bytes[i..];
+    let wrapped = rest.first() == Some(&b'(');
+    // Only a quotient opens with `(` and no `-`, or with `(-1/`.
+    if wrapped && (rest.get(1) != Some(&b'-') || rest.get(2..4) == Some(b"1/")) {
+        return quotient(rest, i);
+    }
+    // `x`, `-x` (how `-0` prints) or `(-x)`.
+    let negative = wrapped || rest.first() == Some(&b'-');
+    let start = i + usize::from(wrapped) + usize::from(negative);
+    // A leading digit is required, as in the general lexer (`f64::from_str`
+    // alone would also take `.5`).
+    if !bytes.get(start).is_some_and(u8::is_ascii_digit) {
+        return None;
+    }
+    let (magnitude, mut end) = magnitude(src, start)?;
+    if wrapped {
+        if bytes.get(end) != Some(&b')') {
+            return None;
+        }
+        end += 1;
+    }
+    Some((
+        if negative { -magnitude } else { magnitude },
+        2 + u8::from(negative) + u8::from(wrapped),
+        end,
+    ))
+}
+
+/// `(0/0)`, `(1/0)` or `(-1/0)` at the start of `rest` (which is at `i`).
+fn quotient(rest: &[u8], i: usize) -> Option<(f32, u8, usize)> {
+    for (text, numerator, depth) in [("(0/0)", 0.0, 3), ("(1/0)", 1.0, 3), ("(-1/0)", -1.0, 4)] {
+        if rest.starts_with(text.as_bytes()) {
+            // Divided at run time, like the interpreter's `/`: the sign and
+            // payload of `0/0` are the hardware's choice, and a constant the
+            // compiler folds may choose differently.
+            let quotient = std::hint::black_box(numerator) / std::hint::black_box(0.0_f64);
+            return Some((quotient as f32, depth, i + text.len()));
+        }
+    }
+    None
+}
+
+/// The `digits[.digits]` at `start` (which is a digit) as an `f32`, and the
+/// index after it; `None` when the decimal is not already an `f32`.
+///
+/// The general path parses an `f64` and the constructor rounds it; a
+/// function body is re-printed from its AST, so only a decimal that already
+/// is an `f32` may become one here (`0.1` must print back as `0.1`). That
+/// is decided with integers when they can hold the decimal, else by
+/// [`parse_magnitude`].
+fn read_magnitude(src: &str, start: usize) -> Option<(f32, usize)> {
+    match read_exact(src.as_bytes(), start) {
+        Read::F32(value, end) => Some((value, end)),
+        Read::NotF32 => None,
+        Read::Unsure => parse_magnitude(src, start),
+    }
+}
+
+/// The `str::parse` path: what the general lexer reads, kept for the
+/// decimals the integers cannot hold and as the tests' oracle.
+fn parse_magnitude(src: &str, start: usize) -> Option<(f32, usize)> {
+    let end = crate::lexer::decimal_end(src.as_bytes(), start);
+    let magnitude: f64 = src[start..end].parse().ok()?;
+    let value = magnitude as f32;
+    (magnitude.is_finite() && f64::from(value) == magnitude).then_some((value, end))
+}
+
+/// What [`read_exact`] concluded.
+enum Read {
+    /// The decimal reads as exactly this `f32`'s `f64`, ending here.
+    F32(f32, usize),
+    /// It reads as an `f64` that is no `f32`.
+    NotF32,
+    /// The integers cannot hold it: more than [`MAX_DIGITS`] significant
+    /// digits, more than [`MAX_SCALE`] fraction digits, a zero, subnormal
+    /// or infinite candidate, or an overflow on the way.
+    Unsure,
+}
+
+/// Significant digits a `u64` always holds.
+const MAX_DIGITS: usize = 19;
+
+/// The most fraction digits [`read_exact`] takes. `5^31 < 2^72`, so the
+/// interval ends times `5^k` stay below `2^127`.
+const MAX_SCALE: usize = 31;
+
+/// `10^-k` as the nearest `f64`, for `k` in `0..=MAX_SCALE`.
+#[rustfmt::skip]
+const NEG_POW10: [f64; MAX_SCALE + 1] = [
+    1e0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11,
+    1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 1e-17, 1e-18, 1e-19, 1e-20, 1e-21,
+    1e-22, 1e-23, 1e-24, 1e-25, 1e-26, 1e-27, 1e-28, 1e-29, 1e-30, 1e-31,
+];
+
+/// `5^k` for `k` in `0..=MAX_SCALE`.
+const POW5: [u128; MAX_SCALE + 1] = {
+    let mut table = [1u128; MAX_SCALE + 1];
+    let mut k = 1;
+    while k < table.len() {
+        table[k] = table[k - 1] * 5;
+        k += 1;
+    }
+    table
+};
+
+/// `10^n` for the `n` digits one eight-byte step can read.
+const POW10_STEP: [u64; 9] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+];
+
+/// Reads `digits[.digits]` at `start` as `w · 10^-k` with integers and
+/// decides exactly whether it is an `f32`:
+///
+/// 1. the significant digits go into `w`, eight bytes a step;
+/// 2. the candidate `c` is `w · 10^-k` rounded through `f64` to `f32`,
+///    which is within a few `f64` units of the decimal, so it is the one
+///    `f32` the decimal can read as;
+/// 3. the decimal reads as `f64::from(c)` exactly when it lies in that
+///    `f64`'s closed rounding interval: half an `f64` unit on either side,
+///    but only a quarter below a power of two, where the next `f64` down is
+///    half as far (the printer's `lower_is_closer`). Both ends belong to
+///    `c`, because its `f64` significand is even and `str::parse` rounds
+///    ties to even. The test is `u128` arithmetic in quarter units.
+fn read_exact(bytes: &[u8], start: usize) -> Read {
+    let Some((w, scale, i)) = printed_digits(bytes, start).or_else(|| any_digits(bytes, start))
+    else {
+        return Read::Unsure;
+    };
+    if w == 0 || scale > MAX_SCALE {
+        return Read::Unsure;
+    }
+
+    let candidate = (w as f64 * NEG_POW10[scale]) as f32;
+    if !candidate.is_normal() {
+        return Read::Unsure;
+    }
+    // `candidate = m · 2^q`; its `f64` is `m · 2^31` quarters of an `f64`
+    // unit, `2^(q - 31)`.
+    let bits = candidate.to_bits();
+    let fraction_bits = bits & 0x7f_ffff;
+    let quarters = u64::from(fraction_bits | 0x80_0000) << 31;
+    let q = (bits >> 23) as i32 - 150;
+    let below = 1 + u64::from(fraction_bits != 0);
+    // `w · 10^-k` against `(quarters + t) · 2^(q - 31)` for `t` in
+    // `[-below, 2]`, all times `5^k · 2^(31 - q)`: `w · 2^(31 - q - k)`
+    // against `(quarters + t) · 5^k`, so the distance from the middle, below
+    // `2^127` on both sides, against `[-below, 2] · 5^k`.
+    let p = POW5[scale];
+    let middle = u128::from(quarters) * p;
+    let w = u128::from(w);
+    let shift = 31 - q - scale as i32;
+    let (distance, unit) = if shift >= 0 {
+        let shift = shift.unsigned_abs();
+        if shift >= w.leading_zeros() {
+            return Read::Unsure;
+        }
+        ((w << shift).wrapping_sub(middle), p)
+    } else {
+        let shift = shift.unsigned_abs();
+        if shift >= middle.leading_zeros() {
+            return Read::Unsure;
+        }
+        (w.wrapping_sub(middle << shift), p << shift)
+    };
+    let (distance, unit) = (distance as i128, unit as i128);
+    let inside = -(i128::from(below) * unit) <= distance && distance <= 2 * unit;
+    if inside {
+        Read::F32(candidate, i)
+    } else {
+        Read::NotF32
+    }
+}
+
+/// `digits[.digits]` at `start` (a digit) as `(w, k, end)` for
+/// `w · 10^-k`, in the printer's usual shape: at most seven integer digits, then possibly a
+/// point and at most seventeen fraction digits, at most nineteen digits in
+/// all (`3.4567840099334717`, `0.34567840099334717`), with the words read
+/// in bounds. The fraction is two words at fixed places and one byte, so
+/// neither its digit runs nor their lengths wait on each other. `None` for
+/// any other decimal.
+///
+/// [`any_digits`] reads these shapes too, to the same `(w, k, end)`, but
+/// each of its words starts where the last one's run ended: alone it reads
+/// the agenet `3rd_pool` map at ~53 ns a value on a 2.1 GHz Xeon, this path
+/// at ~28.
+fn printed_digits(bytes: &[u8], start: usize) -> Option<(u64, usize, usize)> {
+    // One integer digit is the usual case; a longer integer part takes a
+    // word.
+    let (int_len, int_value) = if bytes.get(start + 1) == Some(&b'.') {
+        (1, u64::from(bytes[start] - b'0'))
+    } else {
+        let (len, value) = eight_digits(word_at(bytes, start)?);
+        if len == 8 {
+            return None;
+        }
+        (len, value)
+    };
+    let point = start + int_len;
+    if bytes.get(point) != Some(&b'.') {
+        return Some((int_value, 0, point));
+    }
+    let (head_len, head) = eight_digits(word_at(bytes, point + 1)?);
+    let (tail_len, tail) = eight_digits(word_at(bytes, point + 9)?);
+    // Each word counts only after a full one: `1.5,2` is one fraction digit.
+    let (tail_len, tail) = if head_len == 8 {
+        (tail_len, tail)
+    } else {
+        (0, 0)
+    };
+    // A seventeenth fraction digit, which the printer writes below one.
+    let after = point + 1 + head_len + tail_len;
+    let last = bytes.get(after).map_or(10, |b| b.wrapping_sub(b'0'));
+    let extra = usize::from(tail_len == 8 && last < 10);
+    let scale = head_len + tail_len + extra;
+    if int_len + scale > MAX_DIGITS || bytes.get(after + extra).is_some_and(u8::is_ascii_digit) {
+        return None;
+    }
+    let w = ((int_value * POW10_STEP[head_len] + head) * POW10_STEP[tail_len] + tail)
+        * POW10_STEP[extra]
+        + u64::from(last) * extra as u64;
+    // `1.` is the integer `1` followed by a `.` that is not the number's.
+    let end = if scale == 0 { point } else { after + extra };
+    Some((w, scale, end))
+}
+
+/// The eight bytes at `i`, first byte lowest, when they are in bounds.
+fn word_at(bytes: &[u8], i: usize) -> Option<u64> {
+    let eight = bytes.get(i..i + 8)?;
+    eight.try_into().ok().map(u64::from_le_bytes)
+}
+
+/// `digits[.digits]` at `start` as `(w, k, end)` for `w · 10^-k`, eight
+/// bytes a step, skipping the zeros before the first significant digit;
+/// `None` past [`MAX_DIGITS`] significant digits.
+fn any_digits(bytes: &[u8], start: usize) -> Option<(u64, usize, usize)> {
+    let (mut w, mut digits) = (0, 0);
+    let mut i = digit_run(bytes, zeros_end(bytes, start), &mut w, &mut digits)?;
+    let mut scale = 0;
+    if bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+        let fraction = i + 1;
+        // The zeros after the point of a number below one are not
+        // significant either.
+        let first = if w == 0 {
+            zeros_end(bytes, fraction)
+        } else {
+            fraction
+        };
+        i = digit_run(bytes, first, &mut w, &mut digits)?;
+        scale = i - fraction;
+    }
+    Some((w, scale, i))
+}
+
+/// Index of the first byte at or after `i` that is not `0`.
+fn zeros_end(bytes: &[u8], mut i: usize) -> usize {
+    while bytes.get(i) == Some(&b'0') {
+        i += 1;
+    }
+    i
+}
+
+/// Appends the run of digits at `i` to `w`, eight bytes a step, counting
+/// them in `digits`; returns the index after the run, or `None` once the
+/// count passes [`MAX_DIGITS`].
+fn digit_run(bytes: &[u8], mut i: usize, w: &mut u64, digits: &mut usize) -> Option<usize> {
+    loop {
+        let word = match bytes.get(i..i + 8) {
+            Some(eight) => eight.try_into().map_or(0, u64::from_le_bytes),
+            // Near the end the word is padded with zero bytes, which are
+            // not digits.
+            None => {
+                let mut word = [0u8; 8];
+                let tail = bytes.get(i..).unwrap_or_default();
+                word[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(word)
+            }
+        };
+        let (run, value) = eight_digits(word);
+        *digits += run;
+        if *digits > MAX_DIGITS {
+            return None;
+        }
+        // `w < 10^(digits - run)`, so this stays below `10^19`.
+        *w = *w * POW10_STEP[run] + value;
+        i += run;
+        if run < 8 {
+            return Some(i);
+        }
+    }
+}
+
+/// How many of the eight bytes of `word` (first byte lowest) are ASCII
+/// digits before the first that is not, and the number they spell.
+fn eight_digits(word: u64) -> (usize, u64) {
+    const HIGH_NIBBLES: u64 = 0xf0f0_f0f0_f0f0_f0f0;
+    // A byte is a digit when its high nibble is 3 and stays 3 after adding
+    // 6. A byte past the first non-digit may be mangled by a carry; only
+    // the first one is read.
+    let nibbles =
+        (word & HIGH_NIBBLES) | ((word.wrapping_add(0x0606_0606_0606_0606) & HIGH_NIBBLES) >> 4);
+    let run = ((nibbles ^ 0x3333_3333_3333_3333).trailing_zeros() / 8) as usize;
+    if run == 0 {
+        return (0, 0);
+    }
+    // Digit values, the run moved to the top bytes so that the bytes below
+    // it read as leading zeros. A borrow out of a non-digit only moves up,
+    // and the shift drops everything from the first non-digit on.
+    let v = word.wrapping_sub(0x3030_3030_3030_3030) << (64 - 8 * run);
+    // Pairs, then fours, then the eight (first byte most significant).
+    let v = v.wrapping_mul(10).wrapping_add(v >> 8);
+    let v = ((v & 0x0000_00ff_0000_00ff).wrapping_mul(100 + (1_000_000 << 32)))
+        .wrapping_add(((v >> 16) & 0x0000_00ff_0000_00ff).wrapping_mul(1 + (10_000 << 32)))
+        >> 32;
+    (run, v)
 }
 
 #[cfg(test)]
@@ -574,5 +927,325 @@ mod tests {
             }
         }
         println!("{checked} patterns checked, 0 mismatches (part {part} of {parts})");
+    }
+
+    /// The element at `i` read through the `str::parse` path.
+    fn oracle(src: &str, i: usize) -> Option<(f32, u8, usize)> {
+        super::element(src, i, parse_magnitude)
+    }
+
+    /// An element's reading in comparable form: value bits, depth, end.
+    fn bits(read: Option<(f32, u8, usize)>) -> Option<(u32, u8, usize)> {
+        read.map(|(v, depth, end)| (v.to_bits(), depth, end))
+    }
+
+    /// Where [`printed_digits`] takes the decimal at `start`, it reads it
+    /// as [`any_digits`] does.
+    fn assert_digit_readers_agree(bytes: &[u8], start: usize) {
+        if let Some(read) = printed_digits(bytes, start) {
+            let text = String::from_utf8_lossy;
+            assert_eq!(
+                Some(read),
+                any_digits(bytes, start),
+                "{}",
+                text(&bytes[start..read.2])
+            );
+        }
+    }
+
+    /// Walks the printed list `text` element by element: the reader and the
+    /// `str::parse` path agree on every value, depth and end, and the value
+    /// is the one printed. Returns how many elements the integers decided.
+    fn assert_reads_as_parse(data: &[f32], text: &str) -> usize {
+        let mut i = "new Float32Array([".len();
+        let mut decided = 0;
+        for (n, &v) in data.iter().enumerate() {
+            let read = bits(scan_f32_element(text, i));
+            assert_eq!(read, bits(oracle(text, i)), "element {n} at {i}");
+            let Some((value, _, end)) = read else {
+                panic!("bits {:#010x} declined", v.to_bits());
+            };
+            assert!(
+                value == v.to_bits() || v.is_nan(),
+                "bits {:#010x}",
+                v.to_bits()
+            );
+            let start = i + usize::from(text.as_bytes()[i] == b'(');
+            assert_digit_readers_agree(text.as_bytes(), start);
+            decided += usize::from(!matches!(read_exact(text.as_bytes(), start), Read::Unsure));
+            i = end + 1;
+        }
+        assert_eq!(&text[i - 1..], "])");
+        decided
+    }
+
+    #[test]
+    fn sampled_patterns_read_back_as_parse_reads_them() {
+        let mut rng = Rng::seed_from_u64(0xf32_4ead);
+        let mut batch = vec![0f32; 4096];
+        let mut decided = 0;
+        for _ in 0..64 {
+            batch.fill_with(|| f32::from_bits(rng.next_u32()));
+            decided += assert_reads_as_parse(&batch, &rendered(&batch));
+        }
+        // Uniform patterns are mostly tiny or huge; a feature map's values
+        // are not, and every one of them is decided by the integers.
+        assert!(decided > 64 * 4096 / 8, "{decided}");
+        let map: Vec<f32> = (0..4096)
+            .map(|_| rng.gen_range_f32(0.0, 40.0).max(1e-3))
+            .collect();
+        assert_eq!(assert_reads_as_parse(&map, &rendered(&map)), map.len());
+    }
+
+    /// Every non-negative finite pattern's printed text reads back through
+    /// the integers exactly as through `str::parse`: value bits, depth and
+    /// end. (A negative value prints the same digits inside `(-…)`; the
+    /// named cases cover the wrapper.) `PARTS`/`PART` split the work like
+    /// the printer's test.
+    #[test]
+    #[ignore = "2^31 patterns; run in release, PARTS/PART split the work"]
+    fn every_finite_pattern_reads_back() {
+        let var =
+            |name: &str, default: u64| std::env::var(name).map_or(default, |v| v.parse().unwrap());
+        let (parts, part) = (var("PARTS", 1), var("PART", 0));
+        assert!(part < parts);
+        let mut batch = Vec::with_capacity(4096);
+        let mut text = String::new();
+        let (mut checked, mut decided) = (0u64, 0u64);
+        for i in (part..1 << 31).step_by(parts as usize) {
+            let bits = (i as u32).wrapping_mul(0x9e37_79b1) & 0x7fff_ffff;
+            if bits < 0x7f80_0000 {
+                batch.push(f32::from_bits(bits));
+            }
+            if batch.len() == batch.capacity() || i + parts >= 1 << 31 {
+                text.clear();
+                render_f32_literal(&batch, &mut text);
+                decided += assert_reads_as_parse(&batch, &text) as u64;
+                checked += batch.len() as u64;
+                batch.clear();
+            }
+        }
+        println!(
+            "{checked} patterns read back, {decided} decided by the integers, 0 mismatches \
+             (part {part} of {parts})"
+        );
+    }
+
+    #[test]
+    fn named_reader_cases() {
+        let read = |text: &str| scan_f32_element(text, 0).map(|(v, _, end)| (v, end));
+        // 1 - 2^-53 is an f64 below the quarter-unit lower end of 1.0; a
+        // symmetric half-unit test would take it as 1.0.
+        assert_eq!(read("0.99999999999999992"), None);
+        assert_eq!(read("0.99999999999999996"), Some((1.0, 19)));
+        assert_eq!(read("1.00000000000000011"), Some((1.0, 19)));
+        // 2^60 - 64 and 2^60 + 128: the ends of 2^60's interval, exact
+        // f64 ties that round to 2^60's even significand.
+        let two_60 = (1u64 << 60) as f32;
+        assert_eq!(read("1152921504606846912"), Some((two_60, 19)));
+        assert_eq!(read("1152921504606847104"), Some((two_60, 19)));
+        assert_eq!(read("1152921504606846876"), None);
+        // Each of those is decided by the integers, not by the fallback.
+        for text in [
+            "0.99999999999999992",
+            "0.99999999999999996",
+            "1.00000000000000011",
+            "1152921504606846912",
+            "1152921504606847104",
+            "1152921504606846876",
+            "12.5",
+            "0.10000000149011612",
+        ] {
+            assert!(
+                !matches!(read_exact(text.as_bytes(), 0), Read::Unsure),
+                "{text}"
+            );
+        }
+        assert!(matches!(read_exact(b"0.1", 0), Read::NotF32));
+        // Zeros and the quotients, with and without what follows them.
+        for text in [
+            "0", "-0", "(-0)", "(0/0)", "(1/0)", "(-1/0)", "000", "0.000",
+        ] {
+            for tail in ["", ",", "])", ",1,2,3,4,5,6,7])"] {
+                let src = format!("{text}{tail}");
+                assert_eq!(
+                    bits(scan_f32_element(&src, 0)),
+                    bits(oracle(&src, 0)),
+                    "{src}"
+                );
+                assert!(scan_f32_element(&src, 0).is_some(), "{src}");
+            }
+        }
+        assert!(matches!(read_exact(b"0", 0), Read::Unsure));
+        assert_eq!(scan_f32_element("(-0)", 0), Some((-0.0, 4, 4)));
+        assert_eq!(
+            scan_f32_element("-0", 0).map(|(v, ..)| v.to_bits()),
+            Some(1 << 31)
+        );
+        assert_eq!(scan_f32_element("(-2.5)]", 0), Some((-2.5, 4, 6)));
+        // Outside the alphabet.
+        for text in ["", "(", "(-", "(-x)", "-(1)", "(2)", ".5", "(-2.5", "x"] {
+            assert_eq!(scan_f32_element(text, 0), None, "{text}");
+            assert_eq!(oracle(text, 0), None, "{text}");
+        }
+    }
+
+    #[test]
+    fn eight_digits_reads_every_run_length() {
+        let mut rng = Rng::seed_from_u64(0x8d161);
+        let stops = [
+            b'.', b',', b']', b'/', b':', b'(', 0, 0x80, 0xc3, 0xf4, b'e', b' ',
+        ];
+        for _ in 0..20_000 {
+            let mut word: [u8; 8] =
+                std::array::from_fn(|_| b'0' + rng.gen_range_usize(0, 10) as u8);
+            for byte in word.iter_mut() {
+                if rng.gen_range_usize(0, 6) == 0 {
+                    *byte = *rng.choose(&stops);
+                }
+            }
+            let run = word.iter().take_while(|b| b.is_ascii_digit()).count();
+            let value = word[..run]
+                .iter()
+                .fold(0, |v, &b| v * 10 + u64::from(b - b'0'));
+            assert_eq!(
+                eight_digits(u64::from_le_bytes(word)),
+                (run, value),
+                "{word:?}"
+            );
+        }
+    }
+
+    /// The exact positional decimal of `n · 2^e` as significant digits and
+    /// a power of ten: `(digits, p)` is `digits · 10^p`.
+    fn dyadic(n: u64, e: i32) -> (String, i32) {
+        let mut big = vec![n as u32, (n >> 32) as u32];
+        let (by, count) = if e >= 0 { (2, e) } else { (5, -e) };
+        for _ in 0..count {
+            times(&mut big, by);
+        }
+        // Repeated division by 10^9, lowest chunk first.
+        let mut chunks = Vec::new();
+        while big.iter().any(|&limb| limb != 0) {
+            let mut rest = 0u64;
+            for limb in big.iter_mut().rev() {
+                let current = rest << 32 | u64::from(*limb);
+                *limb = (current / 1_000_000_000) as u32;
+                rest = current % 1_000_000_000;
+            }
+            chunks.push(rest);
+        }
+        let mut digits = chunks.pop().map_or_else(String::new, |top| top.to_string());
+        for chunk in chunks.iter().rev() {
+            digits += &format!("{chunk:09}");
+        }
+        let significant = digits.trim_end_matches('0').len();
+        let power = e.min(0) + (digits.len() - significant) as i32;
+        digits.truncate(significant);
+        (digits, power)
+    }
+
+    /// `digits · 10^power` written positionally, with `lead` extra leading
+    /// zeros and `trail` extra trailing ones.
+    fn positional(digits: &str, power: i32, lead: usize, trail: usize) -> String {
+        let zeros = |n: usize| "0".repeat(n);
+        let mut text = zeros(lead);
+        let point = digits.len() as i32 + power;
+        if power >= 0 {
+            text += digits;
+            text += &zeros(power as usize);
+            if trail > 0 {
+                text += ".";
+            }
+        } else if point > 0 {
+            text += &digits[..point as usize];
+            text += ".";
+            text += &digits[point as usize..];
+        } else {
+            text += "0.";
+            text += &zeros(point.unsigned_abs() as usize);
+            text += digits;
+        }
+        text + &zeros(trail)
+    }
+
+    /// `digits` plus one unit in its last place.
+    fn bumped(digits: &str) -> String {
+        let mut bytes = digits.as_bytes().to_vec();
+        for byte in bytes.iter_mut().rev() {
+            if *byte == b'9' {
+                *byte = b'0';
+            } else {
+                *byte += 1;
+                return String::from_utf8(bytes).unwrap();
+            }
+        }
+        format!("1{}", String::from_utf8(bytes).unwrap())
+    }
+
+    #[test]
+    fn text_the_printer_never_writes_reads_as_parse_reads_it() {
+        let mut rng = Rng::seed_from_u64(0xdec_1a1);
+        // How often the integers accepted, declined and handed over.
+        let mut outcomes = [0usize; 3];
+        for _ in 0..6_000 {
+            // A finite normal f32, half the time in a feature map's range
+            // and a quarter of the time a power of two, whose interval
+            // reaches only a quarter unit below.
+            let mut pattern = if rng.next_bool() {
+                rng.gen_range_u64(0x0080_0000, 0x7f80_0000) as u32
+            } else {
+                rng.gen_range_u64(0x2b80_0000, 0x5f00_0000) as u32
+            };
+            if rng.gen_range_usize(0, 4) == 0 {
+                pattern &= 0xff80_0000;
+            }
+            let m = u64::from(pattern & 0x7f_ffff | 0x80_0000);
+            let q = (pattern >> 23) as i32 - 150;
+            let below = if pattern & 0x7f_ffff == 0 { 1 } else { 2 };
+            // The value, the f32 midpoint above it, the two ends of its f64
+            // rounding interval and half a unit below it, as exact dyadics.
+            let targets = [
+                (m, q),
+                (2 * m + 1, q - 1),
+                ((m << 31) + 2, q - 31),
+                ((m << 31) - below, q - 31),
+                ((m << 31) - 2, q - 31),
+            ];
+            let (n, e) = *rng.choose(&targets);
+            let (exact, power) = dyadic(n, e);
+            // Exact, or cut to 15–25 significant digits and maybe one unit
+            // up: just inside or just outside whichever end it was.
+            let keep = rng.gen_range_usize(15, 26).min(exact.len());
+            let cut_power = power + (exact.len() - keep) as i32;
+            let (digits, power) = match rng.gen_range_usize(0, 3) {
+                0 => (exact.clone(), power),
+                1 => (exact[..keep].to_string(), cut_power),
+                _ => (bumped(&exact[..keep]), cut_power),
+            };
+            let lead = if rng.gen_range_usize(0, 4) == 0 {
+                rng.gen_range_usize(1, 4)
+            } else {
+                0
+            };
+            let trail = if rng.gen_range_usize(0, 4) == 0 {
+                rng.gen_range_usize(1, 4)
+            } else {
+                0
+            };
+            let magnitude = positional(&digits, power, lead, trail);
+            let wrapper = *rng.choose(&[("", ""), ("-", ""), ("(-", ")")]);
+            let tail = *rng.choose(&["", ",", "])", ",0.5,1,2,3])"]);
+            let src = format!("{}{magnitude}{}{tail}", wrapper.0, wrapper.1);
+            let read = bits(scan_f32_element(&src, 0));
+            assert_eq!(read, bits(oracle(&src, 0)), "{src}");
+            assert_digit_readers_agree(src.as_bytes(), wrapper.0.len());
+            outcomes[match read_exact(magnitude.as_bytes(), 0) {
+                Read::F32(..) => 0,
+                Read::NotF32 => 1,
+                Read::Unsure => 2,
+            }] += 1;
+        }
+        assert!(outcomes.iter().all(|&n| n > 300), "{outcomes:?}");
     }
 }

@@ -1,6 +1,7 @@
 //! Tokenizer for MiniJS — the JavaScript subset the browser runtime
 //! executes and the snapshot generator emits.
 
+use crate::f32text;
 use crate::intern::{Ident, Symbol};
 use crate::WebError;
 
@@ -61,7 +62,7 @@ fn digits_end(bytes: &[u8], mut i: usize) -> usize {
 
 /// End of `digits[.digits]` starting at `i` (a `.` counts only when a
 /// digit follows, so `a[1].b` and `1.` keep their member-access dot).
-fn decimal_end(bytes: &[u8], i: usize) -> usize {
+pub(crate) fn decimal_end(bytes: &[u8], i: usize) -> usize {
     let end = digits_end(bytes, i);
     if bytes.get(end) == Some(&b'.') && bytes.get(end + 1).is_some_and(u8::is_ascii_digit) {
         digits_end(bytes, end + 1)
@@ -254,7 +255,9 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, WebError> {
 /// `None` — on the first byte outside it, so whitespace, comments,
 /// identifiers, exponents, nested expressions, a trailing comma or a
 /// missing `])` all go through the general lexer and parser, which stay the
-/// only definition of what is legal and of every error message.
+/// only definition of what is legal and of every error message. The
+/// elements are [`f32text`]'s, next to the printer that writes them; this
+/// function reads only the framing between them.
 fn scan_f32_list(src: &str, at: usize) -> Option<(Token, usize)> {
     let bytes = src.as_bytes();
     if !bytes[at..].starts_with(b"([") {
@@ -264,12 +267,12 @@ fn scan_f32_list(src: &str, at: usize) -> Option<(Token, usize)> {
     // The printer spends ~19 bytes a value, and the list runs to at most
     // the end of the text: reserving that up front spares a feature map
     // its ~15 doublings.
-    let mut data = Vec::with_capacity((bytes.len() - i) / BYTES_PER_VALUE);
+    let mut data = Vec::with_capacity((bytes.len() - i) / f32text::BYTES_PER_VALUE);
     // `new Float32Array(` parses its argument one `expression()` deep.
     let mut nesting = 1;
     if bytes.get(i) != Some(&b']') {
         loop {
-            let (value, depth, end) = scan_f32_element(src, i)?;
+            let (value, depth, end) = f32text::scan_f32_element(src, i)?;
             data.push(value);
             nesting = nesting.max(depth);
             match bytes.get(end)? {
@@ -287,56 +290,6 @@ fn scan_f32_list(src: &str, at: usize) -> Option<(Token, usize)> {
         data.shrink_to_fit();
     }
     (bytes.get(i + 1) == Some(&b')')).then_some((Token::F32List { data, nesting }, i + 2))
-}
-
-/// What the snapshot printer spends on a feature value, comma included:
-/// 19.4 bytes on average over the paper's `1st_pool` and `3rd_pool` maps.
-const BYTES_PER_VALUE: usize = 19;
-
-/// One element of a scanned list at `i`: its value, how many levels deep
-/// the general parser recurses for this spelling (counted from the `new`),
-/// and the index after it.
-fn scan_f32_element(src: &str, i: usize) -> Option<(f32, u8, usize)> {
-    let bytes = src.as_bytes();
-    let rest = &bytes[i..];
-    for (text, numerator, depth) in [("(0/0)", 0.0, 3), ("(1/0)", 1.0, 3), ("(-1/0)", -1.0, 4)] {
-        if rest.starts_with(text.as_bytes()) {
-            // Divided at run time, like the interpreter's `/`: the sign and
-            // payload of `0/0` are the hardware's choice, and a constant the
-            // compiler folds may choose differently.
-            let quotient = std::hint::black_box(numerator) / std::hint::black_box(0.0_f64);
-            return Some((quotient as f32, depth, i + text.len()));
-        }
-    }
-    // `x`, `-x` (how `-0` prints) or `(-x)`.
-    let wrapped = rest.starts_with(b"(-");
-    let negative = wrapped || rest.first() == Some(&b'-');
-    let start = i + usize::from(wrapped) + usize::from(negative);
-    // A leading digit is required, as in the general lexer (`f64::from_str`
-    // alone would also take `.5`).
-    if !bytes.get(start).is_some_and(u8::is_ascii_digit) {
-        return None;
-    }
-    let mut end = decimal_end(bytes, start);
-    let magnitude: f64 = src[start..end].parse().ok()?;
-    let value = if negative { -magnitude } else { magnitude };
-    // The general path parses an f64 and the constructor rounds it; a
-    // function body is re-printed from its AST, so only a decimal that
-    // already is an f32 may become one here (`0.1` must print back as `0.1`).
-    if !value.is_finite() || f64::from(value as f32) != value {
-        return None;
-    }
-    if wrapped {
-        if bytes.get(end) != Some(&b')') {
-            return None;
-        }
-        end += 1;
-    }
-    Some((
-        value as f32,
-        2 + u8::from(negative) + u8::from(wrapped),
-        end,
-    ))
 }
 
 #[cfg(test)]
