@@ -73,6 +73,9 @@ if grep -nE 'pub (verify|effects):' crates/webapp/src/snapshot.rs; then
 fi
 if grep -rnE 'snapshot\.(verify|effects)|options\.verify' crates/*/src; then exit 1; fi
 
+echo "== the verifier is a test oracle (the verify gate, its switch, its error and its verdict stay deleted)"
+if grep -rnE 'verify_script|Gate::Verify|OffloadError::Verify|Verdict::Reject|cfg\.verify' crates/*/src; then exit 1; fi
+
 echo "== snapshot HTML text is scanned, not stepped (no chained entity replaces or window searches in html.rs outside its tests; the attribute-cloning doc_attrs stays deleted)"
 if sed '/#\[cfg(test)\]/,$d' crates/webapp/src/html.rs | grep -nE '\.replace\("&|\.windows\('; then
     echo "html.rs walks its text again: scan it with find_set" >&2
@@ -118,7 +121,7 @@ refused() {
 refused --predcit session --model agenet --rounds 2 --predcit true
 refused --balance session --model agenet --rounds 2 --balance true
 refused stray session --model agenet --rounds 2 stray
-refused --all-apps analyze --all-apps true --model agenet
+refused --model analyze --model agenet
 
 echo "== cargo test"
 cargo test --offline -q --workspace
@@ -163,10 +166,10 @@ cargo run --offline --release -p snapedge-bench --bin fleet_balance
 echo "== determinism lint (wall-clock, hash-iter, collect-in-loop, string-keyed-map)"
 cargo run --offline --release -p snapedge-lint
 
-echo "== static snapshot verifier smoke (paper apps + live captures)"
+echo "== static snapshot verifier smoke (the two paper app sources)"
 cargo run --offline --release -p snapedge-cli --bin snapedge -- analyze --all-apps true
 
-echo "== effect analysis smoke (floor report + effects-on session per model)"
+echo "== effect analysis smoke (the paper app sources' floors and nondeterminism report)"
 cargo run --offline --release -p snapedge-cli --bin snapedge -- analyze --all-apps true --effects true
 
 echo "ci.sh: all green"

@@ -60,14 +60,12 @@ macro_rules! cli {
 
 cli! {
     Run Sweep Session Fleet Install Models Analyze;
-    Model "model" [Run Sweep Session Fleet Install Analyze] Text("<name>"),
-        "The zoo model ('snapedge models' lists them): googlenet by default,\n\
-         all three paper models for analyze.";
+    Model "model" [Run Sweep Session Fleet Install] Text("<name>"),
+        "The zoo model ('snapedge models' lists them; default googlenet).";
     Strategy "strategy" [Run]
         Choice(&["client", "server", "before-ack", "after-ack", "partial"]),
         "Where the inference runs (default after-ack).";
-    Cut "cut" [Run Analyze] Text("<label>"),
-        "The cut of --strategy partial (default 1st_pool), or of analyze's session.";
+    Cut "cut" [Run] Text("<label>"), "The cut of --strategy partial (default 1st_pool).";
     Mbps "mbps" [Run Sweep Session Fleet Install] Rate,
         "The primary link's rate in Mbps, finite and above zero (default 30).";
     Timeline "timeline" [Run] Bool, "Prints an ASCII Gantt of the phases from the click on.";
@@ -102,8 +100,8 @@ cli! {
     Effects "effects" [Run Session Analyze] Bool,
         "Runs the static effect pass before any state ships: nondeterministic apps\n\
          and rounds over the meter's op floor complete locally. With analyze it\n\
-         prints the op/allocation floors and every nondeterministic host access.\n\
-         Off by default (bit-identical replay).";
+         prints the analyzed app's op/allocation floors and every nondeterministic\n\
+         host access. Off by default (bit-identical replay).";
     Rounds "rounds" [Session Fleet] Count,
         "Rounds to run (session: 3 by default; closed-loop fleet: the cap per client).";
     NoDeltas "no-deltas" [Session] Bool, "Ships a full snapshot every round, not deltas.";
@@ -128,7 +126,7 @@ cli! {
     BatchWindow "batch-window" [Fleet] Seconds,
         "Batches admissions co-queued within the window behind a busy CPU.";
     AllApps "all-apps" [Analyze] Choice(&["true"]),
-        "Analyzes all three paper models (the default without --model or --html).";
+        "Analyzes the two paper app sources (the default without --html).";
     Html "html" [Analyze] Text("<file>"), "Analyzes a MiniJS or HTML file instead.";
     Report "report" [Analyze] Text("<out.html>"), "Writes an escaped HTML report (needs --html).";
     Mode "mode" [Analyze] Choice(&["app", "snapshot", "delta"]), "Analysis mode (needs --html).";
@@ -357,13 +355,10 @@ fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Invocation, UsageError> {
 
 /// Flag pairs a command line may not hold: `(flag, needs, other)` refuses
 /// `flag` without `other` when it `needs` it, and beside it otherwise.
-const RULES: [(Flag, bool, Flag); 8] = [
+const RULES: [(Flag, bool, Flag); 5] = [
     (Flag::Mode, true, Flag::Html),
     (Flag::Hosts, true, Flag::Html),
     (Flag::Report, true, Flag::Html),
-    (Flag::Model, false, Flag::Html),
-    (Flag::Cut, false, Flag::Html),
-    (Flag::AllApps, false, Flag::Model),
     (Flag::AllApps, false, Flag::Html),
     (Flag::FaultPlan, false, Flag::Servers),
 ];
@@ -973,11 +968,14 @@ fn cmd_analyze_file(path: &str, inv: &Invocation) -> Result<(), String> {
     Ok(())
 }
 
-/// Statically verifies one model's apps and live snapshots: both paper app
-/// sources are analyzed in app mode, then a two-round delta session runs
-/// with `verify` on, so the session verifies the full snapshot (round 1)
-/// and the deltas (round 2) before any link traffic.
-fn analyze_model(model: &str, cut: Option<&str>, effects: bool) -> Result<usize, String> {
+/// `snapedge analyze` — the static snapshot verifier. With `--html` it
+/// analyzes a file; otherwise it analyzes both paper app sources (the
+/// same for every model) in app mode, with their effect summaries under
+/// `--effects true`.
+fn cmd_analyze(inv: &Invocation) -> Result<(), String> {
+    if let Some(path) = inv.text(Flag::Html) {
+        return cmd_analyze_file(path, inv);
+    }
     let url = apps::synthetic_image_data_url(7, 256);
     let opts = AnalysisOptions::app().with_hosts(vec!["model".to_string()]);
     let eopts = EffectOptions::new().with_host("model", HostEffect::Deterministic);
@@ -987,47 +985,14 @@ fn analyze_model(model: &str, cut: Option<&str>, effects: bool) -> Result<usize,
         ("partial-app", apps::partial_inference_app(&url)),
     ];
     for (label, html) in &sources {
-        findings += print_report(&format!("{model} {label}"), &analyze_html(html, &opts));
-        if effects {
-            let summary =
-                effect_summary_html(html, &eopts).map_err(|e| format!("{model} {label}: {e}"))?;
+        findings += print_report(label, &analyze_html(html, &opts));
+        if inv.on(Flag::Effects) {
+            let summary = effect_summary_html(html, &eopts).map_err(|e| format!("{label}: {e}"))?;
             print!("{}", summary.render());
             // A nondeterministic paper app would be a finding: its
             // snapshots could not be replayed bit-identically elsewhere.
             findings += summary.nondet.len();
         }
-    }
-    let mut builder = SessionConfig::paper_builder(model)
-        .verify(true)
-        .effects(effects);
-    if let Some(cut) = cut {
-        builder = builder.cut(cut);
-    }
-    let mut session = OffloadSession::new(builder.build()).map_err(|e| e.to_string())?;
-    for round in 1..=2u64 {
-        session
-            .infer(round)
-            .map_err(|e| format!("{model} round {round}: {e}"))?;
-    }
-    println!("analyze {model} session: 2 rounds verified (full + delta snapshots)");
-    Ok(findings)
-}
-
-/// `snapedge analyze` — the static snapshot verifier. With `--html` it
-/// analyzes a file; otherwise it sweeps the paper apps (all models, or one
-/// with `--model`) and verifies live captures pre-send.
-fn cmd_analyze(inv: &Invocation) -> Result<(), String> {
-    if let Some(path) = inv.text(Flag::Html) {
-        return cmd_analyze_file(path, inv);
-    }
-    let models = match inv.text(Flag::Model) {
-        Some(model) => vec![model],
-        None => vec!["googlenet", "agenet", "gendernet"],
-    };
-    let effects = inv.on(Flag::Effects);
-    let mut findings = 0;
-    for model in &models {
-        findings += analyze_model(model, inv.text(Flag::Cut), effects)?;
     }
     if findings > 0 {
         return Err(format!("analyze: {findings} diagnostic(s) across targets"));
@@ -1601,6 +1566,8 @@ mod tests {
             (on_session(&["--balance", "true"]), "--balance"),
             (on_session(&["stray"]), "\"stray\""),
             (vec!["analyze", "--all-apps", "false"], "--all-apps"),
+            (vec!["analyze", "--model", "agenet"], "--model"),
+            (vec!["analyze", "--cut", "2nd_pool"], "--cut"),
             (vec!["models", "--model", "x"], "--model"),
             (vec!["teleport"], "\"teleport\""),
             (vec!["--model", "agenet"], "subcommand"),
@@ -1627,25 +1594,11 @@ mod tests {
             ),
             (vec!["run", "--cut", "2nd_pool"], Flag::Cut),
             (
-                vec![
-                    "analyze", "--model", "agenet", "--mode", "snapshot", "--hosts", "zzz",
-                ],
+                vec!["analyze", "--mode", "snapshot", "--hosts", "zzz"],
                 Flag::Mode,
             ),
             (vec!["analyze", "--hosts", "zzz"], Flag::Hosts),
             (vec!["analyze", "--report", "r.html"], Flag::Report),
-            (
-                vec!["analyze", "--html", "p.html", "--model", "agenet"],
-                Flag::Model,
-            ),
-            (
-                vec!["analyze", "--html", "p.html", "--cut", "2nd_pool"],
-                Flag::Cut,
-            ),
-            (
-                vec!["analyze", "--all-apps", "true", "--model", "agenet"],
-                Flag::AllApps,
-            ),
             (
                 vec!["analyze", "--all-apps", "true", "--html", "p.html"],
                 Flag::AllApps,
@@ -1660,8 +1613,8 @@ mod tests {
         for argv in [
             vec!["run", "--strategy", "partial", "--cut", "2nd_pool"],
             vec!["analyze", "--all-apps", "true", "--effects", "true"],
-            vec!["analyze", "--model", "agenet", "--cut", "2nd_pool"],
-            vec!["analyze", "--cut", "2nd_pool"],
+            vec!["analyze", "--effects", "true"],
+            vec!["analyze"],
             vec![
                 "analyze", "--html", "p.html", "--mode", "snapshot", "--hosts", "model",
             ],
@@ -1804,7 +1757,7 @@ mod tests {
             &[&["models"]],
             &[
                 &["analyze", "--all-apps", "true", "--effects", "true"],
-                &["analyze", "--model", "agenet", "--cut", "2nd_pool"],
+                &["analyze", "--effects", "true"],
                 &[
                     "analyze", "--html", "p.html", "--mode", "snapshot", "--hosts", "model",
                 ],

@@ -6,11 +6,12 @@
 //! with ≈15 identical setters each. This module collapses that
 //! duplication: [`OffloadConfig`] owns everything the two shapes share
 //! (model, fleet, client device, execution mode, seeds, payload sizes,
-//! snapshot options, resilience knobs, the pre-ship gate switches), the
-//! typed wrappers add only what is genuinely theirs (a session's
-//! `cut`/`use_deltas`, a scenario's `strategy`/`compress`), and
-//! [`ConfigBuilder`] provides the shared setters once, generically over
-//! any wrapper that derefs to the core.
+//! snapshot options, resilience knobs, and the switches of the two
+//! pre-ship gates, `predict` and `effects`), the typed wrappers add only
+//! what is genuinely theirs (a session's `cut`/`use_deltas`, a
+//! scenario's `strategy`/`compress`), and [`ConfigBuilder`] provides the
+//! shared setters once, generically over any wrapper that derefs to the
+//! core.
 //!
 //! The unification is also what lets the fleet engine
 //! ([`crate::engine`]) accept **one** config type: anything that converts
@@ -64,11 +65,6 @@ pub struct OffloadConfig {
     /// floor primes the `plan` gate. `false` (the default) computes no
     /// summary and records no `effects` gate event.
     pub effects: bool,
-    /// Statically verify every captured snapshot and delta before it
-    /// ships: the `verify` gate rejects unshippable source before any
-    /// link traffic and before the retry budget is touched. `false` (the
-    /// default) records no `verify` gate event.
-    pub verify: bool,
     /// Per-tenant resource metering on edge servers (op budgets,
     /// heap/string caps, call-depth limits, virtual-time slices).
     /// Individual servers override this via
@@ -98,7 +94,6 @@ impl OffloadConfig {
             retry: None,
             predict: false,
             effects: false,
-            verify: false,
             meter: None,
         }
     }
@@ -254,13 +249,6 @@ impl<C: DerefMut<Target = OffloadConfig>> ConfigBuilder<C> {
     /// traces byte for byte.
     pub fn effects(mut self, on: bool) -> ConfigBuilder<C> {
         self.cfg.effects = on;
-        self
-    }
-
-    /// Toggles static verification of every captured snapshot and delta
-    /// before it ships (off by default).
-    pub fn verify(mut self, on: bool) -> ConfigBuilder<C> {
-        self.cfg.verify = on;
         self
     }
 

@@ -4,10 +4,8 @@
 //! our offloading system") made concrete.
 
 use crate::device::DeviceProfile;
-use crate::gates::{self, Verdict};
 use crate::mlhost::CaffeJsHost;
 use crate::OffloadError;
-use snapedge_analyze::Mode;
 use snapedge_dnn::{ExecMode, Network, NodeId, ParamStore};
 use snapedge_net::SimClock;
 use snapedge_trace::{EventKind, Lane, Tracer};
@@ -118,8 +116,8 @@ impl Endpoint {
 
     /// Captures a snapshot, charging the device's capture time to the
     /// clock and recording a `capture_{lane}` event; returns the snapshot
-    /// and the charged duration. Whether it may ship is not decided here:
-    /// the session consults the verify gate after capture.
+    /// and the charged duration. Whether the round ships at all was
+    /// decided at the click, by the pre-ship gates.
     ///
     /// # Errors
     ///
@@ -168,28 +166,6 @@ impl Endpoint {
             Some(bytes),
         );
         cost
-    }
-
-    /// The verify gate: statically verifies generated snapshot (or delta)
-    /// source against this endpoint's host surface and records the
-    /// verdict as a `gate:verify:…` event carrying the source length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OffloadError::Verify`] when the analyzer reports
-    /// error-severity diagnostics.
-    pub fn verify_script(
-        &mut self,
-        source: &str,
-        mode: Mode,
-        ambient: Vec<String>,
-    ) -> Result<(), OffloadError> {
-        let judged = gates::verify(source, mode, self.browser.host_names(), ambient);
-        let bytes = Some(source.len() as u64);
-        match gates::record(&self.tracer, self.lane, self.clock.now(), judged, bytes) {
-            Verdict::Reject(e) => Err(e),
-            _ => Ok(()),
-        }
     }
 
     /// Restores a snapshot, charging the device's restore time and

@@ -20,17 +20,11 @@ pub enum OffloadError {
     Protocol(String),
     /// Configuration error (unknown strategy parameters, bad cut, ...).
     Config(String),
-    /// Pre-send static verification rejected a snapshot: the analyzer
-    /// found error-severity diagnostics (free identifiers, unknown host
-    /// APIs, reserved-prefix violations), so shipping it would fail at
-    /// restore time. Raised before any link traffic and before the retry
-    /// budget is touched.
-    Verify(String),
     /// Static effect analysis rejected the app before any bytes shipped:
     /// it reaches nondeterministic host APIs (clock/random/IO), so
-    /// replaying its snapshot on another browser could diverge. Unlike
-    /// [`OffloadError::Verify`] this is a property of the *app*, not of
-    /// one capture — no retry or server change can fix it.
+    /// replaying its snapshot on another browser could diverge. This is
+    /// a property of the *app*, not of one capture — no retry or server
+    /// change can fix it.
     Analyze(snapedge_analyze::AnalyzeError),
 }
 
@@ -43,7 +37,6 @@ impl fmt::Display for OffloadError {
             OffloadError::Net(e) => write!(f, "net: {e}"),
             OffloadError::Protocol(msg) => write!(f, "protocol: {msg}"),
             OffloadError::Config(msg) => write!(f, "config: {msg}"),
-            OffloadError::Verify(msg) => write!(f, "verify: {msg}"),
             OffloadError::Analyze(e) => write!(f, "effect analysis: {e}"),
         }
     }

@@ -1,20 +1,18 @@
 //! The pre-ship gates: everything that can keep a round off the wire,
-//! in the one order it is consulted. `effects` and `plan` run at the
-//! click ([`pre_ship`], called by `OffloadSession::round_start`);
-//! `verify` runs right after every capture (`OffloadSession::migrate`,
-//! through `Endpoint::verify_script`). Each gate's switch is an
-//! [`OffloadConfig`] field (`effects`, `predict`, `verify`), read here
-//! and in the session only. A gate that is not configured is not
-//! consulted and emits nothing; a consulted gate emits exactly one
-//! [`EventKind::Gate`] event through [`record`], named
-//! `gate:<gate>:<ship|local|reject>:<lhs>:<rhs>` after the two numbers
-//! it compared.
+//! in the one order it is consulted. Both run at the click
+//! ([`pre_ship`], called by `OffloadSession::round_start`): `effects`,
+//! then `plan`. Each gate's switch is an [`OffloadConfig`] field
+//! (`effects`, `predict`), read here and in the session only. A gate
+//! that is not configured is not consulted and emits nothing; a
+//! consulted gate emits exactly one [`EventKind::Gate`] event through
+//! [`record`], named `gate:<gate>:<ship|local>:<lhs>:<rhs>` after the
+//! two numbers it compared.
 
 use crate::config::OffloadConfig;
 use crate::fleet::ServerPool;
 use crate::partition::{Decision, PartitionOptimizer};
 use crate::OffloadError;
-use snapedge_analyze::{AnalysisOptions, EffectSummary, Mode, Severity};
+use snapedge_analyze::EffectSummary;
 use snapedge_dnn::Network;
 use snapedge_trace::{EventKind, Lane, Tracer};
 use snapedge_webapp::MeterLimits;
@@ -29,8 +27,6 @@ pub(crate) enum Gate {
     /// The adaptive planner: offloading must be predicted to beat local
     /// execution on the link and server queue as last observed.
     Plan,
-    /// Static verification of the captured source.
-    Verify,
 }
 
 /// What a consulted gate compared: `lhs` against `rhs`.
@@ -49,34 +45,24 @@ pub(crate) enum Verdict {
     /// Complete the round on the client; carries the gate that said so
     /// and the numbers behind it.
     Local(Reading),
-    /// The migration is refused outright with this error.
-    Reject(OffloadError),
 }
 
 /// A consulted gate's comparison and what it decided.
-pub(crate) type Judged = (Reading, Verdict);
+type Judged = (Reading, Verdict);
 
 /// Turns a consulted gate's verdict into its trace event — the only
 /// place one is emitted — and hands the verdict back.
-pub(crate) fn record(
-    tracer: &Tracer,
-    lane: Lane,
-    at: Duration,
-    (reading, verdict): Judged,
-    bytes: Option<u64>,
-) -> Verdict {
+fn record(tracer: &Tracer, at: Duration, (reading, verdict): Judged) -> Verdict {
     let gate = match reading.gate {
         Gate::Effects => "effects",
         Gate::Plan => "plan",
-        Gate::Verify => "verify",
     };
     let outcome = match verdict {
         Verdict::Ship => "ship",
         Verdict::Local(_) => "local",
-        Verdict::Reject(_) => "reject",
     };
     let name = format!("gate:{gate}:{outcome}:{}:{}", reading.lhs, reading.rhs);
-    tracer.record_bytes(&name, lane, EventKind::Gate, at, at, bytes);
+    tracer.record(&name, Lane::Client, EventKind::Gate, at, at);
     verdict
 }
 
@@ -107,7 +93,7 @@ pub(crate) fn pre_ship(
 ) -> Result<(Verdict, Option<Decision>), OffloadError> {
     if let Some(summary) = round.effects {
         let judged = effects(summary, round.meter);
-        let verdict = record(tracer, Lane::Client, round.now, judged, None);
+        let verdict = record(tracer, round.now, judged);
         if !matches!(verdict, Verdict::Ship) {
             return Ok((verdict, None));
         }
@@ -117,7 +103,7 @@ pub(crate) fn pre_ship(
     // gate even when prediction is off.
     if round.cfg.predict || !round.queue_outlook.is_empty() {
         if let Some((judged, decision)) = plan(round)? {
-            let verdict = record(tracer, Lane::Client, round.now, judged, None);
+            let verdict = record(tracer, round.now, judged);
             return Ok((verdict, Some(decision)));
         }
     }
@@ -191,46 +177,15 @@ fn plan(round: &Round<'_>) -> Result<Option<(Judged, Decision)>, OffloadError> {
     .plan(false, unacked, penalty)?;
     let reading = Reading {
         gate: Gate::Plan,
-        lhs: plan.offload.as_micros() as u64,
-        rhs: plan.local_time.as_micros() as u64,
+        lhs: micros(plan.offload),
+        rhs: micros(plan.local_time),
     };
     let judged = local_if(plan.decision == Decision::Local, reading);
     Ok(Some((judged, plan.decision)))
 }
 
-/// Static verification of generated snapshot (or delta) `source` against
-/// a host surface: error-severity findings against 0. A snapshot with
-/// any is rejected before any link traffic and before the retry budget
-/// is touched.
-pub(crate) fn verify(source: &str, mode: Mode, hosts: Vec<String>, ambient: Vec<String>) -> Judged {
-    let opts = AnalysisOptions {
-        mode,
-        hosts,
-        ambient,
-    };
-    let report = match mode {
-        Mode::Delta => snapedge_analyze::analyze_script(source, &opts),
-        _ => snapedge_analyze::analyze_html(source, &opts),
-    };
-    let findings: Vec<String> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(|d| d.to_string())
-        .collect();
-    let reading = Reading {
-        gate: Gate::Verify,
-        lhs: findings.len() as u64,
-        rhs: 0,
-    };
-    let verdict = if findings.is_empty() {
-        Verdict::Ship
-    } else {
-        Verdict::Reject(OffloadError::Verify(format!(
-            "snapshot failed static verification ({}): {}",
-            report.summary(),
-            findings.join("; ")
-        )))
-    };
-    (reading, verdict)
+/// `d` in whole microseconds, saturating at `u64::MAX`: a plan priced
+/// beyond 2⁶⁴ µs must still read as the larger side.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }

@@ -29,7 +29,6 @@ use crate::gates::{self, Gate, Verdict};
 use crate::partition::Decision;
 use crate::resilience::{classify, schedule_resilient, FaultClass};
 use crate::OffloadError;
-use snapedge_analyze::Mode;
 use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
 use snapedge_net::{Link, NetError, SimClock, Transfer};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
@@ -1160,9 +1159,7 @@ impl OffloadSession {
 
     /// One migration, the paper's capture → transmit → restore, in either
     /// direction: a delta against `base` when one is given (and deltas
-    /// are on, and the diff is expressible), else a full snapshot. With
-    /// `verify` on, the captured source passes the verify gate on the
-    /// sender's lane before any byte ships.
+    /// are on, and the diff is expressible), else a full snapshot.
     /// Returns the wire bytes and whether a delta carried them; `Ok(None)`
     /// means the retry budget ran out. Up and down differ in two places
     /// only, both named below.
@@ -1175,9 +1172,6 @@ impl OffloadSession {
         if let Some(base) = base.filter(|_| self.cfg.use_deltas) {
             let (sender, _) = dir.ends(&mut self.client, &mut self.server.endpoint);
             if let DeltaCapture::Delta(delta) = sender.capture_delta(base, &self.cfg.snapshot)? {
-                if self.cfg.verify {
-                    sender.verify_script(delta.script(), Mode::Delta, base.declared_names())?;
-                }
                 if let Some(wire) = self.transfer(dir, delta.script(), anchor)? {
                     let (_, receiver) = dir.ends(&mut self.client, &mut self.server.endpoint);
                     receiver.apply_delta(&delta)?;
@@ -1195,9 +1189,6 @@ impl OffloadSession {
         }
         let (sender, _) = dir.ends(&mut self.client, &mut self.server.endpoint);
         let (snapshot, _) = sender.capture(&self.cfg.snapshot)?;
-        if self.cfg.verify {
-            sender.verify_script(snapshot.html(), Mode::Snapshot, Vec::new())?;
-        }
         if dir == Dir::Up {
             // After a handoff the next server receives a fresh full
             // snapshot, so this is what the pool's selection metric
@@ -1400,14 +1391,12 @@ mod tests {
 
     #[test]
     fn nondeterministic_app_is_forced_local_with_zero_link_bytes() {
-        // Every gate configured at once, balanced the way the engine
-        // balances a session: by handing it a queue outlook. On the
-        // deterministic paper app they all say ship: effects, plan, and
-        // verify once per capture.
+        // Both gates configured, balanced the way the engine balances a
+        // session: by handing it a queue outlook. On the deterministic
+        // paper app both say ship.
         let every_gate = SessionConfig::paper_builder("agenet")
             .predict(true)
             .effects(true)
-            .verify(true)
             .build();
         let mut session = OffloadSession::new(every_gate).unwrap();
         session.set_queue_outlook(vec![Duration::ZERO]);
@@ -1418,7 +1407,7 @@ mod tests {
         };
         let shipped = session.infer(1).unwrap();
         let before = gates(&session);
-        assert_eq!(before.len(), 4, "{before:?}");
+        assert_eq!(before.len(), 2, "{before:?}");
         assert!(before.iter().all(|name| name.contains(":ship:")));
         let agreed = session
             .server
@@ -1445,7 +1434,7 @@ mod tests {
         assert_eq!(report.result, shipped.result, "same image, same label");
         // The first gate to say local ends the chain: one more event, and
         // nothing the later gates guard was touched.
-        assert_eq!(gates(&session)[4..], ["gate:effects:local:1:0"]);
+        assert_eq!(gates(&session)[2..], ["gate:effects:local:1:0"]);
         assert_eq!(session.trace().bytes_of("transfer_up"), shipped.up_bytes);
         assert!(Rc::ptr_eq(&agreed, session.server.agreed.as_ref().unwrap()));
     }

@@ -1,6 +1,9 @@
 //! Integration test host crate; test sources live in `/tests`. What more
 //! than one of them needs lives here.
 
+mod replay;
+
+pub use replay::{Leg, Replay, Round};
 use snapedge_core::{Engine, EngineEvent, EngineEventKind, FleetReport, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;

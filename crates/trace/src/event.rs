@@ -71,10 +71,9 @@ pub enum EventKind {
     Fallback,
     /// A pre-ship gate's verdict, consulted before any bytes commit to
     /// the wire (instant marker named
-    /// `gate:<effects|plan|verify>:<ship|local|reject>:<lhs>:<rhs>`, the
-    /// two numbers being what the gate compared; the verify gate's
-    /// `bytes` is the length of the source it checked). Only a configured
-    /// gate emits one, so default traces carry none.
+    /// `gate:<effects|plan>:<ship|local>:<lhs>:<rhs>`, the two numbers
+    /// being what the gate compared). Only a configured gate emits one,
+    /// so default traces carry none.
     Gate,
     /// The fleet picked an edge server (instant marker; the event name
     /// carries the chosen server, e.g. `"server_select:edge-b"`).

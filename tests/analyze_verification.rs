@@ -1,24 +1,24 @@
 //! Static snapshot verification, end to end.
 //!
-//! The analyzer's job is to prove a captured snapshot self-contained
-//! *before* it costs link traffic or retry budget. These tests check both
-//! directions of that contract at workspace level:
+//! The analyzer proves a snapshot self-contained: MiniJS source that
+//! restores on any browser, naming nothing its receiver lacks. These
+//! tests check both directions of that contract at workspace level:
 //!
-//! - every snapshot our own capture path produces — full and post-delta,
-//!   for all three paper apps — passes verification (no false positives);
+//! - every script the product's capture path puts on the wire — the full
+//!   snapshot and the deltas of three rounds each way, for the three
+//!   paper models, without a cut and at every Fig. 8 cut — verifies with
+//!   no error (the oracle: a serializer bug that ships an undeclared
+//!   name fails here, naming it);
 //! - seeded random corruptions (a free identifier, a reserved-prefix
 //!   declaration) injected into otherwise-valid snapshot sources are
 //!   caught, with spans pointing at the injected line (no false
-//!   negatives);
-//! - a rejected snapshot never reaches the link: the verify gate raises
-//!   [`OffloadError::Verify`], records a `verify` trace event, and the
-//!   uplink sees zero transfers and zero bytes.
+//!   negatives).
 
-use snapedge_analyze::{analyze_html, AnalysisOptions, Mode, Rule, Severity};
-use snapedge_core::{odroid_xu4, Endpoint, OffloadError, OffloadSession, SessionConfig};
-use snapedge_net::{Link, LinkConfig, SimClock};
+use snapedge_analyze::{analyze_html, analyze_script, AnalysisOptions, Rule, Severity};
+use snapedge_core::SessionConfig;
+use snapedge_dnn::zoo;
+use snapedge_integration::{Leg, Replay};
 use snapedge_rng::Rng;
-use snapedge_trace::{EventKind, Lane, Tracer};
 use snapedge_webapp::{html, Browser, SnapshotOptions};
 
 /// A small self-contained app used when we need a snapshot to corrupt.
@@ -75,48 +75,55 @@ fn expected_line(html_src: &str, needle: &str) -> usize {
         + 1
 }
 
+/// The error-severity findings on one migration's wire text: a full
+/// snapshot as a snapshot document, a delta as a script on top of its
+/// base's declarations; hosts are the sending browser's.
+fn wire_errors(leg: &Leg, hosts: Vec<String>) -> Vec<String> {
+    let report = match &leg.base {
+        Some(base) => {
+            let opts = AnalysisOptions::delta(base.declared_names()).with_hosts(hosts);
+            analyze_script(&leg.script, &opts)
+        }
+        None => analyze_html(&leg.script, &AnalysisOptions::snapshot().with_hosts(hosts)),
+    };
+    (report.diagnostics.iter())
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| d.to_string())
+        .collect()
+}
+
 #[test]
 fn paper_apps_full_and_delta_snapshots_verify_clean() {
-    // With `verify` on, the session statically checks the full snapshot
-    // (round 1) and both delta scripts (rounds 2-3) before every transfer.
-    // Any analyzer false positive on our own capture output fails here.
+    // Any analyzer false positive on our own capture output, or any
+    // capture that names what its receiver lacks, fails here.
+    let mut configs = 0;
     for model in ["googlenet", "agenet", "gendernet"] {
-        let cfg = SessionConfig::paper_builder(model).verify(true).build();
-        let mut session = OffloadSession::new(cfg).expect("session");
-        for round in 1..=3 {
-            let report = session
-                .infer(round)
-                .unwrap_or_else(|e| panic!("{model} round {round}: {e}"));
-            assert!(!report.fell_back, "{model} round {round} fell back");
-            assert_eq!(report.delta_up && report.delta_down, round > 1);
+        let cuts = zoo::fig8_cuts(model).into_iter().map(Some);
+        for cut in std::iter::once(None).chain(cuts) {
+            let mut builder = SessionConfig::paper_builder(model);
+            if let Some(cut) = cut {
+                builder = builder.cut(cut);
+            }
+            let name = format!("{model}@{}", cut.unwrap_or("full"));
+            let mut replay = Replay::new(builder.build()).expect("replay");
+            for round in 1..=3 {
+                let at = |dir: &str| format!("{name} round {round} {dir}");
+                let legs = replay
+                    .round(round)
+                    .unwrap_or_else(|e| panic!("{name} round {round}: {e}"));
+                for (dir, leg, hosts) in [
+                    ("up", &legs.up, replay.client.browser.host_names()),
+                    ("down", &legs.down, replay.server.browser.host_names()),
+                ] {
+                    assert_eq!(leg.base.is_some(), round > 1, "{}: delta", at(dir));
+                    let errors = wire_errors(leg, hosts);
+                    assert!(errors.is_empty(), "{}: {}", at(dir), errors.join("; "));
+                }
+            }
+            configs += 1;
         }
-        // A migration is capture, verify, transfer, restore — the same
-        // four phases in the same order whether it carries a full
-        // snapshot or a delta, and whichever way it travels.
-        let trace = session.trace();
-        let phases: Vec<(&str, Lane)> = trace
-            .events()
-            .iter()
-            .filter(|e| e.depth == 0)
-            .filter(|e| {
-                ["capture_", "gate:verify:", "transfer_", "restore_"]
-                    .iter()
-                    .any(|prefix| e.name.starts_with(prefix))
-            })
-            .map(|e| (e.name.as_str(), e.lane))
-            .collect();
-        let round = [
-            ("capture_client", Lane::Client),
-            ("gate:verify:ship:0:0", Lane::Client),
-            ("transfer_up", Lane::Network),
-            ("restore_server", Lane::Server),
-            ("capture_server", Lane::Server),
-            ("gate:verify:ship:0:0", Lane::Server),
-            ("transfer_down", Lane::Network),
-            ("restore_client", Lane::Client),
-        ];
-        assert_eq!(phases, round.repeat(3), "{model}");
     }
+    assert_eq!(configs, 22);
 }
 
 #[test]
@@ -183,68 +190,4 @@ fn injected_reserved_prefix_names_are_caught_with_exact_spans() {
             report.render()
         );
     }
-}
-
-#[test]
-fn clean_capture_with_verify_on_records_a_verify_event() {
-    let mut session =
-        OffloadSession::new(SessionConfig::tiny_builder().verify(true).build()).expect("session");
-    session.infer(1).expect("clean round");
-    let trace = session.trace();
-    assert!(
-        trace
-            .events()
-            .iter()
-            .any(|e| e.kind == EventKind::Gate && e.name == "gate:verify:ship:0:0"),
-        "verify verdict missing from trace"
-    );
-}
-
-#[test]
-fn free_variable_is_rejected_before_any_link_traffic() {
-    let clock = SimClock::new();
-    let tracer = Tracer::new();
-    let mut client =
-        Endpoint::new("client", odroid_xu4(), clock).with_tracer(tracer.clone(), Lane::Client);
-    client.browser.load_html(MINI_APP).expect("load");
-    client.browser.run_until_idle().expect("run");
-    let (snapshot, _) = client
-        .capture(&SnapshotOptions::default())
-        .expect("capture");
-
-    // Corrupt the snapshot the way a buggy serializer would: state that
-    // references a name nothing declares.
-    let mut corrupted = snapshot.html().to_string();
-    let close = corrupted.find("</script>").expect("script close");
-    corrupted.insert_str(close, "\nvar probe = ghostFree;\n");
-
-    // The pre-send gate: verify, and only transfer on success.
-    let mut uplink = Link::new(LinkConfig::wifi_30mbps());
-    let verdict = client.verify_script(&corrupted, Mode::Snapshot, Vec::new());
-    if verdict.is_ok() {
-        uplink
-            .schedule(client.clock().now(), corrupted.len() as u64)
-            .expect("transfer");
-    }
-
-    let err = verdict.expect_err("corrupted snapshot must be rejected");
-    match &err {
-        OffloadError::Verify(msg) => {
-            assert!(
-                msg.contains("ghostFree"),
-                "message names the culprit: {msg}"
-            )
-        }
-        other => panic!("expected Verify error, got {other:?}"),
-    }
-    assert_eq!(uplink.transfer_count(), 0, "no transfer may be scheduled");
-    assert_eq!(uplink.total_bytes(), 0, "no bytes may cross the link");
-    let trace = tracer.finish();
-    assert!(
-        trace
-            .events()
-            .iter()
-            .any(|e| e.kind == EventKind::Gate && e.name == "gate:verify:reject:1:0"),
-        "rejection must still record a verify verdict, with its error count"
-    );
 }

@@ -4,143 +4,36 @@
 //! move, so every uplink and downlink script, and `heap.len()` on both
 //! sides after every round, stay what they were.
 //!
-//! The rounds are replayed from the same public layer calls an
-//! `OffloadSession` makes (endpoints, model hosts, capture, delta,
-//! restore, state base), so each script is in hand. Each round renders
-//! as one line; a config pins the FNV-1a of its lines and its last line.
+//! The rounds are replayed by [`Replay`], from the same public layer
+//! calls an `OffloadSession` makes, so each script is in hand. Each round
+//! renders as one line; a config pins the FNV-1a of its lines and its
+//! last line.
 
-use snapedge_core::{apps, Endpoint, OffloadError, SessionConfig};
-use snapedge_dnn::{zoo, ExecMode, ParamStore};
-use snapedge_net::SimClock;
+use snapedge_core::SessionConfig;
+use snapedge_integration::{Replay, Round};
 use snapedge_webapp::intern::fnv1a;
-use snapedge_webapp::{DeltaCapture, RunOutcome, StateBase};
 
 const ROUNDS: u64 = 50;
 
-/// Both ends of a session, without links, pool or tracer.
-struct Replay {
-    cfg: SessionConfig,
-    trigger: &'static str,
-    client: Endpoint,
-    server: Endpoint,
-    agreed: Option<StateBase>,
-}
-
-impl Replay {
-    fn new(cfg: SessionConfig) -> Result<Replay, OffloadError> {
-        let net = zoo::by_name(&cfg.model)?;
-        let cut = match &cfg.cut {
-            Some(label) => Some(net.cut_point(label)?.id),
-            None => None,
-        };
-        let params = || -> Result<ParamStore, OffloadError> {
-            Ok(match cfg.exec_mode {
-                ExecMode::Real => net.init_params(cfg.seed)?,
-                ExecMode::Synthetic { .. } => ParamStore::empty(net.name()),
-            })
-        };
-        let clock = SimClock::new();
-        let mut client = Endpoint::new("client", cfg.client_device.clone(), clock.clone());
-        let spec = cfg.primary().clone();
-        let mut server = Endpoint::new(&spec.name, spec.device.clone(), clock);
-        client.install_model(net.clone(), params()?, cfg.exec_mode, cut, cfg.seed);
-        server.install_model(net.clone(), params()?, cfg.exec_mode, cut, cfg.seed);
-        let url = apps::synthetic_image_data_url(cfg.seed, cfg.image_bytes);
-        let (app, trigger) = match cut {
-            Some(_) => (
-                apps::partial_inference_app(&url),
-                apps::PARTIAL_OFFLOAD_EVENT,
-            ),
-            None => (apps::full_inference_app(&url), apps::FULL_OFFLOAD_EVENT),
-        };
-        client.browser.load_html(&app)?;
-        client.browser.set_offload_trigger(Some(trigger));
-        Ok(Replay {
-            cfg,
-            trigger,
-            client,
-            server,
-            agreed: None,
-        })
-    }
-
-    /// One `infer()`: click, uplink, the server's run, downlink, the
-    /// client's finish and the new agreement. Returns the round's line.
-    fn round(&mut self, round: u64) -> Result<String, OffloadError> {
-        let opts = self.cfg.snapshot.clone();
-        let url = apps::synthetic_image_data_url(round, self.cfg.image_bytes);
-        let photo = self
-            .client
-            .browser
-            .core()
-            .doc
-            .get_element_by_id("photo")
-            .ok_or_else(|| OffloadError::Protocol("no photo element".into()))?;
-        self.client
-            .browser
-            .core_mut()
-            .doc
-            .set_attr(photo, "src", &url)?;
-        self.client.browser.click("load")?;
-        self.client.run()?;
-        self.client.browser.click("infer")?;
-        let outcome = self.client.run()?;
-        assert!(matches!(outcome, RunOutcome::OffloadPoint { .. }));
-
-        let mut up = None;
-        if let Some(base) = self.agreed.as_ref().filter(|_| self.cfg.use_deltas) {
-            if let DeltaCapture::Delta(delta) = self.client.capture_delta(base, &opts)? {
-                self.server.apply_delta(&delta)?;
-                up = Some(delta.script().to_string());
-            }
-        }
-        let delta_up = up.is_some();
-        let up = match up {
-            Some(script) => script,
-            None => {
-                let (snapshot, _) = self.client.capture(&opts)?;
-                self.server.restore(&snapshot)?;
-                snapshot.html().to_string()
-            }
-        };
-        let server_base = self.server.browser.state_base();
-        self.server.run()?;
-
-        let mut down = None;
-        if delta_up {
-            if let DeltaCapture::Delta(delta) = self.server.capture_delta(&server_base, &opts)? {
-                self.client.apply_delta(&delta)?;
-                down = Some(delta.script().to_string());
-            }
-        }
-        let down = match down {
-            Some(script) => script,
-            None => {
-                let (snapshot, _) = self.server.capture(&opts)?;
-                self.client.restore(&snapshot)?;
-                snapshot.html().to_string()
-            }
-        };
-        self.client.browser.set_offload_trigger(None);
-        self.client.run()?;
-        self.client.browser.set_offload_trigger(Some(self.trigger));
-        self.agreed = Some(self.client.browser.state_base());
-        Ok(format!(
-            "round {round}: up {} B {:016x}, down {} B {:016x}, cells client {} server {}, result {}",
-            up.len(),
-            fnv1a(up.as_bytes()),
-            down.len(),
-            fnv1a(down.as_bytes()),
-            self.client.browser.core().heap.len(),
-            self.server.browser.core().heap.len(),
-            self.client.browser.element_text("result")?,
-        ))
-    }
+/// One round as one line: both wire scripts, both heaps' cell counts
+/// after the round, and the label the client shows.
+fn line(replay: &mut Replay, round: u64) -> String {
+    let Round { up, down } = replay.round(round).unwrap();
+    format!(
+        "round {round}: up {} B {:016x}, down {} B {:016x}, cells client {} server {}, result {}",
+        up.script.len(),
+        fnv1a(up.script.as_bytes()),
+        down.script.len(),
+        fnv1a(down.script.as_bytes()),
+        replay.client.browser.core().heap.len(),
+        replay.server.browser.core().heap.len(),
+        replay.client.browser.element_text("result").unwrap(),
+    )
 }
 
 fn assert_pinned(name: &str, cfg: SessionConfig, want_digest: u64, want_last: &str) {
     let mut replay = Replay::new(cfg).unwrap();
-    let lines: Vec<String> = (1..=ROUNDS).map(|r| replay.round(r).unwrap()).collect();
+    let lines: Vec<String> = (1..=ROUNDS).map(|r| line(&mut replay, r)).collect();
     let digest = fnv1a(lines.join("\n").as_bytes());
     let last = lines.last().map(String::as_str).unwrap_or_default();
     assert_eq!(

@@ -16,6 +16,8 @@
 //! `proactive_local`, `effect_verdict`, `balance_decision`, `verify`),
 //! here by dropping `gate` — so it proves the 33 rows whose trace column
 //! moved with that change moved in their gate events and nowhere else.
+//! The `gates/verify` row went with the verify gate: the static verifier
+//! checks every paper capture in `tests/analyze_verification.rs` instead.
 //! To regenerate a row, run the test: its failure message prints the row.
 
 use snapedge_core::prelude::*;
@@ -283,7 +285,6 @@ fn configs() -> Vec<(String, ScenarioConfig)> {
     }
 
     // Gates and meters.
-    add("gates/verify".into(), tiny().verify(true).build());
     add("gates/effects".into(), tiny().effects(true).build());
     let generous = MeterLimits::default()
         .with_ops(u64::MAX / 2)
@@ -628,7 +629,6 @@ const FIXTURES: &[(&str, u64, u64, u64)] = &[
     ("unacked/before_ack/two_dead_servers", 0xcb248ab398447b47, 0x6dbb305dc9ab1a05, 0x6dbb305dc9ab1a05),
     ("unacked/before_ack/two_dead_servers_without_policy", 0xcb248ab398447b47, 0x845a52be7af8f28e, 0x845a52be7af8f28e),
     ("unacked/before_ack/fleet_of_one_without_policy", 0x98d820888a0fb67f, 0xcbf29ce484222325, 0xcbf29ce484222325),
-    ("gates/verify", 0x568e57c201b32aa4, 0x26565f5bbbad2878, 0xacaa83d2b139e4dd), // ISSUE 21: `verify_client`/`verify_server` are `gate:verify:ship:0:0`
     ("gates/effects", 0x568e57c201b32aa4, 0x30468c9ddc625b9f, 0xacaa83d2b139e4dd), // ISSUE 21: a configured gate records its `ship` verdict too (`gate:effects:ship:0:0`)
     ("meter/generous", 0x568e57c201b32aa4, 0x9eb820fe4fa831bb, 0x9eb820fe4fa831bb),
     ("meter/ops10_goes_local", 0x2c4ed7d63b6d6796, 0x40fc2b9264ea272c, 0x40fc2b9264ea272c),
