@@ -89,6 +89,12 @@ if sed '/#\[cfg(test)\]/,$d' crates/webapp/src/lexer.rs | grep -nF -e '(0/0)' -e
     exit 1
 fi
 
+echo "== a script string is one shared allocation (webapp holds no string by value: literals, values and DOM attributes are Rc<str>)"
+if grep -rn 'Str(String)' crates/webapp/src; then
+    echo "crates/webapp/src copies a MiniJS string again: Token::Str, Expr::Str and JsValue::Str hold Rc<str>" >&2
+    exit 1
+fi
+
 echo "== one link-health record, one planner (the bandwidth estimator, the per-server health wrapper and the adaptive controller stay folded into LinkHealth, ServerPool and PartitionOptimizer::plan)"
 for gone in crates/net/src/estimator.rs crates/core/src/adaptive.rs; do
     if [ -e "$gone" ]; then

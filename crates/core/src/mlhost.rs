@@ -241,7 +241,7 @@ impl HostObject for CaffeJsHost {
                 }
                 .map_err(to_web)?;
                 self.charge(None, None);
-                Ok(JsValue::Str(self.label(&output)))
+                Ok(JsValue::Str(self.label(&output).into()))
             }
             "inference_front" => {
                 let cut = self.require_cut()?;
@@ -290,7 +290,7 @@ impl HostObject for CaffeJsHost {
                 }
                 .map_err(to_web)?;
                 self.charge(Some(cut), None);
-                Ok(JsValue::Str(self.label(&output)))
+                Ok(JsValue::Str(self.label(&output).into()))
             }
             other => Err(WebError::Runtime(format!("model has no method {other:?}"))),
         }
@@ -298,7 +298,7 @@ impl HostObject for CaffeJsHost {
 
     fn get(&mut self, property: &str, _core: &mut Core) -> Result<JsValue, WebError> {
         match property {
-            "name" => Ok(JsValue::Str(self.net.name().to_string())),
+            "name" => Ok(JsValue::Str(self.net.name().into())),
             "layerCount" => Ok(JsValue::Number(self.net.node_count() as f64)),
             other => Err(WebError::Runtime(format!(
                 "model has no property {other:?}"

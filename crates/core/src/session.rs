@@ -813,7 +813,7 @@ impl OffloadSession {
             .browser
             .core_mut()
             .doc
-            .set_attr(photo, "src", &url)?;
+            .set_attr_shared(photo, "src", url.into())?;
         self.client.browser.click("load")?;
         self.client.run()?;
 

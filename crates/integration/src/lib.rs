@@ -5,11 +5,12 @@ mod replay;
 
 pub use replay::{Leg, Replay, Round};
 use snapedge_core::{Engine, EngineEvent, EngineEventKind, FleetReport, Workload};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
 
 /// Runs `engine` to completion and holds its event log to the engine's
-/// invariants ([`check_log`]).
+/// invariants ([`check_log`]) and its report to the log
+/// ([`check_report`]).
 ///
 /// # Panics
 ///
@@ -17,6 +18,7 @@ use std::time::Duration;
 pub fn run_checked<W: Workload>(engine: &mut Engine<W>) -> FleetReport {
     let report = engine.run().expect("the fleet run completes");
     check_log(engine.event_log(), report.servers.len());
+    check_report(engine.event_log(), &report);
     report
 }
 
@@ -129,6 +131,72 @@ pub fn check_log(log: &[EngineEvent], fleet: usize) {
     }
 }
 
+/// Asserts that a drained run lost no request and that its report
+/// counts what its log shows:
+///
+/// * per client, every `Arrive` is taken up, in arrival order, by the
+///   `Begin` issued at its arrival time, and each of that client's
+///   `Done`s numbers its rounds 1, 2, 3, …; with [`check_log`]'s one
+///   `Done` per `Begin`, every arrival ends completed or fallen back,
+///   the ones still in flight at the horizon included (the run drains
+///   them);
+/// * the report's `completed` and latency sample count are the `Done`s,
+///   its `fallbacks` are among the rounds the client served itself
+///   (`served_by` is `None`), its servers' `admits` add up to the
+///   logged `Admit`s and its makespan is the last completion.
+///
+/// # Panics
+///
+/// On the first request or count that does not add up.
+pub fn check_report(log: &[EngineEvent], report: &FleetReport) {
+    let mut waiting: BTreeMap<usize, VecDeque<Duration>> = BTreeMap::new();
+    let mut rounds: BTreeMap<usize, u32> = BTreeMap::new();
+    let (mut done, mut local, mut admits) = (0, 0, 0);
+    let mut makespan = Duration::ZERO;
+    for (i, event) in log.iter().enumerate() {
+        let EngineEvent { at, client, kind } = *event;
+        match kind {
+            EngineEventKind::Arrive => waiting.entry(client).or_default().push_back(at),
+            EngineEventKind::Begin { issued } => assert_eq!(
+                waiting.get_mut(&client).and_then(VecDeque::pop_front),
+                Some(issued),
+                "#{i} {event:?}: not the client's oldest waiting arrival"
+            ),
+            EngineEventKind::Admit { .. } => admits += 1,
+            EngineEventKind::Done { round, served_by } => {
+                let last = rounds.entry(client).or_default();
+                *last += 1;
+                assert_eq!(round, *last, "#{i} {event:?}: round numbers skip");
+                done += 1;
+                local += usize::from(served_by.is_none());
+                makespan = makespan.max(at);
+            }
+            EngineEventKind::Grant { .. }
+            | EngineEventKind::Batch { .. }
+            | EngineEventKind::Release => {}
+        }
+    }
+    let lost: Vec<(usize, usize)> = waiting
+        .iter()
+        .filter(|(_, queue)| !queue.is_empty())
+        .map(|(&client, queue)| (client, queue.len()))
+        .collect();
+    assert!(
+        lost.is_empty(),
+        "arrivals never begun (client, count): {lost:?}"
+    );
+    assert_eq!(report.completed, done, "completed is not the logged Dones");
+    assert_eq!(report.latency.count, done, "one sojourn sample per Done");
+    assert!(
+        report.fallbacks <= local,
+        "{} fallbacks, but only {local} rounds ended on the client",
+        report.fallbacks
+    );
+    let reported: usize = report.servers.iter().map(|s| s.admits).sum();
+    assert_eq!(reported, admits, "server admits are not the logged Admits");
+    assert_eq!(report.makespan, makespan, "makespan is not the last Done");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,9 +239,72 @@ mod tests {
         log
     }
 
+    /// What [`log_with`]'s run reports.
+    fn report() -> FleetReport {
+        let ms = Duration::from_millis;
+        FleetReport {
+            clients: 2,
+            completed: 2,
+            fallbacks: 0,
+            makespan: ms(45),
+            throughput_rps: 2.0 / 0.045,
+            latency: snapedge_trace::Summary::of(&[ms(35), ms(45)]),
+            queue_wait: snapedge_trace::Summary::of(&[ms(0), ms(10)]),
+            servers: vec![snapedge_core::ServerLoad {
+                name: "edge".into(),
+                rounds: 2,
+                busy: ms(20),
+                utilization: 20.0 / 45.0,
+                admits: 2,
+                rejects: 0,
+                batches: 0,
+            }],
+            total_ops: 0,
+            peak_heap: 0,
+            fairness: 1.0,
+            max_batch: 0,
+        }
+    }
+
     #[test]
     fn a_sound_log_passes() {
         check_log(&log_with(&[]), 1);
+        check_report(&log_with(&[]), &report());
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals never begun (client, count): [(1, 1)]")]
+    fn a_lost_arrival_is_caught() {
+        check_report(
+            &log_with(&[event(50, 1, EngineEventKind::Arrive)]),
+            &report(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not the client's oldest waiting arrival")]
+    fn a_begin_without_its_arrival_is_caught() {
+        let mut log = log_with(&[]);
+        log[3] = event(
+            0,
+            1,
+            EngineEventKind::Begin {
+                issued: Duration::from_millis(5),
+            },
+        );
+        check_report(&log, &report());
+    }
+
+    #[test]
+    #[should_panic(expected = "fallbacks, but only 0 rounds ended on the client")]
+    fn a_fallback_served_remotely_is_caught() {
+        check_report(
+            &log_with(&[]),
+            &FleetReport {
+                fallbacks: 1,
+                ..report()
+            },
+        );
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl Replay {
             .browser
             .core_mut()
             .doc
-            .set_attr(photo, "src", &url)?;
+            .set_attr_shared(photo, "src", url.into())?;
         self.client.browser.click("load")?;
         self.client.run()?;
         self.client.browser.click("infer")?;

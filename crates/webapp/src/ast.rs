@@ -10,6 +10,7 @@
 
 use crate::intern::Ident;
 use std::fmt;
+use std::rc::Rc;
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,8 +23,9 @@ pub enum Expr {
     Bool(bool),
     /// Number literal.
     Number(f64),
-    /// String literal.
-    Str(String),
+    /// String literal, shared with every value it evaluates to (cloning
+    /// the tree or evaluating the literal copies no text).
+    Str(Rc<str>),
     /// Identifier reference.
     Ident(Ident),
     /// Array literal.
@@ -96,7 +98,15 @@ pub struct FunctionDef {
 
 /// Escapes a string into MiniJS literal syntax including quotes.
 pub fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+    let mut out = String::new();
+    escape_str_into(s, &mut out);
+    out
+}
+
+/// [`escape_str`] appended to `out`: a capture writes each literal
+/// straight into the buffer it ships, grown once for the literal.
+pub(crate) fn escape_str_into(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
     for c in s.chars() {
         match c {
@@ -110,7 +120,6 @@ pub fn escape_str(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Prints a number as a MiniJS literal. Negative and non-finite values need

@@ -416,7 +416,19 @@ impl Browser {
         for script in &parsed.scripts {
             self.exec_script(script)?;
         }
+        self.drop_machinery();
         Ok(())
+    }
+
+    /// Forgets the restore and apply wrappers a snapshot or delta script
+    /// declared and has already called. Each runs once, from the script
+    /// that declares it, yet its body spells every literal of its capture
+    /// (the photo among them): kept, it would pin a stale copy per side.
+    pub(crate) fn drop_machinery(&mut self) {
+        for sym in [Symbol::SNAPEDGE_RESTORE, Symbol::SNAPEDGE_APPLY_DELTA] {
+            self.core.functions.remove(&sym);
+            self.layout_cache.remove(&sym);
+        }
     }
 
     /// Runs a MiniJS script in the current document (top-level scope).

@@ -19,7 +19,7 @@
 //! [`DeltaCapture::FullRequired`] and the caller falls back to an ordinary
 //! full snapshot.
 
-use crate::ast::escape_str;
+use crate::ast::{escape_str, escape_str_into};
 use crate::browser::{Browser, Core};
 use crate::dom::DomNodeId;
 use crate::f32text::render_f32_literal;
@@ -274,7 +274,9 @@ impl Browser {
     ///
     /// Propagates script execution errors.
     pub fn apply_delta(&mut self, delta: &DeltaScript) -> Result<(), WebError> {
-        self.exec_script(delta.script())
+        self.exec_script(delta.script())?;
+        self.drop_machinery();
+        Ok(())
     }
 }
 
@@ -427,15 +429,10 @@ fn capture_delta(
     // ---- DOM diff (by element id; body is the anchor). Emitted before
     // the globals so that globals referencing newly created elements
     // resolve.
-    let dom_ops = match diff_dom(new, base)? {
+    stats.dom_ops = match diff_dom(new, base, &mut script)? {
         Ok(ops) => ops,
         Err(reason) => full!("{reason}"),
     };
-    stats.dom_ops = dom_ops.len();
-    for op in &dom_ops {
-        script.push_str(op);
-        script.push('\n');
-    }
 
     if !changed.is_empty() {
         let emit = emit_globals_script(new, &changed, options, &mut script)?;
@@ -529,8 +526,13 @@ fn node_key(core: &Core, id: DomNodeId) -> Result<Option<Ident>, WebError> {
 
 type DiffResult = Result<Result<Vec<String>, String>, WebError>;
 
-fn diff_dom(new: &Core, base: &Core) -> DiffResult {
-    let mut ops: Vec<String> = Vec::new();
+/// Writes the statements that turn `base`'s document into `new`'s
+/// straight into `out`, one a line, and counts them; `Ok(Err(reason))`
+/// when the change is not expressible (what `out` holds is then moot).
+/// Attribute values are compared and escaped where they live: the image
+/// an `<img>` holds is neither copied nor re-formatted on the way.
+fn diff_dom(new: &Core, base: &Core, out: &mut String) -> Result<Result<usize, String>, WebError> {
+    let mut ops = 0;
 
     // Index both documents by interned node key. `Ident` orders by name,
     // so iteration (and therefore every emitted diagnostic) matches the
@@ -580,41 +582,46 @@ fn diff_dom(new: &Core, base: &Core) -> DiffResult {
             return Ok(Err(format!("element {key:?} changed tag")));
         }
         let expr = element_expr(new, id)?;
+        let (node, base_node) = (new.doc.node(id)?, base.doc.node(base_id)?);
         // Text.
-        if new.doc.text(id)? != base.doc.text(base_id)? {
-            ops.push(format!(
-                "{expr}.textContent = {};",
-                escape_str(new.doc.text(id)?)
-            ));
+        if node.text != base_node.text {
+            let _ = write!(out, "{expr}.textContent = ");
+            escape_str_into(&node.text, out);
+            out.push_str(";\n");
+            ops += 1;
         }
-        // Attributes.
-        for name in new.doc.attr_names(id) {
-            let new_v = new.doc.attr(id, &name)?.unwrap_or_default().to_string();
-            let old_v = base.doc.attr(base_id, &name)?.map(str::to_string);
-            if old_v.as_deref() != Some(new_v.as_str()) {
-                ops.push(format!(
-                    "{expr}.setAttribute({}, {});",
-                    escape_str(&name),
-                    escape_str(&new_v)
-                ));
+        // Attributes. A value the base still shares compares by pointer.
+        for (name, value) in &node.attrs {
+            if base_node.attrs.get(name) != Some(value) {
+                let _ = write!(out, "{expr}.setAttribute(");
+                escape_str_into(name, out);
+                out.push_str(", ");
+                escape_str_into(value, out);
+                out.push_str(");\n");
+                ops += 1;
             }
         }
-        for name in base.doc.attr_names(base_id) {
-            if new.doc.attr(id, &name)?.is_none() {
-                ops.push(format!("{expr}.removeAttribute({});", escape_str(&name)));
+        for name in base_node.attrs.keys() {
+            if !node.attrs.contains_key(name) {
+                let _ = write!(out, "{expr}.removeAttribute(");
+                escape_str_into(name, out);
+                out.push_str(");\n");
+                ops += 1;
             }
         }
         // Canvas payloads.
-        if new.doc.image_data(id)? != base.doc.image_data(base_id)? {
-            match new.doc.image_data(id)? {
+        if node.image_data != base_node.image_data {
+            match &node.image_data {
                 Some(data) => {
-                    let mut op = format!("{expr}.setImageData(");
-                    render_f32_literal(data, &mut op);
-                    op.push_str(");");
-                    ops.push(op);
+                    let _ = write!(out, "{expr}.setImageData(");
+                    render_f32_literal(data, out);
+                    out.push_str(");\n");
                 }
-                None => ops.push(format!("{expr}.clearImage();")),
+                None => {
+                    let _ = writeln!(out, "{expr}.clearImage();");
+                }
             }
+            ops += 1;
         }
         // Children: the base child list must be a prefix of the new one
         // (append-only structure changes); anything else needs a full
@@ -639,51 +646,54 @@ fn diff_dom(new: &Core, base: &Core) -> DiffResult {
             if base_by_key.contains_key(&ckey) {
                 return Ok(Err(format!("element {ckey:?} was moved under {key:?}")));
             }
-            emit_new_subtree(new, nc, &expr, &mut ops, &mut new_node_counter)?;
+            ops += emit_new_subtree(new, nc, &expr, out, &mut new_node_counter)?;
         }
     }
     Ok(Ok(ops))
 }
 
-/// Emits creation statements for a brand-new subtree, appended to
-/// `parent_expr`.
+/// Writes the creation statements for a brand-new subtree, appended to
+/// `parent_expr`, into `out`; returns how many it wrote.
 fn emit_new_subtree(
     core: &Core,
     id: DomNodeId,
     parent_expr: &str,
-    ops: &mut Vec<String>,
+    out: &mut String,
     counter: &mut usize,
-) -> Result<(), WebError> {
+) -> Result<usize, WebError> {
     let var = format!("{RESERVED_PREFIX}n{counter}");
     *counter += 1;
-    ops.push(format!(
-        "var {var} = document.createElement({});",
-        escape_str(core.doc.tag(id)?)
-    ));
-    for name in core.doc.attr_names(id) {
-        let value = core.doc.attr(id, &name)?.unwrap_or_default().to_string();
-        ops.push(format!(
-            "{var}.setAttribute({}, {});",
-            escape_str(&name),
-            escape_str(&value)
-        ));
+    let node = core.doc.node(id)?;
+    let _ = write!(out, "var {var} = document.createElement(");
+    escape_str_into(&node.tag, out);
+    out.push_str(");\n");
+    let mut ops = 1;
+    for (name, value) in &node.attrs {
+        let _ = write!(out, "{var}.setAttribute(");
+        escape_str_into(name, out);
+        out.push_str(", ");
+        escape_str_into(value, out);
+        out.push_str(");\n");
+        ops += 1;
     }
-    let text = core.doc.text(id)?;
-    if !text.is_empty() {
-        ops.push(format!("{var}.textContent = {};", escape_str(text)));
+    if !node.text.is_empty() {
+        let _ = write!(out, "{var}.textContent = ");
+        escape_str_into(&node.text, out);
+        out.push_str(";\n");
+        ops += 1;
     }
-    if let Some(data) = core.doc.image_data(id)? {
-        let mut op = format!("{var}.setImageData(");
-        render_f32_literal(data, &mut op);
-        op.push_str(");");
-        ops.push(op);
+    if let Some(data) = &node.image_data {
+        let _ = write!(out, "{var}.setImageData(");
+        render_f32_literal(data, out);
+        out.push_str(");\n");
+        ops += 1;
     }
-    ops.push(format!("{parent_expr}.appendChild({var});"));
-    let children: Vec<DomNodeId> = core.doc.children(id)?.to_vec();
-    for child in children {
-        emit_new_subtree(core, child, &var, ops, counter)?;
+    let _ = writeln!(out, "{parent_expr}.appendChild({var});");
+    ops += 1;
+    for &child in &node.children {
+        ops += emit_new_subtree(core, child, &var, out, counter)?;
     }
-    Ok(())
+    Ok(ops)
 }
 
 fn diff_listeners(new: &Core, base: &Core) -> DiffResult {
@@ -777,6 +787,8 @@ mod tests {
     use super::*;
     use crate::intern::fnv1a;
     use crate::state_eq;
+    use crate::value::JsValue;
+    use std::rc::Rc;
 
     /// Three shapes to orphan: an object → array → `Float32Array` chain,
     /// a two-object cycle, and an array shared by two globals.
@@ -855,6 +867,56 @@ mod tests {
                 "heap 9, snapshot 211 B f01dc82f2dd9e50d",
             ],
             "pinned before cells were freed"
+        );
+    }
+
+    /// The string a global and an attribute were given is one buffer on
+    /// the sender; on the receiver, once the restore or apply wrapper
+    /// that spelled it is forgotten, the global holds its literal alone.
+    #[test]
+    fn a_script_string_is_shared_and_its_wrapper_does_not_outlive_the_script() {
+        let shared = |browser: &Browser, global: &str| {
+            let JsValue::Str(value) = browser.global(global) else {
+                panic!("{global} is not a string");
+            };
+            value
+        };
+        let mut client = Browser::new();
+        client
+            .exec_script(
+                r#"var el = document.createElement("img");
+                document.body.appendChild(el);
+                el.setAttribute("id", "photo");
+                el.setAttribute("src", "data:first");
+                var url = el.getAttribute("src");"#,
+            )
+            .unwrap();
+        let photo = client.core.doc.get_element_by_id("photo").unwrap();
+        let attr = client.core.doc.attr_shared(photo, "src").unwrap().unwrap();
+        assert!(Rc::ptr_eq(attr, &shared(&client, "url")));
+
+        let mut server = Browser::new();
+        let options = SnapshotOptions::default();
+        server
+            .load_html(client.capture_snapshot(&options).unwrap().html())
+            .unwrap();
+        let base = client.state_base();
+        client
+            .exec_script(r#"el.setAttribute("src", "data:next"); url = el.getAttribute("src");"#)
+            .unwrap();
+        let DeltaCapture::Delta(delta) = client.capture_delta(&base, &options).unwrap() else {
+            panic!("expected a delta");
+        };
+        server.apply_delta(&delta).unwrap();
+        assert!(state_eq(&client, &server));
+        for sym in [Symbol::SNAPEDGE_RESTORE, Symbol::SNAPEDGE_APPLY_DELTA] {
+            assert!(!server.core.functions.contains_key(&sym));
+            assert!(!server.layout_cache.contains_key(&sym));
+        }
+        assert_eq!(
+            Rc::strong_count(&shared(&server, "url")),
+            2,
+            "global + probe"
         );
     }
 

@@ -6,6 +6,7 @@
 
 use crate::WebError;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Handle to a DOM node in the document arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -21,9 +22,10 @@ impl DomNodeId {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DomNode {
     pub(crate) tag: String,
-    // Attribute names are arbitrary app data, not identifiers.
+    // Attribute names are arbitrary app data, not identifiers. Values
+    // are shared with the script strings they were set from or read into.
     // lint: allow(string-keyed-map)
-    pub(crate) attrs: BTreeMap<String, String>,
+    pub(crate) attrs: BTreeMap<String, Rc<str>>,
     pub(crate) text: String,
     pub(crate) children: Vec<DomNodeId>,
     /// Canvas pixel payload (`CHW` floats), set by the embedder when the
@@ -117,7 +119,7 @@ impl Document {
     pub fn get_element_by_id(&self, id: &str) -> Option<DomNodeId> {
         self.nodes
             .iter()
-            .position(|n| n.attrs.get("id").map(String::as_str) == Some(id))
+            .position(|n| n.attrs.get("id").map(|v| &**v) == Some(id))
             .map(DomNodeId)
     }
 
@@ -136,25 +138,50 @@ impl Document {
     ///
     /// Returns [`WebError::Dom`] for dangling handles.
     pub fn attr(&self, id: DomNodeId, name: &str) -> Result<Option<&str>, WebError> {
-        Ok(self.node(id)?.attrs.get(name).map(String::as_str))
+        Ok(self.attr_shared(id, name)?.map(|v| &**v))
     }
 
-    /// Sets an attribute value.
+    /// [`Document::attr`] as the shared string itself: a clone of it is
+    /// the same allocation (`getAttribute` reads the image this way).
+    pub(crate) fn attr_shared(
+        &self,
+        id: DomNodeId,
+        name: &str,
+    ) -> Result<Option<&Rc<str>>, WebError> {
+        Ok(self.node(id)?.attrs.get(name))
+    }
+
+    /// Sets an attribute value to a copy of `value`.
     ///
     /// # Errors
     ///
     /// Returns [`WebError::Dom`] for dangling handles.
     pub fn set_attr(&mut self, id: DomNodeId, name: &str, value: &str) -> Result<(), WebError> {
-        self.insert_attr(id, name.to_string(), value.to_string())
+        self.set_attr_shared(id, name, value.into())
     }
 
-    /// [`Document::set_attr`] for strings the caller already owns (the
-    /// HTML parser's attributes move in without a second copy).
+    /// Sets an attribute value to `value` itself, not a copy: a string
+    /// the caller (or a script) already holds is shared with the DOM.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WebError::Dom`] for dangling handles.
+    pub fn set_attr_shared(
+        &mut self,
+        id: DomNodeId,
+        name: &str,
+        value: Rc<str>,
+    ) -> Result<(), WebError> {
+        self.insert_attr(id, name.to_string(), value)
+    }
+
+    /// [`Document::set_attr_shared`] for a name the caller already owns
+    /// (the HTML parser's attributes move in without a second copy).
     pub(crate) fn insert_attr(
         &mut self,
         id: DomNodeId,
         name: String,
-        value: String,
+        value: Rc<str>,
     ) -> Result<(), WebError> {
         self.node_mut(id)?.attrs.insert(name, value);
         Ok(())
@@ -168,13 +195,6 @@ impl Document {
     pub fn remove_attr(&mut self, id: DomNodeId, name: &str) -> Result<(), WebError> {
         self.node_mut(id)?.attrs.remove(name);
         Ok(())
-    }
-
-    /// Names of all attributes on an element, sorted (deterministic).
-    pub fn attr_names(&self, id: DomNodeId) -> Vec<String> {
-        self.node(id)
-            .map(|n| n.attrs.keys().cloned().collect())
-            .unwrap_or_default()
     }
 
     /// The element's text content.
@@ -265,7 +285,7 @@ impl Document {
                     counter += 1;
                     if self.get_element_by_id(&candidate).is_none() {
                         if let Ok(node) = self.node_mut(id) {
-                            node.attrs.insert("id".to_string(), candidate);
+                            node.attrs.insert("id".to_string(), candidate.into());
                         }
                         break;
                     }

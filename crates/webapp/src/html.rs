@@ -3,6 +3,7 @@
 
 use crate::dom::{Document, DomNode, DomNodeId};
 use crate::WebError;
+use std::rc::Rc;
 
 /// Result of parsing an HTML document.
 #[derive(Debug)]
@@ -98,8 +99,19 @@ fn unescape_html_into(s: &str, out: &mut String) {
     out.push_str(&s[start..]);
 }
 
+/// `s` with its entities decoded, as the string an attribute holds: text
+/// without an `&` (a data URL) is copied once, straight from the source.
+fn unescape_html_shared(s: &str) -> Rc<str> {
+    if find_set(s.as_bytes(), 0, b"&") == s.len() {
+        return Rc::from(s);
+    }
+    let mut out = String::with_capacity(s.len());
+    unescape_html_into(s, &mut out);
+    Rc::from(out)
+}
+
 /// Parsed opening tag: name, attributes, and whether it was self-closing.
-type OpeningTag = (String, Vec<(String, String)>, bool);
+type OpeningTag = (String, Vec<(String, Rc<str>)>, bool);
 
 struct HtmlParser<'a> {
     html: &'a str,
@@ -247,7 +259,7 @@ impl<'a> HtmlParser<'a> {
                     let name = self.read_name()?;
                     self.skip_ws();
                     if self.peek() != Some(b'=') {
-                        attrs.push((name, String::new()));
+                        attrs.push((name, Rc::from("")));
                         continue;
                     }
                     self.pos += 1;
@@ -261,11 +273,7 @@ impl<'a> HtmlParser<'a> {
                     if self.peek().is_none() {
                         return Err(self.error("unterminated attribute value"));
                     }
-                    let raw = self.since(start)?;
-                    // Each value moves into the DOM; lint: allow(collect-in-loop)
-                    let mut value = String::with_capacity(raw.len());
-                    unescape_html_into(raw, &mut value);
-                    attrs.push((name, value));
+                    attrs.push((name, unescape_html_shared(self.since(start)?)));
                     self.pos += 1; // closing quote
                 }
                 None => return Err(self.error("unterminated tag")),
@@ -333,6 +341,14 @@ impl<'a> HtmlParser<'a> {
 
 /// Serializes the reachable DOM back to HTML body markup (no scripts).
 pub fn serialize_body(doc: &Document) -> String {
+    let mut out = String::new();
+    serialize_body_into(doc, &mut out);
+    out
+}
+
+/// [`serialize_body`] appended to `out`: a snapshot writes its markup
+/// straight into the buffer it ships.
+pub(crate) fn serialize_body_into(doc: &Document, out: &mut String) {
     fn write_children(doc: &Document, node: &DomNode, out: &mut String) {
         for &c in &node.children {
             if let Ok(child) = doc.node(c) {
@@ -358,12 +374,10 @@ pub fn serialize_body(doc: &Document) -> String {
         out.push_str(&node.tag);
         out.push('>');
     }
-    let mut out = String::new();
     if let Ok(body) = doc.node(doc.body()) {
-        escape_html_into(&body.text, &mut out);
-        write_children(doc, body, &mut out);
+        escape_html_into(&body.text, out);
+        write_children(doc, body, out);
     }
-    out
 }
 
 #[cfg(test)]

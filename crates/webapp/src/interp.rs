@@ -503,7 +503,7 @@ impl Browser {
                             JsValue::Function(_) => "function",
                             _ => "object",
                         }
-                        .to_string(),
+                        .into(),
                     )),
                     other => Err(WebError::Runtime(format!("unknown unary {other}"))),
                 }
@@ -572,7 +572,7 @@ impl Browser {
                     if let Some(m) = &self.meter {
                         m.check_string(s.len())?;
                     }
-                    Ok(JsValue::Str(s))
+                    Ok(JsValue::Str(s.into()))
                 }
                 _ => Ok(JsValue::Number(lv.as_number()? + rv.as_number()?)),
             },
@@ -611,13 +611,13 @@ impl Browser {
             }
             JsValue::Str(s) if prop == "length" => Ok(JsValue::Number(s.chars().count() as f64)),
             JsValue::Dom(node) => match prop {
-                "textContent" => Ok(JsValue::Str(self.core.doc.text(*node)?.to_string())),
-                "tagName" => Ok(JsValue::Str(self.core.doc.tag(*node)?.to_string())),
+                "textContent" => Ok(JsValue::Str(self.core.doc.text(*node)?.into())),
+                "tagName" => Ok(JsValue::Str(self.core.doc.tag(*node)?.into())),
                 "id" => Ok(self
                     .core
                     .doc
-                    .attr(*node, "id")?
-                    .map(|s| JsValue::Str(s.to_string()))
+                    .attr_shared(*node, "id")?
+                    .map(|s| JsValue::Str(Rc::clone(s)))
                     .unwrap_or(JsValue::Undefined)),
                 other => Err(WebError::Runtime(format!(
                     "unknown element property {other:?}"
@@ -647,7 +647,7 @@ impl Browser {
                 JsValue::Dom(node) => self.dom_method(*node, method, &args),
                 JsValue::Host(name) => self.host_call(&name.clone(), method, &args),
                 JsValue::Array(id) => self.array_method(*id, method, &args),
-                JsValue::Str(s) => self.string_method(&s.clone(), method, &args),
+                JsValue::Str(s) => self.string_method(s, method, &args),
                 JsValue::Object(id) => {
                     let f = self.core.heap.get_prop(*id, method)?;
                     match f {
@@ -702,7 +702,7 @@ impl Browser {
                 } else {
                     None
                 };
-                Ok(JsValue::Str(c.unwrap_or_default()))
+                Ok(JsValue::Str(c.unwrap_or_default().into()))
             }
             "substring" => {
                 let start = args
@@ -717,7 +717,9 @@ impl Browser {
                 let (lo, hi) = (start.min(end), start.max(end)); // JS swaps
                 let lo = lo.min(chars.len());
                 let hi = hi.min(chars.len());
-                Ok(JsValue::Str(chars[lo..hi].iter().collect()))
+                Ok(JsValue::Str(
+                    chars[lo..hi].iter().collect::<String>().into(),
+                ))
             }
             "split" => {
                 let sep = args
@@ -725,14 +727,17 @@ impl Browser {
                     .ok_or_else(|| WebError::Runtime("split needs a separator".into()))?
                     .as_str()?;
                 let parts: Vec<JsValue> = if sep.is_empty() {
-                    chars.iter().map(|c| JsValue::Str(c.to_string())).collect()
+                    chars
+                        .iter()
+                        .map(|c| JsValue::Str(c.to_string().into()))
+                        .collect()
                 } else {
-                    s.split(sep).map(|p| JsValue::Str(p.to_string())).collect()
+                    s.split(sep).map(|p| JsValue::Str(p.into())).collect()
                 };
                 Ok(self.core.heap.alloc_array(parts))
             }
-            "toUpperCase" => Ok(JsValue::Str(s.to_uppercase())),
-            "toLowerCase" => Ok(JsValue::Str(s.to_lowercase())),
+            "toUpperCase" => Ok(JsValue::Str(s.to_uppercase().into())),
+            "toLowerCase" => Ok(JsValue::Str(s.to_lowercase().into())),
             "startsWith" => {
                 let prefix = args
                     .first()
@@ -792,7 +797,7 @@ impl Browser {
                     return Err(heap_cell_mismatch("array join"));
                 };
                 let parts: Vec<String> = v.clone().iter().map(|e| self.stringify(e)).collect();
-                Ok(JsValue::Str(parts.join(&sep)))
+                Ok(JsValue::Str(parts.join(&sep).into()))
             }
             "slice" => {
                 let HeapCell::Array(v) = self.core.heap.cell(id)? else {
@@ -896,8 +901,8 @@ impl Browser {
                 Ok(self
                     .core
                     .doc
-                    .attr(node, name)?
-                    .map(|v| JsValue::Str(v.to_string()))
+                    .attr_shared(node, name)?
+                    .map(|v| JsValue::Str(Rc::clone(v)))
                     .unwrap_or(JsValue::Null))
             }
             "setAttribute" => {
@@ -906,12 +911,12 @@ impl Browser {
                     .ok_or_else(|| WebError::Runtime("setAttribute needs a name".into()))?
                     .as_str()?
                     .to_string();
-                let value = args
-                    .get(1)
-                    .ok_or_else(|| WebError::Runtime("setAttribute needs a value".into()))?
-                    .clone();
-                let value = self.stringify(&value);
-                self.core.doc.set_attr(node, &name, &value)?;
+                let value = match args.get(1) {
+                    Some(JsValue::Str(s)) => Rc::clone(s),
+                    Some(other) => self.stringify(other).into(),
+                    None => return Err(WebError::Runtime("setAttribute needs a value".into())),
+                };
+                self.core.doc.set_attr_shared(node, &name, value)?;
                 Ok(JsValue::Undefined)
             }
             "removeAttribute" => {
@@ -1120,7 +1125,7 @@ fn stringify_value(core: &Core, value: &JsValue, depth: usize) -> String {
                 format!("{n}")
             }
         }
-        JsValue::Str(s) => s.clone(),
+        JsValue::Str(s) => s.to_string(),
         JsValue::Object(_) => "[object Object]".to_string(),
         JsValue::Array(id) => match core.heap.cell(*id) {
             Ok(HeapCell::Array(elems)) => elems

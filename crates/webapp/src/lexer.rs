@@ -4,6 +4,7 @@
 use crate::f32text;
 use crate::intern::{Ident, Symbol};
 use crate::WebError;
+use std::rc::Rc;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,7 +15,7 @@ pub enum Token {
     /// Numeric literal (always f64, like JS).
     Number(f64),
     /// String literal (already unescaped).
-    Str(String),
+    Str(Rc<str>),
     /// Punctuation or operator, e.g. `"=="`, `"{"`.
     Punct(&'static str),
     /// The whole `([e,e,…])` argument of a `new Float32Array` written in the
@@ -75,7 +76,7 @@ pub(crate) fn decimal_end(bytes: &[u8], i: usize) -> usize {
 ///
 /// Works on the source's bytes: numbers and identifiers are parsed from
 /// `&str` slices of it and string literals are copied a run at a time, so
-/// a token costs no allocation beyond the `String` a `Token::Str` owns.
+/// a token costs no allocation beyond the text a `Token::Str` holds.
 /// Non-ASCII text is legal inside strings and comments, and elsewhere
 /// only as (Unicode) whitespace.
 ///
@@ -131,22 +132,28 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, WebError> {
             let quote = bytes[i];
             let start_line = line;
             i += 1;
-            // Per-literal buffer; ownership moves into the emitted token.
+            // Escaped literals are assembled here; one without escapes
+            // is shared straight from the source slice.
             // lint: allow(collect-in-loop)
             let mut s = String::new();
-            loop {
+            let text: Rc<str> = loop {
                 // Everything up to the next quote, escape or newline is
                 // literal text: copy it in one piece.
                 let run = bytes[i..]
                     .iter()
                     .position(|&b| b == quote || b == b'\\' || b == b'\n')
                     .ok_or_else(|| lex_error(start_line, "unterminated string"))?;
-                s.push_str(&src[i..i + run]);
+                let piece = &src[i..i + run];
                 i += run;
                 if bytes[i] == quote {
                     i += 1;
-                    break;
+                    if s.is_empty() {
+                        break Rc::from(piece);
+                    }
+                    s.push_str(piece);
+                    break Rc::from(s);
                 }
+                s.push_str(piece);
                 if bytes[i] == b'\n' {
                     return Err(lex_error(start_line, "newline in string literal"));
                 }
@@ -166,9 +173,9 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, WebError> {
                 });
                 // Every escape that got this far is one ASCII byte.
                 i += 2;
-            }
+            };
             out.push(Spanned {
-                token: Token::Str(s),
+                token: Token::Str(text),
                 line: start_line,
             });
             continue;

@@ -5,6 +5,7 @@ use crate::intern::{Ident, Symbol};
 use crate::lexer::{lex, Spanned, Token};
 use crate::snapshot::{is_reserved_machinery, RESERVED_PREFIX};
 use crate::WebError;
+use std::rc::Rc;
 
 /// Parses a MiniJS program.
 ///
@@ -112,14 +113,14 @@ impl Parser {
         t
     }
 
-    /// Takes a string literal out of the token stream: the 70 kB image
-    /// data URL of every delta moves from the lexer's buffer into the AST
-    /// without being copied on the way.
-    fn eat_str(&mut self) -> Option<String> {
-        let Token::Str(s) = &mut self.tokens[self.pos].token else {
+    /// Takes a string literal out of the token stream: the 35 kB image
+    /// data URL of every delta is shared by the token and the AST, not
+    /// copied.
+    fn eat_str(&mut self) -> Option<Rc<str>> {
+        let Token::Str(s) = &self.tokens[self.pos].token else {
             return None;
         };
-        let s = std::mem::take(s);
+        let s = Rc::clone(s);
         self.bump();
         Some(s)
     }
@@ -589,7 +590,7 @@ impl Parser {
                 if !self.eat_punct("}") {
                     loop {
                         let key = match self.eat_str() {
-                            Some(s) => s,
+                            Some(s) => s.to_string(),
                             None => match self.advance() {
                                 Token::Ident(name) => name.as_str().to_string(),
                                 _ => {

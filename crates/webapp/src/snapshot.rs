@@ -14,10 +14,10 @@
 //! [`delta`](crate::DeltaCapture) capture (the paper's future-work
 //! direction of reusing state already present at the server).
 
-use crate::ast::{escape_str, number_literal};
+use crate::ast::{escape_str, escape_str_into, number_literal};
 use crate::browser::{Browser, Core};
 use crate::f32text::render_f32_literal;
-use crate::html::serialize_body;
+use crate::html::serialize_body_into;
 use crate::intern::Symbol;
 use crate::value::{HeapCell, JsValue, ObjId};
 use crate::WebError;
@@ -354,7 +354,7 @@ pub(crate) fn render_value(
             let _ = write!(out, "{b}");
         }
         JsValue::Number(n) => out.push_str(&number_literal(*n)),
-        JsValue::Str(s) => out.push_str(&escape_str(s)),
+        JsValue::Str(s) => escape_str_into(s, out),
         JsValue::Function(name) => out.push_str(name),
         JsValue::Host(name) => out.push_str(name),
         JsValue::Dom(node) => {
@@ -385,7 +385,7 @@ fn render_cell_literal(
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&escape_str(k));
+                escape_str_into(k, out);
                 out.push(':');
                 render_value(core, v, inlined, temp_name, out)?;
             }
@@ -416,7 +416,7 @@ fn capture(browser: &mut Browser, options: &SnapshotOptions) -> Result<Snapshot,
     // ships.
     let mut html = String::new();
     html.push_str("<html><body>");
-    html.push_str(&serialize_body(&core.doc));
+    serialize_body_into(&core.doc, &mut html);
     html.push_str("</body>\n<script>\n// snapshot generated by snapedge\n");
 
     // 1. Functions, sorted by name (the map is symbol-keyed, so emission

@@ -35,8 +35,10 @@ pub enum JsValue {
     Bool(bool),
     /// IEEE-754 double, like every JS number.
     Number(f64),
-    /// Immutable string.
-    Str(String),
+    /// Immutable string. Shared, not copied: the literal a script spells,
+    /// every value it evaluates to, a DOM attribute it is written to and
+    /// every [`StateBase`](crate::StateBase) clone hold one allocation.
+    Str(Rc<str>),
     /// Reference to a heap object (`{...}`).
     Object(ObjId),
     /// Reference to a heap array (`[...]`).
@@ -489,7 +491,7 @@ mod tests {
         assert!(!JsValue::Bool(false).is_truthy());
         assert!(!JsValue::Number(0.0).is_truthy());
         assert!(!JsValue::Number(f64::NAN).is_truthy());
-        assert!(!JsValue::Str(String::new()).is_truthy());
+        assert!(!JsValue::Str("".into()).is_truthy());
         assert!(JsValue::Number(-1.0).is_truthy());
         assert!(JsValue::Str("x".into()).is_truthy());
     }

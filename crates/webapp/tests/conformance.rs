@@ -16,7 +16,7 @@ fn n(v: f64) -> JsValue {
 }
 
 fn s(v: &str) -> JsValue {
-    JsValue::Str(v.to_string())
+    JsValue::Str(v.into())
 }
 
 #[test]

@@ -60,7 +60,7 @@ fn literal(rng: &mut Rng) -> Expr {
         // Finite numbers; the printer handles negatives/specials via
         // wrapping, covered by unit tests.
         3 => Expr::Number(rng.gen_range_f64(-1.0e9, 1.0e9)),
-        _ => Expr::Str(printable(rng, 13)),
+        _ => Expr::Str(printable(rng, 13).into()),
     }
 }
 
@@ -317,12 +317,12 @@ fn strings_roundtrip_exactly() {
         if case % 4 == 1 {
             s.push('\t');
         }
-        let prog = vec![Stmt::Var("x".into(), Some(Expr::Str(s.clone())))];
+        let prog = vec![Stmt::Var("x".into(), Some(Expr::Str(s.as_str().into())))];
         let printed = print_program(&prog);
         let reparsed = parse_program(&printed).unwrap();
         let Stmt::Var(_, Some(Expr::Str(t))) = &reparsed[0] else {
             panic!("case {case}")
         };
-        assert_eq!(t, &s, "case {case}");
+        assert_eq!(&**t, s, "case {case}");
     }
 }

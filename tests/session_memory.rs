@@ -4,10 +4,15 @@
 //! warm; before that, a `3rd_pool` session held one dead feature map per
 //! side per round (~164 kB a round).
 //!
+//! Nor by the size of its image beyond a few copies: a script string,
+//! the literal it was parsed from, the DOM attribute it is written to and
+//! every state base share one allocation, so a session holds the photo
+//! once per side plus the literals of the last delta, not ten times.
+//!
 //! Measured deterministically: a counting global allocator reports the
-//! bytes live in this test binary, and the gate is the growth between
-//! round 10 and a late round, not RSS. The tests take a lock so that two
-//! sessions never allocate at once.
+//! bytes live in this test binary, and the gates are the growth between
+//! round 10 and a late round, and the bytes one image's size adds, not
+//! RSS. The tests take a lock so that two sessions never allocate at once.
 
 use snapedge_core::{OffloadSession, SessionConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,6 +88,48 @@ fn assert_flat(name: &str, cfg: SessionConfig, from: u64, to: u64) {
         grown < slack,
         "{name}: live bytes grew {grown} B from round {from} to {to} ({} B a round); slack {slack} B",
         grown / (to - from) as i64
+    );
+}
+
+/// The live bytes a session holds after `rounds` rounds, session
+/// included.
+fn held(cfg: SessionConfig, rounds: u64) -> i64 {
+    let _one = ONE_SESSION_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut session = OffloadSession::new(cfg).unwrap();
+    for round in 1..=rounds {
+        let report = session.infer(round).unwrap();
+        assert!(!report.fell_back, "round {round} fell back");
+    }
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    drop(session);
+    held
+}
+
+/// An agenet session's photo is 35 kB of data-URL text against 2 kB for
+/// the small one; after five delta rounds the difference in live bytes,
+/// divided by the 33 kB difference, is how many copies of the image the
+/// session keeps. Once it kept about ten (every AST clone, value, DOM
+/// attribute and base its own `String`).
+#[test]
+fn a_session_holds_its_image_a_few_times_not_ten() {
+    const BIG: usize = 35_000;
+    const SMALL: usize = 2_000;
+    let with = |bytes| {
+        held(
+            SessionConfig::paper_builder("agenet")
+                .image_bytes(bytes)
+                .build(),
+            5,
+        )
+    };
+    let extra = with(BIG) - with(SMALL);
+    let copies = extra as f64 / (BIG - SMALL) as f64;
+    assert!(
+        copies <= 5.0,
+        "agenet: {extra} B more live with a {BIG} B image than a {SMALL} B one: {copies:.2} copies (want at most 5)"
     );
 }
 
