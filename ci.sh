@@ -28,6 +28,16 @@ if [ "$resilient" -ne 1 ] || [ "$links" -ne 2 ] || [ "$reports" -ne 1 ]; then
     exit 1
 fi
 
+echo "== one provisioning rule (session.rs fabricates no down link for a spent pre-send; scenario.rs neither builds nor provisions a session by halves; outside their tests)"
+if grep -n 'NetError::LinkDown' <<<"$session_src"; then
+    echo "session.rs reports a spent pre-send budget as a down link again: return Ok(false) and let provisioned() decide" >&2
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/scenario.rs | grep -nE 'OffloadSession::build|\.provision\(\)'; then
+    echo "scenario.rs carries its own provisioning rule again: OffloadSession::new is the one" >&2
+    exit 1
+fi
+
 echo "== two delta-capture paths (write-set-pruned capture stays deleted)"
 if grep -rnE 'CaptureHints|set_capture_hints|pruned_globals' crates/*/src; then exit 1; fi
 
@@ -128,6 +138,26 @@ refused --predcit session --model agenet --rounds 2 --predcit true
 refused --balance session --model agenet --rounds 2 --balance true
 refused stray session --model agenet --rounds 2 stray
 refused --model analyze --model agenet
+
+echo "== a failed pre-send degrades to local (session, fleet --real and run exit 0, session offloads again in round 2); strict fail-fast is one error line"
+faults=(--fault-plan 'corrupt@4..5.5' --retry 'attempts=3,deadline=5')
+session_smoke=$(target/release/snapedge session --model agenet --rounds 3 "${faults[@]}")
+if ! awk '$1 == 1 && $2 == "local" { a = 1 } $1 == 2 && $2 == "full" { b = 1 } END { exit !(a && b) }' <<<"$session_smoke"; then
+    echo "snapedge session with a failed pre-send: want round 1 local and round 2 a full snapshot, got:" >&2
+    echo "$session_smoke" >&2
+    exit 1
+fi
+target/release/snapedge fleet --real true --model agenet --rounds 3 "${faults[@]}" >/dev/null
+run_smoke=$(target/release/snapedge run --model agenet --strategy after-ack "${faults[@]}")
+grep -q "completed locally" <<<"$run_smoke"
+strict_code=0
+strict_stderr=$(target/release/snapedge session --model agenet --rounds 3 --fault-plan 'corrupt@4..5.5' 2>&1 >/dev/null) || strict_code=$?
+if [ "$strict_code" -ne 1 ] || [ "$(grep -c '' <<<"$strict_stderr")" -ne 1 ] || ! grep -q '^error: net: ' <<<"$strict_stderr"; then
+    echo "strict fail-fast session: exit $strict_code, stderr:" >&2
+    echo "$strict_stderr" >&2
+    echo "want exit 1 and exactly one 'error: net: ' line" >&2
+    exit 1
+fi
 
 echo "== cargo test"
 cargo test --offline -q --workspace

@@ -237,11 +237,11 @@ impl fmt::Display for UsageError {
     }
 }
 
-impl From<UsageError> for String {
-    fn from(e: UsageError) -> String {
-        e.to_string()
-    }
-}
+impl std::error::Error for UsageError {}
+
+/// What a command returns: an `Err` holding a [`UsageError`] earns the
+/// usage text, any other is one `error:` line.
+type Outcome = Result<(), Box<dyn std::error::Error>>;
 
 /// A checked command line: the subcommand and, per [`Flag`], the text and
 /// value it was last given.
@@ -397,7 +397,7 @@ fn main() -> ExitCode {
     let inv = argv
         .collect::<Result<Vec<_>, _>>()
         .and_then(|argv| parse(&argv));
-    let outcome = inv.map_err(String::from).and_then(|inv| match inv.command {
+    let outcome = inv.map_err(Box::from).and_then(|inv| match inv.command {
         Command::Run => cmd_run(&inv),
         Command::Sweep => cmd_sweep(&inv),
         Command::Session => cmd_session(&inv),
@@ -406,9 +406,11 @@ fn main() -> ExitCode {
         Command::Models => cmd_models(),
         Command::Analyze => cmd_analyze(&inv),
     });
-    if let Err(msg) = outcome {
-        eprintln!("error: {msg}");
-        eprint!("{}", usage());
+    if let Err(e) = outcome {
+        eprintln!("error: {e}");
+        if e.is::<UsageError>() {
+            eprint!("{}", usage());
+        }
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -484,7 +486,7 @@ fn scenario_config(inv: &Invocation) -> Result<ScenarioConfig, UsageError> {
     Ok(cfg)
 }
 
-fn cmd_run(inv: &Invocation) -> Result<(), String> {
+fn cmd_run(inv: &Invocation) -> Outcome {
     let cfg = scenario_config(inv)?;
     let report = run_scenario(&cfg).map_err(|e| e.to_string())?;
     println!("model:      {}", report.model);
@@ -566,7 +568,7 @@ fn cmd_run(inv: &Invocation) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(inv: &Invocation) -> Result<(), String> {
+fn cmd_sweep(inv: &Invocation) -> Outcome {
     let model = inv.model();
     let mbps = inv.mbps();
     println!("partition sweep for {model} at {mbps:.0} Mbps:");
@@ -592,7 +594,7 @@ fn cmd_sweep(inv: &Invocation) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_session(inv: &Invocation) -> Result<(), String> {
+fn cmd_session(inv: &Invocation) -> Outcome {
     let rounds = inv.count(Flag::Rounds).unwrap_or(3);
     let cfg = session_config(inv)?;
     let predict = cfg.predict;
@@ -703,7 +705,7 @@ fn run_fleet<W: Workload>(
     engine.run().map_err(|e| e.to_string())
 }
 
-fn cmd_fleet(inv: &Invocation) -> Result<(), String> {
+fn cmd_fleet(inv: &Invocation) -> Outcome {
     let clients = inv
         .count(Flag::Clients)
         .map_or(100, |n| usize::try_from(n).unwrap_or(usize::MAX));
@@ -783,7 +785,7 @@ fn cmd_fleet(inv: &Invocation) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_install(inv: &Invocation) -> Result<(), String> {
+fn cmd_install(inv: &Invocation) -> Outcome {
     let model = inv.model();
     let net = zoo::by_name(model).map_err(|e| e.to_string())?;
     let bytes = ModelBundle::from_network(&net).total_bytes();
@@ -808,7 +810,7 @@ fn cmd_install(inv: &Invocation) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_models() -> Result<(), String> {
+fn cmd_models() -> Outcome {
     for name in [
         "googlenet",
         "agenet",
@@ -931,7 +933,7 @@ fn print_report(target: &str, report: &AnalysisReport) -> usize {
 /// static effect pass runs too (cost floors, nondeterminism sources);
 /// with `--report <out.html>` an escaped markup report is written before
 /// any verdict is returned, so failures are captured in the report.
-fn cmd_analyze_file(path: &str, inv: &Invocation) -> Result<(), String> {
+fn cmd_analyze_file(path: &str, inv: &Invocation) -> Outcome {
     let source = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let opts = analysis_options(inv);
     let is_html = source.contains("<script>");
@@ -960,7 +962,7 @@ fn cmd_analyze_file(path: &str, inv: &Invocation) -> Result<(), String> {
         println!("report: {out}");
     }
     if findings > 0 {
-        return Err(format!("{path}: {}", report.summary()));
+        return Err(format!("{path}: {}", report.summary()).into());
     }
     if let Some(summary) = &effects {
         summary.verdict().map_err(|e| format!("{path}: {e}"))?;
@@ -972,7 +974,7 @@ fn cmd_analyze_file(path: &str, inv: &Invocation) -> Result<(), String> {
 /// analyzes a file; otherwise it analyzes both paper app sources (the
 /// same for every model) in app mode, with their effect summaries under
 /// `--effects true`.
-fn cmd_analyze(inv: &Invocation) -> Result<(), String> {
+fn cmd_analyze(inv: &Invocation) -> Outcome {
     if let Some(path) = inv.text(Flag::Html) {
         return cmd_analyze_file(path, inv);
     }
@@ -995,7 +997,7 @@ fn cmd_analyze(inv: &Invocation) -> Result<(), String> {
         }
     }
     if findings > 0 {
-        return Err(format!("analyze: {findings} diagnostic(s) across targets"));
+        return Err(format!("analyze: {findings} diagnostic(s) across targets").into());
     }
     println!("analyze: all targets clean");
     Ok(())

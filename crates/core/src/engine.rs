@@ -320,7 +320,9 @@ impl SessionWorkload {
     /// # Errors
     ///
     /// Propagates session construction failures (unknown model, empty
-    /// fleet, unreachable servers).
+    /// fleet, a pre-send fault under strict fail-fast). A client whose
+    /// pre-send gave up is no failure: it starts unprovisioned, and its
+    /// rounds complete locally until it re-provisions.
     pub fn new(
         cfg: impl Into<SessionConfig>,
         clients: usize,

@@ -82,7 +82,7 @@ pub(crate) struct Round<'a> {
     pub queue_outlook: &'a [Duration],
     pub model_bytes: u64,
     pub now: Duration,
-    pub ack_at: Duration,
+    pub ack_at: Option<Duration>,
 }
 
 /// Walks the click-time gates in order and returns the first verdict
@@ -167,7 +167,7 @@ fn plan(round: &Round<'_>) -> Result<Option<(Judged, Decision)>, OffloadError> {
         .saturating_add(queue_wait);
     // Before the ACK the whole model still queues ahead of the snapshot;
     // after it, none of it does (the pre-send is one acknowledged upload).
-    let unacked = (round.now < round.ack_at).then_some(round.model_bytes);
+    let unacked = (round.ack_at.is_some_and(|ack| round.now < ack)).then_some(round.model_bytes);
     let plan = PartitionOptimizer::new(
         round.net,
         round.cfg.client_device.clone(),

@@ -18,7 +18,6 @@ use crate::apps;
 use crate::config::{ConfigBuilder, OffloadConfig};
 use crate::endpoint::Endpoint;
 use crate::partition::Decision;
-use crate::resilience::{classify, FaultClass};
 use crate::session::{OffloadSession, SessionConfig};
 use crate::OffloadError;
 use snapedge_dnn::{zoo, ExecMode, ParamStore};
@@ -326,11 +325,14 @@ impl ScenarioReport {
 /// | `OffloadAfterAck` | none (full offload) | yes |
 /// | `Partial { cut }` | `cut` | yes |
 ///
+/// A fleet that never acknowledged the pre-send still runs the click,
+/// locally, under the provisioning rule of [`OffloadSession::new`].
+///
 /// # Errors
 ///
 /// Returns [`OffloadError`] for unknown models/cuts, app failures, or
-/// network failures (when injected and no retry policy or second fleet
-/// candidate absorbs them).
+/// network failures under strict fail-fast (one server, no retry
+/// policy).
 pub fn run_scenario(cfg: &ScenarioConfig) -> Result<ScenarioReport, OffloadError> {
     if cfg.servers.is_empty() {
         // No offload strategy can be served, and `ServerOnly` needs the
@@ -357,28 +359,16 @@ fn run_offload(
     cut: Option<&str>,
     wait_for_ack: bool,
 ) -> Result<ScenarioReport, OffloadError> {
-    let mut session = OffloadSession::build(SessionConfig {
+    let mut session = OffloadSession::new(SessionConfig {
         core: cfg.core.clone(),
         cut: cut.map(str::to_string),
         use_deltas: false,
     })?;
+    // Neither is read by the pre-send `new` just ran.
     session.wait_for_ack = wait_for_ack;
     session.compress = cfg.compress;
-    // A fleet whose every candidate gave up its pre-send still runs the
-    // click: the session finds nobody provisioned and completes the round
-    // locally. Strict fail-fast (one server, no retry policy) and fatal
-    // errors surface as they do from `OffloadSession::new`.
-    let acked = match session.provision() {
-        Ok(()) => true,
-        Err(e)
-            if classify(&e) == FaultClass::Transient
-                && (cfg.retry.is_some() || cfg.servers.len() > 1) =>
-        {
-            false
-        }
-        Err(e) => return Err(e),
-    };
-    let ack_at = acked.then(|| session.ack_at());
+    // Read before the round: a mid-round failover re-provisions.
+    let ack_at = session.ack_at();
     let round = session.infer(cfg.seed)?;
     let trace = session.trace();
     Ok(ScenarioReport {

@@ -30,7 +30,7 @@ use crate::partition::Decision;
 use crate::resilience::{classify, schedule_resilient, FaultClass};
 use crate::OffloadError;
 use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
-use snapedge_net::{Link, NetError, SimClock, Transfer};
+use snapedge_net::{Link, SimClock, Transfer};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
 use snapedge_webapp::{DeltaCapture, MeterLimits, RunOutcome, StateBase, WebError};
 use std::rc::Rc;
@@ -242,11 +242,11 @@ pub struct OffloadSession {
     /// them.
     server: AttachedServer,
     round: usize,
-    /// When the current server acknowledged the model pre-send.
-    ack_at: Duration,
+    /// When the current server acknowledged the model pre-send, if it has.
+    ack_at: Option<Duration>,
     tracer: Tracer,
     /// The model bundle pre-sent to every server the session provisions
-    /// (the rear half under a cut), made once in `build`.
+    /// (the rear half under a cut), made once in `new`.
     bundle: ModelBundle,
     /// Its size in bytes (feeds the pool's selection metric).
     pub(crate) model_bytes: u64,
@@ -403,23 +403,18 @@ impl Dir {
 impl OffloadSession {
     /// Starts a session: builds the client endpoint, loads the app,
     /// selects the cheapest fleet candidate and pre-sends the model to
-    /// it (failing over to the remaining candidates when the chosen
-    /// one's pre-send exhausts its retry budget).
+    /// it, failing over to the remaining candidates when the chosen
+    /// one's pre-send does not get through. Whether that fails the session
+    /// is the one provisioning rule, [`OffloadSession::provisioned`]; a
+    /// session it lets start unprovisioned completes its rounds locally,
+    /// and each round from the second on re-provisions.
     ///
     /// # Errors
     ///
     /// Returns [`OffloadError`] for unknown models/cuts or app failures,
-    /// and the first candidate's network error when no candidate
-    /// acknowledged the model.
+    /// and the pre-send's own network fault under strict fail-fast: one
+    /// server and no retry policy.
     pub fn new(cfg: SessionConfig) -> Result<OffloadSession, OffloadError> {
-        let mut session = OffloadSession::build(cfg)?;
-        session.provision()?;
-        Ok(session)
-    }
-
-    /// The first half of [`OffloadSession::new`]: client endpoint, app,
-    /// first fleet candidate chosen — nothing on the wire yet.
-    pub(crate) fn build(cfg: SessionConfig) -> Result<OffloadSession, OffloadError> {
         if cfg.servers.is_empty() {
             return Err(OffloadError::Config(
                 "session needs at least one edge server in its fleet".into(),
@@ -474,7 +469,7 @@ impl OffloadSession {
             pool,
             current: first,
             round: 0,
-            ack_at: Duration::ZERO,
+            ack_at: None,
             tracer,
             model_bytes: bundle.total_bytes(),
             bundle,
@@ -486,26 +481,12 @@ impl OffloadSession {
             queue_outlook: Vec::new(),
         };
         session.setup_client(params)?;
+        let presend = session.setup_server();
+        if !session.provisioned(presend)? {
+            session.pool.mark_exhausted(session.current);
+            session.provision_next()?;
+        }
         Ok(session)
-    }
-
-    /// The second half of [`OffloadSession::new`]: provisions the chosen
-    /// candidate; if its pre-send exhausts the retry budget and other
-    /// candidates remain, tries them before giving up (single-server
-    /// fleets keep the strict error). After an error no candidate holds
-    /// the model, and a round started anyway completes locally.
-    pub(crate) fn provision(&mut self) -> Result<(), OffloadError> {
-        let Err(e) = self.setup_server() else {
-            return Ok(());
-        };
-        if classify(&e) != FaultClass::Transient || self.pool.len() == 1 {
-            return Err(e);
-        }
-        self.pool.mark_exhausted(self.current);
-        if !self.provision_next()? {
-            return Err(e);
-        }
-        Ok(())
     }
 
     fn setup_client(&mut self, params: ParamStore) -> Result<(), OffloadError> {
@@ -558,17 +539,20 @@ impl OffloadSession {
 
     /// Pre-sends the model to the *current* server and installs the model
     /// host there. The pre-send rides the links' own timeline
-    /// (overlapping with whatever the client is doing). A server the
-    /// retry budget cannot reach is reported as a down link — the fleet
-    /// layer hands off to the next candidate (or the caller may hand off
-    /// by hand).
-    fn setup_server(&mut self) -> Result<(), OffloadError> {
+    /// (overlapping with whatever the client is doing). `Ok(false)` means
+    /// the retry budget ran out before the ACK: the server is not
+    /// provisioned, and [`OffloadSession::provisioned`] decides what that
+    /// means for the session.
+    fn setup_server(&mut self) -> Result<bool, OffloadError> {
         let presend_at = self.clock.now().max(self.presend_from);
-        let unreachable = || OffloadError::Net(NetError::LinkDown);
         let upload = self.send(Leg::ModelUpload, presend_at, presend_at, self.model_bytes)?;
-        let upload = upload.ok_or_else(unreachable)?;
-        let ack = self.send(Leg::ModelAck, upload.finish, presend_at, 64)?;
-        self.ack_at = ack.ok_or_else(unreachable)?.finish;
+        let Some(upload) = upload else {
+            return Ok(false);
+        };
+        let Some(ack) = self.send(Leg::ModelAck, upload.finish, presend_at, 64)? else {
+            return Ok(false);
+        };
+        self.ack_at = Some(ack.finish);
         self.pool.mark_model_ready(self.current);
         let server_params = match self.cfg.exec_mode {
             ExecMode::Real => ParamStore::from_bundle(&self.bundle)?,
@@ -581,12 +565,27 @@ impl OffloadSession {
             self.cut,
             self.cfg.seed,
         );
-        Ok(())
+        Ok(true)
     }
 
-    /// When the current server acknowledged the model pre-send; offloads
-    /// before this time queue behind the model upload.
-    pub fn ack_at(&self) -> Duration {
+    /// The one provisioning rule, applied to a pre-send's outcome:
+    /// whether the server acknowledged the model. A pre-send that gave up
+    /// under a retry policy (`Ok(false)` already), or whose fault
+    /// [`OffloadSession::recoverable`] lets a fleet of two or more absorb,
+    /// leaves the session unprovisioned rather than failing it. Anything
+    /// else is returned as is: a fatal error, or a transient fault under
+    /// strict fail-fast (one server, no retry policy).
+    fn provisioned(&self, presend: Result<bool, OffloadError>) -> Result<bool, OffloadError> {
+        match presend {
+            Err(e) if self.recoverable(&e) => Ok(false),
+            presend => presend,
+        }
+    }
+
+    /// When the serving server acknowledged the model pre-send; offloads
+    /// before this time queue behind the model upload. `None` until it
+    /// has: the session is unprovisioned and its rounds complete locally.
+    pub fn ack_at(&self) -> Option<Duration> {
         self.ack_at
     }
 
@@ -603,18 +602,21 @@ impl OffloadSession {
     /// Moves the client to a *new, fresh* edge server with the current
     /// server's spec (the roaming case). The delta agreement is dropped;
     /// the model is pre-sent to the new server. No state from the
-    /// previous server is needed — snapshots are self-contained.
+    /// previous server is needed — snapshots are self-contained. A failed
+    /// pre-send follows the rule of [`OffloadSession::new`].
     ///
     /// # Errors
     ///
-    /// Propagates setup failures.
+    /// Propagates fatal setup failures, and the pre-send's network fault
+    /// under strict fail-fast (one server, no retry policy).
     pub fn handoff(&mut self) -> Result<(), OffloadError> {
         let mut spec = match self.pool.spec(self.current) {
             Some(spec) => spec.clone(),
             None => self.cfg.primary().clone(),
         };
         spec.name = format!("edge-server-{}", self.round + 1);
-        self.attach(self.current, &spec, self.clock.now())
+        let presend = self.attach(self.current, &spec, self.clock.now());
+        self.provisioned(presend).map(drop)
     }
 
     /// Attaches candidate `idx` described by `spec` in place of the
@@ -623,7 +625,12 @@ impl OffloadSession {
     /// meter mark zeroed), clears the estimator history of the new
     /// provisioning epoch and pre-sends the model. The previous server's
     /// model is marked stale — its endpoint is gone.
-    fn attach(&mut self, idx: usize, spec: &ServerSpec, at: Duration) -> Result<(), OffloadError> {
+    fn attach(
+        &mut self,
+        idx: usize,
+        spec: &ServerSpec,
+        at: Duration,
+    ) -> Result<bool, OffloadError> {
         let old = self.server.endpoint.name();
         self.tracer.record(
             &format!("handoff:{old}->{}", spec.name),
@@ -637,6 +644,7 @@ impl OffloadSession {
         self.pool.reset_estimator(idx);
         let meter = self.cfg.meter.as_ref();
         self.server = AttachedServer::new(idx, spec, meter, &self.clock, &self.tracer);
+        self.ack_at = None;
         self.setup_server()
     }
 
@@ -693,24 +701,21 @@ impl OffloadSession {
         // The wait starts now: give-ups on the pre-round timeline are past.
         self.presend_from = self.clock.now();
         let moved = self.provision_next()?;
-        let waited_until = if moved {
-            self.ack_at
-        } else {
-            self.presend_from
-        };
-        self.clock.advance_to(waited_until);
+        self.clock
+            .advance_to(self.ack_at.filter(|_| moved).unwrap_or(self.presend_from));
         Ok(moved)
     }
 
     /// Picks the best non-exhausted candidate by predicted migration
     /// time, emits `server_select`/`handoff` events and re-provisions
-    /// (model re-pre-send). Candidates whose provisioning also exhausts
-    /// are marked and the next one is tried. Returns `false` when every
+    /// (model re-pre-send). Candidates the provisioning rule
+    /// ([`OffloadSession::provisioned`]) leaves unprovisioned are marked
+    /// exhausted and the next one is tried. Returns `false` when every
     /// candidate is exhausted.
     ///
     /// # Errors
     ///
-    /// Propagates fatal (non-network) provisioning failures.
+    /// Propagates the provisioning failures the rule does not absorb.
     fn provision_next(&mut self) -> Result<bool, OffloadError> {
         loop {
             // Candidates are ranked by predicted *sojourn* (migration +
@@ -734,13 +739,11 @@ impl OffloadSession {
                 now,
                 now,
             );
-            match self.attach(next, &spec, now) {
-                Ok(()) => return Ok(true),
-                Err(e) if classify(&e) == FaultClass::Transient => {
-                    self.pool.mark_exhausted(next);
-                }
-                Err(e) => return Err(e),
+            let presend = self.attach(next, &spec, now);
+            if self.provisioned(presend)? {
+                return Ok(true);
             }
+            self.pool.mark_exhausted(next);
         }
     }
 
@@ -796,8 +799,8 @@ impl OffloadSession {
         self.server.meter_mark = meter.map(|m| m.total_ops()).unwrap_or(0);
         // Wait for the pre-send ACK before the first offload (the paper's
         // "after ACK" regime). A before-ACK scenario clicks right away.
-        if self.wait_for_ack {
-            self.clock.advance_to(self.ack_at);
+        if let Some(ack_at) = self.ack_at.filter(|_| self.wait_for_ack) {
+            self.clock.advance_to(ack_at);
         }
 
         // The user loads a new image and clicks inference.
@@ -830,15 +833,14 @@ impl OffloadSession {
             )));
         }
 
-        // The current server never acknowledged its pre-send (a scenario
-        // started on a dead fleet, or the previous round's failover ran
-        // out of candidates): there is nothing to ship to, so it is an
-        // exhausted candidate like any other.
-        if !self.pool.model_ready(self.current) {
-            self.pool.mark_exhausted(self.current);
-            if !self.failover()? {
-                return self.round_done_locally(clicked_at);
-            }
+        // The current server never acknowledged its pre-send (the session
+        // started unprovisioned, or the previous round's failover ran out
+        // of candidates): there is nothing to ship to, so the round
+        // re-provisions first, the current server ranked with the other
+        // candidates. Whoever gave up in this round's provisioning — the
+        // first round's is the session's own — stays given up.
+        if !self.pool.model_ready(self.current) && !self.failover()? {
+            return self.round_done_locally(clicked_at);
         }
 
         // The pre-ship gates. A `Local` verdict completes the round on the

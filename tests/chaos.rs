@@ -14,6 +14,7 @@
 //!    timeline, fault for fault.
 
 use snapedge_core::prelude::*;
+use snapedge_net::NetError;
 use std::time::Duration;
 
 fn secs(s: f64) -> Duration {
@@ -332,7 +333,10 @@ fn without_a_retry_policy_plan_outages_still_fail_fast() {
             .build(),
     )
     .unwrap_err();
-    assert!(matches!(err, OffloadError::Net(_)), "{err:?}");
+    assert!(
+        matches!(err, OffloadError::Net(NetError::LinkDown)),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -488,7 +492,10 @@ fn handoff_to_an_unreachable_server_is_a_net_error() {
     session.infer(1).unwrap();
     // No retry policy: the refused pre-send surfaces immediately.
     let err = session.handoff().unwrap_err();
-    assert!(matches!(err, OffloadError::Net(_)), "{err:?}");
+    assert!(
+        matches!(err, OffloadError::Net(NetError::LinkDown)),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -507,7 +514,7 @@ fn handoff_retries_through_an_outage_then_resends_a_full_snapshot() {
     assert_eq!(r1.result, probe[0].result);
     session.handoff().unwrap();
     assert!(
-        session.ack_at() >= t1 + secs(0.2),
+        session.ack_at() >= Some(t1 + secs(0.2)),
         "pre-send waited out the outage"
     );
     let r2 = session.infer(2).unwrap();
@@ -524,7 +531,7 @@ fn handoff_to_a_degraded_server_costs_time_but_still_works() {
     let mut clean = OffloadSession::new(session_cfg().build()).unwrap();
     clean.infer(1).unwrap();
     clean.handoff().unwrap();
-    let clean_ack = clean.ack_at();
+    let clean_ack = clean.ack_at().expect("the clean handoff is acknowledged");
     let clean_r2 = clean.infer(2).unwrap();
 
     let plan = FaultPlan::none()
@@ -534,7 +541,7 @@ fn handoff_to_a_degraded_server_costs_time_but_still_works() {
     session.infer(1).unwrap();
     session.handoff().unwrap();
     assert!(
-        session.ack_at() > clean_ack,
+        session.ack_at() > Some(clean_ack),
         "the degraded pre-send is slower"
     );
     let r2 = session.infer(2).unwrap();

@@ -15,6 +15,8 @@
 //!    matrix.
 
 use snapedge_core::prelude::*;
+use snapedge_integration::run_checked;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn secs(s: f64) -> Duration {
@@ -323,4 +325,124 @@ fn a_fleet_that_went_dark_for_a_round_is_reprovisioned_in_the_next() {
     assert!(rounds[1].fell_back, "nobody was reachable in round 2");
     assert!(!rounds[2].fell_back, "round 3 found a server again");
     assert_ne!(rounds[2].server, "client");
+}
+
+/// A `kind` window (`"down"` or `"corrupt"`) on both links of every
+/// candidate of a `servers`-strong tiny fleet from app start to `until`,
+/// with one attempt per transfer when `retry` is set and strict
+/// fail-fast otherwise. The links are LAN-grade (300 Mbps, 0.1 ms), so
+/// even two failed pre-sends in a row are over within the first
+/// round's local execution, and a window that closes when that round
+/// ends has closed for the second round's re-provision.
+fn presend_window(kind: &str, until: Duration, servers: usize, retry: bool) -> SessionConfig {
+    let plan = match kind {
+        "down" => FaultPlan::none().down(Duration::ZERO, until),
+        _ => FaultPlan::none().corrupt(Duration::ZERO, until),
+    };
+    let plan = plan.unwrap();
+    let lan = LinkConfig {
+        latency: Duration::from_micros(100),
+        ..LinkConfig::mbps(300.0)
+    };
+    let fleet = ["edge-a", "edge-b"][..servers]
+        .iter()
+        .map(|&name| {
+            ServerSpec::new(name, edge_server_x86(), lan.clone()).with_faults(plan.clone())
+        })
+        .collect();
+    let cfg = SessionConfig::tiny_builder().servers(fleet);
+    let one_attempt = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    if retry { cfg.retry(one_attempt) } else { cfg }.build()
+}
+
+/// The one provisioning rule: a pre-send that does not get through —
+/// it gives up under a retry policy, or meets a transient fault in a
+/// fleet of two — starts the session unprovisioned instead of failing
+/// it. Round 1 completes locally, and round 2, once the window has
+/// closed, re-provisions and offloads; a fleet of one included.
+#[test]
+fn a_failed_presend_starts_the_session_unprovisioned() {
+    let mut probe = OffloadSession::new(SessionConfig::tiny_builder().build()).unwrap();
+    let probe_rounds: Vec<RoundReport> = (1..=2).map(|i| probe.infer(i).unwrap()).collect();
+    for kind in ["down", "corrupt"] {
+        for (servers, retry) in [(1, true), (2, false), (2, true)] {
+            let tag = format!("{kind} window, {servers} server(s), retry {retry}");
+            let start = |until: Duration| {
+                OffloadSession::new(presend_window(kind, until, servers, retry))
+                    .unwrap_or_else(|e| panic!("{tag}: the session must start: {e}"))
+            };
+            // With one attempt per transfer nothing waits on the window's
+            // end, so an hour-long window tells when round 1 is over; the
+            // real run's window closes exactly then.
+            let mut forever = start(secs(3600.0));
+            forever.infer(1).unwrap();
+            let until = forever.now();
+            let trace = forever.trace();
+            let mut presends = trace.events().iter().filter(|e| e.name == "model_upload");
+            assert!(
+                presends.all(|e| e.start < until),
+                "{tag}: inside the window"
+            );
+            let mut session = start(until);
+            assert_eq!(session.ack_at(), None, "{tag}: nobody acknowledged");
+
+            let rounds: Vec<RoundReport> = (1..=2).map(|i| session.infer(i).unwrap()).collect();
+            assert!(rounds[0].fell_back, "{tag}: round 1 completes locally");
+            assert_eq!(rounds[0].server, "client", "{tag}");
+            assert!(!rounds[1].fell_back, "{tag}: round 2 re-provisions");
+            assert_ne!(rounds[1].server, "client", "{tag}");
+            assert!(
+                !rounds[1].delta_up,
+                "{tag}: the new server needs a full snapshot"
+            );
+            for (r, p) in rounds.iter().zip(&probe_rounds) {
+                assert_eq!(r.result, p.result, "{tag}: round {} drifted", r.round);
+            }
+            assert!(session.ack_at().is_some(), "{tag}");
+        }
+    }
+}
+
+/// A fleet of clients that all start unprovisioned runs to completion
+/// under the engine's checks: every client's first round completes
+/// locally — the only rounds that found no provisioned server, since
+/// the window has closed by the second — and every result equals the
+/// fault-free fleet's.
+#[test]
+fn a_fleet_survives_clients_whose_presend_failed() {
+    const CLIENTS: usize = 3;
+    let run = |cfg: SessionConfig| {
+        let mut engine = Engine::sessions(cfg, CLIENTS)
+            .unwrap()
+            .arrival(ArrivalProcess::ClosedLoop { think: secs(2.0) })
+            .max_rounds(3);
+        let report = run_checked(&mut engine);
+        let done = engine.event_log().iter().filter_map(|e| match e.kind {
+            EngineEventKind::Done { round, served_by } => Some((e.client, round, served_by)),
+            _ => None,
+        });
+        // Reports are pushed in the order the engine logs `Done`.
+        let rounds: BTreeMap<(usize, u32), (Option<u32>, String)> = done
+            .zip(engine.workload().reports())
+            .map(|((client, round, by), r)| ((client, round), (by, r.result.clone())))
+            .collect();
+        (report, rounds)
+    };
+    let (_, clean) = run(SessionConfig::tiny());
+    for servers in [1, 2] {
+        let (report, rounds) = run(presend_window("down", secs(1.0), servers, true));
+        assert_eq!(rounds.len(), CLIENTS * 3, "{servers} server(s)");
+        for (key, (served_by, result)) in &rounds {
+            assert_eq!(*result, clean[key].1, "{servers} server(s), {key:?}");
+            assert_eq!(
+                served_by.is_none(),
+                key.1 == 1,
+                "{servers} server(s), {key:?}"
+            );
+        }
+        assert_eq!(report.fallbacks, CLIENTS, "{servers} server(s)");
+    }
 }

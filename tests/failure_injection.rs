@@ -3,6 +3,7 @@
 //! is unreachable.
 
 use snapedge_core::prelude::*;
+use snapedge_net::NetError;
 use std::time::Duration;
 
 /// The primary's link, dead from app start for an hour.
@@ -19,7 +20,10 @@ fn uplink_failure_surfaces_as_a_net_error() {
         .up_faults(down_for_an_hour())
         .build();
     let err = run_scenario(&cfg).unwrap_err();
-    assert!(matches!(err, OffloadError::Net(_)), "{err:?}");
+    assert!(
+        matches!(err, OffloadError::Net(NetError::LinkDown)),
+        "{err:?}"
+    );
 }
 
 #[test]
