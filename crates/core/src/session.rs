@@ -1275,7 +1275,9 @@ impl OffloadSession {
     /// migrating client sat through every failed attempt, so the clock
     /// moves to the last one (a no-op for instant refusals) and whatever
     /// comes next — failover, local fallback — starts there; a pre-send's
-    /// give-up is where the next candidate's provisioning starts.
+    /// give-up is where the next candidate's provisioning starts. An
+    /// error (a strict transient failure, or a fatal one) closes the span
+    /// at `at`, so the session's later events do not nest inside it.
     fn send(
         &mut self,
         leg: Leg,
@@ -1292,7 +1294,13 @@ impl OffloadSession {
             Dir::Down => &mut self.server.downlink,
         };
         let policy = self.cfg.retry.as_ref();
-        let outcome = schedule_resilient(link, &self.tracer, policy, at, anchor, bytes)?;
+        let outcome = match schedule_resilient(link, &self.tracer, policy, at, anchor, bytes) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                self.tracer.end(span, at);
+                return Err(e);
+            }
+        };
         let gave_up_at = outcome.gave_up_at;
         self.pool
             .observe_faults(self.current, outcome.retries as usize, gave_up_at);

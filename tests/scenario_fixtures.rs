@@ -618,16 +618,16 @@ const FIXTURES: &[(&str, u64, u64, u64)] = &[
     ("aimed/mid_migration_handoff", 0x463b0b847a7c7705, 0xfd44b42880730d60, 0xfd44b42880730d60), // mid-migration re-capture (+1 capture_client)
     ("aimed/downlink_dies_mid_round_handoff", 0x5332f99ee236231e, 0x33ece728fb431a97, 0x33ece728fb431a97), // mid-migration re-capture
     ("presend/failover_to_edge_b", 0x5a579b92f5c1f621, 0x41b3661cf68cef52, 0x41b3661cf68cef52),
-    ("presend/failover_without_policy", 0x5a579b92f5c1f621, 0x0def8e549bbe9b60, 0x0def8e549bbe9b60),
+    ("presend/failover_without_policy", 0x5a579b92f5c1f621, 0x41b3661cf68cef52, 0x41b3661cf68cef52), // the refused model_upload span closes at its attempt: the trace of failover_to_edge_b
     ("presend/corrupt_primary_fails_over_late", 0xee16796f0ba8b27f, 0xba29c520b5c2dc10, 0xba29c520b5c2dc10),
     ("presend/corrupt_primary_fails_over_late/before_ack", 0x7ddd0b8d62980042, 0xd7a0a923b02b05dd, 0xd7a0a923b02b05dd),
     ("unacked/after_ack/fleet_of_one_down_for_an_hour", 0x5a9a7eb0dcc5df0c, 0xc3c8ded25c23790c, 0xc3c8ded25c23790c),
     ("unacked/after_ack/two_dead_servers", 0x5a9a7eb0dcc5df0c, 0x6dbb305dc9ab1a05, 0x6dbb305dc9ab1a05),
-    ("unacked/after_ack/two_dead_servers_without_policy", 0x5a9a7eb0dcc5df0c, 0x845a52be7af8f28e, 0x845a52be7af8f28e),
+    ("unacked/after_ack/two_dead_servers_without_policy", 0x5a9a7eb0dcc5df0c, 0x6dbb305dc9ab1a05, 0x6dbb305dc9ab1a05), // the refused model_upload spans close at their attempts: the trace of two_dead_servers
     ("unacked/after_ack/fleet_of_one_without_policy", 0x98d820888a0fb67f, 0xcbf29ce484222325, 0xcbf29ce484222325),
     ("unacked/before_ack/fleet_of_one_down_for_an_hour", 0xcb248ab398447b47, 0xc3c8ded25c23790c, 0xc3c8ded25c23790c),
     ("unacked/before_ack/two_dead_servers", 0xcb248ab398447b47, 0x6dbb305dc9ab1a05, 0x6dbb305dc9ab1a05),
-    ("unacked/before_ack/two_dead_servers_without_policy", 0xcb248ab398447b47, 0x845a52be7af8f28e, 0x845a52be7af8f28e),
+    ("unacked/before_ack/two_dead_servers_without_policy", 0xcb248ab398447b47, 0x6dbb305dc9ab1a05, 0x6dbb305dc9ab1a05), // the refused model_upload spans close at their attempts: the trace of two_dead_servers
     ("unacked/before_ack/fleet_of_one_without_policy", 0x98d820888a0fb67f, 0xcbf29ce484222325, 0xcbf29ce484222325),
     ("gates/effects", 0x568e57c201b32aa4, 0x30468c9ddc625b9f, 0xacaa83d2b139e4dd), // ISSUE 21: a configured gate records its `ship` verdict too (`gate:effects:ship:0:0`)
     ("meter/generous", 0x568e57c201b32aa4, 0x9eb820fe4fa831bb, 0x9eb820fe4fa831bb),
