@@ -162,8 +162,8 @@ fi
 echo "== cargo test"
 cargo test --offline -q --workspace
 
-echo "== a long session keeps only its live heap (2 000 3rd_pool rounds, release: live bytes grow < 20 MB)"
-cargo test --offline --release -q -p snapedge-integration --test session_memory -- --ignored
+echo "== a session keeps only its live heap and its image about once a side (release, where LLVM may elide allocations: the copy gates, flat growth, and 2 000 3rd_pool rounds growing < 20 MB)"
+cargo test --offline --release -q -p snapedge-integration --test session_memory -- --include-ignored
 
 echo "== float printer = Display on 1/256 of every finite f32 (a wrong table entry or tie rule fails here, not as a fixture hash)"
 PARTS=256 cargo test --offline --release -q -p snapedge-webapp --lib -- --ignored every_finite_pattern_prints_as_display

@@ -11,7 +11,7 @@ use crate::host::{HostEffect, HostObject};
 use crate::intern::{Ident, Symbol};
 use crate::interp::FrameLayout;
 use crate::meter::{Meter, MeterLimits};
-use crate::value::{Heap, JsValue};
+use crate::value::{Heap, HeapCell, JsValue};
 use crate::WebError;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -131,6 +131,12 @@ impl Globals {
         self.dirty.clear();
     }
 
+    /// Every bound value in symbol order, to swap for an equal one: not
+    /// a write, so nothing is marked dirty.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut JsValue> {
+        self.map.values_mut()
+    }
+
     /// Bindings touched since the last [`Globals::clear_dirty`].
     pub fn dirty(&self) -> &BTreeSet<Symbol> {
         &self.dirty
@@ -182,11 +188,43 @@ impl Core {
     }
 }
 
+/// The length from which byte-equal strings are worth one buffer: the
+/// photo's data URL is tens of kB, an id or a label a few bytes.
+const SHARED_MIN_LEN: usize = 1024;
+
 impl Core {
     fn new() -> Core {
         Core {
             doc: Document::new(),
             ..Core::default()
+        }
+    }
+
+    /// Points every long string held in a DOM attribute, a global or a
+    /// heap cell written since the last base at the first byte-equal one,
+    /// in that order. The value stays the same, so this is no write: the
+    /// dirty sets are left alone and no capture can tell.
+    fn share_long_strings(&mut self) {
+        let Core {
+            doc, globals, heap, ..
+        } = self;
+        let values = globals
+            .values_mut()
+            .chain(heap.written_cells_mut().flat_map(HeapCell::values_mut));
+        let strings = values.filter_map(|value| match value {
+            JsValue::Str(s) => Some(s),
+            _ => None,
+        });
+        let mut firsts: BTreeMap<usize, Vec<Rc<str>>> = BTreeMap::new();
+        for slot in doc.attr_values_mut().chain(strings) {
+            if slot.len() < SHARED_MIN_LEN {
+                continue;
+            }
+            let same_len = firsts.entry(slot.len()).or_default();
+            match same_len.iter().find(|first| **first == *slot) {
+                Some(first) => *slot = Rc::clone(first),
+                None => same_len.push(Rc::clone(slot)),
+            }
         }
     }
 }
@@ -424,11 +462,17 @@ impl Browser {
     /// declared and has already called. Each runs once, from the script
     /// that declares it, yet its body spells every literal of its capture
     /// (the photo among them): kept, it would pin a stale copy per side.
+    ///
+    /// Then shares what the script spelled twice: a restore reads the
+    /// photo once out of the `<img src>` markup and once out of the
+    /// script that sets `imageUrl`, and a delta lexes its
+    /// `setAttribute("src", "…")` and `imageUrl = "…"` literals apart.
     pub(crate) fn drop_machinery(&mut self) {
         for sym in [Symbol::SNAPEDGE_RESTORE, Symbol::SNAPEDGE_APPLY_DELTA] {
             self.core.functions.remove(&sym);
             self.layout_cache.remove(&sym);
         }
+        self.core.share_long_strings();
     }
 
     /// Runs a MiniJS script in the current document (top-level scope).

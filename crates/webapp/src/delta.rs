@@ -920,6 +920,94 @@ mod tests {
         );
     }
 
+    /// A restore reads the photo out of the markup and out of the
+    /// script, a delta spells it twice: each side ends with one buffer
+    /// per long string, the heap cells it wrote included. Short strings,
+    /// the dirty sets and the cells a base shares are left as they were.
+    #[test]
+    fn long_strings_spelled_twice_are_one_buffer_after_a_restore_or_an_apply() {
+        let attr = |browser: &Browser| {
+            let photo = browser.core.doc.get_element_by_id("photo").unwrap();
+            Rc::clone(browser.core.doc.attr_shared(photo, "src").unwrap().unwrap())
+        };
+        let string = |value: JsValue| match value {
+            JsValue::Str(s) => s,
+            other => panic!("{other:?} is not a string"),
+        };
+        let prop = |browser: &Browser, key: &str| {
+            let JsValue::Object(id) = browser.global("box") else {
+                panic!("box is not an object");
+            };
+            string(browser.core.heap.get_prop(id, key).unwrap())
+        };
+        let first = format!("data:{}", "A".repeat(2_000));
+        let mut client = Browser::new();
+        client
+            .exec_script(&format!(
+                r#"var el = document.createElement("img");
+                document.body.appendChild(el);
+                el.setAttribute("id", "photo");
+                el.setAttribute("src", "{first}");
+                var url = el.getAttribute("src");
+                var box = {{photo: url, tag: "xy"}};
+                var tag = "xy";"#
+            ))
+            .unwrap();
+        let mut server = Browser::new();
+        let options = SnapshotOptions::default();
+        server
+            .load_html(client.capture_snapshot(&options).unwrap().html())
+            .unwrap();
+        assert!(state_eq(&client, &server));
+        let photo = attr(&server);
+        assert!(Rc::ptr_eq(&photo, &string(server.global("url"))));
+        assert!(Rc::ptr_eq(&photo, &prop(&server, "photo")));
+        assert!(!Rc::ptr_eq(
+            &prop(&server, "tag"),
+            &string(server.global("tag"))
+        ));
+
+        let server_base = server.state_base();
+        server
+            .exec_script(&format!(r#"var again = "{first}";"#))
+            .unwrap();
+        let dirty = (
+            server.core.globals.dirty().clone(),
+            server.core.heap.dirty_cells().clone(),
+        );
+        server.drop_machinery();
+        assert!(Rc::ptr_eq(&photo, &string(server.global("again"))));
+        assert_eq!(
+            dirty,
+            (
+                server.core.globals.dirty().clone(),
+                server.core.heap.dirty_cells().clone(),
+            )
+        );
+        let JsValue::Object(cell) = server.global("box") else {
+            panic!("box is not an object");
+        };
+        assert!(std::ptr::eq(
+            server.core.heap.cell(cell).unwrap(),
+            server_base.core.heap.cell(cell).unwrap()
+        ));
+
+        let base = client.state_base();
+        let next = format!("data:{}", "B".repeat(2_000));
+        client
+            .exec_script(&format!(
+                r#"el.setAttribute("src", "{next}"); url = el.getAttribute("src");"#
+            ))
+            .unwrap();
+        let DeltaCapture::Delta(delta) = client.capture_delta(&base, &options).unwrap() else {
+            panic!("expected a delta");
+        };
+        assert_eq!(delta.script().matches(&next).count(), 2);
+        server.apply_delta(&delta).unwrap();
+        assert_eq!(*attr(&server), *next);
+        assert!(Rc::ptr_eq(&attr(&server), &string(server.global("url"))));
+    }
+
     #[test]
     fn what_a_reserved_global_reaches_is_kept() {
         let mut browser = Browser::new();

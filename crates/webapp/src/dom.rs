@@ -187,6 +187,14 @@ impl Document {
         Ok(())
     }
 
+    /// Every attribute value in node, then name, order, to swap for an
+    /// equal one (a restore shares its long strings this way).
+    pub(crate) fn attr_values_mut(&mut self) -> impl Iterator<Item = &mut Rc<str>> {
+        self.nodes
+            .iter_mut()
+            .flat_map(|node| node.attrs.values_mut())
+    }
+
     /// Removes an attribute (no-op when absent).
     ///
     /// # Errors

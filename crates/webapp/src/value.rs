@@ -128,6 +128,22 @@ pub enum HeapCell {
     Float32Array(Vec<f32>),
 }
 
+impl HeapCell {
+    /// The values the cell holds: properties in key order, elements in
+    /// index order.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut JsValue> {
+        let (props, elems) = match self {
+            HeapCell::Object(map) => (Some(map.values_mut()), None),
+            HeapCell::Array(elems) => (None, Some(elems.iter_mut())),
+            HeapCell::Float32Array(_) => (None, None),
+        };
+        props
+            .into_iter()
+            .flatten()
+            .chain(elems.into_iter().flatten())
+    }
+}
+
 /// Arena of heap cells. Cells are reference-counted so that cloning the
 /// arena (every [`StateBase`](crate::StateBase) does) shares them instead
 /// of copying them.
@@ -261,6 +277,25 @@ impl Heap {
             .ok_or_else(|| WebError::Runtime(format!("dangling heap handle #{}", id.0)))?;
         self.dirty.insert(id);
         Ok(Rc::make_mut(cell))
+    }
+
+    /// The cells written since the last [`Heap::clear_dirty`] that no
+    /// clone of this heap shares, in id order, to swap a value for an
+    /// equal one: not a write, so nothing is marked dirty or copied.
+    /// Every other cell is also a base's.
+    pub(crate) fn written_cells_mut(&mut self) -> impl Iterator<Item = &mut HeapCell> {
+        let first = self.dirty.first().map_or(0, |id| id.0);
+        let end = self.dirty.last().map_or(0, |id| id.0 + 1);
+        let mut dirty = self.dirty.iter().peekable();
+        self.cells
+            .get_mut(first..end)
+            .unwrap_or_default()
+            .iter_mut()
+            .zip(first..)
+            .filter_map(move |(cell, i)| {
+                dirty.next_if(|id| id.0 == i)?;
+                Rc::get_mut(cell)
+            })
     }
 
     /// Cells mutated or allocated since the last [`Heap::clear_dirty`].
