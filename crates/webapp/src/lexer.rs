@@ -302,6 +302,7 @@ fn scan_f32_list(src: &str, at: usize) -> Option<(Token, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::escape_str;
 
     fn tokens(src: &str) -> Vec<Token> {
         lex(src).unwrap().into_iter().map(|s| s.token).collect()
@@ -451,6 +452,61 @@ mod tests {
             };
             assert_eq!(data.len(), len);
             assert!(data.capacity() <= 2 * len, "{} for {len}", data.capacity());
+        }
+    }
+
+    /// A string drawn from what escaping and the string run must agree
+    /// on: the six escaped characters, the other C0 controls (copied raw;
+    /// DEL stands in for the escaped three), multi-byte characters, short
+    /// ASCII and, now and then, a 35 kB base64 run like the photo's data
+    /// URL.
+    fn escape_soup(rng: &mut snapedge_rng::Rng) -> String {
+        const ESCAPED: &[&str] = &["\"", "\\", "\n", "\t", "\r", "\0"];
+        const MULTI_BYTE: &[&str] = &["é", "€", "😀", "\u{80}", "\u{7ff}", "\u{2028}", "\u{ffff}"];
+        const BASE64: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=";
+        let mut s = String::new();
+        for _ in 0..rng.gen_range_usize(0, 16) {
+            match rng.gen_range_usize(0, 16) {
+                0..=4 => s.push_str(rng.choose::<&str>(ESCAPED)),
+                5..=7 => {
+                    let c = rng.gen_range_u64(1, 0x20) as u8;
+                    s.push(if b"\t\n\r".contains(&c) {
+                        '\x7f'
+                    } else {
+                        char::from(c)
+                    });
+                }
+                8..=10 => s.push_str(rng.choose::<&str>(MULTI_BYTE)),
+                11..=14 => s.push_str(&rng.ascii_string(b"abc '/<>&;=", 8)),
+                _ => s.extend((0..35_000).map(|_| char::from(*rng.choose(BASE64)))),
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn an_escaped_string_lexes_back_to_itself() {
+        let photo = format!("data:image/jpeg;base64,{}", "QUJD".repeat(8_750));
+        for named in ["", "\"", "\\", "\0", "\u{1}\u{1f}", "é€😀", photo.as_str()] {
+            assert_eq!(
+                tokens(&escape_str(named)),
+                vec![Token::Str(named.into()), Token::Eof],
+                "{named:?}"
+            );
+        }
+        for case in 0..2_000u64 {
+            let mut rng = snapedge_rng::Rng::seed_from_u64(37_000 + case);
+            let s = escape_soup(&mut rng);
+            let escaped = escape_str(&s);
+            let lexed = lex(&escaped)
+                .map(|spanned| spanned.into_iter().map(|t| t.token).collect::<Vec<Token>>());
+            assert_eq!(
+                lexed.ok(),
+                Some(vec![Token::Str(s.as_str().into()), Token::Eof]),
+                "case {case}: {} bytes, escaped {} bytes",
+                s.len(),
+                escaped.len()
+            );
         }
     }
 
