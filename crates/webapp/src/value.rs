@@ -281,8 +281,8 @@ impl Heap {
 
     /// The cells written since the last [`Heap::clear_dirty`] that no
     /// clone of this heap shares, in id order, to swap a value for an
-    /// equal one: not a write, so nothing is marked dirty or copied.
-    /// Every other cell is also a base's.
+    /// equal one: not a write, so nothing is marked dirty or copied. The
+    /// cells left out are still a base's, and a swap would copy them.
     pub(crate) fn written_cells_mut(&mut self) -> impl Iterator<Item = &mut HeapCell> {
         let first = self.dirty.first().map_or(0, |id| id.0);
         let end = self.dirty.last().map_or(0, |id| id.0 + 1);
