@@ -139,6 +139,16 @@ refused --balance session --model agenet --rounds 2 --balance true
 refused stray session --model agenet --rounds 2 stray
 refused --model analyze --model agenet
 
+echo "== the modeled fleet refuses, by name, the fields it does not model and a client count no memory holds; real sessions take them"
+modeled=(fleet --model agenet --clients 2 --rounds 2)
+refused retry "${modeled[@]}" --retry attempts=3,deadline=5
+refused up_faults "${modeled[@]}" --fault-plan 'down@0..50'
+refused predict "${modeled[@]}" --predict true
+refused meter "${modeled[@]}" --meter ops=10
+refused clients fleet --model agenet --clients 18446744073709551615 --rounds 2
+target/release/snapedge fleet --model agenet --clients 100 \
+    --servers "edge-a,mbps=30,meter=ops=5000+slice=10;edge-b,mbps=20" --real true >/dev/null
+
 echo "== a failed pre-send degrades to local (session, fleet --real and run exit 0, session offloads again in round 2); strict fail-fast is one error line"
 faults=(--fault-plan 'corrupt@4..5.5' --retry 'attempts=3,deadline=5')
 session_smoke=$(target/release/snapedge session --model agenet --rounds 3 "${faults[@]}")

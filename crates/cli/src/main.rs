@@ -116,7 +116,10 @@ cli! {
     Duration "duration" [Fleet] Seconds, "The traffic horizon in virtual seconds (default 60).";
     Seed "seed" [Fleet] Count, "Seeds arrival sampling and per-round images (default 42).";
     Real "real" [Fleet] Bool,
-        "Runs one real browser session per client, not the analytic workload.";
+        "Runs one real browser session per client, not the analytic workload.\n\
+         The analytic workload models the model, the seed and each server's\n\
+         name, device and link only: it refuses --fault-plan, --retry,\n\
+         --predict, --meter and the fault and meter keys of --servers.";
     Balance "balance" [Fleet] Bool,
         "Prices each server's predicted queueing delay into server selection and\n\
          admission, degrading a round to local when the queue erases the win. Off\n\
@@ -685,12 +688,15 @@ fn parse_arrival(spec: &str) -> Result<ArrivalProcess, String> {
     }
 }
 
-/// Shapes an engine from the fleet flags and runs it to completion.
+/// Prints the `fleet:` header of a built engine, shapes it from the
+/// fleet flags and runs it to completion.
 fn run_fleet<W: Workload>(
     engine: Engine<W>,
     inv: &Invocation,
     arrival: ArrivalProcess,
+    header: &str,
 ) -> Result<FleetReport, String> {
+    println!("{header}");
     let mut engine = engine
         .arrival(arrival)
         .duration(inv.horizon())
@@ -717,7 +723,7 @@ fn cmd_fleet(inv: &Invocation) -> Outcome {
     let cfg = session_config(inv)?;
     let balancing =
         inv.on(Flag::Balance) || inv.on(Flag::FairShare) || inv.get(Flag::BatchWindow).is_some();
-    println!(
+    let header = format!(
         "fleet:      {} server(s), {} client(s), arrival {:?}, horizon {:.0}s, {} workload",
         cfg.servers.len(),
         clients,
@@ -727,10 +733,10 @@ fn cmd_fleet(inv: &Invocation) -> Outcome {
     );
     let report = if real {
         let engine = Engine::sessions(cfg, clients).map_err(|e| e.to_string())?;
-        run_fleet(engine, inv, arrival)?
+        run_fleet(engine, inv, arrival, &header)?
     } else {
         let engine = Engine::modeled(cfg, clients).map_err(|e| e.to_string())?;
-        run_fleet(engine, inv, arrival)?
+        run_fleet(engine, inv, arrival, &header)?
     };
     println!(
         "completed:  {} round(s) ({} fallback(s)) | makespan {:.3}s | throughput {:.1}/s",

@@ -16,7 +16,11 @@
 //! The unification is also what lets the fleet engine
 //! ([`crate::engine`]) accept **one** config type: anything that converts
 //! into a [`SessionConfig`](crate::SessionConfig) — including a bare
-//! `OffloadConfig` — can drive a megascale run.
+//! `OffloadConfig` — can drive a fleet of real sessions. The megascale
+//! analytic workload takes the same type but models only the model, the
+//! client device, the seed and each server's name, device and link; it
+//! refuses a config that sets any other field away from the paper
+//! config's value.
 
 use crate::device::DeviceProfile;
 use crate::fleet::ServerSpec;

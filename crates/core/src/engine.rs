@@ -40,13 +40,15 @@
 //! drives real [`OffloadSession`]s (real browsers, snapshots, deltas,
 //! faults, failover — bit-identical to the legacy loop for one client)
 //! and [`ModeledWorkload`] uses the calibrated analytic timings so 10k+
-//! clients simulate in milliseconds. Both accept any config convertible
-//! into a [`SessionConfig`] — including a bare
-//! [`OffloadConfig`](crate::OffloadConfig).
+//! clients simulate in milliseconds. Both take a [`SessionConfig`] (or a
+//! bare [`OffloadConfig`]), but the analytic workload prices only the
+//! model, the client device, the seed and each server's name, device and
+//! link: it refuses a config that sets any other field away from
+//! [`SessionConfig::paper`]'s value, rather than drop it.
 
 use crate::balance::{jain, Balancer, DrrScheduler, DEFAULT_DRR_QUANTUM};
 use crate::session::{OffloadSession, RoundReport, RoundStep, SessionConfig};
-use crate::OffloadError;
+use crate::{OffloadConfig, OffloadError, ServerSpec};
 use snapedge_dnn::zoo;
 use snapedge_net::EventQueue;
 use snapedge_rng::{splitmix64, Rng};
@@ -74,6 +76,16 @@ pub fn round_image_seed(engine_seed: u64, client: u64, round: u64) -> u64 {
         .wrapping_add(client.wrapping_mul(0xA24B_AED4_963E_E407))
         .wrapping_add(round.wrapping_mul(0x9FB2_1C65_1E98_DF25));
     splitmix64(&mut state)
+}
+
+/// An empty vector with room for one `T` per client, or a config error
+/// when `clients` of them cannot be held (nothing is allocated then).
+fn client_slots<T>(clients: usize) -> Result<Vec<T>, OffloadError> {
+    let mut slots = Vec::new();
+    slots.try_reserve_exact(clients).map_err(|e| {
+        OffloadError::Config(format!("the fleet cannot hold {clients} clients: {e}"))
+    })?;
+    Ok(slots)
 }
 
 /// How requests reach the fleet over virtual time.
@@ -320,15 +332,17 @@ impl SessionWorkload {
     /// # Errors
     ///
     /// Propagates session construction failures (unknown model, empty
-    /// fleet, a pre-send fault under strict fail-fast). A client whose
-    /// pre-send gave up is no failure: it starts unprovisioned, and its
-    /// rounds complete locally until it re-provisions.
+    /// fleet, a pre-send fault under strict fail-fast), and returns
+    /// [`OffloadError::Config`] for more clients than memory can hold. A
+    /// client whose pre-send gave up is no failure: it starts
+    /// unprovisioned, and its rounds complete locally until it
+    /// re-provisions.
     pub fn new(
         cfg: impl Into<SessionConfig>,
         clients: usize,
     ) -> Result<SessionWorkload, OffloadError> {
         let cfg: SessionConfig = cfg.into();
-        let mut sessions = Vec::with_capacity(clients);
+        let mut sessions = client_slots(clients)?;
         for client in 0..clients {
             let mut per_client = cfg.clone();
             per_client.seed = cfg.seed.wrapping_add(client as u64);
@@ -480,13 +494,77 @@ pub struct ModeledWorkload {
     clients: Vec<ModeledClient>,
 }
 
+/// The first field of `cfg` the analytic workload does not model and
+/// that differs from [`SessionConfig::paper`]'s value for its model, by
+/// name. The model, the client device, the seed and each server's name,
+/// device and link are priced; every field is named below, so a new one
+/// does not compile until it is priced or refused here.
+fn unmodeled_field(cfg: &SessionConfig) -> Option<String> {
+    let paper = SessionConfig::paper(&cfg.model);
+    let SessionConfig {
+        core:
+            OffloadConfig {
+                model: _,
+                servers,
+                client_device: _,
+                exec_mode,
+                seed: _,
+                image_bytes,
+                snapshot,
+                retry,
+                predict,
+                effects,
+                meter,
+            },
+        cut,
+        use_deltas,
+    } = cfg;
+    let base = paper.primary();
+    for spec in servers {
+        let ServerSpec {
+            name,
+            device: _,
+            link: _,
+            up_faults,
+            down_faults,
+            meter,
+        } = spec;
+        let differs = [
+            ("up_faults", *up_faults != base.up_faults),
+            ("down_faults", *down_faults != base.down_faults),
+            ("meter", *meter != base.meter),
+        ];
+        if let Some(field) = differs.into_iter().find_map(|(f, d)| d.then_some(f)) {
+            return Some(format!("{name}'s {field}"));
+        }
+    }
+    let differs = [
+        ("exec_mode", *exec_mode != paper.exec_mode),
+        ("image_bytes", *image_bytes != paper.image_bytes),
+        ("snapshot", *snapshot != paper.snapshot),
+        ("retry", *retry != paper.retry),
+        ("predict", *predict != paper.predict),
+        ("effects", *effects != paper.effects),
+        ("meter", *meter != paper.meter),
+        ("cut", *cut != paper.cut),
+        ("use_deltas", *use_deltas != paper.use_deltas),
+    ];
+    differs
+        .into_iter()
+        .find_map(|(f, d)| d.then(|| f.to_string()))
+}
+
 impl ModeledWorkload {
-    /// Derives analytic timings for `clients` clients from one config
-    /// (anything convertible into a [`SessionConfig`]).
+    /// Derives analytic timings for `clients` clients from one config.
+    /// Only the model, the client device, the seed and each server's
+    /// name, device and link are modeled; every other field must keep
+    /// [`SessionConfig::paper`]'s value (real sessions take them all).
     ///
     /// # Errors
     ///
-    /// Returns [`OffloadError`] for unknown models or an empty fleet.
+    /// Returns [`OffloadError`] for unknown models, an empty fleet, a
+    /// field set that the analytic workload does not model, or more
+    /// clients than memory can hold.
     pub fn new(
         cfg: impl Into<SessionConfig>,
         clients: usize,
@@ -496,6 +574,11 @@ impl ModeledWorkload {
             return Err(OffloadError::Config(
                 "modeled workload needs at least one edge server in its fleet".into(),
             ));
+        }
+        if let Some(field) = unmodeled_field(&cfg) {
+            return Err(OffloadError::Config(format!(
+                "the modeled fleet does not model {field}; real sessions do"
+            )));
         }
         let net = zoo::by_name(&cfg.model)?;
         let profile = net.profile();
@@ -512,13 +595,15 @@ impl ModeledWorkload {
             up.push(spec.link.transfer_time(bytes)?);
             down.push(spec.link.transfer_time(bytes)?);
         }
+        let mut slots = client_slots(clients)?;
+        slots.resize(clients, ModeledClient::default());
         Ok(ModeledWorkload {
             service,
             up,
             down,
             capture: cfg.client_device.capture_time(bytes),
             restore: cfg.client_device.restore_time(bytes),
-            clients: vec![ModeledClient::default(); clients],
+            clients: slots,
         })
     }
 
@@ -863,11 +948,15 @@ impl Engine<SessionWorkload> {
 
 impl Engine<ModeledWorkload> {
     /// An engine over `clients` analytic clients (see
-    /// [`ModeledWorkload`]) — the megascale entry point.
+    /// [`ModeledWorkload`]) — the megascale entry point. It models the
+    /// model, the client device, the seed and each server's name, device
+    /// and link; [`Engine::sessions`] takes every other field.
     ///
     /// # Errors
     ///
-    /// Returns [`OffloadError`] for unknown models or an empty fleet.
+    /// Returns [`OffloadError`] for unknown models, an empty fleet, a
+    /// field set that the analytic workload does not model, or more
+    /// clients than memory can hold.
     pub fn modeled(
         cfg: impl Into<SessionConfig>,
         clients: usize,
@@ -1010,8 +1099,9 @@ impl<W: Workload> Engine<W> {
     ///
     /// # Errors
     ///
-    /// Returns [`OffloadError::Config`] for zero clients or a
-    /// degenerate arrival process, and propagates workload failures.
+    /// Returns [`OffloadError::Config`] for zero clients, more clients
+    /// than memory can hold or a degenerate arrival process, and
+    /// propagates workload failures.
     pub fn run(&mut self) -> Result<FleetReport, OffloadError> {
         let clients = self.workload.clients();
         if clients == 0 {
@@ -1025,12 +1115,14 @@ impl<W: Workload> Engine<W> {
         // order, so they stay in their `Vec` and merge with the heap as
         // it drains: the heap holds in-flight events only.
         let arrivals: Vec<(Duration, usize)> = match self.arrival {
-            ArrivalProcess::ClosedLoop { .. } => (0..clients)
-                .map(|client| (Duration::ZERO, client))
-                .collect(),
+            ArrivalProcess::ClosedLoop { .. } => {
+                let mut arrivals = client_slots(clients)?;
+                arrivals.extend((0..clients).map(|client| (Duration::ZERO, client)));
+                arrivals
+            }
             _ => self.open_loop_arrivals(clients)?,
         };
-        let mut run = RunState::new(self, clients, arrivals.len());
+        let mut run = RunState::new(self, clients, arrivals.len())?;
         let drained = run.drain(&mut self.workload, arrivals);
         self.event_log = std::mem::take(&mut run.events);
         drained?;
@@ -1114,7 +1206,11 @@ struct RunState {
 impl RunState {
     /// A fresh run of `engine` over `clients` clients, expecting
     /// `arrivals` up-front arrivals; takes over the engine's log buffer.
-    fn new<W>(engine: &mut Engine<W>, clients: usize, arrivals: usize) -> RunState {
+    fn new<W>(
+        engine: &mut Engine<W>,
+        clients: usize,
+        arrivals: usize,
+    ) -> Result<RunState, OffloadError> {
         let fleet = engine.server_names.len().max(1);
         let server = ServerSlot {
             drr: engine
@@ -1125,7 +1221,9 @@ impl RunState {
         let mut events = std::mem::take(&mut engine.event_log);
         // Arrive, begin, admit, release, done: five events a round.
         events.reserve(arrivals.saturating_mul(5));
-        RunState {
+        let mut slots = client_slots(clients)?;
+        slots.resize(clients, ClientSlot::default());
+        Ok(RunState {
             seed: engine.seed,
             think: match engine.arrival {
                 ArrivalProcess::ClosedLoop { think } => Some(think),
@@ -1136,11 +1234,11 @@ impl RunState {
             window: engine.batch_window,
             defer: engine.fair_share || engine.batch_window.is_some(),
             events,
-            clients: vec![ClientSlot::default(); clients],
+            clients: slots,
             servers: vec![server; fleet],
             balancer: engine.balance.then(|| Balancer::new(fleet)),
             ..RunState::default()
-        }
+        })
     }
 
     /// Drains the up-front arrivals merged with the event queue. An

@@ -18,6 +18,7 @@
 //!    fleet complete deterministically with ordered percentiles and
 //!    every candidate sharing the load.
 
+use snapedge_core::engine::EngineStep;
 use snapedge_core::prelude::*;
 use snapedge_integration::run_checked;
 use snapedge_webapp::intern::fnv1a;
@@ -293,13 +294,56 @@ fn diurnal_traffic_drains_deterministically() {
     assert!(a.completed <= crest.completed);
 }
 
-/// Degenerate inputs fail loudly, not silently: zero clients and
-/// zero-rate open-loop processes are configuration errors.
+/// A workload that claims more clients than memory can hold.
+struct Crowd;
+
+impl Workload for Crowd {
+    fn clients(&self) -> usize {
+        usize::MAX
+    }
+
+    fn begin_round(&mut self, _: usize, _: Duration, _: u64) -> Result<EngineStep, OffloadError> {
+        Err(OffloadError::Protocol(
+            "a crowd never starts a round".into(),
+        ))
+    }
+
+    fn compute(&mut self, _: usize, _: Duration) -> Result<Duration, OffloadError> {
+        Err(OffloadError::Protocol("a crowd never computes".into()))
+    }
+
+    fn continue_round(&mut self, _: usize) -> Result<EngineStep, OffloadError> {
+        Err(OffloadError::Protocol("a crowd never continues".into()))
+    }
+}
+
+/// Degenerate inputs fail loudly, not silently: zero clients, more
+/// clients than memory can hold and zero-rate open-loop processes are
+/// configuration errors.
 #[test]
 fn degenerate_engine_configs_are_rejected() {
     let cfg = SessionConfig::paper_builder("agenet").build();
     let err = Engine::modeled(cfg.clone(), 0).unwrap().run().unwrap_err();
     assert!(matches!(err, OffloadError::Config(_)), "{err}");
+
+    // Refused by name before anything is allocated: in both workloads'
+    // constructors, a closed loop's up-front arrivals and the run's
+    // client slots.
+    let crowd = || Engine::with_workload(Crowd, vec!["edge".into()]);
+    for err in [
+        Engine::modeled(cfg.clone(), usize::MAX).err(),
+        Engine::sessions(cfg.clone(), usize::MAX).err(),
+        crowd().run().err(),
+        crowd()
+            .arrival(ArrivalProcess::Poisson { rate_hz: 1.0 })
+            .run()
+            .err(),
+    ] {
+        let Some(OffloadError::Config(msg)) = err else {
+            panic!("want a config error, got {err:?}");
+        };
+        assert!(msg.contains(&format!("{} clients", usize::MAX)), "{msg}");
+    }
 
     let err = Engine::modeled(cfg, 5)
         .unwrap()
@@ -566,4 +610,277 @@ fn event_log_lines_are_pinned() {
     let has = |run: usize, needle: &str| runs[run].1.iter().any(|l| l.ends_with(needle));
     assert!(has(8, "round=2 server=edge-b"), "no failover in run 8");
     assert!(has(9, "round=2 server=client"), "no fallback in run 9");
+}
+
+// ---------------------------------------------------------------------
+// 6. Every config field, through both entry points
+// ---------------------------------------------------------------------
+
+/// One config field set away from the paper config's value.
+struct FieldRow {
+    /// The field, as the modeled fleet names it when it refuses it.
+    field: &'static str,
+    /// Whether the analytic workload prices the field.
+    modeled: bool,
+    /// Whether real sessions show the field at all: only the choice of
+    /// delta capture path does not, by design.
+    felt: bool,
+    /// A setting under which real sessions feel the field.
+    context: fn(&mut SessionConfig),
+    /// Sets the field away from its paper value.
+    set: Box<dyn Fn(&mut SessionConfig)>,
+}
+
+/// `moved` with a check that it differs from `paper`: a row that set a
+/// field to its paper value would prove nothing.
+fn other<T: PartialEq + std::fmt::Debug>(paper: T, moved: T) -> T {
+    assert_ne!(paper, moved, "a row must move its field");
+    moved
+}
+
+fn plain(_: &mut SessionConfig) {}
+
+fn retrying(cfg: &mut SessionConfig) {
+    cfg.retry = Some(RetryPolicy::default());
+}
+
+/// The primary's links go down through the model pre-send.
+fn link_down() -> FaultPlan {
+    FaultPlan::none()
+        .down(Duration::ZERO, Duration::from_secs(50))
+        .unwrap()
+}
+
+/// A primary whose links are down and a healthy second candidate.
+fn failing_over(cfg: &mut SessionConfig) {
+    cfg.primary_mut().up_faults = link_down();
+    cfg.primary_mut().down_faults = link_down();
+    cfg.servers.push(tiny_spec("edge-b"));
+}
+
+/// A corrupted pre-send under a short retry budget.
+fn flaky(cfg: &mut SessionConfig) {
+    let corrupt = FaultPlan::none()
+        .corrupt(Duration::from_secs(4), Duration::from_millis(5_500))
+        .unwrap();
+    cfg.primary_mut().up_faults = corrupt.clone();
+    cfg.primary_mut().down_faults = corrupt;
+    cfg.retry = Some(RetryPolicy {
+        max_attempts: 3,
+        deadline: Duration::from_secs(5),
+        ..RetryPolicy::default()
+    });
+}
+
+/// Partial inference: the front's feature map goes on the wire as text.
+fn partial(cfg: &mut SessionConfig) {
+    cfg.cut = Some("1st_pool".to_string());
+}
+
+/// A metered server: delta capture charges the heap cells it compares.
+fn metered(cfg: &mut SessionConfig) {
+    cfg.meter = Some(MeterLimits::default().with_ops(10_000_000));
+}
+
+fn row(
+    field: &'static str,
+    modeled: bool,
+    context: fn(&mut SessionConfig),
+    set: impl Fn(&mut SessionConfig) + 'static,
+) -> FieldRow {
+    FieldRow {
+        field,
+        modeled,
+        felt: true,
+        context,
+        set: Box::new(set),
+    }
+}
+
+/// One row per field of the four config structs, each destructured
+/// without `..`: a field added to any of them does not compile until it
+/// is bound here, and an unused binding fails the workspace lints.
+fn field_rows() -> Vec<FieldRow> {
+    let paper = SessionConfig::paper("agenet");
+    let SessionConfig {
+        core:
+            OffloadConfig {
+                model,
+                servers,
+                client_device,
+                exec_mode,
+                seed,
+                image_bytes,
+                snapshot:
+                    SnapshotOptions {
+                        inline_single_use,
+                        incremental,
+                    },
+                retry,
+                predict,
+                effects,
+                meter,
+            },
+        cut,
+        use_deltas,
+    } = paper.clone();
+    let ServerSpec {
+        name,
+        device,
+        link,
+        up_faults,
+        down_faults,
+        meter: server_meter,
+    } = paper.primary().clone();
+
+    let model = other(model, "tiny_cnn".to_string());
+    let extra = other(servers.len(), 2) - 1;
+    let client_device = other(client_device, edge_server_x86());
+    let exec_mode = other(exec_mode, ExecMode::Synthetic { seed: 1 });
+    let seed = other(seed, seed + 1);
+    let image_bytes = other(image_bytes, 2 * image_bytes);
+    let inline_single_use = other(inline_single_use, !inline_single_use);
+    let incremental = other(incremental, !incremental);
+    let retry = other(retry, Some(RetryPolicy::default()));
+    let predict = other(predict, !predict);
+    let effects = other(effects, !effects);
+    let meter = other(meter, Some(MeterLimits::default().with_ops(10)));
+    let cut = other(cut, Some("1st_pool".to_string()));
+    let use_deltas = other(use_deltas, !use_deltas);
+    let name = other(name, "edge-x".to_string());
+    let device = other(device, odroid_xu4());
+    let link = other(link, LinkConfig::mbps(3.0));
+    let up_faults = other(up_faults, link_down());
+    let down_faults = other(down_faults, link_down());
+    let server_meter = other(server_meter, Some(MeterLimits::default().with_ops(10)));
+
+    vec![
+        row("model", true, plain, move |c| c.model = model.clone()),
+        row("servers", true, plain, move |c| {
+            (0..extra).for_each(|_| c.servers.push(tiny_spec("edge-b")))
+        }),
+        row("client_device", true, plain, move |c| {
+            c.client_device = client_device.clone()
+        }),
+        row("exec_mode", false, partial, move |c| {
+            c.exec_mode = exec_mode
+        }),
+        row("seed", true, plain, move |c| c.seed = seed),
+        row("image_bytes", false, plain, move |c| {
+            c.image_bytes = image_bytes
+        }),
+        row("snapshot", false, partial, move |c| {
+            c.snapshot.inline_single_use = inline_single_use
+        }),
+        // The dirty-set delta capture and the reference walk emit the
+        // same bytes, and in the paper apps compare the same heap cells,
+        // so even a meter cannot tell them apart.
+        FieldRow {
+            felt: false,
+            ..row("snapshot", false, metered, move |c| {
+                c.snapshot.incremental = incremental
+            })
+        },
+        row("retry", false, failing_over, move |c| {
+            c.retry = retry.clone()
+        }),
+        row("predict", false, flaky, move |c| c.predict = predict),
+        row("effects", false, metered, move |c| c.effects = effects),
+        row("meter", false, plain, move |c| c.meter = meter.clone()),
+        row("cut", false, plain, move |c| c.cut = cut.clone()),
+        row("use_deltas", false, plain, move |c| {
+            c.use_deltas = use_deltas
+        }),
+        row("name", true, plain, move |c| {
+            c.primary_mut().name = name.clone()
+        }),
+        row("device", true, plain, move |c| {
+            c.primary_mut().device = device.clone()
+        }),
+        row("link", true, plain, move |c| {
+            c.primary_mut().link = link.clone()
+        }),
+        row("edge-server-1's up_faults", false, retrying, move |c| {
+            c.primary_mut().up_faults = up_faults.clone()
+        }),
+        row("edge-server-1's down_faults", false, retrying, move |c| {
+            c.primary_mut().down_faults = down_faults.clone()
+        }),
+        row("edge-server-1's meter", false, plain, move |c| {
+            c.primary_mut().meter = server_meter.clone()
+        }),
+    ]
+}
+
+/// Open-loop traffic, whose arrivals the config's seed samples.
+fn poisson_traffic<W: Workload>(engine: Engine<W>) -> Engine<W> {
+    engine
+        .arrival(ArrivalProcess::Poisson { rate_hz: 0.5 })
+        .duration(Duration::from_secs(10))
+}
+
+/// What a real-session fleet shows of a config: its report, its event
+/// log and every client's JSONL trace.
+fn session_view(cfg: SessionConfig) -> (FleetReport, Vec<EngineEvent>, Vec<String>) {
+    let mut engine = poisson_traffic(sessions(cfg, 2));
+    let report = run_checked(&mut engine);
+    let traces = (0..2)
+        .map(|c| engine.workload().trace(c).unwrap().to_jsonl())
+        .collect();
+    (report, engine.event_log().to_vec(), traces)
+}
+
+/// What a modeled fleet shows of a config: its report and event log, or
+/// the refusal.
+fn modeled_view(cfg: SessionConfig) -> Result<(FleetReport, Vec<EngineEvent>), OffloadError> {
+    let mut engine = poisson_traffic(Engine::modeled(cfg, 2)?);
+    let report = run_checked(&mut engine);
+    Ok((report, engine.event_log().to_vec()))
+}
+
+/// Every config field but the choice of delta capture path moves what
+/// real sessions report, log or trace in its row's context; the modeled
+/// fleet moves with every field it prices and refuses every other one by
+/// name. A field the analytic workload dropped without a word would pass
+/// neither way.
+#[test]
+fn every_config_field_moves_sessions_and_is_modeled_or_refused() {
+    let paper = SessionConfig::paper("agenet");
+    let modeled_paper = modeled_view(paper.clone()).unwrap();
+    for (i, row) in field_rows().into_iter().enumerate() {
+        let FieldRow {
+            field,
+            modeled,
+            felt,
+            context,
+            set,
+        } = row;
+        let field_row = format!("{field} (row {i})");
+        let mut base = paper.clone();
+        context(&mut base);
+        let mut moved = base.clone();
+        set(&mut moved);
+        assert_eq!(
+            session_view(base) != session_view(moved),
+            felt,
+            "{field_row}: whether real sessions feel it"
+        );
+
+        let mut moved = paper.clone();
+        set(&mut moved);
+        match modeled_view(moved) {
+            Ok(view) if modeled => assert!(
+                view != modeled_paper,
+                "{field_row}: the modeled fleet did not feel it"
+            ),
+            Ok(_) => panic!("{field_row}: the modeled fleet ran without it"),
+            Err(err) if modeled => panic!("{field_row}: the modeled fleet refused it: {err}"),
+            Err(err) => assert_eq!(
+                err,
+                OffloadError::Config(format!(
+                    "the modeled fleet does not model {field}; real sessions do"
+                )),
+            ),
+        }
+    }
 }
