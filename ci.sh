@@ -120,6 +120,12 @@ if sed '/#\[cfg(test)\]/,$d' crates/cli/src/main.rs | grep -nE '\.flag\("|bool_f
     exit 1
 fi
 
+echo "== one switch matrix (the per-switch chaos-seed loops stay folded into tests/combinations.rs)"
+if grep -rnE 'bit_identical_across_the_chaos_seed_matrix|replays_bit_for_bit_across_chaos_seeds|chaos_seed_matrix_is_correct_and_reproducible|meter_off_session_reports_zero_usage' tests crates; then
+    echo "a per-switch chaos-seed loop is back: make it a case of tests/combinations.rs" >&2
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
@@ -138,6 +144,8 @@ refused --predcit session --model agenet --rounds 2 --predcit true
 refused --balance session --model agenet --rounds 2 --balance true
 refused stray session --model agenet --rounds 2 stray
 refused --model analyze --model agenet
+# A local round reports the server name `client`, so no fleet server may take it.
+refused client run --model tiny_cnn --servers 'client;edge-b'
 
 echo "== the modeled fleet refuses, by name, the fields it does not model and a client count no memory holds; real sessions take them"
 modeled=(fleet --model agenet --clients 2 --rounds 2)

@@ -570,11 +570,7 @@ impl ModeledWorkload {
         clients: usize,
     ) -> Result<ModeledWorkload, OffloadError> {
         let cfg: SessionConfig = cfg.into();
-        if cfg.servers.is_empty() {
-            return Err(OffloadError::Config(
-                "modeled workload needs at least one edge server in its fleet".into(),
-            ));
-        }
+        crate::fleet::check_fleet(&cfg.servers)?;
         if let Some(field) = unmodeled_field(&cfg) {
             return Err(OffloadError::Config(format!(
                 "the modeled fleet does not model {field}; real sessions do"

@@ -18,15 +18,34 @@
 //! server — the property the bit-for-bit chaos suite leans on.
 
 use crate::device::DeviceProfile;
+use crate::OffloadError;
 use snapedge_net::{FaultPlan, LinkConfig, LinkHealth, Transfer};
 use snapedge_webapp::MeterLimits;
 use std::time::Duration;
+
+/// Refuses a fleet no round can be offloaded to and reported from: an
+/// empty one, or one with a server named `client`, the name a round
+/// reports when it ran on the client.
+pub(crate) fn check_fleet(servers: &[ServerSpec]) -> Result<(), OffloadError> {
+    if servers.is_empty() {
+        return Err(OffloadError::Config(
+            "the fleet needs at least one edge server".into(),
+        ));
+    }
+    if servers.iter().any(|spec| spec.name == "client") {
+        return Err(OffloadError::Config(
+            "no edge server may be named `client`: rounds that run locally report that name".into(),
+        ));
+    }
+    Ok(())
+}
 
 /// Static description of one candidate edge server: who it is, how fast
 /// it is, what the path to it looks like, and when that path misbehaves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerSpec {
-    /// Server name (appears in trace events and reports).
+    /// Server name (appears in trace events and reports). Never
+    /// `client`, the name a round reports when it ran locally.
     pub name: String,
     /// The server's device model.
     pub device: DeviceProfile,

@@ -334,13 +334,9 @@ impl ScenarioReport {
 /// network failures under strict fail-fast (one server, no retry
 /// policy).
 pub fn run_scenario(cfg: &ScenarioConfig) -> Result<ScenarioReport, OffloadError> {
-    if cfg.servers.is_empty() {
-        // No offload strategy can be served, and `ServerOnly` needs the
-        // primary's device.
-        return Err(OffloadError::Config(
-            "scenario needs at least one edge server in its fleet".into(),
-        ));
-    }
+    // No offload strategy can be served by an empty fleet, and
+    // `ServerOnly` needs the primary's device.
+    crate::fleet::check_fleet(&cfg.servers)?;
     match &cfg.strategy {
         Strategy::ClientOnly => run_local(cfg, /* on_server = */ false),
         Strategy::ServerOnly => run_local(cfg, /* on_server = */ true),

@@ -415,11 +415,7 @@ impl OffloadSession {
     /// and the pre-send's own network fault under strict fail-fast: one
     /// server and no retry policy.
     pub fn new(cfg: SessionConfig) -> Result<OffloadSession, OffloadError> {
-        if cfg.servers.is_empty() {
-            return Err(OffloadError::Config(
-                "session needs at least one edge server in its fleet".into(),
-            ));
-        }
+        crate::fleet::check_fleet(&cfg.servers)?;
         let net = zoo::by_name(&cfg.model)?;
         let cut = match &cfg.cut {
             Some(label) => Some(net.cut_point(label)?.id),

@@ -3,10 +3,92 @@
 
 mod replay;
 
-pub use replay::{Leg, Replay, Round};
-use snapedge_core::{Engine, EngineEvent, EngineEventKind, FleetReport, Workload};
+pub use replay::{Leg, LocalOracle, Replay, Round};
+use snapedge_core::{
+    edge_server_x86, ArrivalProcess, Engine, EngineEvent, EngineEventKind, FleetReport,
+};
+use snapedge_core::{MeterLimits, RetryPolicy, ServerSpec, Workload};
+use snapedge_net::LinkConfig;
+use snapedge_trace::{Event, EventKind, Trace};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
+
+/// A horizon long enough that round caps, not traffic, end every
+/// closed-loop run.
+pub const LONG: Duration = Duration::from_secs(100_000);
+
+/// Every client clicks again the moment its round ends.
+pub const BACK_TO_BACK: ArrivalProcess = ArrivalProcess::ClosedLoop {
+    think: Duration::ZERO,
+};
+
+/// `s` seconds.
+pub fn secs(s: f64) -> Duration {
+    Duration::from_secs_f64(s)
+}
+
+/// The paper's edge server (x86 behind 30 Mbps Wi-Fi) under `name`.
+pub fn tiny_spec(name: &str) -> ServerSpec {
+    ServerSpec::new(name, edge_server_x86(), LinkConfig::wifi_30mbps())
+}
+
+/// The default retry policy with `n` attempts per transfer.
+pub fn attempts(n: u32) -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: n,
+        ..RetryPolicy::default()
+    }
+}
+
+/// Caps far above anything the apps reach: a meter that only counts.
+pub fn generous() -> MeterLimits {
+    MeterLimits::default()
+        .with_ops(u64::MAX / 2)
+        .with_heap_cells(usize::MAX / 2)
+        .with_string_len(usize::MAX / 2)
+        .with_call_depth(usize::MAX / 2)
+        .with_time_slice(secs(3600.0))
+}
+
+/// How many of `trace`'s events are of `kind`.
+pub fn count_kind(trace: &Trace, kind: EventKind) -> usize {
+    trace.events().iter().filter(|e| e.kind == kind).count()
+}
+
+/// The names of `trace`'s events of `kind`, in order.
+pub fn names_of_kind(trace: &Trace, kind: EventKind) -> Vec<String> {
+    let events = trace.events().iter().filter(|e| e.kind == kind);
+    events.map(|e| e.name.clone()).collect()
+}
+
+/// The primary uplink's wire transfers in time order: `(start, end,
+/// bytes)`.
+pub fn uplink_transfers(trace: &Trace) -> Vec<(Duration, Duration, u64)> {
+    let uplink = |e: &&Event| e.name == "uplink" && e.kind == EventKind::Transfer;
+    let events = trace.events().iter().filter(uplink);
+    let mut transfers: Vec<_> = events
+        .map(|e| (e.start, e.end, e.bytes.unwrap_or(0)))
+        .collect();
+    transfers.sort();
+    transfers
+}
+
+/// When each of the primary uplink's wire transfers started, in order.
+pub fn uplink_transfer_starts(trace: &Trace) -> Vec<Duration> {
+    uplink_transfers(trace).into_iter().map(|t| t.0).collect()
+}
+
+/// The `[start, end]` window of the last uplink transfer: in a clean
+/// one-click run, the snapshot upload (the model pre-send comes first).
+///
+/// # Panics
+///
+/// When the uplink carried nothing.
+pub fn snapshot_up_window(trace: &Trace) -> (Duration, Duration) {
+    let last = uplink_transfers(trace).pop();
+    let (start, end, _) = last.expect("the run carries a snapshot upload");
+    (start, end)
+}
 
 /// Runs `engine` to completion and holds its event log to the engine's
 /// invariants ([`check_log`]) and its report to the log

@@ -91,23 +91,8 @@ impl Replay {
     /// A failing capture, restore or run, or a click that never reaches
     /// the offload point.
     pub fn round(&mut self, round: u64) -> Result<Round, OffloadError> {
-        let url = apps::synthetic_image_data_url(round, self.cfg.image_bytes);
-        let photo = self
-            .client
-            .browser
-            .core()
-            .doc
-            .get_element_by_id("photo")
-            .ok_or_else(|| OffloadError::Protocol("no photo element".into()))?;
-        self.client
-            .browser
-            .core_mut()
-            .doc
-            .set_attr_shared(photo, "src", url.into())?;
-        self.client.browser.click("load")?;
-        self.client.run()?;
-        self.client.browser.click("infer")?;
-        if !matches!(self.client.run()?, RunOutcome::OffloadPoint { .. }) {
+        let clicked = click(&mut self.client, round, self.cfg.image_bytes)?;
+        if !matches!(clicked, RunOutcome::OffloadPoint { .. }) {
             let why = format!("round {round} never reached its offload point");
             return Err(OffloadError::Protocol(why));
         }
@@ -126,6 +111,49 @@ impl Replay {
         self.agreed = Some(self.client.browser.state_base());
         Ok(Round { up, down })
     }
+}
+
+/// The output oracle: the paper's transparency claim says an offloaded
+/// round shows exactly what local execution would have shown. The
+/// oracle is a replay's client with the offload trigger disarmed — same
+/// app, same model host, no server, no snapshot — so an offloaded
+/// `RoundReport.result` must equal its `result` for that image seed.
+/// The benchmark package keeps a twin of it.
+pub struct LocalOracle {
+    client: Endpoint,
+    bytes: usize,
+}
+
+impl LocalOracle {
+    /// Loads `cfg`'s app on a lone client (errors as [`Replay::new`]).
+    pub fn new(cfg: &SessionConfig) -> Result<LocalOracle, OffloadError> {
+        let mut client = Replay::new(cfg.clone())?.client;
+        client.browser.set_offload_trigger(None);
+        let bytes = cfg.image_bytes;
+        Ok(LocalOracle { client, bytes })
+    }
+
+    /// What the screen shows after loading image `image_seed` and
+    /// clicking inference, executed entirely on the client.
+    pub fn result(&mut self, image_seed: u64) -> Result<String, OffloadError> {
+        click(&mut self.client, image_seed, self.bytes)?;
+        Ok(self.client.browser.element_text("result")?.to_string())
+    }
+}
+
+/// Loads image `image_seed` into the app's photo, then clicks inference
+/// and runs until the client stops: done, or at its offload point.
+fn click(client: &mut Endpoint, image_seed: u64, bytes: usize) -> Result<RunOutcome, OffloadError> {
+    let url = apps::synthetic_image_data_url(image_seed, bytes);
+    let doc = &mut client.browser.core_mut().doc;
+    let photo = doc
+        .get_element_by_id("photo")
+        .ok_or_else(|| OffloadError::Protocol("no photo element".into()))?;
+    doc.set_attr_shared(photo, "src", url.into())?;
+    client.browser.click("load")?;
+    client.run()?;
+    client.browser.click("infer")?;
+    client.run()
 }
 
 /// Capture on `sender`, restore on `receiver`: a delta against `base`

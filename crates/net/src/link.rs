@@ -257,14 +257,8 @@ impl Link {
             );
             return Err(NetError::LinkDown);
         }
-        let (finish, corrupted, stalls, degraded) = if self.faults.is_empty() {
-            let finish = start
-                .checked_add(self.config.transfer_time(bytes)?)
-                .ok_or(NetError::ZeroBandwidth)?;
-            (finish, false, vec![], vec![])
-        } else {
-            self.serialize_through_faults(start, bytes, bw)?
-        };
+        let (finish, corrupted, stalls, degraded) =
+            self.serialize_through_faults(start, bytes, bw)?;
         self.busy_until = finish;
         self.total_bytes += bytes;
         self.transfers += 1;
@@ -329,7 +323,8 @@ impl Link {
     /// bits at the segment's effective rate — zero while down, scaled while
     /// degraded. Returns the finish instant (serialization + propagation),
     /// whether any touched segment corrupts payloads, and the stalled /
-    /// degraded sub-intervals for trace accounting.
+    /// degraded sub-intervals for trace accounting. An empty plan is one
+    /// segment at the full rate.
     ///
     /// # Errors
     ///

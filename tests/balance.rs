@@ -3,10 +3,9 @@
 //! The contract under test:
 //!
 //! 1. **Balance off is bit-identical** — with every balancing knob at
-//!    its default, session engine runs across a chaos fault seed matrix
-//!    replay byte for byte (report, event schedule, JSONL traces), and
-//!    none of the new trace vocabulary appears. Balancing is purely
-//!    additive.
+//!    its default, session fleets replay byte for byte and none of the
+//!    new trace vocabulary appears: `tests/combinations.rs` checks it
+//!    across the chaos matrix (its oracle 7).
 //! 2. **Balancing beats rotation under contention** — a skewed 3-server
 //!    fleet under Poisson load completes with a strictly lower p99
 //!    sojourn when modeled clients pick the least-predicted-sojourn
@@ -23,95 +22,8 @@
 //!    zero utilization/throughput and perfect fairness instead of NaN.
 
 use snapedge_core::prelude::*;
-use snapedge_integration::run_checked;
+use snapedge_integration::{count_kind, run_checked, tiny_spec, BACK_TO_BACK, LONG};
 use std::time::Duration;
-
-fn secs(s: f64) -> Duration {
-    Duration::from_secs_f64(s)
-}
-
-fn tiny_spec(name: &str) -> ServerSpec {
-    ServerSpec::new(name, edge_server_x86(), LinkConfig::wifi_30mbps())
-}
-
-/// A long-enough horizon that round caps, not the traffic horizon, end
-/// every closed-loop test run.
-const LONG: Duration = Duration::from_secs(100_000);
-
-fn kind_count(trace: &Trace, kind: EventKind) -> usize {
-    trace.events().iter().filter(|e| e.kind == kind).count()
-}
-
-// ---------------------------------------------------------------------
-// 1. Balance off: bit-identical across the chaos seed matrix
-// ---------------------------------------------------------------------
-
-/// With balancing, fair share and batching all at their defaults, two
-/// session engine runs over every chaos seed produce identical reports,
-/// event schedules and byte-identical JSONL traces — and the new
-/// balance/defer/batch vocabulary never appears in any trace.
-#[test]
-fn balance_off_replays_bit_for_bit_across_chaos_seeds() {
-    const CLIENTS: usize = 3;
-    for seed in [1u64, 2, 3, 5, 8] {
-        let run = || {
-            let cfg = SessionConfig::tiny_builder()
-                .add_server(tiny_spec("edge-b"))
-                .faults(FaultPlan::chaos(seed, secs(1.0)))
-                .retry(RetryPolicy::default())
-                .seed(seed)
-                .build();
-            // Belt and braces: the explicit-off spelling is the default.
-            let mut engine = Engine::sessions(cfg, CLIENTS)
-                .unwrap()
-                .balance(false)
-                .fair_share(false)
-                .arrival(ArrivalProcess::ClosedLoop {
-                    think: Duration::from_millis(250),
-                })
-                .duration(LONG)
-                .max_rounds(3);
-            let report = run_checked(&mut engine);
-            let log = engine.event_log().to_vec();
-            let traces: Vec<String> = (0..CLIENTS)
-                .map(|c| engine.workload().trace(c).unwrap().to_jsonl())
-                .collect();
-            (report, log, traces)
-        };
-        let (report_a, log_a, traces_a) = run();
-        let (report_b, log_b, traces_b) = run();
-        assert_eq!(report_a, report_b, "seed {seed}: report diverged");
-        assert_eq!(log_a, log_b, "seed {seed}: event schedule diverged");
-        assert_eq!(traces_a, traces_b, "seed {seed}: traces diverged");
-        // Off means *off*: the legacy admit lines and zero new events.
-        assert!(
-            log_a
-                .iter()
-                .any(|e| matches!(e.kind, EngineEventKind::Admit { start: Some(_), .. })),
-            "seed {seed}: legacy admit lines missing"
-        );
-        assert!(
-            !log_a
-                .iter()
-                .any(|e| matches!(e.kind, EngineEventKind::Admit { start: None, .. })),
-            "seed {seed}: deferred grants leaked into an off run"
-        );
-        for jsonl in &traces_a {
-            for needle in ["\"kind\":\"gate\"", "admit_deferred", "batch_formed"] {
-                assert!(
-                    !jsonl.contains(needle),
-                    "seed {seed}: {needle} leaked into an off trace"
-                );
-            }
-        }
-        // Per-server balance counters stay neutral when off.
-        for server in &report_a.servers {
-            assert_eq!(server.rejects, 0, "seed {seed}");
-            assert_eq!(server.batches, 0, "seed {seed}");
-        }
-        assert_eq!(report_a.max_batch, 0, "seed {seed}");
-    }
-}
 
 // ---------------------------------------------------------------------
 // 2. Balancing beats rotation under contention
@@ -180,9 +92,7 @@ fn admission_control_degrades_overloaded_rounds_to_local() {
     let mut engine = Engine::sessions(SessionConfig::tiny(), clients)
         .unwrap()
         .balance(true)
-        .arrival(ArrivalProcess::ClosedLoop {
-            think: Duration::ZERO,
-        })
+        .arrival(BACK_TO_BACK)
         .duration(LONG)
         .max_rounds(4);
     let report = run_checked(&mut engine);
@@ -209,7 +119,7 @@ fn admission_control_degrades_overloaded_rounds_to_local() {
     let (mut plan_events, mut local_events) = (0, 0);
     for client in 0..clients {
         let trace = engine.workload().trace(client).unwrap();
-        assert_eq!(kind_count(&trace, EventKind::Gate), 4, "client {client}");
+        assert_eq!(count_kind(&trace, EventKind::Gate), 4, "client {client}");
         for event in trace.events().iter().filter(|e| e.kind == EventKind::Gate) {
             plan_events += usize::from(event.name.starts_with("gate:plan:"));
             local_events += usize::from(event.name.starts_with("gate:plan:local:"));
@@ -240,9 +150,7 @@ fn fair_share_batches_co_queued_grants_and_reports_fairness() {
         .unwrap()
         .fair_share(true)
         .batch_window(Duration::from_millis(50))
-        .arrival(ArrivalProcess::ClosedLoop {
-            think: Duration::ZERO,
-        })
+        .arrival(BACK_TO_BACK)
         .duration(LONG)
         .max_rounds(3);
     let report = run_checked(&mut engine);
@@ -266,8 +174,8 @@ fn fair_share_batches_co_queued_grants_and_reports_fairness() {
     let mut batched = 0;
     for client in 0..clients {
         let trace = engine.workload().trace(client).unwrap();
-        deferred += kind_count(&trace, EventKind::AdmitDeferred);
-        batched += kind_count(&trace, EventKind::BatchFormed);
+        deferred += count_kind(&trace, EventKind::AdmitDeferred);
+        batched += count_kind(&trace, EventKind::BatchFormed);
         let jsonl = trace.to_jsonl();
         let back = Trace::from_jsonl(&jsonl).unwrap();
         assert_eq!(back.events(), trace.events());
@@ -282,9 +190,7 @@ fn fair_share_batches_co_queued_grants_and_reports_fairness() {
             .unwrap()
             .fair_share(true)
             .batch_window(Duration::from_millis(50))
-            .arrival(ArrivalProcess::ClosedLoop {
-                think: Duration::ZERO,
-            })
+            .arrival(BACK_TO_BACK)
             .duration(LONG)
             .max_rounds(3);
         run_checked(&mut engine)
@@ -299,9 +205,7 @@ fn fair_share_alone_never_batches() {
     let mut engine = Engine::sessions(SessionConfig::tiny(), 4)
         .unwrap()
         .fair_share(true)
-        .arrival(ArrivalProcess::ClosedLoop {
-            think: Duration::ZERO,
-        })
+        .arrival(BACK_TO_BACK)
         .duration(LONG)
         .max_rounds(2);
     let report = run_checked(&mut engine);

@@ -11,15 +11,13 @@
 //!    recorded backoff (up to `f64 -> Duration` rounding), never by an
 //!    unexplained amount.
 //! 3. **Everything is reproducible** — the same seed/plan yields the same
-//!    timeline, fault for fault.
+//!    timeline, fault for fault (across seeded chaos plans, with every
+//!    other switch, in `tests/combinations.rs`).
 
 use snapedge_core::prelude::*;
+use snapedge_integration::{attempts, count_kind, secs, snapshot_up_window, uplink_transfers};
 use snapedge_net::NetError;
 use std::time::Duration;
-
-fn secs(s: f64) -> Duration {
-    Duration::from_secs_f64(s)
-}
 
 /// Exact up to the rounding of piecewise f64 serialization arithmetic.
 fn assert_approx(actual: Duration, expected: Duration, what: &str) {
@@ -28,37 +26,6 @@ fn assert_approx(actual: Duration, expected: Duration, what: &str) {
         delta < 1e-6,
         "{what}: expected {expected:?}, got {actual:?} (off by {delta:.3e}s)"
     );
-}
-
-/// Uplink wire transfers from a trace, in chronological order:
-/// `(start, end, bytes)`.
-fn uplink_transfers(trace: &Trace) -> Vec<(Duration, Duration, u64)> {
-    let mut v: Vec<_> = trace
-        .events()
-        .iter()
-        .filter(|e| e.name == "uplink" && e.kind == EventKind::Transfer)
-        .map(|e| (e.start, e.end, e.bytes.unwrap_or(0)))
-        .collect();
-    v.sort();
-    v
-}
-
-/// The `[start, end]` window of the snapshot upload in a clean scenario
-/// run: the last transfer the uplink carried (the model pre-send comes
-/// first, the snapshot second).
-fn snapshot_up_window(trace: &Trace) -> (Duration, Duration) {
-    uplink_transfers(trace)
-        .last()
-        .map(|&(s, f, _)| (s, f))
-        .expect("clean run carries a snapshot upload")
-}
-
-fn fallback_count(trace: &Trace) -> usize {
-    trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::Fallback)
-        .count()
 }
 
 /// When the run gave up on offloading (its one `fallback_local` marker).
@@ -86,13 +53,7 @@ fn mid_transfer_outage_costs_exactly_the_stall() {
     // stalls for the window and resumes. No retransmit is needed.
     let hit = s + secs(0.0002);
     let plan = FaultPlan::none().down(hit, hit + secs(0.05)).unwrap();
-    let faulty = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
-            .up_faults(plan)
-            .build(),
-    )
-    .unwrap();
+    let faulty = run_scenario(&ScenarioConfig::tiny_builder().up_faults(plan).build()).unwrap();
     assert_eq!(
         faulty.result, clean.result,
         "result must be fault-transparent"
@@ -118,7 +79,6 @@ fn refused_transfer_retries_exactly_at_the_window_edge() {
     let plan = FaultPlan::none().down(s - secs(0.001), window_end).unwrap();
     let faulty = run_scenario(
         &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
             .up_faults(plan)
             .retry(RetryPolicy {
                 backoff_base: secs(0.001),
@@ -154,7 +114,6 @@ fn corrupted_snapshot_is_retransmitted_and_accounted() {
         .unwrap();
     let faulty = run_scenario(
         &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
             .up_faults(plan)
             .retry(RetryPolicy::default())
             .build(),
@@ -179,10 +138,7 @@ fn degraded_windows_slow_the_run_but_never_change_the_result() {
     let clean = clean_run();
     let (s, _) = snapshot_up_window(&clean.trace);
     let plan = FaultPlan::none().degraded(s, s + secs(10.0), 0.25).unwrap();
-    let cfg = ScenarioConfig::tiny_builder()
-        .strategy(Strategy::OffloadAfterAck)
-        .up_faults(plan)
-        .build();
+    let cfg = ScenarioConfig::tiny_builder().up_faults(plan).build();
     let faulty = run_scenario(&cfg).unwrap();
     assert_eq!(faulty.result, clean.result);
     assert!(faulty.total > clean.total, "a degraded link must cost time");
@@ -205,7 +161,6 @@ fn retry_budget_exhaustion_falls_back_to_local_execution() {
         .unwrap();
     let faulty = run_scenario(
         &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
             .up_faults(plan)
             .retry(RetryPolicy {
                 max_attempts: 2,
@@ -221,7 +176,7 @@ fn retry_budget_exhaustion_falls_back_to_local_execution() {
         "local fallback computes the same bits"
     );
     assert_eq!(faulty.snapshot_up_bytes, 0, "nothing was migrated");
-    assert_eq!(fallback_count(&faulty.trace), 1);
+    assert_eq!(count_kind(&faulty.trace, EventKind::Fallback), 1);
 }
 
 /// What the give-up path owes the "degradation is accountable"
@@ -257,11 +212,7 @@ fn corrupt_every_upload() -> (FaultPlan, RetryPolicy) {
     let plan = FaultPlan::none()
         .corrupt(s - secs(0.001), s + secs(100.0))
         .unwrap();
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        ..RetryPolicy::default()
-    };
-    (plan, policy)
+    (plan, attempts(3))
 }
 
 #[test]
@@ -326,40 +277,11 @@ fn without_a_retry_policy_plan_outages_still_fail_fast() {
     let clean = clean_run();
     let (s, f) = snapshot_up_window(&clean.trace);
     let plan = FaultPlan::none().down(s - secs(0.001), f).unwrap();
-    let err = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
-            .up_faults(plan)
-            .build(),
-    )
-    .unwrap_err();
+    let err = run_scenario(&ScenarioConfig::tiny_builder().up_faults(plan).build()).unwrap_err();
     assert!(
         matches!(err, OffloadError::Net(NetError::LinkDown)),
         "{err:?}"
     );
-}
-
-#[test]
-fn chaos_seed_matrix_is_correct_and_reproducible() {
-    let clean = clean_run();
-    for strategy in [Strategy::OffloadAfterAck, Strategy::OffloadBeforeAck] {
-        for seed in [1u64, 2, 3, 5, 8] {
-            let cfg = ScenarioConfig::tiny_builder()
-                .strategy(strategy.clone())
-                .faults(FaultPlan::chaos(seed, secs(1.0)))
-                .retry(RetryPolicy::default())
-                .build();
-            let a = run_scenario(&cfg).unwrap();
-            assert_eq!(
-                a.result, clean.result,
-                "seed {seed} ({strategy:?}) changed the result"
-            );
-            let b = run_scenario(&cfg).unwrap();
-            assert_eq!(a.total, b.total, "seed {seed} is not reproducible");
-            assert_eq!(a.retry_count(), b.retry_count());
-            assert_eq!(a.fell_back, b.fell_back);
-        }
-    }
 }
 
 // --- Session-level chaos (multi-round, deltas, handoff) -------------------
@@ -418,16 +340,8 @@ fn failed_delta_forces_a_full_snapshot_resend_in_the_same_round() {
     let plan = FaultPlan::none()
         .down(u2 - secs(0.001), u2 + secs(0.001))
         .unwrap();
-    let mut session = OffloadSession::new(
-        session_cfg()
-            .up_faults(plan)
-            .retry(RetryPolicy {
-                max_attempts: 1,
-                ..RetryPolicy::default()
-            })
-            .build(),
-    )
-    .unwrap();
+    let mut session =
+        OffloadSession::new(session_cfg().up_faults(plan).retry(attempts(1)).build()).unwrap();
     let rounds: Vec<RoundReport> = (1..=3).map(|i| session.infer(i).unwrap()).collect();
     for (r, p) in rounds.iter().zip(&probe) {
         assert_eq!(r.result, p.result, "round {} result drifted", r.round);
@@ -452,16 +366,8 @@ fn session_falls_back_locally_while_the_edge_stays_unreachable() {
     let plan = FaultPlan::none()
         .down(u2 - secs(0.001), u2 + secs(3600.0))
         .unwrap();
-    let mut session = OffloadSession::new(
-        session_cfg()
-            .up_faults(plan)
-            .retry(RetryPolicy {
-                max_attempts: 1,
-                ..RetryPolicy::default()
-            })
-            .build(),
-    )
-    .unwrap();
+    let mut session =
+        OffloadSession::new(session_cfg().up_faults(plan).retry(attempts(1)).build()).unwrap();
     let rounds: Vec<RoundReport> = (1..=3).map(|i| session.infer(i).unwrap()).collect();
     for (r, p) in rounds.iter().zip(&probe) {
         assert_eq!(r.result, p.result, "round {} result drifted", r.round);
@@ -470,7 +376,7 @@ fn session_falls_back_locally_while_the_edge_stays_unreachable() {
     assert!(rounds[1].fell_back, "round 2 must complete locally");
     assert!(rounds[2].fell_back, "round 3 must complete locally");
     assert_eq!(rounds[1].up_bytes, 0);
-    assert_eq!(fallback_count(&session.trace()), 2);
+    assert_eq!(count_kind(&session.trace(), EventKind::Fallback), 2);
 }
 
 // --- Handoff under faults (satellite: handoff error paths) ----------------

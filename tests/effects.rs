@@ -4,29 +4,26 @@
 //!
 //! 1. **The analysis never touches capture** — a session with effects on
 //!    produces the reports, wire bytes and (its own `gate:effects:ship`
-//!    markers aside) traces of one with effects off, across the chaos
-//!    seed matrix and on the reference walk under a meter, where any
-//!    skipped comparison would show as fewer ops.
+//!    markers aside) traces of one with effects off, on the reference
+//!    walk under a meter, where any skipped comparison would show as
+//!    fewer ops.
 //! 2. **Gates fire before the wire** — a nondeterministic app is rejected
 //!    by the analysis and forced local by the session (its unit tests
 //!    cover the gate) with zero snapshot bytes, and
 //!    a round whose guaranteed op floor already blows the meter budget
 //!    completes locally instead of shipping state that would be killed.
-//! 3. **Off means off** — effect analysis defaults to disabled, and
-//!    default runs replay byte-identical traces with no effect events.
-//! 4. **Floors are lower bounds** — the static op/allocation floors never
+//! 3. **Floors are lower bounds** — the static op/allocation floors never
 //!    exceed what the interpreter's meter charges, on real sessions and
 //!    on generated handlers.
+//!
+//! `tests/combinations.rs` holds 1 across the switch and chaos matrix,
+//! and that effects off (the default) traces no gate (its oracle 4).
 
 use snapedge_core::prelude::*;
 use snapedge_core::Endpoint;
+use snapedge_integration::secs;
 use snapedge_net::SimClock;
 use snapedge_webapp::{FnHost, JsValue};
-use std::time::Duration;
-
-fn secs(s: f64) -> Duration {
-    Duration::from_secs_f64(s)
-}
 
 /// Runs `rounds` inferences and returns the per-round reports plus the
 /// serialized trace.
@@ -68,18 +65,6 @@ fn assert_effects_change_nothing(
 }
 
 #[test]
-fn effects_on_is_bit_identical_to_effects_off_across_the_chaos_seed_matrix() {
-    for seed in [1u64, 2, 3, 5, 8] {
-        let base = || {
-            SessionConfig::tiny_builder()
-                .faults(FaultPlan::chaos(seed, secs(1.0)))
-                .retry(RetryPolicy::default())
-        };
-        assert_effects_change_nothing(base, &format!("seed {seed}"));
-    }
-}
-
-#[test]
 fn effects_charge_the_reference_walk_the_same_ops_on_or_off() {
     // Caps far above the tiny app's reach: the meter only counts. The
     // reference walk deep-compares every global on both endpoints, so the
@@ -98,25 +83,6 @@ fn effects_charge_the_reference_walk_the_same_ops_on_or_off() {
     let reports = assert_effects_change_nothing(base, "metered reference walk");
     assert!(reports.iter().all(|r| r.ops_used > 0 && !r.fell_back));
     assert!(reports[1].delta_up && reports[1].delta_down);
-}
-
-#[test]
-fn effects_are_off_by_default_and_default_traces_stay_byte_identical() {
-    assert!(!OffloadConfig::paper("agenet", "edge").effects);
-    let trace = |_| {
-        let mut session = OffloadSession::new(SessionConfig::tiny()).unwrap();
-        for i in 1..=3u64 {
-            session.infer(i).unwrap();
-        }
-        session.trace().to_jsonl()
-    };
-    let a = trace(());
-    let b = trace(());
-    assert_eq!(a, b, "default session replay must be byte-identical");
-    assert!(
-        !a.contains("\"kind\":\"gate\""),
-        "no gate events unless a gate is configured"
-    );
 }
 
 #[test]

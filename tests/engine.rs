@@ -20,21 +20,9 @@
 
 use snapedge_core::engine::EngineStep;
 use snapedge_core::prelude::*;
-use snapedge_integration::run_checked;
+use snapedge_integration::{count_kind, run_checked, tiny_spec, BACK_TO_BACK, LONG};
 use snapedge_webapp::intern::fnv1a;
 use std::time::Duration;
-
-fn tiny_spec(name: &str) -> ServerSpec {
-    ServerSpec::new(name, edge_server_x86(), LinkConfig::wifi_30mbps())
-}
-
-/// A long-enough horizon that closed-loop round caps, not the traffic
-/// horizon, end every test run.
-const LONG: Duration = Duration::from_secs(100_000);
-
-fn kind_count(trace: &Trace, kind: EventKind) -> usize {
-    trace.events().iter().filter(|e| e.kind == kind).count()
-}
 
 // ---------------------------------------------------------------------
 // 1. Determinism
@@ -120,9 +108,7 @@ fn single_client_engine_run_matches_the_legacy_loop_bit_for_bit() {
     // The same rounds through the global event queue.
     let mut engine = Engine::sessions(cfg, 1)
         .unwrap()
-        .arrival(ArrivalProcess::ClosedLoop {
-            think: Duration::ZERO,
-        })
+        .arrival(BACK_TO_BACK)
         .duration(LONG)
         .max_rounds(ROUNDS);
     let report = run_checked(&mut engine);
@@ -137,9 +123,9 @@ fn single_client_engine_run_matches_the_legacy_loop_bit_for_bit() {
     assert_eq!(report.queue_wait.max, Duration::ZERO);
     // ...so the legacy trace vocabulary is unchanged: no queue events.
     let trace = engine.workload().trace(0).unwrap();
-    assert_eq!(kind_count(&trace, EventKind::Enqueue), 0);
-    assert_eq!(kind_count(&trace, EventKind::QueueWait), 0);
-    assert_eq!(kind_count(&trace, EventKind::Dequeue), 0);
+    assert_eq!(count_kind(&trace, EventKind::Enqueue), 0);
+    assert_eq!(count_kind(&trace, EventKind::QueueWait), 0);
+    assert_eq!(count_kind(&trace, EventKind::Dequeue), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -155,9 +141,7 @@ fn contention_emerges_as_queue_wait_events() {
     let cfg = SessionConfig::tiny_builder().build();
     let mut engine = Engine::sessions(cfg, 2)
         .unwrap()
-        .arrival(ArrivalProcess::ClosedLoop {
-            think: Duration::ZERO,
-        })
+        .arrival(BACK_TO_BACK)
         .duration(LONG)
         .max_rounds(3);
     let report = run_checked(&mut engine);
@@ -171,9 +155,9 @@ fn contention_emerges_as_queue_wait_events() {
     let mut queue_events = 0;
     for client in 0..2 {
         let trace = engine.workload().trace(client).unwrap();
-        let enq = kind_count(&trace, EventKind::Enqueue);
-        let wait = kind_count(&trace, EventKind::QueueWait);
-        let deq = kind_count(&trace, EventKind::Dequeue);
+        let enq = count_kind(&trace, EventKind::Enqueue);
+        let wait = count_kind(&trace, EventKind::QueueWait);
+        let deq = count_kind(&trace, EventKind::Dequeue);
         assert_eq!(enq, wait, "every enqueue pairs with a wait span");
         assert_eq!(enq, deq, "every enqueue pairs with a dequeue");
         queue_events += enq;
@@ -430,9 +414,7 @@ fn a_balanced_session_fleet_is_pinned() {
     const CLIENTS: usize = 12;
     let mut engine = sessions(SessionConfig::tiny(), CLIENTS)
         .balance(true)
-        .arrival(ArrivalProcess::ClosedLoop {
-            think: Duration::ZERO,
-        })
+        .arrival(BACK_TO_BACK)
         .duration(LONG)
         .max_rounds(4);
     run_checked(&mut engine);
@@ -454,9 +436,7 @@ fn a_balanced_session_fleet_is_pinned() {
 #[test]
 fn event_log_lines_are_pinned() {
     let poisson = ArrivalProcess::Poisson { rate_hz: 120.0 };
-    let burst = ArrivalProcess::ClosedLoop {
-        think: Duration::ZERO,
-    };
+    let burst = BACK_TO_BACK;
     let ten = Duration::from_secs(10);
     let window = Duration::from_millis(50);
     let dies = FaultPlan::none()

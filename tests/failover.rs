@@ -10,43 +10,15 @@
 //! 2. **Handoffs are observable** — every switch is marked with
 //!    `server_select:*` / `handoff:*->*` events in the trace, and reports
 //!    name the endpoint that served each inference.
-//! 3. **A fleet of one is the old single-server path, bit for bit** —
-//!    same rounds, same virtual times, same trace, across the chaos seed
-//!    matrix.
+//! 3. **A fleet of one never hands off** — `tests/combinations.rs`
+//!    checks it across the switch and chaos matrix (its oracle 6).
 
 use snapedge_core::prelude::*;
-use snapedge_integration::run_checked;
+use snapedge_integration::{
+    attempts, names_of_kind, run_checked, secs, tiny_spec, uplink_transfer_starts,
+};
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn secs(s: f64) -> Duration {
-    Duration::from_secs_f64(s)
-}
-
-fn tiny_spec(name: &str) -> ServerSpec {
-    ServerSpec::new(name, edge_server_x86(), LinkConfig::wifi_30mbps())
-}
-
-/// Chronological starts of the primary uplink's wire transfers.
-fn uplink_transfer_starts(trace: &Trace) -> Vec<Duration> {
-    let mut v: Vec<_> = trace
-        .events()
-        .iter()
-        .filter(|e| e.name == "uplink" && e.kind == EventKind::Transfer)
-        .map(|e| e.start)
-        .collect();
-    v.sort();
-    v
-}
-
-fn names_of_kind(trace: &Trace, kind: EventKind) -> Vec<String> {
-    trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == kind)
-        .map(|e| e.name.clone())
-        .collect()
-}
 
 /// The acceptance scenario from the ISSUE: a 3-server fleet whose primary
 /// goes down mid-run. The session must hand off automatically (visible
@@ -74,10 +46,7 @@ fn session_hands_off_automatically_when_the_primary_dies_mid_run() {
                 tiny_spec("edge-b"),
                 tiny_spec("edge-c"),
             ])
-            .retry(RetryPolicy {
-                max_attempts: 1,
-                ..RetryPolicy::default()
-            })
+            .retry(attempts(1))
             .build(),
     )
     .unwrap();
@@ -120,7 +89,6 @@ fn scenario_fails_over_during_presend_and_reports_the_serving_server() {
         .unwrap();
     let report = run_scenario(
         &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
             .servers(vec![
                 tiny_spec("edge-a").with_faults(dead),
                 tiny_spec("edge-b"),
@@ -152,15 +120,11 @@ fn scenario_hands_off_mid_migration_and_resends_the_full_snapshot() {
         .unwrap();
     let report = run_scenario(
         &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
             .servers(vec![
                 tiny_spec("edge-a").with_up_faults(outage),
                 tiny_spec("edge-b"),
             ])
-            .retry(RetryPolicy {
-                max_attempts: 1,
-                ..RetryPolicy::default()
-            })
+            .retry(attempts(1))
             .build(),
     )
     .unwrap();
@@ -182,7 +146,6 @@ fn a_fully_dead_fleet_falls_back_locally() {
         .unwrap();
     let report = run_scenario(
         &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
             .servers(vec![
                 tiny_spec("edge-a").with_faults(dead.clone()),
                 tiny_spec("edge-b").with_faults(dead),
@@ -201,43 +164,6 @@ fn a_fully_dead_fleet_falls_back_locally() {
         report.result, clean.result,
         "local fallback computes the same bits"
     );
-}
-
-/// Satellite property: a fleet of size 1 routed through the new
-/// `ServerPool` produces `RoundReport`s *bit-identical* to the legacy
-/// single-server builder path, under every plan of the chaos seed matrix
-/// — totals, byte counts, results and the full event trace.
-#[test]
-fn fleet_of_one_is_bit_identical_across_the_chaos_seed_matrix() {
-    for seed in [1u64, 2, 3, 5, 8] {
-        let plan = FaultPlan::chaos(seed, secs(1.0));
-        let legacy = SessionConfig::tiny_builder()
-            .faults(plan.clone())
-            .retry(RetryPolicy::default())
-            .build();
-        let explicit = SessionConfig::tiny_builder()
-            .servers(vec![tiny_spec("edge-server-1").with_faults(plan)])
-            .retry(RetryPolicy::default())
-            .build();
-        assert_eq!(legacy, explicit, "seed {seed}: the configs must agree");
-
-        let run = |cfg: SessionConfig| {
-            let mut session = OffloadSession::new(cfg).unwrap();
-            let rounds: Vec<RoundReport> = (1..=3).map(|i| session.infer(i).unwrap()).collect();
-            (rounds, session.trace())
-        };
-        let (legacy_rounds, legacy_trace) = run(legacy);
-        let (fleet_rounds, fleet_trace) = run(explicit);
-        assert_eq!(legacy_rounds, fleet_rounds, "seed {seed}: rounds diverged");
-        assert_eq!(
-            legacy_trace, fleet_trace,
-            "seed {seed}: the event traces diverged"
-        );
-        assert!(
-            names_of_kind(&fleet_trace, EventKind::Handoff).is_empty(),
-            "seed {seed}: a fleet of one never hands off"
-        );
-    }
 }
 
 /// Pool health bookkeeping steers reselection: after the primary soaks up
@@ -261,10 +187,7 @@ fn estimator_penalties_steer_rounds_away_from_a_flaky_primary() {
                 tiny_spec("edge-a").with_faults(outage),
                 tiny_spec("edge-b"),
             ])
-            .retry(RetryPolicy {
-                max_attempts: 1,
-                ..RetryPolicy::default()
-            })
+            .retry(attempts(1))
             .build(),
     )
     .unwrap();
@@ -302,10 +225,7 @@ fn a_fleet_that_went_dark_for_a_round_is_reprovisioned_in_the_next() {
                     tiny_spec("edge-a").with_faults(blackout.clone()),
                     tiny_spec("edge-b").with_faults(blackout),
                 ])
-                .retry(RetryPolicy {
-                    max_attempts: 1,
-                    ..RetryPolicy::default()
-                })
+                .retry(attempts(1))
                 .build(),
         )
         .unwrap()
@@ -351,11 +271,7 @@ fn presend_window(kind: &str, until: Duration, servers: usize, retry: bool) -> S
         })
         .collect();
     let cfg = SessionConfig::tiny_builder().servers(fleet);
-    let one_attempt = RetryPolicy {
-        max_attempts: 1,
-        ..RetryPolicy::default()
-    };
-    if retry { cfg.retry(one_attempt) } else { cfg }.build()
+    if retry { cfg.retry(attempts(1)) } else { cfg }.build()
 }
 
 /// The one provisioning rule: a pre-send that does not get through —
@@ -444,5 +360,26 @@ fn a_fleet_survives_clients_whose_presend_failed() {
             );
         }
         assert_eq!(report.fallbacks, CLIENTS, "{servers} server(s)");
+    }
+}
+
+/// `client` is the name a round reports when it ran locally, so no
+/// server may take it: every entry point refuses such a fleet, as it
+/// refuses an empty one, with a config error.
+#[test]
+fn a_server_named_client_is_refused_like_an_empty_fleet() {
+    let client = vec![tiny_spec("client")];
+    for (servers, why) in [(vec![], "at least one"), (client, "`client`")] {
+        let cfg = SessionConfig::tiny_builder().servers(servers).build();
+        let refusals = [
+            OffloadSession::new(cfg.clone()).err(),
+            run_scenario(&ScenarioConfig::from(cfg.core.clone())).err(),
+            Engine::sessions(cfg.clone(), 1).err(),
+            Engine::modeled(cfg, 1).err(),
+        ];
+        let config = |e: &OffloadError| matches!(e, OffloadError::Config(m) if m.contains(why));
+        for refusal in refusals {
+            assert!(refusal.as_ref().is_some_and(config), "{refusal:?}");
+        }
     }
 }

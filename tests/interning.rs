@@ -4,8 +4,8 @@
 //!
 //! 1. **Incrementality is invisible on the wire** — dirty-tracked delta
 //!    capture (the default) produces byte-identical reports, traces and
-//!    wire bytes to the legacy full heap walk, across the chaos seed
-//!    matrix.
+//!    wire bytes to the legacy full heap walk: `tests/combinations.rs`
+//!    checks sessions across the switch and chaos matrix (its oracle 5).
 //! 2. **Incrementality is meter-visible** — a round that mutates 1 of N
 //!    held globals charges capture work proportional to the state
 //!    *changed*, not the state *held* (asserted via meter `ops_used`),
@@ -14,49 +14,13 @@
 //!    [`StateBase`] recorded by a different browser takes the legacy walk
 //!    and still emits the same bytes.
 
-use snapedge_core::prelude::*;
 use snapedge_webapp::{Browser, DeltaCapture, MeterLimits, SnapshotOptions};
-use std::time::Duration;
-
-fn secs(s: f64) -> Duration {
-    Duration::from_secs_f64(s)
-}
 
 /// The legacy capture path: full deep comparison of every global.
 fn legacy_options() -> SnapshotOptions {
     SnapshotOptions {
         incremental: false,
         ..SnapshotOptions::default()
-    }
-}
-
-/// Runs `rounds` inferences and returns the per-round reports plus the
-/// serialized trace.
-fn run_rounds(cfg: SessionConfig, rounds: u64) -> (Vec<RoundReport>, String) {
-    let mut session = OffloadSession::new(cfg).unwrap();
-    let reports = (1..=rounds).map(|i| session.infer(i).unwrap()).collect();
-    (reports, session.trace().to_jsonl())
-}
-
-#[test]
-fn incremental_capture_is_bit_identical_across_the_chaos_seed_matrix() {
-    for seed in [1u64, 2, 3, 5, 8] {
-        let base = || {
-            SessionConfig::tiny_builder()
-                .faults(FaultPlan::chaos(seed, secs(1.0)))
-                .retry(RetryPolicy::default())
-        };
-        assert!(SnapshotOptions::default().incremental);
-        let (inc_reports, inc_trace) = run_rounds(base().build(), 3);
-        let (full_reports, full_trace) = run_rounds(base().snapshot(legacy_options()).build(), 3);
-        assert_eq!(
-            inc_reports, full_reports,
-            "seed {seed}: reports must match the legacy full walk"
-        );
-        assert_eq!(
-            inc_trace, full_trace,
-            "seed {seed}: traces must match the legacy full walk"
-        );
     }
 }
 

@@ -3,111 +3,22 @@
 //! The contract under test:
 //!
 //! 1. **Metering off is free** — with no `MeterLimits` configured (the
-//!    default) runs are bit-identical to the unmetered engine across the
-//!    chaos seed matrix, and no meter events appear in the trace.
+//!    default) rounds report no usage and traces carry no meter event.
 //! 2. **Generous caps only observe** — caps the workload never reaches
 //!    change no result and no virtual timestamp; they only add
 //!    `MeterTick` accounting events and per-round usage numbers.
+//!
+//! `tests/combinations.rs` holds 1 and 2 for sessions, scenarios and
+//! fleets across the switch and chaos matrix (its oracle 3).
 //! 3. **Exhaustion is fatal-for-this-server** — a tripped cap never
 //!    burns the retry budget: the session fails over to the next fleet
 //!    candidate, or completes locally when every candidate is capped,
 //!    and the inference result stays bit-identical either way.
 
 use snapedge_core::prelude::*;
-use std::time::Duration;
-
-fn secs(s: f64) -> Duration {
-    Duration::from_secs_f64(s)
-}
-
-fn tiny_spec(name: &str) -> ServerSpec {
-    ServerSpec::new(name, edge_server_x86(), LinkConfig::wifi_30mbps())
-}
-
-fn count_kind(trace: &Trace, kind: EventKind) -> usize {
-    trace.events().iter().filter(|e| e.kind == kind).count()
-}
-
-fn names_of_kind(trace: &Trace, kind: EventKind) -> Vec<String> {
-    trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == kind)
-        .map(|e| e.name.clone())
-        .collect()
-}
-
-/// Caps far above anything the tiny app can reach: pure observability.
-fn generous() -> MeterLimits {
-    MeterLimits::default()
-        .with_ops(u64::MAX / 2)
-        .with_heap_cells(usize::MAX / 2)
-        .with_string_len(usize::MAX / 2)
-        .with_call_depth(usize::MAX / 2)
-        .with_time_slice(secs(3600.0))
-}
-
-// --- 1. Metering off is free ----------------------------------------------
-
-#[test]
-fn meter_off_is_bit_identical_across_the_chaos_seed_matrix() {
-    for strategy in [Strategy::OffloadAfterAck, Strategy::OffloadBeforeAck] {
-        for seed in [1u64, 2, 3, 5, 8] {
-            let cfg = ScenarioConfig::tiny_builder()
-                .strategy(strategy.clone())
-                .faults(FaultPlan::chaos(seed, secs(1.0)))
-                .retry(RetryPolicy::default())
-                .build();
-            assert!(cfg.meter.is_none(), "metering must default off");
-            let a = run_scenario(&cfg).unwrap();
-            let b = run_scenario(&cfg).unwrap();
-            assert_eq!(a.total, b.total, "seed {seed} is not reproducible");
-            assert_eq!(a.result, b.result);
-            assert_eq!(
-                count_kind(&a.trace, EventKind::MeterTick),
-                0,
-                "meter-off runs must not emit MeterTick"
-            );
-            assert_eq!(count_kind(&a.trace, EventKind::MeterExhausted), 0);
-        }
-    }
-}
-
-#[test]
-fn meter_off_session_reports_zero_usage() {
-    let mut session = OffloadSession::new(SessionConfig::tiny_builder().build()).unwrap();
-    for round in 1..=2 {
-        let r = session.infer(round).unwrap();
-        assert_eq!(r.ops_used, 0, "unmetered rounds report zero ops");
-        assert_eq!(r.peak_heap, 0);
-    }
-    assert_eq!(count_kind(&session.trace(), EventKind::MeterTick), 0);
-}
+use snapedge_integration::{count_kind, generous, names_of_kind, secs, tiny_spec};
 
 // --- 2. Generous caps only observe ----------------------------------------
-
-#[test]
-fn generous_caps_change_no_timestamp_but_are_observable() {
-    let clean = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
-    let metered = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
-            .meter(generous())
-            .build(),
-    )
-    .unwrap();
-    assert_eq!(metered.result, clean.result);
-    assert_eq!(
-        metered.total, clean.total,
-        "accounting must not cost virtual time"
-    );
-    assert_eq!(metered.breakdown, clean.breakdown);
-    assert!(
-        count_kind(&metered.trace, EventKind::MeterTick) > 0,
-        "metered runs record their ticks"
-    );
-    assert_eq!(count_kind(&metered.trace, EventKind::MeterExhausted), 0);
-}
 
 #[test]
 fn generous_caps_surface_per_round_usage_in_session_reports() {
@@ -174,7 +85,6 @@ fn slice_kill_mid_compute_fails_over_in_a_scenario() {
     let clean = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
     let report = run_scenario(
         &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
             .servers(vec![
                 tiny_spec("edge-a")
                     .with_meter(MeterLimits::default().with_time_slice(secs(0.000001))),
@@ -223,7 +133,6 @@ fn fleet_wide_meter_is_overridden_per_server() {
     // to the secondary, which inherits the generous fleet-wide limits.
     let report = run_scenario(
         &ScenarioConfig::tiny_builder()
-            .strategy(Strategy::OffloadAfterAck)
             .meter(generous())
             .servers(vec![
                 tiny_spec("edge-a").with_meter(MeterLimits::default().with_ops(1)),
@@ -255,19 +164,6 @@ fn run_engine(cfg: SessionConfig) -> FleetReport {
         .max_rounds(9)
         .run()
         .unwrap()
-}
-
-#[test]
-fn engine_sojourns_are_unchanged_under_generous_metering() {
-    let off = run_engine(engine_cfg(None));
-    let on = run_engine(engine_cfg(Some(generous())));
-    assert_eq!(on.completed, off.completed);
-    assert_eq!(on.makespan, off.makespan);
-    assert_eq!(on.latency.p50, off.latency.p50);
-    assert_eq!(on.latency.max, off.latency.max);
-    assert_eq!(off.total_ops, 0, "meter off aggregates nothing");
-    assert_eq!(off.peak_heap, 0);
-    assert!(on.total_ops > 0, "metered fleets aggregate charged ops");
 }
 
 #[test]

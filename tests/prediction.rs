@@ -3,8 +3,8 @@
 //! The contract under test:
 //!
 //! 1. **Prediction off (the default) is the reactive path, bit for bit** —
-//!    every scenario and session replays the PR-4 behaviour exactly,
-//!    traces included.
+//!    it consults no gate (across the switch matrix, in
+//!    `tests/combinations.rs`).
 //! 2. **Prediction on with a healthy link changes nothing but markers** —
 //!    instant `gate:plan:ship:*` events appear, and every timing, byte
 //!    count and result stays identical to the reactive run.
@@ -20,25 +20,10 @@
 
 use snapedge_core::prelude::*;
 use snapedge_core::Decision;
+use snapedge_integration::{secs, uplink_transfer_starts};
 use snapedge_net::Transfer;
 use snapedge_rng::Rng;
 use std::time::Duration;
-
-fn secs(s: f64) -> Duration {
-    Duration::from_secs_f64(s)
-}
-
-/// Chronological starts of the primary uplink's wire transfers.
-fn uplink_transfer_starts(trace: &Trace) -> Vec<Duration> {
-    let mut v: Vec<_> = trace
-        .events()
-        .iter()
-        .filter(|e| e.name == "uplink" && e.kind == EventKind::Transfer)
-        .map(|e| e.start)
-        .collect();
-    v.sort();
-    v
-}
 
 /// `(gate, verdict, lhs, rhs)` of every gate event, in order.
 fn gate_verdicts(trace: &Trace) -> Vec<(String, String, u64, u64)> {
@@ -299,38 +284,6 @@ fn healthy_link_prediction_is_marker_only() {
 /// Prediction off is not merely similar to the pre-predictor path — it is
 /// the same configuration value, and the chaos matrix replays identically
 /// whether the knob is spelled out or left at its default.
-#[test]
-fn predict_off_is_bit_identical_across_the_chaos_seed_matrix() {
-    for seed in [1u64, 3, 8] {
-        let plan = FaultPlan::chaos(seed, secs(1.0));
-        let implicit = SessionConfig::tiny_builder()
-            .faults(plan.clone())
-            .retry(RetryPolicy::default())
-            .build();
-        let explicit = SessionConfig::tiny_builder()
-            .faults(plan)
-            .retry(RetryPolicy::default())
-            .predict(false)
-            .build();
-        assert_eq!(implicit, explicit, "seed {seed}: predict defaults off");
-
-        let run = |cfg: SessionConfig| {
-            let mut session = OffloadSession::new(cfg).unwrap();
-            let rounds: Vec<RoundReport> = (1..=3).map(|i| session.infer(i).unwrap()).collect();
-            (rounds, session.trace())
-        };
-        let (a_rounds, a_trace) = run(implicit);
-        let (b_rounds, b_trace) = run(explicit);
-        assert_eq!(a_rounds, b_rounds, "seed {seed}: rounds diverged");
-        assert_eq!(a_trace, b_trace, "seed {seed}: traces diverged");
-        assert_eq!(
-            plan_verdicts(&a_trace),
-            [],
-            "seed {seed}: no gate configured"
-        );
-    }
-}
-
 /// Every verdict's numbers satisfy the comparison its gate names — the
 /// plan gate goes local when predicted offload >= predicted local, the
 /// effects gate when sources (or a cost floor) exceed what is allowed —

@@ -21,19 +21,12 @@
 //! To regenerate a row, run the test: its failure message prints the row.
 
 use snapedge_core::prelude::*;
+use snapedge_integration::{secs, snapshot_up_window, tiny_spec};
 use snapedge_webapp::intern::fnv1a;
 use std::time::Duration;
 
-fn secs(s: f64) -> Duration {
-    Duration::from_secs_f64(s)
-}
-
 fn tiny() -> ScenarioBuilder {
     ScenarioConfig::tiny_builder()
-}
-
-fn tiny_spec(name: &str) -> ServerSpec {
-    ServerSpec::new(name, edge_server_x86(), LinkConfig::wifi_30mbps())
 }
 
 fn few_attempts(max_attempts: u32, deadline: f64) -> RetryPolicy {
@@ -42,18 +35,6 @@ fn few_attempts(max_attempts: u32, deadline: f64) -> RetryPolicy {
         deadline: secs(deadline),
         ..RetryPolicy::default()
     }
-}
-
-/// The `[start, end]` window of the snapshot upload in a clean run: the
-/// last transfer the uplink carried.
-fn snapshot_up_window(trace: &Trace) -> (Duration, Duration) {
-    trace
-        .events()
-        .iter()
-        .filter(|e| e.name == "uplink" && e.kind == EventKind::Transfer)
-        .map(|e| (e.start, e.end))
-        .max()
-        .expect("clean run carries a snapshot upload")
 }
 
 /// Every scenario configuration the fixtures pin, by name.
