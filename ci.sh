@@ -121,8 +121,14 @@ if sed '/#\[cfg(test)\]/,$d' crates/cli/src/main.rs | grep -nE '\.flag\("|bool_f
 fi
 
 echo "== one switch matrix (the per-switch chaos-seed loops stay folded into tests/combinations.rs)"
-if grep -rnE 'bit_identical_across_the_chaos_seed_matrix|replays_bit_for_bit_across_chaos_seeds|chaos_seed_matrix_is_correct_and_reproducible|meter_off_session_reports_zero_usage' tests crates; then
+if grep -rnE 'bit_identical_across_the_chaos_seed_matrix|replays_bit_for_bit_across_chaos_seeds|chaos_seed_matrix_is_correct_and_reproducible|meter_off_session_reports_zero_usage|every_verdict_satisfies_the_comparison_it_names_across_the_chaos_seed_matrix' tests crates; then
     echo "a per-switch chaos-seed loop is back: make it a case of tests/combinations.rs" >&2
+    exit 1
+fi
+
+echo "== a round says where it ran by type (no server name is compared with \"client\")"
+if grep -rnE '(==|!=) "client"|\.server, "client"' crates/*/src tests; then
+    echo "a local round reports server None: compare with None or is_some(), not a name" >&2
     exit 1
 fi
 
@@ -144,8 +150,10 @@ refused --predcit session --model agenet --rounds 2 --predcit true
 refused --balance session --model agenet --rounds 2 --balance true
 refused stray session --model agenet --rounds 2 stray
 refused --model analyze --model agenet
-# A local round reports the server name `client`, so no fleet server may take it.
-refused client run --model tiny_cnn --servers 'client;edge-b'
+
+echo "== any server name is legal: a fleet whose primary is named client runs and prints its result"
+client_smoke=$(target/release/snapedge run --model tiny_cnn --servers 'client;edge-b')
+grep -q '^result:' <<<"$client_smoke"
 
 echo "== the modeled fleet refuses, by name, the fields it does not model and a client count no memory holds; real sessions take them"
 modeled=(fleet --model agenet --clients 2 --rounds 2)

@@ -639,7 +639,7 @@ fn cmd_session(inv: &Invocation) -> Outcome {
             r.up_bytes,
             r.down_bytes,
             r.total.as_secs_f64(),
-            r.server,
+            r.server.as_deref().unwrap_or("client"),
             column(&predicted),
             r.result
         );

@@ -40,7 +40,7 @@ pub struct OffloadConfig {
     pub model: String,
     /// The edge fleet: ordered candidate servers, each with its own
     /// device, link and fault schedules. The first entry is the primary.
-    /// Must not be empty, and no server may be named `client`.
+    /// Must not be empty.
     pub servers: Vec<ServerSpec>,
     /// Client device model.
     pub client_device: DeviceProfile,

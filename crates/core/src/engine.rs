@@ -392,7 +392,7 @@ impl SessionWorkload {
                     fell_back: report.fell_back,
                     // A remote round is reported under its server's name
                     // and leaves the session pointing at that server.
-                    served_by: (report.server != "client").then_some(target),
+                    served_by: report.server.is_some().then_some(target),
                     ops_used: report.ops_used,
                     peak_heap: report.peak_heap,
                     proactive: report.proactive,

@@ -380,7 +380,7 @@ fn run_offload(
         snapshot_down_bytes: round.down_bytes,
         result: round.result,
         fell_back: round.fell_back,
-        server: Some(round.server).filter(|name| name != "client"),
+        server: round.server,
         prediction: round.prediction,
         proactive: round.proactive,
         trace,

@@ -161,9 +161,9 @@ pub struct RoundReport {
     /// exhausted its retry budget) and completed the inference locally on
     /// the client.
     pub fell_back: bool,
-    /// Name of the endpoint that executed the inference: the serving edge
-    /// server, or `"client"` when the round fell back to local execution.
-    pub server: String,
+    /// Name of the edge server that executed the inference; `None` when
+    /// it ran on the client, by a gate's `Local` verdict or by fallback.
+    pub server: Option<String>,
     /// What the link-health predictor advised for this round, when the
     /// session runs with [`SessionConfig::predict`] enabled (and the
     /// estimator had at least one sample). `None` otherwise.
@@ -1136,11 +1136,7 @@ impl OffloadSession {
             total: self.clock.now() - clicked_at,
             result: self.client.browser.element_text("result")?.to_string(),
             fell_back,
-            server: match served {
-                Some(_) => self.server.endpoint.name(),
-                None => "client",
-            }
-            .to_string(),
+            server: served.map(|_| self.server.endpoint.name().to_string()),
             prediction: None,
             proactive: false,
             ops_used: 0,
@@ -1433,7 +1429,7 @@ mod tests {
         session.effects = Some(snapedge_analyze::effect_summary_html(app, &opts).unwrap());
 
         let report = session.infer(1).unwrap();
-        assert_eq!(report.server, "client", "the round never left the client");
+        assert_eq!(report.server, None, "the round never left the client");
         assert_eq!(report.up_bytes, 0, "no snapshot bytes shipped");
         assert!(!report.fell_back, "no retry budget was spent");
         assert!(!report.proactive && report.prediction.is_none());

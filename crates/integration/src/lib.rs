@@ -55,6 +55,19 @@ pub fn count_kind(trace: &Trace, kind: EventKind) -> usize {
     trace.events().iter().filter(|e| e.kind == kind).count()
 }
 
+/// A gate event's `(gate, verdict, lhs, rhs)`.
+pub type GateReading<'a> = (&'a str, &'a str, u64, u64);
+
+/// A gate event's name, `gate:<gate>:<verdict>:<lhs>:<rhs>`, read as
+/// its [`GateReading`]; `None` for any other name.
+pub fn gate_reading(name: &str) -> Option<GateReading<'_>> {
+    let mut parts = name.strip_prefix("gate:")?.split(':');
+    let (gate, verdict) = (parts.next()?, parts.next()?);
+    let lhs = parts.next()?.parse().ok()?;
+    let rhs = parts.next()?.parse().ok()?;
+    parts.next().is_none().then_some((gate, verdict, lhs, rhs))
+}
+
 /// The names of `trace`'s events of `kind`, in order.
 pub fn names_of_kind(trace: &Trace, kind: EventKind) -> Vec<String> {
     let events = trace.events().iter().filter(|e| e.kind == kind);

@@ -97,7 +97,12 @@ fn a_metered_partial_session_trips_its_heap_cap_on_the_same_round() {
             let r = session.infer(round).unwrap();
             format!(
                 "round {round}: server {} fell_back {} ops {} peak_heap {} up {} B down {} B",
-                r.server, r.fell_back, r.ops_used, r.peak_heap, r.up_bytes, r.down_bytes
+                r.server.as_deref().unwrap_or("client"),
+                r.fell_back,
+                r.ops_used,
+                r.peak_heap,
+                r.up_bytes,
+                r.down_bytes
             )
         })
         .collect();

@@ -22,17 +22,33 @@
 //! 7. **Determinism.** A rerun replays reports and traces byte for byte;
 //!    a fleet replays its report and event log; with every policy off it
 //!    grants each admit at once and batches, rejects and gates nothing.
+//! 8. **Gate readings.** Every `gate:<gate>:<verdict>:<lhs>:<rhs>` line
+//!    satisfies the comparison it names: `plan` goes local iff
+//!    `lhs >= rhs`, `effects` iff `lhs > rhs`.
+//!
+//! Each app's rows must retry and fall back at least once, and the
+//! session rows must reach all four gate outcomes, so a change to the
+//! chaos plans, the meters or the apps cannot quietly leave an oracle
+//! nothing to check.
 
 use snapedge_core::prelude::*;
-use snapedge_integration::{check_log, check_report, generous, secs, tiny_spec, LocalOracle, LONG};
+use snapedge_integration::{
+    check_log, check_report, gate_reading, generous, secs, tiny_spec, GateReading, LocalOracle,
+    LONG,
+};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::ops::Range;
 
 /// One app of the matrix: its name, its builder, the span its chaos
 /// plans scatter windows over (about a session), its chaos seeds and
 /// its rounds.
-struct App(&'static str, fn() -> SessionBuilder, f64, Range<u64>, u64);
+struct App(
+    &'static str,
+    fn() -> SessionBuilder,
+    f64,
+    &'static [u64],
+    u64,
+);
 
 impl fmt::Debug for App {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -40,9 +56,18 @@ impl fmt::Debug for App {
     }
 }
 
-const TINY: App = App("tiny_cnn", SessionConfig::tiny_builder, 1.0, 0..7, 5);
-const AGENET: App = App("agenet", agenet, 20.0, 0..5, 5);
-const THIRD_POOL: App = App("agenet@3rd_pool", third_pool, 20.0, 2..4, 4);
+const TINY: App = App(
+    "tiny_cnn",
+    SessionConfig::tiny_builder,
+    1.0,
+    &[0, 1, 2, 3, 4, 5, 6],
+    5,
+);
+/// Chaos seeds whose plans corrupt a transfer: 2–4 the 12 s, 45.7 MB
+/// pre-send, which retries; 40 and 101 a round's upload for longer than
+/// the retry budget, so the round falls back.
+const AGENET: App = App("agenet", agenet, 20.0, &[2, 3, 4, 40, 101], 5);
+const THIRD_POOL: App = App("agenet@3rd_pool", third_pool, 20.0, &[2, 3], 4);
 
 fn agenet() -> SessionBuilder {
     SessionConfig::paper_builder("agenet")
@@ -56,8 +81,12 @@ fn third_pool() -> SessionBuilder {
 enum Meter {
     Off,
     Generous,
-    /// 2·10⁴ ops: trips on some rounds.
+    /// 10⁴ ops: kills every agenet@`3rd_pool` round on the server
+    /// (each charges about 1.9·10⁴), no agenet or tiny_cnn one (53).
     Tight,
+    /// No ops at all: dooms every offloaded round, at the effects gate
+    /// when it runs and on the server when not.
+    Zero,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -102,7 +131,8 @@ impl Combo {
         cfg.meter = match self.meter {
             Meter::Off => None,
             Meter::Generous => Some(generous()),
-            Meter::Tight => Some(MeterLimits::default().with_ops(20_000)),
+            Meter::Tight => Some(MeterLimits::default().with_ops(10_000)),
+            Meter::Zero => Some(MeterLimits::default().with_ops(0)),
         };
         cfg
     }
@@ -150,8 +180,23 @@ fn without_ticks(jsonl: &str) -> Vec<&str> {
     jsonl.lines().filter(|line| !line.contains(tick)).collect()
 }
 
-/// Oracles 1–4 and 6 on one run.
-fn check_run(c: &Combo, run: &Run, expected: &[String]) {
+/// What an app's rows reached: retries, local fallbacks and gate
+/// outcomes (`plan:ship`, …).
+#[derive(Default)]
+struct Seen {
+    retries: usize,
+    fallbacks: usize,
+    gates: BTreeSet<String>,
+}
+
+/// A JSONL line's gate reading and the rest of the line after its name.
+fn gate_line(line: &str) -> Option<(GateReading<'_>, &str)> {
+    let (name, rest) = line.strip_prefix("{\"name\":\"")?.split_once('"')?;
+    Some((gate_reading(name)?, rest))
+}
+
+/// Oracles 1–4, 6 and 8 on one run, noting what it reached in `seen`.
+fn check_run(c: &Combo, run: &Run, expected: &[String], seen: &mut Seen) {
     let tag = format!("{c:?}");
     if let Some(e) = &run.error {
         check_error(&tag, c.servers == 1 && !c.retry, e);
@@ -160,39 +205,40 @@ fn check_run(c: &Combo, run: &Run, expected: &[String]) {
         assert_eq!(r.result, expected[r.round - 1], "{tag}: round {}", r.round);
         let charged = match c.meter {
             Meter::Off => (r.ops_used, r.peak_heap) == (0, 0),
-            _ => r.server == "client" || r.ops_used > 0,
+            _ => r.server.is_none() || r.ops_used > 0,
         };
         assert!(charged, "{tag}: {r:?}");
     }
-    let offloaded = run.rounds.iter().any(|r| r.server != "client");
+    let offloaded = run.rounds.iter().any(|r| r.server.is_some());
     let ticks = count(&run.jsonl, "meter_tick");
     let exhausted = count(&run.jsonl, "meter_exhausted");
     match c.meter {
         Meter::Off => assert_eq!(ticks + exhausted, 0, "{tag}"),
         Meter::Generous => assert!(exhausted == 0 && (ticks > 0 || !offloaded), "{tag}"),
-        Meter::Tight => {}
+        Meter::Tight | Meter::Zero => {}
     }
     if !c.effects && !c.predict {
         assert_eq!(count(&run.jsonl, "gate"), 0, "{tag}");
     }
     if c.servers == 1 {
         let before_last = &run.rounds[..run.rounds.len().saturating_sub(1)];
-        let local = before_last.iter().filter(|r| r.server == "client").count();
+        let local = before_last.iter().filter(|r| r.server.is_none()).count();
         assert!(count(&run.jsonl, "server_select") <= local, "{tag}");
         assert_eq!(count(&run.jsonl, "handoff"), 0, "{tag}");
     }
-}
-
-/// A `gate:plan` line's verdict and the rest of the line, and its two
-/// readings.
-fn plan_reading(line: &str) -> Option<(String, u64, u64)> {
-    let (name, rest) = line
-        .strip_prefix("{\"name\":\"gate:plan:")?
-        .split_once('"')?;
-    let mut parts = name.split(':');
-    let verdict = parts.next()?;
-    let lhs = parts.next()?.parse().ok()?;
-    Some((format!("{verdict}{rest}"), lhs, parts.next()?.parse().ok()?))
+    for line in run.jsonl.lines() {
+        let Some(((gate, verdict, lhs, rhs), _)) = gate_line(line) else {
+            continue;
+        };
+        let trips = match gate {
+            "plan" => lhs >= rhs,
+            _ => lhs > rhs,
+        };
+        assert_eq!(verdict == "local", trips, "{tag}: {line}");
+        seen.gates.insert(format!("{gate}:{verdict}"));
+    }
+    seen.retries += count(&run.jsonl, "retry");
+    seen.fallbacks += run.rounds.iter().filter(|r| r.fell_back).count();
 }
 
 /// Oracle 4 on one pair: `on` is `off` with effect analysis on.
@@ -208,8 +254,10 @@ fn check_effects(c: &Combo, off: &Run, on: &Run) {
     }
     assert_eq!(lines.len(), off.jsonl.lines().count(), "{tag}");
     let floor = |(a, b): (&str, &str)| {
-        let ((va, la, ra), (vb, lb, rb)) = (plan_reading(a)?, plan_reading(b)?);
-        (va == vb && ra == rb && la > lb).then_some(la - lb)
+        let (((ga, va, la, ra), rest_a), ((gb, vb, lb, rb), rest_b)) =
+            (gate_line(a)?, gate_line(b)?);
+        let same = (ga, va, ra, rest_a) == ("plan", vb, rb, rest_b) && gb == "plan";
+        (same && la > lb).then_some(la - lb)
     };
     let pairs = lines.into_iter().zip(off.jsonl.lines());
     let floors: BTreeSet<_> = pairs.filter(|(a, b)| a != b).map(floor).collect();
@@ -219,16 +267,24 @@ fn check_effects(c: &Combo, off: &Run, on: &Run) {
 
 /// One row: `base` under every meter, effects off and on, each run
 /// checked alone and against the runs it must agree with.
-fn check_row(base: Combo, expected: &[String]) {
+fn check_row(base: Combo, expected: &[String], seen: &mut Seen) {
     let runs = [Meter::Off, Meter::Generous, Meter::Tight].map(|meter| {
         [false, true].map(|effects| {
             let mut c = base;
             (c.meter, c.effects) = (meter, effects);
             let r = run(&c);
-            check_run(&c, &r, expected);
+            check_run(&c, &r, expected, seen);
             (c, r)
         })
     });
+    // Only the tiny rows pay for a meter that dooms every round.
+    if base.app.0 == "tiny_cnn" {
+        for effects in [false, true] {
+            let mut c = base;
+            (c.meter, c.effects) = (Meter::Zero, effects);
+            check_run(&c, &run(&c), expected, seen);
+        }
+    }
     let [off, generous, tight] = &runs;
     for ((c, m), (_, r)) in generous.iter().zip(off) {
         let usage = |r: &mut RoundReport| (r.ops_used, r.peak_heap) = (0, 0);
@@ -254,18 +310,31 @@ fn check_row(base: Combo, expected: &[String]) {
 }
 
 /// Every row of `app`: seeds × 1–2 servers × retry × deltas × predict.
-fn check_app(app: &'static App) {
+/// The rows must retry, fall back and reach each gate outcome in
+/// `gates` at least once.
+fn check_app(app: &'static App, gates: &[&str]) {
     let mut oracle = LocalOracle::new(&(app.1)().build()).unwrap();
     let results = (1..=app.4).map(|i| oracle.result(i).unwrap());
     let expected: Vec<String> = results.collect();
-    for seed in app.3.clone() {
+    let mut seen = Seen::default();
+    for &seed in app.3 {
         for bits in 0..16 {
             let on = |bit: u32| bits >> bit & 1 == 1;
             let mut base = Combo::new(app, seed);
             (base.servers, base.retry) = (1 + usize::from(on(0)), on(1));
             (base.deltas, base.predict) = (on(2), on(3));
-            check_row(base, &expected);
+            check_row(base, &expected, &mut seen);
         }
+    }
+    let (retries, fallbacks) = (seen.retries, seen.fallbacks);
+    let faulted = retries > 0 && fallbacks > 0;
+    assert!(faulted, "{app:?}: {retries} retries, {fallbacks} fallbacks");
+    for gate in gates {
+        assert!(
+            seen.gates.contains(*gate),
+            "{app:?}: no {gate} in {:?}",
+            seen.gates
+        );
     }
 }
 
@@ -276,17 +345,21 @@ fn tiny_cnn_sessions_are_transparent_under_every_combination() {
     let fleet = vec![tiny_spec("edge-server-1").with_faults(plan.clone())];
     let one = SessionConfig::tiny_builder().faults(plan).build();
     assert_eq!(one, SessionConfig::tiny_builder().servers(fleet).build());
-    check_app(&TINY);
+    // Local execution wins on the tiny model, and the zero-op meter
+    // trips the effects gate. With agenet's `plan:ship`, the session
+    // rows reach all four gate outcomes.
+    check_app(&TINY, &["effects:local", "effects:ship", "plan:local"]);
 }
 
 #[test]
 fn agenet_sessions_are_transparent_under_every_combination() {
-    check_app(&AGENET);
+    // Offloading wins on AgeNet.
+    check_app(&AGENET, &["plan:ship"]);
 }
 
 #[test]
 fn agenet_third_pool_sessions_are_transparent_under_every_combination() {
-    check_app(&THIRD_POOL);
+    check_app(&THIRD_POOL, &[]);
 }
 
 /// One click through `run_scenario`, after and before the pre-send's
@@ -298,7 +371,7 @@ fn one_click_scenarios_are_transparent_under_every_combination() {
         let clean = (app.1)().build();
         let mut oracle = LocalOracle::new(&clean).unwrap();
         let expected = oracle.result(clean.seed).unwrap();
-        for (seed, bits) in app.3.clone().flat_map(|s| (0..8).map(move |b| (s, b))) {
+        for (seed, bits) in app.3.iter().flat_map(|&s| (0..8).map(move |b| (s, b))) {
             let ack = [Strategy::OffloadAfterAck, Strategy::OffloadBeforeAck];
             let strategy = &ack[bits / 4];
             let [(_, off), (tag, generous)] = [Meter::Off, Meter::Generous].map(|meter| {

@@ -146,7 +146,7 @@ fn guaranteed_meter_exhaustion_completes_locally_before_any_bytes_ship() {
         );
         report
     };
-    assert_eq!(gated.server, "client", "the round never left the client");
+    assert_eq!(gated.server, None, "the round never left the client");
     assert_eq!(gated.up_bytes, 0, "no snapshot bytes shipped");
     assert_eq!(gated.ops_used, 0, "the server meter never charged");
     assert_eq!(
@@ -198,7 +198,7 @@ fn round_floor_never_exceeds_the_ops_a_server_charges() {
         let cfg = builder.effects(true).meter(counting.clone()).build();
         let (reports, _) = run_rounds(cfg, 3);
         for r in &reports {
-            assert_ne!(r.server, "client", "{what}: round {} offloads", r.round);
+            assert!(r.server.is_some(), "{what}: round {} offloads", r.round);
             assert!(
                 floor.min_ops <= r.ops_used,
                 "{what} round {}: floor {} > charged {}",

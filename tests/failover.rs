@@ -15,7 +15,7 @@
 
 use snapedge_core::prelude::*;
 use snapedge_integration::{
-    attempts, names_of_kind, run_checked, secs, tiny_spec, uplink_transfer_starts,
+    attempts, names_of_kind, run_checked, secs, tiny_spec, uplink_transfer_starts, BACK_TO_BACK,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -56,10 +56,15 @@ fn session_hands_off_automatically_when_the_primary_dies_mid_run() {
         assert_eq!(r.result, p.result, "round {} result drifted", r.round);
         assert!(!r.fell_back, "round {} must not fall back", r.round);
     }
-    assert_eq!(rounds[0].server, "edge-a");
-    assert_eq!(rounds[1].server, "edge-b", "round 2 was served by failover");
+    assert_eq!(rounds[0].server.as_deref(), Some("edge-a"));
     assert_eq!(
-        rounds[2].server, "edge-b",
+        rounds[1].server.as_deref(),
+        Some("edge-b"),
+        "round 2 was served by failover"
+    );
+    assert_eq!(
+        rounds[2].server.as_deref(),
+        Some("edge-b"),
         "the fleet sticks with a healthy server"
     );
 
@@ -196,12 +201,13 @@ fn estimator_penalties_steer_rounds_away_from_a_flaky_primary() {
         assert_eq!(r.result, p.result, "round {} result drifted", r.round);
         assert!(!r.fell_back);
     }
-    assert_eq!(rounds[1].server, "edge-b");
+    assert_eq!(rounds[1].server.as_deref(), Some("edge-b"));
     assert_eq!(
-        rounds[2].server, "edge-b",
+        rounds[2].server.as_deref(),
+        Some("edge-b"),
         "no flapping back to the dead primary"
     );
-    assert_eq!(rounds[3].server, "edge-b");
+    assert_eq!(rounds[3].server.as_deref(), Some("edge-b"));
     // Exactly one handoff for the whole session.
     assert_eq!(names_of_kind(&session.trace(), EventKind::Handoff).len(), 1);
 }
@@ -244,7 +250,7 @@ fn a_fleet_that_went_dark_for_a_round_is_reprovisioned_in_the_next() {
     }
     assert!(rounds[1].fell_back, "nobody was reachable in round 2");
     assert!(!rounds[2].fell_back, "round 3 found a server again");
-    assert_ne!(rounds[2].server, "client");
+    assert!(rounds[2].server.is_some());
 }
 
 /// A `kind` window (`"down"` or `"corrupt"`) on both links of every
@@ -307,9 +313,9 @@ fn a_failed_presend_starts_the_session_unprovisioned() {
 
             let rounds: Vec<RoundReport> = (1..=2).map(|i| session.infer(i).unwrap()).collect();
             assert!(rounds[0].fell_back, "{tag}: round 1 completes locally");
-            assert_eq!(rounds[0].server, "client", "{tag}");
+            assert_eq!(rounds[0].server, None, "{tag}");
             assert!(!rounds[1].fell_back, "{tag}: round 2 re-provisions");
-            assert_ne!(rounds[1].server, "client", "{tag}");
+            assert!(rounds[1].server.is_some(), "{tag}");
             assert!(
                 !rounds[1].delta_up,
                 "{tag}: the new server needs a full snapshot"
@@ -363,23 +369,53 @@ fn a_fleet_survives_clients_whose_presend_failed() {
     }
 }
 
-/// `client` is the name a round reports when it ran locally, so no
-/// server may take it: every entry point refuses such a fleet, as it
-/// refuses an empty one, with a config error.
+/// An empty fleet has nowhere to offload: every entry point refuses
+/// it with a config error.
 #[test]
-fn a_server_named_client_is_refused_like_an_empty_fleet() {
-    let client = vec![tiny_spec("client")];
-    for (servers, why) in [(vec![], "at least one"), (client, "`client`")] {
-        let cfg = SessionConfig::tiny_builder().servers(servers).build();
-        let refusals = [
-            OffloadSession::new(cfg.clone()).err(),
-            run_scenario(&ScenarioConfig::from(cfg.core.clone())).err(),
-            Engine::sessions(cfg.clone(), 1).err(),
-            Engine::modeled(cfg, 1).err(),
-        ];
-        let config = |e: &OffloadError| matches!(e, OffloadError::Config(m) if m.contains(why));
-        for refusal in refusals {
-            assert!(refusal.as_ref().is_some_and(config), "{refusal:?}");
-        }
+fn an_empty_fleet_is_refused_by_every_entry_point() {
+    let cfg = SessionConfig::tiny_builder().servers(vec![]).build();
+    let refusals = [
+        OffloadSession::new(cfg.clone()).err(),
+        run_scenario(&ScenarioConfig::from(cfg.core.clone())).err(),
+        Engine::sessions(cfg.clone(), 1).err(),
+        Engine::modeled(cfg, 1).err(),
+    ];
+    let config =
+        |e: &OffloadError| matches!(e, OffloadError::Config(m) if m.contains("at least one"));
+    for refusal in refusals {
+        assert!(refusal.as_ref().is_some_and(config), "{refusal:?}");
     }
+}
+
+/// A round that ran on the client reports no server, so `client` is a
+/// server name like any other: a fleet whose only server takes it
+/// offloads, and every entry point says that server served.
+#[test]
+fn a_server_named_client_serves_like_any_other() {
+    let cfg = SessionConfig::tiny_builder()
+        .servers(vec![tiny_spec("client")])
+        .build();
+    let mut session = OffloadSession::new(cfg.clone()).unwrap();
+    for i in 1..=3 {
+        let r = session.infer(i).unwrap();
+        assert!(!r.fell_back && r.up_bytes > 0, "round {i} offloads: {r:?}");
+        assert_eq!(r.server.as_deref(), Some("client"), "round {i}");
+    }
+    let report = run_scenario(&ScenarioConfig::from(cfg.core.clone())).unwrap();
+    assert!(report.snapshot_up_bytes > 0 && !report.fell_back);
+    assert_eq!(report.server.as_deref(), Some("client"));
+    let mut engine = Engine::sessions(cfg, 2)
+        .unwrap()
+        .arrival(BACK_TO_BACK)
+        .max_rounds(2);
+    run_checked(&mut engine);
+    let served: Vec<Option<u32>> = engine
+        .event_log()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EngineEventKind::Done { served_by, .. } => Some(served_by),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(served, [Some(0); 4]);
 }

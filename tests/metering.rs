@@ -60,7 +60,12 @@ fn ops_exhaustion_fails_over_without_burning_retries() {
     for (r, p) in rounds.iter().zip(&probe_rounds) {
         assert_eq!(r.result, p.result, "round {} result drifted", r.round);
         assert!(!r.fell_back, "round {} must not fall back", r.round);
-        assert_eq!(r.server, "edge-b", "round {} served by failover", r.round);
+        assert_eq!(
+            r.server.as_deref(),
+            Some("edge-b"),
+            "round {} served by failover",
+            r.round
+        );
     }
     let trace = session.trace();
     assert!(

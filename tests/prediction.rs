@@ -20,38 +20,19 @@
 
 use snapedge_core::prelude::*;
 use snapedge_core::Decision;
-use snapedge_integration::{secs, uplink_transfer_starts};
+use snapedge_integration::{gate_reading, secs, uplink_transfer_starts};
 use snapedge_net::Transfer;
 use snapedge_rng::Rng;
 use std::time::Duration;
 
-/// `(gate, verdict, lhs, rhs)` of every gate event, in order.
-fn gate_verdicts(trace: &Trace) -> Vec<(String, String, u64, u64)> {
-    trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::Gate)
-        .map(|e| {
-            let parts: Vec<&str> = e.name.split(':').collect();
-            assert!(parts.len() == 5 && parts[0] == "gate", "{}", e.name);
-            let number = |s: &str| s.parse().unwrap_or_else(|_| panic!("{}", e.name));
-            (
-                parts[1].to_string(),
-                parts[2].to_string(),
-                number(parts[3]),
-                number(parts[4]),
-            )
-        })
-        .collect()
-}
-
 /// The `(verdict, lhs, rhs)` of every `gate:plan:*` event, in order:
 /// predicted offload against predicted local time, in microseconds.
 fn plan_verdicts(trace: &Trace) -> Vec<(String, u64, u64)> {
-    gate_verdicts(trace)
-        .into_iter()
-        .filter(|(gate, ..)| gate == "plan")
-        .map(|(_, verdict, lhs, rhs)| (verdict, lhs, rhs))
+    let gates = trace.events().iter().filter(|e| e.kind == EventKind::Gate);
+    gates
+        .map(|e| gate_reading(&e.name).unwrap_or_else(|| panic!("{}", e.name)))
+        .filter(|(gate, ..)| *gate == "plan")
+        .map(|(_, verdict, lhs, rhs)| (verdict.to_string(), lhs, rhs))
         .collect()
 }
 
@@ -141,7 +122,7 @@ fn session_predicts_local_before_retry_budget_exhaustion() {
     assert!(predictive[2].proactive, "round 3 must be proactive");
     assert!(!predictive[2].fell_back, "proactive is not a fallback");
     assert_eq!(predictive[2].prediction, Some(Decision::Local));
-    assert_eq!(predictive[2].server, "client");
+    assert_eq!(predictive[2].server, None);
     assert_eq!(predictive[2].result, reactive[2].result);
     assert!(
         predictive[2].total < reactive[2].total,
@@ -279,60 +260,6 @@ fn healthy_link_prediction_is_marker_only() {
         "one marker per round"
     );
     assert_eq!(plan_count(&predictive_trace, "local"), 0);
-}
-
-/// Prediction off is not merely similar to the pre-predictor path — it is
-/// the same configuration value, and the chaos matrix replays identically
-/// whether the knob is spelled out or left at its default.
-/// Every verdict's numbers satisfy the comparison its gate names — the
-/// plan gate goes local when predicted offload >= predicted local, the
-/// effects gate when sources (or a cost floor) exceed what is allowed —
-/// and every `ship` the converse, with both gates on across the chaos
-/// seed matrix.
-#[test]
-fn every_verdict_satisfies_the_comparison_it_names_across_the_chaos_seed_matrix() {
-    let mut seen = std::collections::BTreeSet::new();
-    for seed in [1u64, 2, 3, 5, 8] {
-        let gated = |builder: SessionBuilder| {
-            builder
-                .faults(FaultPlan::chaos(seed, secs(1.0)))
-                .retry(RetryPolicy::default())
-                .predict(true)
-                .effects(true)
-        };
-        for cfg in [
-            // Local execution wins on the tiny model, offloading on AgeNet,
-            // and a zero-op meter dooms every round before the planner runs.
-            gated(SessionConfig::tiny_builder()).build(),
-            gated(SessionConfig::paper_builder("agenet")).build(),
-            gated(SessionConfig::tiny_builder())
-                .meter(MeterLimits::default().with_ops(0))
-                .build(),
-        ] {
-            let mut session = OffloadSession::new(cfg).unwrap();
-            for i in 1..=3 {
-                session.infer(i).unwrap();
-            }
-            for (gate, verdict, lhs, rhs) in gate_verdicts(&session.trace()) {
-                let trips = if gate == "plan" {
-                    lhs >= rhs
-                } else {
-                    lhs > rhs
-                };
-                assert_eq!(
-                    verdict != "ship",
-                    trips,
-                    "seed {seed}: gate:{gate}:{verdict}:{lhs}:{rhs}"
-                );
-                seen.insert(format!("{gate}:{verdict}"));
-            }
-        }
-    }
-    let seen: Vec<&str> = seen.iter().map(String::as_str).collect();
-    assert_eq!(
-        seen,
-        ["effects:local", "effects:ship", "plan:local", "plan:ship"]
-    );
 }
 
 /// A retry backoff past 2⁶⁴ µs prices the offload side beyond what a
