@@ -132,6 +132,16 @@ if grep -rnE '(==|!=) "client"|\.server, "client"' crates/*/src tests; then
     exit 1
 fi
 
+echo "== one placement rule (ServerPool::select ranks servers for both fleets; the modeled rotation and its second ranking loop stay deleted)"
+if grep -n 'client + done' crates/core/src/engine.rs; then
+    echo "engine.rs rotates modeled clients again: place them by ServerPool::select's rule" >&2
+    exit 1
+fi
+if grep -rnE '(predicted_migration|predicted_wait)\(' crates/*/src | grep -vE '^crates/core/src/(fleet|balance)\.rs:'; then
+    echo "a server is ranked outside fleet.rs and balance.rs: call ServerPool::select" >&2
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
@@ -164,6 +174,16 @@ refused meter "${modeled[@]}" --meter ops=10
 refused clients fleet --model agenet --clients 18446744073709551615 --rounds 2
 target/release/snapedge fleet --model agenet --clients 100 \
     --servers "edge-a,mbps=30,meter=ops=5000+slice=10;edge-b,mbps=20" --real true >/dev/null
+
+echo "== a uniform fleet spreads its clients (modeled and real fleets each put rounds on both of two tied servers)"
+for real in false true; do
+    placed=$(target/release/snapedge fleet --model agenet --clients 4 --duration 20 --seed 1 --servers 'a;b' --real "$real")
+    if ! awk '$1 == "server:" { n++; if ($3 + 0 == 0) idle++ } END { exit !(n == 2 && !idle) }' <<<"$placed"; then
+        echo "snapedge fleet --real $real on 'a;b': want rounds on both servers, got:" >&2
+        echo "$placed" >&2
+        exit 1
+    fi
+done
 
 echo "== a failed pre-send degrades to local (session, fleet --real and run exit 0, session offloads again in round 2); strict fail-fast is one error line"
 faults=(--fault-plan 'corrupt@4..5.5' --retry 'attempts=3,deadline=5')
@@ -222,7 +242,7 @@ grep -q "edge-b" <<<"$meter_smoke"
 echo "== fleet scale smoke (10k clients under a wall-clock budget)"
 cargo run --offline --release -p snapedge-bench --bin fleet_scale
 
-echo "== balancing micro (report-only: rotation vs queue-aware p99 on a skewed fleet)"
+echo "== balancing micro (report-only: unbalanced vs queue-aware placement p99 on a skewed fleet)"
 cargo run --offline --release -p snapedge-bench --bin fleet_balance
 
 echo "== determinism lint (wall-clock, hash-iter, collect-in-loop, string-keyed-map)"

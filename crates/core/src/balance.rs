@@ -1,22 +1,20 @@
 //! Queue-aware load balancing, admission control and per-tenant fair
 //! share for the fleet engine.
 //!
-//! PR 6's engine made queueing delay *emergent* — overlapping clients on
-//! one server CPU wait at `max(now, busy_until)` — but both workload
-//! paths still picked servers blind to it: modeled clients rotated
-//! statically and real sessions ranked candidates by link health alone.
-//! A diurnal peak therefore herds clients onto one server and silently
-//! erases the offload win the paper measures. This module prices the
-//! queue:
+//! The engine makes queueing delay *emergent* — overlapping clients on
+//! one server CPU wait at `max(now, busy_until)` — but placement by
+//! predicted migration time alone is blind to it: a diurnal peak herds
+//! clients onto the server with the best link and silently erases the
+//! offload win the paper measures. This module prices the queue:
 //!
 //! * [`Balancer`] — per-server **predicted queueing delay**, derived
 //!   from the engine's `busy_until` ground truth plus deterministic
 //!   integer EWMAs of recent waits and service times (the closed-loop
-//!   signal when reservations alone under-estimate). The engine feeds
-//!   the prediction to [`ModeledWorkload`](crate::ModeledWorkload) for
-//!   least-predicted-sojourn selection, to
-//!   [`ServerPool::select`](crate::ServerPool::select) for failover
-//!   ordering, and to the session's plan gate
+//!   signal when reservations alone under-estimate). The engine hands
+//!   the prediction, as [`Balancer::outlook`], to
+//!   [`ServerPool::select`](crate::ServerPool::select), the one
+//!   placement rule (a modeled client's first round, a session's
+//!   failover), and to the session's plan gate
 //!   ([`PartitionOptimizer::plan`](crate::PartitionOptimizer::plan)) as an
 //!   additive prior — queueing delay that erases the offload win
 //!   degrades the round to local *before* any bytes commit to the wire
@@ -109,7 +107,7 @@ impl Balancer {
     /// would pay: the reservation backlog (`busy_until - at`, ground
     /// truth) or the recent-wait EWMA, whichever is worse, plus the
     /// parked fair-share queue priced at the service-time EWMA.
-    pub fn predicted_wait(&self, server: usize, at: Duration) -> Duration {
+    fn predicted_wait(&self, server: usize, at: Duration) -> Duration {
         let Some(&until) = self.busy_until.get(server) else {
             return Duration::ZERO;
         };

@@ -47,8 +47,9 @@
 //! [`SessionConfig::paper`]'s value, rather than drop it.
 
 use crate::balance::{jain, Balancer, DrrScheduler, DEFAULT_DRR_QUANTUM};
+use crate::fleet::place;
 use crate::session::{OffloadSession, RoundReport, RoundStep, SessionConfig};
-use crate::{OffloadConfig, OffloadError, ServerSpec};
+use crate::{OffloadConfig, OffloadError, ServerPool, ServerSpec};
 use snapedge_dnn::zoo;
 use snapedge_net::EventQueue;
 use snapedge_rng::{splitmix64, Rng};
@@ -282,9 +283,9 @@ pub trait Workload {
 
     /// Like [`Workload::begin_round`], with the engine's queue-delay
     /// [`Balancer`] in hand — called instead of `begin_round` when
-    /// balancing is on. Workloads that select servers (or gate
-    /// admission) consult `balancer` for each candidate's predicted
-    /// queueing delay; the default ignores it and stays load-blind.
+    /// balancing is on. Workloads that place clients (or gate
+    /// admission) consult [`Balancer::outlook`]; the default ignores
+    /// it and stays load-blind.
     ///
     /// # Errors
     ///
@@ -317,8 +318,9 @@ pub trait Workload {
 
 /// The full-fidelity workload: one real [`OffloadSession`] per client —
 /// real browsers, snapshots, deltas, faults, fleet failover. Each
-/// client's session is seeded `cfg.seed + client`, so client 0 of a
-/// 1-client fleet replays the legacy loop bit for bit.
+/// client's session is seeded `cfg.seed + client` and placed as client
+/// `client`, so client 0 of a 1-client fleet replays the legacy loop
+/// bit for bit.
 pub struct SessionWorkload {
     sessions: Vec<OffloadSession>,
     reports: Vec<RoundReport>,
@@ -346,7 +348,7 @@ impl SessionWorkload {
         for client in 0..clients {
             let mut per_client = cfg.clone();
             per_client.seed = cfg.seed.wrapping_add(client as u64);
-            sessions.push(OffloadSession::new(per_client)?);
+            sessions.push(OffloadSession::for_client(per_client, client)?);
         }
         Ok(SessionWorkload {
             sessions,
@@ -467,25 +469,29 @@ impl Workload for SessionWorkload {
 #[derive(Debug, Clone, Copy)]
 struct ModeledRound {
     clicked: Duration,
-    server: usize,
     service: Duration,
     released: Duration,
 }
 
-/// One modeled client: its 1-based round counter and the round in flight.
+/// One modeled client: its 1-based round counter, its server and the
+/// round in flight.
 #[derive(Debug, Clone, Copy, Default)]
 struct ModeledClient {
     round: usize,
+    server: usize,
     pending: Option<ModeledRound>,
 }
 
 /// The megascale workload: per-round timings derived from the same
 /// calibrated device/link models the scenarios use (restore + full
 /// execution + capture at the server; capture/transfer/restore on the
-/// client side), with clients rotating round-robin over the fleet. No
-/// browsers are built, so tens of thousands of clients simulate in
-/// milliseconds, behind the same [`Workload`] API as real sessions.
+/// client side). A client is placed by [`ServerPool::select`]'s rule at
+/// its first round, priced as a session's build is, and keeps that
+/// server. No browsers are built, so tens of thousands of clients
+/// simulate in milliseconds, behind the same [`Workload`] API as real
+/// sessions.
 pub struct ModeledWorkload {
+    migration: Vec<Duration>,
     service: Vec<Duration>,
     up: Vec<Duration>,
     down: Vec<Duration>,
@@ -594,6 +600,7 @@ impl ModeledWorkload {
         let mut slots = client_slots(clients)?;
         slots.resize(clients, ModeledClient::default());
         Ok(ModeledWorkload {
+            migration: ServerPool::new(cfg.servers.clone()).migrations(cfg.image_bytes as u64, 0),
             service,
             up,
             down,
@@ -609,22 +616,26 @@ impl ModeledWorkload {
             .ok_or_else(|| OffloadError::Config(format!("workload has no client {client}")))
     }
 
-    /// Starts `client`'s next round on `server`, parks it and yields its
-    /// compute request.
+    /// Starts `client`'s next round, placing it on its first, parks it
+    /// and yields its compute request.
     fn issue(
         &mut self,
         client: usize,
         at: Duration,
-        server: usize,
+        balancer: Option<&Balancer>,
     ) -> Result<EngineStep, OffloadError> {
-        let idx = server % self.service.len();
-        let (ready, service) = (at + self.capture + self.up[idx], self.service[idx]);
-        let slot = self.client(client)?;
+        if self.client(client)?.round == 0 {
+            let outlook = balancer.map_or_else(Vec::new, |b| b.outlook(at));
+            let placed = place(client, self.migration.iter().copied().map(Some), &outlook);
+            self.clients[client].server = placed.unwrap_or_default();
+        }
+        let slot = &mut self.clients[client];
+        let server = slot.server;
+        let ready = at + self.capture + self.up[server];
         slot.round += 1;
         slot.pending = Some(ModeledRound {
             clicked: at,
-            server,
-            service,
+            service: self.service[server],
             released: ready,
         });
         Ok(EngineStep::NeedCompute { server, at: ready })
@@ -640,42 +651,19 @@ impl Workload for ModeledWorkload {
         &mut self,
         client: usize,
         at: Duration,
-        _image_seed: u64,
+        _: u64,
     ) -> Result<EngineStep, OffloadError> {
-        let done = self.client(client)?.round;
-        // Load-blind round-robin server choice, offset by client so a
-        // cold fleet spreads load instead of stampeding candidate 0 —
-        // the legacy path `begin_round_balanced` supersedes when
-        // balancing is on.
-        let server = (client + done) % self.service.len();
-        self.issue(client, at, server)
+        self.issue(client, at, None)
     }
 
     fn begin_round_balanced(
         &mut self,
         client: usize,
         at: Duration,
-        _image_seed: u64,
+        _: u64,
         balancer: &Balancer,
     ) -> Result<EngineStep, OffloadError> {
-        // Least-predicted-sojourn selection: per candidate, the wire and
-        // CPU cost of the round plus the queueing delay the balancer
-        // predicts at the moment the uplink would land. Ties go to the
-        // lowest index, keeping selection deterministic.
-        let mut server = 0usize;
-        let mut best = Duration::MAX;
-        for s in 0..self.service.len() {
-            let ready = at + self.capture + self.up[s];
-            let sojourn = self.up[s]
-                .saturating_add(balancer.predicted_wait(s, ready))
-                .saturating_add(self.service[s])
-                .saturating_add(self.down[s]);
-            if sojourn < best {
-                server = s;
-                best = sojourn;
-            }
-        }
-        self.issue(client, at, server)
+        self.issue(client, at, Some(balancer))
     }
 
     fn compute(&mut self, client: usize, admitted_at: Duration) -> Result<Duration, OffloadError> {
@@ -690,24 +678,23 @@ impl Workload for ModeledWorkload {
 
     fn continue_round(&mut self, client: usize) -> Result<EngineStep, OffloadError> {
         let slot = self.client(client)?;
-        let (number, Some(round)) = (slot.round, slot.pending.take()) else {
+        let (number, server, Some(round)) = (slot.round, slot.server, slot.pending.take()) else {
             return Err(OffloadError::Protocol(
                 "round continued with no modeled round in flight".into(),
             ));
         };
-        let fleet = self.service.len();
-        let finished = round.released + self.down[round.server % fleet] + self.restore;
+        let finished = round.released + self.down[server] + self.restore;
         Ok(EngineStep::Done(RoundOutcome {
             client,
             round: number,
             finished_at: finished,
             total: finished - round.clicked,
             fell_back: false,
-            served_by: Some(round.server % fleet),
+            served_by: Some(server),
             ops_used: 0,
             peak_heap: 0,
             proactive: false,
-            target: round.server % fleet,
+            target: server,
         }))
     }
 }
@@ -1012,11 +999,10 @@ impl<W: Workload> Engine<W> {
         self
     }
 
-    /// Toggles queue-aware balancing (default off): modeled clients pick
-    /// the least-predicted-sojourn server, and every real session gets
-    /// the fleet's queue outlook before each round — its `plan` gate then
-    /// prices the wait (admission control) and its failover ranks by
-    /// predicted sojourn. Off replays the load-blind paths bit for bit.
+    /// Toggles queue-aware balancing (default off): every client's
+    /// placement (a modeled first round, a session's failover) ranks by
+    /// predicted sojourn, and a session's `plan` gate prices the wait
+    /// (admission control). Off replays the load-blind paths bit for bit.
     pub fn balance(mut self, on: bool) -> Engine<W> {
         self.balance = on;
         self
@@ -1571,6 +1557,13 @@ mod tests {
     #[test]
     fn an_engine_event_fits_48_bytes() {
         assert!(std::mem::size_of::<EngineEvent>() <= 48);
+    }
+
+    /// Placement moved the server from the round in flight to the
+    /// client, so a 10 000-client fleet holds no more than it did.
+    #[test]
+    fn a_modeled_client_fits_64_bytes() {
+        assert!(std::mem::size_of::<ModeledClient>() <= 64);
     }
 
     /// A think time no clock can hold ends the client's loop after its

@@ -13,9 +13,9 @@
 //! retry budget against the current server exhausts; local execution is
 //! the last resort once every candidate is exhausted.
 //!
-//! Selection is deterministic: candidates are scored in order and ties go
-//! to the lowest index, so the same configuration always picks the same
-//! server — the property the bit-for-bit chaos suite leans on.
+//! [`ServerPool::select`] is the one placement rule of both fleets, and
+//! deterministic: client `c` takes the `c % ties`-th of the best-tied
+//! candidates, so client 0 (every scenario) takes the lowest index.
 
 use crate::device::DeviceProfile;
 use crate::OffloadError;
@@ -266,37 +266,51 @@ impl ServerPool {
         }
     }
 
-    /// Least-predicted-**sojourn** selection: the non-exhausted candidate
-    /// with the smallest predicted migration time plus its predicted
-    /// server-side queueing delay (`delays[idx]`, from a
-    /// [`Balancer`](crate::balance::Balancer) outlook; missing entries
-    /// count as zero, so an empty slice ranks by migration time alone).
-    /// A fast link to a saturated CPU loses to a slower link whose CPU is
-    /// idle. Ties go to the lowest index (the configured preference
-    /// order), making selection deterministic. `None` when every
-    /// candidate is exhausted.
+    /// Each candidate's [`ServerPool::predicted_migration`], in fleet order.
+    pub(crate) fn migrations(&self, pending_bytes: u64, model_bytes: u64) -> Vec<Duration> {
+        (0..self.servers.len())
+            .map(|idx| self.predicted_migration(idx, pending_bytes, model_bytes))
+            .collect()
+    }
+
+    /// Where `client` is placed (a session at build and failover, a
+    /// modeled client at its first round): the non-exhausted candidate
+    /// with the least predicted migration time plus queueing delay
+    /// (`delays[idx]`, a [`Balancer`](crate::balance::Balancer) outlook;
+    /// missing entries count as zero). Of the candidates tied with the
+    /// best, in fleet order, client `c` takes the `c % ties`-th. `None`
+    /// when every candidate is exhausted. Still open: a session's build
+    /// prices no model bytes, its failover does; which horizon placement
+    /// should optimise is undecided.
     pub fn select(
         &self,
+        client: usize,
         pending_bytes: u64,
         model_bytes: u64,
         delays: &[Duration],
     ) -> Option<usize> {
-        let mut best: Option<(usize, Duration)> = None;
-        for idx in 0..self.servers.len() {
-            if self.servers[idx].exhausted {
-                continue;
-            }
-            let queueing = delays.get(idx).copied().unwrap_or(Duration::ZERO);
-            let predicted = self
-                .predicted_migration(idx, pending_bytes, model_bytes)
-                .saturating_add(queueing);
-            match best {
-                Some((_, incumbent)) if incumbent <= predicted => {}
-                _ => best = Some((idx, predicted)),
-            }
-        }
-        best.map(|(idx, _)| idx)
+        let migrations = self.servers.iter().enumerate().map(|(idx, c)| {
+            (!c.exhausted).then(|| self.predicted_migration(idx, pending_bytes, model_bytes))
+        });
+        place(client, migrations, delays)
     }
+}
+
+/// [`ServerPool::select`]'s ranking over each candidate's predicted
+/// migration time (`None`: not a candidate).
+pub(crate) fn place<I>(client: usize, migrations: I, delays: &[Duration]) -> Option<usize>
+where
+    I: Iterator<Item = Option<Duration>> + Clone,
+{
+    let costs = migrations.enumerate().filter_map(|(idx, migration)| {
+        let queueing = delays.get(idx).copied().unwrap_or(Duration::ZERO);
+        Some((idx, migration?.saturating_add(queueing)))
+    });
+    let best = costs.clone().map(|(_, cost)| cost).min()?;
+    let tied = costs
+        .filter(move |&(_, cost)| cost == best)
+        .map(|(idx, _)| idx);
+    tied.clone().nth(client % tied.count())
 }
 
 /// Parses a `--servers` fleet spec: entries separated by `;`, each entry
@@ -449,27 +463,43 @@ mod tests {
     #[test]
     fn selection_prefers_the_fastest_configured_link() {
         let pool = ServerPool::new(vec![spec("a", 10.0), spec("b", 30.0), spec("c", 5.0)]);
-        assert_eq!(pool.select(100_000, 1_000_000, &[]), Some(1));
+        assert_eq!(pool.select(0, 100_000, 1_000_000, &[]), Some(1));
     }
 
+    /// The tie rule, client by client: client `c` takes the `c % ties`-th
+    /// of the candidates tied with the best, so client 0 takes the lowest
+    /// index and a strictly cheaper candidate takes every client.
     #[test]
-    fn ties_go_to_the_lowest_index() {
-        let pool = ServerPool::new(vec![spec("a", 10.0), spec("b", 10.0)]);
-        assert_eq!(pool.select(100_000, 0, &[]), Some(0));
+    fn selection_spreads_tied_clients_in_fleet_order() {
+        let uniform = || vec![spec("a", 10.0), spec("b", 10.0), spec("c", 10.0)];
+        let mut one_exhausted = ServerPool::new(uniform());
+        one_exhausted.mark_exhausted(1);
+        let cheaper = ServerPool::new(vec![spec("a", 10.0), spec("b", 30.0), spec("c", 10.0)]);
+        let table: [(&str, ServerPool, [usize; 5]); 3] = [
+            ("three tied", ServerPool::new(uniform()), [0, 1, 2, 0, 1]),
+            ("b exhausted", one_exhausted, [0, 2, 0, 2, 0]),
+            ("b cheaper", cheaper, [1; 5]),
+        ];
+        for (case, pool, want) in table {
+            for (client, want) in want.into_iter().enumerate() {
+                let got = pool.select(client, 100_000, 0, &[]);
+                assert_eq!(got, Some(want), "{case}: client {client}");
+            }
+        }
     }
 
     #[test]
     fn queueing_delay_overrules_the_faster_link() {
         let pool = ServerPool::new(vec![spec("a", 30.0), spec("b", 10.0)]);
         // With an empty outlook the 30 Mbps link wins.
-        assert_eq!(pool.select(100_000, 0, &[]), Some(0));
+        assert_eq!(pool.select(0, 100_000, 0, &[]), Some(0));
         // A saturated CPU behind the fast link flips the choice: the
         // slower-link candidate finishes sooner end to end.
         let outlook = [Duration::from_secs(5), Duration::ZERO];
-        assert_eq!(pool.select(100_000, 0, &outlook), Some(1));
+        assert_eq!(pool.select(0, 100_000, 0, &outlook), Some(1));
         // Missing trailing entries count as idle.
         let short = [Duration::from_secs(5)];
-        assert_eq!(pool.select(100_000, 0, &short), Some(1));
+        assert_eq!(pool.select(0, 100_000, 0, &short), Some(1));
     }
 
     #[test]
@@ -485,7 +515,7 @@ mod tests {
                 corrupted: false,
             },
         );
-        assert_eq!(pool.select(100_000, 0, &[]), Some(1));
+        assert_eq!(pool.select(0, 100_000, 0, &[]), Some(1));
     }
 
     #[test]
@@ -501,12 +531,12 @@ mod tests {
                 corrupted: false,
             },
         );
-        assert_eq!(pool.select(1_000_000, 0, &[]), Some(0));
+        assert_eq!(pool.select(0, 1_000_000, 0, &[]), Some(0));
         // ...then a string of faults halves its estimate below b's rate.
         pool.observe_faults(0, 2, Duration::from_secs(2));
         let prediction = pool.link(0).unwrap().predict(Duration::from_secs(2));
         assert!((prediction.fault_rate - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(pool.select(1_000_000, 0, &[]), Some(1));
+        assert_eq!(pool.select(0, 1_000_000, 0, &[]), Some(1));
     }
 
     #[test]
@@ -597,7 +627,7 @@ mod tests {
         // cold: (0.01M + 1M + 1.2M)·8 / 8.4M ≈ 2.10 s
         // warm: (0.01M + 0.6M)·8 / 8.0M ≈ 0.61 s
         assert!(warm_t < cold_t);
-        assert_eq!(pool.select(10_000, 1_000_000, &[]), Some(1));
+        assert_eq!(pool.select(0, 10_000, 1_000_000, &[]), Some(1));
         // The exact cold prediction pins the double charge: pre-fix the
         // single-overhead figure was (0.01M + 1M + 0.6M)·8/8.4M ≈ 1.53 s.
         assert!(
@@ -611,21 +641,21 @@ mod tests {
         let mut pool = ServerPool::new(vec![spec("a", 30.0), spec("b", 29.0)]);
         // A huge model pre-send dominates; "b" already has the model.
         pool.mark_model_ready(1);
-        assert_eq!(pool.select(10_000, 50_000_000, &[]), Some(1));
+        assert_eq!(pool.select(0, 10_000, 50_000_000, &[]), Some(1));
         // With both ready, raw link speed decides again.
         pool.mark_model_ready(0);
-        assert_eq!(pool.select(10_000, 50_000_000, &[]), Some(0));
+        assert_eq!(pool.select(0, 10_000, 50_000_000, &[]), Some(0));
     }
 
     #[test]
     fn exhausted_candidates_are_skipped_until_the_next_round() {
         let mut pool = ServerPool::new(vec![spec("a", 30.0), spec("b", 10.0)]);
         pool.mark_exhausted(0);
-        assert_eq!(pool.select(0, 0, &[]), Some(1));
+        assert_eq!(pool.select(0, 0, 0, &[]), Some(1));
         pool.mark_exhausted(1);
-        assert_eq!(pool.select(0, 0, &[]), None);
+        assert_eq!(pool.select(0, 0, 0, &[]), None);
         pool.begin_round();
-        assert_eq!(pool.select(0, 0, &[]), Some(0));
+        assert_eq!(pool.select(0, 0, 0, &[]), Some(0));
     }
 
     #[test]
@@ -661,7 +691,7 @@ mod tests {
         );
         let pool = ServerPool::new(vec![dead, spec("ok", 1.0)]);
         assert_eq!(pool.predicted_migration(0, 1000, 0), Duration::MAX);
-        assert_eq!(pool.select(1000, 0, &[]), Some(1));
+        assert_eq!(pool.select(0, 1000, 0, &[]), Some(1));
         // Out-of-range index is also "unreachable", not a panic.
         assert_eq!(pool.predicted_migration(9, 1000, 0), Duration::MAX);
     }

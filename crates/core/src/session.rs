@@ -236,6 +236,8 @@ pub struct OffloadSession {
     clock: SimClock,
     client: Endpoint,
     pool: ServerPool,
+    /// Its client index in a fleet (0 alone): the placement tie-break.
+    client_id: usize,
     /// Index of the current server in the pool.
     current: usize,
     /// The current server: endpoint, links and the state valid against
@@ -415,6 +417,11 @@ impl OffloadSession {
     /// and the pre-send's own network fault under strict fail-fast: one
     /// server and no retry policy.
     pub fn new(cfg: SessionConfig) -> Result<OffloadSession, OffloadError> {
+        OffloadSession::for_client(cfg, 0)
+    }
+
+    /// [`OffloadSession::new`] for client `client_id` of a fleet.
+    pub(crate) fn for_client(cfg: SessionConfig, client_id: usize) -> Result<Self, OffloadError> {
         crate::fleet::check_fleet(&cfg.servers)?;
         let net = zoo::by_name(&cfg.model)?;
         let cut = match &cfg.cut {
@@ -438,11 +445,10 @@ impl OffloadSession {
         let client = Endpoint::new("client", cfg.client_device.clone(), clock.clone())
             .with_tracer(tracer.clone(), Lane::Client);
         let pool = ServerPool::new(cfg.servers.clone());
-        // Initial selection: no throughput history yet, so the metric
-        // ranks candidates by configured link quality. A fleet of one
-        // picks its only server without ceremony (and without events).
+        // No throughput history yet: candidates rank by configured link
+        // quality. A fleet of one picks its only server without events.
         let first = pool
-            .select(cfg.image_bytes as u64, 0, &[])
+            .select(client_id, cfg.image_bytes as u64, 0, &[])
             .unwrap_or_default();
         let spec = cfg.servers[first].clone();
         if pool.len() > 1 {
@@ -463,6 +469,7 @@ impl OffloadSession {
             clock,
             client,
             pool,
+            client_id,
             current: first,
             round: 0,
             ack_at: None,
@@ -702,25 +709,20 @@ impl OffloadSession {
         Ok(moved)
     }
 
-    /// Picks the best non-exhausted candidate by predicted migration
-    /// time, emits `server_select`/`handoff` events and re-provisions
-    /// (model re-pre-send). Candidates the provisioning rule
-    /// ([`OffloadSession::provisioned`]) leaves unprovisioned are marked
-    /// exhausted and the next one is tried. Returns `false` when every
-    /// candidate is exhausted.
+    /// Places the client by [`ServerPool::select`] among the
+    /// non-exhausted candidates, emits `server_select`/`handoff` events
+    /// and re-provisions (model re-pre-send). Candidates the provisioning
+    /// rule ([`OffloadSession::provisioned`]) leaves unprovisioned are
+    /// marked exhausted and the next one is tried. Returns `false` when
+    /// every candidate is exhausted.
     ///
     /// # Errors
     ///
     /// Propagates the provisioning failures the rule does not absorb.
     fn provision_next(&mut self) -> Result<bool, OffloadError> {
         loop {
-            // Candidates are ranked by predicted *sojourn* (migration +
-            // server-side queueing delay from the engine's outlook); with
-            // no outlook, by migration time alone.
-            let Some(next) =
-                self.pool
-                    .select(self.last_full_bytes, self.model_bytes, &self.queue_outlook)
-            else {
+            let (id, bytes, model) = (self.client_id, self.last_full_bytes, self.model_bytes);
+            let Some(next) = self.pool.select(id, bytes, model, &self.queue_outlook) else {
                 return Ok(false);
             };
             let spec = match self.pool.spec(next) {

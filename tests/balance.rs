@@ -6,10 +6,12 @@
 //!    its default, session fleets replay byte for byte and none of the
 //!    new trace vocabulary appears: `tests/combinations.rs` checks it
 //!    across the chaos matrix (its oracle 7).
-//! 2. **Balancing beats rotation under contention** — a skewed 3-server
-//!    fleet under Poisson load completes with a strictly lower p99
-//!    sojourn when modeled clients pick the least-predicted-sojourn
-//!    server instead of rotating blindly over a slow candidate.
+//! 2. **Balancing beats unbalanced placement under contention** — on a
+//!    3-server fleet whose best link leads to the weakest CPU, unbalanced
+//!    placement (predicted migration time alone) puts every modeled
+//!    client on that server; placing by predicted sojourn moves clients
+//!    off it and completes the same Poisson load with a strictly lower
+//!    p99 sojourn.
 //! 3. **Admission control sheds load** — overloaded real sessions with
 //!    balancing on degrade at least one round to local *proactively*
 //!    (the queue prior erased the offload win before any bytes shipped),
@@ -26,26 +28,24 @@ use snapedge_integration::{count_kind, run_checked, tiny_spec, BACK_TO_BACK, LON
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
-// 2. Balancing beats rotation under contention
+// 2. Balancing beats unbalanced placement under contention
 // ---------------------------------------------------------------------
 
-/// The acceptance run: a 3-server fleet with one slow candidate (weak
-/// device behind a thin link), 1 000 open-loop clients. Static rotation
-/// routes every third round through the slow server and its queue
-/// explodes; least-predicted-sojourn selection prices that queue and
-/// sends the slow server only the trickle it can absorb, so the
-/// balanced p99 sojourn is strictly lower and the slow server carries
-/// strictly fewer rounds.
+/// The acceptance run: two x86 servers behind 30 Mbps links and the
+/// weak `odroid_xu4` behind a 100 Mbps one, 1 000 open-loop clients.
+/// Unbalanced placement ranks by predicted migration time alone, so
+/// every client takes the fast link and the weak CPU's queue explodes;
+/// placing by predicted sojourn prices that queue and moves clients to
+/// the x86 servers, so the balanced p99 sojourn is strictly lower.
 #[test]
-fn balancing_beats_rotation_on_a_skewed_fleet() {
+fn balancing_beats_unbalanced_placement_on_a_skewed_fleet() {
     let run = |balance: bool| {
         let cfg = SessionConfig::paper_builder("agenet")
-            .add_server(tiny_spec("edge-b"))
-            .add_server(ServerSpec::new(
-                "edge-slow",
-                odroid_xu4(),
-                LinkConfig::mbps(3.0),
-            ))
+            .servers(vec![
+                tiny_spec("edge-a"),
+                tiny_spec("edge-b"),
+                ServerSpec::new("edge-near", odroid_xu4(), LinkConfig::mbps(100.0)),
+            ])
             .build();
         let mut engine = Engine::modeled(cfg, 1_000)
             .unwrap()
@@ -56,22 +56,27 @@ fn balancing_beats_rotation_on_a_skewed_fleet() {
         assert_eq!(report.servers.len(), 3);
         report
     };
-    let rotation = run(false);
+    let unbalanced = run(false);
     let balanced = run(true);
     // Both regimes complete the same traffic (same seed, same arrivals).
-    assert!(rotation.completed > 100, "got {}", rotation.completed);
-    assert_eq!(rotation.completed, balanced.completed);
-    assert!(
-        balanced.latency.p99 < rotation.latency.p99,
-        "balanced p99 {:?} must beat rotation p99 {:?}",
-        balanced.latency.p99,
-        rotation.latency.p99
+    assert!(unbalanced.completed > 100, "got {}", unbalanced.completed);
+    assert_eq!(unbalanced.completed, balanced.completed);
+    let near = |report: &FleetReport| report.servers[2].rounds;
+    assert_eq!(
+        near(&unbalanced),
+        unbalanced.completed,
+        "unbalanced placement must put every client on the link-best server"
     );
     assert!(
-        balanced.servers[2].rounds < rotation.servers[2].rounds,
-        "the slow server must shed load: balanced {} vs rotation {}",
-        balanced.servers[2].rounds,
-        rotation.servers[2].rounds
+        near(&balanced) < near(&unbalanced),
+        "balanced placement must move clients off the weak CPU: {} rounds stayed",
+        near(&balanced)
+    );
+    assert!(
+        balanced.latency.p99 < unbalanced.latency.p99,
+        "balanced p99 {:?} must beat unbalanced p99 {:?}",
+        balanced.latency.p99,
+        unbalanced.latency.p99
     );
     // Balanced runs replay deterministically too.
     assert_eq!(run(true), balanced);

@@ -386,18 +386,27 @@ fn session_lines(engine: Engine<SessionWorkload>, think: Duration, cap: usize) -
 
 /// `(run, lines, FNV-1a)` of [`event_log_lines_are_pinned`]'s runs,
 /// recorded at cef9d17 — when the engine still formatted one `String`
-/// per event — and not edited since.
+/// per event. The multi-server runs were re-pinned once, when both
+/// fleets began to place client `c` on the `c % ties`-th tied server
+/// and keep it there (each such line says what moved).
 const PINNED_LINES: [(&str, usize, u64); 10] = [
-    ("modeled_poisson", 5935, 0x905d24ccbbc3abca),
+    // Clients stay on server `c % 3` instead of rotating every round.
+    ("modeled_poisson", 5935, 0x81e6989623f9ce8a),
     ("modeled_diurnal", 2105, 0xfaf5027b97973e78),
     ("modeled_closed", 300, 0xd085497643096c06),
-    ("modeled_fair_share", 540, 0x728ac5d18caddf9d),
-    ("modeled_batch_window", 7428, 0xeb0569a8a559b591),
-    ("modeled_balance", 505, 0xb479cc7c8e56902e),
-    ("modeled_all_three", 7374, 0x7dcb8fe83b348a09),
+    // Same placement move: each DRR ring keeps the same ten tenants.
+    ("modeled_fair_share", 540, 0xaf5aa4f0fa3937cb),
+    // Same placement move; one more batch forms (7 428 lines before).
+    ("modeled_batch_window", 7429, 0xda70a33164ab5238),
+    // Placed once, on the outlook at the click, not re-ranked each round.
+    ("modeled_balance", 505, 0x820a8531a30853f5),
+    // Both moves above; nine more batch lines (7 374 before).
+    ("modeled_all_three", 7383, 0x7c57fe7d46004ad8),
     ("session_fair_batch", 111, 0xd298dc64406b8572),
-    ("session_failover", 30, 0x86e7aae4344a3856),
-    ("session_fallback", 16, 0x74ddb55ed904df26),
+    // Client 1 starts on the healthy edge-b, so only client 0 fails over.
+    ("session_failover", 30, 0xf64141d388091f3c),
+    // Client 1 starts on edge-b: round 1 no longer queues behind client 0.
+    ("session_fallback", 16, 0x1e6e75beca067c79),
 ];
 
 /// `(lines, FNV-1a of the lines, FNV-1a of the clients' JSONL)` of
@@ -863,4 +872,117 @@ fn every_config_field_moves_sessions_and_is_modeled_or_refused() {
             ),
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// 7. One placement rule for both fleets
+// ---------------------------------------------------------------------
+
+/// A workload that notes `(client, round, target)` of every round its
+/// inner workload completes.
+struct Targets<W> {
+    inner: W,
+    seen: Vec<(usize, usize, usize)>,
+}
+
+impl<W: Workload> Targets<W> {
+    fn note(&mut self, step: Result<EngineStep, OffloadError>) -> Result<EngineStep, OffloadError> {
+        if let Ok(EngineStep::Done(outcome)) = &step {
+            let RoundOutcome {
+                client,
+                round,
+                target,
+                ..
+            } = *outcome;
+            self.seen.push((client, round, target));
+        }
+        step
+    }
+}
+
+impl<W: Workload> Workload for Targets<W> {
+    fn clients(&self) -> usize {
+        self.inner.clients()
+    }
+
+    fn begin_round(
+        &mut self,
+        client: usize,
+        at: Duration,
+        seed: u64,
+    ) -> Result<EngineStep, OffloadError> {
+        let step = self.inner.begin_round(client, at, seed);
+        self.note(step)
+    }
+
+    fn compute(&mut self, client: usize, admitted_at: Duration) -> Result<Duration, OffloadError> {
+        self.inner.compute(client, admitted_at)
+    }
+
+    fn continue_round(&mut self, client: usize) -> Result<EngineStep, OffloadError> {
+        let step = self.inner.continue_round(client);
+        self.note(step)
+    }
+}
+
+/// `(client, round, target)` of every round `workload` completes in a
+/// closed loop of two rounds a client, as `Engine::sessions` and
+/// `Engine::modeled` would run it for `cfg`, in client and round order.
+fn targets<W: Workload>(workload: W, cfg: &SessionConfig) -> Vec<(usize, usize, usize)> {
+    let names = cfg.servers.iter().map(|s| s.name.clone()).collect();
+    let inner = Targets {
+        inner: workload,
+        seen: Vec::new(),
+    };
+    let mut engine = Engine::with_workload(inner, names)
+        .seed(cfg.seed)
+        .duration(LONG)
+        .max_rounds(2);
+    run_checked(&mut engine);
+    let mut seen = engine.workload().seen.clone();
+    seen.sort_unstable();
+    seen
+}
+
+/// The two fleets place clients by one rule: for 1, 4 and 12 closed-loop
+/// clients on 1–4 uniform servers, and on a fleet whose CPUs differ while
+/// three of its four links tie, every round of client `c` in the modeled
+/// and the real fleet targets the same server, the `c % ties`-th of the
+/// candidates tied on predicted migration time. Sojourns are not
+/// compared: a real client's rounds before its pre-send's ACK run
+/// locally, which the modeled fleet does not price.
+#[test]
+fn both_fleets_place_every_client_by_the_one_rule() {
+    let uniform = |n: usize| (0..n).map(|i| tiny_spec(&format!("edge-{i}"))).collect();
+    let mixed = vec![
+        tiny_spec("edge-a"),
+        ServerSpec::new("edge-weak", odroid_xu4(), LinkConfig::wifi_30mbps()),
+        ServerSpec::new("edge-thin", edge_server_x86(), LinkConfig::mbps(10.0)),
+        tiny_spec("edge-d"),
+    ];
+    let fleets: Vec<(Vec<ServerSpec>, Vec<usize>)> = (1..=4)
+        .map(|n| (uniform(n), (0..n).collect()))
+        .chain([(mixed, vec![0, 1, 3])])
+        .collect();
+    let mut wrong = Vec::new();
+    for (servers, tied) in &fleets {
+        for clients in [1, 4, 12] {
+            let cfg = SessionConfig::paper_builder("agenet")
+                .servers(servers.clone())
+                .build();
+            let modeled = targets(ModeledWorkload::new(cfg.clone(), clients).unwrap(), &cfg);
+            let real = targets(SessionWorkload::new(cfg.clone(), clients).unwrap(), &cfg);
+            assert_eq!(
+                modeled.len(),
+                2 * clients,
+                "every client completes two rounds"
+            );
+            let by_rule = modeled.iter().all(|&(c, _, t)| t == tied[c % tied.len()]);
+            if modeled != real || !by_rule {
+                let names: Vec<&str> = servers.iter().map(|s| s.name.as_str()).collect();
+                wrong.push(format!("{clients} clients on {names:?}"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "placement disagrees: {wrong:#?}");
 }
