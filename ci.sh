@@ -142,6 +142,16 @@ if grep -rnE '(predicted_migration|predicted_wait)\(' crates/*/src | grep -vE '^
     exit 1
 fi
 
+echo "== the cut is decided once (gates.rs outside its tests searches no cut; no session or scenario report carries the planner's decision)"
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/gates.rs | grep -nE '\.(plan|best)\('; then
+    echo "gates.rs chooses a cut again: price the session's own cut with PartitionOptimizer::against_local" >&2
+    exit 1
+fi
+if grep -nE '^\s*(pub(\(crate\))? )?prediction:' crates/core/src/session.rs crates/core/src/scenario.rs; then
+    echo "a report carries the planner's decision again: proactive and the gate:plan reading say what the gate decided" >&2
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
@@ -160,6 +170,23 @@ refused --predcit session --model agenet --rounds 2 --predcit true
 refused --balance session --model agenet --rounds 2 --balance true
 refused stray session --model agenet --rounds 2 stray
 refused --model analyze --model agenet
+
+echo "== the plan gate prices the session's own cut (agenet offloaded at 3rd_pool loses to local execution, so --predict keeps it local)"
+cut_smoke=$(target/release/snapedge run --model agenet --strategy partial --cut 3rd_pool --predict true)
+if ! grep -qE '^predict: +local' <<<"$cut_smoke"; then
+    echo "snapedge run at 3rd_pool with --predict true: want a 'predict: local' line, got:" >&2
+    echo "$cut_smoke" >&2
+    exit 1
+fi
+
+echo "== a closed stdout ends a command quietly (sweep | head -1: exit 0, nothing on stderr)"
+pipe_code=0
+pipe_stderr=$( { target/release/snapedge sweep --model agenet | head -1 >/dev/null; } 2>&1) || pipe_code=$?
+if [ "$pipe_code" -ne 0 ] || [ -n "$pipe_stderr" ]; then
+    echo "snapedge sweep --model agenet | head -1: exit $pipe_code, stderr:" >&2
+    echo "$pipe_stderr" >&2
+    exit 1
+fi
 
 echo "== any server name is legal: a fleet whose primary is named client runs and prints its result"
 client_smoke=$(target/release/snapedge run --model tiny_cnn --servers 'client;edge-b')

@@ -8,7 +8,7 @@ use snapedge_core::apps::synthetic_image_data_url;
 use snapedge_core::prelude::*;
 use snapedge_core::privacy::attack_demo_net;
 use snapedge_core::{
-    client_energy, evaluate_privacy, odroid_xu4_energy, AttackConfig, Decision, PartitionOptimizer,
+    client_energy, evaluate_privacy, odroid_xu4_energy, AttackConfig, PartitionOptimizer,
 };
 use snapedge_dnn::visualize::{tile_feature_map, GrayImage};
 use snapedge_dnn::{ExecMode, ModelBundle, Network, ParamStore};
@@ -432,13 +432,9 @@ fn adaptive(s: &mut Sheet) -> Done {
     let loss = [0.0, 0.0, 0.05, 0.20, 0.30, 0.10, 0.0, 0.0];
     for (step, (mbps, loss)) in mbps.into_iter().zip(loss).enumerate() {
         let planner = optimizer(&net, LinkConfig::mbps(mbps).with_loss(loss));
-        let plan = planner.plan(true, None, Duration::ZERO)?;
+        let plan = planner.plan()?;
         let always_offload = planner.best(true)?.times.total();
-        let client_layers = match &plan.decision {
-            Decision::Local => net.node_count() - 1,
-            Decision::FullOffload => 0,
-            Decision::Partial { cut } => net.cut_point(cut)?.id.index(),
-        };
+        let client_layers = (plan.cut.as_ref()).map_or(net.node_count() - 1, |cut| cut.id.index());
         let series = format!("{}: {mbps} Mbps, {:.0}% loss", step + 1, loss * 100.0);
         s.put(&series, "client layers", client_layers as f64, "");
         s.time(&series, "adaptive", plan.predicted);

@@ -16,6 +16,7 @@ use snapedge_net::{FaultPlan, LinkConfig};
 use snapedge_vmsynth::SynthesisConfig;
 use snapedge_webapp::HostEffect;
 use std::fmt;
+use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -86,9 +87,10 @@ cli! {
          up/down/faults ('+' separates windows). Carries its own fault plans, so\n\
          it cannot be combined with --fault-plan.";
     Predict "predict" [Run Session Fleet] Bool,
-        "Completes a round locally, before any retry burns, when the link-health\n\
-         predictor says the offload loses after its expected retry backoff. Off by\n\
-         default (bit-identical replay).";
+        "Completes a round locally, before any retry burns, when offloading at the\n\
+         configured cut (the input for a full offload), expected retry backoff\n\
+         included, is priced no faster than local execution. Off by default\n\
+         (bit-identical replay).";
     Meter "meter" [Run Session Fleet] Meter,
         "Caps per-tenant execution on edge servers:\n\
          \x20 'ops=<n>,heap=<cells>,str=<chars>,depth=<frames>,slice=<ms>'\n\
@@ -393,30 +395,44 @@ fn usage() -> String {
     out
 }
 
+/// Runs the command line and exits with [`run`]'s status: 0 when the
+/// command succeeded, or when its reader closed stdout early (a broken
+/// pipe, as in `snapedge sweep | head -1`, ends the command quietly: the
+/// reader has what it asked for); 1 after one `error:` line on stderr,
+/// followed by the usage text when the command line was refused.
 fn main() -> ExitCode {
     let argv = std::env::args_os().skip(1).map(|arg| {
         (arg.into_string()).map_err(|arg| UsageError::Unexpected(arg.to_string_lossy().into()))
     });
-    let inv = argv
-        .collect::<Result<Vec<_>, _>>()
-        .and_then(|argv| parse(&argv));
+    let (mut stdout, mut stderr) = (io::stdout().lock(), io::stderr());
+    ExitCode::from(run(argv.collect(), &mut stdout, &mut stderr))
+}
+
+/// Parses `argv` and runs its command, writing its report to `out` and
+/// a failure to `err`; returns the exit status [`main`] documents.
+fn run(argv: Result<Vec<String>, UsageError>, out: &mut dyn Write, err: &mut dyn Write) -> u8 {
+    let inv = argv.and_then(|argv| parse(&argv));
     let outcome = inv.map_err(Box::from).and_then(|inv| match inv.command {
-        Command::Run => cmd_run(&inv),
-        Command::Sweep => cmd_sweep(&inv),
-        Command::Session => cmd_session(&inv),
-        Command::Fleet => cmd_fleet(&inv),
-        Command::Install => cmd_install(&inv),
-        Command::Models => cmd_models(),
-        Command::Analyze => cmd_analyze(&inv),
+        Command::Run => cmd_run(&inv, out),
+        Command::Sweep => cmd_sweep(&inv, out),
+        Command::Session => cmd_session(&inv, out),
+        Command::Fleet => cmd_fleet(&inv, out),
+        Command::Install => cmd_install(&inv, out),
+        Command::Models => cmd_models(out),
+        Command::Analyze => cmd_analyze(&inv, out),
     });
-    if let Err(e) = outcome {
-        eprintln!("error: {e}");
-        if e.is::<UsageError>() {
-            eprint!("{}", usage());
+    let closed = |e: &io::Error| e.kind() == ErrorKind::BrokenPipe;
+    match outcome.and_then(|()| Ok(out.flush()?)) {
+        Err(e) if !e.downcast_ref().is_some_and(closed) => {
+            // Nothing is left to tell a reader who closed stderr too.
+            let _ = writeln!(err, "error: {e}");
+            if e.is::<UsageError>() {
+                let _ = write!(err, "{}", usage());
+            }
+            1
         }
-        return ExitCode::FAILURE;
+        _ => 0,
     }
-    ExitCode::SUCCESS
 }
 
 /// The `--strategy` (and `--cut`) of a run.
@@ -489,68 +505,75 @@ fn scenario_config(inv: &Invocation) -> Result<ScenarioConfig, UsageError> {
     Ok(cfg)
 }
 
-fn cmd_run(inv: &Invocation) -> Outcome {
+fn cmd_run(inv: &Invocation, out: &mut dyn Write) -> Outcome {
     let cfg = scenario_config(inv)?;
     let report = run_scenario(&cfg).map_err(|e| e.to_string())?;
-    println!("model:      {}", report.model);
-    println!("strategy:   {:?}", report.strategy);
-    println!("result:     {}", report.result);
+    writeln!(out, "model:      {}", report.model)?;
+    writeln!(out, "strategy:   {:?}", report.strategy)?;
+    writeln!(out, "result:     {}", report.result)?;
     if let Some(name) = &report.server {
         let handoffs = report.handoff_count();
         if handoffs > 0 {
-            println!("server:     {name} (after {handoffs} handoff(s))");
+            writeln!(out, "server:     {name} (after {handoffs} handoff(s))")?;
         } else if cfg.servers.len() > 1 {
-            println!("server:     {name}");
+            writeln!(out, "server:     {name}")?;
         }
     }
-    println!("total:      {:.3}s", report.total.as_secs_f64());
+    writeln!(out, "total:      {:.3}s", report.total.as_secs_f64())?;
     let b = report.breakdown;
-    println!(
+    writeln!(
+        out,
         "breakdown:  exec(C) {:.3}s | capture(C) {:.3}s | up {:.3}s | restore(S) {:.3}s",
         b.exec_client.as_secs_f64(),
         b.capture_client.as_secs_f64(),
         b.transfer_up.as_secs_f64(),
         b.restore_server.as_secs_f64()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "            exec(S) {:.3}s | capture(S) {:.3}s | down {:.3}s | restore(C) {:.3}s",
         b.exec_server.as_secs_f64(),
         b.capture_server.as_secs_f64(),
         b.transfer_down.as_secs_f64(),
         b.restore_client.as_secs_f64()
-    );
+    )?;
     if let Some(ack) = report.ack_at {
-        println!(
+        writeln!(
+            out,
             "pre-send:   {} bytes, ACK at {:.3}s; snapshots {} B up / {} B down",
             report.model_upload_bytes,
             ack.as_secs_f64(),
             report.snapshot_up_bytes,
             report.snapshot_down_bytes
-        );
+        )?;
     }
-    if let Some(decision) = &report.prediction {
-        if report.proactive {
-            println!(
-                "predict:    {} (completed locally before any retry)",
-                decision.label()
-            );
-        } else {
-            println!("predict:    {}", decision.label());
-        }
+    // The plan gate's verdict on the run's own cut, when it judged it.
+    let planned = (report.trace.events().iter()).any(|e| e.name.starts_with("gate:plan:"));
+    let verdict = if report.proactive {
+        "local (completed locally before any retry)"
+    } else {
+        "ship"
+    };
+    if planned {
+        writeln!(out, "predict:    {verdict}")?;
     }
     if report.fell_back {
-        println!("fallback:   offload gave up; the inference completed locally");
+        writeln!(
+            out,
+            "fallback:   offload gave up; the inference completed locally"
+        )?;
     }
     let retries = report.retry_count();
     if retries > 0 || report.fault_time() > Duration::ZERO {
-        println!(
+        writeln!(
+            out,
             "resilience: {retries} retries | backoff {:.3}s | fault time {:.3}s",
             report.backoff_time().as_secs_f64(),
             report.fault_time().as_secs_f64()
-        );
+        )?;
     }
     if inv.on(Flag::Timeline) {
-        println!("\ntimeline (C=client, N=network, S=server):");
+        writeln!(out, "\ntimeline (C=client, N=network, S=server):")?;
         // The canonical phase events, from the click onward: the pre-send
         // and its ACK come before it.
         let top_level = report.trace.top_level();
@@ -558,24 +581,25 @@ fn cmd_run(inv: &Invocation) -> Outcome {
             .filter(|e| e.start >= report.clicked_at && e.end > e.start)
             .cloned()
             .collect();
-        print!("{}", snapedge_trace::render_ascii(&phases, 50));
+        write!(out, "{}", snapedge_trace::render_ascii(&phases, 50))?;
     }
     if let Some(path) = inv.text(Flag::Trace) {
         std::fs::write(path, report.trace.to_jsonl())
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "trace:      {} events -> {path}",
             report.trace.events().len()
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_sweep(inv: &Invocation) -> Outcome {
+fn cmd_sweep(inv: &Invocation, out: &mut dyn Write) -> Outcome {
     let model = inv.model();
     let mbps = inv.mbps();
-    println!("partition sweep for {model} at {mbps:.0} Mbps:");
-    println!("{:<14} {:>10} {:>14}", "cut", "total(s)", "snapshot(MiB)");
+    writeln!(out, "partition sweep for {model} at {mbps:.0} Mbps:")?;
+    writeln!(out, "cut              total(s)  snapshot(MiB)")?;
     for cut in zoo::fig8_cuts(model) {
         let strategy = if cut == "input" {
             Strategy::OffloadAfterAck
@@ -587,22 +611,25 @@ fn cmd_sweep(inv: &Invocation) -> Outcome {
         let mut cfg = ScenarioConfig::paper(model, strategy);
         cfg.primary_mut().link = LinkConfig::mbps(mbps);
         let report = run_scenario(&cfg).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            out,
             "{:<14} {:>10.2} {:>14.2}",
             cut,
             report.total.as_secs_f64(),
             report.snapshot_up_bytes as f64 / (1024.0 * 1024.0)
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_session(inv: &Invocation) -> Outcome {
+fn cmd_session(inv: &Invocation, out: &mut dyn Write) -> Outcome {
     let rounds = inv.count(Flag::Rounds).unwrap_or(3);
     let cfg = session_config(inv)?;
     let predict = cfg.predict;
     let mut session = OffloadSession::new(cfg).map_err(|e| e.to_string())?;
-    // The predictor's column is printed only when it is consulted.
+    // The plan gate's column is printed only when it is consulted: `local`
+    // for a round it kept on the client, `ship` for one that offloaded,
+    // `-` for one that completed locally for another reason.
     let column = |text: &str| {
         if predict {
             format!(" {text:>14}")
@@ -610,16 +637,8 @@ fn cmd_session(inv: &Invocation) -> Outcome {
             String::new()
         }
     };
-    println!(
-        "{:>6} {:>8} {:>12} {:>12} {:>10} {:>15}{}",
-        "round",
-        "mode",
-        "up bytes",
-        "down bytes",
-        "total",
-        "server",
-        column("predict")
-    );
+    let header = " round     mode     up bytes   down bytes      total          server";
+    writeln!(out, "{header}{}", column("predict"))?;
     for round in 1..=rounds {
         let r = session.infer(round).map_err(|e| e.to_string())?;
         let mode = if r.proactive {
@@ -631,8 +650,13 @@ fn cmd_session(inv: &Invocation) -> Outcome {
         } else {
             "full"
         };
-        let predicted = (r.prediction.as_ref()).map_or_else(|| "-".to_string(), |d| d.label());
-        println!(
+        let predicted = match (r.proactive, &r.server) {
+            (true, _) => "local",
+            (false, Some(_)) => "ship",
+            (false, None) => "-",
+        };
+        writeln!(
+            out,
             "{:>6} {:>8} {:>12} {:>12} {:>9.2}s {:>15}{}   {}",
             r.round,
             mode,
@@ -640,9 +664,9 @@ fn cmd_session(inv: &Invocation) -> Outcome {
             r.down_bytes,
             r.total.as_secs_f64(),
             r.server.as_deref().unwrap_or("client"),
-            column(&predicted),
+            column(predicted),
             r.result
-        );
+        )?;
     }
     Ok(())
 }
@@ -695,8 +719,9 @@ fn run_fleet<W: Workload>(
     inv: &Invocation,
     arrival: ArrivalProcess,
     header: &str,
-) -> Result<FleetReport, String> {
-    println!("{header}");
+    out: &mut dyn Write,
+) -> Result<FleetReport, Box<dyn std::error::Error>> {
+    writeln!(out, "{header}")?;
     let mut engine = engine
         .arrival(arrival)
         .duration(inv.horizon())
@@ -708,10 +733,10 @@ fn run_fleet<W: Workload>(
     if let Some(window) = inv.seconds(Flag::BatchWindow) {
         engine = engine.batch_window(window);
     }
-    engine.run().map_err(|e| e.to_string())
+    Ok(engine.run().map_err(|e| e.to_string())?)
 }
 
-fn cmd_fleet(inv: &Invocation) -> Outcome {
+fn cmd_fleet(inv: &Invocation, out: &mut dyn Write) -> Outcome {
     let clients = inv
         .count(Flag::Clients)
         .map_or(100, |n| usize::try_from(n).unwrap_or(usize::MAX));
@@ -733,45 +758,50 @@ fn cmd_fleet(inv: &Invocation) -> Outcome {
     );
     let report = if real {
         let engine = Engine::sessions(cfg, clients).map_err(|e| e.to_string())?;
-        run_fleet(engine, inv, arrival, &header)?
+        run_fleet(engine, inv, arrival, &header, out)?
     } else {
         let engine = Engine::modeled(cfg, clients).map_err(|e| e.to_string())?;
-        run_fleet(engine, inv, arrival, &header)?
+        run_fleet(engine, inv, arrival, &header, out)?
     };
-    println!(
+    writeln!(
+        out,
         "completed:  {} round(s) ({} fallback(s)) | makespan {:.3}s | throughput {:.1}/s",
         report.completed,
         report.fallbacks,
         report.makespan.as_secs_f64(),
         report.throughput_rps
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "latency:    p50 {:.3}s | p95 {:.3}s | p99 {:.3}s (mean {:.3}s, max {:.3}s)",
         report.latency.p50.as_secs_f64(),
         report.latency.p95.as_secs_f64(),
         report.latency.p99.as_secs_f64(),
         report.latency.mean.as_secs_f64(),
         report.latency.max.as_secs_f64()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "queue wait: p50 {:.3}s | p95 {:.3}s | p99 {:.3}s (max {:.3}s)",
         report.queue_wait.p50.as_secs_f64(),
         report.queue_wait.p95.as_secs_f64(),
         report.queue_wait.p99.as_secs_f64(),
         report.queue_wait.max.as_secs_f64()
-    );
+    )?;
     if report.total_ops > 0 || report.peak_heap > 0 {
-        println!(
+        writeln!(
+            out,
             "meter:      {} op(s) charged | peak heap {} cell(s)",
             report.total_ops, report.peak_heap
-        );
+        )?;
     }
     if balancing {
         let rejects: usize = report.servers.iter().map(|s| s.rejects).sum();
-        println!(
+        writeln!(
+            out,
             "balance:    fairness {:.3} | {} admission reject(s) | max batch {}",
             report.fairness, rejects, report.max_batch
-        );
+        )?;
     }
     for server in &report.servers {
         let admission = if balancing {
@@ -780,18 +810,19 @@ fn cmd_fleet(inv: &Invocation) -> Outcome {
         } else {
             String::new()
         };
-        println!(
+        writeln!(
+            out,
             "server:     {:<16} {:>8} round(s) | busy {:.3}s | utilization {:.1}%{admission}",
             server.name,
             server.rounds,
             server.busy.as_secs_f64(),
             server.utilization * 100.0
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_install(inv: &Invocation) -> Outcome {
+fn cmd_install(inv: &Invocation, out: &mut dyn Write) -> Outcome {
     let model = inv.model();
     let net = zoo::by_name(model).map_err(|e| e.to_string())?;
     let bytes = ModelBundle::from_network(&net).total_bytes();
@@ -802,21 +833,23 @@ fn cmd_install(inv: &Invocation) -> Outcome {
         &SynthesisConfig::default(),
     )
     .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "overlay: {:.1} MiB (model {:.1} MiB inside)",
         report.overlay_bytes as f64 / (1024.0 * 1024.0),
         bytes as f64 / (1024.0 * 1024.0)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "synthesis: upload {:.2}s + apply {:.2}s = {:.2}s",
         report.upload.as_secs_f64(),
         report.apply.as_secs_f64(),
         report.total().as_secs_f64()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_models() -> Outcome {
+fn cmd_models(out: &mut dyn Write) -> Outcome {
     for name in [
         "googlenet",
         "agenet",
@@ -826,14 +859,15 @@ fn cmd_models() -> Outcome {
     ] {
         let net = zoo::by_name(name).map_err(|e| e.to_string())?;
         let profile = net.profile();
-        println!(
+        writeln!(
+            out,
             "{name}: {} layers, {:.1} MiB params, {:.2} GFLOPs",
             net.node_count(),
             profile.total_param_bytes() as f64 / (1024.0 * 1024.0),
             profile.total_flops() as f64 / 1e9
-        );
+        )?;
         let cuts: Vec<String> = net.cut_points().iter().map(|c| c.label.clone()).collect();
-        println!("  cuts: {}", cuts.join(", "));
+        writeln!(out, "  cuts: {}", cuts.join(", "))?;
     }
     Ok(())
 }
@@ -921,25 +955,26 @@ fn render_html_report(
 }
 
 /// Prints one target's verdict; returns its diagnostic count.
-fn print_report(target: &str, report: &AnalysisReport) -> usize {
+fn print_report(target: &str, report: &AnalysisReport, out: &mut dyn Write) -> io::Result<usize> {
     if report.is_clean() {
         let s = &report.stats;
-        println!(
+        writeln!(
+            out,
             "analyze {target}: clean ({} functions, {} reachable; {} globals, {} handlers)",
             s.functions, s.reachable_functions, s.globals, s.handlers
-        );
+        )?;
     } else {
-        println!("analyze {target}: {}", report.summary());
-        println!("{}", report.render());
+        writeln!(out, "analyze {target}: {}", report.summary())?;
+        writeln!(out, "{}", report.render())?;
     }
-    report.diagnostics.len()
+    Ok(report.diagnostics.len())
 }
 
 /// Analyzes a MiniJS or HTML file from disk. With `--effects true` the
 /// static effect pass runs too (cost floors, nondeterminism sources);
 /// with `--report <out.html>` an escaped markup report is written before
 /// any verdict is returned, so failures are captured in the report.
-fn cmd_analyze_file(path: &str, inv: &Invocation) -> Outcome {
+fn cmd_analyze_file(path: &str, inv: &Invocation, out: &mut dyn Write) -> Outcome {
     let source = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let opts = analysis_options(inv);
     let is_html = source.contains("<script>");
@@ -956,16 +991,16 @@ fn cmd_analyze_file(path: &str, inv: &Invocation) -> Outcome {
             effect_summary(&source, &eopts)
         };
         let summary = result.map_err(|e| format!("{path}: {e}"))?;
-        print!("{}", summary.render());
+        write!(out, "{}", summary.render())?;
         Some(summary)
     } else {
         None
     };
-    let findings = print_report(path, &report);
-    if let Some(out) = inv.text(Flag::Report) {
+    let findings = print_report(path, &report, out)?;
+    if let Some(target) = inv.text(Flag::Report) {
         let markup = render_html_report(path, &report, effects.as_ref());
-        std::fs::write(out, markup).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("report: {out}");
+        std::fs::write(target, markup).map_err(|e| format!("writing {target}: {e}"))?;
+        writeln!(out, "report: {target}")?;
     }
     if findings > 0 {
         return Err(format!("{path}: {}", report.summary()).into());
@@ -980,9 +1015,9 @@ fn cmd_analyze_file(path: &str, inv: &Invocation) -> Outcome {
 /// analyzes a file; otherwise it analyzes both paper app sources (the
 /// same for every model) in app mode, with their effect summaries under
 /// `--effects true`.
-fn cmd_analyze(inv: &Invocation) -> Outcome {
+fn cmd_analyze(inv: &Invocation, out: &mut dyn Write) -> Outcome {
     if let Some(path) = inv.text(Flag::Html) {
-        return cmd_analyze_file(path, inv);
+        return cmd_analyze_file(path, inv, out);
     }
     let url = apps::synthetic_image_data_url(7, 256);
     let opts = AnalysisOptions::app().with_hosts(vec!["model".to_string()]);
@@ -993,10 +1028,10 @@ fn cmd_analyze(inv: &Invocation) -> Outcome {
         ("partial-app", apps::partial_inference_app(&url)),
     ];
     for (label, html) in &sources {
-        findings += print_report(label, &analyze_html(html, &opts));
+        findings += print_report(label, &analyze_html(html, &opts), out)?;
         if inv.on(Flag::Effects) {
             let summary = effect_summary_html(html, &eopts).map_err(|e| format!("{label}: {e}"))?;
-            print!("{}", summary.render());
+            write!(out, "{}", summary.render())?;
             // A nondeterministic paper app would be a finding: its
             // snapshots could not be replayed bit-identically elsewhere.
             findings += summary.nondet.len();
@@ -1005,7 +1040,7 @@ fn cmd_analyze(inv: &Invocation) -> Outcome {
     if findings > 0 {
         return Err(format!("analyze: {findings} diagnostic(s) across targets").into());
     }
-    println!("analyze: all targets clean");
+    writeln!(out, "analyze: all targets clean")?;
     Ok(())
 }
 
@@ -1825,5 +1860,73 @@ mod tests {
                 command.name()
             );
         }
+    }
+
+    /// Stdout whose reader takes `left` more bytes and then goes away,
+    /// like `head -1` after its line: every later write and flush fails
+    /// with a broken pipe.
+    struct Pipe {
+        taken: Vec<u8>,
+        left: usize,
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                return Err(ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.left);
+            self.taken.extend_from_slice(&buf[..n]);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            match self.left {
+                0 => Err(ErrorKind::BrokenPipe.into()),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    /// `run` on `args` against `stdout`: the status and what it wrote to
+    /// stderr.
+    fn run_into(args: &[&str], stdout: &mut dyn Write) -> (u8, String) {
+        let argv = Ok(args.iter().map(|arg| arg.to_string()).collect());
+        let mut stderr = Vec::new();
+        let status = run(argv, stdout, &mut stderr);
+        (status, String::from_utf8(stderr).unwrap())
+    }
+
+    #[test]
+    fn a_closed_stdout_ends_the_command_quietly_with_status_zero() {
+        let mut whole = Vec::new();
+        assert_eq!(run_into(&["models"], &mut whole), (0, String::new()));
+        let first_line = whole.iter().position(|&b| b == b'\n').unwrap() + 1;
+        for left in [0, first_line, whole.len() - 1] {
+            let mut pipe = Pipe {
+                taken: Vec::new(),
+                left,
+            };
+            assert_eq!(run_into(&["models"], &mut pipe), (0, String::new()));
+            assert_eq!(pipe.taken, whole[..left], "{left} bytes taken");
+        }
+        // Any other failure to write is an error like any other.
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(ErrorKind::StorageFull.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let (status, stderr) = run_into(&["models"], &mut Full);
+        assert_eq!(status, 1);
+        assert!(stderr.starts_with("error: "), "{stderr}");
+        // A refused command line still earns the usage text.
+        let (status, stderr) = run_into(&["models", "stray"], &mut Vec::new());
+        assert_eq!(status, 1);
+        assert!(stderr.contains("usage:"), "{stderr}");
     }
 }

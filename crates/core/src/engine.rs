@@ -1050,9 +1050,13 @@ impl<W: Workload> Engine<W> {
         self.arrival.check(self.duration)?;
         let peak = self.arrival.peak_rate();
         let mut rng = Rng::seed_from_u64(self.seed ^ 0xA221_5EED_0DDB_A115);
-        let mut arrivals = Vec::new();
-        let mut t = 0.0_f64;
         let horizon = self.duration.as_secs_f64();
+        // Room for the envelope's expected count plus six standard
+        // deviations: one allocation instead of a doubling chain, whose
+        // freed steps would leave holes in the heap of every run.
+        let expected = peak * horizon;
+        let mut arrivals = Vec::with_capacity((expected + 6.0 * expected.sqrt()) as usize);
+        let mut t = 0.0_f64;
         loop {
             // Exponential interarrival at the envelope rate...
             let u = rng.next_f64();
@@ -1219,6 +1223,12 @@ impl RunState {
             clients: slots,
             servers: vec![server; fleet],
             balancer: engine.balance.then(|| Balancer::new(fleet)),
+            // Sized up front, like the log: the queue holds the events of
+            // clients with a round in flight, and each arrival completes
+            // at most once.
+            queue: EventQueue::with_capacity(clients.min(arrivals)),
+            latencies: Vec::with_capacity(arrivals),
+            waits: Vec::with_capacity(arrivals),
             ..RunState::default()
         })
     }

@@ -6,14 +6,15 @@
 //! that is not configured is not consulted and emits nothing; a
 //! consulted gate emits exactly one [`EventKind::Gate`] event through
 //! [`record`], named `gate:<gate>:<ship|local>:<lhs>:<rhs>` after the
-//! two numbers it compared.
+//! two numbers it compared. No gate chooses a cut: the session's config
+//! decides it once, and a gate only ships that round or keeps it local.
 
 use crate::config::OffloadConfig;
 use crate::fleet::ServerPool;
-use crate::partition::{Decision, PartitionOptimizer};
+use crate::partition::PartitionOptimizer;
 use crate::OffloadError;
 use snapedge_analyze::EffectSummary;
-use snapedge_dnn::Network;
+use snapedge_dnn::{CutPoint, Network};
 use snapedge_trace::{EventKind, Lane, Tracer};
 use snapedge_webapp::MeterLimits;
 use std::time::Duration;
@@ -24,8 +25,8 @@ pub(crate) enum Gate {
     /// Static effect analysis: replay must be deterministic and the
     /// round's guaranteed cost floor must fit the server's meter.
     Effects,
-    /// The adaptive planner: offloading must be predicted to beat local
-    /// execution on the link and server queue as last observed.
+    /// The planner's price: offloading at the session's cut must be
+    /// predicted to beat local execution on the link and queue as seen.
     Plan,
 }
 
@@ -70,6 +71,8 @@ fn record(tracer: &Tracer, at: Duration, (reading, verdict): Judged) -> Verdict 
 pub(crate) struct Round<'a> {
     pub cfg: &'a OffloadConfig,
     pub net: &'a Network,
+    /// The cut the round offloads at; `None` for a full offload.
+    pub cut: Option<&'a CutPoint>,
     pub pool: &'a ServerPool,
     /// Index of the serving candidate in `pool`.
     pub current: usize,
@@ -86,28 +89,24 @@ pub(crate) struct Round<'a> {
 }
 
 /// Walks the click-time gates in order and returns the first verdict
-/// that is not `Ship`, with the planner's decision when `plan` ran.
-pub(crate) fn pre_ship(
-    round: &Round<'_>,
-    tracer: &Tracer,
-) -> Result<(Verdict, Option<Decision>), OffloadError> {
+/// that is not `Ship`.
+pub(crate) fn pre_ship(round: &Round<'_>, tracer: &Tracer) -> Result<Verdict, OffloadError> {
     if let Some(summary) = round.effects {
         let judged = effects(summary, round.meter);
         let verdict = record(tracer, round.now, judged);
         if !matches!(verdict, Verdict::Ship) {
-            return Ok((verdict, None));
+            return Ok(verdict);
         }
     }
     // A balanced session (one the engine handed a queue outlook) needs
     // the planner's comparison for its admission prior, so it runs the
     // gate even when prediction is off.
     if round.cfg.predict || !round.queue_outlook.is_empty() {
-        if let Some((judged, decision)) = plan(round)? {
-            let verdict = record(tracer, round.now, judged);
-            return Ok((verdict, Some(decision)));
+        if let Some(judged) = plan(round)? {
+            return Ok(record(tracer, round.now, judged));
         }
     }
-    Ok((Verdict::Ship, None))
+    Ok(Verdict::Ship)
 }
 
 /// `Local` when `tripped`, else `Ship`.
@@ -134,16 +133,17 @@ fn effects(summary: &EffectSummary, meter: Option<&MeterLimits>) -> Judged {
     local_if(lhs > rhs, Reading { gate, lhs, rhs })
 }
 
-/// Predicted offload time against predicted local time, in microseconds,
-/// on the serving candidate's windowed link health. The offload side
-/// carries three additive priors: the backoff sleeps the expected
-/// retries would cost, effect analysis's guaranteed op floor priced at
-/// the meter's nominal microsecond per interpreter op (server-side app
-/// glue the layer-time model cannot see), and the queue outlook's
-/// predicted wait for the server's CPU (zero without one). Trips when
-/// `lhs >= rhs`. `None` before the link has a bandwidth sample to plan
-/// against.
-fn plan(round: &Round<'_>) -> Result<Option<(Judged, Decision)>, OffloadError> {
+/// Predicted time of offloading at the round's own cut (and no other)
+/// against predicted local time, in microseconds, on the serving
+/// candidate's windowed link health. The offload side carries three
+/// additive priors: the backoff sleeps the expected retries would cost,
+/// effect analysis's guaranteed op floor priced at the meter's nominal
+/// microsecond per interpreter op (server-side app glue the layer-time
+/// model cannot see), and the queue outlook's predicted wait for the
+/// server's CPU (zero without one): a balanced session's admission is
+/// priced at its own cut too. Trips when `lhs >= rhs`. `None` before the
+/// link has a bandwidth sample to plan against.
+fn plan(round: &Round<'_>) -> Result<Option<Judged>, OffloadError> {
     let (Some(spec), Some(health)) = (
         round.pool.spec(round.current),
         round.pool.link(round.current),
@@ -168,20 +168,19 @@ fn plan(round: &Round<'_>) -> Result<Option<(Judged, Decision)>, OffloadError> {
     // Before the ACK the whole model still queues ahead of the snapshot;
     // after it, none of it does (the pre-send is one acknowledged upload).
     let unacked = (round.ack_at.is_some_and(|ack| round.now < ack)).then_some(round.model_bytes);
-    let plan = PartitionOptimizer::new(
+    let (offload, local) = PartitionOptimizer::new(
         round.net,
         round.cfg.client_device.clone(),
         spec.device.clone(),
         link,
     )
-    .plan(false, unacked, penalty)?;
+    .against_local(round.cut, unacked, penalty)?;
     let reading = Reading {
         gate: Gate::Plan,
-        lhs: micros(plan.offload),
-        rhs: micros(plan.local_time),
+        lhs: micros(offload),
+        rhs: micros(local),
     };
-    let judged = local_if(plan.decision == Decision::Local, reading);
-    Ok(Some((judged, plan.decision)))
+    Ok(Some(local_if(offload >= local, reading)))
 }
 
 /// `d` in whole microseconds, saturating at `u64::MAX`: a plan priced

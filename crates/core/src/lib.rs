@@ -92,7 +92,7 @@ pub use error::OffloadError;
 pub use fleet::{format_servers, parse_servers, ServerPool, ServerSpec};
 pub use install::{vm_install, InstallReport};
 pub use mlhost::CaffeJsHost;
-pub use partition::{Decision, PartitionOptimizer, PartitionPrediction, Plan, PredictedTimes};
+pub use partition::{PartitionOptimizer, PartitionPrediction, Plan, PredictedTimes};
 pub use privacy::{evaluate_privacy, reconstruct_input, AttackConfig, PrivacyReport};
 pub use resilience::{classify, schedule_resilient, FaultClass, ResilienceOutcome, RetryPolicy};
 pub use scenario::{

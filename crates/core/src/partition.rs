@@ -9,11 +9,13 @@
 //! including at least one layer from the front part of the DNN to denature
 //! the input data."
 //!
-//! [`PartitionOptimizer::plan`] is that runtime decision: the best cut
-//! against pure local execution on the link as last observed, with the
-//! before-ACK model upload (Section IV-A: before it finishes *"it would
-//! be better for the client to execute the DNN locally"*) and the plan
-//! gate's priors charged to the offload side.
+//! [`PartitionOptimizer::plan`] is that decision: the best private cut
+//! against pure local execution. The price it compares is
+//! `PartitionOptimizer::against_local`, which the `plan` gate also calls
+//! at the cut a session runs, with the before-ACK model upload
+//! (Section IV-A: before it finishes *"it would be better for the client
+//! to execute the DNN locally"*) and the gate's priors charged to the
+//! offload side.
 
 use crate::device::DeviceProfile;
 use crate::OffloadError;
@@ -28,42 +30,14 @@ const BASE_SNAPSHOT_BYTES: u64 = 60_000;
 /// Size of the returning result snapshot.
 const RESULT_SNAPSHOT_BYTES: u64 = 60_000;
 
-/// What the planner chose for one inference.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Decision {
-    /// Run the whole DNN on the client.
-    Local,
-    /// Offload everything (snapshot carries the encoded input only).
-    FullOffload,
-    /// Offload at the named cut.
-    Partial {
-        /// Cut-point label.
-        cut: String,
-    },
-}
-
-impl Decision {
-    /// Short stable label for traces and CLI columns: `local`, `full`,
-    /// or `partial:<cut>`.
-    pub fn label(&self) -> String {
-        match self {
-            Decision::Local => "local".to_string(),
-            Decision::FullOffload => "full".to_string(),
-            Decision::Partial { cut } => format!("partial:{cut}"),
-        }
-    }
-}
-
-/// A decision plus its predicted cost.
+/// What the planner chose for one inference, and its predicted cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
-    /// The chosen execution mode.
-    pub decision: Decision,
+    /// The cut to offload at, past the input (the paper's privacy
+    /// constraint); `None` runs the whole DNN on the client.
+    pub cut: Option<CutPoint>,
     /// Predicted end-to-end inference time.
     pub predicted: Duration,
-    /// Predicted time of the best offload, penalty included, whether or
-    /// not it beat local execution.
-    pub offload: Duration,
     /// Predicted time of pure local execution (the baseline the decision
     /// beat or fell back to).
     pub local_time: Duration,
@@ -201,44 +175,49 @@ impl PartitionOptimizer {
             .ok_or_else(|| OffloadError::Config("no valid partition point".into()))
     }
 
-    /// The runtime decision: the [`best`](PartitionOptimizer::best) offload
-    /// against pure local execution, whichever is predicted faster.
-    /// `unacked_model_bytes` is `None` when the server holds the model;
-    /// `Some(n)` queues the `n` model bytes still uploading ahead of the
-    /// snapshot on the same link. `penalty` — expected backoff sleeps,
-    /// compute and queueing priors — joins the offload side, so a
-    /// degrading link or a saturated server tips the plan toward Local
-    /// *before* any retry budget burns.
+    /// Predicted time of offloading at `cut` (the input cut when `None`)
+    /// against pure local execution, as `(offload, local)`.
+    /// `unacked_model_bytes` is `None`
+    /// when the server holds the model; `Some(n)` queues the `n` model
+    /// bytes still uploading ahead of the snapshot on the same link.
+    /// `penalty` — expected backoff sleeps, compute and queueing priors —
+    /// joins the offload side, so a degrading link or a saturated server
+    /// tips the comparison toward local *before* any retry budget burns.
     ///
     /// # Errors
     ///
     /// Same conditions as [`PartitionOptimizer::best`].
-    pub fn plan(
+    pub(crate) fn against_local(
         &self,
-        require_privacy: bool,
+        cut: Option<&CutPoint>,
         unacked_model_bytes: Option<u64>,
         penalty: Duration,
-    ) -> Result<Plan, OffloadError> {
+    ) -> Result<(Duration, Duration), OffloadError> {
+        let cut = (cut.or(self.cuts.first()))
+            .ok_or_else(|| OffloadError::Config("no valid partition point".into()))?;
         let local_time = self.client.full_exec_time(&self.profile);
-        let best = self.best(require_privacy)?;
-        let mut offload = best.times.total();
+        let mut offload = self.predict(cut)?.times.total();
         if let Some(bytes) = unacked_model_bytes {
             offload = offload.saturating_add(self.link.transfer_time(bytes)?);
         }
-        let offload = offload.saturating_add(penalty);
-        let decision = if offload >= local_time {
-            Decision::Local
-        } else if best.cut.id.index() == 0 {
-            Decision::FullOffload
-        } else {
-            Decision::Partial {
-                cut: best.cut.label,
-            }
-        };
+        Ok((offload.saturating_add(penalty), local_time))
+    }
+
+    /// The planning decision: the best private
+    /// [cut](PartitionOptimizer::best) against pure local execution,
+    /// whichever is predicted faster with the model on the server and no
+    /// penalty. The `plan` gate prices a session's own cut with the same
+    /// comparison (`against_local`) and never calls this.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PartitionOptimizer::best`].
+    pub fn plan(&self) -> Result<Plan, OffloadError> {
+        let best = self.best(true)?;
+        let (offload, local_time) = self.against_local(Some(&best.cut), None, Duration::ZERO)?;
         Ok(Plan {
-            decision,
+            cut: (offload < local_time).then_some(best.cut),
             predicted: offload.min(local_time),
-            offload,
             local_time,
         })
     }
@@ -348,26 +327,42 @@ mod tests {
         }
     }
 
+    /// `(label, offload, local, predicted)` of the best cut (`privacy`
+    /// as in `best`) priced by `against_local`: the label is `local`,
+    /// `full` or `partial:<cut>`, whichever the comparison and the cut
+    /// say, and `predicted` is the cheaper side.
+    fn priced(
+        opt: &PartitionOptimizer,
+        privacy: bool,
+        unacked: Option<u64>,
+        penalty: Duration,
+    ) -> (String, Duration, Duration, Duration) {
+        let best = opt.best(privacy).unwrap();
+        let (offload, local) = opt
+            .against_local(Some(&best.cut), unacked, penalty)
+            .unwrap();
+        let label = if offload >= local {
+            "local".to_string()
+        } else if best.cut.id.index() == 0 {
+            "full".to_string()
+        } else {
+            format!("partial:{}", best.cut.label)
+        };
+        (label, offload, local, offload.min(local))
+    }
+
     #[test]
     fn fast_link_and_ready_model_choose_full_offload() {
-        let plan = optimizer("googlenet")
-            .plan(false, None, Duration::ZERO)
-            .unwrap();
-        assert_eq!(plan.decision, Decision::FullOffload);
-        assert!(plan.predicted < plan.local_time);
+        let (label, _, local, predicted) =
+            priced(&optimizer("googlenet"), false, None, Duration::ZERO);
+        assert_eq!(label, "full");
+        assert!(predicted < local);
     }
 
     #[test]
     fn privacy_policy_chooses_first_pool() {
-        let plan = optimizer("googlenet")
-            .plan(true, None, Duration::ZERO)
-            .unwrap();
-        assert_eq!(
-            plan.decision,
-            Decision::Partial {
-                cut: "1st_pool".into()
-            }
-        );
+        let plan = optimizer("googlenet").plan().unwrap();
+        assert_eq!(plan.cut.unwrap().label, "1st_pool");
     }
 
     #[test]
@@ -376,17 +371,13 @@ mod tests {
         // local execution — the planner must pick Local.
         for model in ["agenet", "gendernet"] {
             let unacked = Some(model_bytes(model));
-            let plan = optimizer(model)
-                .plan(false, unacked, Duration::ZERO)
-                .unwrap();
-            assert_eq!(plan.decision, Decision::Local, "{model}");
+            let (label, ..) = priced(&optimizer(model), false, unacked, Duration::ZERO);
+            assert_eq!(label, "local", "{model}");
         }
         // GoogLeNet still wins by offloading even before the ACK.
         let unacked = Some(model_bytes("googlenet"));
-        let plan = optimizer("googlenet")
-            .plan(false, unacked, Duration::ZERO)
-            .unwrap();
-        assert_ne!(plan.decision, Decision::Local);
+        let (label, ..) = priced(&optimizer("googlenet"), false, unacked, Duration::ZERO);
+        assert_ne!(label, "local");
     }
 
     #[test]
@@ -398,47 +389,47 @@ mod tests {
         // the snapshot; charging just those flips the decision back.
         let bytes = model_bytes("agenet");
         let opt = optimizer("agenet");
+        let at = |unacked| priced(&opt, false, unacked, Duration::ZERO);
 
         // Nothing acknowledged yet: the full charge makes AgeNet lose
         // (Fig. 6's before-ACK observation).
-        let cold = opt.plan(false, Some(bytes), Duration::ZERO).unwrap();
-        assert_eq!(cold.decision, Decision::Local);
+        let cold = at(Some(bytes));
+        assert_eq!(cold.0, "local");
 
         // 90% of the pre-send already landed: only the tail still queues,
         // and offloading wins again — strictly cheaper than the cold plan.
-        let tail = bytes - bytes * 9 / 10;
-        let hot = opt.plan(false, Some(tail), Duration::ZERO).unwrap();
-        assert_ne!(hot.decision, Decision::Local);
-        assert!(hot.predicted < cold.predicted);
+        let hot = at(Some(bytes - bytes * 9 / 10));
+        assert_ne!(hot.0, "local");
+        assert!(hot.3 < cold.3);
 
         // Nothing left to upload converges to the model-ready decision;
         // only the zero-payload handshake (latency + framing) still
         // separates the predicted times.
-        let done = opt.plan(false, Some(0), Duration::ZERO).unwrap();
-        let ready = opt.plan(false, None, Duration::ZERO).unwrap();
-        assert_eq!(done.decision, ready.decision);
-        let slack = done.predicted.saturating_sub(ready.predicted);
+        let done = at(Some(0));
+        let ready = at(None);
+        assert_eq!(done.0, ready.0);
+        let slack = done.3.saturating_sub(ready.3);
         assert!(slack < Duration::from_millis(10), "slack {slack:?}");
     }
 
     #[test]
     fn dead_slow_link_falls_back_to_local() {
-        let plan = on("agenet", LinkConfig::mbps(0.05))
-            .plan(false, None, Duration::ZERO)
-            .unwrap();
-        assert_eq!(plan.decision, Decision::Local);
-        assert_eq!(plan.predicted, plan.local_time);
+        let (label, _, local, predicted) = priced(
+            &on("agenet", LinkConfig::mbps(0.05)),
+            false,
+            None,
+            Duration::ZERO,
+        );
+        assert_eq!(label, "local");
+        assert_eq!(predicted, local);
     }
 
     #[test]
     fn lossy_links_degrade_toward_local() {
-        let clean = on("agenet", LinkConfig::mbps(2.0))
-            .plan(false, None, Duration::ZERO)
-            .unwrap();
-        let lossy = on("agenet", LinkConfig::mbps(2.0).with_loss(0.9))
-            .plan(false, None, Duration::ZERO)
-            .unwrap();
-        assert!(lossy.predicted >= clean.predicted);
+        let at = |link| priced(&on("agenet", link), false, None, Duration::ZERO).3;
+        let clean = at(LinkConfig::mbps(2.0));
+        let lossy = at(LinkConfig::mbps(2.0).with_loss(0.9));
+        assert!(lossy >= clean);
     }
 
     #[test]
@@ -458,10 +449,11 @@ mod tests {
         let policy = RetryPolicy::default();
         let charged = |p: &LinkPrediction| policy.cumulative_backoff(p.predicted_retries);
         let opt = optimizer("agenet");
-        let free = opt.plan(false, None, Duration::ZERO).unwrap();
-        let plan = opt.plan(false, None, charged(&prediction)).unwrap();
+        let offload = |penalty| priced(&opt, false, None, penalty).1;
+        let free = offload(Duration::ZERO);
+        let plan = offload(charged(&prediction));
         assert_eq!(
-            plan.offload - free.offload,
+            plan - free,
             policy.cumulative_backoff(MAX_PREDICTED_RETRIES)
         );
         // A wilder prediction cannot charge more than the clamp allows.
@@ -469,8 +461,8 @@ mod tests {
             predicted_retries: MAX_PREDICTED_RETRIES,
             ..prediction
         };
-        let capped = opt.plan(false, None, charged(&wild)).unwrap();
-        assert_eq!(capped.offload, plan.offload);
+        let capped = offload(charged(&wild));
+        assert_eq!(capped, plan);
     }
 
     #[test]
@@ -481,20 +473,21 @@ mod tests {
         for mbps in [0.1, 1.0, 5.0, 30.0, 200.0] {
             let opt = on("googlenet", LinkConfig::mbps(mbps));
             for unacked in [unacked, None] {
-                let plan = opt.plan(true, unacked, Duration::ZERO).unwrap();
-                assert!(
-                    plan.predicted <= plan.local_time,
-                    "mbps {mbps} unacked {unacked:?}"
-                );
+                let (_, _, local, predicted) = priced(&opt, true, unacked, Duration::ZERO);
+                assert!(predicted <= local, "mbps {mbps} unacked {unacked:?}");
             }
+            let plan = opt.plan().unwrap();
+            assert!(plan.predicted <= plan.local_time, "mbps {mbps}");
         }
     }
 
-    /// Every plan over the paper models, five link rates, two loss rates,
-    /// four upload states, two penalties and both privacy settings,
-    /// hashed (FNV-1a over the decision label and the offload, local and
-    /// predicted nanoseconds). The value was recorded on the two-type
-    /// planner this method replaced; a move means a plan changed.
+    /// Every price over the paper models, five link rates, two loss
+    /// rates, four upload states, two penalties and both privacy
+    /// settings, hashed (FNV-1a over the label and the offload, local
+    /// and predicted nanoseconds). The value was recorded on the
+    /// two-type planner the one `plan` replaced, whose parameters are now
+    /// `against_local`'s; a move means a price changed. `plan` itself is
+    /// the privacy, model-ready, no-penalty cell of the grid.
     #[test]
     fn the_plan_grid_is_pinned() {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -512,12 +505,24 @@ mod tests {
                         let opt = on(model, LinkConfig::mbps(mbps).with_loss(loss));
                         for unacked in [None, Some(0), Some(bytes / 10), Some(bytes)] {
                             for penalty in [Duration::ZERO, Duration::from_secs(1)] {
-                                let plan = opt.plan(privacy, unacked, penalty).unwrap();
-                                eat(plan.decision.label().as_bytes());
-                                for t in [plan.offload, plan.local_time, plan.predicted] {
+                                let (label, offload, local, predicted) =
+                                    priced(&opt, privacy, unacked, penalty);
+                                eat(label.as_bytes());
+                                for t in [offload, local, predicted] {
                                     eat(&(t.as_nanos() as u64).to_le_bytes());
                                 }
                                 plans += 1;
+                                if privacy && unacked.is_none() && penalty.is_zero() {
+                                    let plan = opt.plan().unwrap();
+                                    let decided = plan.cut.map_or("local".to_string(), |cut| {
+                                        format!("partial:{}", cut.label)
+                                    });
+                                    assert_eq!(decided, label);
+                                    assert_eq!(
+                                        (plan.predicted, plan.local_time),
+                                        (predicted, local)
+                                    );
+                                }
                             }
                         }
                     }

@@ -17,7 +17,6 @@
 use crate::apps;
 use crate::config::{ConfigBuilder, OffloadConfig};
 use crate::endpoint::Endpoint;
-use crate::partition::Decision;
 use crate::session::{OffloadSession, SessionConfig};
 use crate::OffloadError;
 use snapedge_dnn::{zoo, ExecMode, ParamStore};
@@ -262,14 +261,11 @@ pub struct ScenarioReport {
     /// `ServerOnly`) or completed on the client (fallback,
     /// proactive-local, a tripped effect gate).
     pub server: Option<String>,
-    /// What the link-health predictor recommended at migration time, when
-    /// the predictor was enabled *and* had an estimate to work from.
-    /// `None` otherwise (including every run with `predict` off).
-    pub prediction: Option<Decision>,
-    /// Whether the run completed locally *because the predictor said so*
-    /// — before any retry budget was spent. Always `false` with `predict`
-    /// off; disjoint from [`ScenarioReport::fell_back`], the reactive
-    /// exhaustion path.
+    /// Whether the run completed locally *because the `plan` gate priced
+    /// offloading at the strategy's own cut no faster than local
+    /// execution* — before any retry budget was spent. Always `false`
+    /// with `predict` off; disjoint from [`ScenarioReport::fell_back`],
+    /// the reactive exhaustion path.
     pub proactive: bool,
     /// Full event trace of the run: canonical phase events at depth 0,
     /// per-layer DNN execution and link-level transfer/queue events
@@ -381,7 +377,6 @@ fn run_offload(
         result: round.result,
         fell_back: round.fell_back,
         server: round.server,
-        prediction: round.prediction,
         proactive: round.proactive,
         trace,
     })
@@ -432,7 +427,6 @@ fn run_local(cfg: &ScenarioConfig, on_server: bool) -> Result<ScenarioReport, Of
         result: ep.browser.element_text("result")?.to_string(),
         fell_back: false,
         server: None,
-        prediction: None,
         proactive: false,
         trace,
     })

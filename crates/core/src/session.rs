@@ -26,10 +26,9 @@ use crate::config::{ConfigBuilder, OffloadConfig};
 use crate::endpoint::Endpoint;
 use crate::fleet::{ServerPool, ServerSpec};
 use crate::gates::{self, Gate, Verdict};
-use crate::partition::Decision;
 use crate::resilience::{classify, schedule_resilient, FaultClass};
 use crate::OffloadError;
-use snapedge_dnn::{zoo, ExecMode, ModelBundle, Network, NodeId, ParamStore};
+use snapedge_dnn::{zoo, CutPoint, ExecMode, ModelBundle, Network, ParamStore};
 use snapedge_net::{Link, SimClock, Transfer};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
 use snapedge_webapp::{DeltaCapture, MeterLimits, RunOutcome, StateBase, WebError};
@@ -164,13 +163,10 @@ pub struct RoundReport {
     /// Name of the edge server that executed the inference; `None` when
     /// it ran on the client, by a gate's `Local` verdict or by fallback.
     pub server: Option<String>,
-    /// What the link-health predictor advised for this round, when the
-    /// session runs with [`SessionConfig::predict`] enabled (and the
-    /// estimator had at least one sample). `None` otherwise.
-    pub prediction: Option<Decision>,
-    /// Whether this round ran locally *proactively* — the predictor
-    /// expected the offload to lose, so no retry budget was spent.
-    /// Contrast with [`RoundReport::fell_back`], the reactive path.
+    /// Whether this round ran locally *proactively*: the `plan` gate
+    /// priced offloading at the session's own cut no faster than local
+    /// execution, so no retry budget was spent. Contrast with
+    /// [`RoundReport::fell_back`], the reactive path.
     pub proactive: bool,
     /// Interpreter operations the serving server's resource meter charged
     /// this round (restore + execution + capture). Zero when the round
@@ -202,9 +198,6 @@ struct PendingRound {
     /// When the user clicked inference (the retry deadline anchor and
     /// the origin of the round's `total`).
     clicked_at: Duration,
-    /// What the link-health predictor advised (attached to the final
-    /// report on every exit path).
-    prediction: Option<Decision>,
     /// Set once the uplink migration landed: what the downlink later
     /// needs.
     arrived: Option<ArrivedUplink>,
@@ -232,7 +225,9 @@ struct ArrivedUplink {
 pub struct OffloadSession {
     cfg: SessionConfig,
     net: Network,
-    cut: Option<NodeId>,
+    /// The configured cut, resolved once; `None` offloads the whole DNN.
+    /// The `plan` gate prices this cut (the input cut when `None`) only.
+    cut: Option<CutPoint>,
     clock: SimClock,
     client: Endpoint,
     pool: ServerPool,
@@ -425,7 +420,7 @@ impl OffloadSession {
         crate::fleet::check_fleet(&cfg.servers)?;
         let net = zoo::by_name(&cfg.model)?;
         let cut = match &cfg.cut {
-            Some(label) => Some(net.cut_point(label)?.id),
+            Some(label) => Some(net.cut_point(label)?),
             None => None,
         };
         let params = match cfg.exec_mode {
@@ -436,8 +431,8 @@ impl OffloadSession {
             ExecMode::Real => ModelBundle::materialized(&net, &params)?,
             ExecMode::Synthetic { .. } => ModelBundle::from_network(&net),
         };
-        let bundle = match cut {
-            Some(cut) => bundle.split(&net, cut)?.1,
+        let bundle = match &cut {
+            Some(cut) => bundle.split(&net, cut.id)?.1,
             None => bundle,
         };
         let clock = SimClock::new();
@@ -497,7 +492,7 @@ impl OffloadSession {
             self.net.clone(),
             params,
             self.cfg.exec_mode,
-            self.cut,
+            self.cut.as_ref().map(|cut| cut.id),
             self.cfg.seed,
         );
         let url = apps::synthetic_image_data_url(self.cfg.seed, self.cfg.image_bytes);
@@ -565,7 +560,7 @@ impl OffloadSession {
             self.net.clone(),
             server_params,
             self.cfg.exec_mode,
-            self.cut,
+            self.cut.as_ref().map(|cut| cut.id),
             self.cfg.seed,
         );
         Ok(true)
@@ -847,6 +842,7 @@ impl OffloadSession {
         let round = gates::Round {
             cfg: &self.cfg.core,
             net: &self.net,
+            cut: self.cut.as_ref(),
             pool: &self.pool,
             current: self.current,
             effects: self.effects.as_ref(),
@@ -856,17 +852,14 @@ impl OffloadSession {
             now: self.clock.now(),
             ack_at: self.ack_at,
         };
-        let (verdict, prediction) = gates::pre_ship(&round, &self.tracer)?;
-        if let Verdict::Local(reading) = verdict {
+        if let Verdict::Local(reading) = gates::pre_ship(&round, &self.tracer)? {
             let mut report = self.end_round(clicked_at, None, false)?;
-            report.prediction = prediction;
             report.proactive = reading.gate == Gate::Plan;
             return Ok(RoundStep::Done(report));
         }
 
         self.pending = Some(PendingRound {
             clicked_at,
-            prediction,
             arrived: None,
             exhausted: false,
         });
@@ -905,12 +898,12 @@ impl OffloadSession {
     }
 
     /// Completes the parked round on the client after every fleet
-    /// candidate exhausted its retry budget, attaching the round's
-    /// recorded prediction. The server's view of the client state is now
-    /// stale (bytes may have died mid-wire), so the delta agreement is
-    /// dropped — the next round re-sends a full snapshot.
+    /// candidate exhausted its retry budget. The server's view of the
+    /// client state is now stale (bytes may have died mid-wire), so the
+    /// delta agreement is dropped — the next round re-sends a full
+    /// snapshot.
     fn round_done_locally(&mut self, clicked_at: Duration) -> Result<RoundStep, OffloadError> {
-        let prediction = self.pending.take().and_then(|parked| parked.prediction);
+        self.pending = None;
         let now = self.clock.now();
         self.tracer.record(
             "fallback_local",
@@ -920,9 +913,7 @@ impl OffloadSession {
             now,
         );
         self.server.agreed = None;
-        let mut report = self.end_round(clicked_at, None, true)?;
-        report.prediction = prediction;
-        Ok(RoundStep::Done(report))
+        Ok(RoundStep::Done(self.end_round(clicked_at, None, true)?))
     }
 
     /// Grants the server CPU to the parked round. `admitted_at` is when
@@ -1022,8 +1013,8 @@ impl OffloadSession {
         let base = arrived.delta_up.then_some(&arrived.server_base);
         match self.migrate(Dir::Down, base, clicked_at) {
             Ok(Some(down)) => {
-                let mut report = self.end_round(clicked_at, Some((&arrived, down)), false)?;
-                report.prediction = self.pending.take().and_then(|parked| parked.prediction);
+                let report = self.end_round(clicked_at, Some((&arrived, down)), false)?;
+                self.pending = None;
                 Ok(RoundStep::Done(report))
             }
             failed => self.exhausted_mid_round(clicked_at, failed.err()),
@@ -1139,7 +1130,6 @@ impl OffloadSession {
             result: self.client.browser.element_text("result")?.to_string(),
             fell_back,
             server: served.map(|_| self.server.endpoint.name().to_string()),
-            prediction: None,
             proactive: false,
             ops_used: 0,
             peak_heap: 0,
@@ -1434,7 +1424,7 @@ mod tests {
         assert_eq!(report.server, None, "the round never left the client");
         assert_eq!(report.up_bytes, 0, "no snapshot bytes shipped");
         assert!(!report.fell_back, "no retry budget was spent");
-        assert!(!report.proactive && report.prediction.is_none());
+        assert!(!report.proactive);
         assert_eq!(report.result, shipped.result, "same image, same label");
         // The first gate to say local ends the chain: one more event, and
         // nothing the later gates guard was touched.

@@ -60,6 +60,14 @@ impl<E> EventQueue<E> {
         EventQueue::default()
     }
 
+    /// An empty queue with room for `capacity` events before it grows.
+    pub fn with_capacity(capacity: usize) -> EventQueue<E> {
+        EventQueue {
+            heap: BinaryHeap::with_capacity(capacity),
+            seq: 0,
+        }
+    }
+
     /// Schedules `event` at virtual time `time` (nanosecond-exact up to
     /// `u64::MAX` ns, ~584 years; later times are scheduled there).
     pub fn push(&mut self, time: Duration, event: E) {

@@ -44,7 +44,9 @@ impl Summary {
             };
         }
         let mut sorted: Vec<Duration> = samples.to_vec();
-        sorted.sort();
+        // Equal durations are indistinguishable, so the unstable sort
+        // gives the same order without the stable sort's scratch copy.
+        sorted.sort_unstable();
         let total: Duration = sorted.iter().sum();
         Summary {
             count: sorted.len(),

@@ -3,19 +3,22 @@
 //! "the runtime network status" of Section III-B.2, end to end.
 
 use snapedge_core::prelude::*;
-use snapedge_core::{Decision, PartitionOptimizer, Plan};
+use snapedge_core::PartitionOptimizer;
 use std::time::Duration;
 
-/// The privacy-constrained plan for `model` with its model installed.
-fn plan(model: &str, link: LinkConfig) -> Plan {
+/// The cut the privacy-constrained plan for `model` offloads at, with
+/// its model installed; `None` runs locally.
+fn plan(model: &str, link: LinkConfig) -> Option<String> {
     PartitionOptimizer::new(
         &zoo::by_name(model).unwrap(),
         odroid_xu4(),
         edge_server_x86(),
         link,
     )
-    .plan(true, None, Duration::ZERO)
+    .plan()
     .unwrap()
+    .cut
+    .map(|cut| cut.label)
 }
 
 /// Run some probe transfers through a real (simulated) link and return the
@@ -38,24 +41,17 @@ fn estimator_driven_decision_matches_oracle_on_a_good_link() {
     let measured = measured_config(&truth, 8);
     let oracle_plan = plan("googlenet", truth);
     let measured_plan = plan("googlenet", measured);
-    assert_eq!(oracle_plan.decision, measured_plan.decision);
-    assert_eq!(
-        measured_plan.decision,
-        Decision::Partial {
-            cut: "1st_pool".into()
-        }
-    );
+    assert_eq!(oracle_plan, measured_plan);
+    assert_eq!(measured_plan.as_deref(), Some("1st_pool"));
 }
 
 #[test]
 fn estimator_tracks_degradation_and_flips_the_decision() {
-    let first_pool = Decision::Partial {
-        cut: "1st_pool".into(),
-    };
+    let first_pool = Some("1st_pool".to_string());
 
     // Phase 1: healthy link -> offload.
     let good = measured_config(&LinkConfig::wifi_30mbps(), 6);
-    assert_eq!(plan("agenet", good).decision, first_pool);
+    assert_eq!(plan("agenet", good), first_pool);
 
     // Phase 2: the client walks away; throughput collapses. Feed the SAME
     // record the bad samples and watch the plan flip: at the estimate's
@@ -76,17 +72,12 @@ fn estimator_tracks_degradation_and_flips_the_decision() {
         health.observe_transfer(&t);
         now = t.finish;
         let degraded = health.as_link_config(&LinkConfig::mbps(0.05)).unwrap();
-        decisions.push((degraded.bandwidth_bps, plan("agenet", degraded).decision));
+        decisions.push((degraded.bandwidth_bps, plan("agenet", degraded)));
     }
     let (after_8, still) = &decisions[7];
     assert_eq!(*still, first_pool, "estimate was {:.2} Mbps", after_8 / 1e6);
     let (after_9, flipped) = &decisions[8];
-    assert_eq!(
-        *flipped,
-        Decision::Local,
-        "estimate was {:.2} Mbps",
-        after_9 / 1e6
-    );
+    assert_eq!(*flipped, None, "estimate was {:.2} Mbps", after_9 / 1e6);
 }
 
 #[test]

@@ -19,8 +19,8 @@
 //!    events survive the JSONL round trip.
 
 use snapedge_core::prelude::*;
-use snapedge_core::Decision;
-use snapedge_integration::{gate_reading, secs, uplink_transfer_starts};
+use snapedge_core::PartitionOptimizer;
+use snapedge_integration::{gate_reading, secs, uplink_transfer_starts, LocalOracle};
 use snapedge_net::Transfer;
 use snapedge_rng::Rng;
 use std::time::Duration;
@@ -121,7 +121,6 @@ fn session_predicts_local_before_retry_budget_exhaustion() {
     assert!(reactive[2].fell_back);
     assert!(predictive[2].proactive, "round 3 must be proactive");
     assert!(!predictive[2].fell_back, "proactive is not a fallback");
-    assert_eq!(predictive[2].prediction, Some(Decision::Local));
     assert_eq!(predictive[2].server, None);
     assert_eq!(predictive[2].result, reactive[2].result);
     assert!(
@@ -203,7 +202,6 @@ fn scenario_with_degraded_presend_goes_proactively_local() {
     assert!(!reactive.proactive);
     assert!(predictive.proactive, "the gate must fire at the click");
     assert!(!predictive.fell_back);
-    assert_eq!(predictive.prediction, Some(Decision::Local));
     assert_eq!(predictive.result, reactive.result);
 
     let cost = |r: &ScenarioReport| r.fault_time() + r.backoff_time();
@@ -244,22 +242,71 @@ fn healthy_link_prediction_is_marker_only() {
         assert_eq!(p.result, r.result);
         assert_eq!(p.server, r.server);
         assert!(!p.fell_back && !p.proactive);
-        // GoogLeNet on a healthy 30 Mbps link: the gate agrees with the
-        // offload every round.
-        assert_eq!(p.prediction, Some(Decision::FullOffload));
-        assert_eq!(r.prediction, None);
     }
     assert_eq!(
         without_gate_events(&predictive_trace),
         reactive_trace.events().to_vec(),
         "the predictor may only add instant gate markers"
     );
+    // GoogLeNet on a healthy 30 Mbps link: the gate agrees with the
+    // offload every round, and without prediction it is never consulted.
     assert_eq!(
         plan_count(&predictive_trace, "ship"),
         3,
         "one marker per round"
     );
     assert_eq!(plan_count(&predictive_trace, "local"), 0);
+    assert_eq!(plan_count(&reactive_trace, "ship"), 0);
+}
+
+/// The plan gate prices the round the session runs: offloading at its
+/// configured cut, on the link as its pre-send measured it, against
+/// local execution. It searches no other cut, so AgeNet at `1st_pool`
+/// ships on its own price, and AgeNet at `3rd_pool`, which would lose to
+/// local execution, completes locally before touching the wire.
+#[test]
+fn the_plan_gate_prices_the_sessions_own_cut() {
+    let net = zoo::agenet();
+    for (cut, ships) in [("1st_pool", true), ("3rd_pool", false)] {
+        let cfg = SessionConfig::paper_builder("agenet")
+            .cut(cut)
+            .predict(true)
+            .build();
+        let mut session = OffloadSession::new(cfg.clone()).unwrap();
+        let round = session.infer(1).unwrap();
+        let trace = session.trace();
+
+        // The link estimate the gate read: one EWMA sample, the pre-send.
+        let presend = trace.events().iter().find(|e| e.name == "model_upload");
+        let presend = presend.unwrap();
+        let mut health = LinkHealth::default();
+        health.observe_transfer(&Transfer {
+            start: presend.start,
+            finish: presend.end,
+            bytes: presend.bytes.unwrap(),
+            corrupted: false,
+        });
+        let link = health.as_link_config(&cfg.primary().link).unwrap();
+        let server = cfg.primary().device.clone();
+        let planner = PartitionOptimizer::new(&net, cfg.client_device.clone(), server, link);
+        let priced = planner.predict(&net.cut_point(cut).unwrap()).unwrap();
+        let priced = u64::try_from(priced.times.total().as_micros()).unwrap();
+
+        let readings = plan_verdicts(&trace);
+        assert_eq!(readings.len(), 1, "{cut}: {readings:?}");
+        let (verdict, lhs, rhs) = &readings[0];
+        assert_eq!(*lhs, priced, "{cut}: gate:plan:{verdict}:{lhs}:{rhs}");
+        assert_eq!(
+            verdict == "ship",
+            ships,
+            "{cut}: gate:plan:{verdict}:{lhs}:{rhs}"
+        );
+        assert_eq!(round.proactive, !ships, "{cut}");
+        assert_eq!(round.server.is_some(), ships, "{cut}");
+        assert!(!round.fell_back, "{cut}");
+        let mut oracle = LocalOracle::new(&cfg).unwrap();
+        assert_eq!(round.result, oracle.result(1).unwrap(), "{cut}");
+    }
 }
 
 /// A retry backoff past 2⁶⁴ µs prices the offload side beyond what a
