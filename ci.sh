@@ -244,6 +244,9 @@ PARTS=256 cargo test --offline --release -q -p snapedge-webapp --lib -- --ignore
 echo "== float reader = str::parse on the printed text of 1/256 of every finite f32 (value bits, nesting and end index; a wrong interval end fails here)"
 PARTS=256 cargo test --offline --release -q -p snapedge-webapp --lib -- --ignored every_finite_pattern_reads_back
 
+echo "== event queue = a sorted set over a million random push/pop/peek calls 10 000 deep (equal times, pushes before the last pop, saturated times)"
+cargo test --offline --release -q -p snapedge-net --lib -- --ignored deep_random_interleavings_pop_in_sorted_order
+
 echo "== benchmark package (ledger/ is outside the workspace: build it, run its tests, smoke steady_deep and the steady_partial fast path)"
 cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test --release --offline -q --manifest-path ledger/Cargo.toml

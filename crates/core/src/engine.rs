@@ -9,9 +9,10 @@
 //!
 //! # How it works
 //!
-//! One global virtual clock drives a binary-heap event queue
-//! ([`snapedge_net::EventQueue`], ordered by `(time, seq)` so ties break
-//! deterministically by push order). Each client runs a resumable round
+//! One global virtual clock drives an event queue
+//! ([`snapedge_net::EventQueue`]: a binary heap behind a sorted lane,
+//! ordered by `(time, seq)` so ties break deterministically by push
+//! order). Each client runs a resumable round
 //! state machine (a [`Workload`]) that *yields* at the moment it needs
 //! the one shared resource — the server CPU — and the engine interleaves
 //! those yields:
@@ -877,14 +878,15 @@ enum Ev {
     Arrive { client: usize },
     /// A client actually starts a round — immediately after an arrival
     /// found it idle, or once a backlogged request reached the front.
-    /// `issued` is the request's original arrival time (the sojourn
-    /// clock starts there, not at the round start).
-    Begin { client: usize, issued: Duration },
-    /// A client's uplinked request asks for a server CPU.
-    Admit { client: usize, server: usize },
+    /// The request's original arrival time (the sojourn clock starts
+    /// there, not at the round start) waits in the client's slot.
+    Begin { client: usize },
+    /// A client's uplinked request asks for a server CPU (a fleet
+    /// index).
+    Admit { client: usize, server: u32 },
     /// A server CPU frees; the client's round resumes. `server` keys the
     /// fair-share queue the freed CPU should grant from next.
-    Release { client: usize, server: usize },
+    Release { client: usize, server: u32 },
 }
 
 /// The scheduler: one global `(time, seq)`-ordered event queue
@@ -1254,9 +1256,11 @@ impl RunState {
             };
             match event {
                 Ev::Arrive { client } => self.arrive(client, now),
-                Ev::Begin { client, issued } => self.begin(workload, client, issued, now)?,
+                Ev::Begin { client } => self.begin(workload, client, now)?,
                 Ev::Admit { client, server } => self.admit(workload, client, server, now)?,
-                Ev::Release { client, server } => self.release(workload, client, server, now)?,
+                Ev::Release { client, server } => {
+                    self.release(workload, client, server as usize, now)?;
+                }
             }
         }
     }
@@ -1271,32 +1275,26 @@ impl RunState {
             slot.backlog.push_back(now);
         } else {
             slot.busy = true;
-            self.queue.push(
-                now,
-                Ev::Begin {
-                    client,
-                    issued: now,
-                },
-            );
+            slot.issued = now;
+            self.queue.push(now, Ev::Begin { client });
         }
     }
 
-    /// `client` starts the round of the request that arrived at
-    /// `issued`, with the balancer's outlook when balancing.
+    /// `client` starts the round of the request that arrived at its
+    /// slot's `issued`, with the balancer's outlook when balancing.
     fn begin<W: Workload>(
         &mut self,
         workload: &mut W,
         client: usize,
-        issued: Duration,
         now: Duration,
     ) -> Result<(), OffloadError> {
+        let slot = &mut self.clients[client];
+        let issued = slot.issued;
         self.events.push(EngineEvent::new(
             now,
             client,
             EngineEventKind::Begin { issued },
         ));
-        let slot = &mut self.clients[client];
-        slot.issued = issued;
         slot.rounds += 1;
         let seed = round_image_seed(self.seed, client as u64, slot.rounds as u64);
         let step = match &self.balancer {
@@ -1307,20 +1305,21 @@ impl RunState {
         Ok(())
     }
 
-    /// `client`'s uplinked snapshot asks for `server`'s CPU: granted at
-    /// `max(now, busy_until)` in arrival order, or — under fair share or
-    /// batching — parked, and granted at once if the CPU is idle.
+    /// `client`'s uplinked snapshot asks for the CPU of server `index`:
+    /// granted at `max(now, busy_until)` in arrival order, or — under
+    /// fair share or batching — parked, and granted at once if the CPU
+    /// is idle.
     fn admit<W: Workload>(
         &mut self,
         workload: &mut W,
         client: usize,
-        server: usize,
+        index: u32,
         now: Duration,
     ) -> Result<(), OffloadError> {
-        let server = server % self.servers.len();
+        let server = index as usize;
         let start = (!self.defer).then(|| now.max(self.servers[server].busy_until));
         let kind = EngineEventKind::Admit {
-            server: log_u32(server),
+            server: index,
             start,
         };
         self.events.push(EngineEvent::new(now, client, kind));
@@ -1346,7 +1345,11 @@ impl RunState {
         slot.busy_until = released;
         slot.busy += service;
         slot.grants += 1;
-        self.queue.push(released, Ev::Release { client, server });
+        let release = Ev::Release {
+            client,
+            server: index,
+        };
+        self.queue.push(released, release);
         Ok(())
     }
 
@@ -1415,16 +1418,18 @@ impl RunState {
             });
         }
         let mut span_end = now;
+        let index = log_u32(server);
         for &(client, enq) in &self.batch {
             let wait = now.saturating_sub(enq);
             self.waits.push(wait);
-            let kind = EngineEventKind::Grant {
-                server: log_u32(server),
-                enq,
-            };
+            let kind = EngineEventKind::Grant { server: index, enq };
             self.events.push(EngineEvent::new(now, client, kind));
             let released = workload.compute(client, now)?;
-            self.queue.push(released, Ev::Release { client, server });
+            let release = Ev::Release {
+                client,
+                server: index,
+            };
+            self.queue.push(released, release);
             let service = released.saturating_sub(now);
             if let Some(drr) = &mut slot.drr {
                 drr.charge(client, service);
@@ -1461,6 +1466,7 @@ impl RunState {
     fn step(&mut self, client: usize, step: EngineStep) {
         let outcome = match step {
             EngineStep::NeedCompute { server, at } => {
+                let server = log_u32(server % self.servers.len());
                 self.queue.push(at, Ev::Admit { client, server });
                 return;
             }
@@ -1507,13 +1513,9 @@ impl RunState {
                     // moment the client frees, but its sojourn clock
                     // started at arrival.
                     slot.busy = true;
-                    self.queue.push(
-                        arrived.max(outcome.finished_at),
-                        Ev::Begin {
-                            client,
-                            issued: arrived,
-                        },
-                    );
+                    slot.issued = arrived;
+                    let at = arrived.max(outcome.finished_at);
+                    self.queue.push(at, Ev::Begin { client });
                 }
             }
         }
@@ -1567,6 +1569,12 @@ mod tests {
     #[test]
     fn an_engine_event_fits_48_bytes() {
         assert!(std::mem::size_of::<EngineEvent>() <= 48);
+    }
+
+    /// The run loop's queue entry is this plus its 16-byte key.
+    #[test]
+    fn an_engine_queue_event_fits_16_bytes() {
+        assert!(std::mem::size_of::<Ev>() <= 16);
     }
 
     /// Placement moved the server from the round in flight to the

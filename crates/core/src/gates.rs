@@ -17,6 +17,7 @@ use snapedge_analyze::EffectSummary;
 use snapedge_dnn::{CutPoint, Network};
 use snapedge_trace::{EventKind, Lane, Tracer};
 use snapedge_webapp::MeterLimits;
+use std::cell::OnceCell;
 use std::time::Duration;
 
 /// The closed set of pre-ship gates, in consultation order.
@@ -83,6 +84,9 @@ pub(crate) struct Round<'a> {
     /// The balancer's predicted queueing delay per candidate — empty
     /// unless the fleet engine balances this session's fleet.
     pub queue_outlook: &'a [Duration],
+    /// The session's planner, built by the first round that consults
+    /// the `plan` gate with a link estimate to price.
+    pub planner: &'a OnceCell<PartitionOptimizer>,
     pub model_bytes: u64,
     pub now: Duration,
     pub ack_at: Option<Duration>,
@@ -168,13 +172,16 @@ fn plan(round: &Round<'_>) -> Result<Option<Judged>, OffloadError> {
     // Before the ACK the whole model still queues ahead of the snapshot;
     // after it, none of it does (the pre-send is one acknowledged upload).
     let unacked = (round.ack_at.is_some_and(|ack| round.now < ack)).then_some(round.model_bytes);
-    let (offload, local) = PartitionOptimizer::new(
-        round.net,
-        round.cfg.client_device.clone(),
-        spec.device.clone(),
-        link,
-    )
-    .against_local(round.cut, unacked, penalty)?;
+    let planner = round.planner.get_or_init(|| {
+        PartitionOptimizer::new(
+            round.net,
+            round.cfg.client_device.clone(),
+            spec.device.clone(),
+            link.clone(),
+        )
+    });
+    let (offload, local) =
+        planner.against_local(&spec.device, &link, round.cut, unacked, penalty)?;
     let reading = Reading {
         gate: Gate::Plan,
         lhs: micros(offload),

@@ -128,18 +128,29 @@ impl PartitionOptimizer {
     /// Returns [`OffloadError::Net`] when the link has no usable bandwidth
     /// — no transfer time can be predicted over a dead link.
     pub fn predict(&self, cut: &CutPoint) -> Result<PartitionPrediction, OffloadError> {
+        self.price(&self.server, &self.link, cut)
+    }
+
+    /// [`PartitionOptimizer::predict`] with `server` over `link` in place
+    /// of the optimizer's own.
+    fn price(
+        &self,
+        server: &DeviceProfile,
+        link: &LinkConfig,
+        cut: &CutPoint,
+    ) -> Result<PartitionPrediction, OffloadError> {
         let feature_bytes = self.feature_text_bytes(cut);
         let snapshot_bytes = BASE_SNAPSHOT_BYTES + feature_bytes;
         let client_exec = self.client.exec_time(&self.profile, None, Some(cut.id));
-        let server_exec = self.server.exec_time(&self.profile, Some(cut.id), None);
+        let server_exec = server.exec_time(&self.profile, Some(cut.id), None);
         let times = PredictedTimes {
             client_exec,
             capture: self.client.capture_time(snapshot_bytes),
-            upload: self.link.transfer_time(snapshot_bytes)?,
-            restore: self.server.restore_time(snapshot_bytes),
+            upload: link.transfer_time(snapshot_bytes)?,
+            restore: server.restore_time(snapshot_bytes),
             server_exec,
-            result_return: self.server.capture_time(RESULT_SNAPSHOT_BYTES)
-                + self.link.transfer_time(RESULT_SNAPSHOT_BYTES)?
+            result_return: server.capture_time(RESULT_SNAPSHOT_BYTES)
+                + link.transfer_time(RESULT_SNAPSHOT_BYTES)?
                 + self.client.restore_time(RESULT_SNAPSHOT_BYTES),
         };
         Ok(PartitionPrediction {
@@ -176,7 +187,9 @@ impl PartitionOptimizer {
     }
 
     /// Predicted time of offloading at `cut` (the input cut when `None`)
-    /// against pure local execution, as `(offload, local)`.
+    /// to `server` over `link` against pure local execution, as
+    /// `(offload, local)`. The `plan` gate keeps one optimizer a session
+    /// and passes the serving candidate and its link health each round.
     /// `unacked_model_bytes` is `None`
     /// when the server holds the model; `Some(n)` queues the `n` model
     /// bytes still uploading ahead of the snapshot on the same link.
@@ -189,6 +202,8 @@ impl PartitionOptimizer {
     /// Same conditions as [`PartitionOptimizer::best`].
     pub(crate) fn against_local(
         &self,
+        server: &DeviceProfile,
+        link: &LinkConfig,
         cut: Option<&CutPoint>,
         unacked_model_bytes: Option<u64>,
         penalty: Duration,
@@ -196,9 +211,9 @@ impl PartitionOptimizer {
         let cut = (cut.or(self.cuts.first()))
             .ok_or_else(|| OffloadError::Config("no valid partition point".into()))?;
         let local_time = self.client.full_exec_time(&self.profile);
-        let mut offload = self.predict(cut)?.times.total();
+        let mut offload = self.price(server, link, cut)?.times.total();
         if let Some(bytes) = unacked_model_bytes {
-            offload = offload.saturating_add(self.link.transfer_time(bytes)?);
+            offload = offload.saturating_add(link.transfer_time(bytes)?);
         }
         Ok((offload.saturating_add(penalty), local_time))
     }
@@ -214,7 +229,13 @@ impl PartitionOptimizer {
     /// Same conditions as [`PartitionOptimizer::best`].
     pub fn plan(&self) -> Result<Plan, OffloadError> {
         let best = self.best(true)?;
-        let (offload, local_time) = self.against_local(Some(&best.cut), None, Duration::ZERO)?;
+        let (offload, local_time) = self.against_local(
+            &self.server,
+            &self.link,
+            Some(&best.cut),
+            None,
+            Duration::ZERO,
+        )?;
         Ok(Plan {
             cut: (offload < local_time).then_some(best.cut),
             predicted: offload.min(local_time),
@@ -339,7 +360,7 @@ mod tests {
     ) -> (String, Duration, Duration, Duration) {
         let best = opt.best(privacy).unwrap();
         let (offload, local) = opt
-            .against_local(Some(&best.cut), unacked, penalty)
+            .against_local(&opt.server, &opt.link, Some(&best.cut), unacked, penalty)
             .unwrap();
         let label = if offload >= local {
             "local".to_string()

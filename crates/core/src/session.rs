@@ -26,12 +26,14 @@ use crate::config::{ConfigBuilder, OffloadConfig};
 use crate::endpoint::Endpoint;
 use crate::fleet::{ServerPool, ServerSpec};
 use crate::gates::{self, Gate, Verdict};
+use crate::partition::PartitionOptimizer;
 use crate::resilience::{classify, schedule_resilient, FaultClass};
 use crate::OffloadError;
 use snapedge_dnn::{zoo, CutPoint, ExecMode, ModelBundle, Network, ParamStore};
 use snapedge_net::{Link, SimClock, Transfer};
 use snapedge_trace::{EventKind, Lane, Trace, Tracer};
 use snapedge_webapp::{DeltaCapture, MeterLimits, RunOutcome, StateBase, WebError};
+use std::cell::OnceCell;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -279,6 +281,10 @@ pub struct OffloadSession {
     /// current server's entry is the `plan` gate's admission prior, and
     /// the whole vector re-ranks failover candidates by predicted sojourn.
     queue_outlook: Vec<Duration>,
+    /// The `plan` gate's model profile and cut list, built on the first
+    /// round that consults the gate; a session that never does builds
+    /// none.
+    planner: OnceCell<PartitionOptimizer>,
 }
 
 impl std::fmt::Debug for OffloadSession {
@@ -477,6 +483,7 @@ impl OffloadSession {
             pending: None,
             effects: None,
             queue_outlook: Vec::new(),
+            planner: OnceCell::new(),
         };
         session.setup_client(params)?;
         let presend = session.setup_server();
@@ -848,6 +855,7 @@ impl OffloadSession {
             effects: self.effects.as_ref(),
             meter: self.server.endpoint.browser.meter().map(|m| m.limits()),
             queue_outlook: &self.queue_outlook,
+            planner: &self.planner,
             model_bytes: self.model_bytes,
             now: self.clock.now(),
             ack_at: self.ack_at,

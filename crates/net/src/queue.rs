@@ -1,14 +1,23 @@
 //! A deterministic discrete-event queue.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Duration;
 
-/// Min-heap of `(time, event)` with FIFO tie-breaking — the scheduling core
-/// of the offload simulation (model upload completion, ACK arrival,
+/// Min-queue of `(time, event)` with FIFO tie-breaking — the scheduling
+/// core of the offload simulation (model upload completion, ACK arrival,
 /// snapshot arrivals all become events).
+///
+/// Two stores hold the pending events: a sorted lane and a binary heap.
+/// A push whose key is no earlier than the lane's last and earlier than
+/// the heap's minimum appends to the lane in O(1) (an event scheduled
+/// for the current instant, or past everything in flight, usually is);
+/// any other push goes to the heap. Pops take the smaller of the two
+/// fronts, so events leave in the order one heap alone would give.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Entries in ascending key order.
+    lane: VecDeque<Entry<E>>,
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
 }
@@ -47,10 +56,7 @@ impl<E> Ord for Entry<E> {
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
+        EventQueue::with_capacity(0)
     }
 }
 
@@ -60,9 +66,11 @@ impl<E> EventQueue<E> {
         EventQueue::default()
     }
 
-    /// An empty queue with room for `capacity` events before it grows.
+    /// An empty queue whose heap holds `capacity` events before it
+    /// grows (the lane, which stays short, grows on demand).
     pub fn with_capacity(capacity: usize) -> EventQueue<E> {
         EventQueue {
+            lane: VecDeque::new(),
             heap: BinaryHeap::with_capacity(capacity),
             seq: 0,
         }
@@ -74,34 +82,60 @@ impl<E> EventQueue<E> {
         let nanos = u64::try_from(time.as_nanos()).unwrap_or(u64::MAX);
         let key = u128::from(nanos) << 64 | u128::from(self.seq);
         self.seq += 1;
-        self.heap.push(Reverse(Entry { key, event }));
+        let entry = Entry { key, event };
+        let in_order = self.lane.back().is_none_or(|last| key >= last.key);
+        let ahead = self.heap.peek().is_none_or(|Reverse(min)| key < min.key);
+        if in_order && ahead {
+            self.lane.push_back(entry);
+        } else {
+            self.heap.push(Reverse(entry));
+        }
+    }
+
+    /// Whether the earliest pending event is the lane's front (keys are
+    /// unique, so the two fronts never tie).
+    fn lane_first(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(lane), Some(Reverse(heap))) => lane.key < heap.key,
+            (lane, _) => lane.is_some(),
+        }
     }
 
     /// Removes and returns the earliest event (insertion order breaks
     /// ties).
     pub fn pop(&mut self) -> Option<(Duration, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.time(), e.event))
+        let entry = if self.lane_first() {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(e)| e)
+        };
+        entry.map(|e| (e.time(), e.event))
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<Duration> {
-        self.heap.peek().map(|Reverse(e)| e.time())
+        if self.lane_first() {
+            self.lane.front().map(Entry::time)
+        } else {
+            self.heap.peek().map(|Reverse(e)| e.time())
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snapedge_rng::Rng;
 
     #[test]
     fn pops_in_time_order() {
@@ -138,6 +172,80 @@ mod tests {
         // Both sit at the saturation point, so push order decides.
         assert_eq!(q.pop(), Some((far, "beyond")));
         assert_eq!(q.pop(), Some((far, "edge")));
+    }
+
+    /// Times a random push draws: mostly at or just past the last
+    /// popped time (many exact ties), some before it, some far ahead,
+    /// and some at or past the `u64::MAX` ns saturation point.
+    fn draw_time(rng: &mut Rng, clock: Duration) -> Duration {
+        match rng.gen_range_u64(0, 16) {
+            0..=5 => clock,
+            6..=8 => clock + Duration::from_micros(rng.gen_range_u64(0, 4)),
+            9..=10 => clock.saturating_sub(Duration::from_micros(rng.gen_range_u64(0, 50))),
+            11..=13 => clock + Duration::from_micros(rng.gen_range_u64(0, 10_000)),
+            14 => Duration::MAX,
+            _ => Duration::from_nanos(u64::MAX - rng.gen_range_u64(0, 2)),
+        }
+    }
+
+    /// Runs `ops` random `push`/`pop`/`peek_time` calls, pushing while
+    /// fewer than `depth` events are pending and otherwise as often as
+    /// popping, and checks each result, `len` and `is_empty` against the
+    /// pending set kept sorted by `(saturated nanos, push number)`.
+    fn check_against_sorted(seed: u64, ops: usize, depth: usize) -> usize {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut queue = EventQueue::new();
+        let mut sorted = std::collections::BTreeSet::new();
+        let (mut pushed, mut clock, mut deepest) = (0u64, Duration::ZERO, 0);
+        for op in 0..ops {
+            let roll = rng.gen_range_u64(0, 5);
+            if sorted.len() >= depth && roll == 0 {
+                let want = sorted
+                    .first()
+                    .map(|&(nanos, _)| Duration::from_nanos(nanos));
+                assert_eq!(queue.peek_time(), want, "op {op}: peek_time");
+            } else if sorted.len() >= depth && roll <= 2 {
+                let want = sorted
+                    .pop_first()
+                    .map(|(nanos, id)| (Duration::from_nanos(nanos), id));
+                let got = queue.pop();
+                assert_eq!(got, want, "op {op}: pop");
+                if let Some((at, _)) = got {
+                    // Back off the saturation point, or every later
+                    // push would land there.
+                    clock = at.min(Duration::from_secs(3_600));
+                }
+            } else {
+                let at = draw_time(&mut rng, clock);
+                let nanos = u64::try_from(at.as_nanos()).unwrap_or(u64::MAX);
+                queue.push(at, pushed);
+                sorted.insert((nanos, pushed));
+                pushed += 1;
+                deepest = deepest.max(sorted.len());
+            }
+            assert_eq!(queue.len(), sorted.len(), "op {op}: len");
+            assert_eq!(queue.is_empty(), sorted.is_empty(), "op {op}: is_empty");
+        }
+        while let Some((nanos, id)) = sorted.pop_first() {
+            assert_eq!(queue.pop(), Some((Duration::from_nanos(nanos), id)));
+        }
+        assert!(queue.is_empty() && queue.pop().is_none());
+        deepest
+    }
+
+    #[test]
+    fn random_interleavings_pop_in_sorted_order() {
+        for seed in 0..40 {
+            check_against_sorted(seed, 2_000, if seed % 2 == 0 { 0 } else { 64 });
+        }
+    }
+
+    /// The engine's depth: 10 000 pending events through a million calls.
+    #[test]
+    #[ignore = "a million calls: run in release (ci.sh)"]
+    fn deep_random_interleavings_pop_in_sorted_order() {
+        let deepest = check_against_sorted(0x5EED_DEE9, 1_000_000, 10_000);
+        assert!(deepest >= 10_000, "only {deepest} events pending at once");
     }
 
     #[test]

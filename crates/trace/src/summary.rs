@@ -43,29 +43,47 @@ impl Summary {
                 p99: Duration::ZERO,
             };
         }
-        let mut sorted: Vec<Duration> = samples.to_vec();
-        // Equal durations are indistinguishable, so the unstable sort
-        // gives the same order without the stable sort's scratch copy.
-        sorted.sort_unstable();
-        let total: Duration = sorted.iter().sum();
+        let n = samples.len();
+        let total: Duration = samples.iter().sum();
+        // Each order statistic by selection, highest rank first: after
+        // rank `r` is selected, `v[..r]` holds the `r` smallest samples,
+        // so every lower rank is selected within that prefix. Equal
+        // durations are indistinguishable, so the values are the ones a
+        // full sort would put at these ranks.
+        let mut v: Vec<Duration> = samples.to_vec();
+        let mut end = n;
+        let mut at_rank = |rank: usize| {
+            if rank < end {
+                v[..end].select_nth_unstable(rank);
+                end = rank;
+            }
+            v[rank]
+        };
+        let max = at_rank(n - 1);
+        let p99 = at_rank(rank(n, 99.0));
+        let p95 = at_rank(rank(n, 95.0));
+        let p90 = at_rank(rank(n, 90.0));
+        let p50 = at_rank(rank(n, 50.0));
+        let min = at_rank(0);
         Summary {
-            count: sorted.len(),
+            count: n,
             total,
-            min: sorted[0],
-            max: *sorted.last().unwrap(),
-            mean: total / sorted.len() as u32,
-            p50: percentile(&sorted, 50.0),
-            p90: percentile(&sorted, 90.0),
-            p95: percentile(&sorted, 95.0),
-            p99: percentile(&sorted, 99.0),
+            min,
+            max,
+            mean: total / n as u32,
+            p50,
+            p90,
+            p95,
+            p99,
         }
     }
 }
 
-/// Nearest-rank percentile of an already-sorted, non-empty slice.
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+/// Zero-based index of the nearest-rank `p`th percentile of `n > 0`
+/// sorted samples.
+fn rank(n: usize, p: f64) -> usize {
+    let rank = ((p / 100.0) * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
 }
 
 #[cfg(test)]
@@ -116,6 +134,47 @@ mod tests {
         assert_eq!(s.min, ms(1));
         assert_eq!(s.max, ms(100));
         assert_eq!(s.total, ms(5050));
+    }
+
+    /// The reference: every field read off a sorted copy.
+    fn by_sorting(samples: &[Duration]) -> Summary {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let percentile = |p: f64| {
+            let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+            sorted[rank.clamp(1, sorted.len()) - 1]
+        };
+        let total: Duration = sorted.iter().sum();
+        Summary {
+            count: sorted.len(),
+            total,
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+            mean: total / sorted.len() as u32,
+            p50: percentile(50.0),
+            p90: percentile(90.0),
+            p95: percentile(95.0),
+            p99: percentile(99.0),
+        }
+    }
+
+    /// Every size from 1 to 300, drawn from few enough distinct values
+    /// that duplicates straddle the percentile ranks, matches the sort.
+    #[test]
+    fn selection_matches_a_full_sort() {
+        let mut state = 0x5u64;
+        for n in 1..=300u64 {
+            let distinct = 1 + n % 17;
+            let samples: Vec<Duration> = (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ms((state >> 33) % distinct)
+                })
+                .collect();
+            assert_eq!(Summary::of(&samples), by_sorting(&samples), "n = {n}");
+        }
     }
 
     #[test]

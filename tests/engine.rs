@@ -353,6 +353,18 @@ fn three_servers() -> ConfigBuilder<SessionConfig> {
         .add_server(tiny_spec("edge-c"))
 }
 
+/// The benchmark's modeled fleet: agenet on three identical paper
+/// servers.
+fn paper_fleet(seed: u64) -> SessionConfig {
+    let mut cfg = SessionConfig::paper_builder("agenet").seed(seed).build();
+    for name in ["edge-b", "edge-c"] {
+        let mut spec = cfg.primary().clone();
+        spec.name = name.to_string();
+        cfg.servers.push(spec);
+    }
+    cfg
+}
+
 fn modeled(cfg: SessionConfig, clients: usize) -> Engine<ModeledWorkload> {
     Engine::modeled(cfg, clients).unwrap()
 }
@@ -389,7 +401,7 @@ fn session_lines(engine: Engine<SessionWorkload>, think: Duration, cap: usize) -
 /// per event. The multi-server runs were re-pinned once, when both
 /// fleets began to place client `c` on the `c % ties`-th tied server
 /// and keep it there (each such line says what moved).
-const PINNED_LINES: [(&str, usize, u64); 10] = [
+const PINNED_LINES: [(&str, usize, u64); 11] = [
     // Clients stay on server `c % 3` instead of rotating every round.
     ("modeled_poisson", 5935, 0x81e6989623f9ce8a),
     ("modeled_diurnal", 2105, 0xfaf5027b97973e78),
@@ -407,6 +419,11 @@ const PINNED_LINES: [(&str, usize, u64); 10] = [
     ("session_failover", 30, 0xf64141d388091f3c),
     // Client 1 starts on edge-b: round 1 no longer queues behind client 0.
     ("session_fallback", 16, 0x1e6e75beca067c79),
+    // The benchmark's modeled fleet at full depth (10 000 clients, up to
+    // ~7 000 pending events), recorded at 6523cbd, before the event
+    // queue gained its sorted lane. ~0.09 s of the test in the test
+    // profile (2-core x86-64).
+    ("modeled_megascale", 59300, 0x3403b359f893f6e3),
 ];
 
 /// `(lines, FNV-1a of the lines, FNV-1a of the clients' JSONL)` of
@@ -438,10 +455,11 @@ fn a_balanced_session_fleet_is_pinned() {
     );
 }
 
-/// The text of the log is a contract of its own: ten fleets — modeled
+/// The text of the log is a contract of its own: eleven fleets — modeled
 /// Poisson, diurnal and closed loop; fair share, a batch window and
 /// balancing alone and together; real sessions batching, failing over
-/// and falling back to the client — render the lines they always did.
+/// and falling back to the client; the benchmark's 10 000-client
+/// fleet — render the lines they always did.
 #[test]
 fn event_log_lines_are_pinned() {
     let poisson = ArrivalProcess::Poisson { rate_hz: 120.0 };
@@ -584,6 +602,15 @@ fn event_log_lines_are_pinned() {
                 ),
                 Duration::from_millis(250),
                 2,
+            ),
+        ),
+        (
+            "modeled_megascale",
+            modeled_lines(
+                modeled(paper_fleet(7), 10_000),
+                ArrivalProcess::Poisson { rate_hz: 400.0 },
+                Duration::from_secs(30),
+                None,
             ),
         ),
     ];

@@ -28,10 +28,21 @@ struct LiveBytes;
 
 thread_local! {
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(delta: i64) {
     LIVE.with(|live| live.set(live.get() + delta));
+}
+
+/// Counts one allocation or reallocation call.
+fn call() {
+    CALLS.with(|calls| calls.set(calls.get() + 1));
+}
+
+/// Allocation and reallocation calls the calling thread has made.
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
 }
 
 /// Bytes the calling thread has allocated and not freed.
@@ -45,18 +56,21 @@ fn live() -> i64 {
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size() as i64);
+        call();
         // SAFETY: forwarded contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size() as i64);
+        call();
         // SAFETY: forwarded contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size as i64 - layout.size() as i64);
+        call();
         // SAFETY: forwarded contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -235,5 +249,34 @@ fn a_long_partial_session_stays_within_twenty_megabytes() {
     assert!(
         grown < 20 << 20,
         "agenet@3rd_pool: live bytes grew {grown} B over 1 990 rounds"
+    );
+}
+
+/// Allocation calls of round `round` of an agenet session, with the
+/// `plan` gate consulted every round or not at all.
+fn round_calls(predict: bool, round: u64) -> u64 {
+    let cfg = SessionConfig::paper_builder("agenet")
+        .predict(predict)
+        .build();
+    let mut session = OffloadSession::new(cfg).unwrap();
+    let mut before = 0;
+    for r in 1..=round {
+        before = calls();
+        let report = session.infer(r).unwrap();
+        assert!(report.server.is_some(), "round {r} ran locally");
+    }
+    calls() - before
+}
+
+/// A consulted `plan` gate builds the model's profile and cut list on
+/// the first round that consults it and reuses them: a later round pays
+/// for its one `gate:plan` trace event (5 calls), not for a planner
+/// (114 calls when every round built one).
+#[test]
+fn a_consulted_plan_gate_reuses_its_planner() {
+    let (on, off) = (round_calls(true, 6), round_calls(false, 6));
+    assert!(
+        on <= off + 8,
+        "round 6 of an agenet session: {on} allocation calls with the plan gate, {off} without"
     );
 }
