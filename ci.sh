@@ -142,6 +142,12 @@ if grep -rnE '(predicted_migration|predicted_wait)\(' crates/*/src | grep -vE '^
     exit 1
 fi
 
+echo "== each failover fact is kept once (provisioned means acknowledged: no readiness flag in the pool; a link is down when its fault plan says so)"
+if grep -rnE '\b(model_ready|set_down)\b|mark_model_' crates/*/src tests; then
+    echo "a second record of a failover fact is back: read OffloadSession::ack_at, or put a down window in the link's FaultPlan" >&2
+    exit 1
+fi
+
 echo "== the cut is decided once (gates.rs outside its tests searches no cut; no session or scenario report carries the planner's decision)"
 if sed '/#\[cfg(test)\]/,$d' crates/core/src/gates.rs | grep -nE '\.(plan|best)\('; then
     echo "gates.rs chooses a cut again: price the session's own cut with PartitionOptimizer::against_local" >&2

@@ -14,11 +14,11 @@
 //!   the prediction, as [`Balancer::outlook`], to
 //!   [`ServerPool::select`](crate::ServerPool::select), the one
 //!   placement rule (a modeled client's first round, a session's
-//!   failover), and to the session's plan gate
-//!   ([`PartitionOptimizer::plan`](crate::PartitionOptimizer::plan)) as an
-//!   additive prior — queueing delay that erases the offload win
-//!   degrades the round to local *before* any bytes commit to the wire
-//!   (admission control).
+//!   failover), and to the session's `plan` gate, which adds the
+//!   serving server's entry to the offload side it prices through
+//!   `PartitionOptimizer::against_local` — queueing delay that erases
+//!   the offload win degrades the round to local *before* any bytes
+//!   commit to the wire (admission control).
 //! * [`DrrScheduler`] — deficit-round-robin grant ordering (surplus
 //!   variant: serve at non-negative deficit, charge actual service time,
 //!   refill one quantum per skipped pass), so one chatty tenant cannot

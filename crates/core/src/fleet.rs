@@ -6,10 +6,10 @@
 //! schedule. [`ServerPool`] keeps one [`LinkHealth`] record per server —
 //! fed by completed transfers and by retry and give-up observations — and
 //! exposes a selection metric based on **predicted
-//! migration time**: the bytes pending migration (plus the model, if this
-//! server has not been pre-sent one) over the estimated bandwidth, plus
-//! link latency. The session/scenario drivers pre-send the model to the
-//! best candidate and automatically hand off to the next-best one when the
+//! migration time**: the bytes pending migration (plus the model, when the
+//! caller prices a pre-send) over the estimated bandwidth, plus link
+//! latency. The session/scenario drivers pre-send the model to the best
+//! candidate and automatically hand off to the next-best one when the
 //! retry budget against the current server exhausts; local execution is
 //! the last resort once every candidate is exhausted.
 //!
@@ -105,7 +105,6 @@ impl ServerSpec {
 struct Candidate {
     spec: ServerSpec,
     link: LinkHealth,
-    model_ready: bool,
     exhausted: bool,
 }
 
@@ -116,8 +115,8 @@ pub struct ServerPool {
 }
 
 impl ServerPool {
-    /// Builds a pool over `specs`, all starting healthy with no model
-    /// pre-sent and no bandwidth history.
+    /// Builds a pool over `specs`, all starting healthy with no bandwidth
+    /// history.
     pub fn new(specs: Vec<ServerSpec>) -> ServerPool {
         ServerPool {
             servers: specs
@@ -125,7 +124,6 @@ impl ServerPool {
                 .map(|spec| Candidate {
                     spec,
                     link: LinkHealth::default(),
-                    model_ready: false,
                     exhausted: false,
                 })
                 .collect(),
@@ -153,12 +151,6 @@ impl ServerPool {
         self.servers.get(idx).map(|c| &c.link)
     }
 
-    /// Whether the model has been pre-sent to (and acknowledged by)
-    /// candidate `idx`; `false` for an out-of-range index.
-    pub fn model_ready(&self, idx: usize) -> bool {
-        self.servers.get(idx).is_some_and(|c| c.model_ready)
-    }
-
     /// Feeds one completed transfer against candidate `idx` into its
     /// link-health record.
     pub fn observe_transfer(&mut self, idx: usize, transfer: &Transfer) {
@@ -178,23 +170,6 @@ impl ServerPool {
         }
     }
 
-    /// Marks the model as pre-sent to candidate `idx`.
-    pub fn mark_model_ready(&mut self, idx: usize) {
-        if let Some(c) = self.servers.get_mut(idx) {
-            c.model_ready = true;
-        }
-    }
-
-    /// Marks candidate `idx`'s model as *not* installed any more — called
-    /// when the client abandons a provisioned server (its endpoint and
-    /// browser state are dropped), so the selection metric charges a
-    /// fresh pre-send if that candidate is ever picked again.
-    pub fn mark_model_stale(&mut self, idx: usize) {
-        if let Some(c) = self.servers.get_mut(idx) {
-            c.model_ready = false;
-        }
-    }
-
     /// Marks candidate `idx` as exhausted for the current round; an
     /// exhausted candidate is skipped by [`ServerPool::select`] until
     /// [`ServerPool::begin_round`] clears the flag.
@@ -205,8 +180,7 @@ impl ServerPool {
     }
 
     /// Starts a new inference round: every candidate gets a fresh chance
-    /// (exhaustion is per-round; link health and model readiness
-    /// persist).
+    /// (exhaustion is per-round; link health persists).
     pub fn begin_round(&mut self) {
         for c in &mut self.servers {
             c.exhausted = false;
@@ -225,25 +199,21 @@ impl ServerPool {
     /// The selection metric: predicted time to migrate `pending_bytes` to
     /// candidate `idx`, using the learned bandwidth estimate when it has
     /// samples (the configured link rate otherwise), plus the model
-    /// pre-send cost (`model_bytes`) when this server is not yet
-    /// model-ready, plus link latency. Per-transfer overhead is charged
-    /// once per constituent transfer — the model pre-send and the
-    /// snapshot are separate wire transfers, so a not-yet-provisioned
-    /// server pays the overhead twice. Unusable paths (zero or
-    /// non-finite bandwidth) predict `Duration::MAX`.
+    /// pre-send (`model_bytes`; 0 prices none), plus link latency.
+    /// Per-transfer overhead is charged once per constituent transfer —
+    /// the model pre-send and the snapshot are separate wire transfers, so
+    /// a priced pre-send pays the overhead twice. Whether a candidate
+    /// still needs the model is the caller's fact: a session prices it at
+    /// failover, when every candidate it may pick holds nothing of its.
+    /// Unusable paths (zero or non-finite bandwidth) predict
+    /// `Duration::MAX`.
     pub fn predicted_migration(
         &self,
         idx: usize,
         pending_bytes: u64,
         model_bytes: u64,
     ) -> Duration {
-        let Some(Candidate {
-            spec,
-            link,
-            model_ready,
-            ..
-        }) = self.servers.get(idx)
-        else {
+        let Some(Candidate { spec, link, .. }) = self.servers.get(idx) else {
             return Duration::MAX;
         };
         let bw = link
@@ -252,13 +222,9 @@ impl ServerPool {
         if !(bw.is_finite() && bw > 0.0) {
             return Duration::MAX;
         }
-        let mut bytes = pending_bytes;
-        let mut transfers: u64 = 1;
-        if !model_ready && model_bytes > 0 {
-            bytes = bytes.saturating_add(model_bytes);
-            transfers = 2;
-        }
+        let transfers: u64 = if model_bytes > 0 { 2 } else { 1 };
         let overhead = spec.link.overhead_bytes.saturating_mul(transfers);
+        let bytes = pending_bytes.saturating_add(model_bytes);
         let secs = bytes.saturating_add(overhead) as f64 * 8.0 / bw;
         match Duration::try_from_secs_f64(secs) {
             Ok(wire) => spec.link.latency.saturating_add(wire),
@@ -281,7 +247,8 @@ impl ServerPool {
     /// best, in fleet order, client `c` takes the `c % ties`-th. `None`
     /// when every candidate is exhausted. Still open: a session's build
     /// prices no model bytes, its failover does; which horizon placement
-    /// should optimise is undecided.
+    /// should optimise is undecided (it waits on measured session
+    /// lengths).
     pub fn select(
         &self,
         client: usize,
@@ -579,72 +546,17 @@ mod tests {
                 loss: 0.0,
             },
         );
-        let mut pool = ServerPool::new(vec![heavy]);
-        // Not model-ready with a real model: pre-send + snapshot are two
-        // wire transfers, so the overhead is paid twice.
+        let pool = ServerPool::new(vec![heavy]);
+        // A priced pre-send: model + snapshot are two wire transfers, so
+        // the overhead is paid twice.
         let cold = pool.predicted_migration(0, 1_000_000, 2_000_000);
         assert_eq!(cold, Duration::from_secs(5), "1M + 2M + 2×1M overhead");
-        // Model-ready (or nothing to pre-send): a single transfer, a
-        // single overhead charge.
+        // Nothing to pre-send: a single transfer, a single overhead charge.
         assert_eq!(
             pool.predicted_migration(0, 1_000_000, 0),
             Duration::from_secs(2),
             "1M + 1×1M overhead"
         );
-        pool.mark_model_ready(0);
-        assert!(pool.model_ready(0) && !pool.model_ready(9));
-        assert_eq!(
-            pool.predicted_migration(0, 1_000_000, 2_000_000),
-            Duration::from_secs(2),
-            "ready servers pre-send nothing"
-        );
-    }
-
-    #[test]
-    fn per_transfer_overhead_unbiases_ranking_against_provisioned_servers() {
-        // "cold" has the nominally faster link but needs a model
-        // pre-send; "warm" already holds the model. With overhead
-        // charged only once, cold's extra wire transfer looked free and
-        // the ranking flipped toward the not-yet-provisioned server.
-        let link = |mbps: f64| LinkConfig {
-            bandwidth_bps: mbps * 1.0e6,
-            latency: Duration::ZERO,
-            overhead_bytes: 600_000,
-            loss: 0.0,
-        };
-        let cold = ServerSpec::new("cold", edge_server_x86(), link(8.4));
-        let warm = ServerSpec::new("warm", edge_server_x86(), link(8.0));
-        let mut pool = ServerPool::new(vec![cold, warm]);
-        pool.mark_model_ready(1);
-        // pending 1 MB, model 1 MB:
-        //   cold: (1M + 1M + 2×0.6M)·8 / 8.4M ≈ 3.05 s
-        //   warm: (1M + 1×0.6M)·8 / 8.0M = 1.6 s
-        // Pre-fix, cold was charged a single overhead (≈2.48 s) — still
-        // more than warm here, so sharpen the gap: make the snapshot
-        // tiny relative to the overhead.
-        let cold_t = pool.predicted_migration(0, 10_000, 1_000_000);
-        let warm_t = pool.predicted_migration(1, 10_000, 1_000_000);
-        // cold: (0.01M + 1M + 1.2M)·8 / 8.4M ≈ 2.10 s
-        // warm: (0.01M + 0.6M)·8 / 8.0M ≈ 0.61 s
-        assert!(warm_t < cold_t);
-        assert_eq!(pool.select(0, 10_000, 1_000_000, &[]), Some(1));
-        // The exact cold prediction pins the double charge: pre-fix the
-        // single-overhead figure was (0.01M + 1M + 0.6M)·8/8.4M ≈ 1.53 s.
-        assert!(
-            cold_t > Duration::from_secs_f64(2.0),
-            "double overhead must be visible in the metric, got {cold_t:?}"
-        );
-    }
-
-    #[test]
-    fn model_readiness_feeds_the_metric() {
-        let mut pool = ServerPool::new(vec![spec("a", 30.0), spec("b", 29.0)]);
-        // A huge model pre-send dominates; "b" already has the model.
-        pool.mark_model_ready(1);
-        assert_eq!(pool.select(0, 10_000, 50_000_000, &[]), Some(1));
-        // With both ready, raw link speed decides again.
-        pool.mark_model_ready(0);
-        assert_eq!(pool.select(0, 10_000, 50_000_000, &[]), Some(0));
     }
 
     #[test]

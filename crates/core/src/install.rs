@@ -103,9 +103,8 @@ mod tests {
 
     #[test]
     fn down_link_fails_the_install() {
-        let mut link = Link::new(LinkConfig::wifi_30mbps());
-        link.set_down(true);
-        // vm_install constructs its own link; emulate by zero bandwidth.
+        // vm_install constructs its own link; emulate a dead one by zero
+        // bandwidth.
         let bad = LinkConfig {
             bandwidth_bps: 0.0,
             ..LinkConfig::wifi_30mbps()

@@ -184,9 +184,9 @@ pub struct ResilienceOutcome {
 /// after an outage lands exactly when the link comes back up.
 ///
 /// The [`ResilienceOutcome`] carries the transfer — `None` when the retry
-/// budget is exhausted (attempts spent, the next retry would start past
-/// `anchor + deadline`, or the link is statically down and can never come
-/// back) and the caller should degrade gracefully — plus how many
+/// budget is exhausted (attempts spent, or the next retry would start past
+/// `anchor + deadline`, as it does on a link whose outage outlasts the
+/// deadline) and the caller should degrade gracefully — plus how many
 /// re-attempts were spent and when the loop stopped: the fleet layer feeds
 /// retries into per-server penalty observations and anchors the handoff
 /// to the next candidate at `gave_up_at`. Without a policy the first
@@ -241,12 +241,7 @@ pub fn schedule_resilient(
         if attempt >= policy.max_attempts {
             return Ok(gave_up);
         }
-        let mut resume = at + policy.backoff(attempt);
-        match link.next_up_after(resume) {
-            // Statically failed: no outage window ever closes.
-            None => return Ok(gave_up),
-            Some(up) => resume = resume.max(up),
-        }
+        let resume = link.next_up_after(at + policy.backoff(attempt));
         if resume > anchor + policy.deadline {
             return Ok(gave_up);
         }
@@ -289,10 +284,15 @@ mod tests {
         );
     }
 
+    /// A plan whose outage never ends.
+    fn dead_link() -> Link {
+        let forever = FaultPlan::none().down(Duration::ZERO, Duration::MAX);
+        Link::new(LinkConfig::mbps(8.0)).with_fault_plan(forever.unwrap())
+    }
+
     #[test]
     fn statically_down_links_exhaust_immediately() {
-        let mut link = Link::new(LinkConfig::mbps(8.0));
-        link.set_down(true);
+        let mut link = dead_link();
         let tracer = Tracer::new();
         // Fail-fast without a policy.
         assert!(matches!(
@@ -306,7 +306,8 @@ mod tests {
             ),
             Err(OffloadError::Net(NetError::LinkDown))
         ));
-        // Graceful give-up with one: there is no window edge to wait for.
+        // Graceful give-up with one: the window edge lies past any
+        // deadline.
         let policy = RetryPolicy::default();
         let gave_up = schedule_resilient(
             &mut link,
@@ -340,10 +341,9 @@ mod tests {
         let xfer = outcome.transfer.expect("retry should succeed");
         assert_eq!(outcome.gave_up_at, xfer.finish);
 
-        // A statically-down link gives up at the failure instant with no
-        // retries (there is no window edge to wait for).
-        let mut dead = Link::new(LinkConfig::mbps(8.0));
-        dead.set_down(true);
+        // A link down for good gives up at the failure instant with no
+        // retries (its window edge lies past the deadline).
+        let mut dead = dead_link();
         let at = Duration::from_secs(3);
         let outcome = schedule_resilient(&mut dead, &tracer, Some(&policy), at, at, 1_000).unwrap();
         assert!(outcome.transfer.is_none());

@@ -241,13 +241,16 @@ pub struct OffloadSession {
     /// them.
     server: AttachedServer,
     round: usize,
-    /// When the current server acknowledged the model pre-send, if it has.
+    /// When the current server acknowledged the model pre-send; `None`
+    /// until it has, which is what leaves it unprovisioned.
     ack_at: Option<Duration>,
     tracer: Tracer,
     /// The model bundle pre-sent to every server the session provisions
     /// (the rear half under a cut), made once in `new`.
     bundle: ModelBundle,
-    /// Its size in bytes (feeds the pool's selection metric).
+    /// Its size in bytes: what a pre-send uploads, what the `plan` gate
+    /// prices while it is unacknowledged, and what failover prices for
+    /// every candidate (build does not; ROADMAP 3(a)).
     pub(crate) model_bytes: u64,
     /// When the last failed pre-send gave up. Pre-sends ride the links'
     /// own timeline, overlapping whatever the client is doing, so the
@@ -558,7 +561,6 @@ impl OffloadSession {
             return Ok(false);
         };
         self.ack_at = Some(ack.finish);
-        self.pool.mark_model_ready(self.current);
         let server_params = match self.cfg.exec_mode {
             ExecMode::Real => ParamStore::from_bundle(&self.bundle)?,
             ExecMode::Synthetic { .. } => ParamStore::empty(self.net.name()),
@@ -628,8 +630,7 @@ impl OffloadSession {
     /// current server at `at`: records the `handoff` event, builds a fresh
     /// [`AttachedServer`] (agreement dropped — a delta-epoch reset — and
     /// meter mark zeroed), clears the estimator history of the new
-    /// provisioning epoch and pre-sends the model. The previous server's
-    /// model is marked stale — its endpoint is gone.
+    /// provisioning epoch and pre-sends the model.
     fn attach(
         &mut self,
         idx: usize,
@@ -644,7 +645,6 @@ impl OffloadSession {
             at,
             at,
         );
-        self.pool.mark_model_stale(self.current);
         self.current = idx;
         self.pool.reset_estimator(idx);
         let meter = self.cfg.meter.as_ref();
@@ -839,7 +839,7 @@ impl OffloadSession {
         // re-provisions first, the current server ranked with the other
         // candidates. Whoever gave up in this round's provisioning — the
         // first round's is the session's own — stays given up.
-        if !self.pool.model_ready(self.current) && !self.failover()? {
+        if self.ack_at.is_none() && !self.failover()? {
             return self.round_done_locally(clicked_at);
         }
 

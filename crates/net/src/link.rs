@@ -149,7 +149,6 @@ impl Transfer {
 pub struct Link {
     config: LinkConfig,
     busy_until: Duration,
-    down: bool,
     faults: FaultPlan,
     total_bytes: u64,
     transfers: usize,
@@ -162,7 +161,6 @@ impl PartialEq for Link {
         // Tracer handles are observers, not link state.
         self.config == other.config
             && self.busy_until == other.busy_until
-            && self.down == other.down
             && self.faults == other.faults
             && self.total_bytes == other.total_bytes
             && self.transfers == other.transfers
@@ -176,7 +174,6 @@ impl Link {
         Link {
             config,
             busy_until: Duration::ZERO,
-            down: false,
             faults: FaultPlan::none(),
             total_bytes: 0,
             transfers: 0,
@@ -194,15 +191,10 @@ impl Link {
     }
 
     /// The earliest virtual instant `>= t` at which the link is reachable
-    /// again according to its fault plan, or `None` when the link was
-    /// statically failed via [`Link::set_down`] (no recovery scheduled).
-    /// Retry loops use this to wait out a known outage instead of probing
-    /// blindly.
-    pub fn next_up_after(&self, t: Duration) -> Option<Duration> {
-        if self.down {
-            return None;
-        }
-        Some(self.faults.next_up_after(t))
+    /// again according to its fault plan. Retry loops use this to wait
+    /// out a known outage instead of probing blindly.
+    pub fn next_up_after(&self, t: Duration) -> Duration {
+        self.faults.next_up_after(t)
     }
 
     /// Attaches an observability tracer: every scheduled transfer records
@@ -233,13 +225,10 @@ impl Link {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::LinkDown`] when the link is failed (statically
-    /// or by the plan), or [`NetError::ZeroBandwidth`] for a non-positive
-    /// rate or a finish past the largest `Duration`.
+    /// Returns [`NetError::LinkDown`] when the plan has the link down at
+    /// the start, or [`NetError::ZeroBandwidth`] for a non-positive rate
+    /// or a finish past the largest `Duration`.
     pub fn schedule(&mut self, now: Duration, bytes: u64) -> Result<Transfer, NetError> {
-        if self.down {
-            return Err(NetError::LinkDown);
-        }
         let bw = self.config.effective_bandwidth_bps();
         if !(bw.is_finite() && bw > 0.0) {
             return Err(NetError::ZeroBandwidth);
@@ -409,12 +398,6 @@ impl Link {
         self.busy_until
     }
 
-    /// Fails (`true`) or restores (`false`) the link — failure injection
-    /// for the fallback-to-local-execution tests.
-    pub fn set_down(&mut self, down: bool) {
-        self.down = down;
-    }
-
     /// Total payload bytes ever scheduled.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
@@ -504,11 +487,14 @@ mod tests {
 
     #[test]
     fn down_link_rejects_transfers() {
-        let mut link = Link::new(LinkConfig::wifi_30mbps());
-        link.set_down(true);
+        let forever = FaultPlan::none()
+            .down(Duration::ZERO, Duration::MAX)
+            .unwrap();
+        let mut link = Link::new(LinkConfig::wifi_30mbps()).with_fault_plan(forever);
         assert_eq!(link.schedule(Duration::ZERO, 10), Err(NetError::LinkDown));
-        link.set_down(false);
-        assert!(link.schedule(Duration::ZERO, 10).is_ok());
+        assert_eq!(link.next_up_after(Duration::ZERO), Duration::MAX);
+        let mut up = Link::new(LinkConfig::wifi_30mbps());
+        assert!(up.schedule(Duration::ZERO, 10).is_ok());
     }
 
     #[test]
@@ -662,7 +648,7 @@ mod tests {
             Err(NetError::LinkDown),
             "requested mid-outage"
         );
-        assert_eq!(link.next_up_after(secs(1.5)), Some(secs(2.0)));
+        assert_eq!(link.next_up_after(secs(1.5)), secs(2.0));
         assert!(link.schedule(secs(2.0), 1_000).is_ok(), "window closed");
     }
 

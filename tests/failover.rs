@@ -212,6 +212,60 @@ fn estimator_penalties_steer_rounds_away_from_a_flaky_primary() {
     assert_eq!(names_of_kind(&session.trace(), EventKind::Handoff).len(), 1);
 }
 
+/// Failover prices the model upload the new server still needs, as well
+/// as the migration: every candidate a session fails over to holds
+/// nothing of its, and the round that fails over waits on that server's
+/// ACK. When the primary's uplink dies before round 2, the far server
+/// behind a fat link (200 Mbps, 200 ms) beats the near one behind a thin
+/// link (20 Mbps, 0.5 ms): round 2 takes 4.07 s and round 3 1.73 s,
+/// where near-thin would take 19.76 s (longer than agenet's 11.81 s
+/// local round) and 1.36 s. Build prices no model bytes; which horizon
+/// placement should optimise stays open until session lengths are
+/// measured.
+#[test]
+fn failover_prices_the_model_upload_the_new_server_needs() {
+    let server = |name: &str, mbps: f64, latency: f64| {
+        let link = LinkConfig {
+            latency: secs(latency),
+            ..LinkConfig::mbps(mbps)
+        };
+        ServerSpec::new(name, edge_server_x86(), link)
+    };
+    let edge_a = server("edge-a", 100.0, 0.0001);
+    let agenet = || SessionConfig::paper_builder("agenet");
+    let mut probe = OffloadSession::new(agenet().servers(vec![edge_a.clone()]).build()).unwrap();
+    let probe_rounds: Vec<RoundReport> = (1..=3).map(|i| probe.infer(i).unwrap()).collect();
+    // Transfers: model pre-send, round-1 full snapshot, round-2 upload.
+    let u2 = uplink_transfer_starts(&probe.trace())[2];
+    let outage = FaultPlan::none()
+        .down(u2 - secs(0.001), u2 + secs(3600.0))
+        .unwrap();
+    let mut session = OffloadSession::new(
+        agenet()
+            .servers(vec![
+                edge_a.with_up_faults(outage),
+                server("near-thin", 20.0, 0.0005),
+                server("far-fat", 200.0, 0.2),
+            ])
+            .retry(attempts(1))
+            .build(),
+    )
+    .unwrap();
+    let rounds: Vec<RoundReport> = (1..=3).map(|i| session.infer(i).unwrap()).collect();
+    for (r, p) in rounds.iter().zip(&probe_rounds) {
+        assert_eq!(r.result, p.result, "round {} result drifted", r.round);
+        assert!(!r.fell_back, "round {} must not fall back", r.round);
+    }
+    let served: Vec<_> = rounds.iter().map(|r| r.server.as_deref()).collect();
+    assert_eq!(served, [Some("edge-a"), Some("far-fat"), Some("far-fat")]);
+    // The failover round pays far-fat's pre-send, well under a local round.
+    assert!(
+        rounds[1].total < secs(5.0),
+        "round 2: {:?}",
+        rounds[1].total
+    );
+}
+
 /// A fleet that went dark for one round is re-provisioned in the next:
 /// the failover that ran out of candidates leaves the session pointing at
 /// a server that never acknowledged its pre-send, and the following
