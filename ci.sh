@@ -38,6 +38,14 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/scenario.rs | grep -nE 'OffloadSess
     exit 1
 fi
 
+echo "== a session draws the photo for a click only (session.rs calls synthetic_image_data_url in round_start and nowhere else)"
+if awk 'match($0, /fn [A-Za-z0-9_]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+        /synthetic_image_data_url\(/ && f != "round_start" { print FNR ": in fn " f ": " $0; drawn = 1 }
+        END { exit !drawn }' crates/core/src/session.rs; then
+    echo "session.rs draws a photo outside round_start: the app loads with an empty src and each round draws its own" >&2
+    exit 1
+fi
+
 echo "== two delta-capture paths (write-set-pruned capture stays deleted)"
 if grep -rnE 'CaptureHints|set_capture_hints|pruned_globals' crates/*/src; then exit 1; fi
 
@@ -252,6 +260,9 @@ PARTS=256 cargo test --offline --release -q -p snapedge-webapp --lib -- --ignore
 
 echo "== event queue = a sorted set over a million random push/pop/peek calls 10 000 deep (equal times, pushes before the last pop, saturated times)"
 cargo test --offline --release -q -p snapedge-net --lib -- --ignored deep_random_interleavings_pop_in_sorted_order
+
+echo "== the eight-lane image generator = the serial LCG on 1 000 seeds x 35 000 bytes"
+cargo test --offline --release -q -p snapedge-core --lib -- --ignored lanes_draw_the_serial_stream_for_a_thousand_seeds
 
 echo "== benchmark package (ledger/ is outside the workspace: build it, run its tests, smoke steady_deep and the steady_partial fast path)"
 cargo build --release --offline --manifest-path ledger/Cargo.toml

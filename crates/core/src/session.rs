@@ -407,13 +407,14 @@ impl Dir {
 }
 
 impl OffloadSession {
-    /// Starts a session: builds the client endpoint, loads the app,
-    /// selects the cheapest fleet candidate and pre-sends the model to
-    /// it, failing over to the remaining candidates when the chosen
-    /// one's pre-send does not get through. Whether that fails the session
-    /// is the one provisioning rule, [`OffloadSession::provisioned`]; a
-    /// session it lets start unprovisioned completes its rounds locally,
-    /// and each round from the second on re-provisions.
+    /// Starts a session: builds the client endpoint, loads the app (its
+    /// photo empty until a round draws one), selects the cheapest fleet
+    /// candidate and pre-sends the model to it, failing over to the
+    /// remaining candidates when the chosen one's pre-send does not get
+    /// through. Whether that fails the session is the one provisioning
+    /// rule, [`OffloadSession::provisioned`]; a session it lets start
+    /// unprovisioned completes its rounds locally, and each round from the
+    /// second on re-provisions.
     ///
     /// # Errors
     ///
@@ -505,10 +506,11 @@ impl OffloadSession {
             self.cut.as_ref().map(|cut| cut.id),
             self.cfg.seed,
         );
-        let url = apps::synthetic_image_data_url(self.cfg.seed, self.cfg.image_bytes);
+        // The photo starts empty: `round_start` draws each round's own
+        // image into it before the `load` click, so nothing reads it first.
         let app = match self.cut {
-            Some(_) => apps::partial_inference_app(&url),
-            None => apps::full_inference_app(&url),
+            Some(_) => apps::partial_inference_app(""),
+            None => apps::full_inference_app(""),
         };
         self.client.browser.load_html(&app)?;
         self.arm_trigger();

@@ -62,13 +62,11 @@ impl Replay {
         let mut server = Endpoint::new(&spec.name, spec.device.clone(), clock);
         client.install_model(net.clone(), params()?, cfg.exec_mode, cut, cfg.seed);
         server.install_model(net.clone(), params()?, cfg.exec_mode, cut, cfg.seed);
-        let url = apps::synthetic_image_data_url(cfg.seed, cfg.image_bytes);
+        // An empty photo, as the session loads it: every click draws its
+        // own image first.
         let (app, trigger) = match cut {
-            Some(_) => (
-                apps::partial_inference_app(&url),
-                apps::PARTIAL_OFFLOAD_EVENT,
-            ),
-            None => (apps::full_inference_app(&url), apps::FULL_OFFLOAD_EVENT),
+            Some(_) => (apps::partial_inference_app(""), apps::PARTIAL_OFFLOAD_EVENT),
+            None => (apps::full_inference_app(""), apps::FULL_OFFLOAD_EVENT),
         };
         client.browser.load_html(&app)?;
         client.browser.set_offload_trigger(Some(trigger));

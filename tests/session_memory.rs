@@ -8,7 +8,9 @@
 //! the literal it was parsed from, the DOM attribute it is written to and
 //! every state base share one allocation, and a browser ends every
 //! restore and delta apply with its byte-equal long strings shared, so a
-//! session holds the photo about twice, not ten times.
+//! session holds the photo about twice, not ten times. A session that has
+//! run no round holds no photo at all: it loads its app with an empty
+//! `src`, and each round draws its own image.
 //!
 //! Measured deterministically: a counting global allocator reports the
 //! bytes the calling thread holds, and the gates are the growth between
@@ -29,20 +31,29 @@ struct LiveBytes;
 thread_local! {
     static LIVE: Cell<i64> = const { Cell::new(0) };
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static ASKED: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(delta: i64) {
     LIVE.with(|live| live.set(live.get() + delta));
 }
 
-/// Counts one allocation or reallocation call.
-fn call() {
+/// Counts one allocation or reallocation call asking for `size` bytes.
+fn call(size: usize) {
     CALLS.with(|calls| calls.set(calls.get() + 1));
+    ASKED.with(|asked| asked.set(asked.get() + size as u64));
 }
 
 /// Allocation and reallocation calls the calling thread has made.
 fn calls() -> u64 {
     CALLS.with(Cell::get)
+}
+
+/// Bytes the calling thread has asked for: every allocation's size and
+/// every reallocation's new size (the benchmark's
+/// `alloc.bytes_per_round` counts the same way).
+fn asked() -> u64 {
+    ASKED.with(Cell::get)
 }
 
 /// Bytes the calling thread has allocated and not freed.
@@ -56,21 +67,21 @@ fn live() -> i64 {
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size() as i64);
-        call();
+        call(layout.size());
         // SAFETY: forwarded contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size() as i64);
-        call();
+        call(layout.size());
         // SAFETY: forwarded contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size as i64 - layout.size() as i64);
-        call();
+        call(new_size);
         // SAFETY: forwarded contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -115,18 +126,14 @@ fn assert_flat(name: &str, cfg: SessionConfig, from: u64, to: u64) {
     );
 }
 
-/// The live bytes a session holds after `rounds` rounds, session
-/// included.
-fn held(cfg: SessionConfig, rounds: u64) -> i64 {
-    let before = live();
+/// An agenet session after `rounds` rounds.
+fn session(cfg: SessionConfig, rounds: u64) -> OffloadSession {
     let mut session = OffloadSession::new(cfg).unwrap();
     for round in 1..=rounds {
         let report = session.infer(round).unwrap();
         assert!(!report.fell_back, "round {round} fell back");
     }
-    let held = live() - before;
-    drop(session);
-    held
+    session
 }
 
 /// The photo sizes the copy gates compare: agenet's 35 kB of data-URL
@@ -138,18 +145,29 @@ fn held(cfg: SessionConfig, rounds: u64) -> i64 {
 const BIG: usize = 35_000;
 const SMALL: usize = 2_000;
 
+/// The live bytes `build` leaves in what it returns, built from an
+/// agenet config whose photo is `bytes` long.
+fn held<T>(bytes: usize, build: &impl Fn(SessionConfig) -> T) -> i64 {
+    let before = live();
+    let cfg = SessionConfig::paper_builder("agenet")
+        .image_bytes(bytes)
+        .build();
+    let value = build(cfg);
+    let held = live() - before;
+    drop(value);
+    held
+}
+
+/// The live bytes the big photo adds over the small one to what `build`
+/// returns.
+fn photo_bytes<T>(build: impl Fn(SessionConfig) -> T) -> i64 {
+    held(SMALL, &build);
+    held(BIG, &build) - held(SMALL, &build)
+}
+
 /// Copies of the photo an agenet session holds after `rounds` rounds.
 fn session_copies(rounds: u64) -> f64 {
-    let with = |bytes| {
-        held(
-            SessionConfig::paper_builder("agenet")
-                .image_bytes(bytes)
-                .build(),
-            rounds,
-        )
-    };
-    with(SMALL);
-    (with(BIG) - with(SMALL)) as f64 / (BIG - SMALL) as f64
+    photo_bytes(|cfg| session(cfg, rounds)) as f64 / (BIG - SMALL) as f64
 }
 
 /// At most one copy per side plus a little: each browser ends every
@@ -188,11 +206,7 @@ fn a_cold_round_holds_its_image_once_a_side() {
 #[test]
 fn a_fleet_holds_its_images_a_few_times_a_client() {
     const CLIENTS: usize = 10;
-    let held_by_fleet = |bytes| {
-        let before = live();
-        let cfg = SessionConfig::paper_builder("agenet")
-            .image_bytes(bytes)
-            .build();
+    let extra = photo_bytes(|cfg| {
         let mut engine =
             Engine::sessions(cfg, CLIENTS)
                 .unwrap()
@@ -203,17 +217,42 @@ fn a_fleet_holds_its_images_a_few_times_a_client() {
             engine.run().unwrap().completed > 0,
             "the fleet completed no round"
         );
-        let held = live() - before;
-        drop(engine);
-        held
-    };
-    held_by_fleet(SMALL);
-    let extra = held_by_fleet(BIG) - held_by_fleet(SMALL);
+        engine
+    });
     let copies = extra as f64 / (BIG - SMALL) as f64 / CLIENTS as f64;
     assert!(
         copies <= MAX_COPIES,
         "{CLIENTS} agenet clients: {extra} B more live with a {BIG} B image than a {SMALL} B one: \
          {copies:.2} copies a client (want at most {MAX_COPIES})"
+    );
+}
+
+/// What a built session or fleet may hold more with the big photo than
+/// with the small one: nothing, give or take allocator rounding. A photo
+/// drawn at construction, which no round ever read, held ~33 kB a client.
+const BUILT_SLACK: i64 = 1024;
+
+/// A session loads its app with an empty photo: every round draws its
+/// own image into it before the `load` click.
+#[test]
+fn a_built_session_holds_no_photo() {
+    let extra = photo_bytes(|cfg| session(cfg, 0));
+    assert!(
+        extra.abs() < BUILT_SLACK,
+        "a built agenet session holds {extra} B more with a {BIG} B photo than a {SMALL} B one \
+         (want under {BUILT_SLACK})"
+    );
+}
+
+/// The same for a real fleet's clients, built before its first event.
+#[test]
+fn a_built_fleet_holds_no_photo() {
+    const CLIENTS: usize = 10;
+    let extra = photo_bytes(|cfg| Engine::sessions(cfg, CLIENTS).unwrap());
+    assert!(
+        extra.abs() < BUILT_SLACK,
+        "{CLIENTS} built agenet clients hold {extra} B more with a {BIG} B photo than a {SMALL} B one \
+         (want under {BUILT_SLACK})"
     );
 }
 
@@ -252,20 +291,20 @@ fn a_long_partial_session_stays_within_twenty_megabytes() {
     );
 }
 
-/// Allocation calls of round `round` of an agenet session, with the
-/// `plan` gate consulted every round or not at all.
-fn round_calls(predict: bool, round: u64) -> u64 {
+/// Allocation calls and bytes asked for by round `round` of an agenet
+/// session, with the `plan` gate consulted every round or not at all.
+fn round_allocs(predict: bool, round: u64) -> (u64, u64) {
     let cfg = SessionConfig::paper_builder("agenet")
         .predict(predict)
         .build();
     let mut session = OffloadSession::new(cfg).unwrap();
-    let mut before = 0;
+    let mut before = (0, 0);
     for r in 1..=round {
-        before = calls();
+        before = (calls(), asked());
         let report = session.infer(r).unwrap();
         assert!(report.server.is_some(), "round {r} ran locally");
     }
-    calls() - before
+    (calls() - before.0, asked() - before.1)
 }
 
 /// A consulted `plan` gate builds the model's profile and cut list on
@@ -274,9 +313,26 @@ fn round_calls(predict: bool, round: u64) -> u64 {
 /// (114 calls when every round built one).
 #[test]
 fn a_consulted_plan_gate_reuses_its_planner() {
-    let (on, off) = (round_calls(true, 6), round_calls(false, 6));
+    let (on, off) = (round_allocs(true, 6).0, round_allocs(false, 6).0);
     assert!(
         on <= off + 8,
         "round 6 of an agenet session: {on} allocation calls with the plan gate, {off} without"
+    );
+}
+
+/// The bytes round 6 of a default agenet session (deltas on: the
+/// benchmark's `steady_delta`) asked for when the photo was drawn one
+/// character at a time into a `String`.
+const SERIAL_DRAW_ROUND_BYTES: u64 = 417_206;
+
+/// A steady round draws its photo straight into one `String`: a scratch
+/// buffer or a second copy of the 35 kB photo would ask for ~35 kB more
+/// than the serial draw did.
+#[test]
+fn a_steady_round_asks_for_no_more_bytes_than_the_serial_draw() {
+    let (_, bytes) = round_allocs(false, 6);
+    assert!(
+        bytes <= SERIAL_DRAW_ROUND_BYTES,
+        "round 6 of an agenet session asked for {bytes} B (the serial draw's round: {SERIAL_DRAW_ROUND_BYTES} B)"
     );
 }
