@@ -11,160 +11,8 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors; core, net, webapp and analyze deny panicking calls outside tests in their lib.rs)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== one offload path (scenario.rs outside its tests drives no link, pool or snapshot of its own)"
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/scenario.rs |
-    grep -nE 'schedule_resilient|Link::new|ServerPool|\.capture\(|\.restore\('; then
-    echo "scenario.rs is growing a second offload driver: route it through OffloadSession" >&2
-    exit 1
-fi
-
-echo "== one attach path, one wire helper, one client ending (session.rs outside its tests)"
-session_src=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/session.rs)
-resilient=$(grep -c 'schedule_resilient(' <<<"$session_src" || true)
-links=$(grep -c 'Link::new(' <<<"$session_src" || true)
-reports=$(grep -E 'RoundReport \{' <<<"$session_src" | grep -vc 'struct RoundReport' || true)
-if [ "$resilient" -ne 1 ] || [ "$links" -ne 2 ] || [ "$reports" -ne 1 ]; then
-    echo "session.rs repeats itself: $resilient schedule_resilient( (want 1), $links Link::new( (want 2: one uplink, one downlink), $reports RoundReport literals (want 1)" >&2
-    exit 1
-fi
-
-echo "== one provisioning rule (session.rs fabricates no down link for a spent pre-send; scenario.rs neither builds nor provisions a session by halves; outside their tests)"
-if grep -n 'NetError::LinkDown' <<<"$session_src"; then
-    echo "session.rs reports a spent pre-send budget as a down link again: return Ok(false) and let provisioned() decide" >&2
-    exit 1
-fi
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/scenario.rs | grep -nE 'OffloadSession::build|\.provision\(\)'; then
-    echo "scenario.rs carries its own provisioning rule again: OffloadSession::new is the one" >&2
-    exit 1
-fi
-
-echo "== a session draws the photo for a click only (session.rs calls synthetic_image_data_url in round_start and nowhere else)"
-if awk 'match($0, /fn [A-Za-z0-9_]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
-        /synthetic_image_data_url\(/ && f != "round_start" { print FNR ": in fn " f ": " $0; drawn = 1 }
-        END { exit !drawn }' crates/core/src/session.rs; then
-    echo "session.rs draws a photo outside round_start: the app loads with an empty src and each round draws its own" >&2
-    exit 1
-fi
-
-echo "== two delta-capture paths (write-set-pruned capture stays deleted)"
-if grep -rnE 'CaptureHints|set_capture_hints|pruned_globals' crates/*/src; then exit 1; fi
-
-echo "== effect analysis is two gates (write sets, ceilings, the cache and the contention simulator stay deleted)"
-if grep -rnE 'round_writes|EffectCache|max_new_cells|simulate_contention' crates/*/src; then exit 1; fi
-
-echo "== float text is printed, not cached (the render cache and the heap versions it was keyed by stay deleted)"
-if grep -rnE 'RenderCache|render_cache|HEAP_GENERATION' crates/*/src; then exit 1; fi
-
-echo "== one gate chain, one migration (the five gate kinds, the decide_* doors, the latency predictor and the mirrored migrate/charge helpers stay deleted)"
-if grep -rnE 'EffectVerdict|BalanceDecision|ProactiveLocal|EventKind::Predict|decide_unreachable|LatencyPredictor|fn migrate_down|fn charge_(capture|restore)_' crates/*/src; then exit 1; fi
-
-echo "== paper figures are rows (one figures binary beside the two wall-budget smokes; the per-figure table printer and the second Gantt renderer stay deleted)"
-if ls crates/bench/src/bin | grep -vxE 'figures\.rs|fleet_scale\.rs|fleet_balance\.rs'; then
-    echo "crates/bench/src/bin/ grew a binary: a figure is a function in crates/bench/src/figures.rs" >&2
-    exit 1
-fi
-if grep -rnE 'print_table|mod timeline|core::timeline' crates/*/src; then exit 1; fi
-
-echo "== the engine log is data (no String per event, no text-returning event_log)"
-if grep -nE 'event_log\.push\(format!|-> &\[String\]' crates/core/src/engine.rs; then
-    echo "engine.rs formats its log as it runs: push an EngineEvent, render in event_lines()" >&2
-    exit 1
-fi
-
-echo "== fleet scheduling policies are engine switches only (no config knobs, no run-loop borrow bundles), one resilient scheduler, a single-threaded tracer"
-if grep -nE 'pub (fn )?(balance|fair_share|batch_window)\b' crates/core/src/config.rs; then
-    echo "config.rs grew a fleet policy knob: balance, fair share and batching are Engine switches" >&2
-    exit 1
-fi
-if grep -rnE 'cfg\.(balance|fair_share|batch_window)' crates/*/src; then exit 1; fi
-if grep -nE 'struct (DrainState|GrantStats)|too_many_arguments' crates/core/src/engine.rs; then
-    echo "engine.rs is bundling borrows again: per-client and per-server state lives in RunState's slots" >&2
-    exit 1
-fi
-if grep -rn 'schedule_resilient_traced' crates/*/src; then exit 1; fi
-if grep -n 'Mutex' crates/trace/src/tracer.rs; then exit 1; fi
-
-echo "== the gate chain owns its switches (SnapshotOptions describes capture only; no gate switch is read off a snapshot or capture option)"
-if grep -nE 'pub (verify|effects):' crates/webapp/src/snapshot.rs; then
-    echo "snapshot.rs grew a gate switch: verify and effects are OffloadConfig fields" >&2
-    exit 1
-fi
-if grep -rnE 'snapshot\.(verify|effects)|options\.verify' crates/*/src; then exit 1; fi
-
-echo "== the verifier is a test oracle (the verify gate, its switch, its error and its verdict stay deleted)"
-if grep -rnE 'verify_script|Gate::Verify|OffloadError::Verify|Verdict::Reject|cfg\.verify' crates/*/src; then exit 1; fi
-
-echo "== snapshot HTML text is scanned, not stepped (no chained entity replaces or window searches in html.rs outside its tests; the attribute-cloning doc_attrs stays deleted)"
-if sed '/#\[cfg(test)\]/,$d' crates/webapp/src/html.rs | grep -nE '\.replace\("&|\.windows\('; then
-    echo "html.rs walks its text again: scan it with find_set" >&2
-    exit 1
-fi
-if grep -rn 'fn doc_attrs' crates/*/src; then exit 1; fi
-
-echo "== the typed-array element alphabet lives in f32text.rs (lexer.rs outside its tests reads only the list's framing: no quotient spelling)"
-if sed '/#\[cfg(test)\]/,$d' crates/webapp/src/lexer.rs | grep -nF -e '(0/0)' -e '(1/0)' -e '(-1/0)'; then
-    echo "lexer.rs spells a Float32Array element again: the element reader is f32text::scan_f32_element" >&2
-    exit 1
-fi
-
-echo "== a script string is one shared allocation (webapp holds no string by value: literals, values and DOM attributes are Rc<str>)"
-if grep -rn 'Str(String)' crates/webapp/src; then
-    echo "crates/webapp/src copies a MiniJS string again: Token::Str, Expr::Str and JsValue::Str hold Rc<str>" >&2
-    exit 1
-fi
-
-echo "== one link-health record, one planner (the bandwidth estimator, the per-server health wrapper and the adaptive controller stay folded into LinkHealth, ServerPool and PartitionOptimizer::plan)"
-for gone in crates/net/src/estimator.rs crates/core/src/adaptive.rs; do
-    if [ -e "$gone" ]; then
-        echo "$gone is back: the estimate lives in LinkHealth, the runtime decision in PartitionOptimizer::plan" >&2
-        exit 1
-    fi
-done
-if grep -rnE 'BandwidthEstimator|AdaptiveOffloader|AdaptivePolicy|ServerHealth' crates tests examples; then exit 1; fi
-
-echo "== the CLI is one flag table (main.rs outside its tests reads no flag by string and keeps no hand-written usage text)"
-if sed '/#\[cfg(test)\]/,$d' crates/cli/src/main.rs | grep -nE '\.flag\("|bool_flag\(|const USAGE: &str'; then
-    echo "cli/src/main.rs reads flags by name again: declare the flag in FLAGS and read it by Flag" >&2
-    exit 1
-fi
-
-echo "== one switch matrix (the per-switch chaos-seed loops stay folded into tests/combinations.rs)"
-if grep -rnE 'bit_identical_across_the_chaos_seed_matrix|replays_bit_for_bit_across_chaos_seeds|chaos_seed_matrix_is_correct_and_reproducible|meter_off_session_reports_zero_usage|every_verdict_satisfies_the_comparison_it_names_across_the_chaos_seed_matrix' tests crates; then
-    echo "a per-switch chaos-seed loop is back: make it a case of tests/combinations.rs" >&2
-    exit 1
-fi
-
-echo "== a round says where it ran by type (no server name is compared with \"client\")"
-if grep -rnE '(==|!=) "client"|\.server, "client"' crates/*/src tests; then
-    echo "a local round reports server None: compare with None or is_some(), not a name" >&2
-    exit 1
-fi
-
-echo "== one placement rule (ServerPool::select ranks servers for both fleets; the modeled rotation and its second ranking loop stay deleted)"
-if grep -n 'client + done' crates/core/src/engine.rs; then
-    echo "engine.rs rotates modeled clients again: place them by ServerPool::select's rule" >&2
-    exit 1
-fi
-if grep -rnE '(predicted_migration|predicted_wait)\(' crates/*/src | grep -vE '^crates/core/src/(fleet|balance)\.rs:'; then
-    echo "a server is ranked outside fleet.rs and balance.rs: call ServerPool::select" >&2
-    exit 1
-fi
-
-echo "== each failover fact is kept once (provisioned means acknowledged: no readiness flag in the pool; a link is down when its fault plan says so)"
-if grep -rnE '\b(model_ready|set_down)\b|mark_model_' crates/*/src tests; then
-    echo "a second record of a failover fact is back: read OffloadSession::ack_at, or put a down window in the link's FaultPlan" >&2
-    exit 1
-fi
-
-echo "== the cut is decided once (gates.rs outside its tests searches no cut; no session or scenario report carries the planner's decision)"
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/gates.rs | grep -nE '\.(plan|best)\('; then
-    echo "gates.rs chooses a cut again: price the session's own cut with PartitionOptimizer::against_local" >&2
-    exit 1
-fi
-if grep -nE '^\s*(pub(\(crate\))? )?prediction:' crates/core/src/session.rs crates/core/src/scenario.rs; then
-    echo "a report carries the planner's decision again: proactive and the gate:plan reading say what the gate decided" >&2
-    exit 1
-fi
+echo "== source rules (snapedge-lint: determinism, and every deleted path stays deleted; a rule whose file is gone fails)"
+cargo run --offline --release -q -p snapedge-lint
 
 echo "== cargo build --release"
 cargo build --offline --release --workspace
@@ -225,6 +73,15 @@ for real in false true; do
         exit 1
     fi
 done
+
+echo "== README's failover example fails over (edge-a is down from 0 s: every round runs on edge-b)"
+failover=$(target/release/snapedge session --model agenet --rounds 5 --retry default \
+    --servers "edge-a,mbps=30,faults=down@0..3600;edge-b,mbps=20;edge-c,mbps=10")
+if ! awk '$1 ~ /^[0-9]+$/ { n++; if ($6 != "edge-b") off++ } END { exit !(n == 5 && !off) }' <<<"$failover"; then
+    echo "snapedge session with edge-a down: want 5 rounds on edge-b, got:" >&2
+    echo "$failover" >&2
+    exit 1
+fi
 
 echo "== a failed pre-send degrades to local (session, fleet --real and run exit 0, session offloads again in round 2); strict fail-fast is one error line"
 faults=(--fault-plan 'corrupt@4..5.5' --retry 'attempts=3,deadline=5')
@@ -291,9 +148,6 @@ cargo run --offline --release -p snapedge-bench --bin fleet_scale
 
 echo "== balancing micro (report-only: unbalanced vs queue-aware placement p99 on a skewed fleet)"
 cargo run --offline --release -p snapedge-bench --bin fleet_balance
-
-echo "== determinism lint (wall-clock, hash-iter, collect-in-loop, string-keyed-map)"
-cargo run --offline --release -p snapedge-lint
 
 echo "== static snapshot verifier smoke (the two paper app sources)"
 cargo run --offline --release -p snapedge-cli --bin snapedge -- analyze --all-apps true

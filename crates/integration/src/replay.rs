@@ -5,7 +5,7 @@
 //! was captured against.
 
 use snapedge_core::{apps, Endpoint, OffloadError, SessionConfig};
-use snapedge_dnn::{zoo, ExecMode, ParamStore};
+use snapedge_dnn::{zoo, ExecMode, Network, NodeId, ParamStore};
 use snapedge_net::SimClock;
 use snapedge_webapp::{DeltaCapture, RunOutcome, SnapshotOptions, StateBase};
 
@@ -45,31 +45,11 @@ impl Replay {
     ///
     /// An unknown model or cut, or an app that fails to load.
     pub fn new(cfg: SessionConfig) -> Result<Replay, OffloadError> {
-        let net = zoo::by_name(&cfg.model)?;
-        let cut = match &cfg.cut {
-            Some(label) => Some(net.cut_point(label)?.id),
-            None => None,
-        };
-        let params = || -> Result<ParamStore, OffloadError> {
-            Ok(match cfg.exec_mode {
-                ExecMode::Real => net.init_params(cfg.seed)?,
-                ExecMode::Synthetic { .. } => ParamStore::empty(net.name()),
-            })
-        };
-        let clock = SimClock::new();
-        let mut client = Endpoint::new("client", cfg.client_device.clone(), clock.clone());
+        let (client, trigger, net, cut) = client(&cfg)?;
         let spec = cfg.primary().clone();
-        let mut server = Endpoint::new(&spec.name, spec.device.clone(), clock);
-        client.install_model(net.clone(), params()?, cfg.exec_mode, cut, cfg.seed);
-        server.install_model(net.clone(), params()?, cfg.exec_mode, cut, cfg.seed);
-        // An empty photo, as the session loads it: every click draws its
-        // own image first.
-        let (app, trigger) = match cut {
-            Some(_) => (apps::partial_inference_app(""), apps::PARTIAL_OFFLOAD_EVENT),
-            None => (apps::full_inference_app(""), apps::FULL_OFFLOAD_EVENT),
-        };
-        client.browser.load_html(&app)?;
-        client.browser.set_offload_trigger(Some(trigger));
+        let mut server = Endpoint::new(&spec.name, spec.device.clone(), client.clock().clone());
+        let params = params(&cfg, &net)?;
+        server.install_model(net, params, cfg.exec_mode, cut, cfg.seed);
         Ok(Replay {
             cfg,
             trigger,
@@ -125,7 +105,7 @@ pub struct LocalOracle {
 impl LocalOracle {
     /// Loads `cfg`'s app on a lone client (errors as [`Replay::new`]).
     pub fn new(cfg: &SessionConfig) -> Result<LocalOracle, OffloadError> {
-        let mut client = Replay::new(cfg.clone())?.client;
+        let (mut client, ..) = client(cfg)?;
         client.browser.set_offload_trigger(None);
         let bytes = cfg.image_bytes;
         Ok(LocalOracle { client, bytes })
@@ -137,6 +117,44 @@ impl LocalOracle {
         click(&mut self.client, image_seed, self.bytes)?;
         Ok(self.client.browser.element_text("result")?.to_string())
     }
+}
+
+/// A session's client: its model host installed and its app loaded with
+/// an empty photo, as the session loads it (every click draws its own
+/// image first), the offload trigger armed. Also returns the trigger, the
+/// model and the cut, for a server to join it with.
+fn client(
+    cfg: &SessionConfig,
+) -> Result<(Endpoint, &'static str, Network, Option<NodeId>), OffloadError> {
+    let net = zoo::by_name(&cfg.model)?;
+    let cut = match &cfg.cut {
+        Some(label) => Some(net.cut_point(label)?.id),
+        None => None,
+    };
+    let mut client = Endpoint::new("client", cfg.client_device.clone(), SimClock::new());
+    client.install_model(
+        net.clone(),
+        params(cfg, &net)?,
+        cfg.exec_mode,
+        cut,
+        cfg.seed,
+    );
+    let (app, trigger) = match cut {
+        Some(_) => (apps::partial_inference_app(""), apps::PARTIAL_OFFLOAD_EVENT),
+        None => (apps::full_inference_app(""), apps::FULL_OFFLOAD_EVENT),
+    };
+    client.browser.load_html(&app)?;
+    client.browser.set_offload_trigger(Some(trigger));
+    Ok((client, trigger, net, cut))
+}
+
+/// One endpoint's parameters for `net`: initialised from the session's
+/// seed under `ExecMode::Real`, empty under a synthetic mode.
+fn params(cfg: &SessionConfig, net: &Network) -> Result<ParamStore, OffloadError> {
+    Ok(match cfg.exec_mode {
+        ExecMode::Real => net.init_params(cfg.seed)?,
+        ExecMode::Synthetic { .. } => ParamStore::empty(net.name()),
+    })
 }
 
 /// Loads image `image_seed` into the app's photo, then clicks inference

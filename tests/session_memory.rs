@@ -20,6 +20,8 @@
 //! counts.
 
 use snapedge_core::{ArrivalProcess, Engine, OffloadSession, SessionConfig};
+use snapedge_dnn::{zoo, ExecMode};
+use snapedge_integration::{LocalOracle, Replay};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -334,5 +336,34 @@ fn a_steady_round_asks_for_no_more_bytes_than_the_serial_draw() {
     assert!(
         bytes <= SERIAL_DRAW_ROUND_BYTES,
         "round 6 of an agenet session asked for {bytes} B (the serial draw's round: {SERIAL_DRAW_ROUND_BYTES} B)"
+    );
+}
+
+/// Bytes the calling thread asks for while `build` runs and drops what
+/// it returns.
+fn asked_for<T>(build: impl FnOnce() -> T) -> u64 {
+    let before = asked();
+    drop(build());
+    asked() - before
+}
+
+/// The output oracle is a replay's client alone: it builds no server
+/// endpoint, so under `ExecMode::Real` it initialises one `ParamStore`,
+/// not the two a whole `Replay` does. When it kept a `Replay`'s client,
+/// both asked for the same bytes.
+#[test]
+fn a_local_oracle_builds_no_server() {
+    let cfg = SessionConfig::tiny();
+    assert_eq!(cfg.exec_mode, ExecMode::Real);
+    // A thread's interner grows with the first app it loads.
+    drop(Replay::new(cfg.clone()).unwrap());
+    let owned = cfg.clone();
+    let replay = asked_for(|| Replay::new(owned).unwrap());
+    let oracle = asked_for(|| LocalOracle::new(&cfg).unwrap());
+    let net = zoo::by_name(&cfg.model).unwrap();
+    let params = asked_for(|| net.init_params(cfg.seed).unwrap());
+    assert!(
+        oracle + params <= replay,
+        "LocalOracle::new asked for {oracle} B, Replay::new {replay} B; one tiny_cnn ParamStore is {params} B"
     );
 }
