@@ -41,6 +41,23 @@ if ! grep -qE '^predict: +local' <<<"$cut_smoke"; then
     exit 1
 fi
 
+echo "== the output does not depend on the core count (googlenet's 1st_pool map is long enough to be split across cores; on one CPU it is not)"
+if ! command -v taskset >/dev/null; then
+    echo "taskset is not installed: this step needs it to run the CLI on one CPU" >&2
+    exit 1
+fi
+one_cpu=$(taskset -pc $$ | sed 's/.*: //; s/[,-].*//')
+cores_dir=$(mktemp -d)
+trap 'rm -rf "$cores_dir"' EXIT
+split_run=(run --model googlenet --strategy partial --cut 1st_pool --trace)
+target/release/snapedge "${split_run[@]}" "$cores_dir/all.jsonl" >"$cores_dir/all.out"
+taskset -c "$one_cpu" target/release/snapedge "${split_run[@]}" "$cores_dir/one.jsonl" >"$cores_dir/one.out"
+if ! cmp -s "$cores_dir/all.jsonl" "$cores_dir/one.jsonl" \
+    || ! diff <(grep -v '^trace:' "$cores_dir/all.out") <(grep -v '^trace:' "$cores_dir/one.out") >&2; then
+    echo "snapedge ${split_run[*]}: the trace or the report differs between every CPU and CPU $one_cpu alone" >&2
+    exit 1
+fi
+
 echo "== a closed stdout ends a command quietly (sweep | head -1: exit 0, nothing on stderr)"
 pipe_code=0
 pipe_stderr=$( { target/release/snapedge sweep --model agenet | head -1 >/dev/null; } 2>&1) || pipe_code=$?

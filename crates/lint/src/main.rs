@@ -20,11 +20,14 @@
 //!      `lint: allow(string-keyed-map)`.
 //!   4. `collect-in-loop`: no `Vec`/`String` born inside a hot-path loop
 //!      body; hoist it or annotate `lint: allow(collect-in-loop)`.
+//!   5. `one-threaded-kernel`: no `std::thread` in any crate's `src/` but
+//!      `crates/webapp/src/f32text.rs`, whose list text is split across
+//!      cores and joined in order, so the core count reaches no output.
 //!
 //!   The hot path is derived, not hand-listed: every `.rs` under the
 //!   core/net/webapp/analyze crates' `src/` is hot unless
 //!   [`HOT_PATH_OPT_OUT`] names it. Rules 2–4 skip `#[cfg(test)]` items,
-//!   and all four skip `//` lines.
+//!   and all five skip `//` lines.
 //! * **Kept deletions.** Each `simplicity` change that folded two paths
 //!   into one keeps the other deleted with a row: a name that stays gone,
 //!   a call counted in one file, a directory that holds only its listed
@@ -90,7 +93,7 @@ enum Scope {
     /// Inside `while`/`for` bodies, outside `#[cfg(test)]` items.
     LoopNonTest,
     /// Outside the named function: a line belongs to the last `fn NAME`
-    /// seen at or above it, comments and tests included.
+    /// declared in code at or above it, tests included.
     OutsideFn(&'static str),
 }
 
@@ -205,6 +208,16 @@ const RULES: &[Rule] = &[
         allow: Some("lint: allow(collect-in-loop)"),
         message: "allocates inside a loop body on the hot path; hoist it or annotate \
                   `lint: allow(collect-in-loop)`",
+        ..GUARD
+    },
+    Rule {
+        name: "one-threaded-kernel",
+        paths: SRC,
+        skip: &["crates/webapp/src/f32text.rs"],
+        check: Check::Deny(&["std::thread", "thread::scope", "thread::spawn"]),
+        comments: false,
+        message: "a thread outside f32text.rs: the simulation is single-threaded, and only the \
+                  Float32Array text kernel splits a long list across cores",
         ..GUARD
     },
     Rule {
@@ -828,7 +841,7 @@ fn holds(line: &str, lit: &str) -> bool {
     let (anchored, lit) = lit.strip_prefix('^').map_or((false, lit), |l| (true, l));
     let (open, lit) = lit.strip_prefix(r"\b").map_or((false, lit), |l| (true, l));
     let (close, lit) = lit.strip_suffix(r"\b").map_or((false, lit), |l| (true, l));
-    let word = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    let word = |c: Option<char>| c.is_some_and(part_of_word);
     let bounded = |line: &str, at: usize| {
         let before = line[..at].chars().next_back();
         let after = line[at + lit.len()..].chars().next();
@@ -843,14 +856,16 @@ fn holds(line: &str, lit: &str) -> bool {
 }
 
 /// Marks the lines outside function `name`: each line belongs to the
-/// last `fn IDENT` seen at or above it, anywhere in the line.
+/// last `fn IDENT` at or above it, read from code, not comments, with
+/// `fn` a word of its own.
 fn outside_fn(lines: &[&str], name: &str) -> Vec<bool> {
     let mut current = "";
     lines
         .iter()
         .map(|line| {
-            let named = line.match_indices("fn ").find_map(|(at, _)| {
-                let rest = &line[at + 3..];
+            let code = code_of(line);
+            let named = words(code, "fn").find_map(|at| {
+                let rest = code[at + 2..].strip_prefix(' ')?;
                 let end = rest
                     .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
                     .unwrap_or(rest.len());
@@ -902,10 +917,55 @@ fn test_region_mask(lines: &[&str]) -> Vec<bool> {
     mask
 }
 
-/// Marks lines inside `while`/`for` bodies by tracking brace depth from
-/// each loop keyword to the close of its body. Nested loops extend the
-/// region; the header line itself is included (a `while` condition runs
-/// per iteration too).
+/// The part of `line` before a `//` comment.
+fn code_of(line: &str) -> &str {
+    line.find("//").map_or(line, |at| &line[..at])
+}
+
+/// Whether `c` can be part of an identifier.
+fn part_of_word(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Where `word` stands in `code` as a word of its own.
+fn words<'a>(code: &'a str, word: &'a str) -> impl Iterator<Item = usize> + 'a {
+    code.match_indices(word)
+        .map(|(at, _)| at)
+        .filter(move |&at| {
+            !code[..at].chars().next_back().is_some_and(part_of_word)
+                && !code[at + word.len()..]
+                    .chars()
+                    .next()
+                    .is_some_and(part_of_word)
+        })
+}
+
+/// Whether `code` opens a `for`, `while` or `loop`: the keyword where a
+/// statement or expression starts — at the start of the line or after `{`,
+/// `}`, `;`, `=`, `=>` or a closure's `|` — with an optional `'label:`
+/// before it. `impl Trait for Type` and `for<'a>` bounds are no loops.
+fn opens_loop(code: &str) -> bool {
+    ["for", "while", "loop"].iter().any(|keyword| {
+        words(code, keyword).any(|at| {
+            let before = code[..at].trim_end();
+            let label = before.strip_suffix(':').and_then(|b| {
+                let quote = b.rfind('\'')?;
+                let name = &b[quote + 1..];
+                let is_name = !name.is_empty() && !name.contains(|c: char| !part_of_word(c));
+                is_name.then_some(quote)
+            });
+            let before = label.map_or(before, |quote| code[..quote].trim_end());
+            before.is_empty()
+                || before.ends_with(['{', '}', ';', '=', '|'])
+                || before.ends_with("=>")
+        })
+    })
+}
+
+/// Marks lines inside `for`/`while`/`loop` bodies by tracking brace depth
+/// from each loop keyword to the close of its body. Nested loops extend
+/// the region; the header line itself is included (a `while` condition
+/// runs per iteration too).
 fn loop_region_mask(lines: &[&str]) -> Vec<bool> {
     let mut mask = vec![false; lines.len()];
     let mut depth = 0i64;
@@ -918,10 +978,7 @@ fn loop_region_mask(lines: &[&str]) -> Vec<bool> {
             mask[idx] = !loops.is_empty();
             continue;
         }
-        let header = trimmed.starts_with("for ")
-            || trimmed.starts_with("while ")
-            || trimmed.contains(" for ")
-            || trimmed.contains(" while ");
+        let header = opens_loop(code_of(line));
         if header {
             pending_header = true;
         }
@@ -1018,6 +1075,18 @@ mod tests {
             "fn f() {\n    let v = Vec::new();\n    while go() {}\n}",
         ),
         (
+            "collect-in-loop",
+            "crates/core/src/fleet.rs",
+            "    for x in xs { let v = Vec::new(); }",
+            "impl Default for Bar { fn default() -> Self { Bar(Vec::new()) } }",
+        ),
+        (
+            "one-threaded-kernel",
+            "crates/core/src/engine.rs",
+            "        let worker = std::thread::spawn(move || run(client));",
+            "thread_local! {\n    static SEEN: Cell<u64> = const { Cell::new(0) };\n}",
+        ),
+        (
             "one-offload-path",
             "crates/core/src/scenario.rs",
             "        let outcome = schedule_resilient_traced(",
@@ -1058,6 +1127,18 @@ mod tests {
             "crates/core/src/session.rs",
             "    fn setup_client(&mut self, params: ParamStore) -> Result<(), OffloadError> {\n        let url = apps::synthetic_image_data_url(self.cfg.seed, self.cfg.image_bytes);",
             "    pub(crate) fn round_start(&mut self, image_seed: u64) -> Result<RoundStep, OffloadError> {\n        let url = apps::synthetic_image_data_url(image_seed, self.cfg.image_bytes);",
+        ),
+        (
+            "photo-for-a-click",
+            "crates/core/src/session.rs",
+            "    fn setup_client(&mut self, params: ParamStore) -> Result<(), OffloadError> {\n        // drawn as in fn round_start\n        let url = apps::synthetic_image_data_url(self.cfg.seed, self.cfg.image_bytes);",
+            "    pub(crate) fn round_start(&mut self, image_seed: u64) -> Result<RoundStep, OffloadError> {\n        // not as in fn setup_client\n        let url = apps::synthetic_image_data_url(image_seed, self.cfg.image_bytes);",
+        ),
+        (
+            "photo-for-a-click",
+            "crates/core/src/session.rs",
+            "    fn setup_client(&mut self) {\n        let note = \"a refn round_start\";\n        let url = apps::synthetic_image_data_url(self.cfg.seed, self.cfg.image_bytes);",
+            "    fn round_start(&mut self) {\n        let note = \"a refn setup_client\";\n        let url = apps::synthetic_image_data_url(image_seed, self.cfg.image_bytes);",
         ),
         (
             "two-capture-paths",
@@ -1325,6 +1406,10 @@ mod tests {
         let src = "// CaptureHints, Instant::now, schedule_resilient_traced\n";
         assert!(lint_file("crates/lint/src/main.rs", src).is_empty());
         assert_eq!(lint_file("crates/cli/src/main.rs", src).len(), 2);
+        // The one module that splits work across threads.
+        let split = "        std::thread::scope(|s| {\n";
+        assert!(lint_file("crates/webapp/src/f32text.rs", split).is_empty());
+        assert_eq!(lint_file("crates/webapp/src/lexer.rs", split).len(), 1);
         let rank = "    pub fn predicted_wait(&self, server: usize, at: Duration) -> Duration {\n";
         assert!(lint_file("crates/core/src/balance.rs", rank).is_empty());
         assert_eq!(lint_file("crates/core/src/engine.rs", rank).len(), 1);
@@ -1453,6 +1538,38 @@ mod tests {
         assert!(mask[4] && mask[5] && mask[7], "{mask:?}");
         assert!(!mask[9], "tail() is outside the loop: {mask:?}");
         assert!(!mask[0], "fn header is outside: {mask:?}");
+    }
+
+    #[test]
+    fn loop_headers_are_keywords_at_a_statement_start() {
+        for header in [
+            "for x in xs {",
+            "    while let Some(x) = it.next() {",
+            "    'outer: for x in xs {",
+            "    'scan: loop {",
+            "        let v = loop {",
+            "    } else { while go() {",
+            "        Some(ys) => for y in ys {",
+            "    loop {",
+            "    let n = 0; while n < 3 {",
+            "        let _ = s.spawn(move || loop {",
+        ] {
+            assert!(opens_loop(header), "{header}");
+        }
+        for other in [
+            "impl Default for Bar {",
+            "    where F: for<'a> Fn(&'a u8),",
+            "    handler: Box<dyn for<'a> Fn(&'a u8)>,",
+            "    fn for_each_client(&self) {",
+            "    let before_loop = 1;",
+            "    let label = 'x'; f(y);",
+            "    let s = x; // while here",
+            "    // for x in xs {",
+        ] {
+            assert!(!opens_loop(code_of(other)), "{other}");
+        }
+        let labelled = "fn f() {\n    'outer: loop {\n        let v = Vec::new();\n    }\n}\n";
+        assert_eq!(lint_file("crates/webapp/src/parser.rs", labelled).len(), 1);
     }
 
     #[test]

@@ -25,6 +25,14 @@
 //! interval of the candidate's `f64` decides whether the decimal is an
 //! `f32`. Anything else falls back to `str::parse`, which the tests use as
 //! the oracle on the printed text of every non-negative finite pattern.
+//!
+//! This is the one module of the workspace that starts threads. A list of
+//! at least two [`MIN_PART`]s of values is written and read in [`parts`],
+//! one a core, each on a scoped thread into a buffer the caller reserved,
+//! and joined in order: the text and the values are the serial ones for
+//! every core count, so no output depends on the host.
+
+use std::sync::OnceLock;
 
 /// The first power of ten in [`POW10`].
 const MIN_POW10: i32 = -22;
@@ -146,31 +154,105 @@ const ELEMENT_ROOM: usize = 66;
 /// per kilobyte, not per float.
 const CHUNK: usize = 1024;
 
+/// Bytes reserved a value for a rendered list: the printer spends 19.4 on
+/// the paper's maps, and an element longer than this is rare.
+const RESERVED_PER_VALUE: usize = 20;
+
+/// The fewest values worth a thread of their own. A scoped spawn and join
+/// takes 10 µs at best and 20 µs on average on a 2-core Xeon, and a value
+/// ~23 ns to render and ~18 ns to read, so a part of 4 096 values is 74–94
+/// µs of work: four times what handing it over costs on average. A list
+/// shorter than two parts stays on the calling thread.
+const MIN_PART: usize = 4096;
+
+/// How many parts a list of `n` values is cut into: one a core, each of at
+/// least [`MIN_PART`] values. One core makes it 1, the serial code.
+fn parts(n: usize) -> usize {
+    // `available_parallelism` reads cgroup files: ~9–50 µs a call.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    cores.min(n / MIN_PART).max(1)
+}
+
 /// Appends `new Float32Array([…])` holding `data` to `out`.
 ///
 /// Each element is the widened value's `Display` text; a negative value is
 /// `(-x)` because the grammar has no negative literals, negative zero is the
 /// bare `-0` `Display` gives it, and the non-finite values are the
 /// divisions that produce them: `(0/0)`, `(1/0)`, `(-1/0)`. This is the
-/// alphabet [`scan_f32_element`] reads back.
+/// alphabet [`scan_f32_element`] reads back. A list of at least two
+/// [`MIN_PART`]s is written in [`parts`], one a core.
 pub(crate) fn render_f32_literal(data: &[f32], out: &mut String) {
-    out.reserve(data.len() * 20 + 20);
+    render_in_parts(data, parts(data.len()), out);
+}
+
+/// [`render_f32_literal`] with `data` cut into `k` contiguous parts. The
+/// caller writes the first, a scoped thread each later one into a buffer
+/// reserved here at the rate `out` is, and the texts are joined in order;
+/// whatever a part left unwritten (its buffer was full, or no thread took
+/// it) is written after the join. The text is the same for every `k`.
+fn render_in_parts(data: &[f32], k: usize, out: &mut String) {
+    out.reserve(data.len() * RESERVED_PER_VALUE + 20);
     out.push_str("new Float32Array([");
+    if k < 2 {
+        push_elements(data, true, out, false);
+    } else {
+        let mut parts = data.chunks(data.len().div_ceil(k).max(1));
+        let head = parts.next().unwrap_or_default();
+        // The workers' buffers are reserved here: what a thread allocates
+        // comes from a glibc arena of its own and stays resident.
+        let mut tails: Vec<(&[f32], String, usize)> = parts
+            .map(|part| {
+                let room = part.len() * RESERVED_PER_VALUE + CHUNK;
+                (part, String::with_capacity(room), 0)
+            })
+            .collect();
+        std::thread::scope(|s| {
+            for (part, text, done) in &mut tails {
+                // A part no thread took is written after the join.
+                let _ = std::thread::Builder::new()
+                    .spawn_scoped(s, move || *done = push_elements(part, false, text, true));
+            }
+            push_elements(head, true, out, false);
+        });
+        for (part, text, done) in &tails {
+            out.push_str(text);
+            push_elements(&part[*done..], false, out, false);
+        }
+    }
+    out.push_str("])");
+}
+
+/// Appends `data`'s elements to `out`, each after a comma unless it opens
+/// the list, composed a chunk at a time; returns how many it appended.
+/// With `within`, it stops before a chunk could outgrow `out`'s capacity.
+fn push_elements(data: &[f32], opens: bool, out: &mut String, within: bool) -> usize {
     let mut chunk = [0u8; CHUNK];
+    let mut done = 0;
+    while done < data.len() && !(within && out.capacity() - out.len() < CHUNK) {
+        let (len, written) = write_elements(&data[done..], opens && done == 0, &mut chunk);
+        push_ascii(out, &chunk[..len]);
+        done += written;
+    }
+    done
+}
+
+/// Writes elements of `data` into `chunk` while one more surely fits,
+/// each after a comma unless it opens the list; returns the bytes and the
+/// elements written.
+fn write_elements(data: &[f32], opens: bool, chunk: &mut [u8; CHUNK]) -> (usize, usize) {
     let mut len = 0;
     for (i, &v) in data.iter().enumerate() {
         if len + ELEMENT_ROOM > CHUNK {
-            push_ascii(out, &chunk[..len]);
-            len = 0;
+            return (len, i);
         }
-        if i > 0 {
+        if i > 0 || !opens {
             chunk[len] = b',';
             len += 1;
         }
         len += write_element(&mut chunk[len..], v);
     }
-    push_ascii(out, &chunk[..len]);
-    out.push_str("])");
+    (len, data.len())
 }
 
 /// Every byte composed above is an ASCII digit or punctuation mark, so the
@@ -345,6 +427,219 @@ fn write_8_digits(buf: &mut [u8], v: u32) {
 /// What the snapshot printer spends on a feature value, comma included:
 /// 19.4 bytes on average over the paper's `1st_pool` and `3rd_pool` maps.
 pub(crate) const BYTES_PER_VALUE: usize = 19;
+
+/// Reads the elements of a list from the first, at `i`, to the `]` that
+/// closes it: the values, how deep the parser would have recursed for the
+/// deepest (at least the one level of the constructor's argument), and the
+/// index of the `]`. `None` when the list is not in the printer's alphabet
+/// — an element [`scan_f32_element`] declines, a byte after one that is
+/// neither `,` nor `]`, or no `]` — so that the general lexer reads it.
+///
+/// A list whose text holds at least two [`MIN_PART`]s of values is read in
+/// [`parts`]; any other is read here, on the calling thread, into a vector
+/// reserved from the text that remains.
+pub(crate) fn scan_f32_elements(src: &str, i: usize) -> Option<(Vec<f32>, u8, usize)> {
+    if parts((src.len() - i) / BYTES_PER_VALUE) < 2 {
+        return scan_serial(src, i);
+    }
+    scan_in_parts(src, i, parts)
+}
+
+/// [`scan_f32_elements`] on the calling thread.
+fn scan_serial(src: &str, mut i: usize) -> Option<(Vec<f32>, u8, usize)> {
+    let bytes = src.as_bytes();
+    // The printer spends ~19 bytes a value, and the list runs to at most
+    // the end of the text: reserving that up front spares a feature map
+    // its ~15 doublings.
+    let mut data = Vec::with_capacity((bytes.len() - i) / BYTES_PER_VALUE);
+    // `new Float32Array(` parses its argument one `expression()` deep.
+    let mut nesting = 1;
+    if bytes.get(i) != Some(&b']') {
+        loop {
+            let (value, depth, end) = scan_f32_element(src, i)?;
+            data.push(value);
+            nesting = nesting.max(depth);
+            match bytes.get(end)? {
+                b',' => i = end + 1,
+                b']' => {
+                    i = end;
+                    break;
+                }
+                _ => return None,
+            }
+        }
+    }
+    // A short list early in a long text must not keep the text's share.
+    if data.capacity() / 2 > data.len() {
+        data.shrink_to_fit();
+    }
+    Some((data, nesting, i))
+}
+
+/// [`scan_f32_elements`] with the list, up to its [`list_end`], cut into
+/// at most `k` parts, `k` given the values its text holds at 19 bytes a
+/// value. Each part starts after a comma near one `k`-th of the text, and
+/// none is empty. The caller reads the first part, a scoped thread each
+/// later one into a vector reserved here, and the values are joined in
+/// order into a vector sized to exactly their number; what a part left
+/// unread (its vector was full, or no thread took it) is read after the
+/// join. Serial when `k < 2` or the list does not end with a `]`.
+///
+/// The text between the elements holds no `,` and no `]`, so the elements
+/// of the serial reader are exactly the comma-separated pieces: it takes
+/// the list when every part does, with the same values and the deepest
+/// part's nesting, and declines it when any part does.
+fn scan_in_parts(
+    src: &str,
+    i: usize,
+    k: impl FnOnce(usize) -> usize,
+) -> Option<(Vec<f32>, u8, usize)> {
+    let bytes = src.as_bytes();
+    let end = list_end(bytes, i);
+    let k = k((end - i) / BYTES_PER_VALUE);
+    if k < 2 || end == i || bytes.get(end) != Some(&b']') {
+        return scan_serial(src, i);
+    }
+    // The comma that ends each part but the last.
+    let mut cuts = Vec::with_capacity(k);
+    let mut from = i;
+    for j in 1..k {
+        let comma = crate::html::find_set(&bytes[..end], i + (end - i) * j / k, b",");
+        if comma > from && comma + 1 < end {
+            cuts.push(comma);
+            from = comma + 1;
+        }
+    }
+    let ends = cuts.iter().skip(1).copied().chain([end]);
+    let mut tails: Vec<Part> = cuts
+        .iter()
+        .zip(ends)
+        .map(|(&comma, to)| Part {
+            values: Vec::with_capacity((to - comma) / BYTES_PER_VALUE + 1),
+            nesting: 1,
+            reached: Some(comma + 1),
+            to,
+        })
+        .collect();
+    // The first part goes straight into the list's own vector, reserved
+    // for the whole list: a vector of its own would be one more copy of
+    // it alive at the join.
+    let mut data = Vec::with_capacity((end - i) / BYTES_PER_VALUE + 1);
+    let mut nesting = 1;
+    std::thread::scope(|s| {
+        for part in &mut tails {
+            // A part no thread took is read after the join.
+            let _ = std::thread::Builder::new().spawn_scoped(s, move || part.read(src));
+        }
+        let to = cuts.first().copied().unwrap_or(end);
+        read_run(src, i, to, &mut data, &mut nesting, false)
+    })?;
+    data.reserve_exact(tails.iter().map(|part| part.values.len()).sum());
+    for part in &tails {
+        data.extend_from_slice(&part.values);
+        nesting = nesting.max(part.nesting);
+        let reached = part.reached?;
+        if reached < part.to {
+            read_run(src, reached, part.to, &mut data, &mut nesting, false)?;
+        }
+    }
+    data.shrink_to_fit();
+    Some((data, nesting, end))
+}
+
+/// One contiguous run of a list's elements, read by one thread.
+struct Part {
+    /// The elements read so far.
+    values: Vec<f32>,
+    /// The deepest of them, as [`scan_f32_elements`] counts.
+    nesting: u8,
+    /// Where the next unread element starts (`to` once all are read), or
+    /// `None` where the list declines.
+    reached: Option<usize>,
+    /// The `,` or `]` after the run's last element.
+    to: usize,
+}
+
+impl Part {
+    /// Reads on from `reached` while `values` has room. The reading goes
+    /// into locals, stored back once: the parts lie side by side, and a
+    /// store per value into a cache line another core writes too made a
+    /// split read slower than a serial one.
+    fn read(&mut self, src: &str) {
+        let (mut values, mut nesting) = (std::mem::take(&mut self.values), self.nesting);
+        if let Some(from) = self.reached {
+            self.reached = read_run(src, from, self.to, &mut values, &mut nesting, true);
+        }
+        (self.values, self.nesting) = (values, nesting);
+    }
+}
+
+/// Reads the elements from `i` up to the `,` or `]` at `to` into `values`,
+/// keeping the deepest nesting; with `within`, it stops rather than
+/// outgrow `values`' capacity. Returns where it stopped — `to` once the
+/// last element ends there, else the start of the next — or `None` where
+/// the list declines.
+fn read_run(
+    src: &str,
+    mut i: usize,
+    to: usize,
+    values: &mut Vec<f32>,
+    nesting: &mut u8,
+    within: bool,
+) -> Option<usize> {
+    let bytes = src.as_bytes();
+    while !(within && values.len() == values.capacity()) {
+        let (value, depth, end) = scan_f32_element(src, i)?;
+        values.push(value);
+        *nesting = (*nesting).max(depth);
+        if end == to {
+            return Some(to);
+        }
+        if end > to || bytes.get(end) != Some(&b',') {
+            return None;
+        }
+        i = end + 1;
+    }
+    Some(i)
+}
+
+/// Index of the first byte at or after `i` that is outside the list
+/// alphabet: the digits, `.`, `-`, `(`, `)`, `/` and `,`. A list the reader
+/// takes ends there, at its `]`. `new Float32Array([` is outside it, so no
+/// two lists' spans overlap, and the scans of one `lex` add up to at most
+/// its text once, however many lists decline.
+///
+/// Eight bytes a step: a byte is inside when it is in `0x28..=0x39` and is
+/// not `*` or `+`. A carry out of an outside byte may flag bytes above it,
+/// never one below, so the lowest flag is exact.
+fn list_end(bytes: &[u8], i: usize) -> usize {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let rest = bytes.get(i..).unwrap_or_default();
+    let (words, tail) = rest.as_chunks::<8>();
+    for (n, word) in words.iter().enumerate() {
+        let x = u64::from_le_bytes(*word);
+        // High bit set from `(`, then from the byte after `9`, up.
+        let from_paren = x.wrapping_add(LO * (0x80 - 0x28));
+        let past_nine = x.wrapping_add(LO * (0x80 - 0x3a));
+        // `*` and `+` are the two bytes that read as `+` with the low bit set.
+        let y = (x | LO) ^ (LO * u64::from(b'+'));
+        let star_or_plus = y.wrapping_sub(LO) & !y;
+        let outside = (!from_paren | past_nine | star_or_plus) & HI;
+        if outside != 0 {
+            return i + n * 8 + (outside.trailing_zeros() / 8) as usize;
+        }
+    }
+    let tail_start = bytes.len() - tail.len();
+    tail.iter()
+        .position(|&b| !in_list_alphabet(b))
+        .map_or(bytes.len(), |p| tail_start + p)
+}
+
+/// Whether `b` may stand between a list's `[` and `]`.
+fn in_list_alphabet(b: u8) -> bool {
+    matches!(b, b'(' | b')' | b','..=b'9')
+}
 
 /// One element of a scanned list at `i`, in the alphabet
 /// [`render_f32_literal`] writes: its value, how many levels deep the
@@ -1247,5 +1542,227 @@ mod tests {
             }] += 1;
         }
         assert!(outcomes.iter().all(|&n| n > 300), "{outcomes:?}");
+    }
+
+    /// A list's reading in comparable form: value bits, nesting, end.
+    fn list_bits(read: Option<(Vec<f32>, u8, usize)>) -> Option<(Vec<u32>, u8, usize)> {
+        read.map(|(values, nesting, end)| {
+            (values.iter().map(|v| v.to_bits()).collect(), nesting, end)
+        })
+    }
+
+    /// `n` values: every spelling the printer has — both zeros, NaN, both
+    /// infinities, subnormals, `1e-45`, `f32::MAX` — among uniform bit
+    /// patterns and a feature map's activations.
+    fn hard_values(n: usize, rng: &mut Rng) -> Vec<f32> {
+        const NAMED: [f32; 14] = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-45,
+            -1e-45,
+            1e-40,
+            -1.1754942e-38,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            1.0,
+            -2.5,
+        ];
+        (0..n)
+            .map(|i| match i % 8 {
+                0 => NAMED[(i / 8) % NAMED.len()],
+                1 => f32::from_bits(rng.next_u32()),
+                _ => rng.gen_range_u64(0, 1 << 24) as f32 / (1 << 21) as f32 - 2.0,
+            })
+            .collect()
+    }
+
+    /// The list of `text` read serially and in `k` parts.
+    fn read_both_ways(text: &str, k: usize) -> [Option<(Vec<u32>, u8, usize)>; 2] {
+        let start = "new Float32Array([".len();
+        [
+            list_bits(scan_serial(text, start)),
+            list_bits(scan_in_parts(text, start, |_| k)),
+        ]
+    }
+
+    #[test]
+    fn a_list_cut_into_parts_is_written_and_read_as_one() {
+        // About what a 1st_pool feature map ships: 1.46 MB of text.
+        const FIRST_POOL: usize = 75_000;
+        let mut rng = Rng::seed_from_u64(0x5b11_7000);
+        for k in [1, 2, 3, 7] {
+            for n in [
+                0,
+                1,
+                MIN_PART * k - 1,
+                MIN_PART * k,
+                MIN_PART * k + 1,
+                FIRST_POOL,
+            ] {
+                let data = hard_values(n, &mut rng);
+                let mut serial = String::new();
+                render_in_parts(&data, 1, &mut serial);
+                let mut split = String::new();
+                render_in_parts(&data, k, &mut split);
+                assert!(split == serial, "{k} parts of {n} values render otherwise");
+
+                let [serial_read, split_read] = read_both_ways(&serial, k);
+                assert_eq!(split_read, serial_read, "{k} parts of {n} values");
+                let (values, _, end) = split_read.unwrap_or_else(|| panic!("{n} declined"));
+                assert_eq!(end, serial.len() - "])".len());
+                assert_eq!(values.len(), n);
+                for (v, r) in data.iter().zip(values) {
+                    assert!(v.to_bits() == r || (v.is_nan() && f32::from_bits(r).is_nan()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_part_that_runs_out_of_room_is_finished_after_the_join() {
+        // Zeros are two bytes a value with the comma, so every part holds
+        // about nine times what its vector was reserved for.
+        let data = vec![0.0; 3 * MIN_PART];
+        let text = rendered(&data);
+        let [serial, split] = read_both_ways(&text, 3);
+        assert_eq!(split, serial);
+        let (values, nesting, _) = scan_in_parts(&text, 18, |_| 3).unwrap();
+        assert_eq!(
+            (values.len(), values.capacity(), nesting),
+            (data.len(), data.len(), 2)
+        );
+    }
+
+    /// The `index`-th element of the list in `text`, as a byte range.
+    fn nth_element(text: &str, index: usize) -> std::ops::Range<usize> {
+        let start = "new Float32Array([".len();
+        let mut from = start;
+        let mut commas = text[start..].match_indices(',').map(|(at, _)| start + at);
+        for _ in 0..index {
+            from = commas.next().map_or(text.len(), |at| at + 1);
+        }
+        from..commas.next().unwrap_or(text.len() - "])".len())
+    }
+
+    #[test]
+    fn a_list_that_declines_declines_in_every_part_count() {
+        let mut rng = Rng::seed_from_u64(0x0dec_11e5);
+        let n = 3 * MIN_PART;
+        let text = rendered(&hard_values(n, &mut rng));
+        // Each edit: the element it replaces (at a fraction of the list),
+        // and the text it puts there.
+        let mut edits: Vec<(f64, &str)> = vec![
+            (0.95, "1, 2"),      // a space after a comma, in the last part
+            (0.5, "1e5"),        // an exponent
+            (0.45, "[[1,2],3]"), // a nested list whose `]` is in part 2
+            (0.6, "0.1"),        // a decimal that is no f32
+            (0.2, "@"),          // a byte the general lexer refuses
+        ];
+        // Text the element alphabet holds and no element is, at the first,
+        // a middle and the last element.
+        for at in [0.0, 0.5, 1.0] {
+            for bad in [
+                "", "1..5", "(-3", "((0/0)", "1-2", "1/0", "--1", ")(", "(-1/0",
+            ] {
+                edits.push((at, bad));
+            }
+        }
+        let mut texts: Vec<String> = edits
+            .iter()
+            .map(|&(at, bad)| {
+                let mut edited = text.clone();
+                edited.replace_range(nth_element(&text, ((n - 1) as f64 * at) as usize), bad);
+                edited
+            })
+            .collect();
+        // A trailing comma, and a missing `)`.
+        texts.push(text.replace("])", ",])"));
+        texts.push(text.replace("])", "];"));
+        for edited in &texts {
+            for k in [2, 3, 7] {
+                let [serial, split] = read_both_ways(edited, k);
+                assert_eq!(split, serial, "{k} parts");
+            }
+            // The general lexer reads what the scanner declines: the same
+            // tokens, or the same error, as without the `new` that would
+            // have chosen the scanner.
+            let bare = lex(&edited["new ".len()..]).map(|spanned| {
+                let mut tokens = vec![Token::Ident("new".into())];
+                tokens.extend(spanned.into_iter().map(|t| t.token));
+                tokens
+            });
+            let lexed = lex(edited).map(|spanned| spanned.into_iter().map(|t| t.token).collect());
+            assert!(lexed == bare, "lexed otherwise: {}", &edited[..60]);
+        }
+        let missing_paren = &texts[texts.len() - 1];
+        assert!(
+            read_both_ways(missing_paren, 2)[0].is_some(),
+            "the list itself is whole"
+        );
+        assert!(texts[..texts.len() - 1]
+            .iter()
+            .all(|t| read_both_ways(t, 2)[0].is_none()));
+    }
+
+    #[test]
+    fn declining_fragments_are_scanned_once_in_all() {
+        // 200 kB of lists that decline at their first element, with no `]`
+        // anywhere, then the same before a long list that reads: each
+        // fragment's scan stops at its own space, so one `lex` scans its
+        // text at most once, however many fragments there are.
+        let fragment = "new Float32Array([1 ";
+        let fragments = fragment.repeat(10_000);
+        let long = rendered(&vec![0.25; 3 * MIN_PART]);
+        for (text, lists) in [(fragments.clone(), 0), (fragments + &long, 1)] {
+            let starts: Vec<usize> = text.match_indices("([").map(|(at, _)| at + 2).collect();
+            let scanned: usize = starts
+                .iter()
+                .map(|&i| list_end(text.as_bytes(), i) - i)
+                .sum();
+            assert!(
+                scanned <= text.len(),
+                "{scanned} bytes scanned of {}",
+                text.len()
+            );
+            let tokens = lex(&text).unwrap();
+            let scanned_lists = tokens
+                .iter()
+                .filter(|t| matches!(t.token, Token::F32List { .. }))
+                .count();
+            assert_eq!(scanned_lists, lists);
+            assert_eq!(tokens.len(), 10_000 * 5 + 3 * lists + 1);
+        }
+    }
+
+    #[test]
+    fn list_end_is_the_first_byte_outside_the_alphabet_at_every_offset() {
+        // Backgrounds at both ends of the alphabet's range and a comma, so
+        // each probe byte's neighbours are inside; a probe is any byte.
+        for background in [b'(', b'9', b','] {
+            for len in 0..=17usize {
+                for at in 0..len {
+                    for probe in 0..=255u8 {
+                        let mut hay = vec![background; len];
+                        hay[at] = probe;
+                        if at + 2 < len {
+                            hay[at + 2] = b'*';
+                        }
+                        for from in 0..=len {
+                            let want = hay[from..]
+                                .iter()
+                                .position(|&b| !in_list_alphabet(b))
+                                .map_or(len, |p| from + p);
+                            assert_eq!(list_end(&hay, from), want, "{hay:?} from {from}");
+                        }
+                    }
+                }
+            }
+        }
+        let inside: Vec<u8> = (0..=255u8).filter(|&b| in_list_alphabet(b)).collect();
+        assert_eq!(inside, b"(),-./0123456789");
     }
 }

@@ -262,41 +262,16 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, WebError> {
 /// `None` — on the first byte outside it, so whitespace, comments,
 /// identifiers, exponents, nested expressions, a trailing comma or a
 /// missing `])` all go through the general lexer and parser, which stay the
-/// only definition of what is legal and of every error message. The
-/// elements are [`f32text`]'s, next to the printer that writes them; this
-/// function reads only the framing between them.
+/// only definition of what is legal and of every error message. The list
+/// from `[` to `]`, elements and commas, is [`f32text`]'s, next to the
+/// printer that writes it; this function reads only the `(` and `)`.
 fn scan_f32_list(src: &str, at: usize) -> Option<(Token, usize)> {
     let bytes = src.as_bytes();
     if !bytes[at..].starts_with(b"([") {
         return None;
     }
-    let mut i = at + 2;
-    // The printer spends ~19 bytes a value, and the list runs to at most
-    // the end of the text: reserving that up front spares a feature map
-    // its ~15 doublings.
-    let mut data = Vec::with_capacity((bytes.len() - i) / f32text::BYTES_PER_VALUE);
-    // `new Float32Array(` parses its argument one `expression()` deep.
-    let mut nesting = 1;
-    if bytes.get(i) != Some(&b']') {
-        loop {
-            let (value, depth, end) = f32text::scan_f32_element(src, i)?;
-            data.push(value);
-            nesting = nesting.max(depth);
-            match bytes.get(end)? {
-                b',' => i = end + 1,
-                b']' => {
-                    i = end;
-                    break;
-                }
-                _ => return None,
-            }
-        }
-    }
-    // A short list early in a long text must not keep the text's share.
-    if data.capacity() / 2 > data.len() {
-        data.shrink_to_fit();
-    }
-    (bytes.get(i + 1) == Some(&b')')).then_some((Token::F32List { data, nesting }, i + 2))
+    let (data, nesting, close) = f32text::scan_f32_elements(src, at + 2)?;
+    (bytes.get(close + 1) == Some(&b')')).then_some((Token::F32List { data, nesting }, close + 2))
 }
 
 #[cfg(test)]

@@ -493,6 +493,7 @@ impl Parser {
                 self.expect_punct("]")?;
                 expr = Expr::Index(Box::new(expr), Box::new(index));
             } else if self.eat_punct("(") {
+                // The call node owns its arguments. lint: allow(collect-in-loop)
                 let mut args = Vec::new();
                 if !self.eat_punct(")") {
                     loop {
