@@ -100,11 +100,13 @@ if ! awk '$1 ~ /^[0-9]+$/ { n++; if ($6 != "edge-b") off++ } END { exit !(n == 5
     exit 1
 fi
 
-echo "== a failed pre-send degrades to local (session, fleet --real and run exit 0, session offloads again in round 2); strict fail-fast is one error line"
+echo "== a failed pre-send degrades to local (session, fleet --real and run exit 0, session offloads again in round 4); strict fail-fast is one error line"
+# The pre-send gives up after round 2's click, so round 2 pre-sends
+# nothing; round 3 re-provisions after its click and round 4 offloads.
 faults=(--fault-plan 'corrupt@4..5.5' --retry 'attempts=3,deadline=5')
-session_smoke=$(target/release/snapedge session --model agenet --rounds 3 "${faults[@]}")
-if ! awk '$1 == 1 && $2 == "local" { a = 1 } $1 == 2 && $2 == "full" { b = 1 } END { exit !(a && b) }' <<<"$session_smoke"; then
-    echo "snapedge session with a failed pre-send: want round 1 local and round 2 a full snapshot, got:" >&2
+session_smoke=$(target/release/snapedge session --model agenet --rounds 4 "${faults[@]}")
+if ! awk '$1 ~ /^[0-9]+$/ { mode[$1] = $2 } END { exit !(mode[1] == "local" && mode[2] == "local" && mode[3] == "local" && mode[4] == "full") }' <<<"$session_smoke"; then
+    echo "snapedge session with a failed pre-send: want rounds 1-3 local and round 4 a full snapshot, got:" >&2
     echo "$session_smoke" >&2
     exit 1
 fi
@@ -117,6 +119,21 @@ if [ "$strict_code" -ne 1 ] || [ "$(grep -c '' <<<"$strict_stderr")" -ne 1 ] || 
     echo "strict fail-fast session: exit $strict_code, stderr:" >&2
     echo "$strict_stderr" >&2
     echo "want exit 1 and exactly one 'error: net: ' line" >&2
+    exit 1
+fi
+
+echo "== a pre-send never holds a clicked round (agenet run whose edge-a corrupts mid-round: total <= client-only total + capture(C) + backoff + fault time)"
+client_total=$(target/release/snapedge run --model agenet --strategy client | awk '$1 == "total:" { print $2 + 0 }')
+mid_round=$(target/release/snapedge run --model agenet --retry default \
+    --servers "edge-a,mbps=30,faults=corrupt@12.2..3600;edge-b,mbps=20")
+if ! awk -v local="$client_total" '
+    $1 == "total:" { total = $2 + 0 }
+    $1 == "breakdown:" { capture = $6 + 0 }
+    $1 == "resilience:" { backoff = $6 + 0; fault = $10 + 0 }
+    $1 == "fallback:" && /after 1 handoff/ { handed = 1 }
+    END { exit !(local > 0 && handed && total <= local + capture + backoff + fault) }' <<<"$mid_round"; then
+    echo "snapedge run failing over mid-round: want one handoff and a total within client-only ${client_total}s + capture + backoff + fault time, got:" >&2
+    echo "$mid_round" >&2
     exit 1
 fi
 
@@ -155,10 +172,14 @@ if [ -z "$partial_tokens" ] || [ "$partial_tokens" -ge 1000 ]; then
     exit 1
 fi
 
-echo "== meter exhaustion CLI smoke (capped primary fails over, run still succeeds)"
-meter_smoke=$(cargo run --offline --release -p snapedge-cli --bin snapedge -- run \
-    --model tiny_cnn --servers "edge-a,meter=ops=1;edge-b")
-grep -q "edge-b" <<<"$meter_smoke"
+echo "== meter exhaustion CLI smoke (capped primary fails over: round 1 completes locally, round 2 runs on edge-b)"
+meter_smoke=$(cargo run --offline --release -p snapedge-cli --bin snapedge -- session \
+    --model tiny_cnn --rounds 2 --servers "edge-a,meter=ops=1;edge-b")
+if ! awk '$1 ~ /^[0-9]+$/ { mode[$1] = $2; server[$1] = $6 } END { exit !(mode[1] == "local" && server[2] == "edge-b") }' <<<"$meter_smoke"; then
+    echo "snapedge session with a capped primary: want round 1 local and round 2 on edge-b, got:" >&2
+    echo "$meter_smoke" >&2
+    exit 1
+fi
 
 echo "== fleet scale smoke (10k clients under a wall-clock budget)"
 cargo run --offline --release -p snapedge-bench --bin fleet_scale

@@ -505,6 +505,15 @@ fn scenario_config(inv: &Invocation) -> Result<ScenarioConfig, UsageError> {
     Ok(cfg)
 }
 
+/// What `run` says of a round that fell back: how many handoffs it made
+/// before the offload gave up, when it made any.
+fn fallback_line(handoffs: usize) -> String {
+    match handoffs {
+        0 => "offload gave up; the inference completed locally".to_string(),
+        n => format!("offload gave up after {n} handoff(s); the inference completed locally"),
+    }
+}
+
 fn cmd_run(inv: &Invocation, out: &mut dyn Write) -> Outcome {
     let cfg = scenario_config(inv)?;
     let report = run_scenario(&cfg).map_err(|e| e.to_string())?;
@@ -558,10 +567,7 @@ fn cmd_run(inv: &Invocation, out: &mut dyn Write) -> Outcome {
         writeln!(out, "predict:    {verdict}")?;
     }
     if report.fell_back {
-        writeln!(
-            out,
-            "fallback:   offload gave up; the inference completed locally"
-        )?;
+        writeln!(out, "fallback:   {}", fallback_line(report.handoff_count()))?;
     }
     let retries = report.retry_count();
     if retries > 0 || report.fault_time() > Duration::ZERO {
@@ -1896,6 +1902,30 @@ mod tests {
         let mut stderr = Vec::new();
         let status = run(argv, stdout, &mut stderr);
         (status, String::from_utf8(stderr).unwrap())
+    }
+
+    #[test]
+    fn a_fallen_back_run_says_whether_it_handed_off() {
+        let fallback = |line: &str| {
+            let args: Vec<&str> = line.split_whitespace().collect();
+            let mut out = Vec::new();
+            assert_eq!(run_into(&args, &mut out), (0, String::new()), "{line}");
+            let out = String::from_utf8(out).unwrap();
+            let line = out.lines().find(|line| line.starts_with("fallback:"));
+            line.map(str::to_string)
+        };
+        // edge-a's meter kills the round; edge-b acknowledges after the
+        // click, so the handoff round completes locally.
+        assert_eq!(
+            fallback("run --model tiny_cnn --servers edge-a,meter=ops=1;edge-b").as_deref(),
+            Some("fallback:   offload gave up after 1 handoff(s); the inference completed locally")
+        );
+        // The only server's pre-send gave up: no candidate to hand off to.
+        assert_eq!(
+            fallback("run --model tiny_cnn --fault-plan down@0..100 --retry attempts=1").as_deref(),
+            Some("fallback:   offload gave up; the inference completed locally")
+        );
+        assert_eq!(fallback("run --model tiny_cnn"), None);
     }
 
     #[test]

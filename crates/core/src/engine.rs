@@ -242,10 +242,8 @@ pub enum EngineStep {
 /// A set of concurrent clients the engine can interleave: each client is
 /// a resumable round state machine yielding at its server-CPU boundary.
 ///
-/// The engine calls, per round and per client:
-/// `begin_round` → (`compute` → `continue_round`)*, where the loop
-/// repeats when a failover mid-round re-drives the uplink against a
-/// different server.
+/// The engine calls, per round and per client: `begin_round`, then
+/// `compute` → `continue_round` when the round asked for server CPU.
 pub trait Workload {
     /// Number of clients (fixed for the engine run).
     fn clients(&self) -> usize;
@@ -273,9 +271,11 @@ pub trait Workload {
     /// Propagates server-side execution failures.
     fn compute(&mut self, client: usize, admitted_at: Duration) -> Result<Duration, OffloadError>;
 
-    /// Resumes the round after its compute grant: downlink, completion —
-    /// or another [`EngineStep::NeedCompute`] when a mid-round failover
-    /// re-drove the uplink against a different server.
+    /// Resumes the round after its compute grant: downlink and
+    /// completion. [`SessionWorkload`] and [`ModeledWorkload`] always
+    /// return [`EngineStep::Done`] (a session that fails over mid-round
+    /// completes it locally); the engine queues any other step as a new
+    /// compute request.
     ///
     /// # Errors
     ///
@@ -432,8 +432,8 @@ impl Workload for SessionWorkload {
     }
 
     fn continue_round(&mut self, client: usize) -> Result<EngineStep, OffloadError> {
-        let step = self.session(client)?.round_finish()?;
-        Ok(self.step_of(client, step))
+        let report = self.session(client)?.round_finish()?;
+        Ok(self.step_of(client, RoundStep::Done(report)))
     }
 
     fn begin_round_balanced(

@@ -16,9 +16,10 @@
 //! one server. The [`ServerPool`] scores candidates by predicted
 //! migration time, and when the retry budget against the current server
 //! exhausts mid-round, the session *automatically* hands off to the next
-//! best candidate (re-pre-send, full-snapshot resend, delta-epoch reset),
-//! falling back to local execution only once every candidate is
-//! exhausted. A fleet of size 1 behaves bit-for-bit like the original
+//! best candidate (re-pre-send, delta-epoch reset). A pre-send never
+//! holds a clicked round: the round that hands off completes locally,
+//! and the new server serves from the next click on, with a full
+//! snapshot. A fleet of size 1 behaves bit-for-bit like the original
 //! single-server session.
 
 use crate::apps;
@@ -158,9 +159,9 @@ pub struct RoundReport {
     pub total: Duration,
     /// Label displayed on the client's screen.
     pub result: String,
-    /// Whether this round gave up on offloading (every fleet candidate
-    /// exhausted its retry budget) and completed the inference locally on
-    /// the client.
+    /// Whether this round gave up on offloading and completed the
+    /// inference locally on the client: its server never acknowledged
+    /// the model, or failed the round and the session failed over.
     pub fell_back: bool,
     /// Name of the edge server that executed the inference; `None` when
     /// it ran on the client, by a gate's `Local` verdict or by fallback.
@@ -180,9 +181,9 @@ pub struct RoundReport {
 }
 
 /// Where a resumable round paused — what [`OffloadSession::round_start`]
-/// and [`OffloadSession::round_finish`] hand back to their driver (the
-/// legacy [`OffloadSession::infer`] loop, or the fleet engine's global
-/// event queue).
+/// hands back to its driver (the legacy [`OffloadSession::infer`], or
+/// the fleet engine's global event queue). A parked round ends with
+/// [`OffloadSession::round_finish`], which always completes it.
 #[derive(Debug)]
 pub(crate) enum RoundStep {
     /// The uplink migration landed on the current server at the
@@ -195,16 +196,16 @@ pub(crate) enum RoundStep {
     Done(RoundReport),
 }
 
-/// In-flight state of a round parked between scheduler events.
+/// In-flight state of a round parked between scheduler events: its
+/// uplink landed and it waits for the server CPU.
 struct PendingRound {
     /// When the user clicked inference (the retry deadline anchor and
     /// the origin of the round's `total`).
     clicked_at: Duration,
-    /// Set once the uplink migration landed: what the downlink later
-    /// needs.
-    arrived: Option<ArrivedUplink>,
+    /// What the downlink later needs.
+    arrived: ArrivedUplink,
     /// Set when the server's resource meter killed the tenant during the
-    /// compute grant: the round must fail over (or finish locally)
+    /// compute grant: the round must fail over and finish locally
     /// instead of running the downlink.
     exhausted: bool,
 }
@@ -250,13 +251,15 @@ pub struct OffloadSession {
     bundle: ModelBundle,
     /// Its size in bytes: what a pre-send uploads, what the `plan` gate
     /// prices while it is unacknowledged, and what failover prices for
-    /// every candidate (build does not; ROADMAP 3(a)).
+    /// every candidate (build does not; ROADMAP 3(a)): its upload holds
+    /// the next click, never the round that failed over.
     pub(crate) model_bytes: u64,
     /// When the last failed pre-send gave up. Pre-sends ride the links'
     /// own timeline, overlapping whatever the client is doing, so the
     /// shared clock does not move for them: the next candidate's
-    /// pre-send starts here (or now, if that is later), and a client
-    /// that is waiting on provisioning mid-round waits until here.
+    /// pre-send starts here (or now, if that is later), and until the
+    /// clock reaches it that provisioning is still in flight, so no
+    /// round starts another.
     presend_from: Duration,
     /// Whether a round waits out the pre-send ACK before the click (the
     /// paper's "after ACK" regime, and every long-lived session). A
@@ -591,9 +594,12 @@ impl OffloadSession {
         }
     }
 
-    /// When the serving server acknowledged the model pre-send; offloads
-    /// before this time queue behind the model upload. `None` until it
+    /// When the serving server acknowledged the model pre-send; a round
+    /// clicked before this time waits for it (a before-ACK scenario's
+    /// offload queues behind the model upload instead). `None` until it
     /// has: the session is unprovisioned and its rounds complete locally.
+    /// A server provisioned after a click never serves that round, so its
+    /// ACK first holds the next click.
     pub fn ack_at(&self) -> Option<Duration> {
         self.ack_at
     }
@@ -695,30 +701,32 @@ impl OffloadSession {
         }
     }
 
-    /// Mid-round failover: provisions the next-best candidate
-    /// ([`OffloadSession::provision_next`]) while the client waits — for
-    /// the new ACK before re-attempting the migration, or, when every
-    /// candidate is exhausted (`false`: the round must finish locally),
-    /// for the last pre-send to give up.
+    /// Failover after the click: provisions the next-best candidate
+    /// ([`OffloadSession::provision_next`]) for the next click, which
+    /// waits for its ACK as at build; the round that failed over
+    /// completes locally, never waiting on the pre-send. While an earlier
+    /// provisioning is still unresolved (its last pre-send gives up after
+    /// now) nothing new is pre-sent: a session keeps one provisioning in
+    /// flight.
     ///
     /// # Errors
     ///
     /// Propagates fatal (non-network) provisioning failures.
-    fn failover(&mut self) -> Result<bool, OffloadError> {
-        // The wait starts now: give-ups on the pre-round timeline are past.
-        self.presend_from = self.clock.now();
-        let moved = self.provision_next()?;
-        self.clock
-            .advance_to(self.ack_at.filter(|_| moved).unwrap_or(self.presend_from));
-        Ok(moved)
+    fn failover(&mut self) -> Result<(), OffloadError> {
+        if self.presend_from <= self.clock.now() {
+            self.provision_next()?;
+        }
+        Ok(())
     }
 
     /// Places the client by [`ServerPool::select`] among the
     /// non-exhausted candidates, emits `server_select`/`handoff` events
     /// and re-provisions (model re-pre-send). Candidates the provisioning
     /// rule ([`OffloadSession::provisioned`]) leaves unprovisioned are
-    /// marked exhausted and the next one is tried. Returns `false` when
-    /// every candidate is exhausted.
+    /// marked exhausted and the next one is tried, its pre-send starting
+    /// where the previous one gave up, so they never overlap. Returns
+    /// `false` when every candidate is exhausted. The clock does not move:
+    /// the next click waits for the new ACK.
     ///
     /// # Errors
     ///
@@ -751,9 +759,9 @@ impl OffloadSession {
 
     /// Performs one offloaded inference on a fresh image. When the retry
     /// budget against the current server exhausts, the session hands off
-    /// to the next-best fleet candidate (re-pre-send, full-snapshot
-    /// resend) and re-attempts; the round completes locally only once
-    /// every candidate is exhausted.
+    /// to the next-best fleet candidate (re-pre-send) and the round
+    /// completes locally: the new server serves from the next click on,
+    /// with a full snapshot.
     ///
     /// This is the closed-loop driver of the resumable round state
     /// machine ([`OffloadSession::round_start`] →
@@ -768,15 +776,12 @@ impl OffloadSession {
     ///
     /// Returns [`OffloadError`] for app, protocol or network failures.
     pub fn infer(&mut self, image_seed: u64) -> Result<RoundReport, OffloadError> {
-        let mut step = self.round_start(image_seed)?;
-        loop {
-            match step {
-                RoundStep::Done(report) => return Ok(report),
-                RoundStep::NeedCompute => {
-                    let now = self.clock.now();
-                    self.round_compute(now)?;
-                    step = self.round_finish()?;
-                }
+        match self.round_start(image_seed)? {
+            RoundStep::Done(report) => Ok(report),
+            RoundStep::NeedCompute => {
+                let now = self.clock.now();
+                self.round_compute(now)?;
+                self.round_finish()
             }
         }
     }
@@ -787,7 +792,7 @@ impl OffloadSession {
     /// [`RoundStep::NeedCompute`] with the round parked when the uplink
     /// landed and the server's CPU is the next resource needed, or
     /// [`RoundStep::Done`] when the round already completed on the
-    /// client (proactive-local or every candidate exhausted).
+    /// client (unprovisioned, proactive-local or failed over).
     pub(crate) fn round_start(&mut self, image_seed: u64) -> Result<RoundStep, OffloadError> {
         self.round += 1;
         // Every candidate gets a fresh chance each round; the first round
@@ -838,11 +843,13 @@ impl OffloadSession {
         // The current server never acknowledged its pre-send (the session
         // started unprovisioned, or the previous round's failover ran out
         // of candidates): there is nothing to ship to, so the round
-        // re-provisions first, the current server ranked with the other
-        // candidates. Whoever gave up in this round's provisioning — the
-        // first round's is the session's own — stays given up.
-        if self.ack_at.is_none() && !self.failover()? {
-            return self.round_done_locally(clicked_at);
+        // re-provisions, the current server ranked with the other
+        // candidates, and completes locally; the next click waits for the
+        // ACK. Whoever gave up in this round's provisioning — the first
+        // round's is the session's own — stays given up.
+        if self.ack_at.is_none() {
+            self.failover()?;
+            return self.round_done_locally(clicked_at).map(RoundStep::Done);
         }
 
         // The pre-ship gates. A `Local` verdict completes the round on the
@@ -868,52 +875,36 @@ impl OffloadSession {
             return Ok(RoundStep::Done(report));
         }
 
-        self.pending = Some(PendingRound {
-            clicked_at,
-            arrived: None,
-            exhausted: false,
-        });
-        self.drive_uplink()
-    }
-
-    /// Attempts the uplink migration against the current server,
-    /// failing over through the fleet on exhaustion, until a snapshot
-    /// (or delta) lands on *some* server or every candidate is
-    /// exhausted and the round completes locally.
-    fn drive_uplink(&mut self) -> Result<RoundStep, OffloadError> {
-        let clicked_at = match &self.pending {
-            Some(parked) => parked.clicked_at,
-            None => {
-                return Err(OffloadError::Protocol(
-                    "uplink driven with no round in flight".into(),
-                ))
-            }
-        };
+        // The uplink migration: the snapshot (or delta) lands on the
+        // current server and the round parks for its CPU, or the budget
+        // exhausts, the session fails over and the round ends locally.
         let base = self.server.agreed.clone();
         match self.migrate(Dir::Up, base.as_deref(), clicked_at) {
             Ok(Some((up_bytes, delta_up))) => {
-                // The base the downlink delta is computed against.
-                let server_base = self.server.endpoint.browser.state_base();
-                if let Some(parked) = self.pending.as_mut() {
-                    parked.arrived = Some(ArrivedUplink {
-                        server_base,
+                self.pending = Some(PendingRound {
+                    clicked_at,
+                    arrived: ArrivedUplink {
+                        // The base the downlink delta is computed against.
+                        server_base: self.server.endpoint.browser.state_base(),
                         up_bytes,
                         delta_up,
-                    });
-                }
+                    },
+                    exhausted: false,
+                });
                 Ok(RoundStep::NeedCompute)
             }
-            failed => self.exhausted_mid_round(clicked_at, failed.err()),
+            failed => self
+                .exhausted_mid_round(clicked_at, failed.err())
+                .map(RoundStep::Done),
         }
     }
 
-    /// Completes the parked round on the client after every fleet
-    /// candidate exhausted its retry budget. The server's view of the
-    /// client state is now stale (bytes may have died mid-wire), so the
-    /// delta agreement is dropped — the next round re-sends a full
-    /// snapshot.
-    fn round_done_locally(&mut self, clicked_at: Duration) -> Result<RoundStep, OffloadError> {
-        self.pending = None;
+    /// Completes the round on the client: the current server never
+    /// acknowledged, or it failed the round and the session failed over.
+    /// The server's view of the client state is now stale (bytes may
+    /// have died mid-wire), so the delta agreement is dropped — the next
+    /// round re-sends a full snapshot.
+    fn round_done_locally(&mut self, clicked_at: Duration) -> Result<RoundReport, OffloadError> {
         let now = self.clock.now();
         self.tracer.record(
             "fallback_local",
@@ -923,7 +914,7 @@ impl OffloadSession {
             now,
         );
         self.server.agreed = None;
-        Ok(RoundStep::Done(self.end_round(clicked_at, None, true)?))
+        self.end_round(clicked_at, None, true)
     }
 
     /// Grants the server CPU to the parked round. `admitted_at` is when
@@ -998,53 +989,44 @@ impl OffloadSession {
     /// Finishes the parked round after the server CPU ran: downlink
     /// migration, result installation, agreement update. When the
     /// downlink's budget exhausts mid-migration the session fails over
-    /// and re-drives the uplink, so the returned step may be
-    /// [`RoundStep::NeedCompute`] again — against the new server —
-    /// rather than [`RoundStep::Done`].
-    pub(crate) fn round_finish(&mut self) -> Result<RoundStep, OffloadError> {
-        let Some(parked) = self.pending.as_mut() else {
+    /// and the round completes locally.
+    pub(crate) fn round_finish(&mut self) -> Result<RoundReport, OffloadError> {
+        let Some(PendingRound {
+            clicked_at,
+            arrived,
+            exhausted,
+        }) = self.pending.take()
+        else {
             return Err(OffloadError::Protocol(
                 "round_finish called with no round in flight".into(),
             ));
         };
-        let clicked_at = parked.clicked_at;
-        let arrived = parked.arrived.take();
         // A meter kill during the compute grant: the server's state is
         // dead, so skip the downlink entirely and move the round on.
-        if std::mem::take(&mut parked.exhausted) {
+        if exhausted {
             return self.exhausted_mid_round(clicked_at, None);
         }
-        let Some(arrived) = arrived else {
-            return Err(OffloadError::Protocol(
-                "round_finish called with no uplink in flight".into(),
-            ));
-        };
         // A downlink delta needs the base the uplink delta left behind.
         let base = arrived.delta_up.then_some(&arrived.server_base);
         match self.migrate(Dir::Down, base, clicked_at) {
-            Ok(Some(down)) => {
-                let report = self.end_round(clicked_at, Some((&arrived, down)), false)?;
-                self.pending = None;
-                Ok(RoundStep::Done(report))
-            }
+            Ok(Some(down)) => self.end_round(clicked_at, Some((&arrived, down)), false),
             failed => self.exhausted_mid_round(clicked_at, failed.err()),
         }
     }
 
     /// The current server failed the round mid-way: its retry budget ran
     /// out (`failure` is `None`), or `failure` hit it. Marks the server
-    /// exhausted and fails over, re-driving the uplink against the new
-    /// server, or completes the round locally once the fleet is spent.
-    /// Without a retry policy a transient fault is strict fail-fast
-    /// against one server, but a fleet still tries its remaining
-    /// candidates before surfacing an error — and a tripped resource
-    /// meter (during the server's restore, execution or capture) always
-    /// moves on rather than retrying in place.
+    /// exhausted, fails over for the next click and completes the round
+    /// locally. Without a retry policy a transient fault is strict
+    /// fail-fast against one server, but a fleet fails over instead of
+    /// surfacing the error — and a tripped resource meter (during the
+    /// server's restore, execution or capture) always moves on rather
+    /// than retrying in place.
     fn exhausted_mid_round(
         &mut self,
         clicked_at: Duration,
         failure: Option<OffloadError>,
-    ) -> Result<RoundStep, OffloadError> {
+    ) -> Result<RoundReport, OffloadError> {
         if let Some(e) = failure {
             if !self.recoverable(&e) {
                 return Err(e);
@@ -1052,11 +1034,8 @@ impl OffloadSession {
             self.record_meter_exhausted(&e);
         }
         self.pool.mark_exhausted(self.current);
-        if self.failover()? {
-            self.drive_uplink()
-        } else {
-            self.round_done_locally(clicked_at)
-        }
+        self.failover()?;
+        self.round_done_locally(clicked_at)
     }
 
     /// Index of the currently-serving fleet candidate — how a scheduler

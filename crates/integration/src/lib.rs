@@ -103,6 +103,50 @@ pub fn snapshot_up_window(trace: &Trace) -> (Duration, Duration) {
     (start, end)
 }
 
+/// The first two of `trace`'s model pre-sends that overlap: a
+/// `model_upload` span that starts before the previous one ended.
+/// `None` when a session kept one provisioning in flight at a time.
+pub fn overlapping_presends(trace: &Trace) -> Option<(&Event, &Event)> {
+    let mut uploads: Vec<&Event> = trace
+        .events()
+        .iter()
+        .filter(|e| e.name == "model_upload")
+        .collect();
+    uploads.sort_by_key(|e| (e.start, e.end));
+    let pair = uploads
+        .windows(2)
+        .find(|pair| pair[1].start < pair[0].end)?;
+    Some((pair[0], pair[1]))
+}
+
+/// Asserts that a round that handed off and was not served took exactly
+/// one local execution after its last `handoff` event: the
+/// `exec_client` span that ends the round on the client runs from that
+/// handoff to `end`, the round's end.
+///
+/// # Panics
+///
+/// When nothing handed off by `end`, no client execution ends there,
+/// or the last handoff is not where it starts.
+pub fn assert_local_after_last_handoff(trace: &Trace, end: Duration) {
+    let events = trace.events();
+    let handoff = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Handoff && e.start <= end)
+        .map(|e| e.start)
+        .max()
+        .expect("the round handed off");
+    let local = events
+        .iter()
+        .find(|e| e.name == "exec_client" && e.end == end)
+        .expect("the round ends in a client execution");
+    assert_eq!(
+        (local.start, local.end),
+        (handoff, end),
+        "from the last handoff the round runs one local execution: {local:?}"
+    );
+}
+
 /// Runs `engine` to completion and holds its event log to the engine's
 /// invariants ([`check_log`]) and its report to the log
 /// ([`check_report`]).

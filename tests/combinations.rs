@@ -25,6 +25,10 @@
 //! 8. **Gate readings.** Every `gate:<gate>:<verdict>:<lhs>:<rhs>` line
 //!    satisfies the comparison it names: `plan` goes local iff
 //!    `lhs >= rhs`, `effects` iff `lhs > rhs`.
+//! 9. **One provisioning in flight.** A session's model pre-sends never
+//!    overlap: each `model_upload` starts no earlier than the previous
+//!    one ended ([`overlapping_presends`]), in sessions, one-click
+//!    scenarios and every client of a fleet.
 //!
 //! Each app's rows must retry and fall back at least once, and the
 //! session rows must reach all four gate outcomes, so a change to the
@@ -33,8 +37,8 @@
 
 use snapedge_core::prelude::*;
 use snapedge_integration::{
-    check_log, check_report, gate_reading, generous, secs, tiny_spec, GateReading, LocalOracle,
-    LONG,
+    check_log, check_report, gate_reading, generous, overlapping_presends, secs, tiny_spec,
+    GateReading, LocalOracle, LONG,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -151,13 +155,16 @@ struct Run {
     jsonl: String,
 }
 
+/// Runs `c`'s session, holding its trace to oracle 9.
 fn run(c: &Combo) -> Run {
     let (mut rounds, mut jsonl) = (Vec::new(), String::new());
     let error = match OffloadSession::new(c.config()) {
         Ok(mut session) => {
             let infer = |i| session.infer(i).map(|r| rounds.push(r));
             let done = (1..=c.app.4).try_for_each(infer);
-            jsonl = session.trace().to_jsonl();
+            let trace = session.trace();
+            assert_eq!(overlapping_presends(&trace), None, "{c:?}");
+            jsonl = trace.to_jsonl();
             done.err()
         }
         Err(e) => Some(e),
@@ -368,7 +375,7 @@ fn agenet_third_pool_sessions_are_transparent_under_every_combination() {
 
 /// One click through `run_scenario`, after and before the pre-send's
 /// ACK (the before-ACK regime has no other entry point), × seeds × 1–2
-/// servers × retry × no meter or a generous one: oracles 1, 2, 3 and 7.
+/// servers × retry × no meter or a generous one: oracles 1, 2, 3, 7 and 9.
 #[test]
 fn one_click_scenarios_are_transparent_under_every_combination() {
     for app in [&TINY, &AGENET] {
@@ -387,7 +394,10 @@ fn one_click_scenarios_are_transparent_under_every_combination() {
                 let report = run_scenario(&cfg);
                 assert_eq!(run_scenario(&cfg), report, "{tag}: rerun");
                 match &report {
-                    Ok(r) => assert_eq!(r.result, expected, "{tag}"),
+                    Ok(r) => {
+                        assert_eq!(r.result, expected, "{tag}");
+                        assert_eq!(overlapping_presends(&r.trace), None, "{tag}");
+                    }
                     Err(e) => check_error(&tag, c.servers == 1 && !c.retry, e),
                 }
                 (tag, report)
@@ -409,7 +419,7 @@ fn one_click_scenarios_are_transparent_under_every_combination() {
 /// Real tiny sessions, three clients of three rounds each, over 1–3
 /// servers that each have a chaos plan of their own × every engine
 /// policy × retry × no meter or a generous one, each run twice under
-/// the engine's log and report checks: oracles 1, 3 and 7.
+/// the engine's log and report checks: oracles 1, 3, 7 and 9.
 #[test]
 fn real_session_fleets_hold_every_oracle_under_every_policy() {
     type Policy = fn(Engine<SessionWorkload>) -> Engine<SessionWorkload>;
@@ -438,7 +448,11 @@ fn real_session_fleets_hold_every_oracle_under_every_policy() {
                 let report = engine.run()?;
                 check_log(engine.event_log(), servers as usize);
                 check_report(engine.event_log(), &report);
-                let trace = |c| engine.workload().trace(c).unwrap().to_jsonl();
+                let trace = |c| {
+                    let trace = engine.workload().trace(c).unwrap();
+                    assert_eq!(overlapping_presends(&trace), None, "{tag}, client {c}");
+                    trace.to_jsonl()
+                };
                 let traces: String = (0..3).map(trace).collect();
                 Ok((report, engine.event_log().to_vec(), traces))
             };

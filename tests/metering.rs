@@ -12,11 +12,14 @@
 //! fleets across the switch and chaos matrix (its oracle 3).
 //! 3. **Exhaustion is fatal-for-this-server** — a tripped cap never
 //!    burns the retry budget: the session fails over to the next fleet
-//!    candidate, or completes locally when every candidate is capped,
-//!    and the inference result stays bit-identical either way.
+//!    candidate, which serves from the next click on (the tripped round
+//!    completes locally, as it does when every candidate is capped), and
+//!    the inference result stays bit-identical either way.
 
 use snapedge_core::prelude::*;
-use snapedge_integration::{count_kind, generous, names_of_kind, secs, tiny_spec};
+use snapedge_integration::{
+    assert_local_after_last_handoff, count_kind, generous, names_of_kind, secs, tiny_spec,
+};
 
 // --- 2. Generous caps only observe ----------------------------------------
 
@@ -56,17 +59,19 @@ fn ops_exhaustion_fails_over_without_burning_retries() {
             .build(),
     )
     .unwrap();
-    let rounds: Vec<RoundReport> = (1..=3).map(|i| session.infer(i).unwrap()).collect();
+    // Round 1 trips edge-a's cap and hands off; edge-b acknowledges after
+    // that click, so the round completes locally and edge-b serves the
+    // rest, full and then delta.
+    let mut rounds = vec![session.infer(1).unwrap()];
+    assert_local_after_last_handoff(&session.trace(), session.now());
+    rounds.extend((2..=3).map(|i| session.infer(i).unwrap()));
     for (r, p) in rounds.iter().zip(&probe_rounds) {
         assert_eq!(r.result, p.result, "round {} result drifted", r.round);
-        assert!(!r.fell_back, "round {} must not fall back", r.round);
-        assert_eq!(
-            r.server.as_deref(),
-            Some("edge-b"),
-            "round {} served by failover",
-            r.round
-        );
+        assert_eq!(r.fell_back, r.round == 1, "round {}", r.round);
     }
+    let served: Vec<_> = rounds.iter().map(|r| r.server.as_deref()).collect();
+    assert_eq!(served, [None, Some("edge-b"), Some("edge-b")]);
+    assert!(!rounds[1].delta_up && rounds[2].delta_up);
     let trace = session.trace();
     assert!(
         names_of_kind(&trace, EventKind::MeterExhausted)
@@ -85,6 +90,8 @@ fn ops_exhaustion_fails_over_without_burning_retries() {
     );
 }
 
+/// The killed round hands off to edge-b and completes locally: edge-b
+/// acknowledges after the click.
 #[test]
 fn slice_kill_mid_compute_fails_over_in_a_scenario() {
     let clean = run_scenario(&ScenarioConfig::tiny(Strategy::OffloadAfterAck)).unwrap();
@@ -99,8 +106,13 @@ fn slice_kill_mid_compute_fails_over_in_a_scenario() {
     )
     .unwrap();
     assert_eq!(report.result, clean.result);
-    assert!(!report.fell_back);
-    assert_eq!(report.server.as_deref(), Some("edge-b"));
+    assert!(report.fell_back);
+    assert_eq!(report.server, None);
+    assert_eq!(
+        names_of_kind(&report.trace, EventKind::Handoff),
+        ["handoff:edge-a->edge-b"]
+    );
+    assert_local_after_last_handoff(&report.trace, report.clicked_at + report.total);
     assert!(
         names_of_kind(&report.trace, EventKind::MeterExhausted)
             .iter()
@@ -136,19 +148,36 @@ fn fleet_wide_meter_is_overridden_per_server() {
     // Fleet-wide cap is unreachable; the primary's own cap is one op.
     // The override must win on the primary only, so the round fails over
     // to the secondary, which inherits the generous fleet-wide limits.
-    let report = run_scenario(
-        &ScenarioConfig::tiny_builder()
-            .meter(generous())
-            .servers(vec![
-                tiny_spec("edge-a").with_meter(MeterLimits::default().with_ops(1)),
-                tiny_spec("edge-b"),
-            ])
-            .build(),
-    )
-    .unwrap();
-    assert_eq!(report.server.as_deref(), Some("edge-b"));
-    assert!(!report.fell_back);
-    assert!(count_kind(&report.trace, EventKind::MeterTick) > 0);
+    // The failover round completes locally (edge-b acknowledges after its
+    // click); the next round is edge-b's, metered and never exhausted.
+    let cfg = ScenarioConfig::tiny_builder()
+        .meter(generous())
+        .servers(vec![
+            tiny_spec("edge-a").with_meter(MeterLimits::default().with_ops(1)),
+            tiny_spec("edge-b"),
+        ])
+        .build();
+    let report = run_scenario(&cfg).unwrap();
+    assert_eq!(report.server, None);
+    assert!(report.fell_back);
+    assert_eq!(
+        names_of_kind(&report.trace, EventKind::Handoff),
+        ["handoff:edge-a->edge-b"]
+    );
+    assert_local_after_last_handoff(&report.trace, report.clicked_at + report.total);
+
+    let mut session = OffloadSession::new(SessionConfig::from(cfg.core.clone())).unwrap();
+    session.infer(1).unwrap();
+    let served = session.infer(2).unwrap();
+    assert_eq!(served.server.as_deref(), Some("edge-b"));
+    assert!(!served.fell_back && served.ops_used > 0, "{served:?}");
+    let trace = session.trace();
+    assert!(count_kind(&trace, EventKind::MeterTick) > 0);
+    assert_eq!(
+        count_kind(&trace, EventKind::MeterExhausted),
+        1,
+        "edge-a's only"
+    );
 }
 
 // --- Fleet engine ---------------------------------------------------------

@@ -608,8 +608,8 @@ const FIXTURES: &[(&str, u64, u64, u64)] = &[
     ("aimed/budget_exhausted_at_snapshot", 0xba58700fd133a226, 0x87067a1642863192, 0x87067a1642863192),
     ("aimed/corrupt_uploads_give_up", 0x1a485fbadc7a0310, 0x2a94ae876778ad4e, 0x2a94ae876778ad4e), // give-up clock fix: the fallback starts after the last corrupted copy
     ("aimed/corrupt_downloads_give_up", 0x31f4203730faa88b, 0x4621ca075d527dcf, 0x4621ca075d527dcf), // give-up clock fix
-    ("aimed/mid_migration_handoff", 0x64fd364d3ccc5e5a, 0xfd44b42880730d60, 0xfd44b42880730d60), // mid-migration re-capture (+1 capture_client)
-    ("aimed/downlink_dies_mid_round_handoff", 0x352e83590ceec379, 0x33ece728fb431a97, 0x33ece728fb431a97), // mid-migration re-capture
+    ("aimed/mid_migration_handoff", 0xba58700fd133a226, 0x73ddd1f70a5e1da5, 0x73ddd1f70a5e1da5), // a server provisioned after the click never serves it: the handoff round completes locally
+    ("aimed/downlink_dies_mid_round_handoff", 0x05bd60ab4b7def59, 0xc823de5e5b22c6cf, 0xc823de5e5b22c6cf), // a server provisioned after the click never serves it: the handoff round completes locally
     ("presend/failover_to_edge_b", 0xf27eef1ab88081d6, 0x41b3661cf68cef52, 0x41b3661cf68cef52),
     ("presend/failover_without_policy", 0xf27eef1ab88081d6, 0x41b3661cf68cef52, 0x41b3661cf68cef52), // the refused model_upload span closes at its attempt: the trace of failover_to_edge_b
     ("presend/corrupt_primary_fails_over_late", 0xc8a9cba9ae86987c, 0xba29c520b5c2dc10, 0xba29c520b5c2dc10),
@@ -625,8 +625,8 @@ const FIXTURES: &[(&str, u64, u64, u64)] = &[
     ("gates/effects", 0xb987eb31f1ddcf97, 0x30468c9ddc625b9f, 0xacaa83d2b139e4dd), // one gate chain: a configured gate records its `ship` verdict too (`gate:effects:ship:0:0`)
     ("meter/generous", 0xb987eb31f1ddcf97, 0x9eb820fe4fa831bb, 0x9eb820fe4fa831bb),
     ("meter/ops10_goes_local", 0x30204612b7097821, 0x40fc2b9264ea272c, 0x40fc2b9264ea272c),
-    ("meter/slice_kill_fails_over", 0xbe88bff26c4a6a16, 0x5e8e2bce38f2fc6e, 0x5e8e2bce38f2fc6e), // mid-migration re-capture (failover after a meter kill)
-    ("meter/fleet_wide_overridden_per_server", 0xedb94f8204afe603, 0xc2caa16983598c5b, 0xc2caa16983598c5b), // mid-migration re-capture (failover after a meter kill)
+    ("meter/slice_kill_fails_over", 0x0ac9cee0c2619fe5, 0xd13b0ca00721ee63, 0xd13b0ca00721ee63), // a server provisioned after the click never serves it: the handoff round completes locally
+    ("meter/fleet_wide_overridden_per_server", 0x30204612b7097821, 0x48543390e04f5675, 0x48543390e04f5675), // a server provisioned after the click never serves it: the handoff round completes locally
     ("fleet/strictly_better_secondary", 0xf27eef1ab88081d6, 0xae3e267ca735f8fd, 0xae3e267ca735f8fd),
     ("fleet/ranking_depends_on_priced_bytes", 0x9138c434f90c5649, 0x2766fe08b86160ce, 0x2766fe08b86160ce), // the session's initial selection prices the image only, not the model (the one-driver refactor's fourth decided divergence)
     ("compress/tiny_after_ack/false", 0xb987eb31f1ddcf97, 0xacaa83d2b139e4dd, 0xacaa83d2b139e4dd),
